@@ -146,59 +146,3 @@ func TestFullSpaceSweepBatchCompetitive(t *testing.T) {
 		t.Errorf("batch sweep (%d ns/op) regressed past 1.6x scalar (%d ns/op)", batchNs, scalarNs)
 	}
 }
-
-// TestTunerBatchScalarEquivalenceOnScout runs whole campaigns on a real
-// 72-point Scout job through the public API: the batched planner (default)
-// and the scalar reference planner must profile the same trial sequence and
-// recommend the same configuration at LA=1 and at the pruned LA=2 search.
-func TestTunerBatchScalarEquivalenceOnScout(t *testing.T) {
-	jobs, err := SyntheticScoutJobs(42)
-	if err != nil {
-		t.Fatalf("SyntheticScoutJobs: %v", err)
-	}
-	job := jobs[0]
-	env, err := NewJobEnvironment(job)
-	if err != nil {
-		t.Fatalf("NewJobEnvironment: %v", err)
-	}
-	tmax, err := job.RuntimeForFeasibleFraction(0.5)
-	if err != nil {
-		t.Fatalf("RuntimeForFeasibleFraction: %v", err)
-	}
-	opts := Options{
-		Budget:            8 * job.MeanCost(),
-		MaxRuntimeSeconds: tmax,
-		Seed:              5,
-	}
-	for _, lookahead := range []int{1, 2} {
-		batched, err := NewTuner(TunerConfig{Lookahead: lookahead, EnsembleTrees: 5, Workers: 2})
-		if err != nil {
-			t.Fatalf("NewTuner: %v", err)
-		}
-		scalar, err := NewTuner(TunerConfig{Lookahead: lookahead, EnsembleTrees: 5, Workers: 2, DisableBatchPredict: true})
-		if err != nil {
-			t.Fatalf("NewTuner: %v", err)
-		}
-		a, err := batched.Optimize(env, opts)
-		if err != nil {
-			t.Fatalf("LA=%d: batched Optimize: %v", lookahead, err)
-		}
-		b, err := scalar.Optimize(env, opts)
-		if err != nil {
-			t.Fatalf("LA=%d: scalar Optimize: %v", lookahead, err)
-		}
-		if len(a.Trials) != len(b.Trials) {
-			t.Fatalf("LA=%d: trial counts differ: %d vs %d", lookahead, len(a.Trials), len(b.Trials))
-		}
-		for i := range a.Trials {
-			if a.Trials[i].Config.ID != b.Trials[i].Config.ID {
-				t.Fatalf("LA=%d: trial %d differs between batch and scalar: %d vs %d",
-					lookahead, i, a.Trials[i].Config.ID, b.Trials[i].Config.ID)
-			}
-		}
-		if a.Recommended.Config.ID != b.Recommended.Config.ID {
-			t.Errorf("LA=%d: recommendations differ: %d vs %d",
-				lookahead, a.Recommended.Config.ID, b.Recommended.Config.ID)
-		}
-	}
-}

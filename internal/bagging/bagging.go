@@ -85,13 +85,9 @@ type Ensemble struct {
 	subTargets  []float64
 	arena       *regtree.Arena
 
-	// Scratch reused by the affected-point sweeps: the per-tree path buffer,
-	// the per-point marks, the shrinking per-step worklist, and the id list
-	// backing AffectedByLastUpdateBatch.
-	pathBuf []regtree.PathStep
+	// markBuf is the per-point scratch of AppendRepairedByLastUpdate: which
+	// points at least one updated tree moved.
 	markBuf []bool
-	wlBuf   []int32
-	idsBuf  []int32
 
 	// Memo-repair state (PredictBatchRepair / AppendRepairedByLastUpdate):
 	// repairPreds is a tree-major matrix — repairPreds[t*repairN+i] is tree

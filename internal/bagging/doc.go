@@ -17,7 +17,8 @@
 // planner's incremental speculative-refit mode: CloneInto snapshots a fitted
 // ensemble into reusable storage, Update folds one sample into the cloned
 // trees under deterministic Poisson bootstrap-inclusion weights keyed by
-// (seed, tree, sample index), and AffectedByLastUpdateBatch bounds which
-// predictions the update can have moved — see core.Params.SpeculativeRefit
-// and docs/ARCHITECTURE.md, "Refit paths".
+// (seed, tree, sample index), and AppendRepairedByLastUpdate refreshes, from
+// the bookkeeping of a PredictBatchRepair sweep, exactly the predictions the
+// update moved — see core.Params.SpeculativeRefit and docs/ARCHITECTURE.md,
+// "Refit paths".
 package bagging

@@ -129,126 +129,11 @@ func (e *Ensemble) Update(x []float64, y float64) error {
 	return nil
 }
 
-// AffectedByLastUpdate reports whether the last Update may have changed the
-// ensemble's prediction at x: true when, in at least one tree that received
-// the sample, the prediction walk for x passes through the updated node.
-// False when no update happened since the last Fit. The planner's prediction
-// memo uses this to keep entries whose predictions provably did not move.
-func (e *Ensemble) AffectedByLastUpdate(x []float64) bool {
-	if len(e.lastAffected) == 0 {
-		return false
-	}
-	for ti, tree := range e.trees {
-		a := e.lastAffected[ti]
-		if a < 0 {
-			continue
-		}
-		if tree.HitsNode(x, int(a)) {
-			return true
-		}
-	}
-	return false
-}
-
-// AppendAffectedByLastUpdate appends (in ascending order) the indices
-// i ∈ [0, n) of a column-major candidate matrix whose prediction the last
-// Update may have changed, and returns the extended slice — the sparse form
-// of AffectedByLastUpdateBatch, which the prediction memo's eager repair
-// consumes directly. After a one-sample update the affected set is tiny, so
-// handing back indices lets the caller re-predict exactly those points in
-// one batched sweep instead of re-scanning a dense flag array.
-//
-// Each updated tree's root-to-affected-node split constraints are applied
-// step-major: the first constraint filters all still-unmarked points into a
-// worklist with one sequential scan of a single column, and every further
-// constraint shrinks the worklist in place. Points far from the updated
-// region (the vast majority) are rejected by the first split without ever
-// touching the remaining constraints' columns.
-//
-// AppendAffectedByLastUpdate reuses scratch on the ensemble, so calls on one
-// ensemble must not run concurrently (Predict and PredictBatch remain
-// concurrency-safe). Columns may be longer than n; only the first n points
-// are swept.
-func (e *Ensemble) AppendAffectedByLastUpdate(cols [][]float64, n int, ids []int32) ([]int32, error) {
-	if !e.Trained() {
-		return ids, ErrNotTrained
-	}
-	if len(cols) != e.numFeatures {
-		return ids, fmt.Errorf("bagging: feature matrix has %d columns, want %d", len(cols), e.numFeatures)
-	}
-	for f, col := range cols {
-		if len(col) < n {
-			return ids, fmt.Errorf("bagging: feature column %d has %d points, want at least %d", f, len(col), n)
-		}
-	}
-	if len(e.lastAffected) == 0 {
-		return ids, nil
-	}
-	if cap(e.markBuf) < n {
-		e.markBuf = make([]bool, n)
-	}
-	mark := e.markBuf[:n]
-	for i := range mark {
-		mark[i] = false
-	}
-	if cap(e.wlBuf) < n {
-		e.wlBuf = make([]int32, n)
-	}
-	for ti, tree := range e.trees {
-		a := e.lastAffected[ti]
-		if a < 0 {
-			continue
-		}
-		steps, ok := tree.AppendPathTo(int(a), e.pathBuf[:0])
-		e.pathBuf = steps[:0]
-		if !ok {
-			return ids, fmt.Errorf("bagging: affected node %d not found in tree %d", a, ti)
-		}
-		if len(steps) == 0 {
-			// The tree's root was re-split: every prediction may have moved.
-			for i := range mark {
-				mark[i] = true
-			}
-			break
-		}
-		s0 := steps[0]
-		col := cols[s0.Feature]
-		wl := e.wlBuf[:0]
-		for i := 0; i < n; i++ {
-			if !mark[i] && (col[i] <= s0.Threshold) == s0.Left {
-				wl = append(wl, int32(i))
-			}
-		}
-		for _, s := range steps[1:] {
-			if len(wl) == 0 {
-				break
-			}
-			col := cols[s.Feature]
-			kept := wl[:0]
-			for _, i := range wl {
-				if (col[i] <= s.Threshold) == s.Left {
-					kept = append(kept, i)
-				}
-			}
-			wl = kept
-		}
-		for _, i := range wl {
-			mark[i] = true
-		}
-	}
-	for i := 0; i < n; i++ {
-		if mark[i] {
-			ids = append(ids, int32(i))
-		}
-	}
-	return ids, nil
-}
-
 // AppendRepairedByLastUpdate refreshes, in place, the predictive Gaussians
 // of every point the last Update may have moved, appends those point indices
 // (ascending) to ids, and returns the extended slice plus whether the repair
 // state was usable — false (with nil error) means the caller must fall back
-// to re-predicting affected points from scratch.
+// to re-predicting every point.
 //
 // It requires a PredictBatchRepair sweep of the same n points followed by
 // exactly one Update. The key structural fact: an Insert only ever modifies
@@ -352,41 +237,6 @@ func (e *Ensemble) AppendRepairedByLastUpdate(cols [][]float64, n int, ids []int
 		ids = append(ids, int32(i))
 	}
 	return ids, true, nil
-}
-
-// AffectedByLastUpdateBatch sweeps a column-major candidate matrix
-// (cols[f][i] is feature f of point i) and writes to out[i] whether the last
-// Update may have changed the prediction of point i — the dense form of
-// AppendAffectedByLastUpdate, kept for callers that want per-point flags.
-//
-// AffectedByLastUpdateBatch reuses scratch on the ensemble, so calls on one
-// ensemble must not run concurrently (Predict and PredictBatch remain
-// concurrency-safe).
-func (e *Ensemble) AffectedByLastUpdateBatch(cols [][]float64, out []bool) error {
-	if !e.Trained() {
-		return ErrNotTrained
-	}
-	if len(cols) != e.numFeatures {
-		return fmt.Errorf("bagging: feature matrix has %d columns, want %d", len(cols), e.numFeatures)
-	}
-	n := len(out)
-	for f, col := range cols {
-		if len(col) != n {
-			return fmt.Errorf("bagging: feature column %d has %d points, want %d", f, len(col), n)
-		}
-	}
-	for i := range out {
-		out[i] = false
-	}
-	ids, err := e.AppendAffectedByLastUpdate(cols, n, e.idsBuf[:0])
-	e.idsBuf = ids[:0]
-	if err != nil {
-		return err
-	}
-	for _, id := range ids {
-		out[id] = true
-	}
-	return nil
 }
 
 // CloneInto implements the model layer's incremental-cloning contract: dst

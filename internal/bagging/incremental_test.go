@@ -2,7 +2,6 @@ package bagging
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -155,28 +154,6 @@ func TestCloneIntoLeavesParentUntouched(t *testing.T) {
 	}
 	if parent.Updates() != 0 {
 		t.Fatalf("parent Updates = %d, want 0", parent.Updates())
-	}
-}
-
-func TestAffectedByLastUpdateFlagsEveryChangedPrediction(t *testing.T) {
-	e, features, _, _ := incEnsembleFixture(t, 31)
-	rng := rand.New(rand.NewSource(4))
-	for step := 0; step < 20; step++ {
-		before := make([]numeric.Gaussian, len(features))
-		for i, x := range features {
-			before[i], _ = e.Predict(x)
-		}
-		x := []float64{rng.Float64() * 5, rng.Float64() * 5}
-		if err := e.Update(x, rng.Float64()*50); err != nil {
-			t.Fatalf("Update: %v", err)
-		}
-		for i, px := range features {
-			after, _ := e.Predict(px)
-			if after != before[i] && !e.AffectedByLastUpdate(px) {
-				t.Fatalf("step %d: prediction at %v changed (%+v -> %+v) but AffectedByLastUpdate is false",
-					step, px, before[i], after)
-			}
-		}
 	}
 }
 

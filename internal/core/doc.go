@@ -8,15 +8,16 @@
 // # Planning hot path
 //
 // One planning decision fits a root model set on the profiling history,
-// precomputes its predictions for every untested configuration on a bounded
-// worker pool, and then scores the exploration path of every eligible
-// candidate concurrently (Params.Workers wide). Three mechanisms keep the
+// precomputes its predictions for every candidate configuration in one batch
+// sweep per model, and then scores the exploration path of every eligible
+// candidate concurrently (Params.Workers wide). Four mechanisms keep the
 // search fast without changing its outcome across worker counts:
 //
-//   - Prediction memo: every model is wrapped in a memo keyed by (model
-//     generation, configuration ID) — see internal/model.Cached — so the
-//     planner predicts each configuration once per speculation layer instead
-//     of once per path.
+//   - Prediction memo: every model is wrapped in a memo over the decision's
+//     candidate slots — see internal/model.Cached — prefilled after every fit
+//     and repaired in place by every one-sample update, so the planner
+//     predicts each configuration once per speculation layer instead of once
+//     per path, and every candidate sweep is an array read.
 //   - Deterministic fan-out: each path evaluation owns a scratch model set
 //     whose random stream derives from the candidate ID, never from
 //     scheduling order, so the same seed yields the identical trial sequence

@@ -100,13 +100,6 @@ type Params struct {
 	// deterministic and worker-count independent; disable it to reproduce
 	// the exhaustive search (e.g. for ablations).
 	DisablePruning bool
-	// DisableBatchPredict routes every full-space model sweep through scalar
-	// per-configuration Predict calls instead of the batch prediction path.
-	// The batch path emits bitwise-identical predictions (enforced by tests),
-	// so this knob exists to prove exactly that — equivalence tests run the
-	// planner both ways and require identical trial sequences — and as an
-	// escape hatch for custom ModelFactory regressors.
-	DisableBatchPredict bool
 	// SpeculativeRefit selects the refit mode of the speculative path: Full
 	// retrains the whole model set per speculated outcome (the exact paper
 	// behavior), Incremental clones the parent models and applies one-sample

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -212,35 +213,22 @@ func (p *planner) gather(ids []int) ([]candidate, error) {
 }
 
 // gatherCols builds the slot-major column matrix of the active candidates
-// (cols[d][slot]) that batch prefills sweep. The backing store is reused
-// across decisions.
-func (p *planner) gatherCols(cands []candidate) [][]float64 {
+// (cols[d][slot]) that prefills sweep. own selects the backing store: the
+// planner's colsBuf, reused across decisions, or — for a matrix that may be
+// published to the share group's model cache, whose prediction memos alias
+// it — a fresh slice that this planner's later decisions cannot overwrite.
+func (p *planner) gatherCols(cands []candidate, own bool) [][]float64 {
 	d := p.space.NumDimensions()
 	n := len(cands)
-	if cap(p.colsBuf) < d*n {
-		p.colsBuf = make([]float64, d*n)
-	}
-	buf := p.colsBuf[:d*n]
-	cols := make([][]float64, d)
-	for k := range cols {
-		cols[k] = buf[k*n : (k+1)*n]
-	}
-	for i, c := range cands {
-		for k := 0; k < d; k++ {
-			cols[k][i] = c.features[k]
+	var buf []float64
+	if own {
+		buf = make([]float64, d*n)
+	} else {
+		if cap(p.colsBuf) < d*n {
+			p.colsBuf = make([]float64, d*n)
 		}
+		buf = p.colsBuf[:d*n]
 	}
-	return cols
-}
-
-// gatherColsOwned is gatherCols with freshly allocated backing: used when the
-// resulting matrix may be published to the share group's model cache, where
-// later decisions of this planner must not overwrite it through the reused
-// colsBuf (a published model set's prediction memos alias these columns).
-func (p *planner) gatherColsOwned(cands []candidate) [][]float64 {
-	d := p.space.NumDimensions()
-	n := len(cands)
-	buf := make([]float64, d*n)
 	cols := make([][]float64, d)
 	for k := range cols {
 		cols[k] = buf[k*n : (k+1)*n]
@@ -320,24 +308,7 @@ func newTrainSetFromHistory(h *optimizer.History, opts optimizer.Options, extraN
 // withEntry returns a new training set extended with one speculated entry.
 // The receiver is not modified.
 func (ts *trainSet) withEntry(features []float64, cost float64, extras []float64, feasible bool) *trainSet {
-	out := &trainSet{
-		features: make([][]float64, len(ts.features), len(ts.features)+1),
-		costs:    make([]float64, len(ts.costs), len(ts.costs)+1),
-		extras:   make([][]float64, len(ts.extras)),
-		feasible: make([]bool, len(ts.feasible), len(ts.feasible)+1),
-	}
-	copy(out.features, ts.features)
-	copy(out.costs, ts.costs)
-	copy(out.feasible, ts.feasible)
-	out.features = append(out.features, features)
-	out.costs = append(out.costs, cost)
-	out.feasible = append(out.feasible, feasible)
-	for k := range ts.extras {
-		out.extras[k] = make([]float64, len(ts.extras[k]), len(ts.extras[k])+1)
-		copy(out.extras[k], ts.extras[k])
-		out.extras[k] = append(out.extras[k], extras[k])
-	}
-	return out
+	return ts.withEntryInto(&trainSet{}, features, cost, extras, feasible)
 }
 
 // withEntryInto is withEntry into reusable storage: dst's slices are
@@ -396,11 +367,11 @@ func (ts *trainSet) maxCost() float64 {
 }
 
 // modelSet bundles the cost model with one model per extra constraint metric.
-// Every model is wrapped in a prediction memo keyed by (model generation,
-// candidate slot), so repeated predictions of the same candidate between
-// refits — the planner re-predicts the whole candidate set once per
-// speculation layer — cost one lookup instead of one model evaluation. Memos
-// are sized by the decision's active candidate count, never by the space.
+// Every model is wrapped in a prediction memo keyed by candidate slot, so
+// repeated predictions of the same candidate between refits — the planner
+// re-predicts the whole candidate set once per speculation layer — cost one
+// array read instead of one model evaluation. Memos are sized by the
+// decision's active candidate count, never by the space.
 type modelSet struct {
 	cost   *model.Cached
 	extras []*model.Cached
@@ -422,8 +393,8 @@ func (p *planner) newModelSet(stream int64, size int) *modelSet {
 	return ms
 }
 
-// fit trains every model of the set on the given training set, invalidating
-// the prediction memos.
+// fit trains every model of the set on the given training set, switching
+// the prediction memos off until the next prefill.
 func (ms *modelSet) fit(ts *trainSet) error {
 	if err := ms.cost.Fit(ts.features, ts.costs); err != nil {
 		return fmt.Errorf("core: fitting cost model: %w", err)
@@ -470,26 +441,12 @@ func (ms *modelSet) predictCand(c candidate) (numeric.Gaussian, []numeric.Gaussi
 	return costPred, extraPreds, nil
 }
 
-// prefillScalar computes the memoized predictions of every candidate on a
-// bounded worker pool, one scalar Predict call per (model, candidate). It is
-// the Params.DisableBatchPredict reference path; prefillBatch is the
-// production path. After either returns, predictCand is a read-only lookup
-// for those candidates, which makes the modelSet safe to share across the
-// parallel path-evaluation fan-out.
-func (ms *modelSet) prefillScalar(cands []candidate, workers int) error {
-	return optimizer.ParallelFor(workers, len(cands), func(i int) error {
-		_, _, err := ms.predictCand(cands[i])
-		return err
-	})
-}
-
-// prefillBatch computes the memoized predictions of every active candidate in
-// one batch sweep per model over the decision's slot-major feature matrix.
-// The batch path emits Gaussians bitwise identical to the scalar path, so the
-// memo — and therefore every planning decision — is the same either way; it
-// just stops paying per-call validation, per-tree dispatch, and error
-// wrapping for every swept candidate.
-func (ms *modelSet) prefillBatch(cols [][]float64) error {
+// prefill computes the memoized predictions of every active candidate in one
+// batch sweep per model over the decision's slot-major feature matrix. After
+// it returns every memo is valid, so predictCand and the memo-array sweeps
+// of eligible and incumbent are read-only lookups — which makes the modelSet
+// safe to share across the parallel path-evaluation fan-out.
+func (ms *modelSet) prefill(cols [][]float64) error {
 	if err := ms.cost.Prefill(cols); err != nil {
 		return fmt.Errorf("core: prefilling cost model: %w", err)
 	}
@@ -501,31 +458,20 @@ func (ms *modelSet) prefillBatch(cols [][]float64) error {
 	return nil
 }
 
-// supportsBatch reports whether the set's models can sweep in one batched
-// call. Every model of the set comes from the same factory, so probing the
-// cost model is enough.
-func (ms *modelSet) supportsBatch() bool { return ms.cost.SupportsBatch() }
-
-// refit trains the model set on the training set and, when batch prediction
-// applies, immediately prefills the candidate-set prediction memo over the
-// decision's slot-major matrix — every subsequent sweep of the new generation
-// (eligibility, incumbent fallback, EIc) then hits the memo instead of
-// predicting candidates one at a time. Custom factories without a batch path
-// keep the lazy behavior: the memo fills on first use, one scalar prediction
-// per candidate.
+// refit trains the model set on the training set and immediately prefills the
+// candidate-set prediction memo over the decision's slot-major matrix — every
+// subsequent sweep of the refitted models (eligibility, incumbent fallback,
+// EIc) then reads the memo instead of predicting candidates one at a time.
 func (p *planner) refit(ms *modelSet, ts *trainSet) error {
 	if err := ms.fit(ts); err != nil {
 		return err
 	}
-	if !p.params.DisableBatchPredict && ms.supportsBatch() && p.activeCols != nil {
-		return ms.prefillBatch(p.activeCols)
-	}
-	return nil
+	return ms.prefill(p.activeCols)
 }
 
 // update folds one speculated sample into every model of the set (the cost
 // target into the cost model, each constraint metric into its model),
-// selectively invalidating the prediction memos.
+// repairing the prediction memos in place.
 func (ms *modelSet) update(x []float64, cost float64, extras []float64) error {
 	if err := ms.cost.Update(x, cost); err != nil {
 		return fmt.Errorf("core: updating cost model: %w", err)
@@ -661,14 +607,9 @@ type specState struct {
 	deployed *configspace.Config // nil when nothing is deployed
 }
 
-// without returns the untested set minus the given candidate.
-func without(untested []candidate, id int) []candidate {
-	return appendWithout(make([]candidate, 0, len(untested)-1), untested, id)
-}
-
 // appendWithout appends the untested set minus the given candidate to dst
-// and returns the extended slice — the recycled-storage form of without used
-// by the speculation loop's per-depth scratch.
+// and returns the extended slice; the speculation loop passes its per-depth
+// scratch as dst.
 func appendWithout(dst []candidate, untested []candidate, id int) []candidate {
 	for _, c := range untested {
 		if c.id != id {
@@ -706,34 +647,30 @@ func (p *planner) feasibleSpeculation(cand candidate, cost float64, extras []flo
 // of the (speculated) training set, or, when no entry is feasible, the
 // fallback "most expensive profiled cost plus three times the largest
 // predictive standard deviation over untested configurations". It depends
-// only on (state, model generation), so callers compute it once per state and
+// only on (state, fitted models), so callers compute it once per state and
 // share it across every candidate scored under that state.
 func (p *planner) incumbent(state *specState, ms *modelSet) (float64, error) {
 	if inc, ok := state.train.bestFeasibleCost(); ok {
 		return inc, nil
 	}
-	maxStd := 0.0
-	if memo := ms.cost.MemoPreds(); memo != nil {
-		// Memo fast path: every slot is fresh, so the sweep is plain array
-		// reads — no per-candidate call, no atomic tag loads.
-		for _, u := range state.untested {
-			if s := memo[u.slot].StdDev; s > maxStd {
-				maxStd = s
-			}
-		}
-		return acquisition.IncumbentFallback(state.train.maxCost(), maxStd), nil
+	memo := ms.cost.MemoPreds()
+	if memo == nil {
+		return 0, errNotPrefilled
 	}
+	maxStd := 0.0
 	for _, u := range state.untested {
-		pred, _, err := ms.predictCand(u)
-		if err != nil {
-			return 0, err
-		}
-		if pred.StdDev > maxStd {
-			maxStd = pred.StdDev
+		if s := memo[u.slot].StdDev; s > maxStd {
+			maxStd = s
 		}
 	}
 	return acquisition.IncumbentFallback(state.train.maxCost(), maxStd), nil
 }
+
+// errNotPrefilled reports a candidate sweep over a model set whose memos are
+// off. Every set the planner sweeps was prefilled (root fits and Full-mode
+// refits) or cloned from a prefilled one, so this is a planner bug, never a
+// mode.
+var errNotPrefilled = errors.New("core: candidate sweep over a model set that was not prefilled")
 
 // eic computes the constrained expected improvement of a candidate under the
 // given incumbent and model predictions (paper §3). The incumbent comes from
@@ -795,66 +732,22 @@ func (p *planner) eligible(untested []candidate, ms *modelSet, budget float64, b
 		extraPreds = make([][]numeric.Gaussian, 0, len(untested))
 	}
 
-	// Memo fast path: when every model's memo is all-valid — the steady state
-	// after a prefilled refit or an eagerly repaired incremental update — the
-	// sweep reads the prediction arrays directly, skipping the per-candidate
-	// PredictID calls (and their atomic tag loads) that otherwise dominate
-	// the speculation profile. Per-candidate extras rows are carved from the
-	// buffer's flat arena instead of allocated.
+	// The sweep reads the memo arrays directly — every swept set is prefilled
+	// or an eagerly repaired clone of a prefilled one — instead of paying a
+	// PredictID call per candidate per model. Per-candidate extras rows are
+	// carved from the buffer's flat arena instead of allocated.
 	costMemo := ms.cost.MemoPreds()
 	extraMemos := extraMemosOf(ms)
-	if costMemo != nil && extraMemos != nil {
-		var flat []numeric.Gaussian
-		if buf != nil {
-			flat = buf.extrasFlat[:0]
-		}
-		nk := len(ms.extras)
-		for _, u := range untested {
-			costPred := costMemo[u.slot]
-			var ok bool
-			if p.eligUseZ {
-				if costPred.StdDev == 0 {
-					ok = budget >= costPred.Mean
-				} else {
-					ok = budget >= costPred.Mean+p.eligZ*costPred.StdDev
-				}
-			} else {
-				ok = costPred.ProbLE(budget) >= p.params.EligibilityProb
-			}
-			if !ok {
-				continue
-			}
-			out = append(out, u)
-			costPreds = append(costPreds, costPred)
-			var row []numeric.Gaussian
-			if buf != nil {
-				base := len(flat)
-				for _, em := range extraMemos {
-					flat = append(flat, em[u.slot])
-				}
-				row = flat[base:len(flat):len(flat)]
-			} else {
-				row = make([]numeric.Gaussian, nk)
-				for k, em := range extraMemos {
-					row[k] = em[u.slot]
-				}
-			}
-			extraPreds = append(extraPreds, row)
-		}
-		if buf != nil {
-			buf.cands = out
-			buf.costPreds = costPreds
-			buf.extraPreds = extraPreds
-			buf.extrasFlat = flat
-		}
-		return out, costPreds, extraPreds, nil
+	if costMemo == nil || extraMemos == nil {
+		return nil, nil, nil, errNotPrefilled
 	}
-
+	var flat []numeric.Gaussian
+	if buf != nil {
+		flat = buf.extrasFlat[:0]
+	}
+	nk := len(ms.extras)
 	for _, u := range untested {
-		costPred, extras, err := ms.predictCand(u)
-		if err != nil {
-			return nil, nil, nil, err
-		}
+		costPred := costMemo[u.slot]
 		var ok bool
 		if p.eligUseZ {
 			if costPred.StdDev == 0 {
@@ -865,28 +758,43 @@ func (p *planner) eligible(untested []candidate, ms *modelSet, budget float64, b
 		} else {
 			ok = costPred.ProbLE(budget) >= p.params.EligibilityProb
 		}
-		if ok {
-			out = append(out, u)
-			costPreds = append(costPreds, costPred)
-			extraPreds = append(extraPreds, extras)
+		if !ok {
+			continue
 		}
+		out = append(out, u)
+		costPreds = append(costPreds, costPred)
+		var row []numeric.Gaussian
+		if buf != nil {
+			base := len(flat)
+			for _, em := range extraMemos {
+				flat = append(flat, em[u.slot])
+			}
+			row = flat[base:len(flat):len(flat)]
+		} else {
+			row = make([]numeric.Gaussian, nk)
+			for k, em := range extraMemos {
+				row[k] = em[u.slot]
+			}
+		}
+		extraPreds = append(extraPreds, row)
 	}
 	if buf != nil {
 		buf.cands = out
 		buf.costPreds = costPreds
 		buf.extraPreds = extraPreds
+		buf.extrasFlat = flat
 	}
 	return out, costPreds, extraPreds, nil
 }
 
 // extraMemosEmpty is the shared zero-extras result of extraMemosOf: non-nil
-// (so the fast path engages) but empty.
+// (nil means "not prefilled") but empty.
 var extraMemosEmpty = [][]numeric.Gaussian{}
 
-// extraMemosOf collects the all-valid memo arrays of the set's extra models,
-// or nil when any extra model's memo is not all-valid (the fast path then
-// falls back to PredictID). The zero-extras case — Lynceus' single-constraint
-// formulation — returns a shared empty slice without touching the heap.
+// extraMemosOf collects the memo arrays of the set's extra models, or nil when
+// any extra model's memo is off. The zero-extras case — Lynceus'
+// single-constraint formulation — returns a shared empty slice without
+// touching the heap.
 func extraMemosOf(ms *modelSet) [][]numeric.Gaussian {
 	if len(ms.extras) == 0 {
 		return extraMemosEmpty
@@ -1059,8 +967,8 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 			// Incremental fast path: snapshot the parent models into this
 			// slot's clone and fold the one speculated sample in. The
 			// clone inherits the parent's prediction memo, and the update
-			// only drops the entries its single touched tree region can
-			// move — the following incumbent/eligibility sweeps then cost
+			// repairs only the entries its touched tree regions moved —
+			// the following incumbent/eligibility sweeps then cost
 			// O(changed) model evaluations instead of a full refit + sweep.
 			childModels = ws.cloneSlot(p, slot)
 			if err := childModels.cloneFrom(models); err != nil {
@@ -1333,37 +1241,19 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 	}
 	p.iteration++
 	if !adoptedModels {
-		// Fit, then populate the root prediction memo up front: every later
-		// root-model prediction (eligibility, incumbent fallback, per-path root
-		// EIc) becomes a read-only lookup, which keeps the shared root model set
-		// race-free during the parallel fan-out. The production path sweeps the
-		// candidate set in one batch per model; the scalar reference path
-		// predicts the candidates one by one on the worker pool.
-		if err := rootModels.fit(train); err != nil {
+		// Fit, then populate the root prediction memo up front, one batch
+		// sweep per model: every later root-model prediction (eligibility,
+		// incumbent fallback, per-path root EIc) becomes a read-only lookup,
+		// which keeps the shared root model set race-free during the parallel
+		// fan-out. A set that will be published gets freshly-backed columns.
+		p.activeCols = p.gatherCols(untested, modelKey != "")
+		if err := p.refit(rootModels, train); err != nil {
 			return configspace.Config{}, false, err
 		}
-		if p.params.DisableBatchPredict || !rootModels.supportsBatch() {
-			p.activeCols = nil
-			if err := rootModels.prefillScalar(untested, p.params.Workers); err != nil {
-				return configspace.Config{}, false, err
-			}
-		} else {
-			if modelKey != "" {
-				// Freshly-backed columns: the published set's memos alias
-				// them, and the reusable colsBuf would be overwritten by
-				// this planner's next decision under the adopters.
-				p.activeCols = p.gatherColsOwned(untested)
-			} else {
-				p.activeCols = p.gatherCols(untested)
-			}
-			if err := rootModels.prefillBatch(p.activeCols); err != nil {
-				return configspace.Config{}, false, err
-			}
-		}
-		// Publish only a fully-memoized set (batch prefill: cost and extra
-		// memos all-valid, prewarmed here) — adopters then never write to
-		// it. Scalar-mode sets stay private.
-		if modelKey != "" && rootModels.cost.MemoPreds() != nil && extraMemosOf(rootModels) != nil {
+		if modelKey != "" {
+			// Prewarm the extras view, so adopters never write to the
+			// published set.
+			extraMemosOf(rootModels)
 			p.shared.group.models.Put(modelKey, sharedModels{ms: rootModels, cols: p.activeCols})
 		}
 	}

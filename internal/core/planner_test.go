@@ -44,6 +44,21 @@ func gatherAll(t *testing.T, p *planner) []candidate {
 	return cands
 }
 
+// fitPrefilled fits a full-space model set (slot == configuration ID, as
+// gatherAll assigns them) and prefills its memos, the state in which the
+// planner's candidate sweeps read a model set.
+func fitPrefilled(t *testing.T, p *planner, stream int64, train *trainSet) *modelSet {
+	t.Helper()
+	ms := p.newModelSet(stream, p.space.Size())
+	if err := ms.fit(train); err != nil {
+		t.Fatalf("fit error: %v", err)
+	}
+	if err := ms.prefill(p.gatherCols(gatherAll(t, p), false)); err != nil {
+		t.Fatalf("prefill error: %v", err)
+	}
+	return ms
+}
+
 func TestGatherCollectsUnitPricesAndSharesFeatureStorage(t *testing.T) {
 	p, env, _ := testPlanner(t, nil)
 	cands := gatherAll(t, p)
@@ -126,10 +141,7 @@ func TestEligibleFiltersOnBudget(t *testing.T) {
 	}
 	extraNames := p.constraintNames()
 	train := newTrainSetFromHistory(h, opts, extraNames)
-	ms := p.newModelSet(1, env.Space().Size())
-	if err := ms.fit(train); err != nil {
-		t.Fatalf("fit error: %v", err)
-	}
+	ms := fitPrefilled(t, p, 1, train)
 	untested := make([]candidate, 0)
 	for _, cand := range gatherAll(t, p) {
 		if !h.Tested(cand.id) {
@@ -173,10 +185,7 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 	}
 	extraNames := p.constraintNames()
 	train := newTrainSetFromHistory(h, opts, extraNames)
-	ms := p.newModelSet(2, env.Space().Size())
-	if err := ms.fit(train); err != nil {
-		t.Fatalf("fit error: %v", err)
-	}
+	ms := fitPrefilled(t, p, 2, train)
 	untested := make([]candidate, 0)
 	for _, cand := range gatherAll(t, p) {
 		if !h.Tested(cand.id) {
@@ -232,10 +241,7 @@ func TestEICUsesFallbackIncumbentWhenNothingFeasible(t *testing.T) {
 		extras:   [][]float64{},
 		feasible: []bool{false, false},
 	}
-	ms := p.newModelSet(5, p.space.Size())
-	if err := ms.fit(train); err != nil {
-		t.Fatalf("fit error: %v", err)
-	}
+	ms := fitPrefilled(t, p, 5, train)
 	cands := gatherAll(t, p)
 	cand := cands[2]
 	state := &specState{train: train, untested: cands[2:6], budget: 100}
@@ -310,9 +316,9 @@ func TestSetupCostHelper(t *testing.T) {
 func TestWithoutRemovesCandidate(t *testing.T) {
 	p, _, _ := testPlanner(t, nil)
 	subset := gatherAll(t, p)[:5]
-	out := without(subset, subset[2].id)
+	out := appendWithout(nil, subset, subset[2].id)
 	if len(out) != 4 {
-		t.Fatalf("without returned %d candidates, want 4", len(out))
+		t.Fatalf("appendWithout returned %d candidates, want 4", len(out))
 	}
 	for _, c := range out {
 		if c.id == subset[2].id {

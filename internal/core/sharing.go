@@ -73,8 +73,8 @@ func NewShareGroup() *ShareGroup {
 	}
 }
 
-// sharedModels is one published root model set: fitted, fully prefilled
-// (memo all-valid), immutable. cols is the slot-major feature matrix the set
+// sharedModels is one published root model set: fitted, prefilled (every
+// memo valid), immutable. cols is the slot-major feature matrix the set
 // was prefilled over — the adopter's activeCols — whose backing store was
 // freshly allocated by the publisher (never a reused planner buffer), so it
 // can never be overwritten under a reader.

@@ -105,9 +105,11 @@ func paramsDigest(p Params) string {
 			search = fmt.Sprintf("sampled/%d", s.Size)
 		}
 	}
-	return fmt.Sprintf("la=%d gamma=%v nodisc=%v gh=%d elig=%v model=%+v factory=%s search=%s prune=%v batch=%v refit=%d",
+	// "batch=true" is the frozen rendering of a removed knob: dropping it
+	// would orphan every snapshot already on disk.
+	return fmt.Sprintf("la=%d gamma=%v nodisc=%v gh=%d elig=%v model=%+v factory=%s search=%s prune=%v batch=true refit=%d",
 		p.Lookahead, p.Discount, p.NoDiscount, p.GHOrder, p.EligibilityProb, p.Model, factory, search,
-		!p.DisablePruning, !p.DisableBatchPredict, p.SpeculativeRefit)
+		!p.DisablePruning, p.SpeculativeRefit)
 }
 
 // Snapshot serializes the campaign's durable state. Call it between Steps —

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/bagging"
@@ -36,14 +38,17 @@ func fittedIncCached(t *testing.T, size int) (*Cached, [][]float64, func(int) []
 }
 
 func TestCachedSupportsIncremental(t *testing.T) {
-	inc := NewCached(bagging.New(bagging.Params{Incremental: true}, 1), 4)
-	if !inc.SupportsIncremental() {
-		t.Error("bagging-backed Cached does not report incremental support")
+	if !SupportsIncremental(bagging.New(bagging.Params{Incremental: true}, 1)) {
+		t.Error("retaining bagging ensemble does not report incremental support")
 	}
-	g := NewCached(gp.New(gp.Params{}), 4)
-	if g.SupportsIncremental() {
-		t.Error("gp-backed Cached claims incremental support")
+	if SupportsIncremental(bagging.New(bagging.Params{}, 1)) {
+		t.Error("non-retaining bagging ensemble claims incremental support")
 	}
+	inner := gp.New(gp.Params{})
+	if SupportsIncremental(inner) {
+		t.Error("gp claims incremental support")
+	}
+	g := NewCached(inner, 4)
 	if err := g.Update([]float64{0, 0}, 1); err == nil {
 		t.Error("Update on a non-incremental Cached did not fail")
 	}
@@ -55,7 +60,6 @@ func TestCachedSupportsIncremental(t *testing.T) {
 func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 	const size = 24
 	c, _, rowOf := fittedIncCached(t, size)
-	inner := c.inner.(IncrementalRegressor)
 
 	before := make([]numeric.Gaussian, size)
 	for id := 0; id < size; id++ {
@@ -65,16 +69,16 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 		}
 		before[id] = p
 	}
-	gen := c.Generation()
 	if err := c.Update(rowOf(7), 42); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	if c.Generation() != gen+1 {
-		t.Fatalf("Generation after Update = %d, want %d", c.Generation(), gen+1)
+	if c.MemoPreds() == nil {
+		t.Fatal("memo went off across a repairable Update")
 	}
+	kept, moved := 0, 0
 	for id := 0; id < size; id++ {
 		row := rowOf(id)
-		want, err := inner.Predict(row)
+		want, err := c.inner.Predict(row)
 		if err != nil {
 			t.Fatalf("inner Predict: %v", err)
 		}
@@ -85,48 +89,14 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 		if got != want {
 			t.Fatalf("memoized prediction %d = %+v, want inner %+v", id, got, want)
 		}
-		if !inner.AffectedByLastUpdate(row) && got != before[id] {
-			t.Fatalf("unaffected entry %d moved: %+v -> %+v", id, before[id], got)
+		if got == before[id] {
+			kept++
+		} else {
+			moved++
 		}
 	}
-}
-
-// TestCachedUpdateSkipsRecomputeForUnaffectedEntries counts inner Predict
-// calls: after a one-sample update, re-reading the memo must only recompute
-// the entries the update could have changed.
-func TestCachedUpdateSkipsRecomputeForUnaffectedEntries(t *testing.T) {
-	const size = 24
-	features, targets := trainingData()
-	counter := &countingRegressor{inner: bagging.New(bagging.Params{NumTrees: 8, Incremental: true}, 3)}
-	c := NewCached(counter, size)
-	if err := c.Fit(features, targets); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	cols, rowOf := incCols(size)
-	if err := c.Prefill(cols); err != nil {
-		t.Fatalf("Prefill: %v", err)
-	}
-
-	if err := c.Update(rowOf(7), 42); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	affected := 0
-	for id := 0; id < size; id++ {
-		if counter.inner.AffectedByLastUpdate(rowOf(id)) {
-			affected++
-		}
-	}
-	counter.predicts = 0
-	for id := 0; id < size; id++ {
-		if _, err := c.PredictID(id, rowOf(id)); err != nil {
-			t.Fatalf("PredictID: %v", err)
-		}
-	}
-	if counter.predicts != affected {
-		t.Fatalf("memo recomputed %d entries after update, want exactly the %d affected ones", counter.predicts, affected)
-	}
-	if affected == size {
-		t.Fatalf("degenerate fixture: every entry affected, selective invalidation untested")
+	if kept == 0 || moved == 0 {
+		t.Fatalf("degenerate fixture: %d entries kept, %d moved; want both", kept, moved)
 	}
 }
 
@@ -152,8 +122,8 @@ func TestCachedCloneFromIsIndependent(t *testing.T) {
 			t.Fatalf("clone prediction %d = %+v, want %+v", id, q, p)
 		}
 	}
-	// Updating the clone must leave the source untouched and selectively
-	// invalidate the clone's memo using the shared feature matrix.
+	// Updating the clone must leave the source untouched and repair the
+	// clone's memo using the shared feature matrix.
 	for i := 0; i < 4; i++ {
 		if err := dst.Update(rowOf(3), 77); err != nil {
 			t.Fatalf("clone Update: %v", err)
@@ -190,27 +160,124 @@ func TestCachedCloneFromIsIndependent(t *testing.T) {
 	}
 }
 
-// countingRegressor wraps an incremental ensemble and counts scalar Predict
-// calls. It deliberately does not forward PredictBatch, so Cached sweeps it
-// point by point through the counter.
-type countingRegressor struct {
-	inner    *bagging.Ensemble
-	predicts int
+// freshSweep is the memo oracle: a PredictBatch of c's own model over cols.
+func freshSweep(c *Cached, cols [][]float64) ([]numeric.Gaussian, error) {
+	out := make([]numeric.Gaussian, len(cols[0]))
+	return out, c.inner.PredictBatch(cols, out)
 }
 
-func (c *countingRegressor) Fit(features [][]float64, targets []float64) error {
-	return c.inner.Fit(features, targets)
+// checkMemoFresh requires c's memo to be valid and bitwise equal to a fresh
+// sweep of its own model.
+func checkMemoFresh(c *Cached, cols [][]float64) error {
+	want, err := freshSweep(c, cols)
+	if err != nil {
+		return err
+	}
+	memo := c.MemoPreds()
+	if len(memo) != len(want) {
+		return fmt.Errorf("memo has %d valid slots, want %d", len(memo), len(want))
+	}
+	for id := range want {
+		if memo[id] != want[id] {
+			return fmt.Errorf("memo[%d] = %+v, fresh sweep %+v", id, memo[id], want[id])
+		}
+	}
+	return nil
 }
 
-func (c *countingRegressor) Predict(x []float64) (numeric.Gaussian, error) {
-	c.predicts++
-	return c.inner.Predict(x)
+// TestCachedSharedSourceConcurrentReadersAndCloners pins the concurrency
+// contract of a valid memo (run under -race): reads never write, so one
+// prefilled Cached serves PredictID/MemoPreds readers while other goroutines
+// CloneFrom it and Update their private clones, and every clone's memo stays
+// valid and bitwise equal to a fresh sweep of its own model.
+func TestCachedSharedSourceConcurrentReadersAndCloners(t *testing.T) {
+	const size, readers, cloners, rounds = 36, 4, 4, 20
+	src, cols, rowOf := fittedIncCached(t, size)
+	want, err := freshSweep(src, cols)
+	if err != nil {
+		t.Fatalf("PredictBatch: %v", err)
+	}
+	errs := make([]error, readers+cloners)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for rep := 0; rep < rounds*4; rep++ {
+				memo := src.MemoPreds()
+				for k := 0; k < size; k++ {
+					id := (k*(g+1) + rep) % size
+					got, err := src.PredictID(id, rowOf(id))
+					if err != nil {
+						errs[g] = err
+						return
+					}
+					if got != want[id] || memo[id] != want[id] {
+						errs[g] = fmt.Errorf("reader %d: slot %d = %+v / %+v, want %+v", g, id, got, memo[id], want[id])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < cloners; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dst := NewCached(bagging.New(bagging.Params{NumTrees: 8, Incremental: true}, int64(100+g)), 0)
+			for rep := 0; rep < rounds; rep++ {
+				if err := dst.CloneFrom(src); err != nil {
+					errs[readers+g] = err
+					return
+				}
+				for k := 0; ; k++ {
+					if err := checkMemoFresh(dst, cols); err != nil {
+						errs[readers+g] = fmt.Errorf("cloner %d round %d after %d updates: %w", g, rep, k, err)
+						return
+					}
+					if k == 3 {
+						break
+					}
+					if err := dst.Update(rowOf((g*7+rep+k*5)%size), float64(10*g+rep+k)); err != nil {
+						errs[readers+g] = err
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := checkMemoFresh(src, cols); err != nil {
+		t.Fatalf("source after concurrent clones: %v", err)
+	}
 }
 
-func (c *countingRegressor) Update(x []float64, y float64) error { return c.inner.Update(x, y) }
-
-func (c *countingRegressor) AffectedByLastUpdate(x []float64) bool {
-	return c.inner.AffectedByLastUpdate(x)
+// TestCachedUpdateResweepsWhenRepairStateUnusable drives the one fallback:
+// a second Update with no repair in between leaves the ensemble's repair
+// bookkeeping unusable, so Cached.Update must re-sweep the whole memo — and
+// that sweep re-arms the repair for the Update after it.
+func TestCachedUpdateResweepsWhenRepairStateUnusable(t *testing.T) {
+	const size = 24
+	c, cols, rowOf := fittedIncCached(t, size)
+	// One update behind the memo's back, then one through it.
+	if err := c.inner.(IncrementalRegressor).Update(rowOf(3), 55); err != nil {
+		t.Fatalf("inner Update: %v", err)
+	}
+	if err := c.Update(rowOf(11), 70); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if err := checkMemoFresh(c, cols); err != nil {
+		t.Fatalf("after the re-sweep fallback: %v", err)
+	}
+	if err := c.Update(rowOf(17), 5); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if err := checkMemoFresh(c, cols); err != nil {
+		t.Fatalf("after the re-armed repair: %v", err)
+	}
 }
-
-func (c *countingRegressor) CloneInto(dst any) error { return c.inner.CloneInto(dst) }

@@ -8,9 +8,7 @@
 package model
 
 import (
-	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/bagging"
 	"repro/internal/gp"
@@ -23,6 +21,14 @@ type Regressor interface {
 	Fit(features [][]float64, targets []float64) error
 	// Predict returns the predictive distribution at x.
 	Predict(x []float64) (numeric.Gaussian, error)
+	// PredictBatch predicts a whole batch of points in one call over a
+	// column-major feature matrix (cols[d][i] is feature d of point i, out[i]
+	// its predictive distribution; every column exactly len(out) long). It
+	// must emit Gaussians bitwise identical to point-by-point Predict calls,
+	// so a planner sweeping in batches decides exactly as one predicting
+	// candidate by candidate would. Implementations may reuse internal
+	// scratch, so calls on one regressor must not run concurrently.
+	PredictBatch(cols [][]float64, out []numeric.Gaussian) error
 }
 
 // Factory creates independent Regressor instances on deterministic random
@@ -34,44 +40,13 @@ type Factory interface {
 	Name() string
 }
 
-// BatchRegressor is implemented by regressors that can predict a whole batch
-// of points in one call over a column-major feature matrix (cols[d][i] is
-// feature d of point i, out[i] its predictive distribution). Implementations
-// must emit Gaussians bitwise identical to point-by-point Predict calls, so
-// batched and scalar planners make identical decisions; they may reuse
-// internal scratch, so a single PredictBatch call must not run concurrently
-// with another on the same regressor.
-type BatchRegressor interface {
-	PredictBatch(cols [][]float64, out []numeric.Gaussian) error
-}
-
-// BatchAffectedRegressor is an optional extension of IncrementalRegressor:
-// AffectedByLastUpdateBatch answers AffectedByLastUpdate for every point of
-// a column-major feature matrix in one sweep, which lets Cached.Update run
-// its selective invalidation without gathering rows or re-walking trees per
-// memo entry.
-type BatchAffectedRegressor interface {
-	AffectedByLastUpdateBatch(cols [][]float64, out []bool) error
-}
-
-// AffectedAppender is the sparse form of BatchAffectedRegressor: it appends
-// the ascending indices i ∈ [0, n) of the column-major matrix whose
-// prediction the last Update may have changed. Combined with BatchRegressor
-// it lets Cached.Update repair its memo eagerly — re-predict exactly the
-// affected entries in one small batched call — instead of invalidating slots
-// and paying a lazy recompute (plus an atomic tag per slot) on every later
-// read.
-type AffectedAppender interface {
-	AppendAffectedByLastUpdate(cols [][]float64, n int, ids []int32) ([]int32, error)
-}
-
-// MemoRepairer is the strongest eager-repair extension: the regressor keeps
-// enough per-point bookkeeping from a PredictBatchRepair sweep to refresh
-// the points a one-sample Update moved without re-predicting them from
-// scratch (for the bagging ensemble, per-tree constant stores instead of
-// whole-ensemble re-walks). Repaired Gaussians must stay bitwise identical
-// to a fresh prediction. Cached prefers this over the AffectedAppender +
-// BatchRegressor gather/re-predict pair whenever it is implemented.
+// MemoRepairer is the optional eager-repair extension of an incremental
+// regressor: it keeps enough per-point bookkeeping from a PredictBatchRepair
+// sweep to refresh the points a one-sample Update moved without re-predicting
+// them from scratch (for the bagging ensemble, per-tree constant stores
+// instead of whole-ensemble re-walks). Repaired Gaussians must stay bitwise
+// identical to a fresh prediction. Without it, Cached re-sweeps the whole memo
+// after every Update.
 type MemoRepairer interface {
 	// PredictBatchRepair is PredictBatch plus the repair bookkeeping for
 	// the swept points.
@@ -97,10 +72,6 @@ type IncrementalRegressor interface {
 	Regressor
 	// Update folds one training sample into the fitted model.
 	Update(x []float64, y float64) error
-	// AffectedByLastUpdate reports whether the last Update may have changed
-	// the prediction at x. False negatives are forbidden (a changed
-	// prediction must be flagged); false positives only cost a recompute.
-	AffectedByLastUpdate(x []float64) bool
 	// CloneInto deep-copies the fitted state into dst, which must be an
 	// instance of the same concrete type (typically from the same Factory),
 	// reusing dst's storage where possible. It must not mutate the receiver,
@@ -126,16 +97,12 @@ func SupportsIncremental(r Regressor) bool {
 	return true
 }
 
-// Statically assert that the concrete learners satisfy Regressor and the
-// batch/incremental extensions.
+// Statically assert that the concrete learners satisfy Regressor and its
+// optional extensions.
 var (
-	_ Regressor              = (*bagging.Ensemble)(nil)
-	_ Regressor              = (*gp.GP)(nil)
-	_ BatchRegressor         = (*bagging.Ensemble)(nil)
-	_ BatchRegressor         = (*gp.GP)(nil)
-	_ IncrementalRegressor   = (*bagging.Ensemble)(nil)
-	_ BatchAffectedRegressor = (*bagging.Ensemble)(nil)
-	_ AffectedAppender       = (*bagging.Ensemble)(nil)
+	_ Regressor            = (*gp.GP)(nil)
+	_ IncrementalRegressor = (*bagging.Ensemble)(nil)
+	_ MemoRepairer         = (*bagging.Ensemble)(nil)
 )
 
 // BaggingFactory builds bagging ensembles of regression trees (the paper's
@@ -182,131 +149,47 @@ const (
 	KindGP      Kind = "gp"
 )
 
-// NewFactory builds a Factory for the given kind.
-func NewFactory(kind Kind, baggingParams bagging.Params, gpParams gp.Params, seed int64) (Factory, error) {
-	switch kind {
-	case KindBagging, "":
-		return NewBaggingFactory(baggingParams, seed), nil
-	case KindGP:
-		return NewGPFactory(gpParams), nil
-	default:
-		return nil, fmt.Errorf("model: unknown model kind %q", kind)
-	}
-}
-
-// ErrNilFactory is returned by helpers that require a factory.
-var ErrNilFactory = errors.New("model: nil factory")
-
-// Cached wraps a Regressor with a prediction memo keyed by (model
-// generation, configuration ID). Lynceus' path simulation predicts the same
-// finite set of configurations many times between refits — once per
-// speculation layer is enough, so the memo turns every repeat into an O(1)
-// lookup. Fitting bumps the generation, which invalidates the whole memo
-// without clearing it.
+// Cached wraps a Regressor with a prediction memo over a decision's dense
+// candidate slots. Lynceus' path simulation predicts the same finite set of
+// configurations many times between refits — once per speculation layer is
+// enough, so the memo turns every repeat into an array read.
 //
-// The memo's read path is lock-free: each slot carries an atomically
-// published generation tag, written only after the slot's prediction, so
-// concurrent PredictID calls — including concurrent cold misses on the same
-// slot — never lock, never block, and never observe a half-written entry.
-// Racing writers resolve by compare-and-swap claim: the loser simply returns
-// its own (identical, deterministic) prediction without publishing. This is
-// what lets the planner's speculation scheduler share one prefilled model
-// set across every concurrently scored subtree without serializing on memo
-// synchronization.
-//
-// On top of the tagged slots sits an all-valid fast path: after a successful
-// Prefill every slot is fresh, so the memo flips to allValid and PredictID
-// becomes a plain array read with no atomics. When the inner regressor can
-// enumerate the entries a one-sample Update may have moved (AffectedAppender
-// + BatchRegressor, as the bagging ensemble can), Update repairs exactly
-// those entries in place with one small batched predict and the memo stays
-// allValid — the per-update O(memo) tag sweep disappears from the planner's
-// incremental hot path. While allValid is set the slot tags are bypassed and
-// hold garbage, so every transition out of allValid must rewrite them (see
-// scrubTags) before any tagged read can occur.
-//
-// Fit, Update, Prefill and CloneFrom still mutate the model itself and must
-// not run concurrently with anything else on the same Cached.
+// The memo has exactly two states. It is valid when every slot holds the
+// current model's prediction: Prefill sets it, Update keeps it (repairing the
+// moved entries in place), CloneFrom copies it. Otherwise it is off and reads
+// go to the wrapped regressor: that is the state of a fresh Cached, after any
+// Fit, and after a Prefill, CloneFrom or memo repair that failed. There is no
+// partially filled state, so reads never write: any number of goroutines may
+// call PredictID, MemoPreds and CloneFrom(src) on one quiescent Cached with
+// no synchronization, which is what lets the planner's speculation scheduler
+// share one prefilled root model set across every concurrently scored
+// subtree. Fit, Update, Prefill and CloneFrom mutate the receiver and must
+// not run concurrently with anything else on it.
 type Cached struct {
 	inner Regressor
-	gen   uint32
+	preds []numeric.Gaussian
+	valid bool
 
-	// slotGens[id] is the atomically published generation tag of memo slot
-	// id, memoWriting while a writer holds the slot's publish claim; preds
-	// holds the memoized distributions. A slot is valid iff its tag equals
-	// the current generation (plus memoGenOffset). While allValid is set the
-	// tags are bypassed entirely and their contents are meaningless.
-	slotGens []atomic.Uint32
-	preds    []numeric.Gaussian
-
-	// allValid marks that every memo slot holds the current generation's
-	// prediction, letting PredictID skip the atomic tag check. Only mutating
-	// calls flip it, and those are exclusive by contract, so the plain bool
-	// is safe.
-	allValid bool
-
-	// lastCols remembers the column-major feature matrix of the last Prefill
-	// (cols[d][id] is feature d of the configuration in memo slot id). It is
-	// what lets Update re-tag memo entries whose predictions provably did not
-	// move instead of dropping the whole memo. Read-only; shared by clones.
+	// lastCols is the column-major feature matrix of the last Prefill
+	// (cols[d][id] is feature d of the configuration in memo slot id), the
+	// feature source of Update's repair. Read-only; shared by clones.
 	lastCols [][]float64
 
-	// Scratch reused by Prefill and Update: the affected-flag buffer, a
-	// column-view header, one gathered feature row for inner regressors
-	// without the batch extensions, and the eager repair path's affected-id
-	// list, gathered feature columns and batched predictions.
-	affected   []bool
-	colView    [][]float64
-	row        []float64
-	idsBuf     []int32
-	gatherBuf  []float64
-	gatherCols [][]float64
-	gatherOut  []numeric.Gaussian
+	// idsBuf backs the repaired-id list MemoRepairer hands back.
+	idsBuf []int32
 }
 
 // NewCached wraps inner with a memo for configuration IDs in [0, size).
 func NewCached(inner Regressor, size int) *Cached {
-	return &Cached{
-		inner:    inner,
-		slotGens: make([]atomic.Uint32, size),
-		preds:    make([]numeric.Gaussian, size),
-	}
+	return &Cached{inner: inner, preds: make([]numeric.Gaussian, size)}
 }
 
-// Generation returns the number of completed fits and updates; predictions
-// memoized under older generations are stale.
-func (c *Cached) Generation() int { return int(c.gen) }
-
-// Fit trains the wrapped model and invalidates the memo.
+// Fit trains the wrapped model and switches the memo off, also when the fit
+// fails: the inner model may then be partially refitted, and the memo must
+// not keep serving pre-fit predictions.
 func (c *Cached) Fit(features [][]float64, targets []float64) error {
-	if err := c.inner.Fit(features, targets); err != nil {
-		// The inner model may be partially refitted; make sure the memo does
-		// not keep serving pre-fit predictions through the allValid bypass.
-		c.dropAllValid()
-		return err
-	}
-	c.gen++
-	c.dropAllValid()
-	return nil
-}
-
-// dropAllValid leaves the all-valid fast path, rewriting the bypassed (and
-// therefore garbage) slot tags to "stale" so the tagged read path cannot
-// accidentally hit. No-op when the memo is already on the tagged path.
-func (c *Cached) dropAllValid() {
-	if !c.allValid {
-		return
-	}
-	c.allValid = false
-	c.scrubTags()
-}
-
-// scrubTags marks every memo slot stale. Tag 0 can never equal a live
-// generation: memoGenOffset keeps the current generation's tag at least 1.
-func (c *Cached) scrubTags() {
-	for i := range c.slotGens {
-		c.slotGens[i].Store(0)
-	}
+	c.valid = false
+	return c.inner.Fit(features, targets)
 }
 
 // Predict forwards to the wrapped model without touching the memo; use it for
@@ -316,175 +199,69 @@ func (c *Cached) Predict(x []float64) (numeric.Gaussian, error) {
 }
 
 // PredictID returns the predictive distribution of the configuration with the
-// given ID and feature vector, computing it at most once per generation per
-// racing writer. Safe for concurrent callers, including concurrent cold
-// misses on one slot: the prediction is written before the generation tag is
-// published, and the tag is claimed by compare-and-swap, so readers observe
-// either a complete entry or a miss — never torn data. The wrapped model's
-// predictions are deterministic, so racing writers compute identical values
-// and the losing writer just skips publication.
+// given ID and feature vector: the memoized one while the memo is valid, a
+// fresh prediction of x otherwise. It never writes, so it is safe for
+// concurrent callers.
 func (c *Cached) PredictID(id int, x []float64) (numeric.Gaussian, error) {
-	if c.allValid && id >= 0 && id < len(c.preds) {
-		// All-valid fast path: every slot is fresh, no tag to check.
+	if c.valid && id >= 0 && id < len(c.preds) {
 		return c.preds[id], nil
 	}
-	cur := c.gen + memoGenOffset
-	inMemo := id >= 0 && id < len(c.slotGens)
-	var seen uint32
-	if inMemo {
-		seen = c.slotGens[id].Load()
-		if seen == cur {
-			return c.preds[id], nil
-		}
-	}
-	pred, err := c.inner.Predict(x)
-	if err != nil {
-		return numeric.Gaussian{}, err
-	}
-	if inMemo && seen != memoWriting && c.slotGens[id].CompareAndSwap(seen, memoWriting) {
-		c.preds[id] = pred
-		c.slotGens[id].Store(cur)
-	}
-	return pred, nil
+	return c.inner.Predict(x)
 }
 
-// MemoPreds exposes the memoized prediction array when every slot is known
-// fresh (the all-valid fast path is active), and nil otherwise. The planner's
-// candidate sweeps read it directly — one bounds check per candidate instead
-// of a PredictID call with an atomic tag load. The returned slice is indexed
-// by configuration ID, is owned by the Cached, and is invalidated by any
-// mutating call; callers must not retain it across Fit, Update, Prefill or
-// CloneFrom.
+// MemoPreds exposes the memoized prediction array while the memo is valid,
+// and nil otherwise. The planner's candidate sweeps read it directly — one
+// bounds check per candidate instead of a PredictID call. The returned slice
+// is indexed by configuration ID, is owned by the Cached, and is invalidated
+// by any mutating call; callers must not retain it across Fit, Update,
+// Prefill or CloneFrom.
 func (c *Cached) MemoPreds() []numeric.Gaussian {
-	if !c.allValid {
+	if !c.valid {
 		return nil
 	}
 	return c.preds
 }
 
-// SupportsBatch reports whether the wrapped regressor implements
-// BatchRegressor, i.e. whether Prefill can sweep in one batched call. The
-// planner uses it to keep non-batch custom models on the lazy scalar path
-// instead of forcing a serial point-by-point sweep.
-func (c *Cached) SupportsBatch() bool {
-	_, ok := c.inner.(BatchRegressor)
-	return ok
-}
-
 // Prefill computes the memoized prediction of every configuration ID in
-// [0, len(memo)) from the space's column-major feature matrix (cols[d][id] is
-// feature d of the configuration with that ID) in one batch sweep. After it
-// returns, PredictID is a read-only lookup for every ID of the current
-// generation, which makes the Cached model safe to share across a parallel
-// fan-out. Columns longer than the memo are allowed; only the first
-// len(memo) points are swept. Inner regressors implementing BatchRegressor
-// predict the whole sweep in one call; others are swept point by point
-// through the same memo.
-//
-// Prefill mutates the memo and must not run concurrently with Fit, PredictID
-// or another Prefill on the same Cached.
+// [0, len(memo)) from the candidate set's column-major feature matrix
+// (cols[d][id] is feature d of the configuration with that ID, every column
+// exactly len(memo) long) in one batch sweep, and leaves the memo valid. On
+// error the memo is off.
 func (c *Cached) Prefill(cols [][]float64) error {
-	n := len(c.slotGens)
-	if n == 0 {
-		return nil
-	}
+	c.valid = false
 	for d, col := range cols {
-		if len(col) < n {
-			return fmt.Errorf("model: feature column %d has %d points, want at least %d", d, len(col), n)
+		if len(col) != len(c.preds) {
+			return fmt.Errorf("model: feature column %d has %d points, want %d", d, len(col), len(c.preds))
 		}
 	}
-	// Leave the all-valid bypass before touching preds: on a mid-sweep error
-	// the array is partially overwritten, which the tagged path correctly
-	// treats as stale but the bypass would serve.
-	c.dropAllValid()
-	gen := c.gen + memoGenOffset
 	c.lastCols = cols
-	if batch, ok := c.inner.(BatchRegressor); ok {
-		// PredictBatch requires len(col) == len(out) exactly. It writes
-		// straight into the memo's prediction array: Prefill is exclusive
-		// by contract, and on error the slot tags are never published, so a
-		// partially overwritten array is indistinguishable from stale.
-		// Memo-repairing regressors sweep through PredictBatchRepair
-		// instead (bitwise-identical output), arming the O(changed-trees)
-		// repair path for the Updates that follow.
-		cols = c.viewFirstN(cols, n)
-		if rep, ok := c.inner.(MemoRepairer); ok {
-			if err := rep.PredictBatchRepair(cols, c.preds[:n]); err != nil {
-				return err
-			}
-		} else if err := batch.PredictBatch(cols, c.preds[:n]); err != nil {
-			return err
-		}
-		c.allValid = true
-		return nil
-	}
-	if cap(c.row) < len(cols) {
-		c.row = make([]float64, len(cols))
-	}
-	row := c.row[:len(cols)]
-	for id := 0; id < n; id++ {
-		for d, col := range cols {
-			row[d] = col[id]
-		}
-		pred, err := c.inner.Predict(row)
-		if err != nil {
-			return err
-		}
-		c.preds[id] = pred
-		c.slotGens[id].Store(gen)
-	}
-	c.allValid = true
-	return nil
+	return c.sweep()
 }
 
-// viewFirstN returns a column view covering exactly the first n points of
-// each column, reusing the colView header when any column needs trimming;
-// cols is returned as-is when every column is already exactly n long. The
-// batch sweeps of Prefill and Update both require exact-length columns.
-func (c *Cached) viewFirstN(cols [][]float64, n int) [][]float64 {
-	trimmed := false
-	for _, col := range cols {
-		if len(col) > n {
-			trimmed = true
-			break
-		}
+// sweep re-predicts the whole memo over lastCols, straight into the
+// prediction array, and leaves the memo valid — or, on error, with the array
+// partially overwritten, off. Memo-repairing regressors sweep through
+// PredictBatchRepair instead (bitwise-identical output), arming the
+// O(changed-trees) repair for the Updates that follow.
+func (c *Cached) sweep() error {
+	var err error
+	if rep, ok := c.inner.(MemoRepairer); ok {
+		err = rep.PredictBatchRepair(c.lastCols, c.preds)
+	} else {
+		err = c.inner.PredictBatch(c.lastCols, c.preds)
 	}
-	if !trimmed {
-		return cols
-	}
-	if cap(c.colView) < len(cols) {
-		c.colView = make([][]float64, len(cols))
-	}
-	view := c.colView[:len(cols)]
-	for d, col := range cols {
-		view[d] = col[:n]
-	}
-	return view
+	c.valid = err == nil
+	return err
 }
 
-// SupportsIncremental reports whether the wrapped regressor implements
-// IncrementalRegressor, i.e. whether Update and CloneFrom apply.
-func (c *Cached) SupportsIncremental() bool {
-	_, ok := c.inner.(IncrementalRegressor)
-	return ok
-}
-
-// Update folds one sample into the wrapped incremental model and keeps the
-// prediction memo consistent. The generation is always bumped. When the memo
-// is all-valid and the inner regressor supports the eager repair pair
-// (AffectedAppender + BatchRegressor), the affected entries — typically a
-// handful after a one-sample update — are re-predicted in place with one
-// small batched call and the memo stays all-valid: later reads are plain
-// array loads, with no recompute and no atomic tag traffic. Otherwise the
-// memo falls back to selective tag invalidation: entries whose predictions
-// cannot have changed — per AffectedByLastUpdate over the feature matrix of
-// the last Prefill — are carried into the new generation, and affected ones
-// are recomputed lazily. Either way the speculation sweep costs O(changed)
-// instead of O(candidates) model evaluations.
-//
-// Without a preceding Prefill there is no feature source to check against,
-// so the whole memo goes stale (correct, just slower). Update mutates the
-// memo and must not run concurrently with other calls on the same Cached.
+// Update folds one sample into the wrapped incremental model and keeps a
+// valid memo valid: a MemoRepairer refreshes exactly the entries the sample
+// moved — typically a handful — from its own bookkeeping, so the speculation
+// sweep that follows costs O(changed) instead of O(candidates) model
+// evaluations. When the regressor has no repair extension, or reports its
+// repair state unusable (e.g. two Updates since its last repair sweep), the
+// whole memo is re-swept, which is always correct. A memo that is off stays
+// off.
 func (c *Cached) Update(x []float64, y float64) error {
 	inc, ok := c.inner.(IncrementalRegressor)
 	if !ok {
@@ -495,197 +272,47 @@ func (c *Cached) Update(x []float64, y float64) error {
 		// still describe the model; the memo is left untouched.
 		return err
 	}
-	oldGen := c.gen + memoGenOffset
-	c.gen++
-	newGen := c.gen + memoGenOffset
-	cols := c.lastCols
-	wasAllValid := c.allValid
-	if len(cols) == 0 {
-		c.dropAllValid()
+	if !c.valid {
 		return nil
 	}
-	n := len(c.slotGens)
-	for _, col := range cols {
-		if len(col) < n {
-			n = len(col)
-		}
-	}
-	if wasAllValid && n == len(c.slotGens) {
-		app, okApp := c.inner.(AffectedAppender)
-		batch, okBatch := c.inner.(BatchRegressor)
-		if okApp && okBatch {
-			return c.repairAllValid(app, batch, cols, n)
-		}
-	}
-	if batch, ok := c.inner.(BatchAffectedRegressor); ok {
-		if cap(c.affected) < n {
-			c.affected = make([]bool, n)
-		}
-		affected := c.affected[:n]
-		if err := batch.AffectedByLastUpdateBatch(c.viewFirstN(cols, n), affected); err != nil {
-			c.dropAllValid()
-			return err
-		}
-		if wasAllValid {
-			// The bypassed tags are garbage, but every prediction is known
-			// valid for the pre-update model, so unaffected slots can be
-			// tagged fresh directly; affected ones go stale.
-			c.allValid = false
-			c.scrubTags()
-			for id := 0; id < n; id++ {
-				if !affected[id] {
-					c.slotGens[id].Store(newGen)
-				}
-			}
-			return nil
-		}
-		for id := 0; id < n; id++ {
-			if c.slotGens[id].Load() == oldGen && !affected[id] {
-				c.slotGens[id].Store(newGen)
-			}
-		}
-		return nil
-	}
-	if cap(c.row) < len(cols) {
-		c.row = make([]float64, len(cols))
-	}
-	row := c.row[:len(cols)]
-	if wasAllValid {
-		c.allValid = false
-		c.scrubTags()
-	}
-	for id := 0; id < n; id++ {
-		if !wasAllValid && c.slotGens[id].Load() != oldGen {
-			continue
-		}
-		for d, col := range cols {
-			row[d] = col[id]
-		}
-		if !inc.AffectedByLastUpdate(row) {
-			c.slotGens[id].Store(newGen)
-		}
-	}
-	return nil
-}
-
-// repairAllValid is Update's eager path: with every memo slot valid for the
-// pre-update model, re-predicting just the affected IDs brings the whole
-// memo to the post-update model in one batched call, so the all-valid bypass
-// survives the update.
-func (c *Cached) repairAllValid(app AffectedAppender, batch BatchRegressor, cols [][]float64, n int) error {
-	// Fast path: a memo-repairing regressor refreshes the affected entries
-	// in place from its own bookkeeping — no row gather, no re-walk of
-	// unchanged trees. Unusable state (e.g. the memo was prefilled before
-	// the regressor's repair sweep existed, or a repair was skipped) falls
-	// through to the gather/re-predict pair below.
 	if rep, ok := c.inner.(MemoRepairer); ok {
-		ids, usable, err := rep.AppendRepairedByLastUpdate(c.viewFirstN(cols, n), n, c.idsBuf[:0], c.preds)
+		ids, usable, err := rep.AppendRepairedByLastUpdate(c.lastCols, len(c.preds), c.idsBuf[:0], c.preds)
 		c.idsBuf = ids[:0]
 		if err != nil {
-			c.dropAllValid()
+			c.valid = false
 			return err
 		}
 		if usable {
 			return nil
 		}
 	}
-	ids, err := app.AppendAffectedByLastUpdate(cols, n, c.idsBuf[:0])
-	if err != nil {
-		c.idsBuf = ids[:0]
-		c.dropAllValid()
-		return err
-	}
-	c.idsBuf = ids
-	m := len(ids)
-	if m == 0 {
-		return nil
-	}
-	if cap(c.gatherBuf) < m*len(cols) {
-		c.gatherBuf = make([]float64, m*len(cols))
-	}
-	if cap(c.gatherCols) < len(cols) {
-		c.gatherCols = make([][]float64, len(cols))
-	}
-	gcols := c.gatherCols[:len(cols)]
-	for d, col := range cols {
-		g := c.gatherBuf[d*m : (d+1)*m : (d+1)*m]
-		for k, id := range ids {
-			g[k] = col[id]
-		}
-		gcols[d] = g
-	}
-	if cap(c.gatherOut) < m {
-		c.gatherOut = make([]numeric.Gaussian, m)
-	}
-	outs := c.gatherOut[:m]
-	if err := batch.PredictBatch(gcols, outs); err != nil {
-		c.dropAllValid()
-		return err
-	}
-	for k, id := range ids {
-		c.preds[id] = outs[k]
-	}
-	return nil
+	return c.sweep()
 }
 
-// CloneFrom snapshots src — fitted model state, memo, generation, and the
-// feature matrix reference for selective invalidation — into the receiver,
-// reusing its storage. The receiver's inner regressor must be an instance of
-// the same concrete type as src's (typically both from one Factory).
-// CloneFrom only reads src, so concurrent clones from one quiescent source
-// are safe; the receiver must be private to the caller. A source slot caught
-// mid-publication (a concurrent PredictID cold miss, possible when the
-// source is still being read lazily elsewhere) is copied as stale — the
-// clone then recomputes that one prediction on demand.
+// CloneFrom snapshots src — fitted model state, memo, and the feature matrix
+// reference for repair — into the receiver, reusing its storage. The
+// receiver's inner regressor must be an instance of the same concrete type as
+// src's (typically both from one Factory). CloneFrom only reads src, so
+// concurrent clones from one quiescent source are safe; the receiver must be
+// private to the caller.
 func (c *Cached) CloneFrom(src *Cached) error {
+	c.valid = false
 	inc, ok := src.inner.(IncrementalRegressor)
 	if !ok {
 		return fmt.Errorf("model: source regressor %T does not support incremental cloning", src.inner)
 	}
 	if err := inc.CloneInto(c.inner); err != nil {
-		c.dropAllValid()
 		return err
 	}
-	c.gen = src.gen
-	n := len(src.slotGens)
-	if cap(c.preds) < n {
-		c.slotGens = make([]atomic.Uint32, n)
-		c.preds = make([]numeric.Gaussian, 0, n)
-	}
-	c.slotGens = c.slotGens[:n]
-	c.preds = c.preds[:n]
 	c.lastCols = src.lastCols
-	if src.allValid {
-		// All-valid fast path: one bulk copy of the predictions, no per-slot
-		// atomics. The receiver's tags become garbage, which the allValid
-		// bypass makes irrelevant (and any later exit from the bypass scrubs
-		// them).
-		copy(c.preds, src.preds)
-		c.allValid = true
-		return nil
+	if n := len(src.preds); cap(c.preds) < n {
+		c.preds = make([]numeric.Gaussian, n)
+	} else {
+		c.preds = c.preds[:n]
 	}
-	c.allValid = false
-	for id := 0; id < n; id++ {
-		g := src.slotGens[id].Load()
-		if g == memoWriting {
-			g = 0
-		} else if g == src.gen+memoGenOffset {
-			c.preds[id] = src.preds[id]
-		}
-		c.slotGens[id].Store(g)
+	if src.valid {
+		copy(c.preds, src.preds)
+		c.valid = true
 	}
 	return nil
 }
-
-// memoGenOffset keeps the zero value of a slot's generation tag distinct
-// from the generation of an untrained model, so a fresh memo never reports a
-// hit.
-const memoGenOffset = 1
-
-// memoWriting marks a memo slot whose publication is claimed by an in-flight
-// PredictID writer. Generations are far from wrapping to it in any realistic
-// campaign.
-const memoWriting = ^uint32(0)
-
-// Statically assert that Cached remains a Regressor.
-var _ Regressor = (*Cached)(nil)

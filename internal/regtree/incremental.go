@@ -198,8 +198,8 @@ func (t *Tree) leafIndex(x []float64) int32 {
 //
 // Insert returns the index of the affected node — the former leaf, which
 // after a re-split roots the regrown subtree. Predictions of feature vectors
-// whose root-to-leaf walk does not pass through that node are unchanged (see
-// HitsNode); the ensemble layer uses this for selective memo invalidation.
+// whose root-to-leaf walk does not pass through that node are unchanged; the
+// ensemble layer uses this to repair its prediction memo.
 //
 // rng is only consumed when Params.FeatureFraction < 1 (it drives the
 // random-subspace draw of a re-split); it may be nil otherwise.
@@ -340,74 +340,6 @@ func (s *incState) ensureScratch(n, numFeatures int) *resplitScratch {
 		}
 	}
 	return sc
-}
-
-// PathStep is one split constraint on the root-to-node path returned by
-// AppendPathTo: points satisfying (x[Feature] <= Threshold) == Left stay on
-// the path at that split.
-type PathStep struct {
-	Threshold float64
-	Feature   int32
-	Left      bool
-}
-
-// AppendPathTo appends the split constraints of the root-to-node path for
-// the given node index to out and returns it, with ok=false when the index
-// does not name a node of the tree. A feature vector reaches the node iff it
-// satisfies every returned step — checking the steps directly is cheaper
-// than a full root-to-leaf walk because the check can stop at the first
-// violated constraint, which for points far from the node is the very first
-// one. The bagging ensemble sweeps candidate sets with it to bound which
-// predictions a one-sample update can have moved.
-func (t *Tree) AppendPathTo(node int, out []PathStep) ([]PathStep, bool) {
-	if t == nil || node < 0 || node >= t.nodeCount() {
-		return out, false
-	}
-	return t.pathTo(0, int32(node), out)
-}
-
-// pathTo extends out with the steps from cur to target, depth-first.
-func (t *Tree) pathTo(cur, target int32, out []PathStep) ([]PathStep, bool) {
-	if cur == target {
-		return out, true
-	}
-	nd := t.nodes[cur]
-	if nd.left < 0 {
-		return out, false
-	}
-	out = append(out, PathStep{Feature: nd.feat, Threshold: nd.thresh, Left: true})
-	if res, ok := t.pathTo(nd.left, target, out); ok {
-		return res, true
-	}
-	out[len(out)-1].Left = false
-	if res, ok := t.pathTo(nd.right, target, out); ok {
-		return res, true
-	}
-	return out[:len(out)-1], false
-}
-
-// HitsNode reports whether the prediction walk for x passes through the node
-// with the given index. After an Insert that returned node n, the tree's
-// prediction for x can only have changed when HitsNode(x, n) is true — the
-// update touched nothing outside that node's region.
-func (t *Tree) HitsNode(x []float64, target int) bool {
-	nodes := t.nodes
-	tgt := int32(target)
-	i := int32(0)
-	for {
-		if i == tgt {
-			return true
-		}
-		nd := nodes[i]
-		if nd.left < 0 {
-			return false
-		}
-		if x[nd.feat] <= nd.thresh {
-			i = nd.left
-		} else {
-			i = nd.right
-		}
-	}
 }
 
 // Clone returns an independent deep copy of the tree, including any retained

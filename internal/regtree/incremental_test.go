@@ -119,36 +119,6 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
-func TestHitsNodeBoundsPredictionChanges(t *testing.T) {
-	features, targets := incFixture()
-	tree, err := TrainIncremental(features, targets, Params{MinSamplesSplit: 2, MinLeafSize: 1}, nil)
-	if err != nil {
-		t.Fatalf("TrainIncremental: %v", err)
-	}
-	// Record predictions over a probe grid, insert one sample, and check
-	// that every changed prediction is flagged by HitsNode.
-	probes := make([][]float64, 0, 16)
-	for a := 0.0; a <= 3; a++ {
-		for b := 0.0; b <= 3; b++ {
-			probes = append(probes, []float64{a, b})
-		}
-	}
-	before := make([]float64, len(probes))
-	for i, x := range probes {
-		before[i], _ = tree.Predict(x)
-	}
-	node, err := tree.Insert([]float64{2, 2}, 20, nil)
-	if err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	for i, x := range probes {
-		after, _ := tree.Predict(x)
-		if after != before[i] && !tree.HitsNode(x, node) {
-			t.Errorf("prediction at %v changed (%v -> %v) but HitsNode is false", x, before[i], after)
-		}
-	}
-}
-
 func TestCloneIsIndependentAndDeterministic(t *testing.T) {
 	features, targets := incFixture()
 	parent, err := TrainIncremental(features, targets, Params{MinSamplesSplit: 2, MinLeafSize: 1}, nil)

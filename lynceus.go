@@ -135,11 +135,6 @@ type TunerConfig struct {
 	// lookahead >= 2 path search and restores the exhaustive search (for
 	// ablations; pruning is on by default and deterministic).
 	DisablePruning bool
-	// DisableBatchPredict routes every full-space model sweep through scalar
-	// per-configuration predictions instead of the batch prediction path. The
-	// two paths produce bitwise-identical recommendations (enforced by
-	// tests); the knob exists for that proof and for ablations.
-	DisableBatchPredict bool
 	// Search selects the candidate search strategy; the zero value picks
 	// automatically based on the space size.
 	Search SearchConfig
@@ -234,15 +229,14 @@ func newCoreTuner(cfg TunerConfig) (*core.Lynceus, error) {
 			cfg.SpeculativeRefit, "auto", "full", "incremental")
 	}
 	params := core.Params{
-		Lookahead:           lookahead,
-		Discount:            cfg.Discount,
-		GHOrder:             cfg.GHOrder,
-		Model:               bagging.Params{NumTrees: cfg.EnsembleTrees},
-		Workers:             cfg.Workers,
-		DisablePruning:      cfg.DisablePruning,
-		DisableBatchPredict: cfg.DisableBatchPredict,
-		Search:              search,
-		SpeculativeRefit:    refit,
+		Lookahead:        lookahead,
+		Discount:         cfg.Discount,
+		GHOrder:          cfg.GHOrder,
+		Model:            bagging.Params{NumTrees: cfg.EnsembleTrees},
+		Workers:          cfg.Workers,
+		DisablePruning:   cfg.DisablePruning,
+		Search:           search,
+		SpeculativeRefit: refit,
 	}
 	switch cfg.CostModel {
 	case "", string(model.KindBagging):

@@ -3,6 +3,8 @@ package lynceus
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -86,6 +88,63 @@ func TestNewTunerVariants(t *testing.T) {
 	}
 	if _, err := NewTuner(TunerConfig{Lookahead: -1}); err == nil {
 		t.Error("negative lookahead should error")
+	}
+}
+
+// leafFields lists the dotted paths of the leaf (non-struct) fields of a
+// struct type.
+func leafFields(typ reflect.Type, prefix string) []string {
+	var out []string
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() == reflect.Struct {
+			out = append(out, leafFields(f.Type, prefix+f.Name+".")...)
+		} else {
+			out = append(out, prefix+f.Name)
+		}
+	}
+	return out
+}
+
+// TestNewCoreTunerConsumesEveryTunerConfigField is the facade half of the
+// fingerprint guard: every leaf field of TunerConfig, set alone to a valid
+// non-default value, must change the core.Params newCoreTuner builds. A field
+// added to TunerConfig but not wired through fails here instead of being
+// silently ignored.
+func TestNewCoreTunerConsumesEveryTunerConfigField(t *testing.T) {
+	samples := map[string]func(*TunerConfig){
+		"Lookahead":         func(c *TunerConfig) { c.Lookahead = 3 },
+		"Myopic":            func(c *TunerConfig) { c.Myopic = true },
+		"Discount":          func(c *TunerConfig) { c.Discount = 0.5 },
+		"GHOrder":           func(c *TunerConfig) { c.GHOrder = 5 },
+		"EnsembleTrees":     func(c *TunerConfig) { c.EnsembleTrees = 7 },
+		"CostModel":         func(c *TunerConfig) { c.CostModel = "gp" },
+		"Workers":           func(c *TunerConfig) { c.Workers = runtime.GOMAXPROCS(0) + 1 },
+		"DisablePruning":    func(c *TunerConfig) { c.DisablePruning = true },
+		"Search.Strategy":   func(c *TunerConfig) { c.Search.Strategy = "exhaustive" },
+		"Search.SampleSize": func(c *TunerConfig) { c.Search.SampleSize = 16 },
+		"SpeculativeRefit":  func(c *TunerConfig) { c.SpeculativeRefit = "full" },
+	}
+	base, err := newCoreTuner(TunerConfig{})
+	if err != nil {
+		t.Fatalf("newCoreTuner: %v", err)
+	}
+	for _, path := range leafFields(reflect.TypeOf(TunerConfig{}), "") {
+		set, ok := samples[path]
+		if !ok {
+			t.Errorf("TunerConfig.%s has no sample value here; add one and consume the field in newCoreTuner", path)
+			continue
+		}
+		var cfg TunerConfig
+		set(&cfg)
+		tuner, err := newCoreTuner(cfg)
+		if err != nil {
+			t.Errorf("TunerConfig.%s: newCoreTuner: %v", path, err)
+			continue
+		}
+		if reflect.DeepEqual(tuner.Params(), base.Params()) {
+			t.Errorf("TunerConfig.%s is not consumed by newCoreTuner: core.Params unchanged", path)
+		}
 	}
 }
 
