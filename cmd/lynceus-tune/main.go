@@ -15,9 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	lynceus "repro"
+	"repro/internal/atomicfile"
 	"repro/internal/optimizer"
 	"repro/internal/profiling"
 )
@@ -270,7 +270,7 @@ func (r *campaignRunner) Optimize(env lynceus.Environment, opts lynceus.Options)
 			if serr != nil {
 				return lynceus.Result{}, serr
 			}
-			if werr := writeFileAtomic(r.cf.checkpoint, snap); werr != nil {
+			if werr := atomicfile.Write(r.cf.checkpoint, snap); werr != nil {
 				return lynceus.Result{}, fmt.Errorf("writing checkpoint: %w", werr)
 			}
 		}
@@ -278,29 +278,6 @@ func (r *campaignRunner) Optimize(env lynceus.Environment, opts lynceus.Options)
 			return t.Result()
 		}
 	}
-}
-
-// writeFileAtomic writes data to path via a same-directory temp file and
-// rename, so a crash mid-write never leaves a truncated snapshot behind.
-func writeFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".lynceus-snapshot-*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }
 
 // runServesim tunes a simulated LLM serving cluster instead of a CSV lookup

@@ -36,19 +36,31 @@ func ExpectedImprovement(pred numeric.Gaussian, best float64) float64 {
 	return ei
 }
 
-// ConstraintProbability returns P(C(x) ≤ Tmax · U(x)), the probability that
-// the configuration meets the maximum-runtime constraint, computed on the
-// cost model by exploiting C(x) = T(x)·U(x) with U(x) known (paper §3).
-// unitPricePerSecond is U(x) expressed per second so that the threshold and
-// the cost prediction share the same unit.
-func ConstraintProbability(costPred numeric.Gaussian, maxRuntimeSeconds, unitPricePerSecond float64) (float64, error) {
+// RuntimeCostThreshold returns Tmax · U(x): the maximum-runtime constraint
+// expressed on the cost by exploiting C(x) = T(x)·U(x) with U(x) known
+// (paper §3). unitPricePerSecond is U(x) expressed per second so that the
+// threshold and the cost prediction share the same unit. Both inputs are
+// fixed for a candidate, so a caller scoring it under many model states
+// validates and resolves the threshold once.
+func RuntimeCostThreshold(maxRuntimeSeconds, unitPricePerSecond float64) (float64, error) {
 	if maxRuntimeSeconds <= 0 {
 		return 0, fmt.Errorf("acquisition: non-positive runtime constraint %v", maxRuntimeSeconds)
 	}
 	if unitPricePerSecond <= 0 {
 		return 0, fmt.Errorf("acquisition: non-positive unit price %v", unitPricePerSecond)
 	}
-	return costPred.ProbLE(maxRuntimeSeconds * unitPricePerSecond), nil
+	return maxRuntimeSeconds * unitPricePerSecond, nil
+}
+
+// ConstraintProbability returns P(C(x) ≤ Tmax · U(x)), the probability that
+// the configuration meets the maximum-runtime constraint, computed on the
+// cost model against RuntimeCostThreshold.
+func ConstraintProbability(costPred numeric.Gaussian, maxRuntimeSeconds, unitPricePerSecond float64) (float64, error) {
+	threshold, err := RuntimeCostThreshold(maxRuntimeSeconds, unitPricePerSecond)
+	if err != nil {
+		return 0, err
+	}
+	return costPred.ProbLE(threshold), nil
 }
 
 // Constrained combines an expected improvement with the probability that

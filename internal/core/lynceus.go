@@ -188,12 +188,15 @@ func (l *Lynceus) Optimize(env optimizer.Environment, opts optimizer.Options) (o
 // which keys the prediction memos (so memo size tracks the candidate set, not
 // the space). features alias the space's shared storage on materialized
 // spaces and the planner's decode arena on streaming spaces — read-only
-// either way.
+// either way. runtimeCostMax is the runtime constraint expressed on the cost,
+// Tmax·U(x) (acquisition.RuntimeCostThreshold): the threshold of the EIc
+// constraint probability.
 type candidate struct {
-	id            int
-	slot          int
-	features      []float64
-	unitPriceHour float64
+	id             int
+	slot           int
+	features       []float64
+	unitPriceHour  float64
+	runtimeCostMax float64
 }
 
 // pathScore is the outcome of simulating the exploration paths rooted at one

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -33,6 +34,14 @@ type planner struct {
 	factory   model.Factory
 	refitMode SpeculativeRefit
 	iteration int
+
+	// extraNames lists the extra-constraint metric names in sorted order —
+	// the order of every per-constraint slice in the planner (trainSet.extras,
+	// modelSet.extras, speculated outcome vectors) — and extraMax[k] is the
+	// threshold of extraNames[k]. Both are resolved once here so the
+	// per-candidate loops index instead of scanning Options.ExtraConstraints.
+	extraNames []string
+	extraMax   []float64
 
 	// prices lazily memoizes unit prices per candidate, so huge spaces never
 	// pay a full-space price sweep at planner creation.
@@ -141,6 +150,7 @@ func newPlannerShared(params Params, env optimizer.Environment, opts optimizer.O
 		sched:     newSpecScheduler(params.Workers),
 		shared:    sh,
 	}
+	p.extraNames, p.extraMax = resolveExtraConstraints(opts.ExtraConstraints)
 	if sh != nil {
 		p.prices = sh.prices
 	}
@@ -204,7 +214,11 @@ func (p *planner) gather(ids []int) ([]candidate, error) {
 				return nil, err
 			}
 		}
-		cands[i] = candidate{id: id, slot: i, features: feats, unitPriceHour: price}
+		costMax, err := acquisition.RuntimeCostThreshold(p.opts.MaxRuntimeSeconds, price/3600)
+		if err != nil {
+			return nil, err
+		}
+		cands[i] = candidate{id: id, slot: i, features: feats, unitPriceHour: price, runtimeCostMax: costMax}
 	}
 	if streaming {
 		p.featArena = arena
@@ -255,23 +269,25 @@ func (p *planner) candidateConfig(c candidate) configspace.Config {
 	return cfg
 }
 
-// constraintNames returns the extra-constraint metric names in a stable order.
-func (p *planner) constraintNames() []string {
-	names := make([]string, 0, len(p.opts.ExtraConstraints))
-	for _, c := range p.opts.ExtraConstraints {
+// resolveExtraConstraints returns the extra-constraint metric names in sorted
+// order with the threshold of each (of a name's first entry, should the
+// options repeat one).
+func resolveExtraConstraints(constraints []optimizer.Constraint) (names []string, maxima []float64) {
+	names = make([]string, 0, len(constraints))
+	for _, c := range constraints {
 		names = append(names, c.Metric)
 	}
 	sort.Strings(names)
-	return names
-}
-
-func (p *planner) constraintMax(name string) float64 {
-	for _, c := range p.opts.ExtraConstraints {
-		if c.Metric == name {
-			return c.Max
+	maxima = make([]float64, len(names))
+	for k, name := range names {
+		for _, c := range constraints {
+			if c.Metric == name {
+				maxima[k] = c.Max
+				break
+			}
 		}
 	}
-	return 0
+	return names, maxima
 }
 
 // trainSet is the (possibly speculated) training set S of one state: the cost
@@ -385,9 +401,8 @@ type modelSet struct {
 // prediction memos covering size candidate slots.
 func (p *planner) newModelSet(stream int64, size int) *modelSet {
 	ms := &modelSet{cost: model.NewCached(p.factory.New(stream), size)}
-	names := p.constraintNames()
-	ms.extras = make([]*model.Cached, len(names))
-	for k := range names {
+	ms.extras = make([]*model.Cached, len(p.extraNames))
+	for k := range ms.extras {
 		ms.extras[k] = model.NewCached(p.factory.New(stream+int64(k+1)*1_000_003), size)
 	}
 	return ms
@@ -509,12 +524,6 @@ type pathWorkspace struct {
 	scratch *modelSet
 	clones  []*modelSet
 
-	// elig backs the eligibility sweeps of this path's nextStep calls, which
-	// otherwise allocate three candidate-set-sized slices per speculated
-	// outcome. The buffers are only live within one nextStep call, so one
-	// set per workspace suffices for the whole recursion.
-	elig eligibleBuf
-
 	// depths[d] is the serial combo loop's scratch at speculation depth d:
 	// the extended training set, the reduced untested slice, the speculated
 	// child state, and the Gauss-Hermite outcome/combo buffers. Depth d's
@@ -544,14 +553,18 @@ func (ws *pathWorkspace) depth(slot int) *pathDepthScratch {
 	return ws.depths[slot]
 }
 
-// eligibleBuf holds the reusable output buffers of one eligibility sweep.
-// extrasFlat is the arena backing the per-candidate rows of extraPreds on
-// the memo fast path.
+// eligibleBuf is the reusable scratch of nextStep's sweeps: bounds[i] is the
+// EIc upper bound of the i-th untested candidate of the swept state (−Inf
+// when the candidate is not eligible). It is only live within one nextStep
+// call, so each scheduler worker owns one (specWorker.elig) for every state it
+// sweeps. bounded and evaluated are that worker's running useful-work
+// counters — eligible candidates dismissed on their bound alone vs. scored
+// with the exact EIc — plain ints, because a shared atomic in the sweep costs
+// more than the sweep saves.
 type eligibleBuf struct {
-	cands      []candidate
-	costPreds  []numeric.Gaussian
-	extraPreds [][]numeric.Gaussian
-	extrasFlat []numeric.Gaussian
+	bounds    []float64
+	bounded   int
+	evaluated int
 }
 
 // cloneSlot returns the model-set slot of the given speculation depth,
@@ -573,7 +586,7 @@ func (ws *pathWorkspace) cloneSlot(p *planner, depth int) *modelSet {
 // reuses it. Incremental mode draws a recycled workspace from the worker's
 // private arena and returns it there once the whole path (including every
 // forked subtree) has joined.
-func (p *planner) evalPath(w *specWorker, iteration, activeSize int, rootState *specState, rootModels *modelSet, rootInc float64, cand candidate, extraNames []string) (pathScore, error) {
+func (p *planner) evalPath(w *specWorker, iteration, activeSize int, rootState *specState, rootModels *modelSet, rootInc float64, cand candidate) (pathScore, error) {
 	// Cancellation poll: a cancelled step abandons the remaining path
 	// evaluations (the error propagates through the canonical firstError
 	// reduction, so the abort is deterministic). stepCtx may be nil when a
@@ -590,7 +603,7 @@ func (p *planner) evalPath(w *specWorker, iteration, activeSize int, rootState *
 	} else {
 		ws = &pathWorkspace{scratch: p.newModelSet(int64(iteration)*4_000_000_007+int64(cand.id), activeSize)}
 	}
-	reward, cost, err := p.explorePaths(rootState, rootModels, rootInc, cand, p.params.Lookahead, ws, 0, extraNames, w)
+	reward, cost, err := p.explorePaths(rootState, rootModels, rootInc, cand, p.params.Lookahead, ws, 0, w)
 	if err != nil {
 		return pathScore{}, err
 	}
@@ -630,13 +643,16 @@ func (p *planner) setupCost(deployed *configspace.Config, to candidate) float64 
 
 // feasibleSpeculation reports whether a speculated (cost, extras) outcome for
 // the candidate satisfies the runtime and extra constraints: the runtime
-// constraint is expressed on the cost via C(x) = T(x)·U(x).
-func (p *planner) feasibleSpeculation(cand candidate, cost float64, extras []float64, extraNames []string) bool {
+// constraint is expressed on the cost via C(x) = T(x)·U(x). (The threshold is
+// (Tmax·U)/3600 here and Tmax·(U/3600) in the EIc — cand.runtimeCostMax — as
+// it always was; the two round differently, and trial sequences are pinned
+// bitwise.)
+func (p *planner) feasibleSpeculation(cand candidate, cost float64, extras []float64) bool {
 	if cost > p.opts.MaxRuntimeSeconds*cand.unitPriceHour/3600 {
 		return false
 	}
-	for k, name := range extraNames {
-		if extras[k] > p.constraintMax(name) {
+	for k, max := range p.extraMax {
+		if extras[k] > max {
 			return false
 		}
 	}
@@ -675,7 +691,7 @@ var errNotPrefilled = errors.New("core: candidate sweep over a model set that wa
 // eic computes the constrained expected improvement of a candidate under the
 // given incumbent and model predictions (paper §3). The incumbent comes from
 // incumbent(), computed once per speculation state.
-func (p *planner) eic(incumbent float64, cand candidate, costPred numeric.Gaussian, extraPreds []numeric.Gaussian, extraNames []string) (float64, error) {
+func (p *planner) eic(incumbent float64, cand candidate, costPred numeric.Gaussian, extraPreds []numeric.Gaussian) (float64, error) {
 	ei := acquisition.ExpectedImprovement(costPred, incumbent)
 	if ei == 0 {
 		// The constraint probabilities only scale the expected improvement
@@ -692,15 +708,29 @@ func (p *planner) eic(incumbent float64, cand candidate, costPred numeric.Gaussi
 	if 1+len(extraPreds) > cap(probs) {
 		probs = make([]float64, 0, 1+len(extraPreds))
 	}
-	runtimeProb, err := acquisition.ConstraintProbability(costPred, p.opts.MaxRuntimeSeconds, cand.unitPriceHour/3600)
-	if err != nil {
-		return 0, err
-	}
-	probs = append(probs, runtimeProb)
+	probs = append(probs, costPred.ProbLE(cand.runtimeCostMax))
 	for k, pred := range extraPreds {
-		probs = append(probs, clampProb(pred.ProbLE(p.constraintMax(extraNames[k]))))
+		probs = append(probs, clampProb(pred.ProbLE(p.extraMax[k])))
 	}
 	return acquisition.Constrained(ei, probs...)
+}
+
+// eicUpperBound returns a transcendental-free upper bound on eic for the same
+// inputs (extras read from the memo arrays by slot): the product, in eic's
+// own multiplication order, of acquisition's upper bounds on each of its
+// factors. Floating-point multiplication by a non-negative factor is
+// monotone, so factor-wise bounds multiplied in the same order bound the
+// computed product; a NaN factor makes the bound NaN, which never prunes.
+func (p *planner) eicUpperBound(incumbent float64, cand *candidate, costPred numeric.Gaussian, extraMemos [][]numeric.Gaussian) float64 {
+	bound := acquisition.ExpectedImprovementUpperBound(costPred, incumbent)
+	if bound == 0 {
+		return 0
+	}
+	bound *= acquisition.ProbLEUpperBound(costPred, cand.runtimeCostMax)
+	for k, em := range extraMemos {
+		bound *= acquisition.ProbLEUpperBound(em[cand.slot], p.extraMax[k])
+	}
+	return bound
 }
 
 func clampProb(p float64) float64 {
@@ -713,76 +743,45 @@ func clampProb(p float64) float64 {
 	return p
 }
 
-// eligible returns the candidates whose predicted cost fits within the
-// remaining budget with the configured confidence (Algorithm 1, line 23 and
-// Algorithm 2, line 22). A non-nil buf recycles the output slices across
-// calls (the returned slices alias it and are only valid until the next call
-// with the same buf); a nil buf allocates fresh slices the caller may retain.
-func (p *planner) eligible(untested []candidate, ms *modelSet, budget float64, buf *eligibleBuf) ([]candidate, []numeric.Gaussian, [][]numeric.Gaussian, error) {
-	var out []candidate
-	var costPreds []numeric.Gaussian
-	var extraPreds [][]numeric.Gaussian
-	if buf != nil {
-		out = buf.cands[:0]
-		costPreds = buf.costPreds[:0]
-		extraPreds = buf.extraPreds[:0]
-	} else {
-		out = make([]candidate, 0, len(untested))
-		costPreds = make([]numeric.Gaussian, 0, len(untested))
-		extraPreds = make([][]numeric.Gaussian, 0, len(untested))
+// fitsBudget is the eligibility test of Algorithm 1, line 23 and Algorithm 2,
+// line 22: the predicted cost fits within the budget with the configured
+// confidence.
+func (p *planner) fitsBudget(costPred numeric.Gaussian, budget float64) bool {
+	if !p.eligUseZ {
+		return costPred.ProbLE(budget) >= p.params.EligibilityProb
 	}
+	if costPred.StdDev == 0 {
+		return budget >= costPred.Mean
+	}
+	return budget >= costPred.Mean+p.eligZ*costPred.StdDev
+}
 
-	// The sweep reads the memo arrays directly — every swept set is prefilled
-	// or an eagerly repaired clone of a prefilled one — instead of paying a
-	// PredictID call per candidate per model. Per-candidate extras rows are
-	// carved from the buffer's flat arena instead of allocated.
+// eligible returns the candidates that fit the budget (see fitsBudget) with
+// their cost and per-constraint predictions, read from the memo arrays —
+// every swept set is prefilled or an eagerly repaired clone of a prefilled
+// one. The root decision uses it, where prunedScores needs every candidate's
+// exact EIc; speculated states go through nextStep's fused sweep instead.
+func (p *planner) eligible(untested []candidate, ms *modelSet, budget float64) ([]candidate, []numeric.Gaussian, [][]numeric.Gaussian, error) {
 	costMemo := ms.cost.MemoPreds()
 	extraMemos := extraMemosOf(ms)
 	if costMemo == nil || extraMemos == nil {
 		return nil, nil, nil, errNotPrefilled
 	}
-	var flat []numeric.Gaussian
-	if buf != nil {
-		flat = buf.extrasFlat[:0]
-	}
-	nk := len(ms.extras)
+	out := make([]candidate, 0, len(untested))
+	costPreds := make([]numeric.Gaussian, 0, len(untested))
+	extraPreds := make([][]numeric.Gaussian, 0, len(untested))
 	for _, u := range untested {
 		costPred := costMemo[u.slot]
-		var ok bool
-		if p.eligUseZ {
-			if costPred.StdDev == 0 {
-				ok = budget >= costPred.Mean
-			} else {
-				ok = budget >= costPred.Mean+p.eligZ*costPred.StdDev
-			}
-		} else {
-			ok = costPred.ProbLE(budget) >= p.params.EligibilityProb
-		}
-		if !ok {
+		if !p.fitsBudget(costPred, budget) {
 			continue
 		}
 		out = append(out, u)
 		costPreds = append(costPreds, costPred)
-		var row []numeric.Gaussian
-		if buf != nil {
-			base := len(flat)
-			for _, em := range extraMemos {
-				flat = append(flat, em[u.slot])
-			}
-			row = flat[base:len(flat):len(flat)]
-		} else {
-			row = make([]numeric.Gaussian, nk)
-			for k, em := range extraMemos {
-				row[k] = em[u.slot]
-			}
+		row := make([]numeric.Gaussian, len(extraMemos))
+		for k, em := range extraMemos {
+			row[k] = em[u.slot]
 		}
 		extraPreds = append(extraPreds, row)
-	}
-	if buf != nil {
-		buf.cands = out
-		buf.costPreds = costPreds
-		buf.extraPreds = extraPreds
-		buf.extrasFlat = flat
 	}
 	return out, costPreds, extraPreds, nil
 }
@@ -820,29 +819,89 @@ func extraMemosOf(ms *modelSet) [][]numeric.Gaussian {
 
 // nextStep selects the configuration explored at depth ≥ 2 of a path: the
 // eligible untested configuration with the highest EIc under the speculated
-// state (Algorithm 2, NextStep). inc is the state's incumbent, computed once
-// by the caller and shared with the recursive path evaluation. buf recycles
-// the eligibility sweep's buffers across speculated outcomes (nil allocates).
-func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, extraNames []string, buf *eligibleBuf) (candidate, bool, error) {
-	eligible, costPreds, extraPreds, err := p.eligible(state.untested, ms, state.budget, buf)
-	if err != nil {
-		return candidate{}, false, err
+// state, ties to the lower configuration ID (Algorithm 2, NextStep). inc is
+// the state's incumbent, computed once by the caller and shared with the
+// recursive path evaluation.
+//
+// Only the argmax is used, so the sweep is an exact branch and bound. One
+// fused pass applies the eligibility test and bounds every eligible
+// candidate's EIc from above without erfc or exp (eicUpperBound). The exact
+// EIc is then computed for the candidate with the largest bound and, in
+// candidate order, for every candidate whose bound is not strictly below the
+// best exact value so far; a skipped candidate's EIc lies strictly below an
+// exactly computed one, so it could neither win nor tie. Exactly evaluated
+// candidates compete under the exhaustive sweep's own rule, and the argmax
+// of (EIc, −ID) does not depend on visiting order, so the choice is the one
+// the exhaustive sweep makes, bit for bit. NaN compares false: a NaN bound is
+// never skipped and a NaN EIc never wins, as in the exhaustive sweep; and
+// since eic rejects nothing but a NaN probability, whose bound is NaN, a state
+// on which the exhaustive sweep fails fails here too.
+func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, buf *eligibleBuf) (candidate, bool, error) {
+	costMemo := ms.cost.MemoPreds()
+	extraMemos := extraMemosOf(ms)
+	if costMemo == nil || extraMemos == nil {
+		return candidate{}, false, errNotPrefilled
 	}
-	if len(eligible) == 0 {
+	untested := state.untested
+	if cap(buf.bounds) < len(untested) {
+		buf.bounds = make([]float64, len(untested))
+	}
+	bounds := buf.bounds[:len(untested)]
+	nEligible := 0
+	seed, seedBound := -1, math.Inf(-1)
+	for i := range untested {
+		u := &untested[i]
+		costPred := costMemo[u.slot]
+		if !p.fitsBudget(costPred, state.budget) {
+			bounds[i] = math.Inf(-1)
+			continue
+		}
+		nEligible++
+		b := p.eicUpperBound(inc, u, costPred, extraMemos)
+		bounds[i] = b
+		if b > seedBound {
+			seed, seedBound = i, b
+		}
+	}
+	if nEligible == 0 {
 		return candidate{}, false, nil
 	}
+
 	best := candidate{}
 	bestEIc := -1.0
-	for i, cand := range eligible {
-		score, err := p.eic(inc, cand, costPreds[i], extraPreds[i], extraNames)
-		if err != nil {
-			return candidate{}, false, err
+	evaluated := 0
+	exact := func(cand candidate) error {
+		var rowArr [3]numeric.Gaussian
+		row := rowArr[:0]
+		for _, em := range extraMemos {
+			row = append(row, em[cand.slot])
 		}
+		score, err := p.eic(inc, cand, costMemo[cand.slot], row)
+		if err != nil {
+			return err
+		}
+		evaluated++
 		if score > bestEIc || (score == bestEIc && cand.id < best.id) {
 			best = cand
 			bestEIc = score
 		}
+		return nil
 	}
+	if seed >= 0 {
+		if err := exact(untested[seed]); err != nil {
+			return candidate{}, false, err
+		}
+	}
+	for i := range untested {
+		if i == seed || bounds[i] < bestEIc {
+			continue
+		}
+		if err := exact(untested[i]); err != nil {
+			return candidate{}, false, err
+		}
+	}
+	buf.evaluated += evaluated
+	buf.bounded += nEligible - evaluated
 	return best, true, nil
 }
 
@@ -859,12 +918,12 @@ func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, extraNam
 // evaluation; in Incremental mode the shallow speculation layers fork their
 // outcome subtrees onto it as stealable tasks (see explorePathsForked), so a
 // few expensive candidates can occupy the whole pool.
-func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, cand candidate, lookahead int, ws *pathWorkspace, slot int, extraNames []string, w *specWorker) (reward, cost float64, err error) {
+func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, cand candidate, lookahead int, ws *pathWorkspace, slot int, w *specWorker) (reward, cost float64, err error) {
 	costPred, extraPreds, err := models.predictCand(cand)
 	if err != nil {
 		return 0, 0, err
 	}
-	reward, err = p.eic(inc, cand, costPred, extraPreds, extraNames)
+	reward, err = p.eic(inc, cand, costPred, extraPreds)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -933,7 +992,7 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 	}
 
 	if p.shouldFork(w, lookahead, len(combos)) {
-		return p.explorePathsForked(state, models, cand, lookahead, extraNames, w,
+		return p.explorePathsForked(state, models, cand, lookahead, w,
 			combos, childUntested, childDeployed, setup, reward, cost)
 	}
 
@@ -948,7 +1007,7 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 	for _, combo := range combos {
 		specCost := combo.Values[0]
 		specExtras := combo.Values[1:]
-		feasible := p.feasibleSpeculation(cand, specCost, specExtras, extraNames)
+		feasible := p.feasibleSpeculation(cand, specCost, specExtras)
 
 		childTrain.costs[last] = specCost
 		childTrain.feasible[last] = feasible
@@ -987,7 +1046,7 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 		if err != nil {
 			return 0, 0, err
 		}
-		next, ok, err := p.nextStep(childState, childModels, childInc, extraNames, &ws.elig)
+		next, ok, err := p.nextStep(childState, childModels, childInc, &w.elig)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -996,7 +1055,7 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 			// path terminates here (Algorithm 2, lines 15-16).
 			continue
 		}
-		subReward, subCost, err := p.explorePaths(childState, childModels, childInc, next, lookahead-1, ws, slot+1, extraNames, w)
+		subReward, subCost, err := p.explorePaths(childState, childModels, childInc, next, lookahead-1, ws, slot+1, w)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -1048,14 +1107,14 @@ type comboOutcome struct {
 // the speculated sample in, pick the next step, recurse — on its own
 // workspace, so forked and serial evaluations produce bitwise-identical
 // rewards and costs (the worker-count independence tests pin this).
-func (p *planner) explorePathsForked(state *specState, models *modelSet, cand candidate, lookahead int, extraNames []string, w *specWorker, combos []numeric.WeightedVector, childUntested []candidate, childDeployed *configspace.Config, setup, reward, cost float64) (float64, float64, error) {
+func (p *planner) explorePathsForked(state *specState, models *modelSet, cand candidate, lookahead int, w *specWorker, combos []numeric.WeightedVector, childUntested []candidate, childDeployed *configspace.Config, setup, reward, cost float64) (float64, float64, error) {
 	outcomes := make([]comboOutcome, len(combos))
 	var pending atomic.Int64
 	pending.Store(int64(len(combos)))
 	for ci := range combos {
 		specCost := combos[ci].Values[0]
 		specExtras := combos[ci].Values[1:]
-		feasible := p.feasibleSpeculation(cand, specCost, specExtras, extraNames)
+		feasible := p.feasibleSpeculation(cand, specCost, specExtras)
 		childState := &specState{
 			train:    state.train.withEntry(cand.features, specCost, specExtras, feasible),
 			untested: childUntested,
@@ -1064,7 +1123,7 @@ func (p *planner) explorePathsForked(state *specState, models *modelSet, cand ca
 		}
 		out := &outcomes[ci]
 		w.spawn(func(cw *specWorker) {
-			out.reward, out.cost, out.ok, out.err = p.evalSpeculated(cw, childState, models, cand, specCost, specExtras, lookahead, extraNames)
+			out.reward, out.cost, out.ok, out.err = p.evalSpeculated(cw, childState, models, cand, specCost, specExtras, lookahead)
 			pending.Add(-1)
 		})
 	}
@@ -1092,7 +1151,7 @@ func (p *planner) explorePathsForked(state *specState, models *modelSet, cand ca
 // and is released only after the recursion — including any further forked
 // layer — has fully joined, so clone slots referenced by grandchild tasks
 // stay untouched until they finished.
-func (p *planner) evalSpeculated(cw *specWorker, childState *specState, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int, extraNames []string) (reward, cost float64, ok bool, err error) {
+func (p *planner) evalSpeculated(cw *specWorker, childState *specState, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int) (reward, cost float64, ok bool, err error) {
 	ws := cw.acquireWorkspace()
 	defer cw.releaseWorkspace(ws)
 	childModels := ws.cloneSlot(p, 0)
@@ -1106,11 +1165,11 @@ func (p *planner) evalSpeculated(cw *specWorker, childState *specState, parent *
 	if err != nil {
 		return 0, 0, false, err
 	}
-	next, found, err := p.nextStep(childState, childModels, childInc, extraNames, &ws.elig)
+	next, found, err := p.nextStep(childState, childModels, childInc, &cw.elig)
 	if err != nil || !found {
 		return 0, 0, false, err
 	}
-	subReward, subCost, err := p.explorePaths(childState, childModels, childInc, next, lookahead-1, ws, 1, extraNames, cw)
+	subReward, subCost, err := p.explorePaths(childState, childModels, childInc, next, lookahead-1, ws, 1, cw)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -1149,8 +1208,7 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 	}
 	p.stepCtx = ctx
 	defer func() { p.stepCtx = nil }()
-	extraNames := p.constraintNames()
-	train := newTrainSetFromHistory(h, p.opts, extraNames)
+	train := newTrainSetFromHistory(h, p.opts, p.extraNames)
 	if len(train.costs) == 0 {
 		return configspace.Config{}, false, fmt.Errorf("core: nextConfig called with an empty history")
 	}
@@ -1190,7 +1248,7 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 	var claim *share.Claim[sharedDecision]
 	if p.sharable() {
 		var decisionKey string
-		modelKey, decisionKey = p.shareKeys(h, remainingBudget, extraNames, untested)
+		modelKey, decisionKey = p.shareKeys(h, remainingBudget, untested)
 		dec, cl := p.shared.group.decisions.GetOrClaim(decisionKey)
 		if cl == nil {
 			p.iteration++
@@ -1270,7 +1328,7 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 		deployed: h.Deployed(),
 	}
 
-	eligible, costPreds, extraPreds, err := p.eligible(untested, rootModels, remainingBudget, nil)
+	eligible, costPreds, extraPreds, err := p.eligible(untested, rootModels, remainingBudget)
 	if err != nil {
 		return configspace.Config{}, false, err
 	}
@@ -1288,7 +1346,7 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 	}
 	rootEIc := make([]float64, len(eligible))
 	for i, cand := range eligible {
-		if rootEIc[i], err = p.eic(rootInc, cand, costPreds[i], extraPreds[i], extraNames); err != nil {
+		if rootEIc[i], err = p.eic(rootInc, cand, costPreds[i], extraPreds[i]); err != nil {
 			return configspace.Config{}, false, err
 		}
 	}
@@ -1305,12 +1363,12 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 
 	var scores []pathScore
 	if deepSearch && len(eligible) > 2*pruneMinSeeds {
-		scores, err = p.prunedScores(eligible, costPreds, rootEIc, rootState, rootModels, rootInc, iteration, active, extraNames)
+		scores, err = p.prunedScores(eligible, costPreds, rootEIc, rootState, rootModels, rootInc, iteration, active)
 	} else {
 		results := make([]pathScore, len(eligible))
 		errs := make([]error, len(eligible))
 		p.sched.run(len(eligible), func(w *specWorker, i int) {
-			results[i], errs[i] = p.evalPath(w, iteration, active, rootState, rootModels, rootInc, eligible[i], extraNames)
+			results[i], errs[i] = p.evalPath(w, iteration, active, rootState, rootModels, rootInc, eligible[i])
 		})
 		scores, err = results, firstError(errs)
 	}
@@ -1374,7 +1432,7 @@ func firstError(errs []error) error {
 // recommendation is bitwise identical for every Params.Workers value
 // (pinned by the worker-count determinism tests and the golden campaign
 // tests).
-func (p *planner) prunedScores(eligible []candidate, costPreds []numeric.Gaussian, rootEIc []float64, rootState *specState, rootModels *modelSet, rootInc float64, iteration, active int, extraNames []string) ([]pathScore, error) {
+func (p *planner) prunedScores(eligible []candidate, costPreds []numeric.Gaussian, rootEIc []float64, rootState *specState, rootModels *modelSet, rootInc float64, iteration, active int) ([]pathScore, error) {
 	const eps = 1e-12
 
 	maxEIc := 0.0
@@ -1429,7 +1487,7 @@ func (p *planner) prunedScores(eligible []candidate, costPreds []numeric.Gaussia
 	errs := make([]error, len(order))
 	evalRank := func(w *specWorker, rank int) {
 		i := order[rank]
-		s, err := p.evalPath(w, iteration, active, rootState, rootModels, rootInc, eligible[i], extraNames)
+		s, err := p.evalPath(w, iteration, active, rootState, rootModels, rootInc, eligible[i])
 		if err != nil {
 			errs[rank] = err
 			return

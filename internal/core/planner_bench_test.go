@@ -113,6 +113,16 @@ func benchmarkPlannerDecision(b *testing.B, lookahead int, refit SpeculativeRefi
 		fixture.decide(b)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/decision")
+	// Useful-work ratio of the NextStep sweeps: eligible candidates of
+	// speculated states scored with the exact EIc vs. dismissed on their
+	// upper bound alone.
+	evaluated, bounded := 0, 0
+	for _, w := range fixture.planner.sched.workers {
+		evaluated += w.elig.evaluated
+		bounded += w.elig.bounded
+	}
+	b.ReportMetric(float64(evaluated)/float64(b.N), "eic-evals/decision")
+	b.ReportMetric(float64(bounded)/float64(b.N), "eic-bounded/decision")
 }
 
 // BenchmarkPlannerLA2Tensorflow measures one long-sighted (LA=2) planning

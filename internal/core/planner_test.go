@@ -93,31 +93,27 @@ func TestConstraintNamesAreSortedAndMapped(t *testing.T) {
 		{Metric: "zeta", Max: 5},
 		{Metric: "alpha", Max: 2},
 	})
-	names := p.constraintNames()
+	names := p.extraNames
 	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Errorf("constraintNames = %v, want sorted [alpha zeta]", names)
+		t.Errorf("extraNames = %v, want sorted [alpha zeta]", names)
 	}
-	if p.constraintMax("alpha") != 2 || p.constraintMax("zeta") != 5 {
-		t.Errorf("constraintMax lookup failed")
-	}
-	if p.constraintMax("missing") != 0 {
-		t.Errorf("constraintMax for unknown metric = %v, want 0", p.constraintMax("missing"))
+	if len(p.extraMax) != 2 || p.extraMax[0] != 2 || p.extraMax[1] != 5 {
+		t.Errorf("extraMax = %v, want [2 5] (aligned with the sorted names)", p.extraMax)
 	}
 }
 
 func TestFeasibleSpeculation(t *testing.T) {
 	p, _, opts := testPlanner(t, []optimizer.Constraint{{Metric: "energy", Max: 40}})
 	cand := gatherAll(t, p)[0]
-	names := p.constraintNames()
 	// A speculated cost exactly at the runtime threshold is feasible.
 	threshold := opts.MaxRuntimeSeconds * cand.unitPriceHour / 3600
-	if !p.feasibleSpeculation(cand, threshold*0.99, []float64{10}, names) {
+	if !p.feasibleSpeculation(cand, threshold*0.99, []float64{10}) {
 		t.Error("speculation below runtime threshold reported infeasible")
 	}
-	if p.feasibleSpeculation(cand, threshold*1.01, []float64{10}, names) {
+	if p.feasibleSpeculation(cand, threshold*1.01, []float64{10}) {
 		t.Error("speculation above runtime threshold reported feasible")
 	}
-	if p.feasibleSpeculation(cand, threshold*0.5, []float64{50}, names) {
+	if p.feasibleSpeculation(cand, threshold*0.5, []float64{50}) {
 		t.Error("speculation violating the energy constraint reported feasible")
 	}
 }
@@ -139,8 +135,7 @@ func TestEligibleFiltersOnBudget(t *testing.T) {
 			t.Fatalf("RunTrial error: %v", err)
 		}
 	}
-	extraNames := p.constraintNames()
-	train := newTrainSetFromHistory(h, opts, extraNames)
+	train := newTrainSetFromHistory(h, opts, p.extraNames)
 	ms := fitPrefilled(t, p, 1, train)
 	untested := make([]candidate, 0)
 	for _, cand := range gatherAll(t, p) {
@@ -150,7 +145,7 @@ func TestEligibleFiltersOnBudget(t *testing.T) {
 	}
 
 	// With an enormous budget every untested configuration is eligible.
-	all, _, _, err := p.eligible(untested, ms, 1e9, nil)
+	all, _, _, err := p.eligible(untested, ms, 1e9)
 	if err != nil {
 		t.Fatalf("eligible error: %v", err)
 	}
@@ -158,7 +153,7 @@ func TestEligibleFiltersOnBudget(t *testing.T) {
 		t.Errorf("eligible with huge budget = %d, want %d", len(all), len(untested))
 	}
 	// With a zero budget nothing is eligible.
-	none, _, _, err := p.eligible(untested, ms, 0, nil)
+	none, _, _, err := p.eligible(untested, ms, 0)
 	if err != nil {
 		t.Fatalf("eligible error: %v", err)
 	}
@@ -183,8 +178,7 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 			t.Fatalf("RunTrial error: %v", err)
 		}
 	}
-	extraNames := p.constraintNames()
-	train := newTrainSetFromHistory(h, opts, extraNames)
+	train := newTrainSetFromHistory(h, opts, p.extraNames)
 	ms := fitPrefilled(t, p, 2, train)
 	untested := make([]candidate, 0)
 	for _, cand := range gatherAll(t, p) {
@@ -197,7 +191,7 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 	if err != nil {
 		t.Fatalf("incumbent error: %v", err)
 	}
-	next, ok, err := p.nextStep(state, ms, inc, extraNames, nil)
+	next, ok, err := p.nextStep(state, ms, inc, &eligibleBuf{})
 	if err != nil {
 		t.Fatalf("nextStep error: %v", err)
 	}
@@ -212,7 +206,7 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("predict error: %v", err)
 		}
-		score, err := p.eic(inc, cand, costPred, extraPreds, extraNames)
+		score, err := p.eic(inc, cand, costPred, extraPreds)
 		if err != nil {
 			t.Fatalf("eic error: %v", err)
 		}
@@ -227,7 +221,7 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 
 	// With a zero budget there is no next step.
 	empty := &specState{train: train, untested: untested, budget: 0}
-	if _, ok, err := p.nextStep(empty, ms, inc, extraNames, nil); err != nil || ok {
+	if _, ok, err := p.nextStep(empty, ms, inc, &eligibleBuf{}); err != nil || ok {
 		t.Errorf("nextStep with zero budget = %v, %v, want not-ok", ok, err)
 	}
 }
@@ -253,7 +247,7 @@ func TestEICUsesFallbackIncumbentWhenNothingFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("incumbent error: %v", err)
 	}
-	score, err := p.eic(inc, cand, costPred, extraPreds, nil)
+	score, err := p.eic(inc, cand, costPred, extraPreds)
 	if err != nil {
 		t.Fatalf("eic error: %v", err)
 	}

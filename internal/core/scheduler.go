@@ -61,6 +61,11 @@ type specWorker struct {
 	// arena for the duration of each run (see specScheduler.run).
 	arena   *wsArena
 	private *wsArena
+
+	// elig is the scratch and useful-work counters of the nextStep sweeps
+	// this worker runs; like the arena it is touched only by the worker's
+	// own goroutine.
+	elig eligibleBuf
 }
 
 // acquireWorkspace hands out a recycled pathWorkspace (or a fresh one on a

@@ -168,7 +168,7 @@ func (p *planner) sharable() bool {
 // campaigns on different environment instances share a decision only when
 // their prices agree bit for bit). Both are SHA-256 sums, returned as raw
 // 32-byte strings.
-func (p *planner) shareKeys(h *optimizer.History, remainingBudget float64, extraNames []string, untested []candidate) (modelKey, decisionKey string) {
+func (p *planner) shareKeys(h *optimizer.History, remainingBudget float64, untested []candidate) (modelKey, decisionKey string) {
 	buf := p.keyBuf[:0]
 	buf = appendKeyStr(buf, "lynceus/share/v1")
 	buf = appendKeyStr(buf, p.shared.artifact.Digest())
@@ -176,10 +176,10 @@ func (p *planner) shareKeys(h *optimizer.History, remainingBudget float64, extra
 	buf = appendKeyU64(buf, uint64(p.opts.Seed))
 	buf = appendKeyU64(buf, uint64(p.iteration))
 	buf = appendKeyF64(buf, p.opts.MaxRuntimeSeconds)
-	buf = appendKeyU64(buf, uint64(len(extraNames)))
-	for _, name := range extraNames {
+	buf = appendKeyU64(buf, uint64(len(p.extraNames)))
+	for k, name := range p.extraNames {
 		buf = appendKeyStr(buf, name)
-		buf = appendKeyF64(buf, p.constraintMax(name))
+		buf = appendKeyF64(buf, p.extraMax[k])
 	}
 	trials := h.Trials()
 	buf = appendKeyU64(buf, uint64(len(trials)))
@@ -193,7 +193,7 @@ func (p *planner) shareKeys(h *optimizer.History, remainingBudget float64, extra
 		} else {
 			buf = append(buf, 0)
 		}
-		for _, name := range extraNames {
+		for _, name := range p.extraNames {
 			buf = appendKeyF64(buf, tr.Extra[name])
 		}
 	}

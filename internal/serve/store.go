@@ -9,14 +9,16 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/atomicfile"
 )
 
 // Store is the server's durable state directory: one subdirectory per
 // campaign holding spec.json (the campaign's definition, written once at
 // admission) and snapshot.json (its progress, rewritten after every
-// completed step). Every write goes through a same-directory temp file,
-// fsync and rename, so a kill -9 at any instant leaves either the old or
-// the new file — never a truncated one. That atomic-rename discipline is
+// completed step). Every write goes through atomicfile.Write (same-directory
+// temp file, fsync, rename), so a kill -9 at any instant leaves either the
+// old or the new file — never a truncated one. That atomic-rename discipline is
 // the write-ahead layer the crash-recovery guarantee rests on: restart
 // loses at most the step that had not yet renamed its snapshot into place.
 type Store struct {
@@ -26,7 +28,6 @@ type Store struct {
 const (
 	specFile     = "spec.json"
 	snapshotFile = "snapshot.json"
-	tmpPrefix    = ".tmp-"
 )
 
 // OpenStore opens (creating if needed) the state directory and sweeps
@@ -42,7 +43,7 @@ func OpenStore(dir string) (*Store, error) {
 	// Orphaned temp files are dead by construction (the rename never
 	// happened); removing them keeps rescans clean.
 	_ = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasPrefix(d.Name(), tmpPrefix) {
+		if err == nil && !d.IsDir() && strings.HasPrefix(d.Name(), atomicfile.TempPrefix) {
 			_ = os.Remove(path)
 		}
 		return nil
@@ -69,7 +70,7 @@ func (s *Store) PutSpec(spec CampaignSpec) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serve: creating campaign directory %q: %w", spec.ID, err)
 	}
-	return writeFileAtomic(filepath.Join(dir, specFile), data)
+	return atomicfile.Write(filepath.Join(dir, specFile), data)
 }
 
 // PutSnapshot durably replaces a campaign's snapshot.
@@ -77,7 +78,7 @@ func (s *Store) PutSnapshot(id string, snapshot []byte) error {
 	if !ValidID(id) {
 		return fmt.Errorf("serve: invalid campaign ID %q", id)
 	}
-	return writeFileAtomic(filepath.Join(s.campaignDir(id), snapshotFile), snapshot)
+	return atomicfile.Write(filepath.Join(s.campaignDir(id), snapshotFile), snapshot)
 }
 
 // Snapshot reads a campaign's snapshot; ok is false when none has been
@@ -135,40 +136,4 @@ func (s *Store) Remove(id string) error {
 		return fmt.Errorf("serve: invalid campaign ID %q", id)
 	}
 	return os.RemoveAll(s.campaignDir(id))
-}
-
-// writeFileAtomic writes data via same-directory temp file + fsync + rename.
-// The fsync before the rename is what upgrades "atomic" to "durable": after
-// PutSnapshot returns, the bytes survive a power cut, not just a process
-// kill.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, tmpPrefix+"*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		if serr != nil {
-			return serr
-		}
-		return cerr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	// Persist the rename itself (the directory entry); ignore filesystems
-	// that refuse to sync directories.
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
 }

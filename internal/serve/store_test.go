@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/atomicfile"
 )
 
 func testSpec(id string) CampaignSpec {
@@ -77,7 +79,7 @@ func TestStoreSweepsOrphanedTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash mid-write: a temp file that never got renamed.
-	orphan := filepath.Join(dir, "c1", tmpPrefix+"dead")
+	orphan := filepath.Join(dir, "c1", atomicfile.TempPrefix+"dead")
 	if err := os.WriteFile(orphan, []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
