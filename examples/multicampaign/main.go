@@ -6,8 +6,8 @@
 // jobs over the same configuration space, often with identical tuner settings
 // (replicated SLO probes, per-team campaigns on a shared catalog). The shared
 // tier interns the space artifacts (feature matrix, decoded rows, prices)
-// once per space, reuses fitted models and planning decisions across
-// campaigns whose observed history is bit-identical, and pools the planner's
+// once per space, reuses planning decisions across campaigns whose planning
+// inputs are bit-identical, and pools the planner's
 // path workspaces — while every campaign's trial sequence and recommendation
 // stay bitwise identical to the same campaign run alone. The example proves
 // that equivalence directly, then reports the throughput of both modes.

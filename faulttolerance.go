@@ -87,11 +87,7 @@ func NewFaultyEnvironment(inner Environment, params FaultParams) (*FaultyEnviron
 // caller controls the pace: run Step until done, and call Snapshot between
 // any two steps to capture a durable checkpoint.
 func StartTuner(cfg TunerConfig, env Environment, opts Options) (*Tuner, error) {
-	l, err := newCoreTuner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return l.NewCampaign(env, opts)
+	return StartTunerShared(cfg, env, opts, nil)
 }
 
 // ResumeTuner reconstructs a campaign from a Tuner.Snapshot and continues it.
@@ -100,16 +96,12 @@ func StartTuner(cfg TunerConfig, env Environment, opts Options) (*Tuner, error) 
 // campaign reproduces the bitwise-identical remaining trial sequence and
 // recommendation of the uninterrupted run.
 func ResumeTuner(cfg TunerConfig, env Environment, snapshot []byte) (*Tuner, error) {
-	return ResumeTunerWith(cfg, env, snapshot, ResumeFuncs{})
+	return ResumeTunerShared(cfg, env, snapshot, ResumeFuncs{}, nil)
 }
 
 // ResumeTunerWith is ResumeTuner with re-supplied process-local functions:
 // required when the snapshotted campaign used Options.SetupCost, optional to
 // re-install a RetryPolicy.Sleep hook.
 func ResumeTunerWith(cfg TunerConfig, env Environment, snapshot []byte, fns ResumeFuncs) (*Tuner, error) {
-	l, err := newCoreTuner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return l.ResumeCampaignWith(env, snapshot, fns)
+	return ResumeTunerShared(cfg, env, snapshot, fns, nil)
 }

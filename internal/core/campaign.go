@@ -34,19 +34,24 @@ type Campaign struct {
 // NewCampaign validates the options and prepares a campaign: budget and
 // history trackers, the LHS bootstrap plan, and the planner. No trial runs
 // until the first Step.
-func (l *Lynceus) NewCampaign(env optimizer.Environment, opts optimizer.Options) (*Campaign, error) {
-	return l.newCampaign(env, opts, nil)
-}
-
-// newCampaign is the shared construction path of NewCampaign and
-// NewCampaignShared; sh carries the campaign's share-group binding (nil
-// outside a group).
-func (l *Lynceus) newCampaign(env optimizer.Environment, opts optimizer.Options, sh *sharedCtx) (*Campaign, error) {
+//
+// g is the share group the campaign joins; nil runs it isolated. A grouped
+// campaign reads its space through the group's interned artifact (shared
+// feature columns and unit prices), draws planner scratch from the group's
+// arena pool and, when its configuration is fully key-capturable (see
+// planner.sharable), adopts planning decisions published by identical
+// campaigns in the group. Its trial sequence and recommendation are bitwise
+// identical to the same campaign run isolated.
+func (l *Lynceus) NewCampaign(env optimizer.Environment, opts optimizer.Options, g *ShareGroup) (*Campaign, error) {
 	if env == nil {
 		return nil, errors.New("core: nil environment")
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
+	}
+	var sh *sharedCtx
+	if g != nil {
+		sh, env = g.bind(env)
 	}
 	budget, err := optimizer.NewBudget(opts.Budget)
 	if err != nil {
@@ -64,7 +69,7 @@ func (l *Lynceus) newCampaign(env optimizer.Environment, opts optimizer.Options,
 	if err != nil {
 		return nil, err
 	}
-	planner, err := newPlannerShared(l.params, env, opts, sh)
+	planner, err := newPlanner(l.params, env, opts, sh)
 	if err != nil {
 		return nil, err
 	}
@@ -100,11 +105,10 @@ func cancelErr(ctx context.Context) error {
 }
 
 // StepContext is Step under a context: a cancelled or deadline-exceeded
-// context stops the step between trials and between planner phases (strategy
-// selection, model fit, eligibility, path scoring) with an error wrapping
-// optimizer.ErrCampaignCancelled. Cancellation never records a partial
-// trial, but — like any other Step error — it can leave the in-memory
-// planner state mid-decision; recover by resuming from the last snapshot.
+// context stops the step between trials and between planner phases (see
+// planner.plan) with an error wrapping optimizer.ErrCampaignCancelled.
+// Cancellation never records a partial trial; like any other Step error,
+// recover from it by resuming from the last snapshot.
 // The context does not interrupt a blocking Environment.Run (use
 // RetryPolicy.Timeout for that); it is checked again when the run returns.
 func (c *Campaign) StepContext(ctx context.Context) (done bool, err error) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/configspace"
@@ -22,7 +23,7 @@ func TestStepContextCancelledAtEntry(t *testing.T) {
 	}
 	opts := fixtureOptions(t, 5)
 
-	baselineCampaign, err := l.NewCampaign(fixtureEnv(t), opts)
+	baselineCampaign, err := l.NewCampaign(fixtureEnv(t), opts, nil)
 	if err != nil {
 		t.Fatalf("NewCampaign error: %v", err)
 	}
@@ -31,7 +32,7 @@ func TestStepContextCancelledAtEntry(t *testing.T) {
 		t.Fatalf("baseline run: %v", err)
 	}
 
-	c, err := l.NewCampaign(fixtureEnv(t), opts)
+	c, err := l.NewCampaign(fixtureEnv(t), opts, nil)
 	if err != nil {
 		t.Fatalf("NewCampaign error: %v", err)
 	}
@@ -72,7 +73,7 @@ func TestPlannerCancelledBetweenPhases(t *testing.T) {
 		t.Fatalf("New error: %v", err)
 	}
 	opts := fixtureOptions(t, 5)
-	c, err := l.NewCampaign(fixtureEnv(t), opts)
+	c, err := l.NewCampaign(fixtureEnv(t), opts, nil)
 	if err != nil {
 		t.Fatalf("NewCampaign error: %v", err)
 	}
@@ -95,6 +96,121 @@ func TestPlannerCancelledBetweenPhases(t *testing.T) {
 	}
 }
 
+// countingCtx is a context whose Err counts its calls and, with cancelAt > 0,
+// reports context.Canceled from the cancelAt-th call on. Err is the only
+// method the planner's polls use, and it is safe for the path fan-out's
+// concurrent polls.
+type countingCtx struct {
+	context.Context
+	calls    atomic.Int64
+	cancelAt int64
+}
+
+func (c *countingCtx) Err() error {
+	if n := c.calls.Add(1); c.cancelAt > 0 && n >= c.cancelAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestPlannerCancelledAtEveryBoundary cancels one decision at each of its
+// polls in turn. The census pins where the polls are — one before the sharing
+// claim, one per phase of the plan driver, one per path evaluation — so a
+// phase that runs without passing through the driver's poll moves the count
+// and fails here. At every poll the decision must stop with the cancellation
+// sentinel, publish nothing and leave the planner where it was; and a replica
+// stepping in the same share group after the cancelled leader must find the
+// claim abandoned, plan the decision itself and reproduce the isolated run
+// bitwise (a leaked claim would hang it, an adopted half-made decision would
+// change its trials).
+func TestPlannerCancelledAtEveryBoundary(t *testing.T) {
+	// Lookahead 1 takes the exhaustive fan-out: one path per eligible candidate.
+	l, err := New(fastParams(1))
+	if err != nil {
+		t.Fatalf("New error: %v", err)
+	}
+	opts := fixtureOptions(t, 5)
+	atFirstDecision := func(g *ShareGroup) *Campaign {
+		c, err := l.NewCampaign(fixtureEnv(t), opts, g)
+		if err != nil {
+			t.Fatalf("NewCampaign error: %v", err)
+		}
+		for !c.boot.Done() {
+			if done, err := c.Step(); err != nil || done {
+				t.Fatalf("bootstrap stepping: done=%v err=%v", done, err)
+			}
+		}
+		return c
+	}
+	decide := func(c *Campaign, ctx context.Context) (int, error) {
+		cfg, ok, err := c.planner.nextConfig(ctx, c.history, c.budget.Remaining())
+		if err == nil && !ok {
+			t.Fatal("the first decision found no eligible candidate; the fixture budget is too tight for this test")
+		}
+		return cfg.ID, err
+	}
+
+	isolated, err := atFirstDecision(nil).Run()
+	if err != nil {
+		t.Fatalf("isolated run: %v", err)
+	}
+
+	census := &countingCtx{Context: context.Background()}
+	wantID, err := decide(atFirstDecision(nil), census)
+	if err != nil {
+		t.Fatalf("uncancelled decision: %v", err)
+	}
+	polls := census.calls.Load()
+	ref := atFirstDecision(nil)
+	d, err := ref.planner.selectCandidates(context.Background(), ref.history, ref.budget.Remaining())
+	if err != nil || d == nil {
+		t.Fatalf("selectCandidates: %v, %v", d, err)
+	}
+	if err := ref.planner.rootModels(d); err != nil {
+		t.Fatalf("rootModels: %v", err)
+	}
+	if err := ref.planner.eligibility(d); err != nil {
+		t.Fatalf("eligibility: %v", err)
+	}
+	if want := int64(1 + len(planPhases) + len(d.eligible)); polls != want {
+		t.Fatalf("one decision polled its context %d times, want %d (1 pre-claim + %d phases + %d paths)",
+			polls, want, len(planPhases), len(d.eligible))
+	}
+
+	for k := int64(1); k <= polls+1; k++ {
+		g := NewShareGroup()
+		leader := atFirstDecision(g)
+		id, err := decide(leader, &countingCtx{Context: context.Background(), cancelAt: k})
+		if k > polls {
+			// Cancelled only after the last poll: the decision is undisturbed.
+			if err != nil || id != wantID {
+				t.Fatalf("cancelAt=%d (past the last poll): decision %d, %v; want %d", k, id, err, wantID)
+			}
+			continue
+		}
+		if !errors.Is(err, optimizer.ErrCampaignCancelled) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelAt=%d: nextConfig error = %v, want ErrCampaignCancelled wrapping context.Canceled", k, err)
+		}
+		if n := g.decisions.Len(); n != 0 {
+			t.Fatalf("cancelAt=%d: the cancelled leader published %d decisions", k, n)
+		}
+		replica, err := l.NewCampaign(fixtureEnv(t), opts, g)
+		if err != nil {
+			t.Fatalf("NewCampaign error: %v", err)
+		}
+		res, err := replica.Run()
+		if err != nil {
+			t.Fatalf("cancelAt=%d: replica run: %v", k, err)
+		}
+		sameResult(t, fmt.Sprintf("replica after a leader cancelled at poll %d", k), res, isolated)
+		// The cancelled call left the leader's planner where it was: asked
+		// again, it adopts the decision the replica planned.
+		if id, err := decide(leader, nil); err != nil || id != wantID {
+			t.Fatalf("cancelAt=%d: leader's second attempt: decision %d, %v; want %d", k, id, err, wantID)
+		}
+	}
+}
+
 // TestCancelThenResumeBitwise is the server's rollback path in miniature:
 // cancel a campaign, resume its last snapshot, finish — bitwise identical to
 // never cancelling.
@@ -105,7 +221,7 @@ func TestCancelThenResumeBitwise(t *testing.T) {
 	}
 	opts := fixtureOptions(t, 7)
 
-	baselineCampaign, err := l.NewCampaign(fixtureEnv(t), opts)
+	baselineCampaign, err := l.NewCampaign(fixtureEnv(t), opts, nil)
 	if err != nil {
 		t.Fatalf("NewCampaign error: %v", err)
 	}
@@ -114,7 +230,7 @@ func TestCancelThenResumeBitwise(t *testing.T) {
 		t.Fatalf("baseline run: %v", err)
 	}
 
-	c, err := l.NewCampaign(fixtureEnv(t), opts)
+	c, err := l.NewCampaign(fixtureEnv(t), opts, nil)
 	if err != nil {
 		t.Fatalf("NewCampaign error: %v", err)
 	}
@@ -133,7 +249,7 @@ func TestCancelThenResumeBitwise(t *testing.T) {
 		t.Fatalf("cancelled step = %v, want ErrCampaignCancelled", err)
 	}
 
-	resumed, err := l.ResumeCampaign(fixtureEnv(t), snap)
+	resumed, err := l.ResumeCampaign(fixtureEnv(t), snap, ResumeFuncs{}, nil)
 	if err != nil {
 		t.Fatalf("ResumeCampaign: %v", err)
 	}
@@ -176,7 +292,7 @@ func TestMultiRunnerFailureRecords(t *testing.T) {
 	opts.BootstrapSize = 4
 	opts.Retry = optimizer.RetryPolicy{MaxAttempts: 1} // abort on first failure
 
-	runner := NewMultiRunner(2, nil)
+	runner := NewMultiRunner(2, NewShareGroup())
 	if err := runner.Add("healthy", l, fixtureEnv(t), opts); err != nil {
 		t.Fatalf("Add(healthy): %v", err)
 	}
@@ -218,7 +334,7 @@ func TestMultiRunnerRunContextCancelled(t *testing.T) {
 		t.Fatalf("New error: %v", err)
 	}
 	opts := fixtureOptions(t, 5)
-	runner := NewMultiRunner(2, nil)
+	runner := NewMultiRunner(2, NewShareGroup())
 	for i := 0; i < 3; i++ {
 		if err := runner.Add(fmt.Sprintf("c%d", i), l, fixtureEnv(t), opts); err != nil {
 			t.Fatalf("Add: %v", err)

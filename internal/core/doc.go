@@ -26,8 +26,9 @@
 //     by an optimistic reward-to-cost bound, the top seeds are scored
 //     exactly, and remaining candidates whose bound cannot beat the best
 //     exact ratio are dropped without simulating their paths. The threshold
-//     tightens in fixed-size chunks, depends only on deterministic root-model
-//     quantities, and can be switched off with Params.DisablePruning.
+//     is fixed from the unconditionally evaluated seeds, so the pruned set
+//     never depends on scheduling. There is no switch: searches at lookahead
+//     < 2 or over at most 16 eligible candidates fan out over every one.
 //   - Incremental speculative refits: Params.SpeculativeRefit selects whether
 //     each speculated outcome refits the whole model set (Full, the paper's
 //     exact behavior) or clones the parent models and folds the one

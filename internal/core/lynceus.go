@@ -95,11 +95,6 @@ type Params struct {
 	// threshold is fixed from the unconditionally evaluated seed candidates,
 	// so the pruned set never depends on scheduling.
 	Workers int
-	// DisablePruning turns off the optimistic-bound candidate pruning that
-	// cuts the branching factor of the lookahead >= 2 path search. Pruning is
-	// deterministic and worker-count independent; disable it to reproduce
-	// the exhaustive search (e.g. for ablations).
-	DisablePruning bool
 	// SpeculativeRefit selects the refit mode of the speculative path: Full
 	// retrains the whole model set per speculated outcome (the exact paper
 	// behavior), Incremental clones the parent models and applies one-sample
@@ -175,7 +170,7 @@ func (l *Lynceus) Params() Params { return l.params }
 // NewCampaign directly to drive the run trial by trial (checkpointing,
 // progress reporting).
 func (l *Lynceus) Optimize(env optimizer.Environment, opts optimizer.Options) (optimizer.Result, error) {
-	c, err := l.NewCampaign(env, opts)
+	c, err := l.NewCampaign(env, opts, nil)
 	if err != nil {
 		return optimizer.Result{}, err
 	}

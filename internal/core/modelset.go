@@ -1,0 +1,173 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/model"
+	"repro/internal/numeric"
+)
+
+// modelSet bundles the cost model with one model per extra constraint metric.
+// Every model is wrapped in a prediction memo keyed by candidate slot, so
+// repeated predictions of the same candidate between refits — the planner
+// re-predicts the whole candidate set once per speculation layer — cost one
+// array read instead of one model evaluation. Memos are sized by the
+// decision's active candidate count, never by the space.
+type modelSet struct {
+	cost   *model.Cached
+	extras []*model.Cached
+
+	// extraMemos is scratch for extraMemosOf: one slot per extra model,
+	// rewritten on every fast-path eligibility sweep.
+	extraMemos [][]numeric.Gaussian
+}
+
+// newModelSet creates untrained models on a deterministic random stream, with
+// prediction memos covering size candidate slots.
+func (p *planner) newModelSet(stream int64, size int) *modelSet {
+	ms := &modelSet{cost: model.NewCached(p.factory.New(stream), size)}
+	ms.extras = make([]*model.Cached, len(p.extraNames))
+	for k := range ms.extras {
+		ms.extras[k] = model.NewCached(p.factory.New(stream+int64(k+1)*1_000_003), size)
+	}
+	return ms
+}
+
+// fit trains every model of the set on the given training set, switching
+// the prediction memos off until the next prefill.
+func (ms *modelSet) fit(ts *trainSet) error {
+	if err := ms.cost.Fit(ts.features, ts.costs); err != nil {
+		return fmt.Errorf("core: fitting cost model: %w", err)
+	}
+	for k, m := range ms.extras {
+		if err := m.Fit(ts.features, ts.extras[k]); err != nil {
+			return fmt.Errorf("core: fitting constraint model %d: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// predict returns the cost and per-constraint predictive distributions for an
+// arbitrary feature vector, bypassing the memo.
+func (ms *modelSet) predict(features []float64) (numeric.Gaussian, []numeric.Gaussian, error) {
+	costPred, err := ms.cost.Predict(features)
+	if err != nil {
+		return numeric.Gaussian{}, nil, err
+	}
+	extraPreds := make([]numeric.Gaussian, len(ms.extras))
+	for k, m := range ms.extras {
+		extraPreds[k], err = m.Predict(features)
+		if err != nil {
+			return numeric.Gaussian{}, nil, err
+		}
+	}
+	return costPred, extraPreds, nil
+}
+
+// predictCand returns the memoized predictive distributions of a candidate,
+// keyed by its slot in the decision's active set.
+func (ms *modelSet) predictCand(c candidate) (numeric.Gaussian, []numeric.Gaussian, error) {
+	costPred, err := ms.cost.PredictID(c.slot, c.features)
+	if err != nil {
+		return numeric.Gaussian{}, nil, err
+	}
+	extraPreds := make([]numeric.Gaussian, len(ms.extras))
+	for k, m := range ms.extras {
+		extraPreds[k], err = m.PredictID(c.slot, c.features)
+		if err != nil {
+			return numeric.Gaussian{}, nil, err
+		}
+	}
+	return costPred, extraPreds, nil
+}
+
+// prefill computes the memoized predictions of every active candidate in one
+// batch sweep per model over the decision's slot-major feature matrix. After
+// it returns every memo is valid, so predictCand and the memo-array sweeps
+// of eligible and incumbent are read-only lookups — which makes the modelSet
+// safe to share across the parallel path-evaluation fan-out.
+func (ms *modelSet) prefill(cols [][]float64) error {
+	if err := ms.cost.Prefill(cols); err != nil {
+		return fmt.Errorf("core: prefilling cost model: %w", err)
+	}
+	for k, m := range ms.extras {
+		if err := m.Prefill(cols); err != nil {
+			return fmt.Errorf("core: prefilling constraint model %d: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// refit trains the model set on the training set and immediately prefills the
+// candidate-set prediction memo over the decision's slot-major matrix — every
+// subsequent sweep of the refitted models (eligibility, incumbent fallback,
+// EIc) then reads the memo instead of predicting candidates one at a time.
+func (p *planner) refit(ms *modelSet, ts *trainSet) error {
+	if err := ms.fit(ts); err != nil {
+		return err
+	}
+	return ms.prefill(p.activeCols)
+}
+
+// update folds one speculated sample into every model of the set (the cost
+// target into the cost model, each constraint metric into its model),
+// repairing the prediction memos in place.
+func (ms *modelSet) update(x []float64, cost float64, extras []float64) error {
+	if err := ms.cost.Update(x, cost); err != nil {
+		return fmt.Errorf("core: updating cost model: %w", err)
+	}
+	for k, m := range ms.extras {
+		if err := m.Update(x, extras[k]); err != nil {
+			return fmt.Errorf("core: updating constraint model %d: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// cloneFrom snapshots src's fitted models and prediction memos into the set,
+// reusing its storage. cloneFrom only reads src, so concurrent clones from
+// one parent set (the shared root models) are safe.
+func (ms *modelSet) cloneFrom(src *modelSet) error {
+	if err := ms.cost.CloneFrom(src.cost); err != nil {
+		return fmt.Errorf("core: cloning cost model: %w", err)
+	}
+	for k, m := range ms.extras {
+		if err := m.CloneFrom(src.extras[k]); err != nil {
+			return fmt.Errorf("core: cloning constraint model %d: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// errNotPrefilled reports a candidate sweep over a model set whose memos are
+// off. Every set the planner sweeps was prefilled (root fits and Full-mode
+// refits) or cloned from a prefilled one, so this is a planner bug, never a
+// mode.
+var errNotPrefilled = errors.New("core: candidate sweep over a model set that was not prefilled")
+
+// extraMemosEmpty is the shared zero-extras result of extraMemosOf: non-nil
+// (nil means "not prefilled") but empty.
+var extraMemosEmpty = [][]numeric.Gaussian{}
+
+// extraMemosOf collects the memo arrays of the set's extra models, or nil when
+// any extra model's memo is off. The zero-extras case — Lynceus'
+// single-constraint formulation — returns a shared empty slice without
+// touching the heap. It writes the set's scratch, so a set read by several
+// workers at once (the root models during the fan-out) must not be passed
+// here concurrently: the root decision sweeps it single-threaded (eligible),
+// and speculated states sweep worker-private sets.
+func extraMemosOf(ms *modelSet) [][]numeric.Gaussian {
+	if len(ms.extras) == 0 {
+		return extraMemosEmpty
+	}
+	if ms.extraMemos == nil {
+		ms.extraMemos = make([][]numeric.Gaussian, len(ms.extras))
+	}
+	for k, m := range ms.extras {
+		if ms.extraMemos[k] = m.MemoPreds(); ms.extraMemos[k] == nil {
+			return nil
+		}
+	}
+	return ms.extraMemos
+}

@@ -108,20 +108,17 @@ type MultiSummary struct {
 }
 
 // NewMultiRunner creates a runner stepping at most concurrency campaigns at
-// once (0 defaults to GOMAXPROCS) over the given share group (nil creates a
-// fresh group).
+// once (0 defaults to GOMAXPROCS) over the given share group. A nil group
+// runs the batch share-nothing: same fair scheduler, every campaign isolated.
 func NewMultiRunner(concurrency int, g *ShareGroup) *MultiRunner {
-	if g == nil {
-		g = NewShareGroup()
-	}
 	if concurrency <= 0 {
 		concurrency = runtime.GOMAXPROCS(0)
 	}
 	return &MultiRunner{group: g, concurrency: concurrency}
 }
 
-// Group returns the runner's share group, for attaching externally created
-// campaigns (NewCampaignShared / ResumeCampaignShared) before Attach.
+// Group returns the runner's share group (nil for a share-nothing runner),
+// for creating or resuming campaigns into it before Attach.
 func (r *MultiRunner) Group() *ShareGroup { return r.group }
 
 // Add creates a campaign into the runner's share group and queues it.
@@ -129,7 +126,7 @@ func (r *MultiRunner) Add(name string, l *Lynceus, env optimizer.Environment, op
 	if l == nil {
 		return errors.New("core: nil optimizer")
 	}
-	c, err := l.NewCampaignShared(env, opts, r.group)
+	c, err := l.NewCampaign(env, opts, r.group)
 	if err != nil {
 		return fmt.Errorf("core: campaign %q: %w", name, err)
 	}
@@ -138,7 +135,7 @@ func (r *MultiRunner) Add(name string, l *Lynceus, env optimizer.Environment, op
 }
 
 // Attach queues an existing campaign — typically one resumed into the
-// runner's group via ResumeCampaignShared. The campaign must not be stepped
+// runner's group via ResumeCampaign. The campaign must not be stepped
 // by anyone else while the runner runs.
 func (r *MultiRunner) Attach(name string, c *Campaign) {
 	r.items = append(r.items, &multiItem{name: name, campaign: c, result: MultiResult{Name: name}})

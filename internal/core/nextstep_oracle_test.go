@@ -157,7 +157,7 @@ func sampleOracleCampaign(t *testing.T, oc oracleCampaign, tally *oracleTally) {
 	if err != nil {
 		t.Fatalf("withDefaults: %v", err)
 	}
-	p, err := newPlanner(params, oc.env, oc.opts)
+	p, err := newPlanner(params, oc.env, oc.opts, nil)
 	if err != nil {
 		t.Fatalf("newPlanner: %v", err)
 	}
@@ -203,7 +203,7 @@ func sampleOracleStates(t *testing.T, p *planner, h *optimizer.History, remainin
 	}
 	train := newTrainSetFromHistory(h, p.opts, p.extraNames)
 	rootModels := p.newModelSet(int64(p.iteration)*2_000_000_011, len(untested))
-	p.activeCols = p.gatherCols(untested, false)
+	p.activeCols = p.gatherCols(untested)
 	if err := p.refit(rootModels, train); err != nil {
 		t.Fatalf("refit: %v", err)
 	}

@@ -1,0 +1,589 @@
+package core
+
+import (
+	"math"
+	"sync/atomic"
+
+	"repro/internal/acquisition"
+	"repro/internal/configspace"
+	"repro/internal/numeric"
+)
+
+// pathWorkspace is the per-path-evaluation model scratch. In Full mode it
+// holds one model set that explorePaths refits from the extended training
+// matrix at every speculated outcome (the exact historical behavior). In
+// Incremental mode it holds one clone slot per speculation depth: each
+// speculated outcome re-clones the parent set into its depth's slot and
+// folds the single speculated sample in, never retraining a tree.
+type pathWorkspace struct {
+	scratch *modelSet
+	clones  []*modelSet
+
+	// depths[d] is the serial combo loop's scratch at speculation depth d:
+	// the extended training set, the reduced untested slice, the speculated
+	// child state, and the Gauss-Hermite outcome/combo buffers. Depth d's
+	// recursion returns before depth d reuses its scratch for the next combo,
+	// so one set per depth serves the whole path; forked combo loops
+	// deliberately allocate instead, since their child states outlive the
+	// spawning frame (see explorePathsForked).
+	depths []*pathDepthScratch
+}
+
+// pathDepthScratch is one speculation depth's reusable combo-loop storage.
+type pathDepthScratch struct {
+	train     *trainSet
+	untested  []candidate
+	state     specState
+	outcomes  []numeric.WeightedValue
+	combos    []numeric.WeightedVector
+	comboVals []float64
+}
+
+// depth returns the scratch of the given speculation depth, creating it on
+// first use. Contents are fully overwritten before every use.
+func (ws *pathWorkspace) depth(slot int) *pathDepthScratch {
+	for len(ws.depths) <= slot {
+		ws.depths = append(ws.depths, &pathDepthScratch{train: &trainSet{}})
+	}
+	return ws.depths[slot]
+}
+
+// eligibleBuf is the reusable scratch of nextStep's sweeps: bounds[i] is the
+// EIc upper bound of the i-th untested candidate of the swept state (−Inf
+// when the candidate is not eligible). It is only live within one nextStep
+// call, so each scheduler worker owns one (specWorker.elig) for every state it
+// sweeps. bounded and evaluated are that worker's running useful-work
+// counters — eligible candidates dismissed on their bound alone vs. scored
+// with the exact EIc — plain ints, because a shared atomic in the sweep costs
+// more than the sweep saves.
+type eligibleBuf struct {
+	bounds    []float64
+	bounded   int
+	evaluated int
+}
+
+// cloneSlot returns the model-set slot of the given speculation depth,
+// creating it on first use. Slot contents are fully overwritten by cloneFrom
+// before every use, so recycled slots never leak state between paths.
+func (ws *pathWorkspace) cloneSlot(p *planner, depth int) *modelSet {
+	for len(ws.clones) <= depth {
+		// The stream only seeds the untrained placeholder models; cloneFrom
+		// replaces their state entirely, so any constant works.
+		ws.clones = append(ws.clones, p.newModelSet(int64(len(ws.clones))+1, 0))
+	}
+	return ws.clones[depth]
+}
+
+// evalPath scores the exploration paths rooted at one eligible candidate of
+// the decision on the given scheduler worker. Full mode keeps the historical
+// per-candidate scratch model set with its random stream derived from
+// (decision number, candidate ID) — the derivation the golden campaign tests
+// pin; the number is one-based because the decision counter used to advance
+// before the fan-out — and deliberately never reuses it. Incremental mode
+// draws a recycled workspace from the worker's private arena and returns it
+// there once the whole path (including every forked subtree) has joined.
+func (p *planner) evalPath(w *specWorker, d *decision, cand candidate) (pathScore, error) {
+	// Cancellation poll: a cancelled step abandons the remaining path
+	// evaluations (the error propagates through the canonical firstError
+	// reduction, so the abort is deterministic).
+	if err := cancelErr(d.ctx); err != nil {
+		return pathScore{}, err
+	}
+	var ws *pathWorkspace
+	if p.refitMode == SpecRefitIncremental {
+		ws = w.acquireWorkspace()
+		defer w.releaseWorkspace(ws)
+	} else if p.params.Lookahead > 0 {
+		// A myopic path never speculates, so it gets no scratch to refit:
+		// explorePaths returns before touching the workspace.
+		ws = &pathWorkspace{scratch: p.newModelSet(int64(p.iteration+1)*4_000_000_007+int64(cand.id), len(d.root.untested))}
+	}
+	reward, cost, err := p.explorePaths(&d.root, d.models, d.inc, cand, p.params.Lookahead, ws, 0, w)
+	if err != nil {
+		return pathScore{}, err
+	}
+	return pathScore{candidateID: cand.id, reward: reward, cost: cost}, nil
+}
+
+// specState is the state Σ of one node of an exploration path: the
+// (speculated) training set, the untested configurations, the remaining
+// budget, and the currently deployed configuration.
+type specState struct {
+	train    *trainSet
+	untested []candidate
+	budget   float64
+	deployed *configspace.Config // nil when nothing is deployed (or no setup-cost function reads it)
+}
+
+// appendWithout appends the untested set minus the given candidate to dst
+// and returns the extended slice; the speculation loop passes its per-depth
+// scratch as dst.
+func appendWithout(dst []candidate, untested []candidate, id int) []candidate {
+	for _, c := range untested {
+		if c.id != id {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// setupCost returns the setup cost of switching from the state's deployed
+// configuration to the candidate, if the extension is enabled.
+func (p *planner) setupCost(deployed *configspace.Config, to candidate) float64 {
+	if p.opts.SetupCost == nil {
+		return 0
+	}
+	return p.opts.SetupCost(deployed, p.candidateConfig(to))
+}
+
+// feasibleSpeculation reports whether a speculated (cost, extras) outcome for
+// the candidate satisfies the runtime and extra constraints: the runtime
+// constraint is expressed on the cost via C(x) = T(x)·U(x). (The threshold is
+// (Tmax·U)/3600 here and Tmax·(U/3600) in the EIc — cand.runtimeCostMax — as
+// it always was; the two round differently, and trial sequences are pinned
+// bitwise.)
+func (p *planner) feasibleSpeculation(cand candidate, cost float64, extras []float64) bool {
+	if cost > p.opts.MaxRuntimeSeconds*cand.unitPriceHour/3600 {
+		return false
+	}
+	for k, max := range p.extraMax {
+		if extras[k] > max {
+			return false
+		}
+	}
+	return true
+}
+
+// incumbent returns the EIc incumbent of a state: the cheapest feasible entry
+// of the (speculated) training set, or, when no entry is feasible, the
+// fallback "most expensive profiled cost plus three times the largest
+// predictive standard deviation over untested configurations". It depends
+// only on (state, fitted models), so callers compute it once per state and
+// share it across every candidate scored under that state.
+func (p *planner) incumbent(state *specState, ms *modelSet) (float64, error) {
+	if inc, ok := state.train.bestFeasibleCost(); ok {
+		return inc, nil
+	}
+	memo := ms.cost.MemoPreds()
+	if memo == nil {
+		return 0, errNotPrefilled
+	}
+	maxStd := 0.0
+	for _, u := range state.untested {
+		if s := memo[u.slot].StdDev; s > maxStd {
+			maxStd = s
+		}
+	}
+	return acquisition.IncumbentFallback(state.train.maxCost(), maxStd), nil
+}
+
+// eic computes the constrained expected improvement of a candidate under the
+// given incumbent and model predictions (paper §3). The incumbent comes from
+// incumbent(), computed once per speculation state.
+func (p *planner) eic(incumbent float64, cand candidate, costPred numeric.Gaussian, extraPreds []numeric.Gaussian) (float64, error) {
+	ei := acquisition.ExpectedImprovement(costPred, incumbent)
+	if ei == 0 {
+		// The constraint probabilities only scale the expected improvement
+		// down, so a zero EI needs no erfc evaluations. This is the common
+		// case deep in speculation, where the ensemble's trees agree on
+		// configurations predicted clearly above the incumbent.
+		return 0, nil
+	}
+	// acquisition.Constrained only reads the variadic slice, so a small
+	// stack array covers the runtime constraint plus the handful of extra
+	// metric constraints without allocating on every candidate scored.
+	var probsArr [4]float64
+	probs := probsArr[:0]
+	if 1+len(extraPreds) > cap(probs) {
+		probs = make([]float64, 0, 1+len(extraPreds))
+	}
+	probs = append(probs, costPred.ProbLE(cand.runtimeCostMax))
+	for k, pred := range extraPreds {
+		probs = append(probs, clampProb(pred.ProbLE(p.extraMax[k])))
+	}
+	return acquisition.Constrained(ei, probs...)
+}
+
+// eicUpperBound returns a transcendental-free upper bound on eic for the same
+// inputs (extras read from the memo arrays by slot): the product, in eic's
+// own multiplication order, of acquisition's upper bounds on each of its
+// factors. Floating-point multiplication by a non-negative factor is
+// monotone, so factor-wise bounds multiplied in the same order bound the
+// computed product; a NaN factor makes the bound NaN, which never prunes.
+func (p *planner) eicUpperBound(incumbent float64, cand *candidate, costPred numeric.Gaussian, extraMemos [][]numeric.Gaussian) float64 {
+	bound := acquisition.ExpectedImprovementUpperBound(costPred, incumbent)
+	if bound == 0 {
+		return 0
+	}
+	bound *= acquisition.ProbLEUpperBound(costPred, cand.runtimeCostMax)
+	for k, em := range extraMemos {
+		bound *= acquisition.ProbLEUpperBound(em[cand.slot], p.extraMax[k])
+	}
+	return bound
+}
+
+func clampProb(p float64) float64 {
+	if p < 0 {
+		return 0
+	}
+	if p > 1 {
+		return 1
+	}
+	return p
+}
+
+// fitsBudget is the eligibility test of Algorithm 1, line 23 and Algorithm 2,
+// line 22: the predicted cost fits within the budget with the configured
+// confidence.
+func (p *planner) fitsBudget(costPred numeric.Gaussian, budget float64) bool {
+	if !p.eligUseZ {
+		return costPred.ProbLE(budget) >= p.params.EligibilityProb
+	}
+	if costPred.StdDev == 0 {
+		return budget >= costPred.Mean
+	}
+	return budget >= costPred.Mean+p.eligZ*costPred.StdDev
+}
+
+// nextStep selects the configuration explored at depth ≥ 2 of a path: the
+// eligible untested configuration with the highest EIc under the speculated
+// state, ties to the lower configuration ID (Algorithm 2, NextStep). inc is
+// the state's incumbent, computed once by the caller and shared with the
+// recursive path evaluation.
+//
+// Only the argmax is used, so the sweep is an exact branch and bound. One
+// fused pass applies the eligibility test and bounds every eligible
+// candidate's EIc from above without erfc or exp (eicUpperBound). The exact
+// EIc is then computed for the candidate with the largest bound and, in
+// candidate order, for every candidate whose bound is not strictly below the
+// best exact value so far; a skipped candidate's EIc lies strictly below an
+// exactly computed one, so it could neither win nor tie. Exactly evaluated
+// candidates compete under the exhaustive sweep's own rule, and the argmax
+// of (EIc, −ID) does not depend on visiting order, so the choice is the one
+// the exhaustive sweep makes, bit for bit. NaN compares false: a NaN bound is
+// never skipped and a NaN EIc never wins, as in the exhaustive sweep; and
+// since eic rejects nothing but a NaN probability, whose bound is NaN, a state
+// on which the exhaustive sweep fails fails here too.
+func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, buf *eligibleBuf) (candidate, bool, error) {
+	costMemo := ms.cost.MemoPreds()
+	extraMemos := extraMemosOf(ms)
+	if costMemo == nil || extraMemos == nil {
+		return candidate{}, false, errNotPrefilled
+	}
+	untested := state.untested
+	if cap(buf.bounds) < len(untested) {
+		buf.bounds = make([]float64, len(untested))
+	}
+	bounds := buf.bounds[:len(untested)]
+	nEligible := 0
+	seed, seedBound := -1, math.Inf(-1)
+	for i := range untested {
+		u := &untested[i]
+		costPred := costMemo[u.slot]
+		if !p.fitsBudget(costPred, state.budget) {
+			bounds[i] = math.Inf(-1)
+			continue
+		}
+		nEligible++
+		b := p.eicUpperBound(inc, u, costPred, extraMemos)
+		bounds[i] = b
+		if b > seedBound {
+			seed, seedBound = i, b
+		}
+	}
+	if nEligible == 0 {
+		return candidate{}, false, nil
+	}
+
+	best := candidate{}
+	bestEIc := -1.0
+	evaluated := 0
+	exact := func(cand candidate) error {
+		var rowArr [3]numeric.Gaussian
+		row := rowArr[:0]
+		for _, em := range extraMemos {
+			row = append(row, em[cand.slot])
+		}
+		score, err := p.eic(inc, cand, costMemo[cand.slot], row)
+		if err != nil {
+			return err
+		}
+		evaluated++
+		if score > bestEIc || (score == bestEIc && cand.id < best.id) {
+			best = cand
+			bestEIc = score
+		}
+		return nil
+	}
+	if seed >= 0 {
+		if err := exact(untested[seed]); err != nil {
+			return candidate{}, false, err
+		}
+	}
+	for i := range untested {
+		if i == seed || bounds[i] < bestEIc {
+			continue
+		}
+		if err := exact(untested[i]); err != nil {
+			return candidate{}, false, err
+		}
+	}
+	buf.evaluated += evaluated
+	buf.bounded += nEligible - evaluated
+	return best, true, nil
+}
+
+// explorePaths implements Algorithm 2: it returns the expected reward and
+// expected cost of the exploration path that starts by profiling cand from
+// the given state, speculating on the remaining lookahead steps.
+//
+// models must be trained on state.train and inc must be the incumbent of
+// (state, models); ws is the per-task model workspace that keeps path
+// evaluations independent across goroutines — in Full mode a scratch set
+// explorePaths refits freely (random stream split deterministically from the
+// candidate ID), in Incremental mode a stack of clone slots indexed by slot
+// (0 at the task's root call). w is the scheduler worker executing this
+// evaluation; in Incremental mode the shallow speculation layers fork their
+// outcome subtrees onto it as stealable tasks (see explorePathsForked), so a
+// few expensive candidates can occupy the whole pool.
+func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, cand candidate, lookahead int, ws *pathWorkspace, slot int, w *specWorker) (reward, cost float64, err error) {
+	costPred, extraPreds, err := models.predictCand(cand)
+	if err != nil {
+		return 0, 0, err
+	}
+	reward, err = p.eic(inc, cand, costPred, extraPreds)
+	if err != nil {
+		return 0, 0, err
+	}
+	setup := p.setupCost(state.deployed, cand)
+	cost = costPred.Mean + setup
+
+	if lookahead == 0 {
+		return reward, cost, nil
+	}
+
+	// Discretize the speculated outcomes: the cost and every constraint
+	// metric each contribute a Gauss-Hermite marginal; the joint outcomes are
+	// their Cartesian product (paper §4.4 for the multi-constraint case). In
+	// the common single-constraint case (no extras) the cost marginal is the
+	// joint distribution, so the product machinery is skipped and both the
+	// outcomes and the combo headers live in this depth's recycled scratch —
+	// one Gauss-Hermite batch of speculated outcomes per step, allocated
+	// never.
+	ds := ws.depth(slot)
+	var combos []numeric.WeightedVector
+	if len(extraPreds) == 0 {
+		ds.outcomes, err = numeric.AppendDiscretizedGaussian(ds.outcomes[:0], costPred, p.params.GHOrder)
+		if err != nil {
+			return 0, 0, err
+		}
+		nOut := len(ds.outcomes)
+		if cap(ds.combos) < nOut {
+			ds.combos = make([]numeric.WeightedVector, nOut)
+			ds.comboVals = make([]float64, nOut)
+		}
+		combos = ds.combos[:nOut]
+		values := ds.comboVals[:nOut]
+		for i, o := range ds.outcomes {
+			values[i] = o.Value
+			combos[i] = numeric.WeightedVector{Values: values[i : i+1 : i+1], Weight: o.Weight}
+		}
+	} else {
+		costOutcomes, err := numeric.DiscretizeGaussian(costPred, p.params.GHOrder)
+		if err != nil {
+			return 0, 0, err
+		}
+		dims := make([][]numeric.WeightedValue, 0, 1+len(extraPreds))
+		dims = append(dims, costOutcomes)
+		for _, pred := range extraPreds {
+			outcomes, err := numeric.DiscretizeGaussian(pred, p.params.GHOrder)
+			if err != nil {
+				return 0, 0, err
+			}
+			dims = append(dims, outcomes)
+		}
+		combos, err = numeric.CartesianWeighted(dims)
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+
+	childUntested := appendWithout(ds.untested[:0], state.untested, cand.id)
+	ds.untested = childUntested[:0]
+	if len(childUntested) == 0 {
+		return reward, cost, nil
+	}
+	var childDeployed *configspace.Config
+	if p.opts.SetupCost != nil {
+		cfg := p.candidateConfig(cand)
+		childDeployed = &cfg
+	}
+
+	if p.shouldFork(w, lookahead, len(combos)) {
+		return p.explorePathsForked(state, models, cand, lookahead, w,
+			combos, childUntested, childDeployed, setup, reward, cost)
+	}
+
+	// Serial evaluation: the speculated child states differ only in the
+	// outcome of the last (speculated) training entry, so one extended
+	// training set and one reduced untested slice are built per candidate
+	// and the entry is rewritten per combo. Deeper recursion copies the
+	// training set before extending it, so the mutation never escapes this
+	// loop.
+	childTrain := state.train.withEntryInto(ds.train, cand.features, 0, nil, false)
+	last := len(childTrain.costs) - 1
+	for _, combo := range combos {
+		specCost := combo.Values[0]
+		specExtras := combo.Values[1:]
+		feasible := p.feasibleSpeculation(cand, specCost, specExtras)
+
+		childTrain.costs[last] = specCost
+		childTrain.feasible[last] = feasible
+		for k := range childTrain.extras {
+			childTrain.extras[k][last] = specExtras[k]
+		}
+		ds.state = specState{
+			train:    childTrain,
+			untested: childUntested,
+			budget:   state.budget - specCost - setup,
+			deployed: childDeployed,
+		}
+		subReward, subCost, ok, err := p.speculate(w, ws, slot, &ds.state, models, cand, specCost, specExtras, lookahead)
+		if err != nil {
+			return 0, 0, err
+		}
+		if !ok {
+			// The speculated budget cannot accommodate any further step: the
+			// path terminates here (Algorithm 2, lines 15-16).
+			continue
+		}
+		cost += combo.Weight * subCost
+		reward += p.params.Discount * combo.Weight * subReward
+	}
+	return reward, cost, nil
+}
+
+// shouldFork decides whether the outcome subtrees of the current speculation
+// layer become scheduler tasks. Only the incremental refit mode forks (Full
+// mode's scratch refits consume a per-candidate random stream sequentially,
+// pinned bitwise by the golden campaign tests), only with a parallel
+// scheduler, and only within the first forkDepth layers — the depth-aware
+// bound that keeps tasks coarse enough to amortize scheduling. The layer
+// index is derived from the remaining lookahead, so forked subtrees fork
+// their own children too while still within the bound.
+func (p *planner) shouldFork(w *specWorker, lookahead, combos int) bool {
+	if w == nil || combos < 2 || p.refitMode != SpecRefitIncremental || !p.sched.parallel() {
+		return false
+	}
+	if p.params.Lookahead-lookahead >= p.forkDepth {
+		return false
+	}
+	// Supply-aware: while the injector still queues more root candidates
+	// than there are workers, root-level parallelism alone saturates the
+	// pool and serial subtree evaluation is cheaper (one shared child
+	// training set instead of per-outcome copies). Forked and serial
+	// evaluation compute bitwise-identical results, so this heuristic is
+	// free to depend on scheduling state.
+	return p.sched.scarceRoots()
+}
+
+// comboOutcome is the result slot of one forked speculated-outcome task.
+// Slots are fixed at spawn time and reduced in combo order after the join,
+// which keeps the floating-point reduction identical to the serial loop
+// regardless of completion order.
+type comboOutcome struct {
+	reward, cost float64
+	ok           bool
+	err          error
+}
+
+// explorePathsForked is the parallel variant of explorePaths' combo loop:
+// every speculated outcome of the current layer is spawned as a task on the
+// executing worker's deque, idle workers steal them, and the parent helps
+// drain subtree tasks until its children joined. Each child task runs the
+// serial loop's body (speculate) on a workspace of its own, and the results
+// are reduced in combo order (the worker-count independence tests pin that
+// forked and serial rewards and costs agree bitwise).
+func (p *planner) explorePathsForked(state *specState, models *modelSet, cand candidate, lookahead int, w *specWorker, combos []numeric.WeightedVector, childUntested []candidate, childDeployed *configspace.Config, setup, reward, cost float64) (float64, float64, error) {
+	outcomes := make([]comboOutcome, len(combos))
+	var pending atomic.Int64
+	pending.Store(int64(len(combos)))
+	for ci := range combos {
+		specCost := combos[ci].Values[0]
+		specExtras := combos[ci].Values[1:]
+		feasible := p.feasibleSpeculation(cand, specCost, specExtras)
+		childState := &specState{
+			train:    state.train.withEntry(cand.features, specCost, specExtras, feasible),
+			untested: childUntested,
+			budget:   state.budget - specCost - setup,
+			deployed: childDeployed,
+		}
+		out := &outcomes[ci]
+		w.spawn(func(cw *specWorker) {
+			// The workspace is released only after the recursion — including
+			// any further forked layer — has fully joined, so clone slots
+			// referenced by grandchild tasks stay untouched until they finished.
+			ws := cw.acquireWorkspace()
+			out.reward, out.cost, out.ok, out.err = p.speculate(cw, ws, 0, childState, models, cand, specCost, specExtras, lookahead)
+			cw.releaseWorkspace(ws)
+			pending.Add(-1)
+		})
+	}
+	w.help(&pending)
+	for ci := range outcomes {
+		o := &outcomes[ci]
+		if o.err != nil {
+			return 0, 0, o.err
+		}
+		if !o.ok {
+			// The speculated budget cannot accommodate any further step: the
+			// path terminates here (Algorithm 2, lines 15-16).
+			continue
+		}
+		cost += combos[ci].Weight * o.cost
+		reward += p.params.Discount * combos[ci].Weight * o.reward
+	}
+	return reward, cost, nil
+}
+
+// speculate evaluates the subtree below one speculated outcome of profiling
+// cand: derive the child models from the parent's, compute the child state's
+// incumbent, select the next step under it, and recurse with the remaining
+// lookahead; ok is false when the speculated budget admits no further step.
+// The serial combo loop calls it with the path's workspace at its own depth,
+// a forked outcome task with a workspace of the worker that picked it up at
+// depth 0 — one body, so forked and serial evaluations apply the same
+// operations and agree bitwise.
+func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *specState, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int) (reward, cost float64, ok bool, err error) {
+	var models *modelSet
+	if p.refitMode == SpecRefitIncremental {
+		// Incremental fast path: snapshot the parent models into this slot's
+		// clone and fold the one speculated sample in. The clone inherits the
+		// parent's prediction memo, and the update repairs only the entries
+		// its touched tree regions moved — the following incumbent and
+		// next-step sweeps then cost O(changed) model evaluations instead of
+		// a full refit + sweep.
+		models = ws.cloneSlot(p, slot)
+		if err := models.cloneFrom(parent); err != nil {
+			return 0, 0, false, err
+		}
+		if err := models.update(cand.features, specCost, specExtras); err != nil {
+			return 0, 0, false, err
+		}
+	} else {
+		if err := p.refit(ws.scratch, child.train); err != nil {
+			return 0, 0, false, err
+		}
+		models = ws.scratch
+	}
+	inc, err := p.incumbent(child, models)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	next, found, err := p.nextStep(child, models, inc, &w.elig)
+	if err != nil || !found {
+		return 0, 0, false, err
+	}
+	reward, cost, err = p.explorePaths(child, models, inc, next, lookahead-1, ws, slot+1, w)
+	return reward, cost, err == nil, err
+}

@@ -84,7 +84,7 @@ func newPlannerBenchFixture(tb testing.TB, lookahead int, refit SpeculativeRefit
 	if err != nil {
 		tb.Fatalf("withDefaults: %v", err)
 	}
-	p, err := newPlanner(params, env, opts)
+	p, err := newPlanner(params, env, opts, nil)
 	if err != nil {
 		tb.Fatalf("newPlanner: %v", err)
 	}

@@ -21,7 +21,7 @@ func testPlanner(t *testing.T, extra []optimizer.Constraint) (*planner, *optimiz
 	if err != nil {
 		t.Fatalf("withDefaults error: %v", err)
 	}
-	p, err := newPlanner(params, env, opts)
+	p, err := newPlanner(params, env, opts, nil)
 	if err != nil {
 		t.Fatalf("newPlanner error: %v", err)
 	}
@@ -53,7 +53,7 @@ func fitPrefilled(t *testing.T, p *planner, stream int64, train *trainSet) *mode
 	if err := ms.fit(train); err != nil {
 		t.Fatalf("fit error: %v", err)
 	}
-	if err := ms.prefill(p.gatherCols(gatherAll(t, p), false)); err != nil {
+	if err := ms.prefill(p.gatherCols(gatherAll(t, p))); err != nil {
 		t.Fatalf("prefill error: %v", err)
 	}
 	return ms
@@ -277,7 +277,7 @@ func TestSetupCostHelper(t *testing.T) {
 	if err != nil {
 		t.Fatalf("withDefaults error: %v", err)
 	}
-	p, err := newPlanner(params, env, opts)
+	p, err := newPlanner(params, env, opts, nil)
 	if err != nil {
 		t.Fatalf("newPlanner error: %v", err)
 	}
@@ -298,7 +298,7 @@ func TestSetupCostHelper(t *testing.T) {
 
 	// Without the extension the helper charges nothing.
 	opts.SetupCost = nil
-	p2, err := newPlanner(params, env, opts)
+	p2, err := newPlanner(params, env, opts, nil)
 	if err != nil {
 		t.Fatalf("newPlanner error: %v", err)
 	}

@@ -64,7 +64,7 @@ func TestExplicitIncrementalRejectsNonIncrementalFactory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("withDefaults: %v", err)
 	}
-	if _, err := newPlanner(params, env, opts); err == nil {
+	if _, err := newPlanner(params, env, opts, nil); err == nil {
 		t.Fatal("newPlanner accepted explicit Incremental with a GP factory")
 	} else if !strings.Contains(err.Error(), "IncrementalRegressor") {
 		t.Fatalf("unexpected error: %v", err)
@@ -83,7 +83,7 @@ func TestAutoWithNonIncrementalFactoryFallsBackToFull(t *testing.T) {
 	if err != nil {
 		t.Fatalf("withDefaults: %v", err)
 	}
-	p, err := newPlanner(params, env, opts)
+	p, err := newPlanner(params, env, opts, nil)
 	if err != nil {
 		t.Fatalf("newPlanner: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestNonRetainingBaggingFactoryResolvesLikeGP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("withDefaults: %v", err)
 	}
-	p, err := newPlanner(params, env, opts)
+	p, err := newPlanner(params, env, opts, nil)
 	if err != nil {
 		t.Fatalf("newPlanner: %v", err)
 	}
@@ -115,13 +115,13 @@ func TestNonRetainingBaggingFactoryResolvesLikeGP(t *testing.T) {
 	}
 
 	params.SpeculativeRefit = SpecRefitIncremental
-	if _, err := newPlanner(params, env, opts); err == nil {
+	if _, err := newPlanner(params, env, opts, nil); err == nil {
 		t.Fatal("newPlanner accepted explicit Incremental with a non-retaining bagging factory")
 	}
 
 	retaining := model.NewBaggingFactory(bagging.Params{NumTrees: 4, Incremental: true}, 1)
 	params.ModelFactory = retaining
-	p, err = newPlanner(params, env, opts)
+	p, err = newPlanner(params, env, opts, nil)
 	if err != nil {
 		t.Fatalf("newPlanner with retaining factory: %v", err)
 	}

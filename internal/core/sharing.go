@@ -3,11 +3,9 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"math"
 	"runtime"
 
-	"repro/internal/numeric"
 	"repro/internal/optimizer"
 	"repro/internal/share"
 )
@@ -15,50 +13,39 @@ import (
 // This file implements the cross-campaign sharing tier: campaigns created
 // into one ShareGroup resolve content-equal spaces to one interned artifact
 // (shared feature columns, shared unit-price cache), adopt each other's
-// fitted root model sets and planning decisions when their planning inputs
-// are identical, and draw path workspaces from a bounded shared arena pool
-// instead of holding private ones per campaign.
+// planning decisions when their planning inputs are identical, and draw path
+// workspaces from a bounded shared arena pool instead of holding private ones
+// per campaign.
 //
 // Correctness rests on one rule: everything shared is either immutable after
-// publication or keyed by EVERY input that influences the shared value.
-//   - The model cache key captures (space digest, params digest, seed,
-//     iteration, constraint set, full trial history, quarantine set,
-//     candidate ID set) — everything a root fit + prefill reads.
-//   - The decision cache key additionally captures the remaining budget and
-//     every candidate's unit price — with the model key, everything
-//     nextConfig reads (the planner is a pure function of these; the
-//     worker-count independence and golden tests pin that scheduling never
-//     affects the outcome).
-// Equal keys therefore imply bitwise-equal outcomes, which is why adopting a
-// cached decision preserves the "identical to isolated run" contract.
+// publication or keyed by EVERY input that influences the shared value. The
+// decision cache key captures (space digest, params digest, seed, iteration,
+// constraint set, full trial history, quarantine set, candidate ID set,
+// remaining budget, every candidate's unit price) — everything nextConfig
+// reads (the planner is a pure function of these; the worker-count
+// independence and golden tests pin that scheduling never affects the
+// outcome). Equal keys therefore imply bitwise-equal outcomes, which is why
+// adopting a cached decision preserves the "identical to isolated run"
+// contract.
 //
 // Sharing is disabled per planner whenever an input cannot be captured in
 // the key: a SetupCost function (process-local closure), a custom
 // ModelFactory, or a custom SearchStrategy (both identified only by name,
 // which two distinct implementations could share). Such campaigns still get
-// the interned space and shared prices — only model/decision adoption is off.
+// the interned space and shared prices — only decision adoption is off.
 
-// Sizing of the per-group caches and the arena pool.
-const (
-	// sharedModelCacheEntries bounds the fitted-model cache. One entry per
-	// (history prefix, candidate set) — a campaign publishes at most one per
-	// decision, and stale iterations age out oldest-first.
-	sharedModelCacheEntries = 64
-	// sharedDecisionCacheEntries bounds the decision cache. Decisions are
-	// two ints, so the bound exists to cap key retention, not value memory.
-	sharedDecisionCacheEntries = 512
-)
+// sharedDecisionCacheEntries bounds the decision cache. Decisions are two
+// ints, so the bound exists to cap key retention, not value memory.
+const sharedDecisionCacheEntries = 512
 
 // ShareGroup is the shared state of a set of campaigns: the space-artifact
-// registry, the model and decision caches, and the workspace arena pool.
-// Create one group per co-scheduled batch (MultiRunner does this) and pass
-// it to NewCampaignShared / ResumeCampaignShared. All methods and the
-// campaigns created into one group are safe for concurrent use; the group
-// holds no reference to any campaign, so abandoning a campaign leaks nothing
-// into the others.
+// registry, the decision cache, and the workspace arena pool. Create one
+// group per co-scheduled batch and pass it to NewCampaign / ResumeCampaign.
+// All methods and the campaigns created into one group are safe for
+// concurrent use; the group holds no reference to any campaign, so
+// abandoning a campaign leaks nothing into the others.
 type ShareGroup struct {
 	registry  *share.Registry
-	models    *share.Cache[sharedModels]
 	decisions *share.Cache[sharedDecision]
 	arenas    *arenaPool
 }
@@ -67,20 +54,9 @@ type ShareGroup struct {
 func NewShareGroup() *ShareGroup {
 	return &ShareGroup{
 		registry:  share.NewRegistry(),
-		models:    share.NewCache[sharedModels](sharedModelCacheEntries),
 		decisions: share.NewCache[sharedDecision](sharedDecisionCacheEntries),
 		arenas:    newArenaPool(2*runtime.GOMAXPROCS(0) + 2),
 	}
-}
-
-// sharedModels is one published root model set: fitted, prefilled (every
-// memo valid), immutable. cols is the slot-major feature matrix the set
-// was prefilled over — the adopter's activeCols — whose backing store was
-// freshly allocated by the publisher (never a reused planner buffer), so it
-// can never be overwritten under a reader.
-type sharedModels struct {
-	ms   *modelSet
-	cols [][]float64
 }
 
 // sharedDecision is one published planning decision: the selected
@@ -103,53 +79,18 @@ type sharedCtx struct {
 // bind interns the environment's space and returns the shared context plus
 // the environment the campaign must use: the original wrapped to report the
 // canonical space instance (a pass-through when it already does).
-func (g *ShareGroup) bind(env optimizer.Environment) (*sharedCtx, optimizer.Environment, error) {
-	if env == nil {
-		return nil, nil, errors.New("core: nil environment")
-	}
+func (g *ShareGroup) bind(env optimizer.Environment) (*sharedCtx, optimizer.Environment) {
 	artifact := g.registry.Intern(env.Space())
 	wrapped := share.WrapEnv(env, artifact.Space())
-	return &sharedCtx{group: g, artifact: artifact, prices: artifact.PriceCache(env)}, wrapped, nil
-}
-
-// NewCampaignShared is NewCampaign with cross-campaign sharing: the campaign
-// joins the group's space artifact (shared feature columns and unit prices)
-// and, when its configuration is fully key-capturable, adopts fitted models
-// and planning decisions published by identical campaigns in the group. The
-// trial sequence and recommendation are bitwise identical to the same
-// campaign run in isolation. A nil group degenerates to NewCampaign.
-func (l *Lynceus) NewCampaignShared(env optimizer.Environment, opts optimizer.Options, g *ShareGroup) (*Campaign, error) {
-	if g == nil {
-		return l.NewCampaign(env, opts)
-	}
-	sh, wrapped, err := g.bind(env)
-	if err != nil {
-		return nil, err
-	}
-	return l.newCampaign(wrapped, opts, sh)
-}
-
-// ResumeCampaignShared is ResumeCampaignWith into a share group: the resumed
-// campaign continues its bitwise-identical trial sequence while sharing
-// space artifacts, models and decisions with the group. A nil group
-// degenerates to ResumeCampaignWith.
-func (l *Lynceus) ResumeCampaignShared(env optimizer.Environment, data []byte, fns ResumeFuncs, g *ShareGroup) (*Campaign, error) {
-	if g == nil {
-		return l.ResumeCampaignWith(env, data, fns)
-	}
-	sh, wrapped, err := g.bind(env)
-	if err != nil {
-		return nil, err
-	}
-	return l.resumeCampaign(wrapped, data, fns, sh)
+	return &sharedCtx{group: g, artifact: artifact, prices: artifact.PriceCache(env)}, wrapped
 }
 
 // sharable reports whether this planner's decisions may be published to and
 // adopted from the group caches: every planning input must be capturable in
 // the cache key. Process-local functions (SetupCost), custom model
 // factories and custom search strategies are identified only by name, which
-// the key cannot trust, so they opt the planner out of model/decision
-// sharing (space and price sharing still apply).
+// the key cannot trust, so they opt the planner out of decision sharing
+// (space and price sharing still apply).
 func (p *planner) sharable() bool {
 	if p.shared == nil || p.opts.SetupCost != nil || p.params.ModelFactory != nil {
 		return false
@@ -161,14 +102,13 @@ func (p *planner) sharable() bool {
 	return false
 }
 
-// shareKeys computes the model and decision cache keys of the current
-// planning call. The model key covers everything the root fit + prefill
-// reads; the decision key additionally covers the remaining budget and the
-// candidates' unit prices (prices come from the environment, so two
+// decisionKey computes the decision-cache key of an opened decision: a SHA-256
+// sum, returned as a raw 32-byte string, over everything planning it reads.
+// Unit prices are part of it because they come from the environment: two
 // campaigns on different environment instances share a decision only when
-// their prices agree bit for bit). Both are SHA-256 sums, returned as raw
-// 32-byte strings.
-func (p *planner) shareKeys(h *optimizer.History, remainingBudget float64, untested []candidate) (modelKey, decisionKey string) {
+// their prices agree bit for bit.
+func (p *planner) decisionKey(h *optimizer.History, d *decision) string {
+	untested := d.root.untested
 	buf := p.keyBuf[:0]
 	buf = appendKeyStr(buf, "lynceus/share/v1")
 	buf = appendKeyStr(buf, p.shared.artifact.Digest())
@@ -206,17 +146,15 @@ func (p *planner) shareKeys(h *optimizer.History, remainingBudget float64, untes
 	for i := range untested {
 		buf = appendKeyU64(buf, uint64(untested[i].id))
 	}
-	modelSum := sha256.Sum256(buf)
-
 	buf = appendKeyStr(buf, "decision")
-	buf = appendKeyF64(buf, remainingBudget)
+	buf = appendKeyF64(buf, d.root.budget)
 	for i := range untested {
 		buf = appendKeyF64(buf, untested[i].unitPriceHour)
 	}
-	decisionSum := sha256.Sum256(buf)
+	sum := sha256.Sum256(buf)
 
 	p.keyBuf = buf[:0]
-	return string(modelSum[:]), string(decisionSum[:])
+	return string(sum[:])
 }
 
 func appendKeyU64(buf []byte, v uint64) []byte {
@@ -230,15 +168,4 @@ func appendKeyF64(buf []byte, v float64) []byte {
 func appendKeyStr(buf []byte, s string) []byte {
 	buf = appendKeyU64(buf, uint64(len(s)))
 	return append(buf, s...)
-}
-
-// sameGaussians reports whether two Gaussian slices are the same array view
-// (identical backing and length) — the cheap identity check that lets
-// extraMemosOf skip rewriting its scratch when the memo arrays have not
-// moved, keeping concurrent sweeps of one published model set write-free.
-func sameGaussians(a, b []numeric.Gaussian) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	return len(a) == 0 || &a[0] == &b[0]
 }

@@ -80,7 +80,7 @@ func TestSharedCampaignsBitwiseIdenticalToIsolated(t *testing.T) {
 	for _, s := range specs {
 		opts := base
 		opts.Seed, opts.Budget = s.seed, s.budget
-		c, err := l.NewCampaign(fixtureEnv(t), opts)
+		c, err := l.NewCampaign(fixtureEnv(t), opts, nil)
 		if err != nil {
 			t.Fatalf("NewCampaign(%s) error: %v", s.name, err)
 		}
@@ -91,7 +91,7 @@ func TestSharedCampaignsBitwiseIdenticalToIsolated(t *testing.T) {
 		isolated[s.name] = res
 	}
 
-	runner := NewMultiRunner(4, nil)
+	runner := NewMultiRunner(4, NewShareGroup())
 	for _, s := range specs {
 		opts := base
 		opts.Seed, opts.Budget = s.seed, s.budget
@@ -139,7 +139,7 @@ func TestSharedResumeMidFlightNoBleed(t *testing.T) {
 	opts := fixtureOptions(t, 9)
 
 	// Isolated baseline.
-	cIso, err := l.NewCampaign(fixtureEnv(t), opts)
+	cIso, err := l.NewCampaign(fixtureEnv(t), opts, nil)
 	if err != nil {
 		t.Fatalf("NewCampaign error: %v", err)
 	}
@@ -153,18 +153,18 @@ func TestSharedResumeMidFlightNoBleed(t *testing.T) {
 	// An unrelated campaign (different seed) runs to completion in the
 	// group first, populating the caches and the arena pool.
 	optsOther := fixtureOptions(t, 31)
-	other, err := l.NewCampaignShared(fixtureEnv(t), optsOther, g)
+	other, err := l.NewCampaign(fixtureEnv(t), optsOther, g)
 	if err != nil {
-		t.Fatalf("NewCampaignShared error: %v", err)
+		t.Fatalf("NewCampaign error: %v", err)
 	}
 	if _, err := other.Run(); err != nil {
 		t.Fatalf("other campaign: %v", err)
 	}
 
 	// The campaign under test starts shared, is stopped mid-flight...
-	cShared, err := l.NewCampaignShared(fixtureEnv(t), opts, g)
+	cShared, err := l.NewCampaign(fixtureEnv(t), opts, g)
 	if err != nil {
-		t.Fatalf("NewCampaignShared error: %v", err)
+		t.Fatalf("NewCampaign error: %v", err)
 	}
 	for i := 0; i < 6; i++ {
 		done, err := cShared.Step()
@@ -182,9 +182,9 @@ func TestSharedResumeMidFlightNoBleed(t *testing.T) {
 	cShared = nil // abandoned mid-flight; the group must not care
 
 	// ...and resumes into the same (now warm) group.
-	resumed, err := l.ResumeCampaignShared(fixtureEnv(t), snap, ResumeFuncs{}, g)
+	resumed, err := l.ResumeCampaign(fixtureEnv(t), snap, ResumeFuncs{}, g)
 	if err != nil {
-		t.Fatalf("ResumeCampaignShared error: %v", err)
+		t.Fatalf("ResumeCampaign error: %v", err)
 	}
 	got, err := resumed.Run()
 	if err != nil {
@@ -194,7 +194,7 @@ func TestSharedResumeMidFlightNoBleed(t *testing.T) {
 
 	// And the other campaign's results were not disturbed either: re-running
 	// its spec isolated gives the same answer.
-	cOtherIso, err := l.NewCampaign(fixtureEnv(t), optsOther)
+	cOtherIso, err := l.NewCampaign(fixtureEnv(t), optsOther, nil)
 	if err != nil {
 		t.Fatalf("NewCampaign error: %v", err)
 	}
@@ -221,9 +221,9 @@ func TestSharedPriceFetchOnce(t *testing.T) {
 	g := NewShareGroup()
 	for _, seed := range []int64{3, 4} {
 		opts := fixtureOptions(t, seed)
-		c, err := l.NewCampaignShared(env, opts, g)
+		c, err := l.NewCampaign(env, opts, g)
 		if err != nil {
-			t.Fatalf("NewCampaignShared error: %v", err)
+			t.Fatalf("NewCampaign error: %v", err)
 		}
 		if _, err := c.Run(); err != nil {
 			t.Fatalf("run(seed=%d): %v", seed, err)

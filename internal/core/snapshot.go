@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/bagging"
@@ -30,7 +29,7 @@ type snapshotRetry struct {
 // BootstrapSize always holds the resolved probe count, so a resume does not
 // depend on the default-sizing rule staying unchanged. SetupCost functions
 // cannot be serialized; HasSetupCost records that one was in use, and
-// ResumeCampaignWith must re-supply it.
+// a resume must re-supply it (ResumeFuncs.SetupCost).
 type snapshotOptions struct {
 	Budget            float64                `json:"budget"`
 	MaxRuntimeSeconds float64                `json:"max_runtime_seconds"`
@@ -105,11 +104,11 @@ func paramsDigest(p Params) string {
 			search = fmt.Sprintf("sampled/%d", s.Size)
 		}
 	}
-	// "batch=true" is the frozen rendering of a removed knob: dropping it
-	// would orphan every snapshot already on disk.
-	return fmt.Sprintf("la=%d gamma=%v nodisc=%v gh=%d elig=%v model=%+v factory=%s search=%s prune=%v batch=true refit=%d",
+	// "prune=true batch=true" is the frozen rendering of two removed knobs:
+	// dropping it would orphan every snapshot already on disk.
+	return fmt.Sprintf("la=%d gamma=%v nodisc=%v gh=%d elig=%v model=%+v factory=%s search=%s prune=true batch=true refit=%d",
 		p.Lookahead, p.Discount, p.NoDiscount, p.GHOrder, p.EligibilityProb, p.Model, factory, search,
-		!p.DisablePruning, p.SpeculativeRefit)
+		p.SpeculativeRefit)
 }
 
 // Snapshot serializes the campaign's durable state. Call it between Steps —
@@ -231,21 +230,14 @@ type ResumeFuncs struct {
 // bitwise-identical remaining trial sequence and recommendation as the
 // original uninterrupted run (given the same deterministic environment — for
 // stateful environments the embedded state is restored, and the environment
-// must implement optimizer.StatefulEnvironment).
-func (l *Lynceus) ResumeCampaign(env optimizer.Environment, data []byte) (*Campaign, error) {
-	return l.ResumeCampaignWith(env, data, ResumeFuncs{})
-}
-
-// ResumeCampaignWith is ResumeCampaign with re-supplied process-local
-// functions (setup-cost model, retry sleep hook).
-func (l *Lynceus) ResumeCampaignWith(env optimizer.Environment, data []byte, fns ResumeFuncs) (*Campaign, error) {
-	return l.resumeCampaign(env, data, fns, nil)
-}
-
-// resumeCampaign is the shared resume path of ResumeCampaignWith and
-// ResumeCampaignShared; sh carries the campaign's share-group binding (nil
-// outside a group).
-func (l *Lynceus) resumeCampaign(env optimizer.Environment, data []byte, fns ResumeFuncs, sh *sharedCtx) (*Campaign, error) {
+// must implement optimizer.StatefulEnvironment). fns re-supplies the
+// process-local functions (setup-cost model, retry sleep hook); g is the share
+// group the resumed campaign joins, nil for an isolated one (see NewCampaign).
+//
+// The campaign is assembled by NewCampaign from the snapshot's options — the
+// same path a fresh start takes — and the snapshot's progress is then
+// restored onto it.
+func (l *Lynceus) ResumeCampaign(env optimizer.Environment, data []byte, fns ResumeFuncs, g *ShareGroup) (*Campaign, error) {
 	if env == nil {
 		return nil, errors.New("core: nil environment")
 	}
@@ -262,16 +254,26 @@ func (l *Lynceus) resumeCampaign(env optimizer.Environment, data []byte, fns Res
 	if digest := paramsDigest(l.params); snap.ParamsDigest != digest {
 		return nil, fmt.Errorf("core: snapshot parameters %q do not match this optimizer's %q", snap.ParamsDigest, digest)
 	}
-	space := env.Space()
-	if space.Size() != snap.SpaceSize || space.NumDimensions() != snap.SpaceDims {
+	if space := env.Space(); space.Size() != snap.SpaceSize || space.NumDimensions() != snap.SpaceDims {
 		return nil, fmt.Errorf("core: snapshot space (%d configs, %d dims) does not match the environment (%d configs, %d dims)",
 			snap.SpaceSize, snap.SpaceDims, space.Size(), space.NumDimensions())
 	}
 	if snap.Options.HasSetupCost && fns.SetupCost == nil {
-		return nil, errors.New("core: the snapshotted campaign used a setup-cost function; resume with ResumeCampaignWith and re-supply it")
+		return nil, errors.New("core: the snapshotted campaign used a setup-cost function; re-supply it in ResumeFuncs.SetupCost")
+	}
+	// Snapshots record the resolved probe count; anything else would make
+	// NewCampaign re-derive (or clamp) it and replan the bootstrap.
+	if n := snap.Options.BootstrapSize; n < 1 || n > snap.SpaceSize {
+		return nil, fmt.Errorf("core: snapshot bootstrap size %d outside [1, %d]", n, snap.SpaceSize)
+	}
+	if snap.Iteration < 0 {
+		return nil, fmt.Errorf("core: snapshot iteration %d is negative", snap.Iteration)
 	}
 
-	opts := optimizer.Options{
+	// NewCampaign re-derives the LHS plan from the seed (it consumes the run
+	// rng exactly like the original campaign did); the cursor is restored
+	// below.
+	c, err := l.NewCampaign(env, optimizer.Options{
 		Budget:            snap.Options.Budget,
 		MaxRuntimeSeconds: snap.Options.MaxRuntimeSeconds,
 		BootstrapSize:     snap.Options.BootstrapSize,
@@ -286,26 +288,21 @@ func (l *Lynceus) resumeCampaign(env optimizer.Environment, data []byte, fns Res
 			Quarantine:  snap.Options.Retry.Quarantine,
 			Sleep:       fns.Sleep,
 		},
-	}
-	if err := opts.Validate(); err != nil {
-		return nil, fmt.Errorf("core: snapshot options: %w", err)
+	}, g)
+	if err != nil {
+		return nil, fmt.Errorf("core: resuming snapshot: %w", err)
 	}
 
-	budget, err := optimizer.NewBudget(opts.Budget)
-	if err != nil {
-		return nil, err
-	}
-	if err := budget.Spend(snap.SpentBudget); err != nil {
+	if err := c.budget.Spend(snap.SpentBudget); err != nil {
 		return nil, fmt.Errorf("core: snapshot spent budget: %w", err)
 	}
-
-	history := optimizer.NewHistory()
+	space := c.env.Space()
 	for i, tr := range snap.Trials {
 		cfg, err := space.Config(tr.ConfigID)
 		if err != nil {
 			return nil, fmt.Errorf("core: snapshot trial %d references config %d: %w", i, tr.ConfigID, err)
 		}
-		history.Add(optimizer.TrialResult{
+		c.history.Add(optimizer.TrialResult{
 			Config:           cfg,
 			RuntimeSeconds:   tr.RuntimeSeconds,
 			UnitPricePerHour: tr.UnitPricePerHour,
@@ -318,32 +315,15 @@ func (l *Lynceus) resumeCampaign(env optimizer.Environment, data []byte, fns Res
 		if id < 0 || id >= space.Size() {
 			return nil, fmt.Errorf("core: snapshot quarantines config %d outside the space", id)
 		}
-		history.MarkQuarantined(id)
+		c.history.MarkQuarantined(id)
 	}
-
-	// Re-derive the LHS plan from the seed (NewBootstrapper consumes the run
-	// rng exactly like the original campaign did) and fast-forward its
-	// cursor.
-	rng := rand.New(rand.NewSource(opts.Seed))
-	boot, err := optimizer.NewBootstrapper(env, snap.Options.BootstrapSize, rng, opts)
-	if err != nil {
+	if err := c.boot.Restore(snap.BootProbeIdx, snap.BootDraws, snap.BootSuccesses, snap.BootFinished); err != nil {
 		return nil, err
 	}
-	if err := boot.Restore(snap.BootProbeIdx, snap.BootDraws, snap.BootSuccesses, snap.BootFinished); err != nil {
-		return nil, err
-	}
-
-	planner, err := newPlannerShared(l.params, env, opts, sh)
-	if err != nil {
-		return nil, err
-	}
-	if snap.Iteration < 0 {
-		return nil, fmt.Errorf("core: snapshot iteration %d is negative", snap.Iteration)
-	}
-	planner.iteration = snap.Iteration
+	c.planner.iteration = snap.Iteration
 
 	if len(snap.EnvState) > 0 {
-		se, ok := env.(optimizer.StatefulEnvironment)
+		se, ok := c.env.(optimizer.StatefulEnvironment)
 		if !ok {
 			return nil, errors.New("core: snapshot carries environment state but the environment cannot restore it (optimizer.StatefulEnvironment)")
 		}
@@ -352,16 +332,7 @@ func (l *Lynceus) resumeCampaign(env optimizer.Environment, data []byte, fns Res
 		}
 	}
 
-	c := &Campaign{
-		l:       l,
-		env:     env,
-		opts:    opts,
-		budget:  budget,
-		history: history,
-		boot:    boot,
-		planner: planner,
-		done:    snap.Done,
-	}
+	c.done = snap.Done
 	switch snap.FinishReason {
 	case "":
 	case finishReasonBudget:

@@ -37,7 +37,7 @@ func snapshotBenchCampaign(tb testing.TB) (*Lynceus, optimizer.Environment, *Cam
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
-	campaign, err := l.NewCampaign(env, opts)
+	campaign, err := l.NewCampaign(env, opts, nil)
 	if err != nil {
 		tb.Fatalf("NewCampaign: %v", err)
 	}
@@ -71,7 +71,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	b.Run("op=restore", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			resumed, err := l.ResumeCampaign(env, snap)
+			resumed, err := l.ResumeCampaign(env, snap, ResumeFuncs{}, nil)
 			if err != nil {
 				b.Fatalf("ResumeCampaign: %v", err)
 			}

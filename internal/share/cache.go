@@ -8,7 +8,7 @@ import (
 // Cache is a bounded, copy-on-write key/value cache with single-flight
 // claims. Get is lock-free (one atomic load plus one map read); Put and
 // Publish copy the map, so the cache is meant for values that are expensive
-// to compute and cheap to store — fitted model sets, planning decisions.
+// to compute and cheap to store — planning decisions.
 //
 // GetOrClaim adds the single-flight discipline campaigns in lockstep need:
 // the first caller of a missing key becomes its leader and receives a Claim,

@@ -1,7 +1,7 @@
 // Package share implements the cross-campaign sharing layer: interned,
 // immutable per-space artifacts (canonical Space, shared unit-price caches)
 // and a bounded copy-on-write cache with single-flight claims that campaigns
-// use to adopt each other's fitted models and planning decisions.
+// use to adopt each other's planning decisions.
 //
 // Everything handed out by this package is either immutable after publication
 // (canonical spaces, published cache values) or internally synchronized

@@ -131,10 +131,6 @@ type TunerConfig struct {
 	// Workers bounds path-evaluation parallelism (0 = GOMAXPROCS). The
 	// recommendation never depends on the worker count.
 	Workers int
-	// DisablePruning turns off the optimistic-bound candidate pruning of the
-	// lookahead >= 2 path search and restores the exhaustive search (for
-	// ablations; pruning is on by default and deterministic).
-	DisablePruning bool
 	// Search selects the candidate search strategy; the zero value picks
 	// automatically based on the space size.
 	Search SearchConfig
@@ -234,7 +230,6 @@ func newCoreTuner(cfg TunerConfig) (*core.Lynceus, error) {
 		GHOrder:          cfg.GHOrder,
 		Model:            bagging.Params{NumTrees: cfg.EnsembleTrees},
 		Workers:          cfg.Workers,
-		DisablePruning:   cfg.DisablePruning,
 		Search:           search,
 		SpeculativeRefit: refit,
 	}

@@ -120,7 +120,6 @@ func TestNewCoreTunerConsumesEveryTunerConfigField(t *testing.T) {
 		"EnsembleTrees":     func(c *TunerConfig) { c.EnsembleTrees = 7 },
 		"CostModel":         func(c *TunerConfig) { c.CostModel = "gp" },
 		"Workers":           func(c *TunerConfig) { c.Workers = runtime.GOMAXPROCS(0) + 1 },
-		"DisablePruning":    func(c *TunerConfig) { c.DisablePruning = true },
 		"Search.Strategy":   func(c *TunerConfig) { c.Search.Strategy = "exhaustive" },
 		"Search.SampleSize": func(c *TunerConfig) { c.Search.SampleSize = 16 },
 		"SpeculativeRefit":  func(c *TunerConfig) { c.SpeculativeRefit = "full" },

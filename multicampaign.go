@@ -2,6 +2,7 @@ package lynceus
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/core"
 )
@@ -15,15 +16,14 @@ import (
 // fetches per environment instance, draw planner scratch from a bounded
 // shared arena pool, and — when two campaigns' planning inputs are identical
 // (same space, tuner parameters, seed, observed history and budget) — adopt
-// each other's fitted models and planning decisions outright. Every
-// campaign's trial sequence and recommendation remain bitwise identical to
+// each other's planning decisions outright. Every campaign's trial sequence and recommendation remain bitwise identical to
 // the same campaign run in isolation; sharing changes throughput, never
 // results.
 
 type (
 	// ShareGroup is the shared state of a batch of campaigns: the space
-	// artifact registry, the cross-campaign model and decision caches, and
-	// the workspace arena pool. One group per co-scheduled batch.
+	// artifact registry, the cross-campaign decision cache, and the
+	// workspace arena pool. One group per co-scheduled batch.
 	ShareGroup = core.ShareGroup
 	// MultiResult is the outcome of one campaign of a batch.
 	MultiResult = core.MultiResult
@@ -57,55 +57,42 @@ type MultiRunnerConfig struct {
 // round-robin scheduling: every campaign advances one trial per turn, so
 // identical campaigns stay in lockstep and share almost all planning work.
 type MultiRunner struct {
-	inner          *core.MultiRunner
-	disableSharing bool
+	inner *core.MultiRunner
 }
 
-// NewMultiRunner creates a runner with a fresh share group.
+// NewMultiRunner creates a runner with a fresh share group (none under
+// MultiRunnerConfig.DisableSharing).
 func NewMultiRunner(cfg MultiRunnerConfig) *MultiRunner {
-	return &MultiRunner{
-		inner:          core.NewMultiRunner(cfg.Concurrency, nil),
-		disableSharing: cfg.DisableSharing,
+	g := core.NewShareGroup()
+	if cfg.DisableSharing {
+		g = nil
 	}
+	return &MultiRunner{inner: core.NewMultiRunner(cfg.Concurrency, g)}
 }
 
-// Group returns the runner's share group.
+// Group returns the runner's share group, nil under
+// MultiRunnerConfig.DisableSharing.
 func (r *MultiRunner) Group() *ShareGroup { return r.inner.Group() }
 
 // Add creates a campaign with the given tuner configuration into the
 // runner's share group and queues it under name. Names label results; they
 // need not be unique.
 func (r *MultiRunner) Add(name string, cfg TunerConfig, env Environment, opts Options) error {
-	l, err := newCoreTuner(cfg)
+	c, err := StartTunerShared(cfg, env, opts, r.inner.Group())
 	if err != nil {
-		return err
+		return fmt.Errorf("lynceus: campaign %q: %w", name, err)
 	}
-	if r.disableSharing {
-		c, err := l.NewCampaign(env, opts)
-		if err != nil {
-			return err
-		}
-		r.inner.Attach(name, c)
-		return nil
-	}
-	return r.inner.Add(name, l, env, opts)
+	r.inner.Attach(name, c)
+	return nil
 }
 
 // AddResumed resumes a snapshotted campaign into the runner's share group
 // and queues it: the resumed campaign continues its bitwise-identical trial
 // sequence while sharing artifacts with the batch.
 func (r *MultiRunner) AddResumed(name string, cfg TunerConfig, env Environment, snapshot []byte, fns ResumeFuncs) error {
-	l, err := newCoreTuner(cfg)
+	c, err := ResumeTunerShared(cfg, env, snapshot, fns, r.inner.Group())
 	if err != nil {
-		return err
-	}
-	g := r.inner.Group()
-	if r.disableSharing {
-		g = nil
-	}
-	c, err := l.ResumeCampaignShared(env, snapshot, fns, g)
-	if err != nil {
-		return err
+		return fmt.Errorf("lynceus: campaign %q: %w", name, err)
 	}
 	r.inner.Attach(name, c)
 	return nil
@@ -136,7 +123,7 @@ func StartTunerShared(cfg TunerConfig, env Environment, opts Options, g *ShareGr
 	if err != nil {
 		return nil, err
 	}
-	return l.NewCampaignShared(env, opts, g)
+	return l.NewCampaign(env, opts, g)
 }
 
 // ResumeTunerShared is ResumeTunerWith into a share group. A nil group is
@@ -146,5 +133,5 @@ func ResumeTunerShared(cfg TunerConfig, env Environment, snapshot []byte, fns Re
 	if err != nil {
 		return nil, err
 	}
-	return l.ResumeCampaignShared(env, snapshot, fns, g)
+	return l.ResumeCampaign(env, snapshot, fns, g)
 }
