@@ -25,6 +25,7 @@ import (
 	"repro/internal/bagging"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/model"
 	"repro/internal/numeric"
 	"repro/internal/optimizer"
 	"repro/internal/simulator"
@@ -355,52 +356,35 @@ func BenchmarkEnsembleFitPredict(b *testing.B) {
 }
 
 // BenchmarkFullSpaceSweep isolates the prediction sweep from the fit: one
-// prediction of the whole 384-point Tensorflow space per iteration, batched
-// (the planner's production path) vs scalar (one Predict call per config).
-//
-// Comparison note: since the packed-node rewrite the two sub-benchmarks run
-// the same traversal kernel and differ only in where the feature rows come
-// from — /scalar reads the space's pre-materialized Config rows, /batch
-// gathers each row from the column-major matrix (the planner's layout) on
-// the fly. Near-parity is the expected result; earlier a stale block-gather
-// design plus store-to-load aliasing on a single reused gather row had
-// /batch at ~1.25x /scalar, which the rotating-row gather in
-// bagging.PredictBatch fixed. TestFullSpaceSweepBatchCompetitive (batch_test.go)
-// asserts the ratio stays sane on the bench runner.
+// batched prediction of the whole 384-point Tensorflow space per iteration,
+// gathering each row from the column-major matrix on the fly — the sweep
+// behind every prefill of a regressor without memo repair, the baselines'
+// block sweeps and lynbench's model.predict_batch_us_p50. (It used to carry a
+// scalar twin, one Predict call per configuration; no caller sweeps that way
+// since the scalar planner path went.)
 func BenchmarkFullSpaceSweep(b *testing.B) {
 	space, features, costs := ensembleSweepFixture(b)
 	ensemble := bagging.New(bagging.Params{NumTrees: 10}, 1)
 	if err := ensemble.Fit(features, costs); err != nil {
 		b.Fatalf("Fit: %v", err)
 	}
-	b.Run("batch", func(b *testing.B) {
-		cols := space.FeatureColumns()
-		out := make([]numeric.Gaussian, space.Size())
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := ensemble.PredictBatch(cols, out); err != nil {
-				b.Fatalf("PredictBatch: %v", err)
-			}
+	cols := space.FeatureColumns()
+	out := make([]numeric.Gaussian, space.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ensemble.PredictBatch(cols, out); err != nil {
+			b.Fatalf("PredictBatch: %v", err)
 		}
-	})
-	b.Run("scalar", func(b *testing.B) {
-		all := space.Configs()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, cfg := range all {
-				if _, err := ensemble.Predict(cfg.Features); err != nil {
-					b.Fatalf("Predict: %v", err)
-				}
-			}
-		}
-	})
+	}
 }
 
-// BenchmarkEnsembleRefitIncremental measures the incremental-refit unit the
-// lookahead simulation leans on: cloning a warm fitted ensemble into a
-// reusable destination and folding one speculated sample in with Update.
-// This is the per-outcome cost of Strategy "incremental" (vs a full Fit per
-// outcome), so it belongs in the tracked bench set next to EnsembleFitPredict.
+// BenchmarkEnsembleRefitIncremental measures the whole-copy unit of the
+// incremental mode: cloning a warm fitted ensemble into a reusable
+// destination and folding one sample in with Update. The planner pays it once
+// per (workspace, decision) and per forked outcome task of a mid-speculation
+// parent — it used to pay it per speculated outcome — and lynbench's
+// model.clone_update_us_p50 probes the same calls.
 func BenchmarkEnsembleRefitIncremental(b *testing.B) {
 	space, features, costs := ensembleSweepFixture(b)
 	ensemble := bagging.New(bagging.Params{NumTrees: 10, Incremental: true}, 1)
@@ -427,23 +411,32 @@ func BenchmarkEnsembleRefitIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkEnsembleFitPredictScalar is the scalar reference for
-// BenchmarkEnsembleFitPredict: the same fit plus one Predict call per
-// configuration, the pre-batching sweep.
-func BenchmarkEnsembleFitPredictScalar(b *testing.B) {
+// BenchmarkEnsembleSpeculateOutcome measures the per-outcome unit of the
+// lookahead simulation as the planner now runs it: on a working model whose
+// memo is prefilled over the 384-point space, fold one speculated sample in,
+// repair the memo entries it moved, and take both back (model.Cached Update
+// then Undo). Allocation-free once warm — the zero baseline is a ratchet.
+func BenchmarkEnsembleSpeculateOutcome(b *testing.B) {
 	space, features, costs := ensembleSweepFixture(b)
-	ensemble := bagging.New(bagging.Params{NumTrees: 10}, 1)
-	all := space.Configs()
+	work := model.NewCached(bagging.New(bagging.Params{NumTrees: 10, Incremental: true}, 1), space.Size())
+	if err := work.Fit(features, costs); err != nil {
+		b.Fatalf("Fit: %v", err)
+	}
+	if err := work.Prefill(space.FeatureColumns()); err != nil {
+		b.Fatalf("Prefill: %v", err)
+	}
+	cfg, err := space.Config(space.Size() / 2)
+	if err != nil {
+		b.Fatalf("Config: %v", err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ensemble.Fit(features, costs); err != nil {
-			b.Fatalf("Fit: %v", err)
+		if err := work.Update(cfg.Features, costs[i%len(costs)]); err != nil {
+			b.Fatalf("Update: %v", err)
 		}
-		for _, cfg := range all {
-			if _, err := ensemble.Predict(cfg.Features); err != nil {
-				b.Fatalf("Predict: %v", err)
-			}
+		if err := work.Undo(); err != nil {
+			b.Fatalf("Undo: %v", err)
 		}
 	}
 }

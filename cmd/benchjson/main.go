@@ -21,7 +21,8 @@
 // ns/decision), "ns/campaign" plus the allocation metrics on the batch
 // throughput benchmark (any benchmark reporting ns/campaign), and "ns/op",
 // "allocs/op" and "B/op" on the BenchmarkEnsembleFitPredict /
-// BenchmarkEnsembleRefitIncremental cost-model microbenchmarks. A zero baseline for the allocation metrics acts as a
+// BenchmarkEnsembleRefitIncremental / BenchmarkEnsembleSpeculateOutcome
+// cost-model microbenchmarks. A zero baseline for the allocation metrics acts as a
 // ratchet: any fresh allocation on a path the baseline records as
 // allocation-free is a regression regardless of the percent threshold. Each
 // comparison line records the iteration counts (b.N) the two sides were
@@ -213,7 +214,7 @@ func median(values []float64) float64 {
 // ever-fatter buffers), per-campaign wall time plus the allocation metrics on
 // the batch throughput benchmark (identified by reporting ns/campaign), and
 // raw ns/op plus the same allocation metrics for the cost-model
-// fit/sweep/refit microbenchmarks.
+// fit/sweep/refit/speculate microbenchmarks.
 func trackedMetrics(b Benchmark) []string {
 	units := make([]string, 0, 4)
 	tracked := false
@@ -226,7 +227,8 @@ func trackedMetrics(b Benchmark) []string {
 		tracked = true
 	}
 	if strings.HasPrefix(b.Name, "BenchmarkEnsembleFitPredict") ||
-		strings.HasPrefix(b.Name, "BenchmarkEnsembleRefitIncremental") {
+		strings.HasPrefix(b.Name, "BenchmarkEnsembleRefitIncremental") ||
+		strings.HasPrefix(b.Name, "BenchmarkEnsembleSpeculateOutcome") {
 		if _, ok := b.Metrics["ns/op"]; ok {
 			units = append(units, "ns/op")
 		}

@@ -64,15 +64,15 @@ type Ensemble struct {
 	trees       []*regtree.Tree
 	numFeatures int
 
-	// updates counts the samples folded in by Update since the last Fit; it
-	// is the sample index that keys the deterministic per-tree inclusion
-	// weights, so clones of one fitted ensemble apply identical weights to
-	// their next sample regardless of which goroutine updates them.
+	// updates counts the samples folded in by Update (and not undone) since
+	// the last Fit; it is the sample index that keys the deterministic
+	// per-tree inclusion weights, so copies of one fitted ensemble apply
+	// identical weights to their next sample regardless of which goroutine
+	// updates them.
 	updates int
-	// lastAffected[t] is the node index of tree t touched by the last Update
-	// (-1 when the sample was not included in that tree's stream); nil when
-	// no update happened since the last Fit.
-	lastAffected []int32
+	// journal holds one frame per Update not yet undone, oldest first (see
+	// Undo); its top frame names the nodes the last Update touched.
+	journal []updateFrame
 
 	// Resample buffers and the training arena, reused across fits. Lynceus'
 	// path simulation refits the same ensemble once per speculated outcome,
@@ -85,28 +85,38 @@ type Ensemble struct {
 	subTargets  []float64
 	arena       *regtree.Arena
 
-	// markBuf is the per-point scratch of AppendRepairedByLastUpdate: which
-	// points at least one updated tree moved.
-	markBuf []bool
-
-	// Memo-repair state (PredictBatchRepair / AppendRepairedByLastUpdate):
-	// repairPreds is a tree-major matrix — repairPreds[t*repairN+i] is tree
-	// t's prediction for point i of the last repair-prefilled sweep — that
-	// turns post-Update repair into per-tree constant stores instead of
-	// full ensemble re-walks. repairLeaf is the matching leaf-index matrix:
-	// because an Update's affected node was the covering leaf before the
-	// insert, the points it moved in tree t are exactly those with
-	// repairLeaf[t*repairN+i] == affected — one sequential equality scan,
-	// no root-path re-filtering. repairN is the swept point count (0 = no
-	// valid state); repairDirty records that exactly one Update has been
-	// applied since the matrices were last consistent. rowScratch is one
-	// gathered feature row for the re-split repair walk.
+	// Memo-repair state (PredictBatchRepair / RepairLastUpdate), over the n =
+	// repairN points of the last repair sweep (0 = no valid state).
+	// repairPreds is a tree-major matrix — repairPreds[t*n+i] is tree t's
+	// prediction for point i — that turns post-Update repair into per-tree
+	// stores instead of whole-ensemble re-walks. repairPerm and repairSegs
+	// are the leaf → points index that finds the points to store to:
+	// repairPerm[t*n:(t+1)*n] lists the point indices grouped by the leaf of
+	// tree t covering them, and repairSegs[t][node] is a leaf's (start, len)
+	// slice of that row. An Update's affected node was the covering leaf
+	// before the insert, so the points it moved in tree t are exactly that
+	// leaf's segment; when the leaf re-split, the segment is re-partitioned
+	// in place among the regrown leaves (the affected node keeps its entry,
+	// now the range of its subtree, which is what Undo stores the old value
+	// over). The order of points inside a segment is therefore history
+	// dependent; which points a segment holds, and every value derived from
+	// them, is not. repairDirty records that exactly one Update — the top
+	// journal frame's — has been applied since the state was last consistent.
 	repairPreds []float64
-	repairLeaf  []int32
+	repairPerm  []int32
+	repairSegs  [][]segment
 	repairN     int
 	repairDirty bool
-	rowScratch  []float64
+
+	// markBuf flags the points a repair has already listed (all false between
+	// calls); leafScratch is one tree's point → leaf row during the repair
+	// sweep's counting sort.
+	markBuf     []bool
+	leafScratch []int32
 }
+
+// segment is one leaf's slice of its tree's row of the leaf → points index.
+type segment struct{ start, n int32 }
 
 // New creates an untrained ensemble. All randomness (bootstrap resampling and
 // per-tree feature sub-sampling) is drawn from the given seed, so fits are
@@ -178,7 +188,7 @@ func (e *Ensemble) Fit(features [][]float64, targets []float64) error {
 	e.trees = trees
 	e.numFeatures = len(features[0])
 	e.updates = 0
-	e.lastAffected = e.lastAffected[:0]
+	e.journal = e.journal[:0]
 	e.repairN = 0
 	e.repairDirty = false
 	return nil
@@ -286,16 +296,27 @@ const (
 
 // PredictBatchRepair is PredictBatch plus memo-repair bookkeeping: alongside
 // each point's Gaussian it records every individual tree's prediction in a
-// tree-major matrix retained on the ensemble, which is what lets
-// AppendRepairedByLastUpdate refresh a one-sample update's affected points
-// without re-walking any unchanged tree. The emitted Gaussians are bitwise
-// identical to PredictBatch (same traversals, same accumulation order);
+// tree-major matrix and groups the points by covering leaf per tree (one
+// counting sort per tree), which is what lets RepairLastUpdate refresh a
+// one-sample update's affected points without re-walking any unchanged tree
+// or scanning for the points. The emitted Gaussians are bitwise identical to
+// PredictBatch (same traversals, same accumulation order) — and an ensemble
+// not fitted with Params.Incremental, which can never Update, does just that
+// and keeps no repair state. The sweep rebuilds
+// the repair state for the trees as they are now, so Update frames still open
+// lose their claim on it: undoing one leaves the state invalid (see Undo).
 // Predict/PredictBatch stay concurrency-safe afterwards, but
 // PredictBatchRepair itself mutates ensemble state and must not run
 // concurrently with anything on the same ensemble.
 func (e *Ensemble) PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) error {
 	if !e.Trained() {
 		return ErrNotTrained
+	}
+	if !e.params.Incremental {
+		// No Update can follow a fit that retained nothing, so there is
+		// nothing to repair and nothing worth recording.
+		e.repairN = 0
+		return e.PredictBatch(cols, out)
 	}
 	if len(cols) != e.numFeatures {
 		return fmt.Errorf("bagging: feature matrix has %d columns, want %d", len(cols), e.numFeatures)
@@ -318,22 +339,26 @@ func (e *Ensemble) PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) 
 	if cap(e.repairPreds) < len(trees)*n {
 		e.repairPreds = make([]float64, len(trees)*n)
 	}
-	if cap(e.repairLeaf) < len(trees)*n {
-		e.repairLeaf = make([]int32, len(trees)*n)
+	if cap(e.repairPerm) < len(trees)*n {
+		e.repairPerm = make([]int32, len(trees)*n)
 	}
 	mat := e.repairPreds[:len(trees)*n]
-	leaves := e.repairLeaf[:len(trees)*n]
+	perm := e.repairPerm[:len(trees)*n]
 	for i := 0; i < n; i++ {
 		off := (i % rowSlots) * stride
 		x := rows[off : off+m : off+m]
 		for f, col := range cols {
 			x[f] = col[i]
 		}
-		sum, sumSq := accumRowStore(trees, x, mat, leaves, n, i)
+		sum, sumSq := accumRowStore(trees, x, mat, perm, n, i)
 		out[i] = e.gaussianFromSums(sum, sumSq)
 	}
+	e.indexLeaves(n)
 	e.repairN = n
 	e.repairDirty = false
+	for k := range e.journal {
+		e.journal[k].repaired = false
+	}
 	return nil
 }
 
@@ -342,13 +367,64 @@ func (e *Ensemble) PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) 
 // Kept as its own small frame for the same codegen reason as accumRow.
 func accumRowStore(trees []*regtree.Tree, x []float64, mat []float64, leaves []int32, n, i int) (sum, sumSq float64) {
 	for t, tree := range trees {
-		p, leaf := tree.PredictLeafFromUnchecked(0, x)
+		p, leaf := tree.PredictLeafUnchecked(x)
 		mat[t*n+i] = p
 		leaves[t*n+i] = leaf
 		sum += p
 		sumSq += p * p
 	}
 	return sum, sumSq
+}
+
+// segmentTables resizes the per-tree list of segment tables to n trees,
+// keeping the tables (and their capacity) it already holds.
+func segmentTables(tables [][]segment, n int) [][]segment {
+	if cap(tables) < n {
+		tables = append(tables[:cap(tables)], make([][]segment, n-cap(tables))...)
+	}
+	return tables[:n]
+}
+
+// nodeSlack is the spare per-tree capacity of the segment tables, so the
+// nodes a few nested re-splits append do not reallocate them.
+const nodeSlack = 16
+
+// indexLeaves turns the point → leaf rows the repair sweep left in
+// repairPerm into the leaf → points index, one counting sort per tree: count
+// the points per leaf, lay the segments out in node order, scatter the point
+// indices (ascending within a segment).
+func (e *Ensemble) indexLeaves(n int) {
+	e.repairSegs = segmentTables(e.repairSegs, len(e.trees))
+	if cap(e.leafScratch) < n {
+		e.leafScratch = make([]int32, n)
+	}
+	for ti, tree := range e.trees {
+		row := e.repairPerm[ti*n : (ti+1)*n]
+		leafOf := append(e.leafScratch[:0], row...)
+		segs := e.repairSegs[ti]
+		if nodes := tree.Nodes(); cap(segs) < nodes {
+			segs = make([]segment, nodes, nodes+nodeSlack)
+		} else {
+			segs = segs[:nodes]
+			for k := range segs {
+				segs[k] = segment{}
+			}
+		}
+		for _, leaf := range leafOf {
+			segs[leaf].n++
+		}
+		start := int32(0)
+		for k := range segs {
+			segs[k].start, start = start, start+segs[k].n
+			segs[k].n = 0
+		}
+		for i, leaf := range leafOf {
+			s := &segs[leaf]
+			row[s.start+s.n] = int32(i)
+			s.n++
+		}
+		e.repairSegs[ti] = segs
+	}
 }
 
 // gaussianFromSums turns the sum and sum of squares of the tree predictions

@@ -140,7 +140,7 @@ func TestEnsemblePredictionsMatchPointerTreesThroughUpdates(t *testing.T) {
 }
 
 // TestMemoRepairMatchesFreshPredictions drives the PredictBatchRepair +
-// Update + AppendRepairedByLastUpdate cycle through a long update stream —
+// Update + RepairLastUpdate cycle through a long update stream —
 // including tight clusters that force leaves to re-split — and checks after
 // every update that the repaired memo is bitwise identical to a fresh
 // PredictBatch sweep. Also exercises the clone path (repair state must
@@ -187,17 +187,29 @@ func TestMemoRepairMatchesFreshPredictions(t *testing.T) {
 		}
 	}
 
+	before := make([]numeric.Gaussian, n)
 	verify := func(e *Ensemble, label string, round int) {
-		ids, usable, err := e.AppendRepairedByLastUpdate(cols, n, nil, preds)
+		copy(before, preds)
+		ids, old, usable, err := e.RepairLastUpdate(cols, preds, nil, nil)
 		if err != nil {
-			t.Fatalf("%s round %d: AppendRepairedByLastUpdate: %v", label, round, err)
+			t.Fatalf("%s round %d: RepairLastUpdate: %v", label, round, err)
 		}
 		if !usable {
 			t.Fatalf("%s round %d: repair state unexpectedly unusable", label, round)
 		}
-		for k := 1; k < len(ids); k++ {
-			if ids[k] <= ids[k-1] {
-				t.Fatalf("%s round %d: ids not strictly ascending: %v", label, round, ids)
+		seen := make(map[int32]bool, len(ids))
+		for k, id := range ids {
+			if seen[id] {
+				t.Fatalf("%s round %d: point %d listed twice: %v", label, round, id, ids)
+			}
+			seen[id] = true
+			if old[k] != before[id] {
+				t.Fatalf("%s round %d: old value of point %d = %+v, it held %+v", label, round, id, old[k], before[id])
+			}
+		}
+		for i := range preds {
+			if !seen[int32(i)] && preds[i] != before[i] {
+				t.Fatalf("%s round %d: unlisted point %d moved: %+v -> %+v", label, round, i, before[i], preds[i])
 			}
 		}
 		if err := e.PredictBatch(cols, want); err != nil {
@@ -249,7 +261,7 @@ func TestMemoRepairMatchesFreshPredictions(t *testing.T) {
 			t.Fatalf("double-update %d: Update: %v", k, err)
 		}
 	}
-	if _, usable, err := clone.AppendRepairedByLastUpdate(cols, n, nil, preds); err != nil || usable {
+	if _, _, usable, err := clone.RepairLastUpdate(cols, preds, nil, nil); err != nil || usable {
 		t.Fatalf("after double update: usable=%v err=%v, want unusable with nil error", usable, err)
 	}
 	if err := clone.PredictBatchRepair(cols, preds); err != nil {

@@ -16,13 +16,16 @@ import (
 // returned afterwards, so N campaigns hold O(GOMAXPROCS) warm arenas total.
 //
 // Arenas are keyed by a shape string (model factory, model params,
-// constraint count — everything that determines the layout of the clone
-// slots inside) so a checked-out arena's recycled workspaces always match
+// constraint count — everything that determines the layout of the working
+// copies inside) so a checked-out arena's recycled workspaces always match
 // what the planner would have built privately. Reusing a workspace across
-// campaigns is safe because cloneSlot re-seeds and fully overwrites every
-// value-affecting field of the clone on each use (bagging CloneInto copies
-// seed, params, trees and repair state; nothing of the previous campaign
-// survives into a prediction).
+// campaigns is safe because a working copy is only ever used under the token
+// of the root models it was copied from, a shelved arena's workspaces
+// remember no token (release clears them, so they neither match a later
+// decision nor pin an earlier one), and the copy that follows re-seeds and
+// fully overwrites every value-affecting field (bagging CloneInto copies
+// seed, params, trees and repair state and drops the journal; nothing of the
+// previous campaign survives into a prediction).
 //
 // Ownership is enforced, not assumed: an arena is stamped with the worker
 // holding it (a CAS on checkout and release), and every acquire/release of a
@@ -75,8 +78,8 @@ func (a *wsArena) acquire(w *specWorker) *pathWorkspace {
 }
 
 // release returns a workspace to the arena. Must be called by the owning
-// worker's goroutine, after the releasing task no longer references any
-// clone slot inside.
+// worker's goroutine, after the releasing task no longer references the
+// working copy inside.
 func (a *wsArena) release(w *specWorker, ws *pathWorkspace) {
 	a.assertOwner(w)
 	a.free = append(a.free, ws)
@@ -124,9 +127,14 @@ func (p *arenaPool) checkout(shape string, w *specWorker) *wsArena {
 }
 
 // release clears the owner stamp and shelves the arena for the next
-// checkout, dropping it instead when the shape's shelf is full. Panics if w
-// does not own the arena.
+// checkout, dropping it instead when the shape's shelf is full. Every
+// workspace is back on the freelist by now (the run has joined), and forgets
+// which root models its working copy equals: the next holder may be another
+// campaign. Panics if w does not own the arena.
 func (p *arenaPool) release(a *wsArena, w *specWorker) {
+	for _, ws := range a.free {
+		ws.base = nil
+	}
 	if !a.owner.CompareAndSwap(w, nil) {
 		panic("core: arena released by a non-owning worker")
 	}
@@ -150,8 +158,8 @@ func (p *arenaPool) retained() int {
 
 // arenaShape derives the pool shelf key of a planner: everything that
 // determines the layout and reuse-compatibility of the pathWorkspaces inside
-// (the clone slots are rebuilt from the root models on every use, so only
-// structural parameters matter, not per-campaign seeds or histories).
+// (the working copies are rebuilt from the root models of each decision, so
+// only structural parameters matter, not per-campaign seeds or histories).
 func (p *planner) arenaShape() string {
 	return fmt.Sprintf("%T|%s|%+v|x%d", p.factory, p.factory.Name(), p.params.Model, len(p.opts.ExtraConstraints))
 }

@@ -118,14 +118,28 @@ func (c *countingCtx) Err() error {
 // claim, one per phase of the plan driver, one per path evaluation — so a
 // phase that runs without passing through the driver's poll moves the count
 // and fails here. At every poll the decision must stop with the cancellation
-// sentinel, publish nothing and leave the planner where it was; and a replica
+// sentinel, publish nothing and leave the planner where it was; a replica
 // stepping in the same share group after the cancelled leader must find the
 // claim abandoned, plan the decision itself and reproduce the isolated run
 // bitwise (a leaked claim would hang it, an adopted half-made decision would
-// change its trials).
+// change its trials); and the cancelled planner itself, asked again outside
+// any group, must score every path bitwise as a planner that was never
+// cancelled does — at lookahead 2 with incremental refits that retry runs on
+// workspaces whose working copies the cancelled attempt left behind, valid
+// for root models that no longer exist.
 func TestPlannerCancelledAtEveryBoundary(t *testing.T) {
-	// Lookahead 1 takes the exhaustive fan-out: one path per eligible candidate.
-	l, err := New(fastParams(1))
+	// Lookahead 1 takes the exhaustive fan-out: one path per eligible
+	// candidate. So does lookahead 2 here, the fixture's candidates being too
+	// few to prune.
+	incremental := fastParams(2)
+	incremental.SpeculativeRefit = SpecRefitIncremental
+	for name, params := range map[string]Params{"la1-full": fastParams(1), "la2-incremental": incremental} {
+		t.Run(name, func(t *testing.T) { testCancelledAtEveryBoundary(t, params) })
+	}
+}
+
+func testCancelledAtEveryBoundary(t *testing.T, params Params) {
+	l, err := New(params)
 	if err != nil {
 		t.Fatalf("New error: %v", err)
 	}
@@ -176,6 +190,18 @@ func TestPlannerCancelledAtEveryBoundary(t *testing.T) {
 		t.Fatalf("one decision polled its context %d times, want %d (1 pre-claim + %d phases + %d paths)",
 			polls, want, len(planPhases), len(d.eligible))
 	}
+	// scores plans the campaign's pending decision without concluding it.
+	scores := func(c *Campaign) []pathScore {
+		d, err := c.planner.selectCandidates(context.Background(), c.history, c.budget.Remaining())
+		if err != nil || d == nil {
+			t.Fatalf("selectCandidates: %v, %v", d, err)
+		}
+		if _, err := c.planner.plan(d); err != nil {
+			t.Fatalf("plan: %v", err)
+		}
+		return d.scores
+	}
+	wantScores := scores(atFirstDecision(nil))
 
 	for k := int64(1); k <= polls+1; k++ {
 		g := NewShareGroup()
@@ -193,6 +219,15 @@ func TestPlannerCancelledAtEveryBoundary(t *testing.T) {
 		}
 		if n := g.decisions.Len(); n != 0 {
 			t.Fatalf("cancelAt=%d: the cancelled leader published %d decisions", k, n)
+		}
+		solo := atFirstDecision(nil)
+		if _, err := decide(solo, &countingCtx{Context: context.Background(), cancelAt: k}); !errors.Is(err, optimizer.ErrCampaignCancelled) {
+			t.Fatalf("cancelAt=%d: isolated nextConfig error = %v, want ErrCampaignCancelled", k, err)
+		}
+		for i, got := range scores(solo) {
+			if got != wantScores[i] {
+				t.Fatalf("cancelAt=%d: the retried decision scored path %d as %+v, an uncancelled planner as %+v", k, i, got, wantScores[i])
+			}
 		}
 		replica, err := l.NewCampaign(fixtureEnv(t), opts, g)
 		if err != nil {

@@ -253,6 +253,7 @@ func (p *planner) gatherCols(cands []candidate) [][]float64 {
 // shares it.
 func (p *planner) rootModels(d *decision) error {
 	d.models = p.newModelSet(int64(p.iteration)*2_000_000_011, len(d.root.untested))
+	d.models.token = &rootToken{}
 	p.activeCols = p.gatherCols(d.root.untested)
 	return p.refit(d.models, d.root.train)
 }

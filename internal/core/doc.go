@@ -31,8 +31,9 @@
 //     < 2 or over at most 16 eligible candidates fan out over every one.
 //   - Incremental speculative refits: Params.SpeculativeRefit selects whether
 //     each speculated outcome refits the whole model set (Full, the paper's
-//     exact behavior) or clones the parent models and folds the one
-//     speculated sample in (Incremental — an order of magnitude cheaper,
+//     exact behavior) or folds the one speculated sample into a working
+//     copy of the models and takes it out again (Incremental — an order of
+//     magnitude cheaper,
 //     statistically equivalent, and what makes lookahead >= 3 interactive).
 //     Auto resolves by lookahead and candidate count.
 package core

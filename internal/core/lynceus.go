@@ -39,8 +39,9 @@ const (
 	// matrix at every speculated outcome — the exact historical behavior,
 	// bitwise-pinned by the golden campaign tests.
 	SpecRefitFull
-	// SpecRefitIncremental clones the parent model set once per speculation
-	// branch and folds the speculated sample in with a one-sample update
+	// SpecRefitIncremental keeps one working copy of the decision's model
+	// set per workspace and folds each speculated sample in with a
+	// one-sample update, undone after the outcome's subtree is scored
 	// (model.IncrementalRegressor), an order of magnitude cheaper per
 	// speculation. The resulting trees differ from freshly refitted ones, so
 	// recommendations match the Full path statistically, not bitwise
@@ -97,8 +98,8 @@ type Params struct {
 	Workers int
 	// SpeculativeRefit selects the refit mode of the speculative path: Full
 	// retrains the whole model set per speculated outcome (the exact paper
-	// behavior), Incremental clones the parent models and applies one-sample
-	// updates, and Auto (the zero value) resolves by lookahead × candidate
+	// behavior), Incremental applies (and undoes) one-sample updates on a
+	// working copy of the models, and Auto (the zero value) resolves by lookahead × candidate
 	// count — paper-scale searches keep Full, deep or wide searches switch
 	// to Incremental. Explicitly requesting Incremental with a ModelFactory
 	// whose regressors are not model.IncrementalRegressor (e.g. "gp") is an

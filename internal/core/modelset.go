@@ -18,10 +18,22 @@ type modelSet struct {
 	cost   *model.Cached
 	extras []*model.Cached
 
+	// token identifies the decision whose root models this set is: stamped
+	// by rootModels, nil on every other set. A workspace's working copy is
+	// valid for as long as the token it was copied under is the one its
+	// parent carries (see pathWorkspace.working).
+	token *rootToken
+
 	// extraMemos is scratch for extraMemosOf: one slot per extra model,
 	// rewritten on every fast-path eligibility sweep.
 	extraMemos [][]numeric.Gaussian
 }
+
+// rootToken is the identity of one decision's root models. It is a pointer
+// to a non-empty struct so that no two live tokens compare equal, and it
+// holds nothing: a pooled workspace that still remembers a token pins these
+// few bytes, never another campaign's models.
+type rootToken struct{ _ byte }
 
 // newModelSet creates untrained models on a deterministic random stream, with
 // prediction memos covering size candidate slots.
@@ -112,17 +124,49 @@ func (p *planner) refit(ms *modelSet, ts *trainSet) error {
 
 // update folds one speculated sample into every model of the set (the cost
 // target into the cost model, each constraint metric into its model),
-// repairing the prediction memos in place.
+// repairing the prediction memos in place. It is all or nothing: when a
+// model's update fails, the ones already applied are taken back first.
 func (ms *modelSet) update(x []float64, cost float64, extras []float64) error {
 	if err := ms.cost.Update(x, cost); err != nil {
 		return fmt.Errorf("core: updating cost model: %w", err)
 	}
 	for k, m := range ms.extras {
 		if err := m.Update(x, extras[k]); err != nil {
-			return fmt.Errorf("core: updating constraint model %d: %w", k, err)
+			return errors.Join(fmt.Errorf("core: updating constraint model %d: %w", k, err), ms.undoFirst(k))
 		}
 	}
 	return nil
+}
+
+// undo takes the last update back from every model of the set, leaving
+// models and memos bitwise as that update found them.
+func (ms *modelSet) undo() error {
+	if err := ms.undoFirst(len(ms.extras)); err != nil {
+		return fmt.Errorf("core: undoing a speculated update: %w", err)
+	}
+	return nil
+}
+
+// undoFirst takes the last update back from the cost model and the first k
+// constraint models — the ones a set update reached.
+func (ms *modelSet) undoFirst(k int) error {
+	err := ms.cost.Undo()
+	for _, m := range ms.extras[:k] {
+		err = errors.Join(err, m.Undo())
+	}
+	return err
+}
+
+// pending returns the number of updates applied to the set and not undone,
+// panicking when its models disagree — they are only ever updated together.
+func (ms *modelSet) pending() int {
+	n := ms.cost.Pending()
+	for _, m := range ms.extras {
+		if m.Pending() != n {
+			panic("core: the models of one set carry different numbers of pending updates")
+		}
+	}
+	return n
 }
 
 // cloneFrom snapshots src's fitted models and prediction memos into the set,

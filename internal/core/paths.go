@@ -12,12 +12,20 @@ import (
 // pathWorkspace is the per-path-evaluation model scratch. In Full mode it
 // holds one model set that explorePaths refits from the extended training
 // matrix at every speculated outcome (the exact historical behavior). In
-// Incremental mode it holds one clone slot per speculation depth: each
-// speculated outcome re-clones the parent set into its depth's slot and
-// folds the single speculated sample in, never retraining a tree.
+// Incremental mode it holds one working copy of the decision's root models,
+// on which every speculated outcome of every depth is applied, swept and
+// undone in place — nested depths are a stack of pending updates on the one
+// object — so no tree is retrained and none is copied per outcome.
 type pathWorkspace struct {
 	scratch *modelSet
-	clones  []*modelSet
+
+	// work is the working copy and base the token of the root models it was
+	// copied from and, every update since having been undone, still equals.
+	// A nil base means work equals nothing in particular (never filled, left
+	// mid-speculation by an error, copied from a parent that is not a root,
+	// or shelved with its arena) and must be copied afresh before use.
+	work *modelSet
+	base *rootToken
 
 	// depths[d] is the serial combo loop's scratch at speculation depth d:
 	// the extended training set, the reduced untested slice, the speculated
@@ -62,16 +70,32 @@ type eligibleBuf struct {
 	evaluated int
 }
 
-// cloneSlot returns the model-set slot of the given speculation depth,
-// creating it on first use. Slot contents are fully overwritten by cloneFrom
-// before every use, so recycled slots never leak state between paths.
-func (ws *pathWorkspace) cloneSlot(p *planner, depth int) *modelSet {
-	for len(ws.clones) <= depth {
+// working returns the workspace's working copy holding the state of parent,
+// the model set the next speculated sample is to be folded into. Deeper
+// speculation on the same workspace passes the working copy itself, which is
+// used as it is. A decision's root models are copied on the workspace's first
+// touch and recognised by their token from then on. Any other parent — the
+// mid-speculation working copy of the task that forked this one — is copied
+// every time and leaves base nil: nothing can vouch for that copy later.
+func (ws *pathWorkspace) working(p *planner, w *specWorker, parent *modelSet) (*modelSet, error) {
+	if parent == ws.work {
+		return ws.work, nil
+	}
+	if ws.base != nil && ws.base == parent.token {
+		return ws.work, nil
+	}
+	if ws.work == nil {
 		// The stream only seeds the untrained placeholder models; cloneFrom
 		// replaces their state entirely, so any constant works.
-		ws.clones = append(ws.clones, p.newModelSet(int64(len(ws.clones))+1, 0))
+		ws.work = p.newModelSet(1, 0)
 	}
-	return ws.clones[depth]
+	ws.base = nil
+	if err := ws.work.cloneFrom(parent); err != nil {
+		return nil, err
+	}
+	w.modelCopies++
+	ws.base = parent.token
+	return ws.work, nil
 }
 
 // evalPath scores the exploration paths rooted at one eligible candidate of
@@ -341,8 +365,11 @@ func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, buf *eli
 // (state, models); ws is the per-task model workspace that keeps path
 // evaluations independent across goroutines — in Full mode a scratch set
 // explorePaths refits freely (random stream split deterministically from the
-// candidate ID), in Incremental mode a stack of clone slots indexed by slot
-// (0 at the task's root call). w is the scheduler worker executing this
+// candidate ID), in Incremental mode the one working copy every speculated
+// outcome below is applied to and undone on. slot is the speculation depth
+// within the task (0 at its root call): it indexes the per-depth scratch and
+// equals the number of updates pending on the working copy, which from depth
+// 1 on is models itself. w is the scheduler worker executing this
 // evaluation; in Incremental mode the shallow speculation layers fork their
 // outcome subtrees onto it as stealable tasks (see explorePathsForked), so a
 // few expensive candidates can occupy the whole pool.
@@ -521,8 +548,9 @@ func (p *planner) explorePathsForked(state *specState, models *modelSet, cand ca
 		out := &outcomes[ci]
 		w.spawn(func(cw *specWorker) {
 			// The workspace is released only after the recursion — including
-			// any further forked layer — has fully joined, so clone slots
-			// referenced by grandchild tasks stay untouched until they finished.
+			// any further forked layer — has fully joined, so a working copy
+			// that grandchild tasks copy from stays untouched until they
+			// finished.
 			ws := cw.acquireWorkspace()
 			out.reward, out.cost, out.ok, out.err = p.speculate(cw, ws, 0, childState, models, cand, specCost, specExtras, lookahead)
 			cw.releaseWorkspace(ws)
@@ -555,27 +583,52 @@ func (p *planner) explorePathsForked(state *specState, models *modelSet, cand ca
 // depth 0 — one body, so forked and serial evaluations apply the same
 // operations and agree bitwise.
 func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *specState, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int) (reward, cost float64, ok bool, err error) {
-	var models *modelSet
-	if p.refitMode == SpecRefitIncremental {
-		// Incremental fast path: snapshot the parent models into this slot's
-		// clone and fold the one speculated sample in. The clone inherits the
-		// parent's prediction memo, and the update repairs only the entries
-		// its touched tree regions moved — the following incumbent and
-		// next-step sweeps then cost O(changed) model evaluations instead of
-		// a full refit + sweep.
-		models = ws.cloneSlot(p, slot)
-		if err := models.cloneFrom(parent); err != nil {
-			return 0, 0, false, err
-		}
-		if err := models.update(cand.features, specCost, specExtras); err != nil {
-			return 0, 0, false, err
-		}
-	} else {
+	if p.refitMode != SpecRefitIncremental {
 		if err := p.refit(ws.scratch, child.train); err != nil {
 			return 0, 0, false, err
 		}
-		models = ws.scratch
+		return p.sweepChild(w, ws, slot, child, ws.scratch, lookahead)
 	}
+	// Incremental fast path: fold the one speculated sample into the
+	// workspace's working copy, which holds the parent's models and memos;
+	// the update repairs only the memo entries its touched tree regions
+	// moved, so the incumbent and next-step sweeps cost O(changed) model
+	// evaluations instead of a full refit + sweep; then take the sample back
+	// out, leaving the copy bitwise as the next outcome expects it.
+	models, err := ws.working(p, w, parent)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	defer func() {
+		if err != nil {
+			// Whatever failed between apply and undo, the copy may be left
+			// mid-speculation: its next user copies afresh.
+			ws.base = nil
+		}
+	}()
+	if err := models.update(cand.features, specCost, specExtras); err != nil {
+		return 0, 0, false, err
+	}
+	if models.pending() != slot+1 {
+		panic("core: working copy swept with a number of pending updates other than its speculation depth")
+	}
+	reward, cost, ok, err = p.sweepChild(w, ws, slot, child, models, lookahead)
+	if err != nil {
+		return 0, 0, false, err
+	}
+	if slot == 0 && ws.base == nil {
+		// Nothing will recognise this copy again: it is not worth undoing.
+		return reward, cost, ok, nil
+	}
+	if err := models.undo(); err != nil {
+		return 0, 0, false, err
+	}
+	return reward, cost, ok, nil
+}
+
+// sweepChild scores a speculated child state under its models: incumbent,
+// next step, and the path below it.
+func (p *planner) sweepChild(w *specWorker, ws *pathWorkspace, slot int, child *specState, models *modelSet, lookahead int) (reward, cost float64, ok bool, err error) {
 	inc, err := p.incumbent(child, models)
 	if err != nil {
 		return 0, 0, false, err

@@ -52,11 +52,12 @@ type planner struct {
 
 	// sched is the persistent speculation scheduler (Params.Workers wide).
 	// Its per-worker arenas recycle the incremental-mode path workspaces
-	// (clone slots plus their arenas, eligibility buffers) across candidates,
-	// subtrees and decisions without a shared pool: each worker owns its
-	// freelist outright. Recycled state is fully overwritten by cloneFrom
-	// before every use, so reuse never leaks model state between paths and
-	// the recommendation stays scheduling-free.
+	// (working copies plus their arenas, eligibility buffers) across
+	// candidates, subtrees and decisions without a shared pool: each worker
+	// owns its freelist outright. A working copy is used only while it
+	// provably equals the decision's root models (pathWorkspace.working) and
+	// is copied afresh otherwise, so reuse never leaks model state between
+	// paths and the recommendation stays scheduling-free.
 	sched *specScheduler
 
 	// forkDepth is the number of leading speculation layers whose outcome

@@ -116,13 +116,18 @@ func benchmarkPlannerDecision(b *testing.B, lookahead int, refit SpeculativeRefi
 	// Useful-work ratio of the NextStep sweeps: eligible candidates of
 	// speculated states scored with the exact EIc vs. dismissed on their
 	// upper bound alone.
-	evaluated, bounded := 0, 0
+	evaluated, bounded, copies := 0, 0, 0
 	for _, w := range fixture.planner.sched.workers {
 		evaluated += w.elig.evaluated
 		bounded += w.elig.bounded
+		copies += w.modelCopies
 	}
 	b.ReportMetric(float64(evaluated)/float64(b.N), "eic-evals/decision")
 	b.ReportMetric(float64(bounded)/float64(b.N), "eic-bounded/decision")
+	// Whole model sets copied into working copies: one per workspace a
+	// worker used, plus one per forked outcome task whose parent was itself
+	// a working copy (it was one per speculated outcome).
+	b.ReportMetric(float64(copies)/float64(b.N), "model-copies/decision")
 }
 
 // BenchmarkPlannerLA2Tensorflow measures one long-sighted (LA=2) planning

@@ -43,7 +43,7 @@ type specTaskFn func(w *specWorker)
 // tasks (owner pushes and pops at the tail, thieves steal at the head); free
 // is the worker-private pathWorkspace arena — only the owning goroutine
 // touches it, which is what replaces the contended global sync.Pool of the
-// previous design and keeps clone arenas warm across decisions.
+// previous design and keeps the working copies' arenas warm across decisions.
 type specWorker struct {
 	id    int
 	sched *specScheduler
@@ -53,8 +53,8 @@ type specWorker struct {
 
 	// arena is the workspace freelist the worker currently draws from:
 	// acquireWorkspace and releaseWorkspace always run on the owning
-	// goroutine, so no lock is needed and the clone slots (bagging ensembles,
-	// regression-tree arenas) and eligibility buffers inside are reused
+	// goroutine, so no lock is needed and the working copies (bagging
+	// ensembles, regression-tree arenas) and eligibility buffers inside are reused
 	// across candidates, subtrees and decisions without ever crossing a
 	// synchronization point. For non-shared planners arena is the permanent
 	// private one; shared incremental planners swap in a pool-checked-out
@@ -63,9 +63,11 @@ type specWorker struct {
 	private *wsArena
 
 	// elig is the scratch and useful-work counters of the nextStep sweeps
-	// this worker runs; like the arena it is touched only by the worker's
-	// own goroutine.
-	elig eligibleBuf
+	// this worker runs, and modelCopies counts the whole model sets it
+	// copied into working copies; like the arena they are touched only by
+	// the worker's own goroutine.
+	elig        eligibleBuf
+	modelCopies int
 }
 
 // acquireWorkspace hands out a recycled pathWorkspace (or a fresh one on a
@@ -76,7 +78,7 @@ func (w *specWorker) acquireWorkspace() *pathWorkspace {
 
 // releaseWorkspace returns a workspace to the worker's arena. Must be called
 // from the worker's own goroutine, after the releasing task no longer
-// references any clone slot inside (including from spawned children, which
+// references the working copy inside (including from spawned children, which
 // is guaranteed by joining the children first).
 func (w *specWorker) releaseWorkspace(ws *pathWorkspace) {
 	w.arena.release(w, ws)
@@ -194,8 +196,9 @@ type specScheduler struct {
 	// workers' arenas out of the share group's pool instead of using the
 	// permanent private ones — the cross-campaign promotion that bounds
 	// retained scratch by the pool limit instead of the campaign count.
-	// Arenas recycle value-neutral scratch (clone slots are fully re-seeded
-	// per use), so where a workspace last served does not affect results.
+	// Arenas recycle value-neutral scratch (a working copy is re-copied
+	// before its first use under a new holder), so where a workspace last
+	// served does not affect results.
 	pool  *arenaPool
 	shape string
 

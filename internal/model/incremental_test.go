@@ -281,3 +281,170 @@ func TestCachedUpdateResweepsWhenRepairStateUnusable(t *testing.T) {
 		t.Fatalf("after the re-armed repair: %v", err)
 	}
 }
+
+// TestCachedUndoRestoresMemoBitwise nests Updates three deep and takes them
+// back one by one: after every Undo the memo is valid, bitwise the memo from
+// before the matching Update, and equal to a fresh sweep of the rolled-back
+// model — and a warm Update → Undo round allocates nothing.
+func TestCachedUndoRestoresMemoBitwise(t *testing.T) {
+	const size = 36
+	c, cols, rowOf := fittedIncCached(t, size)
+	if err := c.Undo(); err == nil {
+		t.Fatal("Undo with no pending Update did not fail")
+	}
+	var memos [][]numeric.Gaussian
+	for depth, id := range []int{7, 7, 20} { // the same point twice: a duplicate
+		memos = append(memos, append([]numeric.Gaussian(nil), c.MemoPreds()...))
+		if err := c.Update(rowOf(id), float64(40+depth)); err != nil {
+			t.Fatalf("Update %d: %v", depth, err)
+		}
+		if err := checkMemoFresh(c, cols); err != nil {
+			t.Fatalf("after Update %d: %v", depth, err)
+		}
+		if c.Pending() != depth+1 {
+			t.Fatalf("Pending = %d after %d Updates", c.Pending(), depth+1)
+		}
+	}
+	for depth := 2; depth >= 0; depth-- {
+		if err := c.Undo(); err != nil {
+			t.Fatalf("Undo %d: %v", depth, err)
+		}
+		memo := c.MemoPreds()
+		if memo == nil {
+			t.Fatalf("memo went off across Undo %d", depth)
+		}
+		for id := range memo {
+			if memo[id] != memos[depth][id] {
+				t.Fatalf("after Undo %d: memo[%d] = %+v, was %+v before the Update", depth, id, memo[id], memos[depth][id])
+			}
+		}
+		if err := checkMemoFresh(c, cols); err != nil {
+			t.Fatalf("after Undo %d: %v", depth, err)
+		}
+	}
+	x7, x8 := rowOf(7), rowOf(8)
+	round := func() {
+		if err := c.Update(x7, 42); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		if err := c.Update(x8, 3); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+		if c.Undo() != nil || c.Undo() != nil {
+			t.Fatal("Undo failed")
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs > 0 {
+		t.Errorf("warm Update → Undo allocates %.1f objects per round, want 0", allocs)
+	}
+}
+
+// TestCachedUndoOfResweptUpdateResweeps drives the fallback's undo: an Update
+// whose repair state was unusable re-swept the memo, so taking it back is
+// rollback + re-sweep, and the same holds for an Update a later Prefill
+// overtook. Either way the memo ends valid and fresh, and the repair is
+// re-armed for the Update after.
+func TestCachedUndoOfResweptUpdateResweeps(t *testing.T) {
+	const size = 24
+	c, cols, rowOf := fittedIncCached(t, size)
+	before := append([]numeric.Gaussian(nil), c.MemoPreds()...)
+	if err := c.Update(rowOf(3), 55); err != nil { // repaired
+		t.Fatalf("Update: %v", err)
+	}
+	// One update behind the memo's back makes the next repair unusable.
+	inner := c.inner.(IncrementalRegressor)
+	if err := inner.Update(rowOf(5), 9); err != nil {
+		t.Fatalf("inner Update: %v", err)
+	}
+	if err := c.Update(rowOf(11), 70); err != nil { // re-swept
+		t.Fatalf("Update: %v", err)
+	}
+	if err := c.Undo(); err != nil {
+		t.Fatalf("Undo of the re-swept Update: %v", err)
+	}
+	if err := checkMemoFresh(c, cols); err != nil {
+		t.Fatalf("after undoing the re-swept Update: %v", err)
+	}
+	if err := inner.Undo(); err != nil {
+		t.Fatalf("inner Undo: %v", err)
+	}
+	// The sweeps overtook the first Update's saved entries too.
+	if err := c.Undo(); err != nil {
+		t.Fatalf("Undo of the overtaken Update: %v", err)
+	}
+	if err := checkMemoFresh(c, cols); err != nil {
+		t.Fatalf("after undoing the overtaken Update: %v", err)
+	}
+	for id, want := range before {
+		if got := c.MemoPreds()[id]; got != want {
+			t.Fatalf("memo[%d] = %+v after all Undos, started at %+v", id, got, want)
+		}
+	}
+	if err := c.Update(rowOf(17), 5); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	if err := checkMemoFresh(c, cols); err != nil {
+		t.Fatalf("after the re-armed repair: %v", err)
+	}
+}
+
+// brokenRepairer is an incremental regressor whose memo repair fails.
+type brokenRepairer struct {
+	*bagging.Ensemble
+	updates, undos int
+}
+
+func (b *brokenRepairer) Update(x []float64, y float64) error {
+	b.updates++
+	return b.Ensemble.Update(x, y)
+}
+
+func (b *brokenRepairer) Undo() error {
+	b.undos++
+	return b.Ensemble.Undo()
+}
+
+func (b *brokenRepairer) RepairLastUpdate([][]float64, []numeric.Gaussian, []int32, []numeric.Gaussian) ([]int32, []numeric.Gaussian, bool, error) {
+	return nil, nil, false, fmt.Errorf("injected repair failure")
+}
+
+// TestCachedUpdateIsAllOrNothing: when the memo cannot follow an Update, the
+// Update fails, the model is rolled back to where it was, nothing stays
+// pending and the memo is off rather than stale.
+func TestCachedUpdateIsAllOrNothing(t *testing.T) {
+	const size = 24
+	features, targets := trainingData()
+	inner := &brokenRepairer{Ensemble: bagging.New(bagging.Params{NumTrees: 8, Incremental: true}, 3)}
+	c := NewCached(inner, size)
+	if err := c.Fit(features, targets); err != nil {
+		t.Fatalf("Fit: %v", err)
+	}
+	cols, rowOf := incCols(size)
+	if err := c.Prefill(cols); err != nil {
+		t.Fatalf("Prefill: %v", err)
+	}
+	want, err := freshSweep(c, cols)
+	if err != nil {
+		t.Fatalf("PredictBatch: %v", err)
+	}
+	if err := c.Update(rowOf(7), 42); err == nil {
+		t.Fatal("Update succeeded although the repair failed")
+	}
+	if inner.updates != 1 || inner.undos != 1 || c.Pending() != 0 || inner.Updates() != 0 {
+		t.Fatalf("after the failed Update: %d inner updates, %d inner undos, %d pending, %d folded in; want 1, 1, 0, 0",
+			inner.updates, inner.undos, c.Pending(), inner.Updates())
+	}
+	if c.MemoPreds() != nil {
+		t.Fatal("the memo stayed on across a failed repair")
+	}
+	got, err := freshSweep(c, cols)
+	if err != nil {
+		t.Fatalf("PredictBatch: %v", err)
+	}
+	for id := range want {
+		if got[id] != want[id] {
+			t.Fatalf("the failed Update moved prediction %d: %+v -> %+v", id, want[id], got[id])
+		}
+	}
+}

@@ -8,6 +8,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bagging"
@@ -43,26 +44,29 @@ type Factory interface {
 // MemoRepairer is the optional eager-repair extension of an incremental
 // regressor: it keeps enough per-point bookkeeping from a PredictBatchRepair
 // sweep to refresh the points a one-sample Update moved without re-predicting
-// them from scratch (for the bagging ensemble, per-tree constant stores
-// instead of whole-ensemble re-walks). Repaired Gaussians must stay bitwise
-// identical to a fresh prediction. Without it, Cached re-sweeps the whole memo
-// after every Update.
+// them from scratch (for the bagging ensemble, per-tree stores over the
+// affected leaf's points instead of whole-ensemble re-walks), and takes that
+// bookkeeping back with the update on Undo. Repaired Gaussians must stay
+// bitwise identical to a fresh prediction. Without it, Cached re-sweeps the
+// whole memo after every Update and every Undo.
 type MemoRepairer interface {
 	// PredictBatchRepair is PredictBatch plus the repair bookkeeping for
 	// the swept points.
 	PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) error
-	// AppendRepairedByLastUpdate refreshes preds[i] in place for every
-	// point the last Update may have moved, appends those indices to ids,
-	// and reports whether the repair state was usable — false (with nil
-	// error) means the caller must fall back to re-predicting.
-	AppendRepairedByLastUpdate(cols [][]float64, n int, ids []int32, preds []numeric.Gaussian) ([]int32, bool, error)
+	// RepairLastUpdate refreshes preds[i] in place for every point the last
+	// Update may have moved, appends those indices to ids and the Gaussians
+	// they held to old, and reports whether the repair state was usable —
+	// false (with nil error) means the caller must fall back to
+	// re-predicting.
+	RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, ids []int32, old []numeric.Gaussian) ([]int32, []numeric.Gaussian, bool, error)
 }
 
 // IncrementalRegressor is implemented by regressors that can fold one sample
-// into their fitted state without a full refit, and that can snapshot that
-// state into another instance of the same concrete type. The planner's
-// speculative path uses it to turn the per-speculation full refit into a
-// clone plus a one-sample update (core.Params.SpeculativeRefit).
+// into their fitted state without a full refit, take it out again, and
+// snapshot that state into another instance of the same concrete type. The
+// planner's speculative path uses it to turn the per-speculation full refit
+// into a one-sample update applied to, and then undone on, one working copy
+// (core.Params.SpeculativeRefit).
 //
 // Implementations must be deterministic: the model that results from cloning
 // a fitted source and applying a fixed sample sequence may depend only on the
@@ -70,8 +74,14 @@ type MemoRepairer interface {
 // what keeps incremental planning worker-count independent.
 type IncrementalRegressor interface {
 	Regressor
-	// Update folds one training sample into the fitted model.
+	// Update folds one training sample into the fitted model. An Update
+	// that fails leaves the model as it was.
 	Update(x []float64, y float64) error
+	// Undo takes back the most recent Update not yet undone, restoring the
+	// fitted state it found bit for bit; Updates nest, so n Undos take back
+	// the last n. It fails when there is none to take back (none since the
+	// last Fit, or since the model was last a CloneInto destination).
+	Undo() error
 	// CloneInto deep-copies the fitted state into dst, which must be an
 	// instance of the same concrete type (typically from the same Factory),
 	// reusing dst's storage where possible. It must not mutate the receiver,
@@ -155,16 +165,16 @@ const (
 // enough, so the memo turns every repeat into an array read.
 //
 // The memo has exactly two states. It is valid when every slot holds the
-// current model's prediction: Prefill sets it, Update keeps it (repairing the
-// moved entries in place), CloneFrom copies it. Otherwise it is off and reads
-// go to the wrapped regressor: that is the state of a fresh Cached, after any
-// Fit, and after a Prefill, CloneFrom or memo repair that failed. There is no
-// partially filled state, so reads never write: any number of goroutines may
-// call PredictID, MemoPreds and CloneFrom(src) on one quiescent Cached with
-// no synchronization, which is what lets the planner's speculation scheduler
-// share one prefilled root model set across every concurrently scored
-// subtree. Fit, Update, Prefill and CloneFrom mutate the receiver and must
-// not run concurrently with anything else on it.
+// current model's prediction: Prefill sets it, Update and Undo keep it
+// (rewriting the moved entries in place), CloneFrom copies it. Otherwise it
+// is off and reads go to the wrapped regressor: that is the state of a fresh
+// Cached, after any Fit, and after a Prefill, CloneFrom, memo repair or Undo
+// that failed. There is no partially filled state, so reads never write: any
+// number of goroutines may call PredictID, MemoPreds and CloneFrom(src) on
+// one quiescent Cached with no synchronization, which is what lets the
+// planner's speculation scheduler share one prefilled root model set across
+// every concurrently scored subtree. Fit, Update, Undo, Prefill and CloneFrom
+// mutate the receiver and must not run concurrently with anything else on it.
 type Cached struct {
 	inner Regressor
 	preds []numeric.Gaussian
@@ -175,8 +185,21 @@ type Cached struct {
 	// feature source of Update's repair. Read-only; shared by clones.
 	lastCols [][]float64
 
-	// idsBuf backs the repaired-id list MemoRepairer hands back.
-	idsBuf []int32
+	// journal holds one frame per Update not yet undone, oldest first;
+	// undoIDs/undoOld stack the (slot, previous Gaussian) pairs their repairs
+	// overwrote, each frame owning the pairs from its start on.
+	journal []memoFrame
+	undoIDs []int32
+	undoOld []numeric.Gaussian
+}
+
+// memoFrame is the memo's undo record of one Update: where its overwritten
+// pairs start, or that a whole sweep has rewritten the memo since (the
+// update's own fallback, or a later Prefill), so that undoing it means
+// re-sweeping too.
+type memoFrame struct {
+	start   int
+	resweep bool
 }
 
 // NewCached wraps inner with a memo for configuration IDs in [0, size).
@@ -186,10 +209,15 @@ func NewCached(inner Regressor, size int) *Cached {
 
 // Fit trains the wrapped model and switches the memo off, also when the fit
 // fails: the inner model may then be partially refitted, and the memo must
-// not keep serving pre-fit predictions.
+// not keep serving pre-fit predictions. Pending Updates are forgotten.
 func (c *Cached) Fit(features [][]float64, targets []float64) error {
 	c.valid = false
+	c.dropJournal()
 	return c.inner.Fit(features, targets)
+}
+
+func (c *Cached) dropJournal() {
+	c.journal, c.undoIDs, c.undoOld = c.journal[:0], c.undoIDs[:0], c.undoOld[:0]
 }
 
 // Predict forwards to the wrapped model without touching the memo; use it for
@@ -213,7 +241,7 @@ func (c *Cached) PredictID(id int, x []float64) (numeric.Gaussian, error) {
 // and nil otherwise. The planner's candidate sweeps read it directly — one
 // bounds check per candidate instead of a PredictID call. The returned slice
 // is indexed by configuration ID, is owned by the Cached, and is invalidated
-// by any mutating call; callers must not retain it across Fit, Update,
+// by any mutating call; callers must not retain it across Fit, Update, Undo,
 // Prefill or CloneFrom.
 func (c *Cached) MemoPreds() []numeric.Gaussian {
 	if !c.valid {
@@ -242,7 +270,9 @@ func (c *Cached) Prefill(cols [][]float64) error {
 // prediction array, and leaves the memo valid — or, on error, with the array
 // partially overwritten, off. Memo-repairing regressors sweep through
 // PredictBatchRepair instead (bitwise-identical output), arming the
-// O(changed-trees) repair for the Updates that follow.
+// O(changed-trees) repair for the Updates that follow. The pairs pending
+// frames saved describe a memo this sweep has replaced wholesale, so undoing
+// any of them re-sweeps as well.
 func (c *Cached) sweep() error {
 	var err error
 	if rep, ok := c.inner.(MemoRepairer); ok {
@@ -251,6 +281,9 @@ func (c *Cached) sweep() error {
 		err = c.inner.PredictBatch(c.lastCols, c.preds)
 	}
 	c.valid = err == nil
+	for k := range c.journal {
+		c.journal[k].resweep = true
+	}
 	return err
 }
 
@@ -258,45 +291,88 @@ func (c *Cached) sweep() error {
 // valid memo valid: a MemoRepairer refreshes exactly the entries the sample
 // moved — typically a handful — from its own bookkeeping, so the speculation
 // sweep that follows costs O(changed) instead of O(candidates) model
-// evaluations. When the regressor has no repair extension, or reports its
-// repair state unusable (e.g. two Updates since its last repair sweep), the
-// whole memo is re-swept, which is always correct. A memo that is off stays
-// off.
+// evaluations, and the entries' previous values are kept for Undo. When the
+// regressor has no repair extension, or reports its repair state unusable
+// (e.g. two Updates since its last repair sweep), the whole memo is re-swept,
+// which is always correct. A memo that is off stays off. An Update that fails
+// leaves the model as it was, with the memo off if the failure was the
+// repair's.
 func (c *Cached) Update(x []float64, y float64) error {
 	inc, ok := c.inner.(IncrementalRegressor)
 	if !ok {
 		return fmt.Errorf("model: regressor %T does not support incremental updates", c.inner)
 	}
 	if err := inc.Update(x, y); err != nil {
-		// Update validates before mutating, so the memoized predictions
-		// still describe the model; the memo is left untouched.
+		return err
+	}
+	c.journal = append(c.journal, memoFrame{start: len(c.undoIDs)})
+	if !c.valid {
+		return nil
+	}
+	var err error
+	if rep, ok := c.inner.(MemoRepairer); ok {
+		var usable bool
+		c.undoIDs, c.undoOld, usable, err = rep.RepairLastUpdate(c.lastCols, c.preds, c.undoIDs, c.undoOld)
+		if usable && err == nil {
+			return nil
+		}
+	}
+	if err == nil {
+		if err = c.sweep(); err == nil {
+			return nil
+		}
+	}
+	// The memo is lost; the model need not be. A failing Undo would add
+	// nothing the caller can act on beyond err itself.
+	c.valid = false
+	_ = c.Undo()
+	return err
+}
+
+// Undo takes back the most recent Update not yet undone — the wrapped model's
+// state and, entry by entry, what its repair overwrote in a valid memo, which
+// is then bitwise the memo from before the Update. An Update that was not
+// repaired but re-swept (or that a Prefill has overtaken) is undone the same
+// way it was applied: model first, then a sweep. On error the memo is off.
+func (c *Cached) Undo() error {
+	d := len(c.journal) - 1
+	if d < 0 {
+		return errors.New("model: no update to undo")
+	}
+	fr := c.journal[d]
+	c.journal = c.journal[:d]
+	ids, old := c.undoIDs[fr.start:], c.undoOld[fr.start:]
+	c.undoIDs, c.undoOld = c.undoIDs[:fr.start], c.undoOld[:fr.start]
+	// A non-empty journal means Update found the inner model incremental.
+	if err := c.inner.(IncrementalRegressor).Undo(); err != nil {
+		c.valid = false
 		return err
 	}
 	if !c.valid {
 		return nil
 	}
-	if rep, ok := c.inner.(MemoRepairer); ok {
-		ids, usable, err := rep.AppendRepairedByLastUpdate(c.lastCols, len(c.preds), c.idsBuf[:0], c.preds)
-		c.idsBuf = ids[:0]
-		if err != nil {
-			c.valid = false
-			return err
-		}
-		if usable {
-			return nil
-		}
+	if fr.resweep {
+		return c.sweep()
 	}
-	return c.sweep()
+	for k, id := range ids {
+		c.preds[id] = old[k]
+	}
+	return nil
 }
 
+// Pending returns the number of Updates Undo can still take back.
+func (c *Cached) Pending() int { return len(c.journal) }
+
 // CloneFrom snapshots src — fitted model state, memo, and the feature matrix
-// reference for repair — into the receiver, reusing its storage. The
-// receiver's inner regressor must be an instance of the same concrete type as
-// src's (typically both from one Factory). CloneFrom only reads src, so
-// concurrent clones from one quiescent source are safe; the receiver must be
-// private to the caller.
+// reference for repair — into the receiver, reusing its storage; src's
+// pending Updates are part of the state, not of the copy, which starts with
+// none to undo. The receiver's inner regressor must be an instance of the
+// same concrete type as src's (typically both from one Factory). CloneFrom
+// only reads src, so concurrent clones from one quiescent source are safe;
+// the receiver must be private to the caller.
 func (c *Cached) CloneFrom(src *Cached) error {
 	c.valid = false
+	c.dropJournal()
 	inc, ok := src.inner.(IncrementalRegressor)
 	if !ok {
 		return fmt.Errorf("model: source regressor %T does not support incremental cloning", src.inner)

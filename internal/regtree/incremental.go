@@ -21,6 +21,13 @@ import (
 // retrained on the extended sample set; the ensemble layer relies only on
 // statistical, not bitwise, agreement between the two (enforced by the
 // planner's parity tests).
+//
+// Inserts are also undoable: everything an Insert changes is either appended
+// (nodes, retained samples, membership lists carved from the sample arena) or
+// confined to the one pre-existing leaf it lands on, so Mark records five
+// lengths, Insert journals the leaf it overwrites, and Rollback truncates and
+// restores. The planner speculates in place on one working tree — apply,
+// sweep, undo — instead of cloning the tree for every speculated outcome.
 
 // incState is the retained training state of an incrementally updatable tree.
 type incState struct {
@@ -36,21 +43,64 @@ type incState struct {
 	// leaf; nil for internal nodes.
 	leafSamples [][]int32
 
-	// colArena and sampleArena back the cols / leafSamples storage of cloned
-	// and arena-trained trees, so one allocation per matrix replaces one per
-	// column or leaf. Slices handed out of the arenas are capacity-capped, so
-	// post-clone appends copy out instead of clobbering neighbors.
+	// colArena and sampleArena back the cols / leafSamples storage, so one
+	// allocation per matrix replaces one per column or leaf. Membership lists
+	// are capacity-capped slices of sampleArena and never grow in place: an
+	// Insert carves the extended list (and a re-split its sub-lists) past
+	// arenaOff, the bump offset of the arena's handed-out prefix, which is
+	// what lets Rollback drop them by resetting the offset.
 	colArena    []float64
 	sampleArena []int32
+	arenaOff    int
+
+	// marks is the stack of open undo frames (see Mark) and undo the leaves
+	// they overwrote, oldest first.
+	marks []treeMark
+	undo  []leafUndo
 
 	// scratch backs leaf re-splits; built lazily, never cloned.
 	scratch *resplitScratch
+}
+
+// treeMark is one undo frame: the lengths everything appended since is
+// truncated back to, and the start of the frame's entries in incState.undo.
+type treeMark struct {
+	nodes, samples, leaves, depth, arenaOff, undo int
+}
+
+// leafUndo is the pre-insert state of a leaf that existed when its frame was
+// opened: its node (the leaf value, or the whole slot once re-split) and its
+// membership list header. The list's storage is never written again — the
+// extended list is carved elsewhere — so the header is all there is to keep.
+type leafUndo struct {
+	leaf int32
+	node node
+	list []int32
 }
 
 // resplitScratch holds the buffers a leaf re-split reuses across Inserts.
 type resplitScratch struct {
 	indices []int
 	split   *splitScratch
+	leafOf  []int32 // leaf each redistributed sample lands on
+	counts  []int32 // samples per regrown leaf
+}
+
+// sampleSlack is the spare sample-arena capacity reserved past the n retained
+// samples: enough for the extended and redistributed membership lists of a
+// few nested one-sample updates on typical (near-singleton) leaves. Larger
+// demands spill to the heap (see carve).
+func sampleSlack(n int) int { return 4*n + 32 }
+
+// carve hands out a capacity-capped list of k sample slots from the arena's
+// unused tail, or from the heap once the slack is spent.
+func (s *incState) carve(k int) []int32 {
+	if end := s.arenaOff + k; end <= len(s.sampleArena) {
+		list := s.sampleArena[s.arenaOff:end:end]
+		s.arenaOff = end
+		return list
+	}
+	return make([]int32, k)
 }
 
 // cloneColSlack is the spare capacity (in samples) each cloned column and the
@@ -89,8 +139,8 @@ func (a *Arena) TrainIncremental(dst *Tree, features [][]float64, targets []floa
 // buildIncState populates the retained sample matrix and per-leaf membership
 // of a freshly fitted tree. The columns land in the incState's reusable
 // arena with cloneColSlack spare samples each; the leaf membership lists are
-// capacity-capped subslices of the sample arena (appends past a leaf's
-// retained count copy out, matching the clone contract).
+// exact-size subslices of the sample arena's first n slots, the rest of the
+// arena being the slack later Inserts carve from.
 func (a *Arena) buildIncState(t *Tree, inc *incState, features [][]float64, targets []float64, params Params) {
 	n := len(targets)
 	inc.params = params.withDefaults()
@@ -119,7 +169,7 @@ func (a *Arena) buildIncState(t *Tree, inc *incState, features [][]float64, targ
 	// Two-pass leaf bucketing: assign every sample to its covering leaf, then
 	// carve the membership lists out of the sample arena in node order. The
 	// per-leaf sample order stays ascending, as appends would produce.
-	nodes := t.nodeCount()
+	nodes := t.Nodes()
 	if cap(a.leafOf) < n {
 		a.leafOf = make([]int32, n)
 	}
@@ -131,9 +181,12 @@ func (a *Arena) buildIncState(t *Tree, inc *incState, features [][]float64, targ
 	for i := range inc.leafSamples {
 		inc.leafSamples[i] = nil
 	}
-	if cap(inc.sampleArena) < n {
-		inc.sampleArena = make([]int32, n)
+	if need := n + sampleSlack(n); cap(inc.sampleArena) < need {
+		inc.sampleArena = make([]int32, need)
 	}
+	inc.sampleArena = inc.sampleArena[:cap(inc.sampleArena)]
+	inc.arenaOff = n
+	inc.marks, inc.undo = inc.marks[:0], inc.undo[:0]
 	sa := inc.sampleArena[:n]
 	for i, row := range features {
 		leafOf[i] = t.leafIndex(row)
@@ -204,7 +257,7 @@ func (t *Tree) leafIndex(x []float64) int32 {
 // rng is only consumed when Params.FeatureFraction < 1 (it drives the
 // random-subspace draw of a re-split); it may be nil otherwise.
 func (t *Tree) Insert(x []float64, y float64, rng *rand.Rand) (int, error) {
-	if t == nil || t.nodeCount() == 0 {
+	if t == nil || t.Nodes() == 0 {
 		return 0, errors.New("regtree: insert into untrained tree")
 	}
 	inc := t.inc
@@ -239,13 +292,23 @@ func (t *Tree) Insert(x []float64, y float64, rng *rand.Rand) (int, error) {
 		depth++
 	}
 
-	// Retain the sample and attach it to the leaf.
+	// An open undo frame keeps what the insert is about to overwrite. Leaves
+	// the frame itself appended need no entry: Rollback truncates them away.
+	if k := len(inc.marks) - 1; k >= 0 && int(i) < inc.marks[k].nodes {
+		inc.undo = append(inc.undo, leafUndo{leaf: i, node: nodes[i], list: inc.leafSamples[i]})
+	}
+
+	// Retain the sample and attach it to the leaf: the extended membership
+	// list is carved fresh, so the previous one stays intact for Rollback.
 	si := int32(len(inc.targets))
 	for f := 0; f < t.numFeatures; f++ {
 		inc.cols[f] = append(inc.cols[f], x[f])
 	}
 	inc.targets = append(inc.targets, y)
-	samples := append(inc.leafSamples[i], si)
+	old := inc.leafSamples[i]
+	samples := inc.carve(len(old) + 1)
+	copy(samples, old)
+	samples[len(old)] = si
 	inc.leafSamples[i] = samples
 
 	// Recompute the leaf mean exactly from its samples (one short pass, which
@@ -286,7 +349,7 @@ func (t *Tree) resplitLeaf(i int32, depth int, samples []int32, rng *rand.Rand) 
 	}
 	sc.indices = idxs
 
-	oldLeaves, oldDepth := t.leaves, t.depth
+	oldNodes, oldLeaves, oldDepth := t.Nodes(), t.leaves, t.depth
 	if !t.growInto(i, inc.cols, inc.targets, idxs, inc.params, rng, depth, sc.split) {
 		// No admissible split: growInto re-wrote the leaf (same mean, already
 		// up to date) and counted a phantom leaf; restore the counters.
@@ -296,14 +359,83 @@ func (t *Tree) resplitLeaf(i int32, depth int, samples []int32, rng *rand.Rand) 
 	// The old leaf is replaced by the subtree (whose leaves growInto counted).
 	t.leaves--
 
-	for len(inc.leafSamples) < t.nodeCount() {
+	for len(inc.leafSamples) < t.Nodes() {
 		inc.leafSamples = append(inc.leafSamples, nil)
 	}
 	inc.leafSamples[i] = nil
-	for _, s := range samples {
-		leaf := t.descendSample(i, s)
-		inc.leafSamples[leaf] = append(inc.leafSamples[leaf], s)
+
+	// Redistribute in two passes — count per regrown leaf, carve the lists,
+	// fill in sample order — so every list comes out of the arena at its
+	// exact size and keeps the order appends would have produced (a later
+	// Insert recomputes the leaf mean by summing in list order). Every regrown
+	// leaf is one of the appended nodes.
+	grown := t.Nodes() - oldNodes
+	if cap(sc.counts) < grown {
+		sc.counts = make([]int32, grown)
 	}
+	counts := sc.counts[:grown]
+	for j := range counts {
+		counts[j] = 0
+	}
+	if cap(sc.leafOf) < len(samples) {
+		sc.leafOf = make([]int32, len(samples)+cloneColSlack)
+	}
+	leafOf := sc.leafOf[:len(samples)]
+	for k, s := range samples {
+		leaf := t.descendSample(i, s)
+		leafOf[k] = leaf
+		counts[int(leaf)-oldNodes]++
+	}
+	for j, c := range counts {
+		if c > 0 {
+			inc.leafSamples[oldNodes+j] = inc.carve(int(c))[:0]
+		}
+	}
+	for k, s := range samples {
+		inc.leafSamples[leafOf[k]] = append(inc.leafSamples[leafOf[k]], s)
+	}
+}
+
+// Mark opens an undo frame: Rollback restores the tree, bit for bit, to its
+// state at the matching Mark. Frames nest (a stack), and cost nothing to keep
+// beyond one journal entry per Insert into a leaf that predates the frame.
+func (t *Tree) Mark() {
+	inc := t.inc
+	inc.marks = append(inc.marks, treeMark{
+		nodes:    t.Nodes(),
+		samples:  len(inc.targets),
+		leaves:   t.leaves,
+		depth:    t.depth,
+		arenaOff: inc.arenaOff,
+		undo:     len(inc.undo),
+	})
+}
+
+// Rollback undoes every Insert since the innermost open Mark and closes that
+// frame. Overwritten leaves get their node and membership list back (newest
+// entry first, so a leaf journaled twice ends on its oldest state);
+// everything else the inserts did was an append, undone by truncation, and
+// the membership lists they carved are released by resetting the arena's
+// bump offset. It panics without an open frame, which only a caller bug
+// produces.
+func (t *Tree) Rollback() {
+	inc := t.inc
+	m := inc.marks[len(inc.marks)-1]
+	inc.marks = inc.marks[:len(inc.marks)-1]
+	for k := len(inc.undo) - 1; k >= m.undo; k-- {
+		u := inc.undo[k]
+		t.nodes[u.leaf] = u.node
+		inc.leafSamples[u.leaf] = u.list
+	}
+	inc.undo = inc.undo[:m.undo]
+	t.nodes = t.nodes[:m.nodes]
+	inc.leafSamples = inc.leafSamples[:m.nodes]
+	for f := range inc.cols {
+		inc.cols[f] = inc.cols[f][:m.samples]
+	}
+	inc.targets = inc.targets[:m.samples]
+	t.leaves, t.depth = m.leaves, m.depth
+	inc.arenaOff = m.arenaOff
 }
 
 // descendSample walks the retained sample s from the given node to its leaf.
@@ -356,8 +488,9 @@ func (t *Tree) Clone() *Tree {
 // allows — the node array is one slice copy, and the retained sample matrix
 // and leaf membership land in per-tree arenas, so a clone of a typical
 // planner-sized tree allocates nothing after the first use of a dst. Cloned
-// columns reserve a few samples of slack, so the one-sample Inserts the
-// speculation path applies right after cloning append in place.
+// columns and the sample arena reserve slack, so the one-sample Inserts the
+// speculation path applies to the copy allocate nothing either. Undo frames
+// are not copied: the clone starts with none open.
 func (t *Tree) CloneInto(dst *Tree) {
 	if dst == t {
 		return
@@ -395,23 +528,25 @@ func (t *Tree) CloneInto(dst *Tree) {
 	}
 	di.targets = append(di.targets[:0], src.targets...)
 
-	if cap(di.sampleArena) < n {
-		di.sampleArena = make([]int32, n)
+	if need := n + sampleSlack(n); cap(di.sampleArena) < need {
+		di.sampleArena = make([]int32, need)
 	}
-	sa := di.sampleArena[:0]
-	if cap(di.leafSamples) < t.nodeCount() {
-		di.leafSamples = make([][]int32, t.nodeCount())
+	di.sampleArena = di.sampleArena[:cap(di.sampleArena)]
+	di.marks, di.undo = di.marks[:0], di.undo[:0]
+	if cap(di.leafSamples) < t.Nodes() {
+		di.leafSamples = make([][]int32, t.Nodes())
 	}
-	di.leafSamples = di.leafSamples[:t.nodeCount()]
-	for ni := range di.leafSamples {
-		s := src.leafSamples[ni]
+	di.leafSamples = di.leafSamples[:t.Nodes()]
+	off := 0
+	for ni, s := range src.leafSamples {
 		if s == nil {
 			di.leafSamples[ni] = nil
 			continue
 		}
-		start := len(sa)
-		sa = append(sa, s...)
-		di.leafSamples[ni] = sa[start:len(sa):len(sa)]
+		end := off + len(s)
+		di.leafSamples[ni] = di.sampleArena[off:end:end]
+		copy(di.leafSamples[ni], s)
+		off = end
 	}
-	di.sampleArena = sa[:cap(sa)]
+	di.arenaOff = off
 }

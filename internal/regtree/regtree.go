@@ -86,9 +86,6 @@ type Tree struct {
 	inc *incState
 }
 
-// nodeCount returns the number of nodes of the flattened tree.
-func (t *Tree) nodeCount() int { return len(t.nodes) }
-
 // appendNode appends one zeroed node and returns its index. The entry is
 // written explicitly because reused array capacity still holds the previous
 // fit's nodes.
@@ -497,7 +494,7 @@ func partition(col []float64, indices []int, threshold float64) (left, right []i
 
 // Predict returns the tree's estimate for the given feature vector.
 func (t *Tree) Predict(x []float64) (float64, error) {
-	if t == nil || t.nodeCount() == 0 {
+	if t == nil || t.Nodes() == 0 {
 		return 0, errors.New("regtree: predict on untrained tree")
 	}
 	if len(x) != t.numFeatures {
@@ -533,7 +530,7 @@ func (t *Tree) PredictUnchecked(x []float64) float64 {
 // form: it gathers each point into a row and runs PredictUnchecked, so one
 // gather is shared by all trees of the ensemble.
 func (t *Tree) PredictBatch(cols [][]float64, out []float64) error {
-	if t == nil || t.nodeCount() == 0 {
+	if t == nil || t.Nodes() == 0 {
 		return errors.New("regtree: predict on untrained tree")
 	}
 	if len(cols) != t.numFeatures {
@@ -564,41 +561,26 @@ func (t *Tree) PredictBatch(cols [][]float64, out []float64) error {
 	return nil
 }
 
-// NodeValue returns the leaf value of the given node and whether the node is
-// a leaf. Interior nodes return (0, false). The bagging ensemble's memo
-// repair uses it to read the post-insert value of an updated leaf without a
-// traversal.
-func (t *Tree) NodeValue(node int) (float64, bool) {
-	if node < 0 || node >= len(t.nodes) {
-		return 0, false
-	}
+// Split returns the fields of one node: its split (feature, threshold, both
+// child indices), or, when left < 0, a leaf whose value is thresh. No bounds
+// check beyond the slice's own. The bagging ensemble's memo repair reads an
+// updated leaf's value, and partitions points through a regrown subtree, off
+// these fields directly.
+func (t *Tree) Split(node int32) (feat int32, thresh float64, left, right int32) {
 	nd := t.nodes[node]
-	if nd.left >= 0 {
-		return 0, false
-	}
-	return nd.thresh, true
+	return nd.feat, nd.thresh, nd.left, nd.right
 }
 
-// PredictFromUnchecked walks the subtree rooted at the given node index and
-// returns its estimate for x. Like PredictUnchecked, no validation happens:
-// the caller must guarantee the tree is trained, the node index is in range,
-// and len(x) == NumFeatures(). The bagging ensemble's memo repair uses it to
-// re-predict points through a re-split leaf's regrown subtree without
-// re-walking from the root.
-func (t *Tree) PredictFromUnchecked(node int, x []float64) float64 {
-	v, _ := t.PredictLeafFromUnchecked(node, x)
-	return v
-}
+// Nodes returns the number of nodes of the flattened tree.
+func (t *Tree) Nodes() int { return len(t.nodes) }
 
-// PredictLeafFromUnchecked is PredictFromUnchecked returning, alongside the
-// estimate, the index of the leaf the walk ended on. The bagging ensemble's
-// memo repair keeps a per-point leaf-index matrix so that the points covered
-// by an updated leaf are found by one equality scan instead of re-filtering
-// the whole batch through the leaf's root path; this accessor both seeds
-// that matrix (node 0) and refreshes it through regrown subtrees.
-func (t *Tree) PredictLeafFromUnchecked(node int, x []float64) (float64, int32) {
+// PredictLeafUnchecked is PredictUnchecked returning, alongside the estimate,
+// the index of the leaf the walk ended on. The bagging ensemble's repair
+// sweep groups the swept points by covering leaf with it, so that the points
+// an updated leaf covers are found without a scan.
+func (t *Tree) PredictLeafUnchecked(x []float64) (float64, int32) {
 	nodes := t.nodes
-	i := int32(node)
+	i := int32(0)
 	for {
 		nd := nodes[i]
 		if nd.left < 0 {

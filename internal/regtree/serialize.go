@@ -34,10 +34,10 @@ type TreeState struct {
 // representation, so the v1 snapshot format is unchanged by the
 // structure-of-arrays storage.
 func (t *Tree) State() (TreeState, error) {
-	if t.nodeCount() == 0 {
+	if t.Nodes() == 0 {
 		return TreeState{}, errors.New("regtree: cannot serialize an untrained tree")
 	}
-	nodes := make([]NodeState, t.nodeCount())
+	nodes := make([]NodeState, t.Nodes())
 	for i, nd := range t.nodes {
 		if nd.left < 0 {
 			// Leaves carry their value in the packed node's thresh field;

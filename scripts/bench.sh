@@ -24,9 +24,11 @@
 # speculative refits) and LA=3 planner on the 384-point Tensorflow space,
 # each across workers 1/2/4/8 (these live in internal/core, where one op is
 # exactly one planning decision, so b.N >= 3 at default benchtime), the
-# ensemble fit+full-space-sweep microbenchmark, the incremental refit
-# microbenchmark (clone+update of one sample through a warm ensemble, the
-# per-outcome unit of the lookahead simulation), the large-space planner
+# ensemble fit+full-space-sweep microbenchmark, the speculated-outcome
+# microbenchmark (update + memo repair + undo of one sample on a prefilled
+# working model, the per-outcome unit of the lookahead simulation), the
+# whole-copy microbenchmark (clone+update through a warm ensemble, what a
+# workspace pays once per decision), the large-space planner
 # (sampled strategy over 15k-246k-point streaming spaces), and the stochastic
 # serving-cluster campaign (LA=2 incremental on the simulated LLM inference
 # cluster), the checkpointing path (snapshot serialization and
@@ -65,7 +67,7 @@ else
 	GOMAXPROCS=1
 	export GOMAXPROCS
 fi
-PATTERN="${BENCH_PATTERN:-BenchmarkPlannerLA2Tensorflow|BenchmarkPlannerLA3Tensorflow|BenchmarkEnsembleFitPredict|BenchmarkEnsembleRefitIncremental|BenchmarkFullSpaceSweep|BenchmarkSnapshotRestore}"
+PATTERN="${BENCH_PATTERN:-BenchmarkPlannerLA2Tensorflow|BenchmarkPlannerLA3Tensorflow|BenchmarkEnsembleFitPredict|BenchmarkEnsembleSpeculateOutcome|BenchmarkEnsembleRefitIncremental|BenchmarkFullSpaceSweep|BenchmarkSnapshotRestore}"
 BENCHTIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-3}"
 # One op of these is a whole campaign or a batch of eight (0.2-4 s), so a
