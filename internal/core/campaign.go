@@ -38,7 +38,7 @@ type Campaign struct {
 // g is the share group the campaign joins; nil runs it isolated. A grouped
 // campaign reads its space through the group's interned artifact (shared
 // feature columns and unit prices), draws planner scratch from the group's
-// arena pool and, when its configuration is fully key-capturable (see
+// workspace pool and, when its configuration is fully key-capturable (see
 // planner.sharable), adopts planning decisions published by identical
 // campaigns in the group. Its trial sequence and recommendation are bitwise
 // identical to the same campaign run isolated.

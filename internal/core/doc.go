@@ -18,10 +18,13 @@
 //     and repaired in place by every one-sample update, so the planner
 //     predicts each configuration once per speculation layer instead of once
 //     per path, and every candidate sweep is an array read.
-//   - Deterministic fan-out: each path evaluation owns a scratch model set
+//   - Deterministic fan-out: root candidates are the one unit of parallel
+//     work — workers claim them in rank order and everything below one runs
+//     serially on its worker. Each path evaluation owns a scratch model set
 //     whose random stream derives from the candidate ID, never from
-//     scheduling order, so the same seed yields the identical trial sequence
-//     and recommendation for every Params.Workers value.
+//     scheduling order, and writes a rank-fixed result slot, so the same seed
+//     yields the identical trial sequence and recommendation for every
+//     Params.Workers value.
 //   - Optimistic-bound pruning: for lookahead >= 2 the candidates are ranked
 //     by an optimistic reward-to-cost bound, the top seeds are scored
 //     exactly, and remaining candidates whose bound cannot beat the best

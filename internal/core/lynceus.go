@@ -86,15 +86,14 @@ type Params struct {
 	// independent; see SearchStrategy.
 	Search SearchStrategy
 	// Workers sizes the planner's speculation scheduler: the number of
-	// worker goroutines that concurrently evaluate exploration paths and —
-	// at Lookahead >= 2 with incremental speculative refits — the speculated
-	// outcome subtrees forked off each path's shallow layers; 0 uses
-	// GOMAXPROCS. The recommendation is independent of the worker count:
-	// every path evaluation owns scratch models whose random streams derive
-	// from the candidate ID, forked subtree results are reduced in canonical
-	// outcome order regardless of completion order, and the pruning
-	// threshold is fixed from the unconditionally evaluated seed candidates,
-	// so the pruned set never depends on scheduling.
+	// worker goroutines that concurrently evaluate the exploration paths of
+	// a decision's root candidates (everything below a root candidate runs
+	// serially on its worker); 0 uses GOMAXPROCS. The recommendation is
+	// independent of the worker count: every path evaluation owns scratch
+	// models whose random streams derive from the candidate ID, scores land
+	// in rank-fixed slots, and the pruning threshold is fixed from the
+	// unconditionally evaluated seed candidates, so the pruned set never
+	// depends on scheduling.
 	Workers int
 	// SpeculativeRefit selects the refit mode of the speculative path: Full
 	// retrains the whole model set per speculated outcome (the exact paper

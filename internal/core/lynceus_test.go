@@ -375,7 +375,7 @@ func TestSelectBestRatio(t *testing.T) {
 
 func TestSchedulerRunIndexesResults(t *testing.T) {
 	n := 20
-	sched := newSpecScheduler(4)
+	sched := newSpecScheduler(4, nil, "")
 	scores := make([]pathScore, n)
 	sched.run(n, func(w *specWorker, i int) {
 		scores[i] = pathScore{candidateID: i, reward: float64(i), cost: 1}
@@ -398,6 +398,12 @@ func TestSchedulerRunIndexesResults(t *testing.T) {
 	} else if err.Error() != "wrapped 7: boom" {
 		t.Errorf("firstError must return the lowest-indexed error, got %v", err)
 	}
+}
+
+// withEntry returns a new training set extended with one speculated entry.
+// The receiver is not modified.
+func (ts *trainSet) withEntry(features []float64, cost float64, extras []float64, feasible bool) *trainSet {
+	return ts.withEntryInto(&trainSet{}, features, cost, extras, feasible)
 }
 
 func TestTrainSetWithEntryDoesNotMutateParent(t *testing.T) {

@@ -60,23 +60,6 @@ func (ms *modelSet) fit(ts *trainSet) error {
 	return nil
 }
 
-// predict returns the cost and per-constraint predictive distributions for an
-// arbitrary feature vector, bypassing the memo.
-func (ms *modelSet) predict(features []float64) (numeric.Gaussian, []numeric.Gaussian, error) {
-	costPred, err := ms.cost.Predict(features)
-	if err != nil {
-		return numeric.Gaussian{}, nil, err
-	}
-	extraPreds := make([]numeric.Gaussian, len(ms.extras))
-	for k, m := range ms.extras {
-		extraPreds[k], err = m.Predict(features)
-		if err != nil {
-			return numeric.Gaussian{}, nil, err
-		}
-	}
-	return costPred, extraPreds, nil
-}
-
 // predictCand returns the memoized predictive distributions of a candidate,
 // keyed by its slot in the decision's active set.
 func (ms *modelSet) predictCand(c candidate) (numeric.Gaussian, []numeric.Gaussian, error) {

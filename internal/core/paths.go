@@ -9,32 +9,37 @@ import (
 	"repro/internal/numeric"
 )
 
-// pathWorkspace is the per-path-evaluation model scratch. In Full mode it
-// holds one model set that explorePaths refits from the extended training
-// matrix at every speculated outcome (the exact historical behavior). In
-// Incremental mode it holds one working copy of the decision's root models,
-// on which every speculated outcome of every depth is applied, swept and
-// undone in place — nested depths are a stack of pending updates on the one
-// object — so no tree is retrained and none is copied per outcome.
+// pathWorkspace is the model scratch of path evaluations. In Full mode each
+// path gets one of its own, holding one model set that explorePaths refits
+// from the extended training matrix at every speculated outcome (the exact
+// historical behavior). In Incremental mode each scheduler worker holds one
+// for every path it evaluates, with one working copy of the decision's root
+// models on which every speculated outcome of every depth is applied, swept
+// and undone in place — nested depths are a stack of pending updates on the
+// one object — so no tree is retrained and none is copied per outcome.
 type pathWorkspace struct {
 	scratch *modelSet
 
 	// work is the working copy and base the token of the root models it was
 	// copied from and, every update since having been undone, still equals.
 	// A nil base means work equals nothing in particular (never filled, left
-	// mid-speculation by an error, copied from a parent that is not a root,
-	// or shelved with its arena) and must be copied afresh before use.
+	// mid-speculation by an error, or shelved in the share group's pool) and
+	// must be copied afresh before use.
 	work *modelSet
 	base *rootToken
 
-	// depths[d] is the serial combo loop's scratch at speculation depth d:
-	// the extended training set, the reduced untested slice, the speculated
-	// child state, and the Gauss-Hermite outcome/combo buffers. Depth d's
-	// recursion returns before depth d reuses its scratch for the next combo,
-	// so one set per depth serves the whole path; forked combo loops
-	// deliberately allocate instead, since their child states outlive the
-	// spawning frame (see explorePathsForked).
+	// depths[d] is the combo loop's scratch at speculation depth d: the
+	// extended training set, the reduced untested slice, the speculated child
+	// state, and the Gauss-Hermite outcome/combo buffers. Depth d's recursion
+	// returns before depth d reuses its scratch for the next combo, so one
+	// set per depth serves every path.
 	depths []*pathDepthScratch
+
+	// owner is the worker holding the workspace (see workspacePool) and shape
+	// the pool shelf it returns to; a worker's private workspace is stamped
+	// once and has no shape, a Full-mode one carries neither.
+	owner atomic.Pointer[specWorker]
+	shape string
 }
 
 // pathDepthScratch is one speculation depth's reusable combo-loop storage.
@@ -72,17 +77,15 @@ type eligibleBuf struct {
 
 // working returns the workspace's working copy holding the state of parent,
 // the model set the next speculated sample is to be folded into. Deeper
-// speculation on the same workspace passes the working copy itself, which is
-// used as it is. A decision's root models are copied on the workspace's first
-// touch and recognised by their token from then on. Any other parent — the
-// mid-speculation working copy of the task that forked this one — is copied
-// every time and leaves base nil: nothing can vouch for that copy later.
+// speculation passes the working copy itself, which is used as it is; a
+// decision's root models are copied on the workspace's first touch and
+// recognised by their token from then on.
 func (ws *pathWorkspace) working(p *planner, w *specWorker, parent *modelSet) (*modelSet, error) {
-	if parent == ws.work {
+	if parent == ws.work || (ws.base != nil && ws.base == parent.token) {
 		return ws.work, nil
 	}
-	if ws.base != nil && ws.base == parent.token {
-		return ws.work, nil
+	if parent.token == nil {
+		panic("core: speculating below a model set that is neither a decision's root models nor the working copy")
 	}
 	if ws.work == nil {
 		// The stream only seeds the untrained placeholder models; cloneFrom
@@ -104,8 +107,7 @@ func (ws *pathWorkspace) working(p *planner, w *specWorker, parent *modelSet) (*
 // (decision number, candidate ID) — the derivation the golden campaign tests
 // pin; the number is one-based because the decision counter used to advance
 // before the fan-out — and deliberately never reuses it. Incremental mode
-// draws a recycled workspace from the worker's private arena and returns it
-// there once the whole path (including every forked subtree) has joined.
+// speculates on the worker's own workspace.
 func (p *planner) evalPath(w *specWorker, d *decision, cand candidate) (pathScore, error) {
 	// Cancellation poll: a cancelled step abandons the remaining path
 	// evaluations (the error propagates through the canonical firstError
@@ -115,8 +117,8 @@ func (p *planner) evalPath(w *specWorker, d *decision, cand candidate) (pathScor
 	}
 	var ws *pathWorkspace
 	if p.refitMode == SpecRefitIncremental {
-		ws = w.acquireWorkspace()
-		defer w.releaseWorkspace(ws)
+		ws = w.ws
+		ws.assertOwner(w)
 	} else if p.params.Lookahead > 0 {
 		// A myopic path never speculates, so it gets no scratch to refit:
 		// explorePaths returns before touching the workspace.
@@ -362,17 +364,15 @@ func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, buf *eli
 // the given state, speculating on the remaining lookahead steps.
 //
 // models must be trained on state.train and inc must be the incumbent of
-// (state, models); ws is the per-task model workspace that keeps path
-// evaluations independent across goroutines — in Full mode a scratch set
+// (state, models); ws is the model workspace that keeps path evaluations
+// independent across goroutines — in Full mode a scratch set
 // explorePaths refits freely (random stream split deterministically from the
 // candidate ID), in Incremental mode the one working copy every speculated
 // outcome below is applied to and undone on. slot is the speculation depth
-// within the task (0 at its root call): it indexes the per-depth scratch and
+// within the path (0 at its root call): it indexes the per-depth scratch and
 // equals the number of updates pending on the working copy, which from depth
 // 1 on is models itself. w is the scheduler worker executing this
-// evaluation; in Incremental mode the shallow speculation layers fork their
-// outcome subtrees onto it as stealable tasks (see explorePathsForked), so a
-// few expensive candidates can occupy the whole pool.
+// evaluation, whose sweep scratch and counters the path uses.
 func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, cand candidate, lookahead int, ws *pathWorkspace, slot int, w *specWorker) (reward, cost float64, err error) {
 	costPred, extraPreds, err := models.predictCand(cand)
 	if err != nil {
@@ -446,17 +446,11 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 		childDeployed = &cfg
 	}
 
-	if p.shouldFork(w, lookahead, len(combos)) {
-		return p.explorePathsForked(state, models, cand, lookahead, w,
-			combos, childUntested, childDeployed, setup, reward, cost)
-	}
-
-	// Serial evaluation: the speculated child states differ only in the
-	// outcome of the last (speculated) training entry, so one extended
-	// training set and one reduced untested slice are built per candidate
-	// and the entry is rewritten per combo. Deeper recursion copies the
-	// training set before extending it, so the mutation never escapes this
-	// loop.
+	// The speculated child states differ only in the outcome of the last
+	// (speculated) training entry, so one extended training set and one
+	// reduced untested slice are built per candidate and the entry is
+	// rewritten per combo. Deeper recursion copies the training set before
+	// extending it, so the mutation never escapes this loop.
 	childTrain := state.train.withEntryInto(ds.train, cand.features, 0, nil, false)
 	last := len(childTrain.costs) - 1
 	for _, combo := range combos {
@@ -490,98 +484,10 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 	return reward, cost, nil
 }
 
-// shouldFork decides whether the outcome subtrees of the current speculation
-// layer become scheduler tasks. Only the incremental refit mode forks (Full
-// mode's scratch refits consume a per-candidate random stream sequentially,
-// pinned bitwise by the golden campaign tests), only with a parallel
-// scheduler, and only within the first forkDepth layers — the depth-aware
-// bound that keeps tasks coarse enough to amortize scheduling. The layer
-// index is derived from the remaining lookahead, so forked subtrees fork
-// their own children too while still within the bound.
-func (p *planner) shouldFork(w *specWorker, lookahead, combos int) bool {
-	if w == nil || combos < 2 || p.refitMode != SpecRefitIncremental || !p.sched.parallel() {
-		return false
-	}
-	if p.params.Lookahead-lookahead >= p.forkDepth {
-		return false
-	}
-	// Supply-aware: while the injector still queues more root candidates
-	// than there are workers, root-level parallelism alone saturates the
-	// pool and serial subtree evaluation is cheaper (one shared child
-	// training set instead of per-outcome copies). Forked and serial
-	// evaluation compute bitwise-identical results, so this heuristic is
-	// free to depend on scheduling state.
-	return p.sched.scarceRoots()
-}
-
-// comboOutcome is the result slot of one forked speculated-outcome task.
-// Slots are fixed at spawn time and reduced in combo order after the join,
-// which keeps the floating-point reduction identical to the serial loop
-// regardless of completion order.
-type comboOutcome struct {
-	reward, cost float64
-	ok           bool
-	err          error
-}
-
-// explorePathsForked is the parallel variant of explorePaths' combo loop:
-// every speculated outcome of the current layer is spawned as a task on the
-// executing worker's deque, idle workers steal them, and the parent helps
-// drain subtree tasks until its children joined. Each child task runs the
-// serial loop's body (speculate) on a workspace of its own, and the results
-// are reduced in combo order (the worker-count independence tests pin that
-// forked and serial rewards and costs agree bitwise).
-func (p *planner) explorePathsForked(state *specState, models *modelSet, cand candidate, lookahead int, w *specWorker, combos []numeric.WeightedVector, childUntested []candidate, childDeployed *configspace.Config, setup, reward, cost float64) (float64, float64, error) {
-	outcomes := make([]comboOutcome, len(combos))
-	var pending atomic.Int64
-	pending.Store(int64(len(combos)))
-	for ci := range combos {
-		specCost := combos[ci].Values[0]
-		specExtras := combos[ci].Values[1:]
-		feasible := p.feasibleSpeculation(cand, specCost, specExtras)
-		childState := &specState{
-			train:    state.train.withEntry(cand.features, specCost, specExtras, feasible),
-			untested: childUntested,
-			budget:   state.budget - specCost - setup,
-			deployed: childDeployed,
-		}
-		out := &outcomes[ci]
-		w.spawn(func(cw *specWorker) {
-			// The workspace is released only after the recursion — including
-			// any further forked layer — has fully joined, so a working copy
-			// that grandchild tasks copy from stays untouched until they
-			// finished.
-			ws := cw.acquireWorkspace()
-			out.reward, out.cost, out.ok, out.err = p.speculate(cw, ws, 0, childState, models, cand, specCost, specExtras, lookahead)
-			cw.releaseWorkspace(ws)
-			pending.Add(-1)
-		})
-	}
-	w.help(&pending)
-	for ci := range outcomes {
-		o := &outcomes[ci]
-		if o.err != nil {
-			return 0, 0, o.err
-		}
-		if !o.ok {
-			// The speculated budget cannot accommodate any further step: the
-			// path terminates here (Algorithm 2, lines 15-16).
-			continue
-		}
-		cost += combos[ci].Weight * o.cost
-		reward += p.params.Discount * combos[ci].Weight * o.reward
-	}
-	return reward, cost, nil
-}
-
 // speculate evaluates the subtree below one speculated outcome of profiling
 // cand: derive the child models from the parent's, compute the child state's
 // incumbent, select the next step under it, and recurse with the remaining
 // lookahead; ok is false when the speculated budget admits no further step.
-// The serial combo loop calls it with the path's workspace at its own depth,
-// a forked outcome task with a workspace of the worker that picked it up at
-// depth 0 — one body, so forked and serial evaluations apply the same
-// operations and agree bitwise.
 func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *specState, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int) (reward, cost float64, ok bool, err error) {
 	if p.refitMode != SpecRefitIncremental {
 		if err := p.refit(ws.scratch, child.train); err != nil {
@@ -615,10 +521,6 @@ func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *s
 	reward, cost, ok, err = p.sweepChild(w, ws, slot, child, models, lookahead)
 	if err != nil {
 		return 0, 0, false, err
-	}
-	if slot == 0 && ws.base == nil {
-		// Nothing will recognise this copy again: it is not worth undoing.
-		return reward, cost, ok, nil
 	}
 	if err := models.undo(); err != nil {
 		return 0, 0, false, err

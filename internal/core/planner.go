@@ -51,26 +51,17 @@ type planner struct {
 	eligUseZ bool
 
 	// sched is the persistent speculation scheduler (Params.Workers wide).
-	// Its per-worker arenas recycle the incremental-mode path workspaces
-	// (working copies plus their arenas, eligibility buffers) across
-	// candidates, subtrees and decisions without a shared pool: each worker
-	// owns its freelist outright. A working copy is used only while it
-	// provably equals the decision's root models (pathWorkspace.working) and
-	// is copied afresh otherwise, so reuse never leaks model state between
-	// paths and the recommendation stays scheduling-free.
+	// Each worker speculates on one incremental-mode path workspace (working
+	// copy plus its tree storage, per-depth scratch) for every candidate and
+	// decision it serves. A working copy is used only while it provably equals
+	// the decision's root models (pathWorkspace.working) and is copied afresh
+	// otherwise, so reuse never leaks model state between paths and the
+	// recommendation stays scheduling-free.
 	sched *specScheduler
-
-	// forkDepth is the number of leading speculation layers whose outcome
-	// subtrees are forked into scheduler tasks (0 disables forking). Only the
-	// incremental refit mode forks — the Full mode's scratch refits consume a
-	// per-candidate random stream sequentially, which the golden campaign
-	// tests pin bitwise — and only the shallow layers are worth the task
-	// overhead: deeper subtrees shrink geometrically.
-	forkDepth int
 
 	// shared is the campaign's share-group binding (nil outside a group).
 	// When set, prices comes from the group's per-environment cache, the
-	// scheduler draws arenas from the group pool (incremental mode), and —
+	// scheduler draws workspaces from the group pool (incremental mode), and —
 	// for key-capturable configurations, see sharable — nextConfig adopts
 	// and publishes whole decisions through the group's decision cache.
 	// keyBuf is the reusable cache-key assembly buffer.
@@ -100,8 +91,8 @@ func resolveRefitMode(mode SpeculativeRefit, lookahead, candidateBound int) Spec
 // newPlanner builds the planner of one campaign. sh is the campaign's
 // share-group binding, nil outside a group: a bound planner reads unit prices
 // through the group's shared per-environment cache and, in incremental mode,
-// checks its workspace arenas out of the group pool per scheduler run instead
-// of holding private ones.
+// checks its workers' workspaces out of the group pool per scheduler run
+// instead of holding private ones.
 func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options, sh *sharedCtx) (*planner, error) {
 	space := env.Space()
 	strategy := resolveStrategy(params.Search, space.Size())
@@ -130,34 +121,22 @@ func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options
 		factory:   factory,
 		refitMode: mode,
 		prices:    optimizer.NewPriceCache(env),
-		sched:     newSpecScheduler(params.Workers),
 		shared:    sh,
 	}
 	p.extraNames, p.extraMax = resolveExtraConstraints(opts.ExtraConstraints)
+	var pool *workspacePool
+	var shape string
 	if sh != nil {
 		p.prices = sh.prices
-	}
-	if mode == SpecRefitIncremental {
-		if sh != nil {
-			p.sched.pool = sh.group.arenas
-			p.sched.shape = p.arenaShape()
+		if mode == SpecRefitIncremental {
+			pool, shape = sh.group.workspaces, p.workspaceShape()
 		}
+	}
+	p.sched = newSpecScheduler(params.Workers, pool, shape)
+	if mode == SpecRefitIncremental {
 		if z, err := numeric.NormalQuantile(params.EligibilityProb); err == nil {
 			p.eligZ, p.eligUseZ = z, true
 		}
-		// Fork the outcome subtrees of the first LA-1 speculation layers; the
-		// deepest layer's subtrees are leaves (one clone plus one sweep) and
-		// would only pay task overhead. Two layers already yield
-		// combos²-per-candidate tasks, so the cap keeps the task count
-		// bounded on very deep lookaheads.
-		p.forkDepth = params.Lookahead - 1
-		if p.forkDepth > 2 {
-			p.forkDepth = 2
-		}
-		// With forking possible, spawn every worker even for runs with
-		// fewer root candidates than workers: the spare workers steal the
-		// forked subtrees of the few expensive paths.
-		p.sched.wide = p.forkDepth > 0
 	}
 	return p, nil
 }

@@ -29,14 +29,15 @@ import (
 
 // plannerBenchFixture is the shared per-decision benchmark state: a planner
 // over the Tensorflow-384 space plus the bootstrap history and remaining
-// budget of a paper-scale campaign.
+// budget of a paper-scale campaign. A non-nil g binds the planner to that
+// share group.
 type plannerBenchFixture struct {
 	planner   *planner
 	history   *optimizer.History
 	remaining float64
 }
 
-func newPlannerBenchFixture(tb testing.TB, lookahead int, refit SpeculativeRefit, workers int) *plannerBenchFixture {
+func newPlannerBenchFixture(tb testing.TB, lookahead int, refit SpeculativeRefit, workers int, g *ShareGroup) *plannerBenchFixture {
 	tb.Helper()
 	job, err := synth.TensorflowJob(synth.CNN, 42)
 	if err != nil {
@@ -84,7 +85,12 @@ func newPlannerBenchFixture(tb testing.TB, lookahead int, refit SpeculativeRefit
 	if err != nil {
 		tb.Fatalf("withDefaults: %v", err)
 	}
-	p, err := newPlanner(params, env, opts, nil)
+	var sh *sharedCtx
+	var planEnv optimizer.Environment = env
+	if g != nil {
+		sh, planEnv = g.bind(env)
+	}
+	p, err := newPlanner(params, planEnv, opts, sh)
 	if err != nil {
 		tb.Fatalf("newPlanner: %v", err)
 	}
@@ -106,7 +112,7 @@ func (f *plannerBenchFixture) decide(tb testing.TB) {
 
 func benchmarkPlannerDecision(b *testing.B, lookahead int, refit SpeculativeRefit, workers int) {
 	b.Helper()
-	fixture := newPlannerBenchFixture(b, lookahead, refit, workers)
+	fixture := newPlannerBenchFixture(b, lookahead, refit, workers, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,9 +130,8 @@ func benchmarkPlannerDecision(b *testing.B, lookahead int, refit SpeculativeRefi
 	}
 	b.ReportMetric(float64(evaluated)/float64(b.N), "eic-evals/decision")
 	b.ReportMetric(float64(bounded)/float64(b.N), "eic-bounded/decision")
-	// Whole model sets copied into working copies: one per workspace a
-	// worker used, plus one per forked outcome task whose parent was itself
-	// a working copy (it was one per speculated outcome).
+	// Whole model sets copied into working copies: one per worker that took
+	// part (TestWorkingCopyCountPerDecision holds it there).
 	b.ReportMetric(float64(copies)/float64(b.N), "model-copies/decision")
 }
 
@@ -151,9 +156,7 @@ func BenchmarkPlannerLA2Tensorflow(b *testing.B) {
 
 // BenchmarkPlannerLA3Tensorflow measures one lookahead-3 decision per op.
 // LA=3 multiplies the speculation tree by another candidates × quadrature
-// factor; SpecRefitAuto resolves it to the incremental path, and the
-// scheduler forks the first two speculation layers so a few expensive
-// candidates can occupy the whole worker pool.
+// factor; SpecRefitAuto resolves it to the incremental path.
 func BenchmarkPlannerLA3Tensorflow(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -59,6 +59,23 @@ func fitPrefilled(t *testing.T, p *planner, stream int64, train *trainSet) *mode
 	return ms
 }
 
+// predict returns the cost and per-constraint predictive distributions for an
+// arbitrary feature vector, bypassing the memo.
+func (ms *modelSet) predict(features []float64) (numeric.Gaussian, []numeric.Gaussian, error) {
+	costPred, err := ms.cost.Predict(features)
+	if err != nil {
+		return numeric.Gaussian{}, nil, err
+	}
+	extraPreds := make([]numeric.Gaussian, len(ms.extras))
+	for k, m := range ms.extras {
+		extraPreds[k], err = m.Predict(features)
+		if err != nil {
+			return numeric.Gaussian{}, nil, err
+		}
+	}
+	return costPred, extraPreds, nil
+}
+
 func TestGatherCollectsUnitPricesAndSharesFeatureStorage(t *testing.T) {
 	p, env, _ := testPlanner(t, nil)
 	cands := gatherAll(t, p)

@@ -31,7 +31,7 @@ const (
 //  2. The top seeds by that bound are evaluated exactly, with no
 //     synchronization between them: each seed task publishes its ratio and
 //     observed future reward through lock-free monotone atomics as it
-//     completes (forked subtrees steal freely throughout).
+//     completes.
 //  3. At the seed join the pruning threshold is fixed from the seed
 //     results; remaining candidates whose bound cannot beat it are dropped
 //     without simulating their paths, and the survivors are evaluated
@@ -94,9 +94,9 @@ func (p *planner) prunedScores(d *decision) ([]pathScore, error) {
 
 	// Phase 1: evaluate every seed exactly. Seed tasks publish the pruning
 	// calibration through the lock-free monotone atomics as they complete
-	// (no synchronization between seeds, forked subtrees steal freely); the
-	// single join at the end of the run is the only synchronization point of
-	// the whole decision — versus one barrier per 16-candidate chunk before.
+	// (no synchronization between seeds); the single join at the end of the
+	// run is the only synchronization point of the whole decision — versus
+	// one barrier per 16-candidate chunk before.
 	var bestRatio, maxFuture atomicMaxFloat
 	results := make([]pathScore, len(order))
 	errs := make([]error, len(order))

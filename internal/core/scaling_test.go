@@ -10,9 +10,10 @@ import (
 // speculation scheduler was built to fix: before it, LA=3 planning at 8
 // workers was ~23% SLOWER per decision than at 1 worker (BENCH.json history)
 // because the chunked pruning barriers and the contended workspace pool
-// turned extra workers into pure overhead. With the work-stealing scheduler,
+// turned extra workers into pure overhead. With root candidates claimed from
+// a lock-free injector, one join per run and one workspace per worker,
 // multi-worker planning must never lose to serial planning beyond timing
-// noise — and on real multi-core hardware it must win.
+// noise, however far the workers outnumber the cores.
 //
 // The test times the same fixed decision sequence (median of 3 repetitions,
 // fresh planner each, so both sides plan identical iterations) and allows a
@@ -32,10 +33,10 @@ func TestPlannerLA3WorkerScalingSanity(t *testing.T) {
 	measure := func(workers int) float64 {
 		times := make([]float64, 0, reps)
 		for rep := 0; rep < reps; rep++ {
-			fixture := newPlannerBenchFixture(t, 3, SpecRefitAuto, workers)
+			fixture := newPlannerBenchFixture(t, 3, SpecRefitAuto, workers, nil)
 			// Warm-up decision (untimed): the first decision populates the
-			// per-worker arenas — clone slots, eligibility buffers — that
-			// persist across decisions in a real campaign.
+			// per-worker workspaces — working copies, eligibility buffers —
+			// that persist across decisions in a real campaign.
 			fixture.decide(t)
 			start := time.Now()
 			for d := 0; d < decisions; d++ {

@@ -15,7 +15,7 @@ func TestSchedulerRunsEveryRootExactlyOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 33} {
 		const n = 100
 		counts := make([]atomic.Int64, n)
-		sched := newSpecScheduler(workers)
+		sched := newSpecScheduler(workers, nil, "")
 		sched.run(n, func(w *specWorker, i int) {
 			counts[i].Add(1)
 		})
@@ -24,53 +24,6 @@ func TestSchedulerRunsEveryRootExactlyOnce(t *testing.T) {
 				t.Fatalf("workers=%d: root %d ran %d times, want 1", workers, i, got)
 			}
 		}
-	}
-}
-
-// TestSchedulerForkJoin spawns subtree tasks from every root task and joins
-// them with help: all children must have completed by the time help returns,
-// regardless of which worker stole them.
-func TestSchedulerForkJoin(t *testing.T) {
-	const n = 40
-	const children = 5
-	var total atomic.Int64
-	sched := newSpecScheduler(4)
-	sched.run(n, func(w *specWorker, i int) {
-		results := make([]int64, children)
-		var pending atomic.Int64
-		pending.Store(children)
-		for c := 0; c < children; c++ {
-			res := &results[c]
-			w.spawn(func(cw *specWorker) {
-				*res = 1
-				pending.Add(-1)
-			})
-		}
-		w.help(&pending)
-		// The join must have made every child's write visible.
-		for c, r := range results {
-			if r != 1 {
-				t.Errorf("root %d: child %d not joined", i, c)
-			}
-			total.Add(r)
-		}
-	})
-	if got := total.Load(); got != n*children {
-		t.Fatalf("joined children = %d, want %d", got, n*children)
-	}
-}
-
-// TestSchedulerWorkspaceArenasRecycle pins the per-worker arena: workspaces
-// released to a worker come back on its next acquire, so clone slots and
-// eligibility buffers are reused across tasks and decisions instead of
-// cycling through a shared pool (or the allocator).
-func TestSchedulerWorkspaceArenasRecycle(t *testing.T) {
-	sched := newSpecScheduler(2)
-	w := sched.workers[0]
-	first := w.acquireWorkspace()
-	w.releaseWorkspace(first)
-	if second := w.acquireWorkspace(); second != first {
-		t.Error("released workspace was not recycled by the owning worker")
 	}
 }
 
@@ -104,11 +57,11 @@ func TestAtomicMaxFloatMonotone(t *testing.T) {
 }
 
 // TestConcurrentCampaignsThroughScheduler runs two whole optimization
-// campaigns concurrently, each with a multi-worker scheduler and forked
-// incremental speculation, and checks both reproduce the serial reference
-// trial sequence. Under -race (the CI race step runs this package) it
-// verifies the scheduler, the per-worker arenas and the lock-free memo reads
-// share nothing across planner instances.
+// campaigns concurrently, each with a multi-worker scheduler and incremental
+// speculation, and checks both reproduce the serial reference trial sequence.
+// Under -race (the CI race step runs this package) it verifies the scheduler,
+// the per-worker workspaces and the lock-free memo reads share nothing across
+// planner instances.
 func TestConcurrentCampaignsThroughScheduler(t *testing.T) {
 	params := fastParams(2)
 	params.Workers = 4

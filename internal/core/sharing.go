@@ -14,7 +14,7 @@ import (
 // into one ShareGroup resolve content-equal spaces to one interned artifact
 // (shared feature columns, shared unit-price cache), adopt each other's
 // planning decisions when their planning inputs are identical, and draw path
-// workspaces from a bounded shared arena pool instead of holding private ones
+// workspaces from a bounded shared pool instead of holding private ones
 // per campaign.
 //
 // Correctness rests on one rule: everything shared is either immutable after
@@ -39,23 +39,23 @@ import (
 const sharedDecisionCacheEntries = 512
 
 // ShareGroup is the shared state of a set of campaigns: the space-artifact
-// registry, the decision cache, and the workspace arena pool. Create one
+// registry, the decision cache, and the workspace pool. Create one
 // group per co-scheduled batch and pass it to NewCampaign / ResumeCampaign.
 // All methods and the campaigns created into one group are safe for
 // concurrent use; the group holds no reference to any campaign, so
 // abandoning a campaign leaks nothing into the others.
 type ShareGroup struct {
-	registry  *share.Registry
-	decisions *share.Cache[sharedDecision]
-	arenas    *arenaPool
+	registry   *share.Registry
+	decisions  *share.Cache[sharedDecision]
+	workspaces *workspacePool
 }
 
 // NewShareGroup creates an empty share group.
 func NewShareGroup() *ShareGroup {
 	return &ShareGroup{
-		registry:  share.NewRegistry(),
-		decisions: share.NewCache[sharedDecision](sharedDecisionCacheEntries),
-		arenas:    newArenaPool(2*runtime.GOMAXPROCS(0) + 2),
+		registry:   share.NewRegistry(),
+		decisions:  share.NewCache[sharedDecision](sharedDecisionCacheEntries),
+		workspaces: newWorkspacePool(2*runtime.GOMAXPROCS(0) + 2),
 	}
 }
 

@@ -151,7 +151,7 @@ func TestSharedResumeMidFlightNoBleed(t *testing.T) {
 	g := NewShareGroup()
 
 	// An unrelated campaign (different seed) runs to completion in the
-	// group first, populating the caches and the arena pool.
+	// group first, populating the caches and the workspace pool.
 	optsOther := fixtureOptions(t, 31)
 	other, err := l.NewCampaign(fixtureEnv(t), optsOther, g)
 	if err != nil {

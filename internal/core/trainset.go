@@ -33,18 +33,12 @@ func newTrainSetFromHistory(h *optimizer.History, opts optimizer.Options, extraN
 	return ts
 }
 
-// withEntry returns a new training set extended with one speculated entry.
-// The receiver is not modified.
-func (ts *trainSet) withEntry(features []float64, cost float64, extras []float64, feasible bool) *trainSet {
-	return ts.withEntryInto(&trainSet{}, features, cost, extras, feasible)
-}
-
-// withEntryInto is withEntry into reusable storage: dst's slices are
-// overwritten with the receiver's entries plus one speculated entry and dst
-// is returned. A nil extras appends a zero for every constraint metric. The
-// speculation loop extends the same parent set once per depth, so recycling
-// dst removes the per-outcome training-set copies from the planner's hot
-// path; the receiver is never modified.
+// withEntryInto extends the training set by one speculated entry into
+// reusable storage: dst's slices are overwritten with the receiver's entries
+// plus the new one and dst is returned. A nil extras appends a zero for every
+// constraint metric. The speculation loop extends the same parent set once
+// per depth, so recycling dst removes the per-outcome training-set copies
+// from the planner's hot path; the receiver is never modified.
 func (ts *trainSet) withEntryInto(dst *trainSet, features []float64, cost float64, extras []float64, feasible bool) *trainSet {
 	dst.features = append(dst.features[:0], ts.features...)
 	dst.features = append(dst.features, features)

@@ -205,21 +205,25 @@ func TestWorkingCopyValidity(t *testing.T) {
 	}()
 }
 
-// TestArenaReleaseForgetsWorkingCopyBases: a workspace shelved with its arena
-// must not recognise any root models when the arena is checked out again.
-func TestArenaReleaseForgetsWorkingCopyBases(t *testing.T) {
-	pool := newArenaPool(2)
-	s := newSpecScheduler(1)
-	w := s.workers[0]
-	a := pool.checkout("s", w)
-	ws := a.acquire(w)
-	ws.base = &rootToken{}
-	a.release(w, ws)
-	pool.release(a, w)
-	b := pool.checkout("s", w)
-	if got := b.acquire(w); got != ws {
-		t.Fatal("the shelved workspace was not recycled")
-	} else if got.base != nil {
-		t.Fatal("a shelved workspace still remembers the root models its copy was made from")
+// TestWorkingCopyCountPerDecision: a decision copies its root models once per
+// workspace that speculates below them — at most once per participating worker
+// when the planner owns its workspaces (the root token outlives both scheduler
+// runs of a pruned decision), at most twice when they go back to a share
+// group's pool between the runs — and never once per speculated outcome.
+func TestWorkingCopyCountPerDecision(t *testing.T) {
+	const workers = 4
+	for _, tc := range []struct {
+		name        string
+		group       *ShareGroup
+		perDecision int
+	}{{"isolated", nil, workers}, {"pooled", NewShareGroup(), 2 * workers}} {
+		f := newPlannerBenchFixture(t, 3, SpecRefitIncremental, workers, tc.group)
+		for d := 0; d < 3; d++ {
+			before := modelCopies(f.planner)
+			f.decide(t)
+			if got := modelCopies(f.planner) - before; got < 1 || got > tc.perDecision {
+				t.Errorf("%s planner, decision %d: %d whole-set copies, want 1..%d", tc.name, d, got, tc.perDecision)
+			}
+		}
 	}
 }

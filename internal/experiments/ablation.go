@@ -11,11 +11,12 @@ import (
 	"repro/internal/gp"
 )
 
-// runAblation evaluates the design choices DESIGN.md calls out for ablation —
-// Gauss-Hermite order, discount factor, ensemble size, budget-eligibility
-// threshold, and the cost-model family — on one Scout-style job (a space
-// small enough to sweep quickly). It is an addition of this reproduction, not
-// a paper artifact, and complements the LA sweep of fig6.
+// runAblation evaluates the planner's design choices (docs/ARCHITECTURE.md,
+// "Planning hot path") — Gauss-Hermite order, discount factor, ensemble size,
+// budget-eligibility threshold, and the cost-model family — on one
+// Scout-style job (a space small enough to sweep quickly). It is an addition
+// of this reproduction, not a paper artifact, and complements the LA sweep of
+// fig6.
 func (s *Suite) runAblation() ([]report.Table, error) {
 	jobs, err := s.scoutJobs()
 	if err != nil {

@@ -10,8 +10,9 @@ func TestScoutSpaceCardinality(t *testing.T) {
 		t.Fatalf("ScoutSpace error: %v", err)
 	}
 	// The paper reports 69 points; with the published per-size caps the
-	// Cartesian product yields 72, which is what the generator uses (see
-	// DESIGN.md, substitutions).
+	// Cartesian product yields 72, which is what the generator uses (the
+	// package doc and README's paper map, §5.1, say the datasets are synthetic
+	// stand-ins).
 	if space.Size() != 72 {
 		t.Errorf("scout space size = %d, want 72", space.Size())
 	}

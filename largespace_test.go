@@ -102,9 +102,8 @@ func TestSampledStrategyIndependentOfWorkerCount(t *testing.T) {
 
 // TestSampledStrategyLookahead2WorkerDeterminism pins worker-count
 // independence for the sampled search strategy under long-sighted planning
-// with incremental speculative refits — the combination that routes every
-// decision through the speculation scheduler's forked subtrees on a
-// streaming space. Until this test, only LA=1 sampled campaigns and LA=2
+// with incremental speculative refits — the combination that speculates in
+// place on per-worker working copies over a streaming space. Until this test, only LA=1 sampled campaigns and LA=2
 // exhaustive campaigns were pinned.
 func TestSampledStrategyLookahead2WorkerDeterminism(t *testing.T) {
 	results := make([]Result, 0, 2)

@@ -14,7 +14,7 @@ import (
 // a shared registry (content-equal spaces — even distinct instances — share
 // one canonical Space and its feature storage), deduplicate unit-price
 // fetches per environment instance, draw planner scratch from a bounded
-// shared arena pool, and — when two campaigns' planning inputs are identical
+// shared workspace pool, and — when two campaigns' planning inputs are identical
 // (same space, tuner parameters, seed, observed history and budget) — adopt
 // each other's planning decisions outright. Every campaign's trial sequence and recommendation remain bitwise identical to
 // the same campaign run in isolation; sharing changes throughput, never
@@ -23,7 +23,7 @@ import (
 type (
 	// ShareGroup is the shared state of a batch of campaigns: the space
 	// artifact registry, the cross-campaign decision cache, and the
-	// workspace arena pool. One group per co-scheduled batch.
+	// workspace pool. One group per co-scheduled batch.
 	ShareGroup = core.ShareGroup
 	// MultiResult is the outcome of one campaign of a batch.
 	MultiResult = core.MultiResult

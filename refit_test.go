@@ -142,12 +142,11 @@ func TestIncrementalRefitWorkerCountIndependence(t *testing.T) {
 }
 
 // TestLookahead3WorkerCountIndependence extends the determinism contract to
-// LA=3, where SpecRefitAuto resolves to incremental refits and the
-// speculation scheduler forks the first two speculation layers into
-// work-stealing tasks: the trial sequence and recommendation must be
-// identical for workers 1, 2, 4 and 8. Forked subtree results are reduced in
-// canonical outcome order and pruning thresholds only ever tighten, so no
-// amount of stealing may change a decision.
+// LA=3, where SpecRefitAuto resolves to incremental refits and every worker
+// speculates three layers deep on one working copy: the trial sequence and
+// recommendation must be identical for workers 1, 2, 4 and 8. Path scores
+// land in rank-fixed slots and the pruning threshold is frozen at the seed
+// join, so which worker claimed which path cannot change a decision.
 func TestLookahead3WorkerCountIndependence(t *testing.T) {
 	jobs, err := SyntheticScoutJobs(42)
 	if err != nil {

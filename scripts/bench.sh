@@ -13,11 +13,12 @@
 # lifts the pin (all cores) and defaults the output to BENCH.multicore.json,
 # the baseline for the workers=N scaling numbers. Multicore runs are refused
 # on single-core machines (override: BENCH_ALLOW_SINGLE_CORE=1, which stamps
-# a warning into the report) — a "multicore" file recorded serially is a lie,
-# which is why no BENCH.multicore.json is committed: regenerate it locally on
-# real multi-core hardware when scaling numbers are needed. benchjson tags
-# every report with the GOMAXPROCS it ran under and the machine's core count,
-# so the two baselines are distinguishable by their own contents.
+# a warning into the report) — a "multicore" file recorded serially is a lie.
+# The committed BENCH.multicore.json was recorded on the 2-core reference box
+# (gomaxprocs 2, cores 2): its workers=2 columns are real two-core numbers,
+# its workers=4/8 columns oversubscription checks. benchjson tags every
+# report with the GOMAXPROCS it ran under and the machine's core count, so
+# the two baselines are distinguishable by their own contents.
 #
 # The default set is the perf-tracked benchmarks reported in README
 # "Performance": the per-decision LA=2 planner (full vs incremental
