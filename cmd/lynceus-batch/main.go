@@ -1,13 +1,13 @@
-// Command lynceus-batch runs N tuning campaigns concurrently over one shared
-// space-artifact group and reports batch throughput (campaigns/sec). Each
+// Command lynceus-batch runs N tuning campaigns concurrently over one share
+// group and reports batch throughput (campaigns/sec). Each
 // campaign's trial sequence and recommendation are bitwise identical to the
 // same campaign run alone through lynceus-tune; sharing changes throughput,
 // never results.
 //
 // Campaigns either replicate one seed (-campaigns N -seed S, a multi-tenant
 // replica batch where nearly all planning work is shared) or sweep seeds
-// (-seed-step 1 gives seeds S, S+1, ...), which shares the space artifacts
-// and prices but plans each campaign separately.
+// (-seed-step 1 gives seeds S, S+1, ...), which plans each campaign
+// separately and shares only the planner's workspace pool.
 //
 // Usage:
 //

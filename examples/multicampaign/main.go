@@ -1,14 +1,12 @@
 // Multi-campaign example: run a batch of tuning campaigns concurrently over
-// one shared space-artifact group and compare against the same batch run
-// share-nothing.
+// one share group and compare against the same batch run share-nothing.
 //
 // Multi-tenant tuning services face this shape of load: many tenants tune
 // jobs over the same configuration space, often with identical tuner settings
 // (replicated SLO probes, per-team campaigns on a shared catalog). The shared
-// tier interns the space artifacts (feature matrix, decoded rows, prices)
-// once per space, reuses planning decisions across campaigns whose planning
-// inputs are bit-identical, and pools the planner's
-// path workspaces — while every campaign's trial sequence and recommendation
+// tier reuses planning decisions across campaigns whose planning inputs are
+// bit-identical and pools the planner's path workspaces — nothing else is
+// shared — while every campaign's trial sequence and recommendation
 // stay bitwise identical to the same campaign run alone. The example proves
 // that equivalence directly, then reports the throughput of both modes.
 //
@@ -35,7 +33,7 @@ func main() {
 func run() error {
 	var (
 		campaigns = flag.Int("campaigns", 8, "campaigns in the batch")
-		spread    = flag.Bool("spread", false, "give each campaign its own seed instead of replicating one (shares artifacts and prices, not decisions)")
+		spread    = flag.Bool("spread", false, "give each campaign its own seed instead of replicating one (shares the workspace pool, not decisions)")
 		seed      = flag.Int64("seed", 1, "seed of the first campaign")
 	)
 	flag.Parse()
@@ -71,7 +69,7 @@ func run() error {
 	// Run the batch twice: through the sharing tier, then share-nothing. The
 	// share-nothing pass is the baseline the throughput benchmark gates
 	// against — it uses the same runner and scheduling, only without the
-	// shared artifact group.
+	// share group.
 	var shared, isolated lynceus.MultiSummary
 	for _, mode := range []struct {
 		name    string

@@ -1,22 +1,18 @@
 package bagging
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/regtree"
 )
 
-// EnsembleState is the serializable fitted state of an Ensemble: parameters,
-// base seed, and every fitted tree. Campaign snapshots embed it so a resumed
-// (or warm-started) run can predict with the exact ensemble of the original
-// process.
-//
-// What is deliberately NOT serialized: the resampling rng position (so Fit on
-// a restored ensemble restarts the seed's stream from the top, unlike the
-// original instance whose stream had advanced) and the trees' retained
-// incremental-training state (so a restored ensemble cannot absorb Update
-// calls). Restored ensembles are prediction-complete, training-fresh.
+// EnsembleState is the fitted state of an Ensemble as plain data: parameters,
+// base seed, and every fitted tree's regtree.TreeState — everything
+// predictions depend on; the resampling rng position, the repair state and
+// the trees' retained incremental-training state are not part of it. It is
+// the image tests compare (the undo tests and core's speculate oracle marshal
+// it to bytes as "the bitwise identity of the trees"). Nothing reads one back
+// into an Ensemble.
 type EnsembleState struct {
 	Params      Params              `json:"params"`
 	Seed        int64               `json:"seed"`
@@ -24,7 +20,7 @@ type EnsembleState struct {
 	Trees       []regtree.TreeState `json:"trees"`
 }
 
-// State extracts the serializable fitted state of the ensemble.
+// State extracts the fitted state of the ensemble.
 func (e *Ensemble) State() (*EnsembleState, error) {
 	if !e.Trained() {
 		return nil, ErrNotTrained
@@ -43,34 +39,4 @@ func (e *Ensemble) State() (*EnsembleState, error) {
 		NumFeatures: e.numFeatures,
 		Trees:       trees,
 	}, nil
-}
-
-// FromState reconstructs a prediction-ready ensemble from serialized state.
-// Predict and PredictBatch are bitwise-identical to the original instance;
-// see EnsembleState for what a restored ensemble cannot do.
-func FromState(s *EnsembleState) (*Ensemble, error) {
-	if s == nil {
-		return nil, errors.New("bagging: nil ensemble state")
-	}
-	if len(s.Trees) == 0 {
-		return nil, errors.New("bagging: ensemble state has no trees")
-	}
-	if s.NumFeatures < 1 {
-		return nil, fmt.Errorf("bagging: ensemble state has %d features", s.NumFeatures)
-	}
-	e := New(s.Params, s.Seed)
-	trees := make([]*regtree.Tree, len(s.Trees))
-	for i, ts := range s.Trees {
-		t, err := regtree.FromState(ts)
-		if err != nil {
-			return nil, fmt.Errorf("bagging: restoring tree %d: %w", i, err)
-		}
-		if t.NumFeatures() != s.NumFeatures {
-			return nil, fmt.Errorf("bagging: tree %d has %d features, ensemble has %d", i, t.NumFeatures(), s.NumFeatures)
-		}
-		trees[i] = t
-	}
-	e.trees = trees
-	e.numFeatures = s.NumFeatures
-	return e, nil
 }

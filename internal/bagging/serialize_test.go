@@ -1,82 +1,12 @@
 package bagging
 
 import (
-	"encoding/json"
 	"errors"
-	"math/rand"
 	"testing"
 )
-
-func fittedEnsemble(t *testing.T) (*Ensemble, [][]float64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(5))
-	features := make([][]float64, 150)
-	targets := make([]float64, len(features))
-	for i := range features {
-		x := []float64{rng.Float64() * 8, float64(rng.Intn(4)), rng.Float64()}
-		features[i] = x
-		targets[i] = 2*x[0] + 5*x[1] - x[2]*x[0]
-	}
-	e := New(Params{}, 17)
-	if err := e.Fit(features, targets); err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	return e, features
-}
-
-func TestEnsembleStateRoundTripIsBitwise(t *testing.T) {
-	e, features := fittedEnsemble(t)
-	state, err := e.State()
-	if err != nil {
-		t.Fatalf("State: %v", err)
-	}
-	data, err := json.Marshal(state)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var decoded EnsembleState
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	restored, err := FromState(&decoded)
-	if err != nil {
-		t.Fatalf("FromState: %v", err)
-	}
-	if !restored.Trained() || restored.NumTrees() != e.NumTrees() {
-		t.Fatalf("restored ensemble trained=%v trees=%d, want trained with %d trees", restored.Trained(), restored.NumTrees(), e.NumTrees())
-	}
-	for i, x := range features {
-		want, err := e.Predict(x)
-		if err != nil {
-			t.Fatalf("Predict original %d: %v", i, err)
-		}
-		got, err := restored.Predict(x)
-		if err != nil {
-			t.Fatalf("Predict restored %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("prediction %d = %+v, want bitwise %+v", i, got, want)
-		}
-	}
-}
 
 func TestEnsembleStateRejectsInvalid(t *testing.T) {
 	if _, err := New(Params{}, 1).State(); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("untrained State error = %v, want ErrNotTrained", err)
-	}
-	if _, err := FromState(nil); err == nil {
-		t.Error("nil state accepted")
-	}
-	if _, err := FromState(&EnsembleState{NumFeatures: 2}); err == nil {
-		t.Error("treeless state accepted")
-	}
-	e, _ := fittedEnsemble(t)
-	state, err := e.State()
-	if err != nil {
-		t.Fatalf("State: %v", err)
-	}
-	state.NumFeatures++
-	if _, err := FromState(state); err == nil {
-		t.Error("feature-count mismatch accepted")
 	}
 }

@@ -11,14 +11,15 @@ import (
 // digests contain the same configurations — same dimensions (names, values,
 // labels), same representation (materialized vs streaming), and same filter
 // effect — in the same ID order, so every ID-keyed artifact derived from one
-// (feature rows, column matrices, unit-price caches, prediction memos) is
-// valid for the other. The cross-campaign sharing layer keys its interned
-// space artifacts by this digest.
+// (feature rows, column matrices, prediction memos) is valid for the other.
+// The cross-campaign decision cache keys on it (core's decisionKey), which is
+// what lets campaigns on distinct, content-equal Space instances adopt each
+// other's decisions.
 //
 // Materialized and streaming spaces hash differently even when they hold the
 // same configurations: consumers of a materialized space may rely on
 // FeatureColumns and Configs, which streaming spaces do not provide, so the
-// two representations must never share an artifact.
+// two representations must never be taken for each other.
 //
 // The digest is computed lazily on first call and memoized; Spaces are
 // immutable after construction, so concurrent calls are safe.

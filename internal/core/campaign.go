@@ -36,22 +36,17 @@ type Campaign struct {
 // until the first Step.
 //
 // g is the share group the campaign joins; nil runs it isolated. A grouped
-// campaign reads its space through the group's interned artifact (shared
-// feature columns and unit prices), draws planner scratch from the group's
-// workspace pool and, when its configuration is fully key-capturable (see
-// planner.sharable), adopts planning decisions published by identical
-// campaigns in the group. Its trial sequence and recommendation are bitwise
-// identical to the same campaign run isolated.
+// campaign draws planner scratch from the group's workspace pool and, when
+// its configuration is fully key-capturable (see planner.sharable), adopts
+// planning decisions published by identical campaigns in the group. Its trial
+// sequence and recommendation are bitwise identical to the same campaign run
+// isolated.
 func (l *Lynceus) NewCampaign(env optimizer.Environment, opts optimizer.Options, g *ShareGroup) (*Campaign, error) {
 	if env == nil {
 		return nil, errors.New("core: nil environment")
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	var sh *sharedCtx
-	if g != nil {
-		sh, env = g.bind(env)
 	}
 	budget, err := optimizer.NewBudget(opts.Budget)
 	if err != nil {
@@ -69,7 +64,7 @@ func (l *Lynceus) NewCampaign(env optimizer.Environment, opts optimizer.Options,
 	if err != nil {
 		return nil, err
 	}
-	planner, err := newPlanner(l.params, env, opts, sh)
+	planner, err := newPlanner(l.params, env, opts, g)
 	if err != nil {
 		return nil, err
 	}

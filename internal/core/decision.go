@@ -70,7 +70,7 @@ func (p *planner) nextConfig(ctx context.Context, h *optimizer.History, remainin
 	var claim *share.Claim[sharedDecision]
 	if p.sharable() {
 		var out sharedDecision
-		if out, claim = p.shared.group.decisions.GetOrClaim(p.decisionKey(h, d)); claim == nil {
+		if out, claim = p.shared.decisions.GetOrClaim(p.decisionKey(h, d)); claim == nil {
 			return p.conclude(out)
 		}
 		// Every error exit below abandons the claim (a no-op after Publish),

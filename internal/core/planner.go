@@ -59,13 +59,12 @@ type planner struct {
 	// recommendation stays scheduling-free.
 	sched *specScheduler
 
-	// shared is the campaign's share-group binding (nil outside a group).
-	// When set, prices comes from the group's per-environment cache, the
-	// scheduler draws workspaces from the group pool (incremental mode), and —
-	// for key-capturable configurations, see sharable — nextConfig adopts
-	// and publishes whole decisions through the group's decision cache.
-	// keyBuf is the reusable cache-key assembly buffer.
-	shared *sharedCtx
+	// shared is the campaign's share group (nil outside a group). When set,
+	// the scheduler draws workspaces from the group pool (incremental mode),
+	// and — for key-capturable configurations, see sharable — nextConfig
+	// adopts and publishes whole decisions through the group's decision
+	// cache. keyBuf is the reusable cache-key assembly buffer.
+	shared *ShareGroup
 	keyBuf []byte
 
 	// Per-decision scratch rebuilt by nextConfig; read-only during the
@@ -88,12 +87,11 @@ func resolveRefitMode(mode SpeculativeRefit, lookahead, candidateBound int) Spec
 	return SpecRefitFull
 }
 
-// newPlanner builds the planner of one campaign. sh is the campaign's
-// share-group binding, nil outside a group: a bound planner reads unit prices
-// through the group's shared per-environment cache and, in incremental mode,
-// checks its workers' workspaces out of the group pool per scheduler run
-// instead of holding private ones.
-func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options, sh *sharedCtx) (*planner, error) {
+// newPlanner builds the planner of one campaign. g is the campaign's share
+// group, nil outside one: in incremental mode a grouped planner checks its
+// workers' workspaces out of the group pool per scheduler run instead of
+// holding private ones.
+func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options, g *ShareGroup) (*planner, error) {
 	space := env.Space()
 	strategy := resolveStrategy(params.Search, space.Size())
 	mode := resolveRefitMode(params.SpeculativeRefit, params.Lookahead, strategyCandidateBound(strategy, space.Size()))
@@ -121,16 +119,13 @@ func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options
 		factory:   factory,
 		refitMode: mode,
 		prices:    optimizer.NewPriceCache(env),
-		shared:    sh,
+		shared:    g,
 	}
 	p.extraNames, p.extraMax = resolveExtraConstraints(opts.ExtraConstraints)
 	var pool *workspacePool
 	var shape string
-	if sh != nil {
-		p.prices = sh.prices
-		if mode == SpecRefitIncremental {
-			pool, shape = sh.group.workspaces, p.workspaceShape()
-		}
+	if g != nil && mode == SpecRefitIncremental {
+		pool, shape = g.workspaces, p.workspaceShape()
 	}
 	p.sched = newSpecScheduler(params.Workers, pool, shape)
 	if mode == SpecRefitIncremental {

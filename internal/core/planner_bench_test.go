@@ -85,12 +85,7 @@ func newPlannerBenchFixture(tb testing.TB, lookahead int, refit SpeculativeRefit
 	if err != nil {
 		tb.Fatalf("withDefaults: %v", err)
 	}
-	var sh *sharedCtx
-	var planEnv optimizer.Environment = env
-	if g != nil {
-		sh, planEnv = g.bind(env)
-	}
-	p, err := newPlanner(params, planEnv, opts, sh)
+	p, err := newPlanner(params, env, opts, g)
 	if err != nil {
 		tb.Fatalf("newPlanner: %v", err)
 	}

@@ -11,11 +11,11 @@ import (
 )
 
 // This file implements the cross-campaign sharing tier: campaigns created
-// into one ShareGroup resolve content-equal spaces to one interned artifact
-// (shared feature columns, shared unit-price cache), adopt each other's
-// planning decisions when their planning inputs are identical, and draw path
-// workspaces from a bounded shared pool instead of holding private ones
-// per campaign.
+// into one ShareGroup adopt each other's planning decisions when their
+// planning inputs are identical, and draw path workspaces from a bounded
+// shared pool instead of holding private ones per campaign. Nothing else is
+// shared: each campaign keeps its own environment, space instance and
+// unit-price cache.
 //
 // Correctness rests on one rule: everything shared is either immutable after
 // publication or keyed by EVERY input that influences the shared value. The
@@ -28,24 +28,24 @@ import (
 // adopting a cached decision preserves the "identical to isolated run"
 // contract.
 //
-// Sharing is disabled per planner whenever an input cannot be captured in
-// the key: a SetupCost function (process-local closure), a custom
+// Decision sharing is disabled per planner whenever an input cannot be
+// captured in the key: a SetupCost function (process-local closure), a custom
 // ModelFactory, or a custom SearchStrategy (both identified only by name,
-// which two distinct implementations could share). Such campaigns still get
-// the interned space and shared prices — only decision adoption is off.
+// which two distinct implementations could share). Such campaigns still use
+// the workspace pool.
 
 // sharedDecisionCacheEntries bounds the decision cache. Decisions are two
 // ints, so the bound exists to cap key retention, not value memory.
 const sharedDecisionCacheEntries = 512
 
-// ShareGroup is the shared state of a set of campaigns: the space-artifact
-// registry, the decision cache, and the workspace pool. Create one
-// group per co-scheduled batch and pass it to NewCampaign / ResumeCampaign.
-// All methods and the campaigns created into one group are safe for
-// concurrent use; the group holds no reference to any campaign, so
-// abandoning a campaign leaks nothing into the others.
+// ShareGroup is the shared state of a set of campaigns: the decision cache
+// and the workspace pool. Create one group per co-scheduled batch and pass it
+// to NewCampaign / ResumeCampaign. All methods and the campaigns created into
+// one group are safe for concurrent use. The group holds no reference to any
+// campaign, environment or space — only 32-byte decision keys and, per
+// workspace shape, at most the pool limit of shelved workspaces — so dropping
+// a campaign frees it.
 type ShareGroup struct {
-	registry   *share.Registry
 	decisions  *share.Cache[sharedDecision]
 	workspaces *workspacePool
 }
@@ -53,7 +53,6 @@ type ShareGroup struct {
 // NewShareGroup creates an empty share group.
 func NewShareGroup() *ShareGroup {
 	return &ShareGroup{
-		registry:   share.NewRegistry(),
 		decisions:  share.NewCache[sharedDecision](sharedDecisionCacheEntries),
 		workspaces: newWorkspacePool(2*runtime.GOMAXPROCS(0) + 2),
 	}
@@ -67,30 +66,11 @@ type sharedDecision struct {
 	ok bool
 }
 
-// sharedCtx is the planner-side handle of a share group binding: the group,
-// the interned artifact of the campaign's space, and the shared price cache
-// of the campaign's environment instance.
-type sharedCtx struct {
-	group    *ShareGroup
-	artifact *share.Artifact
-	prices   *optimizer.PriceCache
-}
-
-// bind interns the environment's space and returns the shared context plus
-// the environment the campaign must use: the original wrapped to report the
-// canonical space instance (a pass-through when it already does).
-func (g *ShareGroup) bind(env optimizer.Environment) (*sharedCtx, optimizer.Environment) {
-	artifact := g.registry.Intern(env.Space())
-	wrapped := share.WrapEnv(env, artifact.Space())
-	return &sharedCtx{group: g, artifact: artifact, prices: artifact.PriceCache(env)}, wrapped
-}
-
 // sharable reports whether this planner's decisions may be published to and
 // adopted from the group caches: every planning input must be capturable in
 // the cache key. Process-local functions (SetupCost), custom model
 // factories and custom search strategies are identified only by name, which
-// the key cannot trust, so they opt the planner out of decision sharing
-// (space and price sharing still apply).
+// the key cannot trust, so they opt the planner out of decision sharing.
 func (p *planner) sharable() bool {
 	if p.shared == nil || p.opts.SetupCost != nil || p.params.ModelFactory != nil {
 		return false
@@ -111,7 +91,7 @@ func (p *planner) decisionKey(h *optimizer.History, d *decision) string {
 	untested := d.root.untested
 	buf := p.keyBuf[:0]
 	buf = appendKeyStr(buf, "lynceus/share/v1")
-	buf = appendKeyStr(buf, p.shared.artifact.Digest())
+	buf = appendKeyStr(buf, p.space.Digest())
 	buf = appendKeyStr(buf, paramsDigest(p.params))
 	buf = appendKeyU64(buf, uint64(p.opts.Seed))
 	buf = appendKeyU64(buf, uint64(p.iteration))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bagging"
 	"repro/internal/optimizer"
 )
 
@@ -57,28 +56,27 @@ type snapshotTrial struct {
 // budget spent, the full trial history and quarantine set, the bootstrap
 // cursor, and the planner's decision counter (the planner's only cross-
 // decision state — price caches, memos and scratch arenas are rebuilt
-// lazily). The fitted cost-model ensemble rides along for inspection and
-// warm-starting (SnapshotEnsemble); resume refits from the history, so the
-// ensemble is informational, not load-bearing.
+// lazily). No model is stored: resume refits from the history. Version-1
+// snapshots written by older builds also carry a fitted-ensemble field that
+// no reader used; decoding skips it like any unknown field.
 type Snapshot struct {
-	Version       int                    `json:"version"`
-	Optimizer     string                 `json:"optimizer"`
-	ParamsDigest  string                 `json:"params_digest"`
-	SpaceSize     int                    `json:"space_size"`
-	SpaceDims     int                    `json:"space_dims"`
-	Options       snapshotOptions        `json:"options"`
-	SpentBudget   float64                `json:"spent_budget"`
-	Trials        []snapshotTrial        `json:"trials"`
-	Quarantined   []int                  `json:"quarantined,omitempty"`
-	BootProbeIdx  int                    `json:"boot_probe_idx"`
-	BootDraws     int                    `json:"boot_draws"`
-	BootSuccesses int                    `json:"boot_successes"`
-	BootFinished  bool                   `json:"boot_finished,omitempty"`
-	Iteration     int                    `json:"iteration"`
-	Done          bool                   `json:"done,omitempty"`
-	FinishReason  string                 `json:"finish_reason,omitempty"`
-	EnvState      json.RawMessage        `json:"env_state,omitempty"`
-	CostModel     *bagging.EnsembleState `json:"cost_model,omitempty"`
+	Version       int             `json:"version"`
+	Optimizer     string          `json:"optimizer"`
+	ParamsDigest  string          `json:"params_digest"`
+	SpaceSize     int             `json:"space_size"`
+	SpaceDims     int             `json:"space_dims"`
+	Options       snapshotOptions `json:"options"`
+	SpentBudget   float64         `json:"spent_budget"`
+	Trials        []snapshotTrial `json:"trials"`
+	Quarantined   []int           `json:"quarantined,omitempty"`
+	BootProbeIdx  int             `json:"boot_probe_idx"`
+	BootDraws     int             `json:"boot_draws"`
+	BootSuccesses int             `json:"boot_successes"`
+	BootFinished  bool            `json:"boot_finished,omitempty"`
+	Iteration     int             `json:"iteration"`
+	Done          bool            `json:"done,omitempty"`
+	FinishReason  string          `json:"finish_reason,omitempty"`
+	EnvState      json.RawMessage `json:"env_state,omitempty"`
 }
 
 // Finish-reason wire values.
@@ -174,46 +172,7 @@ func (c *Campaign) Snapshot() ([]byte, error) {
 		}
 		snap.EnvState = raw
 	}
-	if c.l.params.ModelFactory == nil && len(trials) > 0 {
-		state, err := c.fittedEnsembleState()
-		if err != nil {
-			return nil, err
-		}
-		snap.CostModel = state
-	}
 	return json.MarshalIndent(snap, "", " ")
-}
-
-// fittedEnsembleState fits the default bagging cost model on the current
-// history — on the same (seed, iteration) stream the next decision's root
-// model will use — and serializes it.
-func (c *Campaign) fittedEnsembleState() (*bagging.EnsembleState, error) {
-	params := c.l.params.Model
-	params.Incremental = false
-	ens := bagging.NewFactory(params, c.opts.Seed).New(int64(c.planner.iteration) * 2_000_000_011)
-	if err := ens.Fit(c.history.Features(), c.history.Costs()); err != nil {
-		return nil, fmt.Errorf("core: fitting snapshot cost model: %w", err)
-	}
-	return ens.State()
-}
-
-// SnapshotEnsemble decodes and reconstructs the cost-model ensemble embedded
-// in a campaign snapshot: the default bagging model fitted on the snapshot's
-// full history. Use it to inspect a checkpointed campaign's beliefs or to
-// warm-start another model from them. Snapshots of campaigns with a custom
-// ModelFactory (e.g. "gp") carry no ensemble.
-func SnapshotEnsemble(data []byte) (*bagging.Ensemble, error) {
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
-	}
-	if snap.Version != SnapshotVersion {
-		return nil, fmt.Errorf("core: unsupported snapshot version %d (this build reads version %d)", snap.Version, SnapshotVersion)
-	}
-	if snap.CostModel == nil {
-		return nil, errors.New("core: snapshot carries no cost-model ensemble")
-	}
-	return bagging.FromState(snap.CostModel)
 }
 
 // ResumeFuncs re-supplies the process-local functions a snapshot cannot

@@ -49,8 +49,8 @@ func snapshotBenchCampaign(tb testing.TB) (*Lynceus, optimizer.Environment, *Cam
 
 // BenchmarkSnapshotRestore tracks the two halves of the checkpointing path on
 // a completed paper-scale campaign: op=snapshot serializes the campaign state
-// (dominated by fitting the embedded warm-start ensemble), op=restore parses,
-// validates and rebuilds a runnable campaign from those bytes. Both must stay
+// (options, cursors, one record per trial), op=restore parses, validates and
+// rebuilds a runnable campaign from those bytes. Both must stay
 // cheap relative to one planning decision — checkpointing every step is the
 // intended usage (see cmd/lynceus-tune -checkpoint), so a regression here
 // taxes every trial of every fault-tolerant campaign.

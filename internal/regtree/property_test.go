@@ -1,7 +1,6 @@
 package regtree
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -178,11 +177,9 @@ func TestPackedTreeMatchesPointerTreeAfterInserts(t *testing.T) {
 }
 
 // TestPackedTreeMatchesPointerTreeThroughCloneAndSnapshot covers the
-// remaining mutation/restore paths: a clone receiving further inserts, and a
-// serialize round-trip through the v1 JSON snapshot format. In both cases
-// the restored or mutated packed tree must keep matching a pointer reference
-// built from its own state, and the snapshot JSON itself must be stable
-// across a State -> FromState -> State round-trip.
+// remaining mutation path: a clone receiving further inserts. Parent and
+// mutated clone must each keep matching a pointer reference built from their
+// own State.
 func TestPackedTreeMatchesPointerTreeThroughCloneAndSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := 3
@@ -209,31 +206,5 @@ func TestPackedTreeMatchesPointerTreeThroughCloneAndSnapshot(t *testing.T) {
 		}
 		ref := refFromState(t, state)
 		assertMatchesRef(t, tc.tree, ref, probes, tc.label)
-
-		// Round-trip through the v1 JSON form.
-		blob, err := json.Marshal(state)
-		if err != nil {
-			t.Fatalf("%s: Marshal: %v", tc.label, err)
-		}
-		var back TreeState
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatalf("%s: Unmarshal: %v", tc.label, err)
-		}
-		restored, err := FromState(back)
-		if err != nil {
-			t.Fatalf("%s: FromState: %v", tc.label, err)
-		}
-		assertMatchesRef(t, restored, ref, probes, tc.label+" restored")
-		state2, err := restored.State()
-		if err != nil {
-			t.Fatalf("%s: State after round-trip: %v", tc.label, err)
-		}
-		blob2, err := json.Marshal(state2)
-		if err != nil {
-			t.Fatalf("%s: Marshal after round-trip: %v", tc.label, err)
-		}
-		if string(blob) != string(blob2) {
-			t.Fatalf("%s: snapshot JSON not stable across round-trip", tc.label)
-		}
 	}
 }

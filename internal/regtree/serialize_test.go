@@ -1,92 +1,9 @@
 package regtree
 
-import (
-	"encoding/json"
-	"math"
-	"math/rand"
-	"testing"
-)
-
-// trainedTree fits a non-trivial tree on a deterministic synthetic surface.
-func trainedTree(t *testing.T) (*Tree, [][]float64) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(3))
-	features := make([][]float64, 200)
-	targets := make([]float64, len(features))
-	for i := range features {
-		x := []float64{rng.Float64() * 4, rng.Float64() * 4, float64(rng.Intn(3))}
-		features[i] = x
-		targets[i] = x[0]*x[0] - 2*x[1] + 3*x[2]
-	}
-	tree, err := Train(features, targets, Params{}, nil)
-	if err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-	return tree, features
-}
-
-func TestTreeStateRoundTripIsBitwise(t *testing.T) {
-	tree, features := trainedTree(t)
-	state, err := tree.State()
-	if err != nil {
-		t.Fatalf("State: %v", err)
-	}
-	// Through JSON, as campaign snapshots store it.
-	data, err := json.Marshal(state)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
-	}
-	var decoded TreeState
-	if err := json.Unmarshal(data, &decoded); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	restored, err := FromState(decoded)
-	if err != nil {
-		t.Fatalf("FromState: %v", err)
-	}
-	if restored.Leaves() != tree.Leaves() || restored.Depth() != tree.Depth() || restored.NumFeatures() != tree.NumFeatures() {
-		t.Errorf("restored shape %d/%d/%d, want %d/%d/%d",
-			restored.Leaves(), restored.Depth(), restored.NumFeatures(),
-			tree.Leaves(), tree.Depth(), tree.NumFeatures())
-	}
-	for i, x := range features {
-		if got, want := restored.PredictUnchecked(x), tree.PredictUnchecked(x); got != want {
-			t.Fatalf("prediction %d = %v, want bitwise %v", i, got, want)
-		}
-	}
-}
+import "testing"
 
 func TestTreeStateRejectsUntrained(t *testing.T) {
 	if _, err := (&Tree{}).State(); err == nil {
 		t.Error("untrained tree serialized")
-	}
-}
-
-func TestFromStateRejectsCorruptedGraphs(t *testing.T) {
-	tree, _ := trainedTree(t)
-	good, err := tree.State()
-	if err != nil {
-		t.Fatalf("State: %v", err)
-	}
-	corrupt := func(mutate func(s *TreeState)) TreeState {
-		s := TreeState{NumFeatures: good.NumFeatures, Leaves: good.Leaves, Depth: good.Depth}
-		s.Nodes = append([]NodeState(nil), good.Nodes...)
-		mutate(&s)
-		return s
-	}
-	cases := map[string]TreeState{
-		"no nodes":     {NumFeatures: 2},
-		"zero feats":   corrupt(func(s *TreeState) { s.NumFeatures = 0 }),
-		"child oob":    corrupt(func(s *TreeState) { s.Nodes[0].Right = int32(len(s.Nodes)) }),
-		"child cycle":  corrupt(func(s *TreeState) { s.Nodes[0].Left = 0 }),
-		"feature oob":  corrupt(func(s *TreeState) { s.Nodes[0].Feature = int32(s.NumFeatures) }),
-		"nan split":    corrupt(func(s *TreeState) { s.Nodes[0].Threshold = math.NaN() }),
-		"nan leaf":     corrupt(func(s *TreeState) { s.Nodes[len(s.Nodes)-1].Value = math.NaN() }),
-		"negative rgt": corrupt(func(s *TreeState) { s.Nodes[0].Right = -2 }),
-	}
-	for name, s := range cases {
-		if _, err := FromState(s); err == nil {
-			t.Errorf("corrupted state %q accepted", name)
-		}
 	}
 }

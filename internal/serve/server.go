@@ -363,10 +363,6 @@ func (s *Server) buildTuner(c *campaign) error {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Group returns the server-wide share group (campaigns on equal spaces share
-// artifacts through it).
-func (s *Server) Group() *lynceus.ShareGroup { return s.group }
-
 func (s *Server) newMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /campaigns", s.handleCreate)
@@ -481,18 +477,22 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 	c := &campaign{spec: spec}
 	c.status = CampaignStatus{ID: id, State: StateActive, RemainingBudget: spec.Options.Budget}
+	// A spec the tuner cannot be built from is the client's error; a spec
+	// that cannot be made durable is the server's.
+	code := http.StatusBadRequest
 	err := s.buildTuner(c)
 	if err == nil {
 		// Durable before acknowledged: the spec hits disk before the client
 		// learns the campaign exists, so a crash after the 201 can always
 		// rebuild it.
+		code = http.StatusInternalServerError
 		err = s.store.PutSpec(spec)
 	}
 	s.mu.Lock()
 	if err != nil {
 		delete(s.campaigns, id)
 		s.mu.Unlock()
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		writeJSON(w, code, errorBody{Error: err.Error()})
 		return
 	}
 	s.campaigns[id] = c

@@ -4,11 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -192,6 +198,114 @@ func TestServerLifecycle(t *testing.T) {
 	client.mustJSON("DELETE", "/campaigns/life", nil, http.StatusNoContent, nil)
 	client.mustJSON("GET", "/campaigns/life", nil, http.StatusNotFound, nil)
 	client.mustJSON("GET", "/campaigns/unknown", nil, http.StatusNotFound, nil)
+}
+
+// TestServerCreateFailureCodes separates the two ways a well-formed create
+// can fail after admission: a spec no tuner can be built from is the client's
+// fault (400), a spec that cannot be made durable is the server's (500).
+// Neither leaves a campaign behind.
+func TestServerCreateFailureCodes(t *testing.T) {
+	srv, client := newTestServer(t, Config{})
+
+	unbuildable := fastSpec(t, "unbuildable", 3)
+	unbuildable.Env.Name = "no-such-job"
+	client.mustJSON("POST", "/campaigns", unbuildable, http.StatusBadRequest, nil)
+
+	// A directory squatting on the spec file's name makes the store's rename
+	// fail whatever the process's privileges (tests may run as root).
+	undurable := fastSpec(t, "undurable", 3)
+	if err := os.MkdirAll(filepath.Join(srv.cfg.StateDir, "undurable", specFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	client.mustJSON("POST", "/campaigns", undurable, http.StatusInternalServerError, nil)
+
+	for _, id := range []string{"unbuildable", "undurable"} {
+		client.mustJSON("GET", "/campaigns/"+id, nil, http.StatusNotFound, nil)
+	}
+}
+
+// flakyEnv fails every Run while *fail is set — the step-error injection that
+// drives the server's rollback path.
+type flakyEnv struct {
+	inner lynceus.Environment
+	fail  *atomic.Bool
+}
+
+func (f *flakyEnv) Space() *lynceus.Space { return f.inner.Space() }
+func (f *flakyEnv) Run(cfg lynceus.Config) (lynceus.Trial, error) {
+	if f.fail.Load() {
+		return lynceus.Trial{}, errors.New("injected run failure")
+	}
+	return f.inner.Run(cfg)
+}
+func (f *flakyEnv) UnitPricePerHour(cfg lynceus.Config) (float64, error) {
+	return f.inner.UnitPricePerHour(cfg)
+}
+
+// TestServerRetainsNoDroppedEnvironment is the retention ratchet of the
+// server: every environment the EnvFactory hands out — one per created
+// campaign, one more per rollback — must become collectable once its campaign
+// is deleted or rebuilt. The server-wide share group outlives them all and
+// must keep none alive. As in core's TestShareGroupRetainsNoDroppedCampaign
+// the bound is 90 %: a workspace shelved in the group's pool may still alias
+// its last holder's space.
+func TestServerRetainsNoDroppedEnvironment(t *testing.T) {
+	var built, finalized atomic.Int64
+	var fail atomic.Bool
+	srv, client := newTestServer(t, Config{
+		Workers: 1,
+		EnvFactory: func(spec EnvSpec) (lynceus.Environment, error) {
+			inner, err := BuildEnv(spec)
+			if err != nil {
+				return nil, err
+			}
+			env := &flakyEnv{inner: inner, fail: &fail}
+			built.Add(1)
+			runtime.SetFinalizer(env, func(*flakyEnv) { finalized.Add(1) })
+			return env, nil
+		},
+	})
+
+	// create → step past two decisions (five bootstrap probes first) → delete.
+	const dropped = 50
+	for i := 0; i < dropped; i++ {
+		id := fmt.Sprintf("drop-%d", i)
+		client.mustJSON("POST", "/campaigns", fastSpec(t, id, int64(i%4)), http.StatusCreated, nil)
+		client.mustJSON("POST", "/campaigns/"+id+"/step", stepRequest{Steps: 7}, http.StatusOK, nil)
+		client.mustJSON("DELETE", "/campaigns/"+id, nil, http.StatusNoContent, nil)
+	}
+
+	// One campaign rolled back three times: each rollback rebuilds it on a
+	// fresh environment and drops the previous one.
+	client.mustJSON("POST", "/campaigns", fastSpec(t, "rolled", 9), http.StatusCreated, nil)
+	client.mustJSON("POST", "/campaigns/rolled/step", stepRequest{Steps: 6}, http.StatusOK, nil)
+	fail.Store(true)
+	for i := 0; i < 3; i++ {
+		client.mustJSON("POST", "/campaigns/rolled/step", nil, http.StatusInternalServerError, nil)
+	}
+	fail.Store(false)
+	client.mustJSON("POST", "/campaigns/rolled/step", nil, http.StatusOK, nil)
+	if got := srv.Stats().Rollbacks; got != 3 {
+		t.Fatalf("Rollbacks = %d, want 3", got)
+	}
+
+	// Everything built is garbage except the live campaign's current
+	// environment.
+	garbage := built.Load() - 1
+	if want := int64(dropped + 3); garbage != want {
+		t.Fatalf("%d environments dropped, want %d", garbage, want)
+	}
+	// Two collections free them (the first queues the finalizers); the loop
+	// only gives the finalizer goroutine time to run on a loaded machine.
+	for deadline := time.Now().Add(5 * time.Second); finalized.Load() < garbage*9/10 && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := finalized.Load(); got < garbage*9/10 {
+		t.Fatalf("%d of %d dropped environments were collected, want at least %d: the server retains them",
+			got, garbage, garbage*9/10)
+	}
+	runtime.KeepAlive(srv)
 }
 
 func TestServerRestartResumesBitwise(t *testing.T) {

@@ -1,14 +1,14 @@
+// Package share is the cross-campaign decision cache: a bounded key/value
+// cache with single-flight claims, which campaigns in one share group use to
+// adopt each other's planning decisions. Published values are immutable by
+// contract; the cache itself is one mutex around one map.
 package share
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// Cache is a bounded, copy-on-write key/value cache with single-flight
-// claims. Get is lock-free (one atomic load plus one map read); Put and
-// Publish copy the map, so the cache is meant for values that are expensive
-// to compute and cheap to store — planning decisions.
+// Cache is a bounded FIFO key/value cache with single-flight claims, meant
+// for values that are expensive to compute and cheap to store — planning
+// decisions.
 //
 // GetOrClaim adds the single-flight discipline campaigns in lockstep need:
 // the first caller of a missing key becomes its leader and receives a Claim,
@@ -21,17 +21,11 @@ import (
 // to every reader and never copies it.
 type Cache[V any] struct {
 	limit int
-	state atomic.Pointer[cacheState[V]]
 
 	mu      sync.Mutex
+	values  map[string]V
+	order   []string // keys, oldest insertion first: the eviction queue
 	flights map[string]chan struct{}
-}
-
-// cacheState is one immutable snapshot of the cache contents. order holds
-// the keys oldest-insertion-first and drives eviction.
-type cacheState[V any] struct {
-	values map[string]V
-	order  []string
 }
 
 // NewCache creates a cache holding at most limit entries; when an insert
@@ -40,61 +34,38 @@ func NewCache[V any](limit int) *Cache[V] {
 	if limit < 1 {
 		limit = 1
 	}
-	return &Cache[V]{limit: limit, flights: make(map[string]chan struct{})}
+	return &Cache[V]{limit: limit, values: make(map[string]V), flights: make(map[string]chan struct{})}
 }
 
-// Get returns the published value of the key, if any. Lock-free.
+// Get returns the published value of the key, if any.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	if st := c.state.Load(); st != nil {
-		if v, ok := st.values[key]; ok {
-			return v, true
-		}
-	}
-	var zero V
-	return zero, false
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, ok := c.values[key]
+	return v, ok
 }
 
 // Len returns the number of published entries.
 func (c *Cache[V]) Len() int {
-	if st := c.state.Load(); st != nil {
-		return len(st.values)
-	}
-	return 0
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.values)
 }
 
 // Put publishes a value, waking any claim waiters of the key. The value must
 // be immutable from here on.
 func (c *Cache[V]) Put(key string, v V) {
 	c.mu.Lock()
-	c.putLocked(key, v)
+	defer c.mu.Unlock()
+	if _, exists := c.values[key]; !exists {
+		c.order = append(c.order, key)
+	}
+	c.values[key] = v
+	for len(c.values) > c.limit {
+		delete(c.values, c.order[0])
+		c.order = c.order[1:]
+	}
 	c.releaseFlightLocked(key)
-	c.mu.Unlock()
-}
-
-// putLocked installs the value into a fresh state snapshot, evicting the
-// oldest entries past the limit. Caller holds c.mu.
-func (c *Cache[V]) putLocked(key string, v V) {
-	old := c.state.Load()
-	var next cacheState[V]
-	if old == nil {
-		next.values = make(map[string]V, 1)
-	} else {
-		next.values = make(map[string]V, len(old.values)+1)
-		for k, val := range old.values {
-			next.values[k] = val
-		}
-		next.order = append(next.order, old.order...)
-	}
-	if _, exists := next.values[key]; !exists {
-		next.order = append(next.order, key)
-	}
-	next.values[key] = v
-	for len(next.values) > c.limit && len(next.order) > 0 {
-		evict := next.order[0]
-		next.order = next.order[1:]
-		delete(next.values, evict)
-	}
-	c.state.Store(&next)
 }
 
 // releaseFlightLocked closes and forgets the key's in-flight channel, if any.
@@ -142,17 +113,10 @@ func (cl *Claim[V]) Abandon() {
 // key in flight block until its leader publishes or abandons.
 func (c *Cache[V]) GetOrClaim(key string) (V, *Claim[V]) {
 	for {
-		if v, ok := c.Get(key); ok {
-			return v, nil
-		}
 		c.mu.Lock()
-		// Re-check under the lock: a leader may have published between the
-		// lock-free read and the acquisition.
-		if st := c.state.Load(); st != nil {
-			if v, ok := st.values[key]; ok {
-				c.mu.Unlock()
-				return v, nil
-			}
+		if v, ok := c.values[key]; ok {
+			c.mu.Unlock()
+			return v, nil
 		}
 		ch, inFlight := c.flights[key]
 		if !inFlight {

@@ -7,23 +7,23 @@ import (
 	"repro/internal/core"
 )
 
-// Multi-campaign throughput tier: run N tuning campaigns concurrently over
-// shared, immutable space artifacts.
+// Multi-campaign throughput tier: run N tuning campaigns concurrently over one
+// share group.
 //
-// Campaigns added to one MultiRunner intern their configuration spaces into
-// a shared registry (content-equal spaces — even distinct instances — share
-// one canonical Space and its feature storage), deduplicate unit-price
-// fetches per environment instance, draw planner scratch from a bounded
-// shared workspace pool, and — when two campaigns' planning inputs are identical
-// (same space, tuner parameters, seed, observed history and budget) — adopt
-// each other's planning decisions outright. Every campaign's trial sequence and recommendation remain bitwise identical to
-// the same campaign run in isolation; sharing changes throughput, never
-// results.
+// Campaigns added to one MultiRunner draw planner scratch from a bounded
+// shared workspace pool and — when two campaigns' planning inputs are
+// identical (content-equal space, tuner parameters, seed, observed history,
+// budget and unit prices) — adopt each other's planning decisions outright.
+// Nothing else is shared: every campaign keeps its own environment, space
+// instance and unit-price cache. Every campaign's trial sequence and
+// recommendation remain bitwise identical to the same campaign run in
+// isolation; sharing changes throughput, never results.
 
 type (
-	// ShareGroup is the shared state of a batch of campaigns: the space
-	// artifact registry, the cross-campaign decision cache, and the
-	// workspace pool. One group per co-scheduled batch.
+	// ShareGroup is the shared state of a batch of campaigns: the
+	// cross-campaign decision cache and the workspace pool. It references no
+	// campaign, environment or space, so a dropped campaign is garbage. One
+	// group per co-scheduled batch.
 	ShareGroup = core.ShareGroup
 	// MultiResult is the outcome of one campaign of a batch.
 	MultiResult = core.MultiResult
@@ -48,8 +48,9 @@ type MultiRunnerConfig struct {
 	// inside its step.
 	Concurrency int
 	// DisableSharing runs the batch share-nothing: same fair scheduler, but
-	// every campaign keeps private artifacts (the baseline the throughput
-	// benchmark compares against; results are identical either way).
+	// every campaign plans every decision on private workspaces (the baseline
+	// the throughput benchmark compares against; results are identical
+	// either way).
 	DisableSharing bool
 }
 
@@ -88,7 +89,7 @@ func (r *MultiRunner) Add(name string, cfg TunerConfig, env Environment, opts Op
 
 // AddResumed resumes a snapshotted campaign into the runner's share group
 // and queues it: the resumed campaign continues its bitwise-identical trial
-// sequence while sharing artifacts with the batch.
+// sequence while sharing decisions and workspaces with the batch.
 func (r *MultiRunner) AddResumed(name string, cfg TunerConfig, env Environment, snapshot []byte, fns ResumeFuncs) error {
 	c, err := ResumeTunerShared(cfg, env, snapshot, fns, r.inner.Group())
 	if err != nil {

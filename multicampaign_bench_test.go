@@ -12,8 +12,8 @@ import (
 // completion through the MultiRunner, shared versus share-nothing. The
 // campaigns are replicas (same environment instance, seed and budget) — the
 // multi-tenant tuning regime the sharing tier targets, where one campaign
-// leads every planning decision and the others adopt it from the group
-// caches. Results are bitwise identical across the two modes (pinned by
+// leads every planning decision and the others adopt it from the group's
+// decision cache. Results are bitwise identical across the two modes (pinned by
 // TestMultiRunnerDisableSharing); only the work to produce them differs.
 //
 // ns/campaign (total time over campaigns completed) is the gated metric;

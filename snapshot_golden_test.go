@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,12 +32,15 @@ func snapshotFixtureCampaign(t *testing.T) *Tuner {
 	}
 }
 
-// TestSnapshotGoldenFixture pins the version-1 snapshot wire format: the
-// serialized bytes of the golden scout72-la1 campaign must match the
-// committed fixture byte for byte, and a build must keep resuming the
-// committed fixture to the recommendation pinned by the golden campaign
-// file. Regenerate with -update-golden only on a deliberate format change —
-// and bump SnapshotVersion when doing so.
+// TestSnapshotGoldenFixture pins the version-1 snapshot wire format from both
+// sides. Written: the serialized bytes of the golden scout72-la1 campaign
+// must match golden_snapshot_v1_written.json byte for byte (regenerate with
+// -update-golden only on a deliberate format change — and bump
+// SnapshotVersion when a reader of the old format could misread the new one).
+// Read: golden_snapshot_v1.json is a snapshot as an older build wrote it —
+// with the fitted-ensemble field this build no longer writes — and is never
+// regenerated; a build must keep resuming it to the recommendation pinned by
+// the golden campaign file.
 func TestSnapshotGoldenFixture(t *testing.T) {
 	tuner := snapshotFixtureCampaign(t)
 	snap, err := tuner.Snapshot()
@@ -46,26 +48,30 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 		t.Fatalf("Snapshot: %v", err)
 	}
 
-	path := filepath.Join("testdata", "golden_snapshot_v1.json")
+	written := filepath.Join("testdata", "golden_snapshot_v1_written.json")
 	if *updateGolden {
-		if err := os.WriteFile(path, snap, 0o644); err != nil {
+		if err := os.WriteFile(written, snap, 0o644); err != nil {
 			t.Fatalf("writing fixture: %v", err)
 		}
 		return
 	}
-	fixture, err := os.ReadFile(path)
+	want, err := os.ReadFile(written)
 	if err != nil {
 		t.Fatalf("reading fixture (re-run with -update-golden to regenerate): %v", err)
 	}
-	if !bytes.Equal(snap, fixture) {
+	if !bytes.Equal(snap, want) {
 		t.Fatalf("snapshot bytes diverged from the committed v%d fixture (%d vs %d bytes); "+
-			"if the format change is deliberate, bump SnapshotVersion and regenerate with -update-golden",
-			core.SnapshotVersion, len(snap), len(fixture))
+			"if the format change is deliberate, regenerate with -update-golden",
+			core.SnapshotVersion, len(snap), len(want))
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "golden_snapshot_v1.json"))
+	if err != nil {
+		t.Fatalf("reading the read-side fixture: %v", err)
 	}
 
 	// The committed fixture must resume and report the recommendation pinned
 	// by the golden campaign file.
-	var want struct {
+	var golden struct {
 		Trials      []int `json:"trials"`
 		Recommended int   `json:"recommended"`
 	}
@@ -73,7 +79,7 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden campaign: %v", err)
 	}
-	if err := json.Unmarshal(goldenData, &want); err != nil {
+	if err := json.Unmarshal(goldenData, &golden); err != nil {
 		t.Fatalf("parsing golden campaign: %v", err)
 	}
 	cfg := TunerConfig{Lookahead: 1}
@@ -86,14 +92,44 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 		t.Fatalf("resumed fixture campaign done=%v reason=%v, want done on budget", resumed.Done(), resumed.FinishReason())
 	}
 	got := traceOf(t, resumed)
-	if len(got.trials) != len(want.Trials) || got.recommended != want.Recommended {
+	if len(got.trials) != len(golden.Trials) || got.recommended != golden.Recommended {
 		t.Fatalf("fixture resumed to %d trials rec %d, golden pins %d trials rec %d",
-			len(got.trials), got.recommended, len(want.Trials), want.Recommended)
+			len(got.trials), got.recommended, len(golden.Trials), golden.Recommended)
 	}
 	for i := range got.trials {
-		if got.trials[i] != want.Trials[i] {
-			t.Fatalf("fixture trial %d is config %d, golden %d", i, got.trials[i], want.Trials[i])
+		if got.trials[i] != golden.Trials[i] {
+			t.Fatalf("fixture trial %d is config %d, golden %d", i, got.trials[i], golden.Trials[i])
 		}
+	}
+}
+
+// TestSnapshotCarriesStateOnly is the size ratchet of the snapshot: it holds
+// the campaign's state — options, cursors, one record per trial — and nothing
+// derivable from it, so a Tensorflow-384 campaign at 32 trials serializes to
+// a few KB; anything model-sized riding along would be tens of KB and grow
+// with every trial.
+func TestSnapshotCarriesStateOnly(t *testing.T) {
+	cfg := TunerConfig{Myopic: true}
+	_, env, opts := campaignCase(t, "tensorflow-cnn", cfg, 6, 7)
+	tuner, err := StartTuner(cfg, env, opts)
+	if err != nil {
+		t.Fatalf("StartTuner: %v", err)
+	}
+	for len(tuner.Trials()) < 32 {
+		done, err := tuner.Step()
+		if err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		if done {
+			t.Fatalf("campaign finished after %d trials, before the 32 the ratchet measures", len(tuner.Trials()))
+		}
+	}
+	snap, err := tuner.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if len(snap) >= 10<<10 {
+		t.Fatalf("snapshot at 32 trials is %d bytes, want under 10 KB", len(snap))
 	}
 }
 
@@ -119,35 +155,5 @@ func TestSnapshotRejectsFutureVersions(t *testing.T) {
 	_, env, _ := campaignCase(t, "scout-0", cfg, 4, 7)
 	if _, err := ResumeTuner(cfg, env, future); err == nil {
 		t.Error("future snapshot version accepted by ResumeTuner")
-	}
-	if _, err := core.SnapshotEnsemble(future); err == nil {
-		t.Error("future snapshot version accepted by SnapshotEnsemble")
-	}
-}
-
-// TestSnapshotEnsembleWarmStart checks that snapshots embed a usable fitted
-// cost model: the ensemble the next decision's planner would consult,
-// reconstructable for inspection or warm-starting.
-func TestSnapshotEnsembleWarmStart(t *testing.T) {
-	tuner := snapshotFixtureCampaign(t)
-	snap, err := tuner.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	ens, err := core.SnapshotEnsemble(snap)
-	if err != nil {
-		t.Fatalf("SnapshotEnsemble: %v", err)
-	}
-	if !ens.Trained() {
-		t.Fatal("embedded ensemble not trained")
-	}
-	for _, trial := range tuner.Trials() {
-		pred, err := ens.Predict(trial.Config.Features)
-		if err != nil {
-			t.Fatalf("Predict: %v", err)
-		}
-		if math.IsNaN(pred.Mean) || math.IsInf(pred.Mean, 0) || pred.Mean <= 0 {
-			t.Fatalf("embedded ensemble predicts %v for a profiled config", pred.Mean)
-		}
 	}
 }
