@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/optimizer"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the pre-refactor golden campaign files")
@@ -24,67 +22,19 @@ type goldenCampaign struct {
 	SpentBudget float64 `json:"spent_budget"`
 }
 
-// goldenCases enumerates the campaigns pinned by the golden files: the
-// 384-point Tensorflow space and the 72-point Scout space, each at LA=1 and
-// LA=2, with the paper-default tuner settings.
-func goldenCases(t *testing.T) map[string]func() (Environment, Options, Optimizer) {
-	t.Helper()
-	makeCase := func(jobName string, lookahead int, budgetMultiplier float64) func() (Environment, Options, Optimizer) {
-		return func() (Environment, Options, Optimizer) {
-			var job *Job
-			var err error
-			if jobName == "tensorflow-cnn" {
-				job, err = SyntheticTensorflowJob("cnn", 42)
-			} else {
-				var jobs []*Job
-				jobs, err = SyntheticScoutJobs(42)
-				if err == nil {
-					job = jobs[0]
-				}
-			}
-			if err != nil {
-				t.Fatalf("building job %s: %v", jobName, err)
-			}
-			env, err := NewJobEnvironment(job)
-			if err != nil {
-				t.Fatalf("NewJobEnvironment: %v", err)
-			}
-			tmax, err := job.RuntimeForFeasibleFraction(0.5)
-			if err != nil {
-				t.Fatalf("RuntimeForFeasibleFraction: %v", err)
-			}
-			bootstrap, err := optimizer.ResolveBootstrapSize(job.Space(), Options{Budget: 1, MaxRuntimeSeconds: 1})
-			if err != nil {
-				t.Fatalf("ResolveBootstrapSize: %v", err)
-			}
-			opts := Options{
-				Budget:            float64(bootstrap) * job.MeanCost() * budgetMultiplier,
-				MaxRuntimeSeconds: tmax,
-				Seed:              7,
-			}
-			tuner, err := NewTuner(TunerConfig{Lookahead: lookahead})
-			if err != nil {
-				t.Fatalf("NewTuner: %v", err)
-			}
-			return env, opts, tuner
-		}
-	}
-	return map[string]func() (Environment, Options, Optimizer){
-		"tensorflow384-la1": makeCase("tensorflow-cnn", 1, 1.3),
-		"tensorflow384-la2": makeCase("tensorflow-cnn", 2, 1.3),
-		"scout72-la1":       makeCase("scout-0", 1, 4),
-		"scout72-la2":       makeCase("scout-0", 2, 4),
-	}
-}
-
 // TestExhaustiveMatchesPreRefactorGolden runs the default (Exhaustive) tuner
 // on the golden campaigns and requires bitwise-identical trial sequences,
 // recommendations and spent budgets to the files recorded before the
 // candidate-provider refactor.
 func TestExhaustiveMatchesPreRefactorGolden(t *testing.T) {
-	for name, build := range goldenCases(t) {
+	for _, name := range []string{"tensorflow384-la1", "tensorflow384-la2", "scout72-la1", "scout72-la2"} {
 		t.Run(name, func(t *testing.T) {
-			env, opts, tuner := build()
+			f := fixtureNamed(t, name)
+			tuner, err := NewTuner(f.cfg)
+			if err != nil {
+				t.Fatalf("NewTuner: %v", err)
+			}
+			env, opts := f.inputs(t, f.seed)
 			res, err := tuner.Optimize(env, opts)
 			if err != nil {
 				t.Fatalf("Optimize: %v", err)

@@ -2,241 +2,19 @@ package lynceus
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/optimizer"
 )
 
-// campaignCase builds a deterministic (env, opts, cfg) triple for the
-// fault-tolerance tests, mirroring the golden campaign setups.
-func campaignCase(t *testing.T, jobName string, cfg TunerConfig, budgetMultiplier float64, seed int64) (*Job, Environment, Options) {
+// runTunerResult steps a tuner to completion and returns its result.
+func runTunerResult(t *testing.T, tuner *Tuner) Result {
 	t.Helper()
-	var job *Job
-	var err error
-	if jobName == "tensorflow-cnn" {
-		job, err = SyntheticTensorflowJob("cnn", 42)
-	} else {
-		var jobs []*Job
-		jobs, err = SyntheticScoutJobs(42)
-		if err == nil {
-			job = jobs[0]
-		}
-	}
+	res, err := tuner.Run()
 	if err != nil {
-		t.Fatalf("building job %s: %v", jobName, err)
+		t.Fatalf("Run: %v", err)
 	}
-	env, err := NewJobEnvironment(job)
-	if err != nil {
-		t.Fatalf("NewJobEnvironment: %v", err)
-	}
-	tmax, err := job.RuntimeForFeasibleFraction(0.5)
-	if err != nil {
-		t.Fatalf("RuntimeForFeasibleFraction: %v", err)
-	}
-	bootstrap, err := optimizer.ResolveBootstrapSize(job.Space(), Options{Budget: 1, MaxRuntimeSeconds: 1})
-	if err != nil {
-		t.Fatalf("ResolveBootstrapSize: %v", err)
-	}
-	opts := Options{
-		Budget:            float64(bootstrap) * job.MeanCost() * budgetMultiplier,
-		MaxRuntimeSeconds: tmax,
-		Seed:              seed,
-	}
-	return job, env, opts
-}
-
-// campaignTrace flattens a finished campaign for bitwise comparison.
-type campaignTrace struct {
-	trials      []int
-	quarantined []int
-	recommended int
-	feasible    bool
-	spent       float64
-}
-
-func traceOf(t *testing.T, tuner *Tuner) campaignTrace {
-	t.Helper()
-	res, err := tuner.Result()
-	if err != nil {
-		t.Fatalf("Result: %v", err)
-	}
-	tr := campaignTrace{
-		quarantined: tuner.QuarantinedIDs(),
-		recommended: res.Recommended.Config.ID,
-		feasible:    res.RecommendedFeasible,
-		spent:       res.SpentBudget,
-	}
-	for _, trial := range res.Trials {
-		tr.trials = append(tr.trials, trial.Config.ID)
-	}
-	return tr
-}
-
-func (a campaignTrace) equal(b campaignTrace) bool {
-	return fmt.Sprint(a.trials) == fmt.Sprint(b.trials) &&
-		fmt.Sprint(a.quarantined) == fmt.Sprint(b.quarantined) &&
-		a.recommended == b.recommended && a.feasible == b.feasible && a.spent == b.spent
-}
-
-func runToCompletion(t *testing.T, tuner *Tuner) campaignTrace {
-	t.Helper()
-	for {
-		done, err := tuner.Step()
-		if err != nil {
-			t.Fatalf("Step: %v", err)
-		}
-		if done {
-			return traceOf(t, tuner)
-		}
-	}
-}
-
-// TestCrashRecoveryAtEveryBoundary kills a campaign at every decision
-// boundary — after each bootstrap probe and each planning decision — and
-// requires that resuming from the snapshot taken at that boundary reproduces
-// the bitwise-identical remaining trial sequence, quarantine set, spent
-// budget and recommendation of the uninterrupted run. Both speculative-refit
-// modes are covered: the incremental mode on the Tensorflow-384 space and
-// the golden-pinned full mode on the Scout-72 space.
-func TestCrashRecoveryAtEveryBoundary(t *testing.T) {
-	cases := []struct {
-		name       string
-		job        string
-		cfg        TunerConfig
-		multiplier float64
-	}{
-		{"tensorflow384-la2-incremental", "tensorflow-cnn", TunerConfig{Lookahead: 2, SpeculativeRefit: "incremental"}, 1.3},
-		{"scout72-la2-full", "scout-0", TunerConfig{Lookahead: 2, SpeculativeRefit: "full"}, 4},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, env, opts := campaignCase(t, tc.job, tc.cfg, tc.multiplier, 7)
-
-			// Uninterrupted run, snapshotting at every boundary along the way.
-			tuner, err := StartTuner(tc.cfg, env, opts)
-			if err != nil {
-				t.Fatalf("StartTuner: %v", err)
-			}
-			var snapshots [][]byte
-			for {
-				snap, err := tuner.Snapshot()
-				if err != nil {
-					t.Fatalf("Snapshot at boundary %d: %v", len(snapshots), err)
-				}
-				snapshots = append(snapshots, snap)
-				done, err := tuner.Step()
-				if err != nil {
-					t.Fatalf("Step: %v", err)
-				}
-				if done {
-					break
-				}
-			}
-			want := traceOf(t, tuner)
-			if len(want.trials) == 0 {
-				t.Fatal("campaign recorded no trials")
-			}
-			t.Logf("%d trials, %d boundaries", len(want.trials), len(snapshots))
-
-			for k, snap := range snapshots {
-				resumed, err := ResumeTuner(tc.cfg, env, snap)
-				if err != nil {
-					t.Fatalf("ResumeTuner at boundary %d: %v", k, err)
-				}
-				got := runToCompletion(t, resumed)
-				if !got.equal(want) {
-					t.Fatalf("resume from boundary %d diverged:\n got %+v\nwant %+v", k, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestCrashKillAndResumeUnderFaults injects a fatal crash mid-campaign (as a
-// process kill would), resumes from the last checkpoint — including the fault
-// stream's own counters via the embedded environment state — and requires the
-// result to match an identical campaign that never crashed.
-func TestCrashKillAndResumeUnderFaults(t *testing.T) {
-	cfg := TunerConfig{Lookahead: 1}
-	// A small failed-cost fraction keeps the tight 1.3x budget from being
-	// wiped out by the failed attempts, so the campaign retains a decision
-	// phase for the crash to land in.
-	faultParams := FaultParams{Seed: 3, TransientRate: 0.1, FailedCostFraction: 0.05}
-	retry := RetryPolicy{MaxAttempts: 3, Quarantine: true}
-
-	// Reference: same faults, no crash.
-	_, env, opts := campaignCase(t, "tensorflow-cnn", cfg, 1.3, 7)
-	opts.Retry = retry
-	refEnv, err := NewFaultyEnvironment(env, faultParams)
-	if err != nil {
-		t.Fatalf("NewFaultyEnvironment: %v", err)
-	}
-	refTuner, err := StartTuner(cfg, refEnv, opts)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
-	want := runToCompletion(t, refTuner)
-	bootstrap, err := optimizer.ResolveBootstrapSize(env.Space(), opts)
-	if err != nil {
-		t.Fatalf("ResolveBootstrapSize: %v", err)
-	}
-	if len(want.trials) <= bootstrap {
-		t.Fatalf("reference campaign has no decision phase (%d trials); the crash scenario needs one", len(want.trials))
-	}
-
-	// Crashing run: the penultimate cloud run of the reference sequence dies
-	// fatally — deep in the decision phase, as a process kill would.
-	crashParams := faultParams
-	crashParams.CrashAtRun = refEnv.Runs() - 1
-	_, env2, _ := campaignCase(t, "tensorflow-cnn", cfg, 1.3, 7)
-	crashEnv, err := NewFaultyEnvironment(env2, crashParams)
-	if err != nil {
-		t.Fatalf("NewFaultyEnvironment: %v", err)
-	}
-	tuner, err := StartTuner(cfg, crashEnv, opts)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
-	var lastSnap []byte
-	crashed := false
-	for {
-		snap, serr := tuner.Snapshot()
-		if serr != nil {
-			t.Fatalf("Snapshot: %v", serr)
-		}
-		lastSnap = snap
-		done, err := tuner.Step()
-		if err != nil {
-			if !errors.Is(err, ErrInjectedCrash) || !errors.Is(err, ErrEnvironmentFatal) || !errors.Is(err, ErrRunFailed) {
-				t.Fatalf("crash surfaced as %v, want ErrRunFailed wrapping ErrInjectedCrash/ErrEnvironmentFatal", err)
-			}
-			crashed = true
-			break
-		}
-		if done {
-			break
-		}
-	}
-	if !crashed {
-		t.Fatal("campaign completed without hitting the injected crash; raise CrashAtRun coverage")
-	}
-
-	// "Restart the process": a fresh environment with the kill switch removed;
-	// ResumeTuner restores the fault stream's counters from the snapshot.
-	_, env3, _ := campaignCase(t, "tensorflow-cnn", cfg, 1.3, 7)
-	resumeEnv, err := NewFaultyEnvironment(env3, faultParams)
-	if err != nil {
-		t.Fatalf("NewFaultyEnvironment: %v", err)
-	}
-	resumed, err := ResumeTuner(cfg, resumeEnv, lastSnap)
-	if err != nil {
-		t.Fatalf("ResumeTuner: %v", err)
-	}
-	got := runToCompletion(t, resumed)
-	if !got.equal(want) {
-		t.Fatalf("kill+resume diverged from uninterrupted run:\n got %+v\nwant %+v", got, want)
-	}
+	return res
 }
 
 // TestFaultedCampaignsStayNearFaultFreeQuality runs the Scout-72 LA=2
@@ -244,47 +22,40 @@ func TestCrashKillAndResumeUnderFaults(t *testing.T) {
 // the recommendation's cost (normalized to the true optimum) to stay within
 // 10% of the fault-free campaign's on at least four of them.
 func TestFaultedCampaignsStayNearFaultFreeQuality(t *testing.T) {
-	cfg := TunerConfig{Lookahead: 2}
+	f := fixtureNamed(t, "scout72-la2")
 	seeds := []int64{1, 2, 3, 4, 5}
 	ok, failedAttempts := 0, 0
 	for _, seed := range seeds {
-		job, env, opts := campaignCase(t, "scout-0", cfg, 4, seed)
+		env, opts := f.inputs(t, seed)
 		opts.Retry = RetryPolicy{MaxAttempts: 3, Quarantine: true}
+		job := env.(*optimizer.JobEnvironment).Job()
 		best, err := job.Optimum(opts.MaxRuntimeSeconds)
 		if err != nil {
 			t.Fatalf("Optimum: %v", err)
 		}
+		free := runTunerResult(t, startTuner(t, f.cfg, env, opts, nil))
 
-		freeTuner, err := StartTuner(cfg, env, opts)
-		if err != nil {
-			t.Fatalf("StartTuner: %v", err)
-		}
-		free := runToCompletion(t, freeTuner)
-
-		_, env2, _ := campaignCase(t, "scout-0", cfg, 4, seed)
+		env2, _ := f.inputs(t, seed)
 		faulty, err := NewFaultyEnvironment(env2, FaultParams{Seed: seed, TransientRate: 0.1, FailedCostFraction: 0.25})
 		if err != nil {
 			t.Fatalf("NewFaultyEnvironment: %v", err)
 		}
-		faultTuner, err := StartTuner(cfg, faulty, opts)
-		if err != nil {
-			t.Fatalf("StartTuner: %v", err)
-		}
-		faulted := runToCompletion(t, faultTuner)
-		failedAttempts += faulty.Runs() - len(faulted.trials)
+		faultTuner := startTuner(t, f.cfg, faulty, opts, nil)
+		faulted := runTunerResult(t, faultTuner)
+		failedAttempts += faulty.Runs() - len(faulted.Trials)
 
-		freeCost, err := job.Measurement(free.recommended)
+		freeCost, err := job.Measurement(free.Recommended.Config.ID)
 		if err != nil {
 			t.Fatalf("Measurement: %v", err)
 		}
-		faultCost, err := job.Measurement(faulted.recommended)
+		faultCost, err := job.Measurement(faulted.Recommended.Config.ID)
 		if err != nil {
 			t.Fatalf("Measurement: %v", err)
 		}
 		cnoFree := freeCost.Cost / best.Cost
 		cnoFault := faultCost.Cost / best.Cost
 		t.Logf("seed %d: CNO fault-free %.3f, faulted %.3f (%d trials, %d quarantined)",
-			seed, cnoFree, cnoFault, len(faulted.trials), len(faulted.quarantined))
+			seed, cnoFree, cnoFault, len(faulted.Trials), len(faultTuner.QuarantinedIDs()))
 		if cnoFault <= 1.1*cnoFree {
 			ok++
 		}
@@ -297,40 +68,12 @@ func TestFaultedCampaignsStayNearFaultFreeQuality(t *testing.T) {
 	}
 }
 
-// TestFaultedCampaignDeterminismAndWorkerIndependence replays one faulted
-// campaign and requires identical trial sequences across reruns and across
-// planner worker counts.
-func TestFaultedCampaignDeterminismAndWorkerIndependence(t *testing.T) {
-	run := func(workers int) campaignTrace {
-		t.Helper()
-		cfg := TunerConfig{Lookahead: 2, Workers: workers}
-		_, env, opts := campaignCase(t, "scout-0", cfg, 4, 7)
-		opts.Retry = RetryPolicy{MaxAttempts: 3, Quarantine: true}
-		faulty, err := NewFaultyEnvironment(env, FaultParams{Seed: 7, TransientRate: 0.15, FailedCostFraction: 0.25})
-		if err != nil {
-			t.Fatalf("NewFaultyEnvironment: %v", err)
-		}
-		tuner, err := StartTuner(cfg, faulty, opts)
-		if err != nil {
-			t.Fatalf("StartTuner: %v", err)
-		}
-		return runToCompletion(t, tuner)
-	}
-	first := run(1)
-	if again := run(1); !first.equal(again) {
-		t.Fatalf("faulted campaign not deterministic:\n  %+v\nvs %+v", first, again)
-	}
-	if wide := run(4); !first.equal(wide) {
-		t.Fatalf("faulted campaign depends on worker count:\n 1: %+v\n 4: %+v", first, wide)
-	}
-}
-
 // TestCampaignAbortsWithoutQuarantine pins the sentinel-based campaign
 // control surface of the public API: without quarantine, a permanently
 // failing configuration aborts the campaign with typed errors.
 func TestCampaignAbortsWithoutQuarantine(t *testing.T) {
-	cfg := TunerConfig{Lookahead: 1}
-	_, env, opts := campaignCase(t, "scout-0", cfg, 4, 7)
+	f := fixtureNamed(t, "scout72-la1")
+	env, opts := f.inputs(t, f.seed)
 	opts.Retry = RetryPolicy{MaxAttempts: 2} // no quarantine
 	// Every configuration fails permanently: the first bootstrap probe aborts.
 	var ids []int
@@ -341,11 +84,7 @@ func TestCampaignAbortsWithoutQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewFaultyEnvironment: %v", err)
 	}
-	tuner, err := StartTuner(cfg, faulty, opts)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
-	_, serr := tuner.Run()
+	_, serr := startTuner(t, f.cfg, faulty, opts, nil).Run()
 	if serr == nil {
 		t.Fatal("campaign with all-failing bootstrap succeeded")
 	}
@@ -357,35 +96,26 @@ func TestCampaignAbortsWithoutQuarantine(t *testing.T) {
 
 	// A permanent decision-phase failure without quarantine aborts with
 	// ErrRunFailed wrapping the injected sentinel.
-	_, env2, opts2 := campaignCase(t, "scout-0", cfg, 4, 7)
-	opts2.Retry = RetryPolicy{MaxAttempts: 2}
-	free, err := StartTuner(cfg, env2, opts2)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
-	clean := runToCompletion(t, free)
+	env2, _ := f.inputs(t, f.seed)
+	free := startTuner(t, f.cfg, env2, opts, nil)
+	clean := runTunerResult(t, free)
 	if free.FinishReason() == nil || !errors.Is(free.FinishReason(), ErrBudgetExhausted) {
 		t.Fatalf("finish reason = %v, want ErrBudgetExhausted", free.FinishReason())
 	}
 	// Fail the first decision-phase pick (the first trial beyond bootstrap).
-	bootstrap, err := optimizer.ResolveBootstrapSize(env2.Space(), opts2)
+	bootstrap, err := optimizer.ResolveBootstrapSize(env2.Space(), opts)
 	if err != nil {
 		t.Fatalf("ResolveBootstrapSize: %v", err)
 	}
-	if len(clean.trials) <= bootstrap {
-		t.Fatalf("campaign never left the bootstrap (%d trials)", len(clean.trials))
+	if len(clean.Trials) <= bootstrap {
+		t.Fatalf("campaign never left the bootstrap (%d trials)", len(clean.Trials))
 	}
-	firstPick := clean.trials[bootstrap]
-	_, env3, _ := campaignCase(t, "scout-0", cfg, 4, 7)
-	faulty3, err := NewFaultyEnvironment(env3, FaultParams{Seed: 1, PermanentIDs: []int{firstPick}, FailedCostFraction: 0.1})
+	env3, _ := f.inputs(t, f.seed)
+	faulty3, err := NewFaultyEnvironment(env3, FaultParams{Seed: 1, PermanentIDs: []int{clean.Trials[bootstrap].Config.ID}, FailedCostFraction: 0.1})
 	if err != nil {
 		t.Fatalf("NewFaultyEnvironment: %v", err)
 	}
-	tuner3, err := StartTuner(cfg, faulty3, opts2)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
-	_, aerr := tuner3.Run()
+	_, aerr := startTuner(t, f.cfg, faulty3, opts, nil).Run()
 	if !errors.Is(aerr, ErrRunFailed) || !errors.Is(aerr, ErrInjectedPermanent) {
 		t.Fatalf("decision-phase abort = %v, want ErrRunFailed wrapping ErrInjectedPermanent", aerr)
 	}
@@ -393,22 +123,12 @@ func TestCampaignAbortsWithoutQuarantine(t *testing.T) {
 
 // TestResumeValidation exercises the snapshot compatibility checks.
 func TestResumeValidation(t *testing.T) {
-	cfg := TunerConfig{Lookahead: 1}
-	_, env, opts := campaignCase(t, "scout-0", cfg, 4, 7)
-	tuner, err := StartTuner(cfg, env, opts)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
+	f := fixtureNamed(t, "scout72-la1")
+	cfg := f.cfg
+	env, opts := f.inputs(t, f.seed)
+	tuner := startTuner(t, cfg, env, opts, nil)
 	// A few steps in, snapshot.
-	for i := 0; i < 3; i++ {
-		if _, err := tuner.Step(); err != nil {
-			t.Fatalf("Step: %v", err)
-		}
-	}
-	snap, err := tuner.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
+	snap := stepTo(t, tuner, 3)
 
 	if _, err := ResumeTuner(cfg, env, []byte("not json")); err == nil {
 		t.Error("garbage snapshot accepted")
@@ -416,33 +136,16 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := ResumeTuner(TunerConfig{Lookahead: 2}, env, snap); err == nil {
 		t.Error("snapshot accepted under mismatched tuner parameters")
 	}
-	otherJob, err := SyntheticTensorflowJob("cnn", 42)
-	if err != nil {
-		t.Fatalf("SyntheticTensorflowJob: %v", err)
-	}
-	otherEnv, err := NewJobEnvironment(otherJob)
-	if err != nil {
-		t.Fatalf("NewJobEnvironment: %v", err)
-	}
+	otherEnv, _ := fixtureNamed(t, "tensorflow384-la1").inputs(t, f.seed)
 	if _, err := ResumeTuner(cfg, otherEnv, snap); err == nil {
 		t.Error("snapshot accepted against a different configuration space")
 	}
 
 	// Setup-cost campaigns must re-supply the function on resume.
-	_, env2, opts2 := campaignCase(t, "scout-0", cfg, 4, 7)
+	env2, opts2 := f.inputs(t, f.seed)
 	setup := func(from *Config, to Config) float64 { return 0.001 }
 	opts2.SetupCost = setup
-	tuner2, err := StartTuner(cfg, env2, opts2)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
-	if _, err := tuner2.Step(); err != nil {
-		t.Fatalf("Step: %v", err)
-	}
-	snap2, err := tuner2.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
+	snap2 := stepTo(t, startTuner(t, cfg, env2, opts2, nil), 1)
 	if _, err := ResumeTuner(cfg, env2, snap2); err == nil {
 		t.Error("setup-cost snapshot resumed without the function")
 	}

@@ -224,7 +224,7 @@ func (b *BO) Optimize(env optimizer.Environment, opts optimizer.Options) (optimi
 		if err != nil {
 			return optimizer.Result{}, err
 		}
-		if _, err := optimizer.RunTrial(env, cfg, history, budget, opts.SetupCost); err != nil {
+		if _, _, err := optimizer.RunTrialWithRetry(env, cfg, history, budget, opts); err != nil {
 			return optimizer.Result{}, err
 		}
 	}

@@ -7,7 +7,9 @@ import (
 	"repro/internal/bagging"
 	"repro/internal/configspace"
 	"repro/internal/dataset"
+	"repro/internal/faults"
 	"repro/internal/optimizer"
+	"repro/internal/synth"
 )
 
 // fixtureJob builds the same 4x4 job used by the core tests: parameter 1 is
@@ -248,6 +250,54 @@ func TestRandomIsDeterministic(t *testing.T) {
 	for i := range a.Trials {
 		if a.Trials[i].Config.ID != b.Trials[i].Config.ID {
 			t.Fatalf("trial %d differs", i)
+		}
+	}
+}
+
+// TestBaselinesHonourRetryPolicy runs BO and RND on the 72-point Scout space
+// under 20 % injected transient faults with a retrying, quarantining policy:
+// decision-phase trials go through the same retry loop as the bootstrap, so
+// no seed aborts on a transient failure.
+func TestBaselinesHonourRetryPolicy(t *testing.T) {
+	jobs, err := synth.ScoutJobs(42)
+	if err != nil {
+		t.Fatalf("ScoutJobs: %v", err)
+	}
+	job := jobs[0]
+	tmax, err := job.RuntimeForFeasibleFraction(0.5)
+	if err != nil {
+		t.Fatalf("RuntimeForFeasibleFraction: %v", err)
+	}
+	bootstrap, err := optimizer.ResolveBootstrapSize(job.Space(), optimizer.Options{})
+	if err != nil {
+		t.Fatalf("ResolveBootstrapSize: %v", err)
+	}
+	bo, err := NewBO(BOParams{})
+	if err != nil {
+		t.Fatalf("NewBO: %v", err)
+	}
+	for _, opt := range []optimizer.Optimizer{bo, NewRandom()} {
+		for seed := int64(1); seed <= 5; seed++ {
+			inner, err := optimizer.NewJobEnvironment(job)
+			if err != nil {
+				t.Fatalf("NewJobEnvironment: %v", err)
+			}
+			env, err := faults.New(inner, faults.Params{Seed: seed, TransientRate: 0.2, FailedCostFraction: 0.25})
+			if err != nil {
+				t.Fatalf("faults.New: %v", err)
+			}
+			res, err := opt.Optimize(env, optimizer.Options{
+				Budget:            float64(bootstrap) * job.MeanCost() * 4,
+				MaxRuntimeSeconds: tmax,
+				Seed:              seed,
+				Retry:             optimizer.RetryPolicy{MaxAttempts: 3, Quarantine: true},
+			})
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", opt.Name(), seed, err)
+			}
+			if res.Explorations <= bootstrap {
+				t.Fatalf("%s seed %d: %d explorations, want a decision phase", opt.Name(), seed, res.Explorations)
+			}
 		}
 	}
 }

@@ -56,7 +56,7 @@ func (r *Random) Optimize(env optimizer.Environment, opts optimizer.Options) (op
 		if err != nil {
 			return optimizer.Result{}, err
 		}
-		if _, err := optimizer.RunTrial(env, cfg, history, budget, opts.SetupCost); err != nil {
+		if _, _, err := optimizer.RunTrialWithRetry(env, cfg, history, budget, opts); err != nil {
 			return optimizer.Result{}, err
 		}
 	}

@@ -246,55 +246,6 @@ func testCancelledAtEveryBoundary(t *testing.T, params Params) {
 	}
 }
 
-// TestCancelThenResumeBitwise is the server's rollback path in miniature:
-// cancel a campaign, resume its last snapshot, finish — bitwise identical to
-// never cancelling.
-func TestCancelThenResumeBitwise(t *testing.T) {
-	l, err := New(fastParams(1))
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-	opts := fixtureOptions(t, 7)
-
-	baselineCampaign, err := l.NewCampaign(fixtureEnv(t), opts, nil)
-	if err != nil {
-		t.Fatalf("NewCampaign error: %v", err)
-	}
-	baseline, err := baselineCampaign.Run()
-	if err != nil {
-		t.Fatalf("baseline run: %v", err)
-	}
-
-	c, err := l.NewCampaign(fixtureEnv(t), opts, nil)
-	if err != nil {
-		t.Fatalf("NewCampaign error: %v", err)
-	}
-	for i := 0; i < 4; i++ {
-		if done, err := c.Step(); err != nil || done {
-			t.Fatalf("step %d: done=%v err=%v", i, done, err)
-		}
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	cancelledCtx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.StepContext(cancelledCtx); !errors.Is(err, optimizer.ErrCampaignCancelled) {
-		t.Fatalf("cancelled step = %v, want ErrCampaignCancelled", err)
-	}
-
-	resumed, err := l.ResumeCampaign(fixtureEnv(t), snap, ResumeFuncs{}, nil)
-	if err != nil {
-		t.Fatalf("ResumeCampaign: %v", err)
-	}
-	res, err := resumed.Run()
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	sameResult(t, "cancel-then-resume", res, baseline)
-}
-
 // failingEnv lets the first `successes` runs through, then fails permanently —
 // a campaign that bootstraps fine and dies at its first planned trial.
 type failingEnv struct {

@@ -41,31 +41,3 @@ func TestOptimizeWithGaussianProcessModel(t *testing.T) {
 		t.Errorf("explorations = %d", res.Explorations)
 	}
 }
-
-// TestGPModelIsDeterministic verifies that runs with the GP model are
-// reproducible: the GP itself is deterministic given the data, and the rest
-// of the loop is seeded.
-func TestGPModelIsDeterministic(t *testing.T) {
-	env := fixtureEnv(t)
-	opts := fixtureOptions(t, 23)
-	l, err := New(Params{Lookahead: 1, ModelFactory: model.NewGPFactory(gp.Params{}), Workers: 2})
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-	a, err := l.Optimize(env, opts)
-	if err != nil {
-		t.Fatalf("Optimize error: %v", err)
-	}
-	b, err := l.Optimize(env, opts)
-	if err != nil {
-		t.Fatalf("Optimize error: %v", err)
-	}
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Config.ID != b.Trials[i].Config.ID {
-			t.Fatalf("trial %d differs", i)
-		}
-	}
-}

@@ -198,72 +198,6 @@ func TestOptimizeFindsGoodConfiguration(t *testing.T) {
 	}
 }
 
-func TestOptimizeIsDeterministicGivenSeed(t *testing.T) {
-	env := fixtureEnv(t)
-	opts := fixtureOptions(t, 21)
-	l, err := New(fastParams(1))
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-	a, err := l.Optimize(env, opts)
-	if err != nil {
-		t.Fatalf("Optimize error: %v", err)
-	}
-	b, err := l.Optimize(env, opts)
-	if err != nil {
-		t.Fatalf("Optimize error: %v", err)
-	}
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Config.ID != b.Trials[i].Config.ID {
-			t.Fatalf("trial %d differs: config %d vs %d", i, a.Trials[i].Config.ID, b.Trials[i].Config.ID)
-		}
-	}
-	if a.Recommended.Config.ID != b.Recommended.Config.ID {
-		t.Errorf("recommendations differ: %d vs %d", a.Recommended.Config.ID, b.Recommended.Config.ID)
-	}
-}
-
-// TestOptimizeIndependentOfWorkerCount verifies that the parallel evaluation
-// of exploration paths never changes the decisions: runs with 1 worker and
-// with 8 workers must profile exactly the same sequence of configurations.
-func TestOptimizeIndependentOfWorkerCount(t *testing.T) {
-	env := fixtureEnv(t)
-	opts := fixtureOptions(t, 29)
-	serialParams := fastParams(1)
-	serialParams.Workers = 1
-	parallelParams := fastParams(1)
-	parallelParams.Workers = 8
-
-	serial, err := New(serialParams)
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-	parallel, err := New(parallelParams)
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-	a, err := serial.Optimize(env, opts)
-	if err != nil {
-		t.Fatalf("Optimize error: %v", err)
-	}
-	b, err := parallel.Optimize(env, opts)
-	if err != nil {
-		t.Fatalf("Optimize error: %v", err)
-	}
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Config.ID != b.Trials[i].Config.ID {
-			t.Fatalf("trial %d differs between worker counts: %d vs %d",
-				i, a.Trials[i].Config.ID, b.Trials[i].Config.ID)
-		}
-	}
-}
-
 func TestOptimizeRespectsTinyBudget(t *testing.T) {
 	env := fixtureEnv(t)
 	opts := fixtureOptions(t, 3)

@@ -183,8 +183,8 @@ func sampleOracleCampaign(t *testing.T, oc oracleCampaign, tally *oracleTally) {
 		if !ok {
 			break
 		}
-		if _, err := optimizer.RunTrial(oc.env, cfg, h, budget, nil); err != nil {
-			t.Fatalf("RunTrial: %v", err)
+		if _, _, err := optimizer.RunTrialWithRetry(oc.env, cfg, h, budget, optimizer.Options{}); err != nil {
+			t.Fatalf("RunTrialWithRetry: %v", err)
 		}
 	}
 }

@@ -132,45 +132,3 @@ func TestNoisyEnvObservationsReportedVerbatim(t *testing.T) {
 			res.Recommended.Config.ID, res.Recommended.Cost, res.RecommendedFeasible, bestID, bestCost)
 	}
 }
-
-// TestNoisyEnvCampaignsAreReplayable pins that the tuner carries no hidden
-// state between runs: a fresh same-seed environment replays the identical
-// trial sequence whether driven by a fresh tuner or by a reused one (the
-// prediction memos are per-Optimize, so a prior campaign on different noise
-// cannot corrupt the next — pruning calibration included).
-func TestNoisyEnvCampaignsAreReplayable(t *testing.T) {
-	first, _ := noisyCampaign(t, noisyParams())
-	second, _ := noisyCampaign(t, noisyParams())
-
-	// Same tuner instance reused across two environments.
-	lyn, err := New(noisyParams())
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-	opts := optimizer.Options{Budget: 0.3, MaxRuntimeSeconds: 55, Seed: 3}
-	if _, err := lyn.Optimize(newNoisyEnv(t), opts); err != nil {
-		t.Fatalf("first reuse Optimize error: %v", err)
-	}
-	third, err := lyn.Optimize(newNoisyEnv(t), opts)
-	if err != nil {
-		t.Fatalf("second reuse Optimize error: %v", err)
-	}
-
-	for name, other := range map[string]optimizer.Result{"fresh tuner": second, "reused tuner": third} {
-		if len(other.Trials) != len(first.Trials) {
-			t.Fatalf("%s: %d trials, want %d", name, len(other.Trials), len(first.Trials))
-		}
-		for i := range first.Trials {
-			if first.Trials[i].Config.ID != other.Trials[i].Config.ID || first.Trials[i].Cost != other.Trials[i].Cost {
-				t.Fatalf("%s: trial %d is (id=%d cost=%v), want (id=%d cost=%v)",
-					name, i, other.Trials[i].Config.ID, other.Trials[i].Cost,
-					first.Trials[i].Config.ID, first.Trials[i].Cost)
-			}
-		}
-		if other.Recommended.Config.ID != first.Recommended.Config.ID || other.SpentBudget != first.SpentBudget {
-			t.Fatalf("%s: recommended %d (spent %v), want %d (spent %v)",
-				name, other.Recommended.Config.ID, other.SpentBudget,
-				first.Recommended.Config.ID, first.SpentBudget)
-		}
-	}
-}

@@ -148,8 +148,8 @@ func TestEligibleFiltersOnBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Config error: %v", err)
 		}
-		if _, err := optimizer.RunTrial(env, cfg, h, budget, nil); err != nil {
-			t.Fatalf("RunTrial error: %v", err)
+		if _, _, err := optimizer.RunTrialWithRetry(env, cfg, h, budget, optimizer.Options{}); err != nil {
+			t.Fatalf("RunTrialWithRetry error: %v", err)
 		}
 	}
 	train := newTrainSetFromHistory(h, opts, p.extraNames)
@@ -191,8 +191,8 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Config error: %v", err)
 		}
-		if _, err := optimizer.RunTrial(env, cfg, h, budget, nil); err != nil {
-			t.Fatalf("RunTrial error: %v", err)
+		if _, _, err := optimizer.RunTrialWithRetry(env, cfg, h, budget, optimizer.Options{}); err != nil {
+			t.Fatalf("RunTrialWithRetry error: %v", err)
 		}
 	}
 	train := newTrainSetFromHistory(h, opts, p.extraNames)

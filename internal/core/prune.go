@@ -29,23 +29,20 @@ const (
 //     (a lower bound on the true path cost, since speculated future costs are
 //     non-negative).
 //  2. The top seeds by that bound are evaluated exactly, with no
-//     synchronization between them: each seed task publishes its ratio and
-//     observed future reward through lock-free monotone atomics as it
-//     completes.
-//  3. At the seed join the pruning threshold is fixed from the seed
-//     results; remaining candidates whose bound cannot beat it are dropped
-//     without simulating their paths, and the survivors are evaluated
-//     exactly.
+//     synchronization between them: each seed task writes only its own
+//     rank-fixed result slot.
+//  3. After the seed join the pruning threshold is computed serially from
+//     the seed results; remaining candidates whose bound cannot beat it are
+//     dropped without simulating their paths, and the survivors are
+//     evaluated exactly.
 //
-// This replaces the former fixed-size chunk barriers (one pool-wide
-// synchronization per 16 candidates) with a single join per decision, and
-// keeps the pruned set deterministic BY CONSTRUCTION: the threshold depends
-// only on the seed results, which are evaluated unconditionally, never on
-// which worker read the threshold when. Scores land in slots fixed by
-// candidate rank and are collected in canonical order, so the
-// recommendation is bitwise identical for every Params.Workers value
-// (pinned by the worker-count determinism tests and the golden campaign
-// tests).
+// The seed join is the decision's only synchronization point, and the pruned
+// set is deterministic BY CONSTRUCTION: the threshold depends only on the
+// seed results, which are evaluated unconditionally, never on the order
+// paths finish in. Scores land in slots fixed by candidate rank and are collected
+// in canonical order, so the recommendation is bitwise identical for every
+// Params.Workers value (pinned by the campaign-equivalence harness and the
+// golden campaign tests).
 func (p *planner) prunedScores(d *decision) ([]pathScore, error) {
 	const eps = 1e-12
 	eligible, costPreds, rootEIc := d.eligible, d.costPreds, d.rootEIc
@@ -68,12 +65,8 @@ func (p *planner) prunedScores(d *decision) ([]pathScore, error) {
 	costLBs := make([]float64, len(eligible))
 	bounds := make([]float64, len(eligible))
 	for i, cand := range eligible {
-		costLB := costPreds[i].Mean + p.setupCost(d.root.deployed, cand)
-		if costLB < eps {
-			costLB = eps
-		}
-		costLBs[i] = costLB
-		bounds[i] = (rootEIc[i] + horizon*maxEIc) / costLB
+		costLBs[i] = max(costPreds[i].Mean+p.setupCost(d.root.deployed, cand), eps)
+		bounds[i] = (rootEIc[i] + horizon*maxEIc) / costLBs[i]
 	}
 
 	order := make([]int, len(eligible))
@@ -87,62 +80,48 @@ func (p *planner) prunedScores(d *decision) ([]pathScore, error) {
 		return eligible[order[a]].id < eligible[order[b]].id
 	})
 
-	seedCount := len(eligible) / pruneSeedDivisor
-	if seedCount < pruneMinSeeds {
-		seedCount = pruneMinSeeds
-	}
+	seedCount := max(len(eligible)/pruneSeedDivisor, pruneMinSeeds)
 
-	// Phase 1: evaluate every seed exactly. Seed tasks publish the pruning
-	// calibration through the lock-free monotone atomics as they complete
-	// (no synchronization between seeds); the single join at the end of the
-	// run is the only synchronization point of the whole decision — versus
-	// one barrier per 16-candidate chunk before.
-	var bestRatio, maxFuture atomicMaxFloat
+	// Phase 1: evaluate every seed exactly.
 	results := make([]pathScore, len(order))
 	errs := make([]error, len(order))
 	evalRank := func(w *specWorker, rank int) {
-		i := order[rank]
-		s, err := p.evalPath(w, d, eligible[i])
+		s, err := p.evalPath(w, d, eligible[order[rank]])
 		if err != nil {
 			errs[rank] = err
 			return
 		}
 		results[rank] = s
-		den := s.cost
-		if den < eps {
-			den = eps
-		}
-		bestRatio.Max(s.reward / den)
-		maxFuture.Max(s.reward - rootEIc[i])
 	}
 	p.sched.run(seedCount, evalRank)
 	if err := firstError(errs[:seedCount]); err != nil {
 		return nil, err
 	}
 
-	// Phase 2: fix the threshold from the (deterministic) seed results and
-	// prune the remaining candidates against it up front. The discounted
-	// future reward of a path varies far less across root candidates than
-	// the root EIc does, so the largest future reward observed across the
-	// seeds, inflated by the safety factor, bounds the rest; the
-	// discounted-horizon multiple of the best root EIc floors the term, so a
-	// degenerate seed sample (every seed's speculation adding nothing) can
-	// never tighten the bound below the static ranking optimism.
-	//
-	// Fixing the threshold at the seed join — rather than letting survivor
-	// evaluations keep tightening it — is what makes the pruned set
-	// deterministic BY CONSTRUCTION: it depends only on seed results, which
-	// are evaluated unconditionally. A threshold that kept moving while
-	// survivors completed in scheduling order would still pick the same
-	// winner whenever the optimistic bound truly bounds (a skipped
-	// candidate's ratio would sit strictly below an exactly-computed one),
-	// but the bound is a calibrated heuristic, and the repository's
-	// reproducibility contract must not be conditional on it.
-	future := pruneOptimism * maxFuture.Load()
+	// Phase 2: fix the threshold from the seed results, serially in rank
+	// order, and prune the remaining candidates against it up front. The
+	// discounted future reward of a path varies far less across root
+	// candidates than the root EIc does, so the largest future reward
+	// observed across the seeds, inflated by the safety factor, bounds the
+	// rest; the discounted-horizon multiple of the best root EIc floors the
+	// term, so a degenerate seed sample (every seed's speculation adding
+	// nothing) can never tighten the bound below the static ranking optimism.
+	// Survivor evaluations never move the threshold: the bound is a
+	// calibrated heuristic, and which paths are evaluated must not depend on
+	// the order they finish in. Both maxima start at 0 and skip NaN scores.
+	threshold, maxFuture := 0.0, 0.0
+	for rank, s := range results[:seedCount] {
+		if ratio := s.reward / max(s.cost, eps); ratio > threshold {
+			threshold = ratio
+		}
+		if f := s.reward - rootEIc[order[rank]]; f > maxFuture {
+			maxFuture = f
+		}
+	}
+	future := pruneOptimism * maxFuture
 	if floor := horizon * maxEIc; future < floor {
 		future = floor
 	}
-	threshold := bestRatio.Load()
 	survivors := make([]int, 0, len(order)-seedCount)
 	for rank := seedCount; rank < len(order); rank++ {
 		if i := order[rank]; (rootEIc[i]+future)/costLBs[i] >= threshold {

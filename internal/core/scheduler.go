@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
@@ -109,32 +108,4 @@ func (s *specScheduler) run(n int, root func(w *specWorker, i int)) {
 	}
 	body(active[0])
 	wg.Wait()
-}
-
-// atomicMaxFloat publishes a monotonically tightening non-negative bound
-// without locks: Max only ever raises the stored value, so readers may
-// observe a stale-but-valid (looser) bound and still make conservative
-// decisions. The pruning threshold of prunedScores is published through two
-// of these, which is what removed the chunk barriers of the previous design.
-// Only non-negative values may be stored (the zero value reads as 0).
-type atomicMaxFloat struct {
-	bits atomic.Uint64
-}
-
-// Load returns the current bound.
-func (a *atomicMaxFloat) Load() float64 {
-	return math.Float64frombits(a.bits.Load())
-}
-
-// Max raises the bound to v if v is larger.
-func (a *atomicMaxFloat) Max(v float64) {
-	for {
-		old := a.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if a.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
 }

@@ -49,167 +49,6 @@ func sameResult(t *testing.T, label string, got, want optimizer.Result) {
 	sameTrials(t, label, got.Trials, want.Trials)
 }
 
-// TestSharedCampaignsBitwiseIdenticalToIsolated is the sharing determinism
-// contract: a batch mixing replica campaigns (same seed — maximal cache
-// adoption), different seeds and a different budget, run concurrently
-// through one share group, must produce exactly the trial sequences and
-// recommendations of the same campaigns run alone.
-func TestSharedCampaignsBitwiseIdenticalToIsolated(t *testing.T) {
-	params := fastParams(2)
-	params.SpeculativeRefit = SpecRefitIncremental
-	l, err := New(params)
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-
-	type spec struct {
-		name   string
-		seed   int64
-		budget float64
-	}
-	base := fixtureOptions(t, 0)
-	specs := []spec{
-		{name: "replica-a", seed: 5, budget: base.Budget},
-		{name: "replica-b", seed: 5, budget: base.Budget},
-		{name: "replica-c", seed: 5, budget: base.Budget},
-		{name: "other-seed", seed: 11, budget: base.Budget},
-		{name: "tight-budget", seed: 5, budget: base.Budget * 0.6},
-	}
-
-	// Isolated baselines, one campaign at a time, share-nothing.
-	isolated := make(map[string]optimizer.Result, len(specs))
-	for _, s := range specs {
-		opts := base
-		opts.Seed, opts.Budget = s.seed, s.budget
-		c, err := l.NewCampaign(fixtureEnv(t), opts, nil)
-		if err != nil {
-			t.Fatalf("NewCampaign(%s) error: %v", s.name, err)
-		}
-		res, err := c.Run()
-		if err != nil {
-			t.Fatalf("isolated %s: %v", s.name, err)
-		}
-		isolated[s.name] = res
-	}
-
-	runner := NewMultiRunner(4, NewShareGroup())
-	for _, s := range specs {
-		opts := base
-		opts.Seed, opts.Budget = s.seed, s.budget
-		if err := runner.Add(s.name, l, fixtureEnv(t), opts); err != nil {
-			t.Fatalf("Add(%s) error: %v", s.name, err)
-		}
-	}
-	summary, err := runner.Run()
-	if err != nil {
-		t.Fatalf("Run error: %v", err)
-	}
-	if len(summary.Results) != len(specs) {
-		t.Fatalf("%d results, want %d", len(summary.Results), len(specs))
-	}
-	for i, r := range summary.Results {
-		if r.Name != specs[i].name {
-			t.Fatalf("result %d is %q, want %q (Add order)", i, r.Name, specs[i].name)
-		}
-		if r.Err != nil {
-			t.Fatalf("shared %s: %v", r.Name, r.Err)
-		}
-		sameResult(t, r.Name, r.Result, isolated[r.Name])
-	}
-	if summary.CampaignsPerSec <= 0 {
-		t.Fatalf("CampaignsPerSec = %v", summary.CampaignsPerSec)
-	}
-	// The replicas must actually have shared work: at least one decision of
-	// replica-b/-c adopted from the cache (the caches are non-empty).
-	if runner.Group().decisions.Len() == 0 {
-		t.Fatal("no decisions were published to the share group")
-	}
-}
-
-// TestSharedResumeMidFlightNoBleed stops one campaign mid-flight, resumes it
-// from its snapshot into a share group where another campaign already ran to
-// completion, and checks the resumed campaign still reproduces its isolated
-// run — no state bleeds across campaigns through the group.
-func TestSharedResumeMidFlightNoBleed(t *testing.T) {
-	params := fastParams(2)
-	params.SpeculativeRefit = SpecRefitIncremental
-	l, err := New(params)
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-	opts := fixtureOptions(t, 9)
-
-	// Isolated baseline.
-	cIso, err := l.NewCampaign(fixtureEnv(t), opts, nil)
-	if err != nil {
-		t.Fatalf("NewCampaign error: %v", err)
-	}
-	want, err := cIso.Run()
-	if err != nil {
-		t.Fatalf("isolated run: %v", err)
-	}
-
-	g := NewShareGroup()
-
-	// An unrelated campaign (different seed) runs to completion in the
-	// group first, populating the caches and the workspace pool.
-	optsOther := fixtureOptions(t, 31)
-	other, err := l.NewCampaign(fixtureEnv(t), optsOther, g)
-	if err != nil {
-		t.Fatalf("NewCampaign error: %v", err)
-	}
-	if _, err := other.Run(); err != nil {
-		t.Fatalf("other campaign: %v", err)
-	}
-
-	// The campaign under test starts shared, is stopped mid-flight...
-	cShared, err := l.NewCampaign(fixtureEnv(t), opts, g)
-	if err != nil {
-		t.Fatalf("NewCampaign error: %v", err)
-	}
-	for i := 0; i < 6; i++ {
-		done, err := cShared.Step()
-		if err != nil {
-			t.Fatalf("step %d: %v", i, err)
-		}
-		if done {
-			t.Fatalf("campaign finished during warmup at step %d", i)
-		}
-	}
-	snap, err := cShared.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot error: %v", err)
-	}
-	cShared = nil // abandoned mid-flight; the group must not care
-
-	// ...and resumes into the same (now warm) group.
-	resumed, err := l.ResumeCampaign(fixtureEnv(t), snap, ResumeFuncs{}, g)
-	if err != nil {
-		t.Fatalf("ResumeCampaign error: %v", err)
-	}
-	got, err := resumed.Run()
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	sameResult(t, "resumed", got, want)
-
-	// And the other campaign's results were not disturbed either: re-running
-	// its spec isolated gives the same answer.
-	cOtherIso, err := l.NewCampaign(fixtureEnv(t), optsOther, nil)
-	if err != nil {
-		t.Fatalf("NewCampaign error: %v", err)
-	}
-	wantOther, err := cOtherIso.Run()
-	if err != nil {
-		t.Fatalf("isolated other: %v", err)
-	}
-	gotOther, err := other.Result()
-	if err != nil {
-		t.Fatalf("other.Result error: %v", err)
-	}
-	sameResult(t, "other", gotOther, wantOther)
-}
-
 // TestShareGroupRetainsNoDroppedCampaign is the retention ratchet of the
 // share group: campaigns created into one group, each on its own freshly
 // built environment, stepped past two planning decisions and then dropped,

@@ -281,8 +281,8 @@ func sampleSpeculateCampaign(t *testing.T, oc speculateOracleCampaign, lookahead
 		if !ok {
 			break
 		}
-		if _, err := optimizer.RunTrial(oc.env, cfg, h, budget, nil); err != nil {
-			t.Fatalf("RunTrial: %v", err)
+		if _, _, err := optimizer.RunTrialWithRetry(oc.env, cfg, h, budget, optimizer.Options{}); err != nil {
+			t.Fatalf("RunTrialWithRetry: %v", err)
 		}
 	}
 }

@@ -88,9 +88,9 @@ func (p Params) stragglerFactor() float64 {
 
 // Env is a fault-injecting Environment wrapper. It implements
 // optimizer.StatefulEnvironment: its counters (global run count, per-config
-// attempt counts, whether the crash already fired) travel inside campaign
-// snapshots, so a resumed campaign sees the fault stream continue exactly
-// where the original left off.
+// attempt counts, whether the crash already fired) and the inner environment's
+// state travel inside campaign snapshots, so a resumed campaign sees both
+// continue exactly where the original left off.
 type Env struct {
 	inner     optimizer.Environment
 	params    Params
@@ -194,18 +194,26 @@ func (e *Env) Run(cfg configspace.Config) (optimizer.TrialResult, error) {
 	return trial, nil
 }
 
-// envState is the serialized counter state.
+// envState is the serialized counter state, plus the inner environment's.
 type envState struct {
-	Runs     int         `json:"runs"`
-	Crashed  bool        `json:"crashed,omitempty"`
-	Attempts map[int]int `json:"attempts,omitempty"`
+	Runs     int             `json:"runs"`
+	Crashed  bool            `json:"crashed,omitempty"`
+	Attempts map[int]int     `json:"attempts,omitempty"`
+	Inner    json.RawMessage `json:"inner,omitempty"`
 }
 
 // EnvState implements optimizer.StatefulEnvironment.
 func (e *Env) EnvState() ([]byte, error) {
+	var inner []byte
+	if se, ok := e.inner.(optimizer.StatefulEnvironment); ok {
+		var err error
+		if inner, err = se.EnvState(); err != nil {
+			return nil, err
+		}
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return json.Marshal(envState{Runs: e.runs, Crashed: e.crashed, Attempts: e.attempts})
+	return json.Marshal(envState{Runs: e.runs, Crashed: e.crashed, Attempts: e.attempts, Inner: inner})
 }
 
 // RestoreEnvState implements optimizer.StatefulEnvironment.
@@ -223,6 +231,11 @@ func (e *Env) RestoreEnvState(data []byte) error {
 			return fmt.Errorf("faults: negative attempt count %d for config %d in environment state", n, id)
 		}
 		attempts[id] = n
+	}
+	if se, ok := e.inner.(optimizer.StatefulEnvironment); ok && len(s.Inner) > 0 {
+		if err := se.RestoreEnvState(s.Inner); err != nil {
+			return err
+		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()

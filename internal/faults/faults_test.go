@@ -7,6 +7,7 @@ import (
 	"repro/internal/configspace"
 	"repro/internal/dataset"
 	"repro/internal/optimizer"
+	"repro/internal/servesim"
 )
 
 func fixtureEnv(t *testing.T) *optimizer.JobEnvironment {
@@ -263,6 +264,37 @@ func TestEnvStateRoundTrip(t *testing.T) {
 	}
 	if err := b.RestoreEnvState([]byte(`{"runs":-1}`)); err == nil {
 		t.Error("negative run count accepted")
+	}
+}
+
+// TestEnvStateCarriesInnerState wraps a stochastic simulator, whose run
+// counters position its noise streams: the wrapper's state must carry them,
+// or a restored campaign re-draws noise already drawn.
+func TestEnvStateCarriesInnerState(t *testing.T) {
+	wrap := func() *Env {
+		inner, err := servesim.NewProfileEnv("batch", 1)
+		if err != nil {
+			t.Fatalf("NewProfileEnv: %v", err)
+		}
+		env, err := New(inner, Params{})
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return env
+	}
+	a, b := wrap(), wrap()
+	a.Run(mustCfg(t, a, 0))
+	state, err := a.EnvState()
+	if err != nil {
+		t.Fatalf("EnvState: %v", err)
+	}
+	if err := b.RestoreEnvState(state); err != nil {
+		t.Fatalf("RestoreEnvState: %v", err)
+	}
+	ta, _ := a.Run(mustCfg(t, a, 0))
+	tb, _ := b.Run(mustCfg(t, b, 0))
+	if ta.Cost != tb.Cost {
+		t.Fatalf("second run of config 0 cost %v after restore, %v uninterrupted", tb.Cost, ta.Cost)
 	}
 }
 

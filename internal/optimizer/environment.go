@@ -126,25 +126,6 @@ func ResolveBootstrapSize(space *configspace.Space, opts Options) (int, error) {
 	return lhs.DefaultBootstrapSize(space)
 }
 
-// RunTrial profiles a configuration and updates the history and budget
-// (the Update function of Algorithm 1). The setup cost, when configured, is
-// charged against the budget on top of the run cost.
-func RunTrial(env Environment, cfg configspace.Config, h *History, budget *Budget, setup SetupCostFunc) (TrialResult, error) {
-	trial, err := env.Run(cfg)
-	if err != nil {
-		return TrialResult{}, err
-	}
-	expense := trial.Cost
-	if setup != nil {
-		expense += setup(h.Deployed(), cfg)
-	}
-	if err := budget.Spend(expense); err != nil {
-		return TrialResult{}, err
-	}
-	h.Add(trial)
-	return trial, nil
-}
-
 // Bootstrapper runs the LHS bootstrap phase (Algorithm 1, lines 6-8) one
 // probe at a time, so campaign drivers can checkpoint between probes. It is
 // resilient to failed probes: a configuration that exhausts its retry

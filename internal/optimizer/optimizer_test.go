@@ -300,9 +300,9 @@ func TestRunTrialAndBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Config error: %v", err)
 	}
-	trial, err := RunTrial(env, cfg, h, budget, setup)
+	trial, _, err := RunTrialWithRetry(env, cfg, h, budget, Options{SetupCost: setup})
 	if err != nil {
-		t.Fatalf("RunTrial error: %v", err)
+		t.Fatalf("RunTrialWithRetry error: %v", err)
 	}
 	if setupCalls != 1 {
 		t.Errorf("setup calls = %d, want 1", setupCalls)

@@ -174,8 +174,8 @@ func runOnce(env Environment, cfg configspace.Config, timeout time.Duration) (Tr
 }
 
 // RunTrialWithRetry profiles a configuration under opts.Retry, charging every
-// attempt — failed ones included — against the budget, and updates the
-// history exactly like RunTrial on success.
+// attempt — failed ones included, plus opts.SetupCost on success — against
+// the budget, and records a successful trial in the history (Alg. 1's Update).
 //
 // Return values: (trial, true, nil) on success; (zero, false, nil) when the
 // configuration exhausted its attempts and was quarantined

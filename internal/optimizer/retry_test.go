@@ -281,11 +281,11 @@ func TestRunTrialPropagatesEnvironmentErrors(t *testing.T) {
 	env := newFlakyEnv(t, map[int][]error{1: {bad}})
 	h := NewHistory()
 	budget, _ := NewBudget(100)
-	if _, err := RunTrial(env, mustConfig(t, env.Space(), 1), h, budget, nil); !errors.Is(err, bad) {
-		t.Fatalf("RunTrial error = %v, want the environment's", err)
+	if _, _, err := RunTrialWithRetry(env, mustConfig(t, env.Space(), 1), h, budget, Options{}); !errors.Is(err, bad) || !errors.Is(err, ErrRunFailed) {
+		t.Fatalf("RunTrialWithRetry error = %v, want ErrRunFailed wrapping the environment's", err)
 	}
 	if h.Len() != 0 || budget.Spent() != 0 {
-		t.Error("failed RunTrial mutated history or budget")
+		t.Error("failed trial mutated history or budget")
 	}
 }
 

@@ -210,6 +210,12 @@ func TestServerCreateFailureCodes(t *testing.T) {
 	unbuildable := fastSpec(t, "unbuildable", 3)
 	unbuildable.Env.Name = "no-such-job"
 	client.mustJSON("POST", "/campaigns", unbuildable, http.StatusBadRequest, nil)
+	unknownKind := fastSpec(t, "unknown-kind", 3)
+	unknownKind.Env.Kind = "cherrypick"
+	if _, err := BuildEnv(unknownKind.Env); err == nil || !strings.Contains(err.Error(), "want one of [scout servesim tensorflow]") {
+		t.Fatalf("unknown kind: BuildEnv error = %v, want the sorted kind list", err)
+	}
+	client.mustJSON("POST", "/campaigns", unknownKind, http.StatusBadRequest, nil)
 
 	// A directory squatting on the spec file's name makes the store's rename
 	// fail whatever the process's privileges (tests may run as root).
@@ -219,7 +225,7 @@ func TestServerCreateFailureCodes(t *testing.T) {
 	}
 	client.mustJSON("POST", "/campaigns", undurable, http.StatusInternalServerError, nil)
 
-	for _, id := range []string{"unbuildable", "undurable"} {
+	for _, id := range []string{"unbuildable", "unknown-kind", "undurable"} {
 		client.mustJSON("GET", "/campaigns/"+id, nil, http.StatusNotFound, nil)
 	}
 }

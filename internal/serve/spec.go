@@ -12,7 +12,9 @@ package serve
 
 import (
 	"fmt"
+	"maps"
 	"regexp"
+	"slices"
 	"time"
 
 	lynceus "repro"
@@ -99,10 +101,8 @@ func (s CampaignSpec) Validate() error {
 	if !ValidID(s.ID) {
 		return fmt.Errorf("serve: invalid campaign ID %q (want %s)", s.ID, idPattern)
 	}
-	switch s.Env.Kind {
-	case "tensorflow", "scout", "servesim":
-	default:
-		return fmt.Errorf("serve: unknown environment kind %q (want tensorflow, scout or servesim)", s.Env.Kind)
+	if envKinds[s.Env.Kind] == nil {
+		return unknownKind(s.Env.Kind)
 	}
 	if s.Env.Faults != nil {
 		if err := s.Env.Faults.Validate(); err != nil {
@@ -154,34 +154,11 @@ func (s OptionsSpec) Options() lynceus.Options {
 // the snapshot restores the environment's mutable state, the spec rebuilds
 // everything else.
 func BuildEnv(spec EnvSpec) (lynceus.Environment, error) {
-	var (
-		inner lynceus.Environment
-		err   error
-	)
-	switch spec.Kind {
-	case "tensorflow":
-		var job *lynceus.Job
-		job, err = lynceus.SyntheticTensorflowJob(spec.Name, spec.Seed)
-		if err == nil {
-			inner, err = lynceus.NewJobEnvironment(job)
-		}
-	case "scout":
-		var jobs []*lynceus.Job
-		jobs, err = lynceus.SyntheticScoutJobs(spec.Seed)
-		if err == nil {
-			inner, err = nil, fmt.Errorf("serve: unknown scout job %q", spec.Name)
-			for _, job := range jobs {
-				if job.Name() == spec.Name {
-					inner, err = lynceus.NewJobEnvironment(job)
-					break
-				}
-			}
-		}
-	case "servesim":
-		inner, err = lynceus.NewServingEnvironment(spec.Name, spec.Seed)
-	default:
-		return nil, fmt.Errorf("serve: unknown environment kind %q", spec.Kind)
+	build := envKinds[spec.Kind]
+	if build == nil {
+		return nil, unknownKind(spec.Kind)
 	}
+	inner, err := build(spec.Name, spec.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -189,4 +166,36 @@ func BuildEnv(spec EnvSpec) (lynceus.Environment, error) {
 		return lynceus.NewFaultyEnvironment(inner, *spec.Faults)
 	}
 	return inner, nil
+}
+
+// envKinds maps every environment kind the server accepts to the function
+// that builds its (fault-free) environment from a name and a seed.
+var envKinds = map[string]func(name string, seed int64) (lynceus.Environment, error){
+	"tensorflow": func(name string, seed int64) (lynceus.Environment, error) {
+		job, err := lynceus.SyntheticTensorflowJob(name, seed)
+		if err != nil {
+			return nil, err
+		}
+		return lynceus.NewJobEnvironment(job)
+	},
+	"scout": func(name string, seed int64) (lynceus.Environment, error) {
+		jobs, err := lynceus.SyntheticScoutJobs(seed)
+		if err != nil {
+			return nil, err
+		}
+		for _, job := range jobs {
+			if job.Name() == name {
+				return lynceus.NewJobEnvironment(job)
+			}
+		}
+		return nil, fmt.Errorf("serve: unknown scout job %q", name)
+	},
+	"servesim": func(name string, seed int64) (lynceus.Environment, error) {
+		return lynceus.NewServingEnvironment(name, seed)
+	},
+}
+
+// unknownKind is the error for an environment kind envKinds does not list.
+func unknownKind(kind string) error {
+	return fmt.Errorf("serve: unknown environment kind %q (want one of %v)", kind, slices.Sorted(maps.Keys(envKinds)))
 }

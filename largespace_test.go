@@ -6,7 +6,7 @@ import (
 
 // largeGridFixture builds a large-grid campaign setup: job, options sized
 // from a deterministic sample of the space, and the requested tuner.
-func largeGridFixture(t *testing.T, clusterSizes int, budgetRuns float64, seed int64) (*LargeGridJob, Options) {
+func largeGridFixture(t testing.TB, clusterSizes int, budgetRuns float64, seed int64) (*LargeGridJob, Options) {
 	t.Helper()
 	job, err := SyntheticLargeGridJob("large-etl", clusterSizes, 42)
 	if err != nil {
@@ -56,90 +56,6 @@ func TestLargeGridCampaignWithSampledStrategy(t *testing.T) {
 	}
 	if res.SpentBudget > opts.Budget+res.Recommended.Cost*20 {
 		t.Errorf("spent budget %v wildly exceeds %v", res.SpentBudget, opts.Budget)
-	}
-}
-
-// TestSampledStrategyIndependentOfWorkerCount pins the determinism guarantee
-// of the sampled strategy: for a fixed seed, runs with 1 and 8 workers must
-// profile the identical configuration sequence and agree on the
-// recommendation — the subsample depends only on (seed, decision index).
-func TestSampledStrategyIndependentOfWorkerCount(t *testing.T) {
-	results := make([]Result, 0, 2)
-	for _, workers := range []int{1, 8} {
-		job, opts := largeGridFixture(t, 32, 26, 11) // 15,360 configurations
-		tuner, err := NewTuner(TunerConfig{
-			Lookahead: 1,
-			Workers:   workers,
-			Search:    SearchConfig{Strategy: "sampled", SampleSize: 96},
-		})
-		if err != nil {
-			t.Fatalf("NewTuner: %v", err)
-		}
-		res, err := tuner.Optimize(job, opts)
-		if err != nil {
-			t.Fatalf("Optimize(workers=%d): %v", workers, err)
-		}
-		results = append(results, res)
-	}
-	a, b := results[0], results[1]
-	if len(a.Trials) <= 16 {
-		t.Fatalf("campaign made no post-bootstrap decisions (%d trials); the comparison is vacuous", len(a.Trials))
-	}
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("trial counts differ across worker counts: %d vs %d", len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Config.ID != b.Trials[i].Config.ID {
-			t.Fatalf("trial %d differs across worker counts: %d vs %d",
-				i, a.Trials[i].Config.ID, b.Trials[i].Config.ID)
-		}
-	}
-	if a.Recommended.Config.ID != b.Recommended.Config.ID {
-		t.Errorf("recommendations differ across worker counts: %d vs %d",
-			a.Recommended.Config.ID, b.Recommended.Config.ID)
-	}
-}
-
-// TestSampledStrategyLookahead2WorkerDeterminism pins worker-count
-// independence for the sampled search strategy under long-sighted planning
-// with incremental speculative refits — the combination that speculates in
-// place on per-worker working copies over a streaming space. Until this test, only LA=1 sampled campaigns and LA=2
-// exhaustive campaigns were pinned.
-func TestSampledStrategyLookahead2WorkerDeterminism(t *testing.T) {
-	results := make([]Result, 0, 2)
-	for _, workers := range []int{1, 8} {
-		job, opts := largeGridFixture(t, 32, 22, 11) // 15,360 configurations
-		tuner, err := NewTuner(TunerConfig{
-			Lookahead:        2,
-			Workers:          workers,
-			SpeculativeRefit: "incremental",
-			Search:           SearchConfig{Strategy: "sampled", SampleSize: 96},
-		})
-		if err != nil {
-			t.Fatalf("NewTuner: %v", err)
-		}
-		res, err := tuner.Optimize(job, opts)
-		if err != nil {
-			t.Fatalf("Optimize(workers=%d): %v", workers, err)
-		}
-		results = append(results, res)
-	}
-	a, b := results[0], results[1]
-	if len(a.Trials) <= 16 {
-		t.Fatalf("campaign made no post-bootstrap decisions (%d trials); the comparison is vacuous", len(a.Trials))
-	}
-	if len(a.Trials) != len(b.Trials) {
-		t.Fatalf("trial counts differ across worker counts: %d vs %d", len(a.Trials), len(b.Trials))
-	}
-	for i := range a.Trials {
-		if a.Trials[i].Config.ID != b.Trials[i].Config.ID {
-			t.Fatalf("trial %d differs across worker counts: %d vs %d",
-				i, a.Trials[i].Config.ID, b.Trials[i].Config.ID)
-		}
-	}
-	if a.Recommended.Config.ID != b.Recommended.Config.ID {
-		t.Errorf("recommendations differ across worker counts: %d vs %d",
-			a.Recommended.Config.ID, b.Recommended.Config.ID)
 	}
 }
 

@@ -299,61 +299,6 @@ func TestMultiConstraintThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestOptimizeWorkerCountDeterminism verifies the parallel planner's core
-// guarantee through the public API: a long-sighted (LA=2) run on a space
-// large enough to exercise the pruned path search profiles exactly the same
-// trial sequence and recommends the same configuration with 1 worker and
-// with 8 workers.
-func TestOptimizeWorkerCountDeterminism(t *testing.T) {
-	jobs, err := SyntheticScoutJobs(11)
-	if err != nil {
-		t.Fatalf("SyntheticScoutJobs error: %v", err)
-	}
-	job := jobs[0]
-	env, err := NewJobEnvironment(job)
-	if err != nil {
-		t.Fatalf("NewJobEnvironment error: %v", err)
-	}
-	tmax, err := job.RuntimeForFeasibleFraction(0.5)
-	if err != nil {
-		t.Fatalf("RuntimeForFeasibleFraction error: %v", err)
-	}
-	opts := Options{
-		Budget:            14 * job.MeanCost(),
-		MaxRuntimeSeconds: tmax,
-		Seed:              17,
-	}
-
-	results := make([]Result, 0, 2)
-	for _, workers := range []int{1, 8} {
-		tuner, err := NewTuner(TunerConfig{Lookahead: 2, Workers: workers})
-		if err != nil {
-			t.Fatalf("NewTuner(workers=%d) error: %v", workers, err)
-		}
-		res, err := tuner.Optimize(env, opts)
-		if err != nil {
-			t.Fatalf("Optimize(workers=%d) error: %v", workers, err)
-		}
-		results = append(results, res)
-	}
-
-	serial, parallel := results[0], results[1]
-	if len(serial.Trials) != len(parallel.Trials) {
-		t.Fatalf("trial counts differ between worker counts: %d vs %d",
-			len(serial.Trials), len(parallel.Trials))
-	}
-	for i := range serial.Trials {
-		if serial.Trials[i].Config.ID != parallel.Trials[i].Config.ID {
-			t.Fatalf("trial %d differs between worker counts: config %d vs %d",
-				i, serial.Trials[i].Config.ID, parallel.Trials[i].Config.ID)
-		}
-	}
-	if serial.Recommended.Config.ID != parallel.Recommended.Config.ID {
-		t.Errorf("recommendations differ between worker counts: %d vs %d",
-			serial.Recommended.Config.ID, parallel.Recommended.Config.ID)
-	}
-}
-
 // TestEvaluateWorkerCountDeterminism verifies that parallelizing a
 // multi-seed evaluation campaign across runs does not change any per-run
 // metric: run i always uses seed BaseSeed+i and lands at index i.

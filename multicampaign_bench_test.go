@@ -14,7 +14,8 @@ import (
 // multi-tenant tuning regime the sharing tier targets, where one campaign
 // leads every planning decision and the others adopt it from the group's
 // decision cache. Results are bitwise identical across the two modes (pinned by
-// TestMultiRunnerDisableSharing); only the work to produce them differs.
+// TestCampaignEquivalence's batch and shared cells); only the work to produce
+// them differs.
 //
 // ns/campaign (total time over campaigns completed) is the gated metric;
 // campaigns/sec is reported for readability. The acceptance bar of the

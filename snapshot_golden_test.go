@@ -15,21 +15,11 @@ import (
 // returns its completed tuner.
 func snapshotFixtureCampaign(t *testing.T) *Tuner {
 	t.Helper()
-	cfg := TunerConfig{Lookahead: 1}
-	_, env, opts := campaignCase(t, "scout-0", cfg, 4, 7)
-	tuner, err := StartTuner(cfg, env, opts)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
-	for {
-		done, err := tuner.Step()
-		if err != nil {
-			t.Fatalf("Step: %v", err)
-		}
-		if done {
-			return tuner
-		}
-	}
+	f := fixtureNamed(t, "scout72-la1")
+	env, opts := f.inputs(t, f.seed)
+	tuner := startTuner(t, f.cfg, env, opts, nil)
+	runTunerResult(t, tuner)
+	return tuner
 }
 
 // TestSnapshotGoldenFixture pins the version-1 snapshot wire format from both
@@ -82,23 +72,26 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 	if err := json.Unmarshal(goldenData, &golden); err != nil {
 		t.Fatalf("parsing golden campaign: %v", err)
 	}
-	cfg := TunerConfig{Lookahead: 1}
-	_, env, _ := campaignCase(t, "scout-0", cfg, 4, 7)
-	resumed, err := ResumeTuner(cfg, env, fixture)
+	f := fixtureNamed(t, "scout72-la1")
+	env, _ := f.inputs(t, f.seed)
+	resumed, err := ResumeTuner(f.cfg, env, fixture)
 	if err != nil {
 		t.Fatalf("ResumeTuner from fixture: %v", err)
 	}
 	if !resumed.Done() || !errors.Is(resumed.FinishReason(), ErrBudgetExhausted) {
 		t.Fatalf("resumed fixture campaign done=%v reason=%v, want done on budget", resumed.Done(), resumed.FinishReason())
 	}
-	got := traceOf(t, resumed)
-	if len(got.trials) != len(golden.Trials) || got.recommended != golden.Recommended {
-		t.Fatalf("fixture resumed to %d trials rec %d, golden pins %d trials rec %d",
-			len(got.trials), got.recommended, len(golden.Trials), golden.Recommended)
+	got, err := resumed.Result()
+	if err != nil {
+		t.Fatalf("Result: %v", err)
 	}
-	for i := range got.trials {
-		if got.trials[i] != golden.Trials[i] {
-			t.Fatalf("fixture trial %d is config %d, golden %d", i, got.trials[i], golden.Trials[i])
+	if len(got.Trials) != len(golden.Trials) || got.Recommended.Config.ID != golden.Recommended {
+		t.Fatalf("fixture resumed to %d trials rec %d, golden pins %d trials rec %d",
+			len(got.Trials), got.Recommended.Config.ID, len(golden.Trials), golden.Recommended)
+	}
+	for i, tr := range got.Trials {
+		if tr.Config.ID != golden.Trials[i] {
+			t.Fatalf("fixture trial %d is config %d, golden %d", i, tr.Config.ID, golden.Trials[i])
 		}
 	}
 }
@@ -109,12 +102,10 @@ func TestSnapshotGoldenFixture(t *testing.T) {
 // a few KB; anything model-sized riding along would be tens of KB and grow
 // with every trial.
 func TestSnapshotCarriesStateOnly(t *testing.T) {
-	cfg := TunerConfig{Myopic: true}
-	_, env, opts := campaignCase(t, "tensorflow-cnn", cfg, 6, 7)
-	tuner, err := StartTuner(cfg, env, opts)
-	if err != nil {
-		t.Fatalf("StartTuner: %v", err)
-	}
+	f := fixtureNamed(t, "tensorflow384-la1")
+	env, opts := f.inputs(t, f.seed)
+	opts.Budget *= 5
+	tuner := startTuner(t, TunerConfig{Myopic: true}, env, opts, nil)
 	for len(tuner.Trials()) < 32 {
 		done, err := tuner.Step()
 		if err != nil {
@@ -151,9 +142,9 @@ func TestSnapshotRejectsFutureVersions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	cfg := TunerConfig{Lookahead: 1}
-	_, env, _ := campaignCase(t, "scout-0", cfg, 4, 7)
-	if _, err := ResumeTuner(cfg, env, future); err == nil {
+	f := fixtureNamed(t, "scout72-la1")
+	env, _ := f.inputs(t, f.seed)
+	if _, err := ResumeTuner(f.cfg, env, future); err == nil {
 		t.Error("future snapshot version accepted by ResumeTuner")
 	}
 }
