@@ -203,22 +203,13 @@ func newRunner(name string, lookahead int, cf campaignFlags) (runner, error) {
 	if cf.checkpoint != "" || cf.resume != "" {
 		return nil, fmt.Errorf("-checkpoint and -resume require -optimizer lynceus, got %q", name)
 	}
-	var (
-		opt lynceus.Optimizer
-		err error
-	)
 	switch name {
 	case "bo":
-		opt, err = lynceus.NewBOBaseline()
+		return baselineRunner{lynceus.NewBOBaseline()}, nil
 	case "rnd":
-		opt = lynceus.NewRandomBaseline()
-	default:
-		return nil, fmt.Errorf("unknown optimizer %q (want lynceus, bo or rnd)", name)
+		return baselineRunner{lynceus.NewRandomBaseline()}, nil
 	}
-	if err != nil {
-		return nil, fmt.Errorf("creating optimizer: %w", err)
-	}
-	return baselineRunner{opt}, nil
+	return nil, fmt.Errorf("unknown optimizer %q (want lynceus, bo or rnd)", name)
 }
 
 type baselineRunner struct{ opt lynceus.Optimizer }

@@ -45,10 +45,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	bo, err := lynceus.NewBOBaseline()
-	if err != nil {
-		return err
-	}
+	bo := lynceus.NewBOBaseline()
 	optimizers := []lynceus.Optimizer{tuner, bo, lynceus.NewRandomBaseline()}
 
 	fmt.Printf("%-22s %-14s %8s %8s %8s %8s\n", "job", "optimizer", "cno_avg", "cno_p90", "nex_avg", "spent$")

@@ -66,10 +66,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	bo, err := lynceus.NewBOBaseline()
-	if err != nil {
-		return err
-	}
+	bo := lynceus.NewBOBaseline()
 
 	for _, opt := range []lynceus.Optimizer{tuner, bo} {
 		res, err := opt.Optimize(env, opts)

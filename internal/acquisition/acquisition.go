@@ -104,13 +104,8 @@ func Incumbent(bestFeasibleCost float64, hasFeasible bool, maxObservedCost, maxP
 type Score struct {
 	// ConfigID identifies the candidate within its space.
 	ConfigID int
-	// Pred is the cost prediction of the model for the candidate.
-	Pred numeric.Gaussian
-	// EI is the unconstrained expected improvement.
-	EI float64
-	// ProbFeasible is the probability that the runtime constraint holds.
-	ProbFeasible float64
-	// EIc is the constrained expected improvement EI·ProbFeasible.
+	// EIc is the constrained expected improvement: EI times the
+	// probability that every constraint holds.
 	EIc float64
 }
 
@@ -124,31 +119,6 @@ func ArgMaxEIc(scores []Score) (int, error) {
 	best := 0
 	for i := 1; i < len(scores); i++ {
 		if better(scores[i].EIc, scores[i].ConfigID, scores[best].EIc, scores[best].ConfigID) {
-			best = i
-		}
-	}
-	return best, nil
-}
-
-// ArgMaxRatio returns the index of the candidate maximizing EIc divided by
-// the predicted cost (the LA=0 "cost-aware but myopic" variant of §6.2).
-// Candidates with non-positive predicted mean cost are scored using a tiny
-// epsilon denominator so they do not produce infinities.
-func ArgMaxRatio(scores []Score) (int, error) {
-	if len(scores) == 0 {
-		return 0, ErrNoCandidates
-	}
-	const eps = 1e-12
-	ratio := func(s Score) float64 {
-		den := s.Pred.Mean
-		if den < eps {
-			den = eps
-		}
-		return s.EIc / den
-	}
-	best := 0
-	for i := 1; i < len(scores); i++ {
-		if better(ratio(scores[i]), scores[i].ConfigID, ratio(scores[best]), scores[best].ConfigID) {
 			best = i
 		}
 	}

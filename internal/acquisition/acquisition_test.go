@@ -136,31 +136,6 @@ func TestArgMaxEIc(t *testing.T) {
 	}
 }
 
-func TestArgMaxRatio(t *testing.T) {
-	scores := []Score{
-		// High EIc but expensive.
-		{ConfigID: 0, EIc: 1.0, Pred: numeric.Gaussian{Mean: 100}},
-		// Lower EIc but much cheaper: best ratio.
-		{ConfigID: 1, EIc: 0.5, Pred: numeric.Gaussian{Mean: 10}},
-		{ConfigID: 2, EIc: 0.2, Pred: numeric.Gaussian{Mean: 50}},
-	}
-	idx, err := ArgMaxRatio(scores)
-	if err != nil {
-		t.Fatalf("ArgMaxRatio error: %v", err)
-	}
-	if scores[idx].ConfigID != 1 {
-		t.Errorf("ArgMaxRatio picked config %d, want 1", scores[idx].ConfigID)
-	}
-	if _, err := ArgMaxRatio(nil); !errors.Is(err, ErrNoCandidates) {
-		t.Errorf("empty candidates error = %v, want ErrNoCandidates", err)
-	}
-	// A zero predicted cost must not produce Inf/NaN selection panics.
-	weird := []Score{{ConfigID: 0, EIc: 0.1, Pred: numeric.Gaussian{Mean: 0}}}
-	if _, err := ArgMaxRatio(weird); err != nil {
-		t.Errorf("zero-cost candidate should not error: %v", err)
-	}
-}
-
 func TestQuickConstrainedNeverExceedsEI(t *testing.T) {
 	property := func(eiRaw, pRaw float64) bool {
 		ei := math.Abs(math.Mod(eiRaw, 1e6))

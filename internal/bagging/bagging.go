@@ -17,23 +17,14 @@ var ErrNotTrained = errors.New("bagging: ensemble is not trained")
 // ("a bagging ensemble of 10 random trees", §5.2).
 const DefaultNumTrees = 10
 
-// Params configures the ensemble.
+// Params configures the ensemble. The model itself is fixed by the paper:
+// every tree is fully grown (regtree) on a bootstrap resample of n of the n
+// training samples, and the predictive Gaussian is the trees' mean and
+// spread, with no floor on the spread.
 type Params struct {
 	// NumTrees is the number of base learners; values below 1 fall back to
 	// DefaultNumTrees.
 	NumTrees int
-	// SampleFraction is the size of each bootstrap resample relative to the
-	// training set; values outside (0,1] fall back to 1.
-	SampleFraction float64
-	// Tree configures the base learners.
-	Tree regtree.Params
-	// MinStdDevFraction is a lower bound on the predictive standard
-	// deviation, expressed as a fraction of the predicted mean's magnitude.
-	// A small floor keeps the Expected Improvement from collapsing to zero
-	// when all trees agree exactly (which happens routinely with the tiny
-	// training sets of early optimization iterations). Values below 0 are
-	// treated as 0.
-	MinStdDevFraction float64
 	// Incremental makes Fit retain each tree's training samples and leaf
 	// membership (regtree.TrainIncremental), enabling Update and CloneInto.
 	// Retention changes neither the fitted trees nor the rng stream — only
@@ -44,12 +35,6 @@ type Params struct {
 func (p Params) withDefaults() Params {
 	if p.NumTrees < 1 {
 		p.NumTrees = DefaultNumTrees
-	}
-	if p.SampleFraction <= 0 || p.SampleFraction > 1 {
-		p.SampleFraction = 1
-	}
-	if p.MinStdDevFraction < 0 {
-		p.MinStdDevFraction = 0
 	}
 	return p
 }
@@ -118,9 +103,8 @@ type Ensemble struct {
 // segment is one leaf's slice of its tree's row of the leaf → points index.
 type segment struct{ start, n int32 }
 
-// New creates an untrained ensemble. All randomness (bootstrap resampling and
-// per-tree feature sub-sampling) is drawn from the given seed, so fits are
-// reproducible.
+// New creates an untrained ensemble. All randomness (the bootstrap
+// resampling) is drawn from the given seed, so fits are reproducible.
 func New(params Params, seed int64) *Ensemble {
 	return &Ensemble{
 		params: params.withDefaults(),
@@ -139,17 +123,12 @@ func (e *Ensemble) Fit(features [][]float64, targets []float64) error {
 	}
 
 	n := len(features)
-	sampleSize := int(math.Ceil(e.params.SampleFraction * float64(n)))
-	if sampleSize < 1 {
-		sampleSize = 1
+	if cap(e.subFeatures) < n {
+		e.subFeatures = make([][]float64, n)
+		e.subTargets = make([]float64, n)
 	}
-
-	if cap(e.subFeatures) < sampleSize {
-		e.subFeatures = make([][]float64, sampleSize)
-		e.subTargets = make([]float64, sampleSize)
-	}
-	subFeatures := e.subFeatures[:sampleSize]
-	subTargets := e.subTargets[:sampleSize]
+	subFeatures := e.subFeatures[:n]
+	subTargets := e.subTargets[:n]
 
 	// Train into recycled tree objects through the shared arena: the rng
 	// stream and the induction are identical to a from-scratch fit, so the
@@ -167,7 +146,7 @@ func (e *Ensemble) Fit(features [][]float64, targets []float64) error {
 	}
 	trees := e.trees[:e.params.NumTrees]
 	for i := 0; i < e.params.NumTrees; i++ {
-		for j := 0; j < sampleSize; j++ {
+		for j := 0; j < n; j++ {
 			idx := e.rng.Intn(n)
 			subFeatures[j] = features[idx]
 			subTargets[j] = targets[idx]
@@ -177,9 +156,9 @@ func (e *Ensemble) Fit(features [][]float64, targets []float64) error {
 		}
 		var err error
 		if e.params.Incremental {
-			err = e.arena.TrainIncremental(trees[i], subFeatures, subTargets, e.params.Tree, e.rng)
+			err = e.arena.TrainIncremental(trees[i], subFeatures, subTargets)
 		} else {
-			err = e.arena.Train(trees[i], subFeatures, subTargets, e.params.Tree, e.rng)
+			err = e.arena.Train(trees[i], subFeatures, subTargets)
 		}
 		if err != nil {
 			return fmt.Errorf("bagging: training tree %d: %w", i, err)
@@ -429,7 +408,11 @@ func (e *Ensemble) indexLeaves(n int) {
 
 // gaussianFromSums turns the sum and sum of squares of the tree predictions
 // into the predictive Gaussian. Predict and PredictBatch share it so the two
-// paths stay bitwise identical.
+// paths stay bitwise identical. It is kept out of line for the codegen reason
+// accumRow gives: small enough to inline, it would be inlined into
+// PredictBatch's row loop, and that form measurably slowed the sweep.
+//
+//go:noinline
 func (e *Ensemble) gaussianFromSums(sum, sumSq float64) numeric.Gaussian {
 	n := float64(len(e.trees))
 	mean := sum / n
@@ -437,11 +420,7 @@ func (e *Ensemble) gaussianFromSums(sum, sumSq float64) numeric.Gaussian {
 	if variance < 0 {
 		variance = 0
 	}
-	std := math.Sqrt(variance)
-	if floor := e.params.MinStdDevFraction * math.Abs(mean); std < floor {
-		std = floor
-	}
-	return numeric.Gaussian{Mean: mean, StdDev: std}
+	return numeric.Gaussian{Mean: mean, StdDev: math.Sqrt(variance)}
 }
 
 // Factory creates independent ensembles that share the same parameters but
@@ -457,9 +436,6 @@ type Factory struct {
 func NewFactory(params Params, seed int64) *Factory {
 	return &Factory{params: params.withDefaults(), seed: seed}
 }
-
-// Params returns the parameters with which ensembles are created.
-func (f *Factory) Params() Params { return f.params }
 
 // mix64 is the SplitMix64 finalizer: a cheap, well-distributed hash shared
 // by every stream derivation in this package (factory streams, update

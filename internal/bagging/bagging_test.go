@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/numeric"
-	"repro/internal/regtree"
 )
 
 func linearDataset(n int, noise float64, seed int64) ([][]float64, []float64) {
@@ -65,7 +64,7 @@ func TestPredictArityCheck(t *testing.T) {
 
 func TestEnsembleLearnsSmoothFunction(t *testing.T) {
 	features, targets := linearDataset(400, 0.2, 7)
-	e := New(Params{NumTrees: 20, Tree: regtree.Params{MinLeafSize: 3}}, 11)
+	e := New(Params{NumTrees: 20}, 11)
 	if err := e.Fit(features, targets); err != nil {
 		t.Fatalf("Fit error: %v", err)
 	}
@@ -87,27 +86,6 @@ func TestEnsembleLearnsSmoothFunction(t *testing.T) {
 	r2 := 1 - sse/sst
 	if r2 < 0.85 {
 		t.Errorf("ensemble R^2 = %v, want >= 0.85", r2)
-	}
-}
-
-func TestPredictionUncertaintyNonNegativeAndFloored(t *testing.T) {
-	features, targets := linearDataset(50, 1.0, 3)
-	e := New(Params{NumTrees: 15, MinStdDevFraction: 0.01}, 5)
-	if err := e.Fit(features, targets); err != nil {
-		t.Fatalf("Fit error: %v", err)
-	}
-	for i := 0; i < 30; i++ {
-		x := []float64{float64(i) / 3, float64(i % 5)}
-		pred, err := e.Predict(x)
-		if err != nil {
-			t.Fatalf("Predict error: %v", err)
-		}
-		if pred.StdDev < 0 {
-			t.Errorf("negative std %v", pred.StdDev)
-		}
-		if floor := 0.01 * math.Abs(pred.Mean); pred.StdDev < floor {
-			t.Errorf("std %v below floor %v", pred.StdDev, floor)
-		}
 	}
 }
 
@@ -174,8 +152,8 @@ func TestSingleSampleFit(t *testing.T) {
 func TestFactoryStreamsAreIndependentAndDeterministic(t *testing.T) {
 	features, targets := linearDataset(60, 2.0, 17)
 	f := NewFactory(Params{NumTrees: 6}, 1234)
-	if f.Params().NumTrees != 6 {
-		t.Errorf("factory params lost: %+v", f.Params())
+	if got := f.New(0).NumTrees(); got != 6 {
+		t.Errorf("factory ensembles have %d trees, want 6", got)
 	}
 
 	a1 := f.New(7)
@@ -291,7 +269,7 @@ func TestPredictBatchMatchesScalarBitwise(t *testing.T) {
 	for _, trees := range []int{1, 5, 10, 20} {
 		for seed := int64(1); seed <= 5; seed++ {
 			features, targets := linearDataset(40, 1.0, seed)
-			e := New(Params{NumTrees: trees, MinStdDevFraction: 0.01}, seed)
+			e := New(Params{NumTrees: trees}, seed)
 			if err := e.Fit(features, targets); err != nil {
 				t.Fatalf("trees=%d seed=%d: Fit error: %v", trees, seed, err)
 			}

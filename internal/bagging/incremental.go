@@ -66,19 +66,19 @@ func updateStream(seed int64, tree, sample int) uint64 {
 }
 
 // inclusionMultiplicity maps one uniform draw to the number of times a new
-// sample enters a tree's bootstrap stream. A bootstrap resample of rate
-// SampleFraction includes a given sample Binomial(n, fraction/n) ≈
-// Poisson(fraction) times, so the multiplicity follows the Poisson CDF at
-// that rate — deterministic in the draw, independent of history.
-func inclusionMultiplicity(u uint64, rate float64) int {
+// sample enters a tree's bootstrap stream. A bootstrap resample of n out of
+// n includes a given sample Binomial(n, 1/n) ≈ Poisson(1) times, so the
+// multiplicity follows the Poisson(1) CDF — deterministic in the draw,
+// independent of history.
+func inclusionMultiplicity(u uint64) int {
 	// Uniform in [0, 1) from the top 53 bits.
 	x := float64(u>>11) / (1 << 53)
-	p := math.Exp(-rate)
+	p := math.Exp(-1)
 	cum := p
 	k := 0
 	for x >= cum && k < 16 {
 		k++
-		p *= rate / float64(k)
+		p *= 1 / float64(k)
 		cum += p
 	}
 	return k
@@ -87,7 +87,7 @@ func inclusionMultiplicity(u uint64, rate float64) int {
 // Update folds one sample into the fitted ensemble: each tree receives the
 // sample a deterministic number of times — the Poisson-distributed bootstrap
 // inclusion weight keyed by (seed, tree, sample index) — and inserts it via
-// regtree.Insert (leaf mean update, re-split past the min-samples threshold).
+// regtree.Insert (leaf mean update, re-split once the leaf's targets differ).
 //
 // The weights depend only on the ensemble's seed and the count of updates
 // since the last Fit, never on goroutine scheduling, so copies of one fitted
@@ -122,21 +122,15 @@ func (e *Ensemble) Update(x []float64, y float64) error {
 	}
 	fr.affected = fr.affected[:len(e.trees)]
 	k := e.updates
-	needRng := e.params.Tree.FeatureFraction > 0 && e.params.Tree.FeatureFraction < 1
 	for ti, tree := range e.trees {
-		draw := updateStream(e.seed, ti, k)
-		m := inclusionMultiplicity(draw, e.params.SampleFraction)
+		m := inclusionMultiplicity(updateStream(e.seed, ti, k))
 		fr.affected[ti] = -1
 		if m == 0 {
 			continue
 		}
-		var rng *rand.Rand
-		if needRng {
-			rng = rand.New(rand.NewSource(int64(draw ^ 0xA5A5A5A5A5A5A5A5)))
-		}
 		tree.Mark()
 		for j := 0; j < m; j++ {
-			node, err := tree.Insert(x, y, rng)
+			node, err := tree.Insert(x, y)
 			if err != nil {
 				// Take back what the earlier trees (and this one's earlier
 				// duplicates) absorbed.

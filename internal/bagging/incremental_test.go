@@ -163,7 +163,7 @@ func TestInclusionMultiplicityMatchesPoisson(t *testing.T) {
 	const n = 200_000
 	zeros, total := 0, 0
 	for i := 0; i < n; i++ {
-		m := inclusionMultiplicity(updateStream(42, i%10, i), 1)
+		m := inclusionMultiplicity(updateStream(42, i%10, i))
 		total += m
 		if m == 0 {
 			zeros++

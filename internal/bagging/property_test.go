@@ -75,11 +75,11 @@ func TestEnsemblePredictionsMatchPointerTreesThroughUpdates(t *testing.T) {
 		features[i] = []float64{float64(rng.Intn(4)), rng.Float64() * 8, float64(rng.Intn(3))}
 		targets[i] = 2*features[i][0] + features[i][1] + rng.NormFloat64()
 	}
-	ensemble := New(Params{NumTrees: 8, Incremental: true, MinStdDevFraction: 0.01}, 7)
+	ensemble := New(Params{NumTrees: 8, Incremental: true}, 7)
 	if err := ensemble.Fit(features, targets); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	clone := New(Params{NumTrees: 8, Incremental: true, MinStdDevFraction: 0.01}, 8)
+	clone := New(Params{NumTrees: 8, Incremental: true}, 8)
 	if err := ensemble.CloneInto(clone); err != nil {
 		t.Fatalf("CloneInto: %v", err)
 	}
@@ -155,7 +155,7 @@ func TestMemoRepairMatchesFreshPredictions(t *testing.T) {
 		features[i] = []float64{float64(rng.Intn(4)), rng.Float64() * 8, float64(rng.Intn(3))}
 		targets[i] = 2*features[i][0] + features[i][1] + rng.NormFloat64()
 	}
-	ensemble := New(Params{NumTrees: 8, Incremental: true, MinStdDevFraction: 0.01}, 7)
+	ensemble := New(Params{NumTrees: 8, Incremental: true}, 7)
 	if err := ensemble.Fit(features, targets); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -240,7 +240,7 @@ func TestMemoRepairMatchesFreshPredictions(t *testing.T) {
 	}
 
 	// Repair state must travel with CloneInto and repair independently.
-	clone := New(Params{NumTrees: 8, Incremental: true, MinStdDevFraction: 0.01}, 8)
+	clone := New(Params{NumTrees: 8, Incremental: true}, 8)
 	if err := ensemble.CloneInto(clone); err != nil {
 		t.Fatalf("CloneInto: %v", err)
 	}

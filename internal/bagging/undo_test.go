@@ -287,18 +287,10 @@ func FuzzEnsembleUpdateUndo(f *testing.F) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		params := Params{NumTrees: 2 + int(shape%4)*2, MinStdDevFraction: 0.01}
-		if shape&4 != 0 {
-			params.Tree.MinSamplesSplit = 4
-			params.Tree.MinLeafSize = 2
-		}
-		if shape&8 != 0 {
-			params.SampleFraction = 0.6
-		}
-		if shape&16 != 0 {
-			params.Tree.FeatureFraction = 0.67
-		}
-		newUndoHarness(t, seed, params).run(ops)
+		// shape's low two bits size the ensemble; its higher bits once chose
+		// induction and resampling variants and are ignored, so the corpus
+		// keeps its entries.
+		newUndoHarness(t, seed, Params{NumTrees: 2 + int(shape%4)*2}).run(ops)
 	})
 }
 

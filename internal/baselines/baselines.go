@@ -25,44 +25,21 @@ type BOParams struct {
 	// Model configures the bagging ensemble used as the cost model; the
 	// evaluation uses the same 10-tree ensemble as Lynceus (§5.2).
 	Model bagging.Params
-	// EligibilityProb overrides DefaultEligibilityProb when non-zero.
-	EligibilityProb float64
-	// CostNormalized selects the "LA=0"-style myopic cost-aware variant,
-	// which divides the acquisition value by the predicted profiling cost.
-	CostNormalized bool
-}
-
-func (p BOParams) withDefaults() BOParams {
-	if p.EligibilityProb == 0 {
-		p.EligibilityProb = DefaultEligibilityProb
-	}
-	return p
 }
 
 // BO is the traditional greedy constrained-EI Bayesian optimizer used by
 // CherryPick and Arrow: at every iteration it profiles the untested
-// configuration that maximizes EIc, with no lookahead and (unless
-// CostNormalized is set) no cost awareness in the acquisition function.
+// configuration that maximizes EIc, with no lookahead and no cost awareness
+// in the acquisition function.
 type BO struct {
 	params BOParams
 }
 
 // NewBO creates a BO baseline optimizer.
-func NewBO(params BOParams) (*BO, error) {
-	normalized := params.withDefaults()
-	if normalized.EligibilityProb <= 0 || normalized.EligibilityProb > 1 {
-		return nil, fmt.Errorf("baselines: eligibility probability %v outside (0,1]", normalized.EligibilityProb)
-	}
-	return &BO{params: normalized}, nil
-}
+func NewBO(params BOParams) *BO { return &BO{params: params} }
 
 // Name implements optimizer.Optimizer.
-func (b *BO) Name() string {
-	if b.params.CostNormalized {
-		return "bo-cost-normalized"
-	}
-	return "bo"
-}
+func (b *BO) Name() string { return "bo" }
 
 // boModels bundles the cost model with one model per extra constraint metric,
 // plus the per-block scratch of the candidate sweep: after each fit, every
@@ -135,7 +112,7 @@ type boCandidate struct {
 // incumbent-fallback input). Gaussians from the block path are bitwise
 // identical to full-matrix and scalar sweeps, so the selection matches the
 // pre-block-sweep baseline exactly.
-func (m *boModels) sweep(space *configspace.Space, h *optimizer.History, remainingBudget, eligibilityProb float64) ([]boCandidate, float64, error) {
+func (m *boModels) sweep(space *configspace.Space, h *optimizer.History, remainingBudget float64) ([]boCandidate, float64, error) {
 	eligible := make([]boCandidate, 0, 64)
 	maxStd := 0.0
 	err := space.ForEachBlock(0, func(blk configspace.Block) error {
@@ -164,7 +141,7 @@ func (m *boModels) sweep(space *configspace.Space, h *optimizer.History, remaini
 			if costPred.StdDev > maxStd {
 				maxStd = costPred.StdDev
 			}
-			if costPred.ProbLE(remainingBudget) < eligibilityProb {
+			if costPred.ProbLE(remainingBudget) < DefaultEligibilityProb {
 				continue
 			}
 			cand := boCandidate{id: id, costPred: costPred}
@@ -242,7 +219,7 @@ func (b *BO) nextConfig(space *configspace.Space, h *optimizer.History, models *
 		return 0, false, err
 	}
 
-	eligible, maxStd, err := models.sweep(space, h, remainingBudget, b.params.EligibilityProb)
+	eligible, maxStd, err := models.sweep(space, h, remainingBudget)
 	if err != nil {
 		return 0, false, err
 	}
@@ -272,21 +249,10 @@ func (b *BO) nextConfig(space *configspace.Space, h *optimizer.History, models *
 		if err != nil {
 			return 0, false, err
 		}
-		scores = append(scores, acquisition.Score{
-			ConfigID:     cand.id,
-			Pred:         costPred,
-			EI:           ei,
-			ProbFeasible: runtimeProb,
-			EIc:          eic,
-		})
+		scores = append(scores, acquisition.Score{ConfigID: cand.id, EIc: eic})
 	}
 
-	var idx int
-	if b.params.CostNormalized {
-		idx, err = acquisition.ArgMaxRatio(scores)
-	} else {
-		idx, err = acquisition.ArgMaxEIc(scores)
-	}
+	idx, err := acquisition.ArgMaxEIc(scores)
 	if err != nil {
 		return 0, false, err
 	}

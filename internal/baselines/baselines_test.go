@@ -68,26 +68,6 @@ func fixtureOptions(t *testing.T, seed int64) optimizer.Options {
 	}
 }
 
-func TestNewBOValidation(t *testing.T) {
-	if _, err := NewBO(BOParams{EligibilityProb: 1.5}); err == nil {
-		t.Error("invalid eligibility probability should error")
-	}
-	b, err := NewBO(BOParams{})
-	if err != nil {
-		t.Fatalf("NewBO error: %v", err)
-	}
-	if b.Name() != "bo" {
-		t.Errorf("Name = %q", b.Name())
-	}
-	cn, err := NewBO(BOParams{CostNormalized: true})
-	if err != nil {
-		t.Fatalf("NewBO error: %v", err)
-	}
-	if cn.Name() != "bo-cost-normalized" {
-		t.Errorf("Name = %q", cn.Name())
-	}
-}
-
 func TestBOOptimize(t *testing.T) {
 	env := fixtureEnv(t)
 	opts := fixtureOptions(t, 11)
@@ -95,10 +75,7 @@ func TestBOOptimize(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimum error: %v", err)
 	}
-	b, err := NewBO(BOParams{Model: bagging.Params{NumTrees: 6}})
-	if err != nil {
-		t.Fatalf("NewBO error: %v", err)
-	}
+	b := NewBO(BOParams{Model: bagging.Params{NumTrees: 6}})
 	res, err := b.Optimize(env, opts)
 	if err != nil {
 		t.Fatalf("Optimize error: %v", err)
@@ -118,10 +95,7 @@ func TestBOOptimize(t *testing.T) {
 }
 
 func TestBOOptimizeValidatesInput(t *testing.T) {
-	b, err := NewBO(BOParams{})
-	if err != nil {
-		t.Fatalf("NewBO error: %v", err)
-	}
+	b := NewBO(BOParams{})
 	if _, err := b.Optimize(nil, fixtureOptions(t, 1)); err == nil {
 		t.Error("nil environment should error")
 	}
@@ -133,10 +107,7 @@ func TestBOOptimizeValidatesInput(t *testing.T) {
 func TestBOIsDeterministic(t *testing.T) {
 	env := fixtureEnv(t)
 	opts := fixtureOptions(t, 17)
-	b, err := NewBO(BOParams{Model: bagging.Params{NumTrees: 6}})
-	if err != nil {
-		t.Fatalf("NewBO error: %v", err)
-	}
+	b := NewBO(BOParams{Model: bagging.Params{NumTrees: 6}})
 	a, err := b.Optimize(env, opts)
 	if err != nil {
 		t.Fatalf("Optimize error: %v", err)
@@ -155,33 +126,11 @@ func TestBOIsDeterministic(t *testing.T) {
 	}
 }
 
-func TestBOCostNormalizedVariant(t *testing.T) {
-	env := fixtureEnv(t)
-	opts := fixtureOptions(t, 23)
-	cn, err := NewBO(BOParams{Model: bagging.Params{NumTrees: 6}, CostNormalized: true})
-	if err != nil {
-		t.Fatalf("NewBO error: %v", err)
-	}
-	res, err := cn.Optimize(env, opts)
-	if err != nil {
-		t.Fatalf("Optimize error: %v", err)
-	}
-	if res.OptimizerName != "bo-cost-normalized" {
-		t.Errorf("name = %q", res.OptimizerName)
-	}
-	if res.Explorations < 2 {
-		t.Errorf("explorations = %d", res.Explorations)
-	}
-}
-
 func TestBOWithExtraConstraint(t *testing.T) {
 	env := fixtureEnv(t)
 	opts := fixtureOptions(t, 29)
 	opts.ExtraConstraints = []optimizer.Constraint{{Metric: "energy", Max: 40}}
-	b, err := NewBO(BOParams{Model: bagging.Params{NumTrees: 6}})
-	if err != nil {
-		t.Fatalf("NewBO error: %v", err)
-	}
+	b := NewBO(BOParams{Model: bagging.Params{NumTrees: 6}})
 	res, err := b.Optimize(env, opts)
 	if err != nil {
 		t.Fatalf("Optimize error: %v", err)
@@ -272,10 +221,7 @@ func TestBaselinesHonourRetryPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ResolveBootstrapSize: %v", err)
 	}
-	bo, err := NewBO(BOParams{})
-	if err != nil {
-		t.Fatalf("NewBO: %v", err)
-	}
+	bo := NewBO(BOParams{})
 	for _, opt := range []optimizer.Optimizer{bo, NewRandom()} {
 		for seed := int64(1); seed <= 5; seed++ {
 			inner, err := optimizer.NewJobEnvironment(job)

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/gp"
 	"repro/internal/model"
 )
 
@@ -20,7 +19,7 @@ var resultInvisibleParams = map[string]bool{"Workers": true}
 // paramsSamples supplies a non-default value for the fields a perturbation
 // by kind cannot reach.
 var paramsSamples = map[string]any{
-	"ModelFactory": model.NewGPFactory(gp.Params{}),
+	"ModelFactory": model.NewGPFactory(),
 	"Search":       Sampled{Size: 3},
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/gp"
 	"repro/internal/model"
 )
 
@@ -21,7 +20,7 @@ func TestOptimizeWithGaussianProcessModel(t *testing.T) {
 	l, err := New(Params{
 		Lookahead:    1,
 		GHOrder:      3,
-		ModelFactory: model.NewGPFactory(gp.Params{}),
+		ModelFactory: model.NewGPFactory(),
 		Workers:      2,
 	})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/bagging"
-	"repro/internal/gp"
 	"repro/internal/model"
 )
 
@@ -57,7 +56,7 @@ func TestExplicitIncrementalRejectsNonIncrementalFactory(t *testing.T) {
 	params, err := Params{
 		Lookahead:        2,
 		Model:            bagging.Params{NumTrees: 4},
-		ModelFactory:     model.NewGPFactory(gp.Params{}),
+		ModelFactory:     model.NewGPFactory(),
 		SpeculativeRefit: SpecRefitIncremental,
 		Workers:          1,
 	}.withDefaults()
@@ -77,7 +76,7 @@ func TestAutoWithNonIncrementalFactoryFallsBackToFull(t *testing.T) {
 	params, err := Params{
 		Lookahead:    3, // Auto would pick Incremental
 		Model:        bagging.Params{NumTrees: 4},
-		ModelFactory: model.NewGPFactory(gp.Params{}),
+		ModelFactory: model.NewGPFactory(),
 		Workers:      1,
 	}.withDefaults()
 	if err != nil {

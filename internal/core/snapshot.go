@@ -102,11 +102,15 @@ func paramsDigest(p Params) string {
 			search = fmt.Sprintf("sampled/%d", s.Size)
 		}
 	}
-	// "prune=true batch=true" is the frozen rendering of two removed knobs:
-	// dropping it would orphan every snapshot already on disk.
-	return fmt.Sprintf("la=%d gamma=%v nodisc=%v gh=%d elig=%v model=%+v factory=%s search=%s prune=true batch=true refit=%d",
-		p.Lookahead, p.Discount, p.NoDiscount, p.GHOrder, p.EligibilityProb, p.Model, factory, search,
-		p.SpeculativeRefit)
+	// "prune=true batch=true" and the zeros inside model={...} are the frozen
+	// rendering of removed knobs (two planner switches; the bootstrap, tree
+	// and σ-floor settings of the cost model): dropping them would orphan
+	// every snapshot already on disk.
+	return fmt.Sprintf("la=%d gamma=%v nodisc=%v gh=%d elig=%v "+
+		"model={NumTrees:%d SampleFraction:0 Tree:{MaxDepth:0 MinLeafSize:0 MinSamplesSplit:0 FeatureFraction:0} MinStdDevFraction:0 Incremental:%v} "+
+		"factory=%s search=%s prune=true batch=true refit=%d",
+		p.Lookahead, p.Discount, p.NoDiscount, p.GHOrder, p.EligibilityProb,
+		p.Model.NumTrees, p.Model.Incremental, factory, search, p.SpeculativeRefit)
 }
 
 // Snapshot serializes the campaign's durable state. Call it between Steps —

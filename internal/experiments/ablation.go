@@ -7,8 +7,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/report"
 	"repro/internal/simulator"
-
-	"repro/internal/gp"
 )
 
 // runAblation evaluates the planner's design choices (docs/ARCHITECTURE.md,
@@ -45,7 +43,7 @@ func (s *Suite) runAblation() ([]report.Table, error) {
 		{name: "eligibility=0.90", params: func() core.Params { p := base; p.EligibilityProb = 0.90; return p }()},
 		{name: "model=gp", params: func() core.Params {
 			p := base
-			p.ModelFactory = model.NewGPFactory(gp.Params{})
+			p.ModelFactory = model.NewGPFactory()
 			return p
 		}()},
 	}

@@ -190,7 +190,7 @@ func (s *Suite) lynceus(lookahead int) (optimizer.Optimizer, error) {
 }
 
 // bo builds the BO baseline.
-func (s *Suite) bo() (optimizer.Optimizer, error) {
+func (s *Suite) bo() optimizer.Optimizer {
 	return baselines.NewBO(baselines.BOParams{Model: s.modelParams()})
 }
 

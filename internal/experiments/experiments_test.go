@@ -207,10 +207,7 @@ func TestEvaluateCachesResults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scoutJobs error: %v", err)
 	}
-	bo, err := s.bo()
-	if err != nil {
-		t.Fatalf("bo error: %v", err)
-	}
+	bo := s.bo()
 	first, err := s.evaluate(bo, jobs[0], simulator.DefaultBudgetMultiplier)
 	if err != nil {
 		t.Fatalf("evaluate error: %v", err)

@@ -176,10 +176,7 @@ func (s *Suite) fig4Optimizers() ([]optimizer.Optimizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	bo, err := s.bo()
-	if err != nil {
-		return nil, err
-	}
+	bo := s.bo()
 	return []optimizer.Optimizer{lyn, bo, baselines.NewRandom()}, nil
 }
 
@@ -350,10 +347,7 @@ func (s *Suite) runFig7() ([]report.Table, error) {
 		}
 		all = append(all, series{name: lyn.Name(), result: r})
 	}
-	bo, err := s.bo()
-	if err != nil {
-		return nil, err
-	}
+	bo := s.bo()
 	rBO, err := s.evaluate(bo, cnn, simulator.DefaultBudgetMultiplier)
 	if err != nil {
 		return nil, err
@@ -418,10 +412,7 @@ func (s *Suite) budgetSweep() (map[string]map[float64][]simulator.JobResult, err
 	if err != nil {
 		return nil, err
 	}
-	bo, err := s.bo()
-	if err != nil {
-		return nil, err
-	}
+	bo := s.bo()
 	out := make(map[string]map[float64][]simulator.JobResult)
 	for _, job := range jobs {
 		out[job.Name()] = make(map[float64][]simulator.JobResult)
@@ -518,10 +509,7 @@ func (s *Suite) runTable3() ([]report.Table, error) {
 	}
 	job := jobs[0]
 
-	bo, err := s.bo()
-	if err != nil {
-		return nil, err
-	}
+	bo := s.bo()
 	la1, err := s.lynceus(1)
 	if err != nil {
 		return nil, err

@@ -83,7 +83,7 @@ func (s *Suite) runServesim() ([]report.Table, error) {
 					SpeculativeRefit: core.SpecRefitIncremental,
 				})
 			}},
-			{"bo", func() (optimizer.Optimizer, error) { return s.bo() }},
+			{"bo", func() (optimizer.Optimizer, error) { return s.bo(), nil }},
 			{"rnd", func() (optimizer.Optimizer, error) { return baselines.NewRandom(), nil }},
 		}
 		for _, o := range opts {

@@ -18,31 +18,21 @@ import (
 // ErrNotTrained is returned when Predict is called before Fit.
 var ErrNotTrained = errors.New("gp: model is not trained")
 
-// Params configures the Gaussian Process.
-type Params struct {
-	// LengthScale is the kernel length scale l of the squared-exponential
-	// kernel k(a,b) = s²·exp(-‖a-b‖²/(2l²)). When 0, the length scale is set
-	// per fit with the median heuristic (the median pairwise distance of the
-	// training inputs).
-	LengthScale float64
-	// SignalVariance is s²; when 0 it is set to the variance of the training
-	// targets.
-	SignalVariance float64
-	// NoiseVariance is the observation noise added to the kernel diagonal;
-	// when 0 a small jitter relative to the signal variance is used.
-	NoiseVariance float64
-	// NormalizeInputs rescales every input dimension to [0,1] using the
-	// ranges observed in the training set, which makes a single length scale
-	// meaningful for spaces whose dimensions have very different magnitudes
-	// (e.g. learning rates vs cluster sizes). Enabled by default via New.
-	NormalizeInputs bool
-}
-
-// GP is a Gaussian-Process regressor. It is not safe for concurrent
-// mutation; Predict may be called concurrently once Fit has returned.
+// GP is a Gaussian-Process regressor with the squared-exponential kernel
+// k(a,b) = s²·exp(-‖a-b‖²/(2l²)). Every hyper-parameter is derived from the
+// training data at each Fit:
+//   - inputs are rescaled to [0,1] per dimension using the ranges observed in
+//     the training set, which makes a single length scale meaningful for
+//     spaces whose dimensions have very different magnitudes (e.g. learning
+//     rates vs cluster sizes);
+//   - the length scale l is the median pairwise distance of the rescaled
+//     training inputs (the median heuristic);
+//   - the signal variance s² is the variance of the training targets;
+//   - the observation noise added to the kernel diagonal is 1e-6·s².
+//
+// It is not safe for concurrent mutation; Predict may be called concurrently
+// once Fit has returned.
 type GP struct {
-	params Params
-
 	trained bool
 	inputs  [][]float64 // normalized training inputs
 	alpha   []float64   // K⁻¹·(y - mean)
@@ -55,14 +45,8 @@ type GP struct {
 	noiseVariance  float64
 }
 
-// New creates an untrained GP. A zero Params value enables input
-// normalization and data-driven hyper-parameter defaults.
-func New(params Params) *GP {
-	if params.LengthScale == 0 && params.SignalVariance == 0 && params.NoiseVariance == 0 {
-		params.NormalizeInputs = true
-	}
-	return &GP{params: params}
-}
+// New creates an untrained GP.
+func New() *GP { return &GP{} }
 
 // Fit trains the GP on the given samples, replacing previous state.
 func (g *GP) Fit(features [][]float64, targets []float64) error {
@@ -107,26 +91,17 @@ func (g *GP) Fit(features [][]float64, targets []float64) error {
 	}
 	variance /= float64(len(targets))
 
-	g.lengthScale = g.params.LengthScale
+	g.lengthScale = medianDistance(inputs)
 	if g.lengthScale <= 0 {
-		g.lengthScale = medianDistance(inputs)
-		if g.lengthScale <= 0 {
-			g.lengthScale = 1
-		}
+		g.lengthScale = 1
 	}
-	g.signalVariance = g.params.SignalVariance
+	g.signalVariance = variance
 	if g.signalVariance <= 0 {
-		g.signalVariance = variance
-		if g.signalVariance <= 0 {
-			g.signalVariance = 1e-12
-		}
+		g.signalVariance = 1e-12
 	}
-	g.noiseVariance = g.params.NoiseVariance
+	g.noiseVariance = 1e-6 * g.signalVariance
 	if g.noiseVariance <= 0 {
-		g.noiseVariance = 1e-6 * g.signalVariance
-		if g.noiseVariance <= 0 {
-			g.noiseVariance = 1e-12
-		}
+		g.noiseVariance = 1e-12
 	}
 
 	n := len(inputs)
@@ -275,7 +250,7 @@ func (g *GP) fitRanges(features [][]float64, dims int) {
 	}
 }
 
-// normalize rescales an input to [0,1] per dimension when enabled.
+// normalize rescales an input to [0,1] per dimension.
 func (g *GP) normalize(x []float64) []float64 {
 	out := make([]float64, len(x))
 	g.normalizeInto(x, out)
@@ -285,10 +260,6 @@ func (g *GP) normalize(x []float64) []float64 {
 // normalizeInto is normalize writing into a caller-provided buffer.
 func (g *GP) normalizeInto(x, out []float64) {
 	for d := range x {
-		if !g.params.NormalizeInputs {
-			out[d] = x[d]
-			continue
-		}
 		span := g.hi[d] - g.lo[d]
 		if span <= 0 {
 			out[d] = 0

@@ -11,7 +11,7 @@ import (
 )
 
 func TestFitValidation(t *testing.T) {
-	g := New(Params{})
+	g := New()
 	tests := []struct {
 		name     string
 		features [][]float64
@@ -33,7 +33,7 @@ func TestFitValidation(t *testing.T) {
 }
 
 func TestPredictBeforeFit(t *testing.T) {
-	g := New(Params{})
+	g := New()
 	if g.Trained() {
 		t.Error("untrained GP reports trained")
 	}
@@ -43,7 +43,7 @@ func TestPredictBeforeFit(t *testing.T) {
 }
 
 func TestPredictArity(t *testing.T) {
-	g := New(Params{})
+	g := New()
 	if err := g.Fit([][]float64{{1, 2}, {3, 4}}, []float64{1, 2}); err != nil {
 		t.Fatalf("Fit error: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestPredictArity(t *testing.T) {
 func TestInterpolatesTrainingPoints(t *testing.T) {
 	features := [][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0.5, 0.5}}
 	targets := []float64{1, 3, 2, 7, 4}
-	g := New(Params{})
+	g := New()
 	if err := g.Fit(features, targets); err != nil {
 		t.Fatalf("Fit error: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestInterpolatesTrainingPoints(t *testing.T) {
 func TestUncertaintyGrowsAwayFromData(t *testing.T) {
 	features := [][]float64{{0}, {1}, {2}, {3}}
 	targets := []float64{0, 1, 4, 9}
-	g := New(Params{})
+	g := New()
 	if err := g.Fit(features, targets); err != nil {
 		t.Fatalf("Fit error: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestUncertaintyGrowsAwayFromData(t *testing.T) {
 }
 
 func TestSingleTrainingPoint(t *testing.T) {
-	g := New(Params{})
+	g := New()
 	if err := g.Fit([][]float64{{2, 2}}, []float64{5}); err != nil {
 		t.Fatalf("Fit error: %v", err)
 	}
@@ -123,7 +123,7 @@ func TestLearnsSmoothFunction(t *testing.T) {
 		features = append(features, []float64{x, y})
 		targets = append(targets, f(x, y))
 	}
-	g := New(Params{})
+	g := New()
 	if err := g.Fit(features, targets); err != nil {
 		t.Fatalf("Fit error: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestLearnsSmoothFunction(t *testing.T) {
 }
 
 func TestConstantTargets(t *testing.T) {
-	g := New(Params{})
+	g := New()
 	if err := g.Fit([][]float64{{1}, {2}, {3}}, []float64{7, 7, 7}); err != nil {
 		t.Fatalf("Fit error: %v", err)
 	}
@@ -161,18 +161,8 @@ func TestConstantTargets(t *testing.T) {
 	}
 }
 
-func TestExplicitHyperParameters(t *testing.T) {
-	g := New(Params{LengthScale: 0.5, SignalVariance: 2, NoiseVariance: 0.01})
-	if err := g.Fit([][]float64{{0}, {1}}, []float64{0, 1}); err != nil {
-		t.Fatalf("Fit error: %v", err)
-	}
-	if g.lengthScale != 0.5 || g.signalVariance != 2 || g.noiseVariance != 0.01 {
-		t.Errorf("hyper-parameters not honoured: %v %v %v", g.lengthScale, g.signalVariance, g.noiseVariance)
-	}
-}
-
 func TestRefitReplacesModel(t *testing.T) {
-	g := New(Params{})
+	g := New()
 	if err := g.Fit([][]float64{{0}, {1}}, []float64{0, 0}); err != nil {
 		t.Fatalf("Fit error: %v", err)
 	}
@@ -255,7 +245,7 @@ func TestQuickVarianceNonNegativeAndFiniteMean(t *testing.T) {
 			features[i] = []float64{rng.Float64() * 10, rng.Float64() * 100}
 			targets[i] = rng.NormFloat64() * 50
 		}
-		g := New(Params{})
+		g := New()
 		if err := g.Fit(features, targets); err != nil {
 			return false
 		}
@@ -284,7 +274,7 @@ func TestPredictBatchMatchesScalarBitwise(t *testing.T) {
 			features[i] = []float64{rng.Float64() * 10, rng.Float64() * 100}
 			targets[i] = math.Sin(features[i][0]) + features[i][1]/50
 		}
-		g := New(Params{})
+		g := New()
 		if err := g.Fit(features, targets); err != nil {
 			t.Fatalf("seed=%d: Fit error: %v", seed, err)
 		}
@@ -314,7 +304,7 @@ func TestPredictBatchMatchesScalarBitwise(t *testing.T) {
 }
 
 func TestPredictBatchValidation(t *testing.T) {
-	g := New(Params{})
+	g := New()
 	if err := g.PredictBatch([][]float64{{1}}, make([]numeric.Gaussian, 1)); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("PredictBatch before Fit error = %v, want ErrNotTrained", err)
 	}

@@ -44,7 +44,7 @@ func TestCachedSupportsIncremental(t *testing.T) {
 	if SupportsIncremental(bagging.New(bagging.Params{}, 1)) {
 		t.Error("non-retaining bagging ensemble claims incremental support")
 	}
-	inner := gp.New(gp.Params{})
+	inner := gp.New()
 	if SupportsIncremental(inner) {
 		t.Error("gp claims incremental support")
 	}

@@ -41,32 +41,20 @@ type Factory interface {
 	Name() string
 }
 
-// MemoRepairer is the optional eager-repair extension of an incremental
-// regressor: it keeps enough per-point bookkeeping from a PredictBatchRepair
-// sweep to refresh the points a one-sample Update moved without re-predicting
-// them from scratch (for the bagging ensemble, per-tree stores over the
-// affected leaf's points instead of whole-ensemble re-walks), and takes that
-// bookkeeping back with the update on Undo. Repaired Gaussians must stay
-// bitwise identical to a fresh prediction. Without it, Cached re-sweeps the
-// whole memo after every Update and every Undo.
-type MemoRepairer interface {
-	// PredictBatchRepair is PredictBatch plus the repair bookkeeping for
-	// the swept points.
-	PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) error
-	// RepairLastUpdate refreshes preds[i] in place for every point the last
-	// Update may have moved, appends those indices to ids and the Gaussians
-	// they held to old, and reports whether the repair state was usable —
-	// false (with nil error) means the caller must fall back to
-	// re-predicting.
-	RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, ids []int32, old []numeric.Gaussian) ([]int32, []numeric.Gaussian, bool, error)
-}
-
 // IncrementalRegressor is implemented by regressors that can fold one sample
 // into their fitted state without a full refit, take it out again, and
 // snapshot that state into another instance of the same concrete type. The
 // planner's speculative path uses it to turn the per-speculation full refit
 // into a one-sample update applied to, and then undone on, one working copy
 // (core.Params.SpeculativeRefit).
+//
+// It also carries the memo repair: the regressor keeps enough per-point
+// bookkeeping from a PredictBatchRepair sweep to refresh the points a
+// one-sample Update moved without re-predicting them from scratch (for the
+// bagging ensemble, per-tree stores over the affected leaf's points instead
+// of whole-ensemble re-walks), and takes that bookkeeping back with the
+// update on Undo. Repaired Gaussians must stay bitwise identical to a fresh
+// prediction.
 //
 // Implementations must be deterministic: the model that results from cloning
 // a fitted source and applying a fixed sample sequence may depend only on the
@@ -87,6 +75,15 @@ type IncrementalRegressor interface {
 	// reusing dst's storage where possible. It must not mutate the receiver,
 	// so concurrent clones from one source are safe.
 	CloneInto(dst any) error
+	// PredictBatchRepair is PredictBatch plus the repair bookkeeping for
+	// the swept points.
+	PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) error
+	// RepairLastUpdate refreshes preds[i] in place for every point the last
+	// Update may have moved, appends those indices to ids and the Gaussians
+	// they held to old, and reports whether the repair state was usable —
+	// false (with nil error) means the caller must fall back to
+	// re-predicting.
+	RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, ids []int32, old []numeric.Gaussian) ([]int32, []numeric.Gaussian, bool, error)
 }
 
 // SupportsIncremental reports whether a regressor can serve the incremental
@@ -108,11 +105,10 @@ func SupportsIncremental(r Regressor) bool {
 }
 
 // Statically assert that the concrete learners satisfy Regressor and its
-// optional extensions.
+// optional extension.
 var (
 	_ Regressor            = (*gp.GP)(nil)
 	_ IncrementalRegressor = (*bagging.Ensemble)(nil)
-	_ MemoRepairer         = (*bagging.Ensemble)(nil)
 )
 
 // BaggingFactory builds bagging ensembles of regression trees (the paper's
@@ -134,18 +130,14 @@ func (f *BaggingFactory) New(stream int64) Regressor { return f.factory.New(stre
 func (f *BaggingFactory) Name() string { return "bagging" }
 
 // GPFactory builds Gaussian-Process regressors.
-type GPFactory struct {
-	params gp.Params
-}
+type GPFactory struct{}
 
 // NewGPFactory creates a factory for Gaussian-Process regressors.
-func NewGPFactory(params gp.Params) *GPFactory {
-	return &GPFactory{params: params}
-}
+func NewGPFactory() *GPFactory { return &GPFactory{} }
 
 // New implements Factory. Gaussian processes are deterministic given the
 // training data, so the stream identifier is ignored.
-func (f *GPFactory) New(int64) Regressor { return gp.New(f.params) }
+func (f *GPFactory) New(int64) Regressor { return gp.New() }
 
 // Name implements Factory.
 func (f *GPFactory) Name() string { return "gp" }
@@ -268,15 +260,15 @@ func (c *Cached) Prefill(cols [][]float64) error {
 
 // sweep re-predicts the whole memo over lastCols, straight into the
 // prediction array, and leaves the memo valid — or, on error, with the array
-// partially overwritten, off. Memo-repairing regressors sweep through
+// partially overwritten, off. Incremental regressors sweep through
 // PredictBatchRepair instead (bitwise-identical output), arming the
 // O(changed-trees) repair for the Updates that follow. The pairs pending
 // frames saved describe a memo this sweep has replaced wholesale, so undoing
 // any of them re-sweeps as well.
 func (c *Cached) sweep() error {
 	var err error
-	if rep, ok := c.inner.(MemoRepairer); ok {
-		err = rep.PredictBatchRepair(c.lastCols, c.preds)
+	if inc, ok := c.inner.(IncrementalRegressor); ok {
+		err = inc.PredictBatchRepair(c.lastCols, c.preds)
 	} else {
 		err = c.inner.PredictBatch(c.lastCols, c.preds)
 	}
@@ -288,13 +280,12 @@ func (c *Cached) sweep() error {
 }
 
 // Update folds one sample into the wrapped incremental model and keeps a
-// valid memo valid: a MemoRepairer refreshes exactly the entries the sample
-// moved — typically a handful — from its own bookkeeping, so the speculation
+// valid memo valid: the model refreshes exactly the entries the sample moved
+// — typically a handful — from its own repair bookkeeping, so the speculation
 // sweep that follows costs O(changed) instead of O(candidates) model
 // evaluations, and the entries' previous values are kept for Undo. When the
-// regressor has no repair extension, or reports its repair state unusable
-// (e.g. two Updates since its last repair sweep), the whole memo is re-swept,
-// which is always correct. A memo that is off stays off. An Update that fails
+// model reports its repair state unusable (e.g. two Updates since its last
+// repair sweep), the whole memo is re-swept, which is always correct. A memo that is off stays off. An Update that fails
 // leaves the model as it was, with the memo off if the failure was the
 // repair's.
 func (c *Cached) Update(x []float64, y float64) error {
@@ -309,13 +300,11 @@ func (c *Cached) Update(x []float64, y float64) error {
 	if !c.valid {
 		return nil
 	}
+	var usable bool
 	var err error
-	if rep, ok := c.inner.(MemoRepairer); ok {
-		var usable bool
-		c.undoIDs, c.undoOld, usable, err = rep.RepairLastUpdate(c.lastCols, c.preds, c.undoIDs, c.undoOld)
-		if usable && err == nil {
-			return nil
-		}
+	c.undoIDs, c.undoOld, usable, err = inc.RepairLastUpdate(c.lastCols, c.preds, c.undoIDs, c.undoOld)
+	if usable && err == nil {
+		return nil
 	}
 	if err == nil {
 		if err = c.sweep(); err == nil {

@@ -24,7 +24,7 @@ func TestFactoriesProduceWorkingRegressors(t *testing.T) {
 	features, targets := trainingData()
 	factories := []Factory{
 		NewBaggingFactory(bagging.Params{NumTrees: 8}, 7),
-		NewGPFactory(gp.Params{}),
+		NewGPFactory(),
 	}
 	for _, f := range factories {
 		t.Run(f.Name(), func(t *testing.T) {
@@ -93,14 +93,14 @@ func TestCachedPrefillMatchesPredictID(t *testing.T) {
 		inner Regressor
 	}{
 		{name: "batch-bagging", inner: bagging.New(bagging.Params{NumTrees: 6}, 5)},
-		{name: "batch-gp", inner: gp.New(gp.Params{})},
+		{name: "batch-gp", inner: gp.New()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Reference: an identical model whose memo stays off, so every
 			// PredictID is a scalar Predict of the wrapped regressor.
 			var ref Regressor = bagging.New(bagging.Params{NumTrees: 6}, 5)
 			if tc.name == "batch-gp" {
-				ref = gp.New(gp.Params{})
+				ref = gp.New()
 			}
 			cached := NewCached(tc.inner, n)
 			refCached := NewCached(ref, n)

@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // This file implements the incremental-update extension of the regression
 // tree: a tree trained with TrainIncremental retains its training samples and
 // the per-leaf sample membership, which lets Insert fold one new sample into
 // the fitted tree — updating the covering leaf's mean and re-splitting the
-// leaf once it accumulates enough samples — instead of retraining from
+// leaf once its targets stop being constant — instead of retraining from
 // scratch. The planner's speculative path uses it to turn per-speculation
 // full refits into one-sample updates (see core.Params.SpeculativeRefit).
 //
@@ -31,8 +30,6 @@ import (
 
 // incState is the retained training state of an incrementally updatable tree.
 type incState struct {
-	params Params // normalized induction parameters, reused by re-splits
-
 	// cols is the column-major retained sample matrix (cols[f][i] is feature
 	// f of sample i) — the same layout growInto consumes, so a leaf re-split
 	// runs the regular induction machinery over the leaf's sample indices.
@@ -108,13 +105,13 @@ func (s *incState) carve(k int) []int32 {
 // append in place instead of reallocating every column.
 const cloneColSlack = 8
 
-// TrainIncremental fits a tree exactly like Train — identical structure,
-// identical rng consumption — and additionally retains the training samples
-// and per-leaf membership required by Insert and deep Clone. The retained
-// matrix is a copy; the caller's rows are not referenced after return.
-func TrainIncremental(features [][]float64, targets []float64, params Params, rng *rand.Rand) (*Tree, error) {
+// TrainIncremental fits a tree exactly like Train — identical structure — and
+// additionally retains the training samples and per-leaf membership required
+// by Insert and CloneInto. The retained matrix is a copy; the caller's rows
+// are not referenced after return.
+func TrainIncremental(features [][]float64, targets []float64) (*Tree, error) {
 	t := &Tree{}
-	if err := NewArena().TrainIncremental(t, features, targets, params, rng); err != nil {
+	if err := NewArena().TrainIncremental(t, features, targets); err != nil {
 		return nil, err
 	}
 	return t, nil
@@ -123,16 +120,16 @@ func TrainIncremental(features [][]float64, targets []float64, params Params, rn
 // TrainIncremental is the arena form of the package-level TrainIncremental:
 // it fits dst through (*Arena).Train and rebuilds dst's retained incremental
 // state in place, reusing the column and sample arenas of dst's previous fit.
-func (a *Arena) TrainIncremental(dst *Tree, features [][]float64, targets []float64, params Params, rng *rand.Rand) error {
+func (a *Arena) TrainIncremental(dst *Tree, features [][]float64, targets []float64) error {
 	inc := dst.inc
-	if err := a.Train(dst, features, targets, params, rng); err != nil {
+	if err := a.Train(dst, features, targets); err != nil {
 		return err
 	}
 	if inc == nil {
 		inc = &incState{}
 	}
 	dst.inc = inc
-	a.buildIncState(dst, inc, features, targets, params)
+	a.buildIncState(dst, inc, features, targets)
 	return nil
 }
 
@@ -141,9 +138,8 @@ func (a *Arena) TrainIncremental(dst *Tree, features [][]float64, targets []floa
 // arena with cloneColSlack spare samples each; the leaf membership lists are
 // exact-size subslices of the sample arena's first n slots, the rest of the
 // arena being the slack later Inserts carve from.
-func (a *Arena) buildIncState(t *Tree, inc *incState, features [][]float64, targets []float64, params Params) {
+func (a *Arena) buildIncState(t *Tree, inc *incState, features [][]float64, targets []float64) {
 	n := len(targets)
-	inc.params = params.withDefaults()
 
 	stride := n + cloneColSlack
 	if cap(inc.colArena) < t.numFeatures*stride {
@@ -243,9 +239,8 @@ func (t *Tree) leafIndex(x []float64) int32 {
 }
 
 // Insert folds one sample into a tree trained with TrainIncremental: the
-// covering leaf's mean is updated with the new target, and once the leaf
-// holds at least MinSamplesSplit samples (and splitting is still admissible
-// under MaxDepth/MinLeafSize) the leaf is re-split in place by the regular
+// covering leaf's mean is updated with the new target, and once the leaf's
+// targets are no longer constant the leaf is re-split in place by the regular
 // induction machinery over its retained samples. Splits above the leaf are
 // never revisited.
 //
@@ -253,10 +248,7 @@ func (t *Tree) leafIndex(x []float64) int32 {
 // after a re-split roots the regrown subtree. Predictions of feature vectors
 // whose root-to-leaf walk does not pass through that node are unchanged; the
 // ensemble layer uses this to repair its prediction memo.
-//
-// rng is only consumed when Params.FeatureFraction < 1 (it drives the
-// random-subspace draw of a re-split); it may be nil otherwise.
-func (t *Tree) Insert(x []float64, y float64, rng *rand.Rand) (int, error) {
+func (t *Tree) Insert(x []float64, y float64) (int, error) {
 	if t == nil || t.Nodes() == 0 {
 		return 0, errors.New("regtree: insert into untrained tree")
 	}
@@ -270,12 +262,9 @@ func (t *Tree) Insert(x []float64, y float64, rng *rand.Rand) (int, error) {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return 0, fmt.Errorf("regtree: target is not finite: %v", y)
 	}
-	if inc.params.FeatureFraction < 1 && rng == nil {
-		return 0, errors.New("regtree: rng required when FeatureFraction < 1")
-	}
 
-	// Walk to the covering leaf, tracking its depth (root = 1) for the
-	// MaxDepth gate of a potential re-split.
+	// Walk to the covering leaf, tracking its depth (root = 1): a re-split
+	// grows the leaf's subtree from there.
 	nodes := t.nodes
 	i := int32(0)
 	depth := 1
@@ -325,13 +314,12 @@ func (t *Tree) Insert(x []float64, y float64, rng *rand.Rand) (int, error) {
 	}
 	t.nodes[i].thresh = sum / float64(len(samples))
 
-	// Same gating as growInto: too few samples, too deep, or constant targets
-	// keep the leaf as-is. This is the common case — most inserts stop here.
-	p := inc.params
-	if len(samples) < p.MinSamplesSplit || (p.MaxDepth > 0 && depth > p.MaxDepth) || constant {
+	// Same gating as growInto: constant targets — a lone sample's included —
+	// keep the leaf as-is.
+	if constant {
 		return int(i), nil
 	}
-	t.resplitLeaf(i, depth, samples, rng)
+	t.resplitLeaf(i, depth, samples)
 	return int(i), nil
 }
 
@@ -340,9 +328,9 @@ func (t *Tree) Insert(x []float64, y float64, rng *rand.Rand) (int, error) {
 // descendants to the node arrays, and the retained samples are redistributed
 // over the new leaves. When no admissible split exists the appended state is
 // rolled back and the leaf (whose mean Insert already updated) is kept.
-func (t *Tree) resplitLeaf(i int32, depth int, samples []int32, rng *rand.Rand) {
+func (t *Tree) resplitLeaf(i int32, depth int, samples []int32) {
 	inc := t.inc
-	sc := inc.ensureScratch(len(inc.targets), t.numFeatures)
+	sc := inc.ensureScratch(len(inc.targets))
 	idxs := sc.indices[:0]
 	for _, s := range samples {
 		idxs = append(idxs, int(s))
@@ -350,7 +338,7 @@ func (t *Tree) resplitLeaf(i int32, depth int, samples []int32, rng *rand.Rand) 
 	sc.indices = idxs
 
 	oldNodes, oldLeaves, oldDepth := t.Nodes(), t.leaves, t.depth
-	if !t.growInto(i, inc.cols, inc.targets, idxs, inc.params, rng, depth, sc.split) {
+	if !t.growInto(i, inc.cols, inc.targets, idxs, depth, sc.split) {
 		// No admissible split: growInto re-wrote the leaf (same mean, already
 		// up to date) and counted a phantom leaf; restore the counters.
 		t.leaves, t.depth = oldLeaves, oldDepth
@@ -457,7 +445,7 @@ func (t *Tree) descendSample(start int32, s int32) int32 {
 }
 
 // ensureScratch returns the re-split scratch sized for n samples.
-func (s *incState) ensureScratch(n, numFeatures int) *resplitScratch {
+func (s *incState) ensureScratch(n int) *resplitScratch {
 	if s.scratch == nil {
 		s.scratch = &resplitScratch{}
 	}
@@ -467,27 +455,19 @@ func (s *incState) ensureScratch(n, numFeatures int) *resplitScratch {
 			pairs:     make([]featTarget, n+cloneColSlack),
 			prefixSum: make([]float64, n+cloneColSlack+1),
 			prefixSq:  make([]float64, n+cloneColSlack+1),
-			features:  make([]int, numFeatures),
 			vals:      make([]valueAgg, 0, maxDistinctForBuckets),
 		}
 	}
 	return sc
 }
 
-// Clone returns an independent deep copy of the tree, including any retained
-// incremental state: the copy can Insert freely without affecting the
-// original. Cloning reads the source without mutating it, so concurrent
-// clones of one tree are safe.
-func (t *Tree) Clone() *Tree {
-	dst := &Tree{}
-	t.CloneInto(dst)
-	return dst
-}
-
-// CloneInto copies t into dst, reusing dst's existing storage where capacity
-// allows — the node array is one slice copy, and the retained sample matrix
-// and leaf membership land in per-tree arenas, so a clone of a typical
-// planner-sized tree allocates nothing after the first use of a dst. Cloned
+// CloneInto copies t into dst, including any retained incremental state: the
+// copy can Insert freely without affecting the original. Cloning reads the
+// source without mutating it, so concurrent clones of one tree are safe.
+// dst's storage is reused where capacity allows — the node array is one
+// slice copy, and the retained sample matrix and leaf membership land in
+// per-tree arenas, so a clone of a typical planner-sized tree allocates
+// nothing after the first use of a dst. Cloned
 // columns and the sample arena reserve slack, so the one-sample Inserts the
 // speculation path applies to the copy allocate nothing either. Undo frames
 // are not copied: the clone starts with none open.
@@ -509,7 +489,6 @@ func (t *Tree) CloneInto(dst *Tree) {
 		di = &incState{}
 		dst.inc = di
 	}
-	di.params = src.params
 	n := len(src.targets)
 
 	stride := n + cloneColSlack

@@ -20,12 +20,11 @@ func incFixture() ([][]float64, []float64) {
 
 func TestTrainIncrementalMatchesTrainBitwise(t *testing.T) {
 	features, targets := incFixture()
-	params := Params{MinSamplesSplit: 2, MinLeafSize: 1}
-	plain, err := Train(features, targets, params, nil)
+	plain, err := Train(features, targets)
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	inc, err := TrainIncremental(features, targets, params, nil)
+	inc, err := TrainIncremental(features, targets)
 	if err != nil {
 		t.Fatalf("TrainIncremental: %v", err)
 	}
@@ -49,24 +48,24 @@ func TestTrainIncrementalMatchesTrainBitwise(t *testing.T) {
 
 func TestInsertUpdatesLeafMean(t *testing.T) {
 	features, targets := incFixture()
-	// MinSamplesSplit high enough that the insert below cannot re-split.
-	tree, err := TrainIncremental(features, targets, Params{MinSamplesSplit: 100}, nil)
+	tree, err := TrainIncremental(features, targets)
 	if err != nil {
 		t.Fatalf("TrainIncremental: %v", err)
 	}
-	// A single leaf (no splits): the prediction is the global mean.
+	// Every fixture row is distinct, so each sits in a leaf of its own. A
+	// second sample at the same features cannot be split off: the leaf's
+	// value becomes the mean of the two targets and the tree keeps its shape.
+	nodes := tree.Nodes()
 	before, _ := tree.Predict([]float64{0, 0})
-	if _, err := tree.Insert([]float64{0, 0}, 100, nil); err != nil {
+	if _, err := tree.Insert([]float64{0, 0}, 100); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	after, _ := tree.Predict([]float64{0, 0})
-	wantSum := 100.0
-	for _, y := range targets {
-		wantSum += y
-	}
-	want := wantSum / float64(len(targets)+1)
-	if math.Abs(after-want) > 1e-12 {
+	if want := (targets[0] + 100) / 2; after != want {
 		t.Fatalf("mean after insert = %v, want %v (before %v)", after, want, before)
+	}
+	if tree.Nodes() != nodes {
+		t.Fatalf("Nodes = %d after the insert, want %d", tree.Nodes(), nodes)
 	}
 	if tree.Samples() != len(targets)+1 {
 		t.Fatalf("Samples = %d, want %d", tree.Samples(), len(targets)+1)
@@ -78,7 +77,7 @@ func TestInsertResplitsLeafPastThreshold(t *testing.T) {
 	// targets at a distinct feature value until the leaf re-splits.
 	features := [][]float64{{0}, {0}, {0}}
 	targets := []float64{1, 1, 1}
-	tree, err := TrainIncremental(features, targets, Params{MinSamplesSplit: 2, MinLeafSize: 1}, nil)
+	tree, err := TrainIncremental(features, targets)
 	if err != nil {
 		t.Fatalf("TrainIncremental: %v", err)
 	}
@@ -86,7 +85,7 @@ func TestInsertResplitsLeafPastThreshold(t *testing.T) {
 		t.Fatalf("Leaves = %d, want 1", tree.Leaves())
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := tree.Insert([]float64{5}, 9, nil); err != nil {
+		if _, err := tree.Insert([]float64{5}, 9); err != nil {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
@@ -102,31 +101,31 @@ func TestInsertResplitsLeafPastThreshold(t *testing.T) {
 
 func TestInsertValidation(t *testing.T) {
 	features, targets := incFixture()
-	plain, _ := Train(features, targets, Params{}, nil)
-	if _, err := plain.Insert([]float64{0, 0}, 1, nil); err == nil {
+	plain, _ := Train(features, targets)
+	if _, err := plain.Insert([]float64{0, 0}, 1); err == nil {
 		t.Error("Insert into a Train-built tree did not fail")
 	}
-	inc, _ := TrainIncremental(features, targets, Params{}, nil)
-	if _, err := inc.Insert([]float64{0}, 1, nil); err == nil {
+	inc, _ := TrainIncremental(features, targets)
+	if _, err := inc.Insert([]float64{0}, 1); err == nil {
 		t.Error("Insert with wrong arity did not fail")
 	}
-	if _, err := inc.Insert([]float64{0, 0}, math.NaN(), nil); err == nil {
+	if _, err := inc.Insert([]float64{0, 0}, math.NaN()); err == nil {
 		t.Error("Insert with NaN target did not fail")
 	}
 	var empty *Tree
-	if _, err := empty.Insert([]float64{0}, 1, nil); err == nil {
+	if _, err := empty.Insert([]float64{0}, 1); err == nil {
 		t.Error("Insert into nil tree did not fail")
 	}
 }
 
 func TestCloneIsIndependentAndDeterministic(t *testing.T) {
 	features, targets := incFixture()
-	parent, err := TrainIncremental(features, targets, Params{MinSamplesSplit: 2, MinLeafSize: 1}, nil)
+	parent, err := TrainIncremental(features, targets)
 	if err != nil {
 		t.Fatalf("TrainIncremental: %v", err)
 	}
-	a := parent.Clone()
-	b := &Tree{}
+	a, b := &Tree{}, &Tree{}
+	parent.CloneInto(a)
 	parent.CloneInto(b)
 
 	parentBefore, _ := parent.Predict([]float64{1, 1})
@@ -139,10 +138,10 @@ func TestCloneIsIndependentAndDeterministic(t *testing.T) {
 		{[]float64{1, 1}, 4.9}, {[]float64{2, 0}, 9.3}, {[]float64{0, 2}, 1.05},
 	}
 	for _, in := range inserts {
-		if _, err := a.Insert(in.x, in.y, nil); err != nil {
+		if _, err := a.Insert(in.x, in.y); err != nil {
 			t.Fatalf("Insert into a: %v", err)
 		}
-		if _, err := b.Insert(in.x, in.y, nil); err != nil {
+		if _, err := b.Insert(in.x, in.y); err != nil {
 			t.Fatalf("Insert into b: %v", err)
 		}
 	}
@@ -165,7 +164,7 @@ func TestCloneIsIndependentAndDeterministic(t *testing.T) {
 // arena reuse keeps steady-state allocations near zero.
 func TestCloneIntoReuseIsCheap(t *testing.T) {
 	features, targets := incFixture()
-	parent, err := TrainIncremental(features, targets, Params{MinSamplesSplit: 2, MinLeafSize: 1}, nil)
+	parent, err := TrainIncremental(features, targets)
 	if err != nil {
 		t.Fatalf("TrainIncremental: %v", err)
 	}
@@ -192,13 +191,13 @@ func TestIncrementalTrackingSurvivesResplitChains(t *testing.T) {
 		base[i] = []float64{float64(rng.Intn(4)), float64(rng.Intn(4))}
 		targets[i] = fn(base[i])
 	}
-	tree, err := TrainIncremental(base, targets, Params{MinSamplesSplit: 4, MinLeafSize: 2}, nil)
+	tree, err := TrainIncremental(base, targets)
 	if err != nil {
 		t.Fatalf("TrainIncremental: %v", err)
 	}
 	for i := 0; i < 200; i++ {
 		x := []float64{float64(rng.Intn(4)), float64(rng.Intn(4))}
-		if _, err := tree.Insert(x, fn(x), nil); err != nil {
+		if _, err := tree.Insert(x, fn(x)); err != nil {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}

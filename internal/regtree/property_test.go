@@ -84,51 +84,30 @@ func probeGrid(rng *rand.Rand, count, m int) [][]float64 {
 }
 
 // assertMatchesRef checks that the packed tree and the pointer reference
-// predict bitwise identically on every probe, through both the scalar walk
-// and PredictBatch over a column-major gather of the probes.
+// predict bitwise identically on every probe.
 func assertMatchesRef(t *testing.T, tree *Tree, ref *refNode, probes [][]float64, label string) {
 	t.Helper()
-	m := tree.NumFeatures()
-	cols := make([][]float64, m)
-	for f := range cols {
-		cols[f] = make([]float64, len(probes))
-		for i, p := range probes {
-			cols[f][i] = p[f]
-		}
-	}
-	batch := make([]float64, len(probes))
-	if err := tree.PredictBatch(cols, batch); err != nil {
-		t.Fatalf("%s: PredictBatch: %v", label, err)
-	}
-	for i, p := range probes {
+	for _, p := range probes {
 		want := ref.predict(p)
 		got, err := tree.Predict(p)
 		if err != nil {
 			t.Fatalf("%s: Predict: %v", label, err)
 		}
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: scalar predict at %v: packed %v != pointer %v", label, p, got, want)
-		}
-		if math.Float64bits(batch[i]) != math.Float64bits(want) {
-			t.Fatalf("%s: batch predict at %v: packed %v != pointer %v", label, p, batch[i], want)
+			t.Fatalf("%s: predict at %v: packed %v != pointer %v", label, p, got, want)
 		}
 	}
 }
 
 // TestPackedTreeMatchesPointerTree trains packed trees over randomized
-// fixtures and parameters and checks both predict paths against the pointer
-// reference.
+// fixtures and checks them against the pointer reference.
 func TestPackedTreeMatchesPointerTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
 		n := 5 + rng.Intn(60)
 		m := 1 + rng.Intn(6)
 		features, targets := randomFixture(rng, n, m)
-		params := Params{
-			MinSamplesSplit: 2 + rng.Intn(6),
-			MinLeafSize:     1 + rng.Intn(3),
-		}
-		tree, err := Train(features, targets, params, rand.New(rand.NewSource(int64(trial))))
+		tree, err := Train(features, targets)
 		if err != nil {
 			t.Fatalf("trial %d: Train: %v", trial, err)
 		}
@@ -152,7 +131,7 @@ func TestPackedTreeMatchesPointerTreeAfterInserts(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		m := 1 + rng.Intn(4)
 		features, targets := randomFixture(rng, 10, m)
-		tree, err := TrainIncremental(features, targets, Params{MinSamplesSplit: 4, MinLeafSize: 2}, nil)
+		tree, err := TrainIncremental(features, targets)
 		if err != nil {
 			t.Fatalf("trial %d: TrainIncremental: %v", trial, err)
 		}
@@ -162,7 +141,7 @@ func TestPackedTreeMatchesPointerTreeAfterInserts(t *testing.T) {
 				for f := range x {
 					x[f] = float64(rng.Intn(5))
 				}
-				if _, err := tree.Insert(x, rng.NormFloat64()*5, nil); err != nil {
+				if _, err := tree.Insert(x, rng.NormFloat64()*5); err != nil {
 					t.Fatalf("trial %d: Insert: %v", trial, err)
 				}
 			}
@@ -184,14 +163,15 @@ func TestPackedTreeMatchesPointerTreeThroughCloneAndSnapshot(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := 3
 	features, targets := randomFixture(rng, 25, m)
-	tree, err := TrainIncremental(features, targets, Params{MinSamplesSplit: 3, MinLeafSize: 1}, nil)
+	tree, err := TrainIncremental(features, targets)
 	if err != nil {
 		t.Fatalf("TrainIncremental: %v", err)
 	}
-	clone := tree.Clone()
+	clone := &Tree{}
+	tree.CloneInto(clone)
 	for k := 0; k < 40; k++ {
 		x := []float64{float64(rng.Intn(5)), rng.Float64() * 10, float64(rng.Intn(5))}
-		if _, err := clone.Insert(x, rng.NormFloat64()*5, nil); err != nil {
+		if _, err := clone.Insert(x, rng.NormFloat64()*5); err != nil {
 			t.Fatalf("Insert into clone: %v", err)
 		}
 	}

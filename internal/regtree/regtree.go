@@ -1,8 +1,12 @@
 // Package regtree implements CART-style regression trees. They are the base
 // learners of the bagging ensemble that Lynceus uses as its black-box cost
-// model (paper §3, "Regression model"): each tree is trained on a random
-// sub-sample of the profiled configurations and predicts the job cost from
-// the configuration's feature vector.
+// model (paper §3, "Regression model"): each tree is trained on a bootstrap
+// resample of the profiled configurations and predicts the job cost from the
+// configuration's feature vector.
+//
+// Induction is fixed: a tree is grown fully, splitting every node whose
+// targets are not constant, and every split considers every feature. Nothing
+// about it is random, so training takes no rng.
 package regtree
 
 import (
@@ -10,43 +14,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
-	"sort"
 )
 
 // ErrNoTrainingData is returned when a tree is trained on an empty dataset.
 var ErrNoTrainingData = errors.New("regtree: no training data")
-
-// Params configures tree induction. The zero value is normalized by
-// (*Params).withDefaults to a fully grown tree that considers every feature
-// at every split.
-type Params struct {
-	// MaxDepth bounds the depth of the tree; 0 means unbounded.
-	MaxDepth int
-	// MinLeafSize is the minimum number of samples per leaf; values below 1
-	// are treated as 1.
-	MinLeafSize int
-	// MinSamplesSplit is the minimum number of samples required to attempt a
-	// split; values below 2 are treated as 2.
-	MinSamplesSplit int
-	// FeatureFraction is the fraction of features examined at each split
-	// (random-subspace randomization). Values outside (0,1] are treated as 1.
-	FeatureFraction float64
-}
-
-func (p Params) withDefaults() Params {
-	if p.MinLeafSize < 1 {
-		p.MinLeafSize = 1
-	}
-	if p.MinSamplesSplit < 2 {
-		p.MinSamplesSplit = 2
-	}
-	if p.FeatureFraction <= 0 || p.FeatureFraction > 1 {
-		p.FeatureFraction = 1
-	}
-	return p
-}
 
 // node is one flattened tree node, packed into 24 bytes so a traversal step
 // touches a single cache line. The leaf value shares storage with the split
@@ -144,9 +116,6 @@ func (a *Arena) ensure(samples, numFeatures int) {
 		s.prefixSum = make([]float64, samples+1)
 		s.prefixSq = make([]float64, samples+1)
 	}
-	if cap(s.features) < numFeatures {
-		s.features = make([]int, numFeatures)
-	}
 	if s.vals == nil {
 		s.vals = make([]valueAgg, 0, maxDistinctForBuckets)
 	}
@@ -157,20 +126,19 @@ func (a *Arena) ensure(samples, numFeatures int) {
 
 // Train fits a regression tree to the given feature matrix and targets. Every
 // row of features must have the same length, and len(features) must equal
-// len(targets). The rng is only used when Params.FeatureFraction < 1; it may
-// be nil otherwise.
-func Train(features [][]float64, targets []float64, params Params, rng *rand.Rand) (*Tree, error) {
+// len(targets).
+func Train(features [][]float64, targets []float64) (*Tree, error) {
 	t := &Tree{}
-	if err := NewArena().Train(t, features, targets, params, rng); err != nil {
+	if err := NewArena().Train(t, features, targets); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
 // Train fits dst to the given samples exactly like the package-level Train —
-// identical structure, identical rng consumption — reusing both the arena's
-// scratch and dst's node arrays. dst's previous fitted state is replaced.
-func (a *Arena) Train(dst *Tree, features [][]float64, targets []float64, params Params, rng *rand.Rand) error {
+// identical structure — reusing both the arena's scratch and dst's node
+// arrays. dst's previous fitted state is replaced.
+func (a *Arena) Train(dst *Tree, features [][]float64, targets []float64) error {
 	if len(features) == 0 {
 		return ErrNoTrainingData
 	}
@@ -191,10 +159,6 @@ func (a *Arena) Train(dst *Tree, features [][]float64, targets []float64, params
 			return fmt.Errorf("regtree: target %d is not finite: %v", i, y)
 		}
 	}
-	params = params.withDefaults()
-	if params.FeatureFraction < 1 && rng == nil {
-		return errors.New("regtree: rng required when FeatureFraction < 1")
-	}
 
 	a.ensure(len(features), numFeatures)
 	indices := a.indices[:len(features)]
@@ -212,7 +176,7 @@ func (a *Arena) Train(dst *Tree, features [][]float64, targets []float64, params
 	}
 	dst.reset(numFeatures)
 	root := dst.appendNode()
-	dst.growInto(root, a.scratch.cols, targets, indices, params, rng, 1, &a.scratch)
+	dst.growInto(root, a.scratch.cols, targets, indices, 1, &a.scratch)
 	return nil
 }
 
@@ -220,9 +184,11 @@ func (a *Arena) Train(dst *Tree, features [][]float64, targets []float64, params
 // covering the samples referenced by indices, appending any descendants to
 // the node arrays. The emitted order is preorder — each internal node is
 // immediately followed by its full left subtree, then its right subtree —
-// which is the layout the v1 snapshot format pins. It reports whether the
-// node became a split (false: it is a leaf).
-func (t *Tree) growInto(at int32, cols [][]float64, targets []float64, indices []int, params Params, rng *rand.Rand, depth int, scratch *splitScratch) bool {
+// which is the layout the v1 snapshot format pins. A node whose targets are
+// constant (a lone sample's included) stays a leaf; any other splits if some
+// feature separates its samples. It reports whether the node became a split
+// (false: it is a leaf).
+func (t *Tree) growInto(at int32, cols [][]float64, targets []float64, indices []int, depth int, scratch *splitScratch) bool {
 	if depth > t.depth {
 		t.depth = depth
 	}
@@ -239,17 +205,16 @@ func (t *Tree) growInto(at int32, cols [][]float64, targets []float64, indices [
 	}
 	mean := sum / float64(len(indices))
 
-	mustLeaf := len(indices) < params.MinSamplesSplit ||
-		(params.MaxDepth > 0 && depth > params.MaxDepth) ||
-		constant
-	if !mustLeaf {
-		if feature, threshold, ok := t.bestSplit(cols, targets, indices, params, rng, scratch); ok {
+	if !constant {
+		if feature, threshold, ok := t.bestSplit(cols, targets, indices, scratch); ok {
 			left, right := partition(cols[feature], indices, threshold)
-			if len(left) >= params.MinLeafSize && len(right) >= params.MinLeafSize {
+			// A midpoint threshold can round onto one of its two values;
+			// such a split separates nothing and the node stays a leaf.
+			if len(left) > 0 && len(right) > 0 {
 				li := t.appendNode()
-				t.growInto(li, cols, targets, left, params, rng, depth+1, scratch)
+				t.growInto(li, cols, targets, left, depth+1, scratch)
 				ri := t.appendNode()
-				t.growInto(ri, cols, targets, right, params, rng, depth+1, scratch)
+				t.growInto(ri, cols, targets, right, depth+1, scratch)
 				t.nodes[at] = node{thresh: threshold, feat: int32(feature), left: li, right: ri}
 				return true
 			}
@@ -289,47 +254,28 @@ type splitScratch struct {
 	pairs     []featTarget
 	prefixSum []float64
 	prefixSq  []float64
-	features  []int
 	vals      []valueAgg
 	cols      [][]float64
 	colsFlat  []float64
 }
 
-func newSplitScratch(samples, numFeatures int) *splitScratch {
-	flat := make([]float64, samples*numFeatures)
-	cols := make([][]float64, numFeatures)
-	for f := range cols {
-		cols[f] = flat[f*samples : (f+1)*samples]
-	}
-	return &splitScratch{
-		pairs:     make([]featTarget, samples),
-		prefixSum: make([]float64, samples+1),
-		prefixSq:  make([]float64, samples+1),
-		features:  make([]int, numFeatures),
-		vals:      make([]valueAgg, 0, maxDistinctForBuckets),
-		cols:      cols,
-		colsFlat:  flat,
-	}
-}
-
 // bestSplit finds the axis-aligned split that minimizes the total sum of
-// squared errors of the two children. It returns ok=false when no valid split
-// exists (e.g. all candidate features are constant).
+// squared errors of the two children, over every feature. It returns
+// ok=false when no valid split exists (every feature is constant over the
+// samples).
 //
 // The chosen split only depends on the set of (value, target) pairs on each
 // side of a threshold — thresholds sit between distinct feature values, so
 // the order of ties within the sort never changes the outcome.
-func (t *Tree) bestSplit(cols [][]float64, targets []float64, indices []int, params Params, rng *rand.Rand, scratch *splitScratch) (int, float64, bool) {
-	candidates := t.candidateFeatures(params, rng, scratch)
-
+func (t *Tree) bestSplit(cols [][]float64, targets []float64, indices []int, scratch *splitScratch) (int, float64, bool) {
 	bestSSE := math.Inf(1)
 	bestFeature := -1
 	bestThreshold := 0.0
 
-	for _, f := range candidates {
-		threshold, total, ok, handled := bucketedSplit(cols[f], targets, indices, params, scratch)
+	for f := 0; f < t.numFeatures; f++ {
+		threshold, total, ok, handled := bucketedSplit(cols[f], targets, indices, scratch)
 		if !handled {
-			threshold, total, ok = sortedSplit(cols[f], targets, indices, params, scratch)
+			threshold, total, ok = sortedSplit(cols[f], targets, indices, scratch)
 		}
 		if ok && total < bestSSE {
 			bestSSE = total
@@ -348,9 +294,9 @@ func (t *Tree) bestSplit(cols [][]float64, targets []float64, indices []int, par
 // same candidate thresholds as the sort-based scan without sorting the
 // samples. handled=false means the feature has more than
 // maxDistinctForBuckets distinct values and the caller must use the
-// sort-based scan; ok=false (with handled=true) means no threshold satisfies
-// the leaf-size constraint.
-func bucketedSplit(col []float64, targets []float64, indices []int, params Params, scratch *splitScratch) (threshold, bestSSE float64, ok, handled bool) {
+// sort-based scan; ok=false (with handled=true) means the feature is
+// constant over the samples.
+func bucketedSplit(col []float64, targets []float64, indices []int, scratch *splitScratch) (threshold, bestSSE float64, ok, handled bool) {
 	vals := scratch.vals[:0]
 	for _, idx := range indices {
 		v := col[idx]
@@ -388,9 +334,6 @@ func bucketedSplit(col []float64, targets []float64, indices []int, params Param
 		leftSum += vals[j].sum
 		leftSq += vals[j].sq
 		leftCount += vals[j].count
-		if leftCount < params.MinLeafSize || n-leftCount < params.MinLeafSize {
-			continue
-		}
 		total := sse(leftSum, leftSq, float64(leftCount)) +
 			sse(totalSum-leftSum, totalSq-leftSq, float64(n-leftCount))
 		if total < bestSSE {
@@ -405,7 +348,7 @@ func bucketedSplit(col []float64, targets []float64, indices []int, params Param
 // sortedSplit is the sort-based scan used for high-cardinality features: it
 // sorts (value, target) pairs and sweeps prefix sums over the sorted order
 // for O(1) SSE evaluation per split position.
-func sortedSplit(col []float64, targets []float64, indices []int, params Params, scratch *splitScratch) (threshold, bestSSE float64, ok bool) {
+func sortedSplit(col []float64, targets []float64, indices []int, scratch *splitScratch) (threshold, bestSSE float64, ok bool) {
 	n := len(indices)
 	pairs := scratch.pairs[:n]
 	prefixSum := scratch.prefixSum[:n+1]
@@ -421,7 +364,7 @@ func sortedSplit(col []float64, targets []float64, indices []int, params Params,
 	}
 
 	bestSSE = math.Inf(1)
-	for i := params.MinLeafSize; i <= n-params.MinLeafSize; i++ {
+	for i := 1; i < n; i++ {
 		lo := pairs[i-1].v
 		hi := pairs[i].v
 		if lo == hi {
@@ -436,30 +379,6 @@ func sortedSplit(col []float64, targets []float64, indices []int, params Params,
 		}
 	}
 	return threshold, bestSSE, ok
-}
-
-// candidateFeatures returns the features examined at a split, applying the
-// random-subspace fraction when configured. The returned slice aliases
-// scratch and is only valid until the next call.
-func (t *Tree) candidateFeatures(params Params, rng *rand.Rand, scratch *splitScratch) []int {
-	all := scratch.features[:t.numFeatures]
-	for i := range all {
-		all[i] = i
-	}
-	if params.FeatureFraction >= 1 {
-		return all
-	}
-	k := int(math.Ceil(params.FeatureFraction * float64(t.numFeatures)))
-	if k < 1 {
-		k = 1
-	}
-	if k >= t.numFeatures {
-		return all
-	}
-	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	picked := all[:k]
-	sort.Ints(picked)
-	return picked
 }
 
 // sse computes sum((y - mean)^2) from the sum and sum of squares of a group.
@@ -521,44 +440,6 @@ func (t *Tree) PredictUnchecked(x []float64) float64 {
 			i = nd.right
 		}
 	}
-}
-
-// PredictBatch predicts every point of a column-major feature matrix:
-// cols[f][i] is feature f of point i, and the estimate of point i is written
-// to out[i]. Inputs are validated once for the whole batch and the sweep
-// allocates nothing. The bagging ensemble's batch sweep does not use this
-// form: it gathers each point into a row and runs PredictUnchecked, so one
-// gather is shared by all trees of the ensemble.
-func (t *Tree) PredictBatch(cols [][]float64, out []float64) error {
-	if t == nil || t.Nodes() == 0 {
-		return errors.New("regtree: predict on untrained tree")
-	}
-	if len(cols) != t.numFeatures {
-		return fmt.Errorf("regtree: feature matrix has %d columns, want %d", len(cols), t.numFeatures)
-	}
-	n := len(out)
-	for f, col := range cols {
-		if len(col) != n {
-			return fmt.Errorf("regtree: feature column %d has %d points, want %d", f, len(col), n)
-		}
-	}
-	nodes := t.nodes
-	for i := 0; i < n; i++ {
-		j := int32(0)
-		for {
-			nd := nodes[j]
-			if nd.left < 0 {
-				out[i] = nd.thresh
-				break
-			}
-			if cols[nd.feat][i] <= nd.thresh {
-				j = nd.left
-			} else {
-				j = nd.right
-			}
-		}
-	}
-	return nil
 }
 
 // Split returns the fields of one node: its split (feature, threshold, both

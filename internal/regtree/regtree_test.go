@@ -13,8 +13,6 @@ func TestTrainValidation(t *testing.T) {
 		name     string
 		features [][]float64
 		targets  []float64
-		params   Params
-		rng      *rand.Rand
 		wantErr  error
 	}{
 		{name: "empty data", features: nil, targets: nil, wantErr: ErrNoTrainingData},
@@ -23,16 +21,10 @@ func TestTrainValidation(t *testing.T) {
 		{name: "ragged rows", features: [][]float64{{1, 2}, {1}}, targets: []float64{1, 2}},
 		{name: "nan target", features: [][]float64{{1}}, targets: []float64{math.NaN()}},
 		{name: "inf target", features: [][]float64{{1}}, targets: []float64{math.Inf(1)}},
-		{
-			name:     "feature fraction without rng",
-			features: [][]float64{{1, 2}, {3, 4}},
-			targets:  []float64{1, 2},
-			params:   Params{FeatureFraction: 0.5},
-		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := Train(tt.features, tt.targets, tt.params, tt.rng)
+			_, err := Train(tt.features, tt.targets)
 			if err == nil {
 				t.Fatal("expected error, got nil")
 			}
@@ -44,7 +36,7 @@ func TestTrainValidation(t *testing.T) {
 }
 
 func TestSingleSampleTreePredictsConstant(t *testing.T) {
-	tree, err := Train([][]float64{{1, 2, 3}}, []float64{42}, Params{}, nil)
+	tree, err := Train([][]float64{{1, 2, 3}}, []float64{42})
 	if err != nil {
 		t.Fatalf("Train error: %v", err)
 	}
@@ -67,7 +59,7 @@ func TestTreeFitsTrainingDataExactly(t *testing.T) {
 		{1, 10}, {1, 20}, {2, 10}, {2, 20}, {3, 10}, {3, 20},
 	}
 	targets := []float64{5, 7, 11, 13, 17, 19}
-	tree, err := Train(features, targets, Params{}, nil)
+	tree, err := Train(features, targets)
 	if err != nil {
 		t.Fatalf("Train error: %v", err)
 	}
@@ -89,7 +81,7 @@ func TestTreeSplitsOnInformativeFeature(t *testing.T) {
 		{10, 5}, {11, 5}, {12, 5}, {13, 5},
 	}
 	targets := []float64{1, 1, 1, 1, 100, 100, 100, 100}
-	tree, err := Train(features, targets, Params{MaxDepth: 1}, nil)
+	tree, err := Train(features, targets)
 	if err != nil {
 		t.Fatalf("Train error: %v", err)
 	}
@@ -106,31 +98,10 @@ func TestTreeSplitsOnInformativeFeature(t *testing.T) {
 	}
 }
 
-func TestMaxDepthAndMinLeafConstraints(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	n := 200
-	features := make([][]float64, n)
-	targets := make([]float64, n)
-	for i := range features {
-		features[i] = []float64{rng.Float64() * 10, rng.Float64() * 10}
-		targets[i] = features[i][0]*3 + features[i][1]
-	}
-	tree, err := Train(features, targets, Params{MaxDepth: 3, MinLeafSize: 10}, nil)
-	if err != nil {
-		t.Fatalf("Train error: %v", err)
-	}
-	if tree.Depth() > 4 {
-		t.Errorf("Depth = %d, want <= 4 (MaxDepth 3 + leaf level)", tree.Depth())
-	}
-	if tree.Leaves() > 8 {
-		t.Errorf("Leaves = %d, want <= 8 for depth-3 tree", tree.Leaves())
-	}
-}
-
 func TestConstantTargetsYieldSingleLeaf(t *testing.T) {
 	features := [][]float64{{1}, {2}, {3}, {4}}
 	targets := []float64{7, 7, 7, 7}
-	tree, err := Train(features, targets, Params{}, nil)
+	tree, err := Train(features, targets)
 	if err != nil {
 		t.Fatalf("Train error: %v", err)
 	}
@@ -144,7 +115,7 @@ func TestPredictValidation(t *testing.T) {
 	if _, err := nilTree.Predict([]float64{1}); err == nil {
 		t.Error("predict on nil tree should error")
 	}
-	tree, err := Train([][]float64{{1, 2}}, []float64{3}, Params{}, nil)
+	tree, err := Train([][]float64{{1, 2}}, []float64{3})
 	if err != nil {
 		t.Fatalf("Train error: %v", err)
 	}
@@ -153,25 +124,6 @@ func TestPredictValidation(t *testing.T) {
 	}
 	if tree.NumFeatures() != 2 {
 		t.Errorf("NumFeatures = %d, want 2", tree.NumFeatures())
-	}
-}
-
-func TestFeatureFractionUsesSubsetOfFeatures(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	features := [][]float64{
-		{0, 0}, {1, 1}, {2, 2}, {3, 3}, {10, 10}, {11, 11}, {12, 12}, {13, 13},
-	}
-	targets := []float64{1, 1, 1, 1, 100, 100, 100, 100}
-	tree, err := Train(features, targets, Params{FeatureFraction: 0.5}, rng)
-	if err != nil {
-		t.Fatalf("Train error: %v", err)
-	}
-	// With either feature the split is learnable, so predictions must still
-	// separate the two groups.
-	low, _ := tree.Predict([]float64{1, 1})
-	high, _ := tree.Predict([]float64{12, 12})
-	if low >= high {
-		t.Errorf("low %v not below high %v", low, high)
 	}
 }
 
@@ -186,7 +138,7 @@ func TestTreeReducesErrorVersusGlobalMean(t *testing.T) {
 		features[i] = []float64{x0, x1}
 		targets[i] = math.Sin(x0)*10 + x1*x1 + rng.NormFloat64()*0.1
 	}
-	tree, err := Train(features, targets, Params{MinLeafSize: 5}, nil)
+	tree, err := Train(features, targets)
 	if err != nil {
 		t.Fatalf("Train error: %v", err)
 	}
@@ -229,7 +181,7 @@ func TestQuickPredictionWithinTargetRange(t *testing.T) {
 				hi = targets[i]
 			}
 		}
-		tree, err := Train(features, targets, Params{MinLeafSize: 1 + rng.Intn(3)}, nil)
+		tree, err := Train(features, targets)
 		if err != nil {
 			return false
 		}
@@ -247,100 +199,5 @@ func TestQuickPredictionWithinTargetRange(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
 		t.Errorf("prediction range property failed: %v", err)
-	}
-}
-
-// transpose turns row-major feature rows into the column-major matrix
-// consumed by PredictBatch.
-func transpose(rows [][]float64) [][]float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	cols := make([][]float64, len(rows[0]))
-	for f := range cols {
-		cols[f] = make([]float64, len(rows))
-		for i, row := range rows {
-			cols[f][i] = row[f]
-		}
-	}
-	return cols
-}
-
-func TestPredictBatchMatchesScalarBitwise(t *testing.T) {
-	property := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(80) + 2
-		features := make([][]float64, n)
-		targets := make([]float64, n)
-		for i := range features {
-			features[i] = []float64{rng.Float64() * 100, float64(rng.Intn(4)), rng.NormFloat64()}
-			targets[i] = rng.NormFloat64() * 50
-		}
-		tree, err := Train(features, targets, Params{MinLeafSize: 1 + rng.Intn(2)}, nil)
-		if err != nil {
-			return false
-		}
-		queries := make([][]float64, 50)
-		for i := range queries {
-			queries[i] = []float64{rng.Float64() * 200, float64(rng.Intn(6)), rng.NormFloat64() * 2}
-		}
-		out := make([]float64, len(queries))
-		if err := tree.PredictBatch(transpose(queries), out); err != nil {
-			return false
-		}
-		for i, q := range queries {
-			want, err := tree.Predict(q)
-			if err != nil || out[i] != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
-		t.Errorf("batch/scalar equivalence property failed: %v", err)
-	}
-}
-
-func TestPredictBatchValidation(t *testing.T) {
-	tree, err := Train([][]float64{{1, 2}, {3, 4}, {5, 6}}, []float64{1, 2, 3}, Params{}, nil)
-	if err != nil {
-		t.Fatalf("Train error: %v", err)
-	}
-	var untrained *Tree
-	if err := untrained.PredictBatch([][]float64{{1}, {2}}, make([]float64, 1)); err == nil {
-		t.Error("PredictBatch on nil tree: expected error, got nil")
-	}
-	if err := tree.PredictBatch([][]float64{{1}}, make([]float64, 1)); err == nil {
-		t.Error("PredictBatch with wrong column count: expected error, got nil")
-	}
-	if err := tree.PredictBatch([][]float64{{1, 2}, {3}}, make([]float64, 2)); err == nil {
-		t.Error("PredictBatch with ragged columns: expected error, got nil")
-	}
-	if err := tree.PredictBatch([][]float64{{1, 2}, {3, 4}}, make([]float64, 3)); err == nil {
-		t.Error("PredictBatch with short columns: expected error, got nil")
-	}
-}
-
-func TestPredictBatchZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	features := make([][]float64, 64)
-	targets := make([]float64, 64)
-	for i := range features {
-		features[i] = []float64{rng.Float64() * 10, float64(rng.Intn(4))}
-		targets[i] = rng.NormFloat64()
-	}
-	tree, err := Train(features, targets, Params{}, nil)
-	if err != nil {
-		t.Fatalf("Train error: %v", err)
-	}
-	cols := transpose(features)
-	out := make([]float64, len(features))
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := tree.PredictBatch(cols, out); err != nil {
-			t.Fatalf("PredictBatch error: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("PredictBatch allocations per sweep = %v, want 0", allocs)
 	}
 }

@@ -121,10 +121,7 @@ func TestEvaluateRandomBaseline(t *testing.T) {
 func TestEvaluateAllSharesBootstrapSeeds(t *testing.T) {
 	job := fixtureJob(t)
 	cfg := Config{Job: job, Runs: 3, BaseSeed: 7}
-	bo, err := baselines.NewBO(baselines.BOParams{Model: bagging.Params{NumTrees: 5}})
-	if err != nil {
-		t.Fatalf("NewBO error: %v", err)
-	}
+	bo := baselines.NewBO(baselines.BOParams{Model: bagging.Params{NumTrees: 5}})
 	results, err := EvaluateAll([]optimizer.Optimizer{bo, baselines.NewRandom()}, cfg)
 	if err != nil {
 		t.Fatalf("EvaluateAll error: %v", err)

@@ -80,10 +80,7 @@ func TestAutoSearchOnLargeStreamingSpace(t *testing.T) {
 func TestBOBaselineOnStreamingSpace(t *testing.T) {
 	job, opts := largeGridFixture(t, 8, 16, 23) // 3,840 configurations
 	opts.BootstrapSize = 10
-	bo, err := NewBOBaseline()
-	if err != nil {
-		t.Fatalf("NewBOBaseline: %v", err)
-	}
+	bo := NewBOBaseline()
 	res, err := bo.Optimize(job, opts)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)

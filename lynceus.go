@@ -29,7 +29,6 @@ import (
 	"repro/internal/configspace"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/gp"
 	"repro/internal/model"
 	"repro/internal/optimizer"
 	"repro/internal/servesim"
@@ -230,7 +229,7 @@ func newCoreTuner(cfg TunerConfig) (*core.Lynceus, error) {
 		// Default bagging factory is created per optimization run so it can
 		// be seeded from Options.Seed.
 	case string(model.KindGP):
-		params.ModelFactory = model.NewGPFactory(gp.Params{})
+		params.ModelFactory = model.NewGPFactory()
 	default:
 		return nil, fmt.Errorf("lynceus: unknown cost model %q (want %q or %q)",
 			cfg.CostModel, model.KindBagging, model.KindGP)
@@ -240,7 +239,7 @@ func newCoreTuner(cfg TunerConfig) (*core.Lynceus, error) {
 
 // NewBOBaseline creates the CherryPick/Arrow-style greedy constrained-EI
 // Bayesian optimizer used as the main baseline in the paper.
-func NewBOBaseline() (Optimizer, error) {
+func NewBOBaseline() Optimizer {
 	return baselines.NewBO(baselines.BOParams{})
 }
 

@@ -174,10 +174,7 @@ func TestNewTunerCostModels(t *testing.T) {
 }
 
 func TestBaselineConstructors(t *testing.T) {
-	bo, err := NewBOBaseline()
-	if err != nil {
-		t.Fatalf("NewBOBaseline error: %v", err)
-	}
+	bo := NewBOBaseline()
 	if bo.Name() != "bo" {
 		t.Errorf("bo name = %q", bo.Name())
 	}
