@@ -40,7 +40,14 @@ func imageOf(t *Tree) treeImage {
 // its Mark, and the tree must at all times equal a clone of the fitted tree
 // that received the surviving inserts and nothing else. Both of Insert's
 // exits must be taken: a re-split, and a leaf that keeps its shape.
+//
+// The one subtest keeps the name it had when induction took parameters:
+// their zero value is the induction every tree now gets.
 func TestRollbackRestoresTreeBitwise(t *testing.T) {
+	t.Run("{MaxDepth:0 MinLeafSize:0 MinSamplesSplit:0 FeatureFraction:0}", rollbackRestoresTreeBitwise)
+}
+
+func rollbackRestoresTreeBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	fn := func(x []float64) float64 { return 3*x[0] - 2*x[1] + x[0]*x[2] }
 	features := make([][]float64, 14)
