@@ -32,11 +32,11 @@ func run() error {
 	)
 	flag.Parse()
 
-	job, err := lynceus.SyntheticScoutJobs(42)
+	// hibench-sort: shuffle-heavy, interesting cost surface.
+	target, err := lynceus.SyntheticScoutJob("hibench-sort", 42)
 	if err != nil {
 		return err
 	}
-	target := job[1] // hibench-sort: shuffle-heavy, interesting cost surface
 	env, err := lynceus.NewJobEnvironment(target)
 	if err != nil {
 		return err

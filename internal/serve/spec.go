@@ -179,16 +179,11 @@ var envKinds = map[string]func(name string, seed int64) (lynceus.Environment, er
 		return lynceus.NewJobEnvironment(job)
 	},
 	"scout": func(name string, seed int64) (lynceus.Environment, error) {
-		jobs, err := lynceus.SyntheticScoutJobs(seed)
+		job, err := lynceus.SyntheticScoutJob(name, seed)
 		if err != nil {
 			return nil, err
 		}
-		for _, job := range jobs {
-			if job.Name() == name {
-				return lynceus.NewJobEnvironment(job)
-			}
-		}
-		return nil, fmt.Errorf("serve: unknown scout job %q", name)
+		return lynceus.NewJobEnvironment(job)
 	},
 	"servesim": func(name string, seed int64) (lynceus.Environment, error) {
 		return lynceus.NewServingEnvironment(name, seed)

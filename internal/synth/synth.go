@@ -9,9 +9,10 @@ import (
 // noise returns a deterministic multiplicative noise factor for the given
 // configuration, centred at 1 with the given relative spread. Using a
 // dedicated generator seeded from (seed, configID) makes the factor depend
-// only on the configuration, not on enumeration order.
+// only on the configuration, not on enumeration order. The generator's
+// stream is that of rand.NewSource, derived lazily (see seededSource).
 func noise(seed int64, configID int, spread float64) float64 {
-	rng := rand.New(rand.NewSource(mix(seed, int64(configID))))
+	rng := rand.New(newSeededSource(mix(seed, int64(configID))))
 	return math.Exp(rng.NormFloat64() * spread)
 }
 

@@ -285,6 +285,10 @@ func SyntheticTensorflowJob(name string, seed int64) (*Job, error) {
 // SyntheticScoutJobs generates the 18 Scout-style Hadoop/Spark jobs of §5.1.2.
 func SyntheticScoutJobs(seed int64) ([]*Job, error) { return synth.ScoutJobs(seed) }
 
+// SyntheticScoutJob generates one Scout-style job by name ("hibench-sort",
+// for one), identical to its entry in SyntheticScoutJobs.
+func SyntheticScoutJob(name string, seed int64) (*Job, error) { return synth.ScoutJob(name, seed) }
+
 // SyntheticCherryPickJobs generates the 5 CherryPick-style jobs of §5.1.2.
 func SyntheticCherryPickJobs(seed int64) ([]*Job, error) { return synth.CherryPickJobs(seed) }
 

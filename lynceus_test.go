@@ -256,6 +256,16 @@ func TestSyntheticGeneratorsThroughPublicAPI(t *testing.T) {
 	if len(scout) != 18 {
 		t.Errorf("scout jobs = %d", len(scout))
 	}
+	sortJob, err := SyntheticScoutJob("hibench-sort", 7)
+	if err != nil {
+		t.Fatalf("SyntheticScoutJob error: %v", err)
+	}
+	if got, want := sortJob.Measurements(), scout[1].Measurements(); scout[1].Name() != "hibench-sort" || !reflect.DeepEqual(got, want) {
+		t.Errorf("SyntheticScoutJob(hibench-sort) differs from SyntheticScoutJobs' %s", scout[1].Name())
+	}
+	if _, err := SyntheticScoutJob("hibench-nope", 7); err == nil {
+		t.Error("unknown scout job should error")
+	}
 	cherry, err := SyntheticCherryPickJobs(7)
 	if err != nil {
 		t.Fatalf("SyntheticCherryPickJobs error: %v", err)
