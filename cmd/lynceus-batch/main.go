@@ -24,7 +24,7 @@ import (
 	"time"
 
 	lynceus "repro"
-	"repro/internal/optimizer"
+	"repro/internal/lhs"
 )
 
 func main() {
@@ -76,7 +76,7 @@ func run() error {
 	}
 	totalBudget := *budget
 	if totalBudget <= 0 {
-		bootstrap, err := optimizer.ResolveBootstrapSize(job.Space(), lynceus.Options{Budget: 1, MaxRuntimeSeconds: 1})
+		bootstrap, err := lhs.DefaultBootstrapSize(job.Space())
 		if err != nil {
 			return err
 		}

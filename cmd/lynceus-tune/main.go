@@ -18,7 +18,7 @@ import (
 
 	lynceus "repro"
 	"repro/internal/atomicfile"
-	"repro/internal/optimizer"
+	"repro/internal/lhs"
 	"repro/internal/profiling"
 )
 
@@ -99,7 +99,7 @@ func run() error {
 
 	totalBudget := *budget
 	if totalBudget <= 0 {
-		bootstrap, err := optimizer.ResolveBootstrapSize(job.Space(), lynceus.Options{Budget: 1, MaxRuntimeSeconds: 1})
+		bootstrap, err := lhs.DefaultBootstrapSize(job.Space())
 		if err != nil {
 			return err
 		}
@@ -292,7 +292,7 @@ func runServesim(profile string, budget, budgetMultiplier, tmax, feasibleFractio
 	}
 	totalBudget := budget
 	if totalBudget <= 0 {
-		bootstrap, err := optimizer.ResolveBootstrapSize(env.Space(), lynceus.Options{Budget: 1, MaxRuntimeSeconds: 1})
+		bootstrap, err := lhs.DefaultBootstrapSize(env.Space())
 		if err != nil {
 			return err
 		}

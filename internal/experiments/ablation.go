@@ -26,12 +26,7 @@ func (s *Suite) runAblation() ([]report.Table, error) {
 		name   string
 		params core.Params
 	}
-	base := core.Params{
-		Lookahead: 1,
-		Model:     s.modelParams(),
-		GHOrder:   s.opts.GHOrder,
-		Workers:   s.opts.Workers,
-	}
+	base := core.Params{Lookahead: 1, Model: s.modelParams()}
 	variants := []variant{
 		{name: "default(la1,k3,g0.9,t10,p0.99)", params: base},
 		{name: "gh-order=2", params: func() core.Params { p := base; p.GHOrder = 2; return p }()},

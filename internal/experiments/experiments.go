@@ -53,12 +53,8 @@ type Options struct {
 	// Lookahead is the lookahead window of the "full" Lynceus configuration;
 	// 0 falls back to the paper default (LA=2).
 	Lookahead int
-	// GHOrder overrides the Gauss-Hermite order (0 = paper default).
-	GHOrder int
 	// EnsembleTrees overrides the bagging ensemble size (0 = paper's 10).
 	EnsembleTrees int
-	// Workers bounds per-run path-evaluation parallelism (0 = GOMAXPROCS).
-	Workers int
 }
 
 func (o Options) withDefaults() Options {
@@ -181,12 +177,7 @@ func (s *Suite) modelParams() bagging.Params {
 
 // lynceus builds a Lynceus optimizer with the given lookahead.
 func (s *Suite) lynceus(lookahead int) (optimizer.Optimizer, error) {
-	return core.New(core.Params{
-		Lookahead: lookahead,
-		GHOrder:   s.opts.GHOrder,
-		Model:     s.modelParams(),
-		Workers:   s.opts.Workers,
-	})
+	return core.New(core.Params{Lookahead: lookahead, Model: s.modelParams()})
 }
 
 // bo builds the BO baseline.

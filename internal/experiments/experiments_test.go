@@ -19,7 +19,6 @@ func quickSuite() *Suite {
 		CherryPickJobLimit: 1,
 		Lookahead:          1,
 		EnsembleTrees:      5,
-		Workers:            4,
 	})
 }
 
@@ -177,7 +176,6 @@ func TestServesimQuickRun(t *testing.T) {
 		Seed:                 3,
 		ServesimProfileLimit: 1,
 		EnsembleTrees:        5,
-		Workers:              4,
 	})
 	tables, err := s.Run("servesim")
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/dataset"
+	"repro/internal/lhs"
 	"repro/internal/optimizer"
 	"repro/internal/report"
 	"repro/internal/simulator"
@@ -532,7 +533,7 @@ func (s *Suite) runTable3() ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		bootstrap, err := optimizer.ResolveBootstrapSize(job.Space(), optimizer.Options{Budget: 1, MaxRuntimeSeconds: 1})
+		bootstrap, err := lhs.DefaultBootstrapSize(job.Space())
 		if err != nil {
 			return nil, err
 		}

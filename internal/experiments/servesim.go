@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/lhs"
 	"repro/internal/optimizer"
 	"repro/internal/report"
 	"repro/internal/servesim"
@@ -60,7 +61,7 @@ func (s *Suite) runServesim() ([]report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		bootstrap, err := optimizer.ResolveBootstrapSize(ref.Space(), optimizer.Options{Budget: 1, MaxRuntimeSeconds: 1})
+		bootstrap, err := lhs.DefaultBootstrapSize(ref.Space())
 		if err != nil {
 			return nil, err
 		}
@@ -77,9 +78,7 @@ func (s *Suite) runServesim() ([]report.Table, error) {
 			{"lynceus-la2", func() (optimizer.Optimizer, error) {
 				return core.New(core.Params{
 					Lookahead:        2,
-					GHOrder:          s.opts.GHOrder,
 					Model:            s.modelParams(),
-					Workers:          s.opts.Workers,
 					SpeculativeRefit: core.SpecRefitIncremental,
 				})
 			}},

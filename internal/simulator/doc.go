@@ -6,6 +6,12 @@
 // explorations performed (NEX) — together with the per-exploration
 // convergence traces used by Figure 7.
 //
+// The methodology is fixed, not configured: the runtime constraint Tmax
+// admits half of the configurations, every run bootstraps
+// N = max(3 %·|space|, #dims) LHS probes, and the budget is B = b·N·m̃, where
+// m̃ is the job's mean configuration cost. A Config chooses only the job,
+// the number of runs, b, the base seed and the worker count.
+//
 // Campaigns parallelize across runs: Config.Workers bounds how many
 // optimization runs execute concurrently, and because run i always uses seed
 // BaseSeed+i and lands at index i of the result, the campaign's outcome is

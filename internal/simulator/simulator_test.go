@@ -9,7 +9,6 @@ import (
 	"repro/internal/configspace"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/optimizer"
 )
 
 func fixtureJob(t *testing.T) *dataset.Job {
@@ -49,7 +48,6 @@ func TestConfigValidation(t *testing.T) {
 		{Job: nil, Runs: 3},
 		{Job: job, Runs: 0},
 		{Job: job, Runs: 3, BudgetMultiplier: -1},
-		{Job: job, Runs: 3, FeasibleFraction: 2},
 	}
 	for i, cfg := range invalid {
 		if _, err := Evaluate(r, cfg); err == nil {
@@ -118,21 +116,28 @@ func TestEvaluateRandomBaseline(t *testing.T) {
 	}
 }
 
-func TestEvaluateAllSharesBootstrapSeeds(t *testing.T) {
+// TestEvaluateSharesBootstrapSeeds checks the paper's "same set of initial
+// configurations for their own i-th run" methodology: the i-th run of every
+// optimizer evaluated under one Config uses the same seed.
+func TestEvaluateSharesBootstrapSeeds(t *testing.T) {
 	job := fixtureJob(t)
 	cfg := Config{Job: job, Runs: 3, BaseSeed: 7}
 	bo := baselines.NewBO(baselines.BOParams{Model: bagging.Params{NumTrees: 5}})
-	results, err := EvaluateAll([]optimizer.Optimizer{bo, baselines.NewRandom()}, cfg)
+	boRes, err := Evaluate(bo, cfg)
 	if err != nil {
-		t.Fatalf("EvaluateAll error: %v", err)
+		t.Fatalf("Evaluate(bo) error: %v", err)
 	}
-	if len(results) != 2 {
-		t.Fatalf("results = %d", len(results))
+	rndRes, err := Evaluate(baselines.NewRandom(), cfg)
+	if err != nil {
+		t.Fatalf("Evaluate(rnd) error: %v", err)
 	}
-	for i := range results[0].Runs {
-		if results[0].Runs[i].Seed != results[1].Runs[i].Seed {
+	if len(boRes.Runs) != 3 || len(rndRes.Runs) != 3 {
+		t.Fatalf("runs = %d and %d, want 3", len(boRes.Runs), len(rndRes.Runs))
+	}
+	for i := range boRes.Runs {
+		if boRes.Runs[i].Seed != rndRes.Runs[i].Seed {
 			t.Errorf("run %d seeds differ across optimizers: %d vs %d",
-				i, results[0].Runs[i].Seed, results[1].Runs[i].Seed)
+				i, boRes.Runs[i].Seed, rndRes.Runs[i].Seed)
 		}
 	}
 }
@@ -154,23 +159,6 @@ func TestEvaluateLynceusBeatsNothingButRuns(t *testing.T) {
 	}
 	if res.OptimizerName != "lynceus-la1" {
 		t.Errorf("optimizer name = %q", res.OptimizerName)
-	}
-}
-
-func TestEvaluateWithExplicitTmaxAndBootstrap(t *testing.T) {
-	job := fixtureJob(t)
-	cfg := Config{Job: job, Runs: 2, MaxRuntimeSeconds: 5000, BootstrapSize: 4, BaseSeed: 3}
-	res, err := Evaluate(baselines.NewRandom(), cfg)
-	if err != nil {
-		t.Fatalf("Evaluate error: %v", err)
-	}
-	if res.Tmax != 5000 {
-		t.Errorf("Tmax = %v, want 5000", res.Tmax)
-	}
-	for _, run := range res.Runs {
-		if run.Explorations < 4 {
-			t.Errorf("explorations = %d, want >= bootstrap size 4", run.Explorations)
-		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stat provides the summary statistics used by the experiment
-// pipeline: means, standard deviations, percentiles, and empirical CDFs over
-// metric samples such as the cost-normalized-to-optimal (CNO) and the number
-// of explorations (NEX).
+// pipeline: means, standard deviations, percentiles and threshold fractions
+// over metric samples such as the cost-normalized-to-optimal (CNO) and the
+// number of explorations (NEX).
 package stat
 
 import (
@@ -164,49 +164,6 @@ func Summarize(xs []float64) (Summary, error) {
 		P99:    p99,
 		Max:    maxV,
 	}, nil
-}
-
-// CDFPoint is one point of an empirical CDF: the fraction of samples that are
-// less than or equal to Value.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// EmpiricalCDF returns the empirical cumulative distribution of xs as a
-// sequence of (value, fraction) points sorted by value. Duplicate values are
-// collapsed into a single point carrying the cumulative fraction.
-func EmpiricalCDF(xs []float64) ([]CDFPoint, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmptySample
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, 0, len(sorted))
-	n := float64(len(sorted))
-	for i, v := range sorted {
-		frac := float64(i+1) / n
-		if len(out) > 0 && out[len(out)-1].Value == v {
-			out[len(out)-1].Fraction = frac
-			continue
-		}
-		out = append(out, CDFPoint{Value: v, Fraction: frac})
-	}
-	return out, nil
-}
-
-// CDFAt evaluates an empirical CDF at value v: the fraction of the underlying
-// samples that are <= v. The cdf slice must be sorted by Value, as produced
-// by EmpiricalCDF.
-func CDFAt(cdf []CDFPoint, v float64) float64 {
-	frac := 0.0
-	for _, p := range cdf {
-		if p.Value > v {
-			break
-		}
-		frac = p.Fraction
-	}
-	return frac
 }
 
 // FractionAtMost returns the fraction of xs that is <= threshold.

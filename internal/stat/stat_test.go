@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -52,9 +51,6 @@ func TestEmptySampleErrors(t *testing.T) {
 	}
 	if _, err := Summarize(nil); !errors.Is(err, ErrEmptySample) {
 		t.Errorf("Summarize(nil) error = %v, want ErrEmptySample", err)
-	}
-	if _, err := EmpiricalCDF(nil); !errors.Is(err, ErrEmptySample) {
-		t.Errorf("EmpiricalCDF(nil) error = %v, want ErrEmptySample", err)
 	}
 	if _, err := FractionAtMost(nil, 1); !errors.Is(err, ErrEmptySample) {
 		t.Errorf("FractionAtMost(nil) error = %v, want ErrEmptySample", err)
@@ -150,46 +146,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestEmpiricalCDF(t *testing.T) {
-	xs := []float64{3, 1, 2, 2, 5}
-	cdf, err := EmpiricalCDF(xs)
-	if err != nil {
-		t.Fatalf("EmpiricalCDF error: %v", err)
-	}
-	wantValues := []float64{1, 2, 3, 5}
-	wantFracs := []float64{0.2, 0.6, 0.8, 1.0}
-	if len(cdf) != len(wantValues) {
-		t.Fatalf("EmpiricalCDF returned %d points, want %d", len(cdf), len(wantValues))
-	}
-	for i := range cdf {
-		if cdf[i].Value != wantValues[i] {
-			t.Errorf("point %d value = %v, want %v", i, cdf[i].Value, wantValues[i])
-		}
-		if math.Abs(cdf[i].Fraction-wantFracs[i]) > 1e-12 {
-			t.Errorf("point %d fraction = %v, want %v", i, cdf[i].Fraction, wantFracs[i])
-		}
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	cdf := []CDFPoint{{Value: 1, Fraction: 0.25}, {Value: 2, Fraction: 0.75}, {Value: 4, Fraction: 1}}
-	tests := []struct {
-		v    float64
-		want float64
-	}{
-		{v: 0.5, want: 0},
-		{v: 1, want: 0.25},
-		{v: 1.5, want: 0.25},
-		{v: 3, want: 0.75},
-		{v: 10, want: 1},
-	}
-	for _, tt := range tests {
-		if got := CDFAt(cdf, tt.v); got != tt.want {
-			t.Errorf("CDFAt(%v) = %v, want %v", tt.v, got, tt.want)
-		}
-	}
-}
-
 func TestFractionAtMost(t *testing.T) {
 	xs := []float64{1, 1, 2, 3, 10}
 	got, err := FractionAtMost(xs, 2)
@@ -220,34 +176,5 @@ func TestQuickPercentileWithinRange(t *testing.T) {
 	}
 	if err := quick.Check(property, nil); err != nil {
 		t.Errorf("percentile out of sample range: %v", err)
-	}
-}
-
-func TestQuickEmpiricalCDFMonotone(t *testing.T) {
-	property := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(80) + 1
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.Float64() * 50
-		}
-		cdf, err := EmpiricalCDF(xs)
-		if err != nil {
-			return false
-		}
-		if !sort.SliceIsSorted(cdf, func(i, j int) bool { return cdf[i].Value < cdf[j].Value }) {
-			return false
-		}
-		prev := 0.0
-		for _, p := range cdf {
-			if p.Fraction < prev || p.Fraction > 1+1e-12 {
-				return false
-			}
-			prev = p.Fraction
-		}
-		return math.Abs(cdf[len(cdf)-1].Fraction-1) < 1e-12
-	}
-	if err := quick.Check(property, nil); err != nil {
-		t.Errorf("empirical CDF not monotone: %v", err)
 	}
 }

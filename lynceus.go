@@ -64,7 +64,11 @@ type (
 	Result = optimizer.Result
 	// Optimizer is implemented by Lynceus and by the baselines.
 	Optimizer = optimizer.Optimizer
-	// EvaluationConfig configures a repeated-runs evaluation campaign.
+	// EvaluationConfig configures a repeated-runs evaluation campaign: the
+	// job, the number of runs, the budget multiplier b, the base seed and the
+	// worker count. The methodology itself is fixed (§5.2): Tmax admits half
+	// of the configurations, every run bootstraps the default LHS sample, and
+	// the budget is b times the bootstrap's expected cost.
 	EvaluationConfig = simulator.Config
 	// Evaluation aggregates the metrics of an evaluation campaign.
 	Evaluation = simulator.JobResult
