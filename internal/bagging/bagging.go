@@ -437,20 +437,11 @@ func NewFactory(params Params, seed int64) *Factory {
 	return &Factory{params: params.withDefaults(), seed: seed}
 }
 
-// mix64 is the SplitMix64 finalizer: a cheap, well-distributed hash shared
-// by every stream derivation in this package (factory streams, update
-// inclusion weights).
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // New creates a fresh untrained ensemble whose random stream is derived from
 // the factory seed and the given stream identifier. Calls with distinct
 // stream identifiers are safe from concurrent goroutines.
 func (f *Factory) New(stream int64) *Ensemble {
 	// SplitMix64-style mixing to decorrelate nearby stream ids.
-	z := mix64(uint64(f.seed) + uint64(stream)*0x9E3779B97F4A7C15)
+	z := numeric.SplitMix64(uint64(f.seed) + uint64(stream)*0x9E3779B97F4A7C15)
 	return New(f.params, int64(z))
 }

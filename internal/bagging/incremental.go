@@ -60,7 +60,7 @@ func (e *Ensemble) Updates() int { return e.updates }
 // updateStream mixes (seed, tree, sample index) into one SplitMix64 draw, the
 // key of every randomized decision of one tree's view of one updated sample.
 func updateStream(seed int64, tree, sample int) uint64 {
-	return mix64(uint64(seed)*0x9E3779B97F4A7C15 +
+	return numeric.SplitMix64(uint64(seed)*0x9E3779B97F4A7C15 +
 		uint64(tree)*0xD1B54A32D192ED03 +
 		uint64(sample)*0x8CB92BA72F3D8DD7 + 0x2545F4914F6CDD1D)
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/configspace"
+	"repro/internal/numeric"
 )
 
 // Search-strategy defaults.
@@ -108,17 +109,9 @@ type Sampled struct {
 // Name implements SearchStrategy.
 func (s Sampled) Name() string { return "sampled" }
 
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-distributed hash used
-// to derive the deterministic candidate streams.
-func splitmix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // sampleStream seeds the per-decision draw stream from (seed, iteration).
 func sampleStream(seed int64, iteration int) uint64 {
-	return splitmix64(uint64(seed)*0x9E3779B97F4A7C15 + uint64(iteration)*0xD1B54A32D192ED03 + 0x8CB92BA72F3D8DD7)
+	return uint64(numeric.Mix(seed, int64(iteration)))
 }
 
 // Select implements SearchStrategy. The common path draws pseudorandom IDs
@@ -145,7 +138,7 @@ func (s Sampled) Select(space *configspace.Space, tested func(id int) bool, unte
 	maxDraws := 32*size + 1024
 	for draws := 0; draws < maxDraws && len(out) < size; draws++ {
 		state += 0x9E3779B97F4A7C15
-		id := int(splitmix64(state) % uint64(total))
+		id := int(numeric.SplitMix64(state) % uint64(total))
 		if tested(id) {
 			continue
 		}
@@ -176,7 +169,7 @@ func (s Sampled) rankedSample(space *configspace.Space, tested func(id int) bool
 		if tested(id) {
 			continue
 		}
-		all = append(all, ranked{key: splitmix64(base + uint64(id)*0x9E3779B97F4A7C15), id: id})
+		all = append(all, ranked{key: numeric.SplitMix64(base + uint64(id)*0x9E3779B97F4A7C15), id: id})
 	}
 	sort.Slice(all, func(a, b int) bool {
 		if all[a].key != all[b].key {

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"repro/internal/configspace"
+	"repro/internal/numeric"
 	"repro/internal/optimizer"
 )
 
@@ -251,18 +252,10 @@ const (
 	saltStraggler uint64 = 0xE7037ED1A0B428DB
 )
 
-// splitmix64 is the SplitMix64 finalizer, the same hash the optimizer's
-// retry jitter and bootstrap resampling use.
-func splitmix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // draw hashes (seed, configID, attempt, salt) into a uniform float64 in [0,1).
 func draw(seed int64, configID, attempt int, salt uint64) float64 {
 	x := uint64(seed)*0x9E3779B97F4A7C15 +
 		uint64(configID)*0xD1B54A32D192ED03 +
 		uint64(attempt)*0x94D049BB133111EB + salt
-	return float64(splitmix64(x)>>11) / (1 << 53)
+	return float64(numeric.SplitMix64(x)>>11) / (1 << 53)
 }

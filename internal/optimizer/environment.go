@@ -9,6 +9,7 @@ import (
 	"repro/internal/configspace"
 	"repro/internal/dataset"
 	"repro/internal/lhs"
+	"repro/internal/numeric"
 )
 
 // JobEnvironment replays a profiled dataset.Job as an Environment: running a
@@ -162,7 +163,7 @@ func NewBootstrapper(env Environment, n int, rng *rand.Rand, opts Options) (*Boo
 		env:          env,
 		plan:         samples,
 		target:       n,
-		resampleSeed: splitmix64(uint64(opts.Seed)*0x9E3779B97F4A7C15 + 0xB5297A4D3BD6F0AD),
+		resampleSeed: numeric.SplitMix64(uint64(opts.Seed)*0x9E3779B97F4A7C15 + 0xB5297A4D3BD6F0AD),
 	}, nil
 }
 
@@ -217,7 +218,7 @@ func (b *Bootstrapper) nextProbe(h *History) (configspace.Config, bool) {
 	// equally deterministic.
 	for k := 0; k < 64; k++ {
 		b.draws++
-		id := int(splitmix64(b.resampleSeed+uint64(b.draws)*0x9E3779B97F4A7C15) % uint64(total))
+		id := int(numeric.SplitMix64(b.resampleSeed+uint64(b.draws)*0x9E3779B97F4A7C15) % uint64(total))
 		if h.Excluded(id) {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/configspace"
+	"repro/internal/numeric"
 )
 
 // DefaultBackoffMax caps the exponential backoff when RetryPolicy.BackoffMax
@@ -129,18 +130,10 @@ func (p RetryPolicy) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// splitmix64 is the SplitMix64 finalizer used to derive the deterministic
-// fault-tolerance streams (backoff jitter, bootstrap resampling).
-func splitmix64(x uint64) uint64 {
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // unitDraw hashes three stream coordinates into a uniform float64 in [0,1).
 func unitDraw(a, b, c uint64) float64 {
 	x := a*0x9E3779B97F4A7C15 + b*0xD1B54A32D192ED03 + c*0x94D049BB133111EB + 0x8CB92BA72F3D8DD7
-	return float64(splitmix64(x)>>11) / (1 << 53)
+	return float64(numeric.SplitMix64(x)>>11) / (1 << 53)
 }
 
 // runOnce executes one profiling attempt under the optional per-trial

@@ -43,9 +43,6 @@ func NewWatchdog(deadline time.Duration, now func() time.Time) *Watchdog {
 	return &Watchdog{deadline: deadline, now: now, armed: make(map[uint64]*armedStep)}
 }
 
-// Deadline returns the per-step deadline (0 when disabled).
-func (w *Watchdog) Deadline() time.Duration { return w.deadline }
-
 // Arm registers an in-flight step. cancel is invoked (once, by Sweep) if the
 // step is still armed past its deadline. The returned token disarms it.
 func (w *Watchdog) Arm(campaign string, cancel context.CancelFunc) (token uint64) {

@@ -3,10 +3,10 @@ package servesim
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/configspace"
+	"repro/internal/numeric"
 	"repro/internal/optimizer"
 )
 
@@ -31,28 +31,20 @@ var Catalog = []InstanceType{
 }
 
 // SpaceParams describes the configuration space of an Env: the candidate
-// values of each tuning knob. Zero-value fields select the defaults (replicas
-// 1..8, the full Catalog, max-batch {2,4,8,16}, every policy), a 384-point
-// space at paper scale.
+// replica counts and max-batch sizes. Every space spans the full Catalog and
+// every policy. Zero-value fields select the defaults (replicas 1..8,
+// max-batch {2,4,8,16}), a 384-point space at paper scale.
 type SpaceParams struct {
 	Replicas   []int
-	Types      []InstanceType
 	MaxBatches []int
-	Policies   []Policy
 }
 
 func (p SpaceParams) withDefaults() SpaceParams {
 	if len(p.Replicas) == 0 {
 		p.Replicas = []int{1, 2, 3, 4, 5, 6, 7, 8}
 	}
-	if len(p.Types) == 0 {
-		p.Types = append([]InstanceType(nil), Catalog...)
-	}
 	if len(p.MaxBatches) == 0 {
 		p.MaxBatches = []int{2, 4, 8, 16}
-	}
-	if len(p.Policies) == 0 {
-		p.Policies = Policies()
 	}
 	return p
 }
@@ -65,9 +57,9 @@ func (p SpaceParams) Space() (*configspace.Space, error) {
 	for i, r := range p.Replicas {
 		repVals[i] = float64(r)
 	}
-	typeVals := make([]float64, len(p.Types))
-	typeLabels := make([]string, len(p.Types))
-	for i, it := range p.Types {
+	typeVals := make([]float64, len(Catalog))
+	typeLabels := make([]string, len(Catalog))
+	for i, it := range Catalog {
 		typeVals[i] = float64(i)
 		typeLabels[i] = it.Name
 	}
@@ -75,9 +67,10 @@ func (p SpaceParams) Space() (*configspace.Space, error) {
 	for i, b := range p.MaxBatches {
 		batchVals[i] = float64(b)
 	}
-	polVals := make([]float64, len(p.Policies))
-	polLabels := make([]string, len(p.Policies))
-	for i, pol := range p.Policies {
+	policies := Policies()
+	polVals := make([]float64, len(policies))
+	polLabels := make([]string, len(policies))
+	for i, pol := range policies {
 		polVals[i] = float64(pol)
 		polLabels[i] = pol.String()
 	}
@@ -100,7 +93,6 @@ func (p SpaceParams) Space() (*configspace.Space, error) {
 // so a campaign's trial sequence alone determines every observation.
 type Env struct {
 	scenario Scenario
-	params   SpaceParams
 	space    *configspace.Space
 	seed     int64
 
@@ -114,16 +106,14 @@ func NewEnv(scenario Scenario, params SpaceParams, seed int64) (*Env, error) {
 	if err := scenario.Validate(); err != nil {
 		return nil, err
 	}
-	params = params.withDefaults()
 	space, err := params.Space()
 	if err != nil {
 		return nil, err
 	}
 	return &Env{
 		scenario: scenario,
-		params:   params,
 		space:    space,
-		seed:     mix(seed, scenario.hash()),
+		seed:     numeric.Mix(seed, scenario.hash()),
 		runs:     make(map[int]int),
 	}, nil
 }
@@ -159,18 +149,19 @@ func (e *Env) Deployment(cfg configspace.Config) (Deployment, error) {
 		return Deployment{}, fmt.Errorf("servesim: config has %d dimensions, want 4", len(cfg.Indices))
 	}
 	ti := cfg.Indices[1]
-	if ti < 0 || ti >= len(e.params.Types) {
-		return Deployment{}, fmt.Errorf("servesim: instance type index %d out of range [0,%d)", ti, len(e.params.Types))
+	if ti < 0 || ti >= len(Catalog) {
+		return Deployment{}, fmt.Errorf("servesim: instance type index %d out of range [0,%d)", ti, len(Catalog))
 	}
+	policies := Policies()
 	pi := cfg.Indices[3]
-	if pi < 0 || pi >= len(e.params.Policies) {
-		return Deployment{}, fmt.Errorf("servesim: policy index %d out of range [0,%d)", pi, len(e.params.Policies))
+	if pi < 0 || pi >= len(policies) {
+		return Deployment{}, fmt.Errorf("servesim: policy index %d out of range [0,%d)", pi, len(policies))
 	}
 	return Deployment{
 		Replicas: int(cfg.Features[0]),
-		Type:     e.params.Types[ti],
+		Type:     Catalog[ti],
 		MaxBatch: int(cfg.Features[2]),
-		Policy:   e.params.Policies[pi],
+		Policy:   policies[pi],
 	}, nil
 }
 
@@ -338,39 +329,10 @@ func (e *Env) Optimum(maxMakespan float64, reps int) (TrueStats, error) {
 // setups use it to pick a makespan constraint and budget without sweeping
 // every configuration.
 func (e *Env) ApproxStats(q float64, samples int) (makespanQ, meanCost float64, err error) {
-	if q < 0 || q > 1 {
-		return 0, 0, fmt.Errorf("servesim: quantile %v outside [0,1]", q)
-	}
-	if samples <= 0 {
-		samples = 128
-	}
-	if samples > e.space.Size() {
-		samples = e.space.Size()
-	}
-	makespans := make([]float64, 0, samples)
-	sumCost := 0.0
-	state := uint64(mix(trueStatsSalt, 0x5EED))
-	seen := make(map[int]struct{}, samples)
-	for len(makespans) < samples {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		id := int((z ^ (z >> 31)) % uint64(e.space.Size()))
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
+	return numeric.SampledStats("servesim", e.space.Size(), trueStatsSalt, q, samples, 128, func(id int) (float64, float64, error) {
 		ts, err := e.True(id, 1)
-		if err != nil {
-			return 0, 0, err
-		}
-		makespans = append(makespans, ts.MeanMakespan)
-		sumCost += ts.MeanCost
-	}
-	sort.Float64s(makespans)
-	idx := int(q * float64(len(makespans)-1))
-	return makespans[idx], sumCost / float64(len(makespans)), nil
+		return ts.MeanMakespan, ts.MeanCost, err
+	})
 }
 
 // Profiles lists the named serving scenarios in a stable order.

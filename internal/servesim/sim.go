@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/numeric"
 )
 
 // Policy selects which queued request an instance admits next.
@@ -277,7 +279,7 @@ type TraceEvent struct {
 // share-weighted class marks), with uniform prompt/output token lengths. The
 // stream depends only on (scenario, seed).
 func GenerateRequests(s Scenario, seed int64) []Request {
-	rng := rand.New(rand.NewSource(mix(seed, streamArrivals)))
+	rng := rand.New(rand.NewSource(numeric.Mix(seed, streamArrivals)))
 	totalShare := 0.0
 	for _, c := range s.Classes {
 		totalShare += c.Share
@@ -407,7 +409,7 @@ func Simulate(s Scenario, d Deployment, seed int64, trace *[]TraceEvent) (Result
 		d:     d,
 		reqs:  GenerateRequests(s, seed),
 		insts: make([]instance, d.Replicas),
-		noise: rand.New(rand.NewSource(mix(seed, streamSteps))),
+		noise: rand.New(rand.NewSource(numeric.Mix(seed, streamSteps))),
 		trace: trace,
 	}
 	sm.completed = make([]float64, len(sm.reqs))
@@ -609,14 +611,5 @@ func (sm *sim) finishResult() {
 	}
 }
 
-// mix combines two 64-bit values into a well-distributed seed (SplitMix64),
-// matching the convention of the synthetic workload generators.
-func mix(a, b int64) int64 {
-	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)*0xD1B54A32D192ED03 + 0x8CB92BA72F3D8DD7
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
 // mix3 folds three values into one seed.
-func mix3(a, b, c int64) int64 { return mix(mix(a, b), c) }
+func mix3(a, b, c int64) int64 { return numeric.Mix(numeric.Mix(a, b), c) }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/configspace"
 	"repro/internal/dataset"
+	"repro/internal/numeric"
 )
 
 // CherryPick-style jobs (paper §5.1.2): TPC-H, TPC-DS, Terasort, Spark
@@ -130,9 +131,9 @@ func cherrypickJobFromSpec(spec cherrypickJobSpec, seed int64) (*dataset.Job, er
 	if err != nil {
 		return nil, err
 	}
-	jobSeed := mix(seed, int64(len(spec.profile.name))*977)
+	jobSeed := numeric.Mix(seed, int64(len(spec.profile.name))*977)
 	for _, c := range spec.profile.name {
-		jobSeed = mix(jobSeed, int64(c))
+		jobSeed = numeric.Mix(jobSeed, int64(c))
 	}
 
 	measurements := make([]dataset.Measurement, 0, space.Size())

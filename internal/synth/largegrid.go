@@ -3,9 +3,9 @@ package synth
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/configspace"
+	"repro/internal/numeric"
 	"repro/internal/optimizer"
 )
 
@@ -162,7 +162,7 @@ func NewLargeGridEnv(kind LargeGridKind, clusterSizes int, seed int64) (*LargeGr
 		kind:    kind,
 		profile: profile,
 		space:   space,
-		seed:    mix(seed, int64(kind)*15485863),
+		seed:    numeric.Mix(seed, int64(kind)*15485863),
 	}, nil
 }
 
@@ -289,29 +289,7 @@ func (e *LargeGridEnv) UnitPricePerHour(cfg configspace.Config) (float64, error)
 // mean cost. Campaign setups use it to pick a runtime constraint and budget
 // without sweeping 10^5 configurations.
 func (e *LargeGridEnv) ApproxStats(q float64, samples int) (runtimeQ, meanCost float64, err error) {
-	if q < 0 || q > 1 {
-		return 0, 0, fmt.Errorf("synth: quantile %v outside [0,1]", q)
-	}
-	if samples <= 0 {
-		samples = 2048
-	}
-	if samples > e.space.Size() {
-		samples = e.space.Size()
-	}
-	runtimes := make([]float64, 0, samples)
-	sumCost := 0.0
-	state := uint64(mix(e.seed, 0x5EED))
-	seen := make(map[int]struct{}, samples)
-	for len(runtimes) < samples {
-		state += 0x9E3779B97F4A7C15
-		z := state
-		z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-		id := int((z ^ (z >> 31)) % uint64(e.space.Size()))
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
+	return numeric.SampledStats("synth", e.space.Size(), e.seed, q, samples, 2048, func(id int) (float64, float64, error) {
 		cfg, err := e.space.Config(id)
 		if err != nil {
 			return 0, 0, err
@@ -321,10 +299,6 @@ func (e *LargeGridEnv) ApproxStats(q float64, samples int) (runtimeQ, meanCost f
 			return 0, 0, err
 		}
 		rt := e.runtime(v, cfg.ID)
-		runtimes = append(runtimes, rt)
-		sumCost += rt / 3600 * v.price()
-	}
-	sort.Float64s(runtimes)
-	idx := int(q * float64(len(runtimes)-1))
-	return runtimes[idx], sumCost / float64(len(runtimes)), nil
+		return rt, rt / 3600 * v.price(), nil
+	})
 }

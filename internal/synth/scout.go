@@ -6,6 +6,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/configspace"
 	"repro/internal/dataset"
+	"repro/internal/numeric"
 )
 
 // Scout-style jobs (paper §5.1.2): 18 Hadoop/Spark jobs from the HiBench and
@@ -237,9 +238,9 @@ func analyticsJob(p analyticsProfile, families, sizes []string, counts []float64
 	if err != nil {
 		return nil, err
 	}
-	jobSeed := mix(seed, int64(len(p.name))*131+int64(p.kind))
+	jobSeed := numeric.Mix(seed, int64(len(p.name))*131+int64(p.kind))
 	for _, c := range p.name {
-		jobSeed = mix(jobSeed, int64(c))
+		jobSeed = numeric.Mix(jobSeed, int64(c))
 	}
 
 	measurements := make([]dataset.Measurement, 0, space.Size())

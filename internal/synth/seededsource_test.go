@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/numeric"
 )
 
 // seededSourceDraws draws well past seededDraws, so every comparison also
@@ -36,10 +38,10 @@ func TestSeededSourceMatchesMathRand(t *testing.T) {
 		seeds = append(seeds, m, -m, m+1, m-1, -m+1, -m-1, math.MaxInt64/lehmerMod*lehmerMod/k)
 	}
 	for i := range 100_000 {
-		seeds = append(seeds, mix(int64(i), 0x5EED))
+		seeds = append(seeds, numeric.Mix(int64(i), 0x5EED))
 	}
 	for i, seed := range seeds {
-		compareWithMathRand(t, seed, uint64(mix(seed, int64(i))))
+		compareWithMathRand(t, seed, uint64(numeric.Mix(seed, int64(i))))
 	}
 }
 

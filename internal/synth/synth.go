@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/numeric"
 )
 
 // noise returns a deterministic multiplicative noise factor for the given
@@ -12,16 +14,8 @@ import (
 // only on the configuration, not on enumeration order. The generator's
 // stream is that of rand.NewSource, derived lazily (see seededSource).
 func noise(seed int64, configID int, spread float64) float64 {
-	rng := rand.New(newSeededSource(mix(seed, int64(configID))))
+	rng := rand.New(newSeededSource(numeric.Mix(seed, int64(configID))))
 	return math.Exp(rng.NormFloat64() * spread)
-}
-
-// mix combines two 64-bit values into a well-distributed seed (SplitMix64).
-func mix(a, b int64) int64 {
-	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b)*0xD1B54A32D192ED03 + 0x8CB92BA72F3D8DD7
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
 }
 
 // clampTimeout caps a runtime at the timeout and reports whether the cap was

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cloud"
 	"repro/internal/configspace"
 	"repro/internal/dataset"
+	"repro/internal/numeric"
 )
 
 // TensorflowTimeoutSeconds is the forceful-termination limit used when the
@@ -295,7 +296,7 @@ func TensorflowJob(kind TensorflowKind, seed int64) (*dataset.Job, error) {
 		return nil, err
 	}
 
-	jobSeed := mix(seed, int64(kind)*7919)
+	jobSeed := numeric.Mix(seed, int64(kind)*7919)
 	measurements := make([]dataset.Measurement, 0, space.Size())
 	for _, cfg := range space.Configs() {
 		view, err := tfDecode(cfg, catalog)
