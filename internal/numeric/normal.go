@@ -1,7 +1,8 @@
 // Package numeric provides the numerical building blocks used by the Lynceus
-// optimizer: the standard normal distribution, Gauss-Hermite quadrature, and
-// the discretization of Gaussian predictive distributions into
-// (value, weight) pairs (paper §4.2, approximation 3).
+// optimizer: the standard normal distribution, Gauss-Hermite quadrature, the
+// discretization of Gaussian predictive distributions into (value, weight)
+// pairs (paper §4.2, approximation 3), and the SplitMix64 stream primitives
+// every deterministic stream derives from.
 package numeric
 
 import (

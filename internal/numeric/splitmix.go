@@ -6,7 +6,7 @@ import (
 )
 
 // SplitMix64 is the SplitMix64 finalizer: a cheap, well-distributed 64-bit
-// hash. Every counter-indexed stream in the repository (candidate sampling,
+// hash. Every counter-indexed stream of the library (candidate sampling,
 // bootstrap resampling, retry jitter, fault injection, workload noise seeds)
 // draws from it, so changing it changes every golden.
 func SplitMix64(x uint64) uint64 {
