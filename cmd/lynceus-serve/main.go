@@ -1,7 +1,7 @@
 // Command lynceus-serve is the crash-safe multi-campaign tuning server: an
 // HTTP/JSON API over the stepwise campaign engine with admission control,
-// per-client rate limiting, overload shedding, a stuck-step watchdog,
-// write-ahead snapshotting and graceful drain. Campaigns survive kill -9:
+// per-client rate limiting, overload shedding, a per-step deadline that
+// quarantines stuck steps, write-ahead snapshotting and graceful drain. Campaigns survive kill -9:
 // on restart the server rescans its state directory and resumes every
 // campaign bitwise from its last durable snapshot.
 //
@@ -39,7 +39,7 @@ func main() {
 		maxCampaigns = flag.Int("max-campaigns", 1024, "live campaign cap (past it creation sheds with 503)")
 		rate         = flag.Float64("rate", 50, "per-client request rate limit, tokens/second (negative disables)")
 		burst        = flag.Float64("burst", 0, "per-client burst size (0 = 2*rate)")
-		stepDeadline = flag.Duration("step-deadline", 2*time.Minute, "watchdog per-step deadline (negative disables)")
+		stepDeadline = flag.Duration("step-deadline", 2*time.Minute, "per-step deadline; an overrunning step is cancelled (negative disables)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on SIGTERM")
 	)
 	flag.Parse()

@@ -90,16 +90,6 @@ func IncumbentFallback(maxObservedCost, maxPredictiveStd float64) float64 {
 	return maxObservedCost + 3*maxPredictiveStd
 }
 
-// Incumbent computes the incumbent y* given the best feasible observed cost
-// (if any) and the fallback ingredients. hasFeasible indicates whether any
-// profiled configuration met the constraint.
-func Incumbent(bestFeasibleCost float64, hasFeasible bool, maxObservedCost, maxPredictiveStd float64) float64 {
-	if hasFeasible {
-		return bestFeasibleCost
-	}
-	return IncumbentFallback(maxObservedCost, maxPredictiveStd)
-}
-
 // Score is the acquisition value of one candidate configuration.
 type Score struct {
 	// ConfigID identifies the candidate within its space.

@@ -105,13 +105,7 @@ func TestConstrained(t *testing.T) {
 	}
 }
 
-func TestIncumbent(t *testing.T) {
-	if got := Incumbent(7, true, 100, 5); got != 7 {
-		t.Errorf("Incumbent with feasible best = %v, want 7", got)
-	}
-	if got := Incumbent(0, false, 100, 5); got != 115 {
-		t.Errorf("Incumbent fallback = %v, want 115 (max + 3·std)", got)
-	}
+func TestIncumbentFallback(t *testing.T) {
 	if got := IncumbentFallback(10, 2); got != 16 {
 		t.Errorf("IncumbentFallback = %v, want 16", got)
 	}

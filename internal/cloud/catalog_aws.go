@@ -1,7 +1,5 @@
 package cloud
 
-import "fmt"
-
 // This file embeds an on-demand price catalogue modelled after the AWS EC2
 // instance types used in the paper's evaluation (Tables 2 and §5.1.2):
 // the t2 family for the Tensorflow jobs, the c4/m4/r4 families for the Scout
@@ -48,15 +46,4 @@ var awsTypes = []VMType{
 // paper's three datasets.
 func AWSCatalog() (*Catalog, error) {
 	return NewCatalog(awsTypes)
-}
-
-// MustAWSCatalog returns the embedded catalogue and panics if the embedded
-// definition is inconsistent. The embedded data is covered by tests, so a
-// panic here indicates a programming error rather than a runtime condition.
-func MustAWSCatalog() *Catalog {
-	c, err := AWSCatalog()
-	if err != nil {
-		panic(fmt.Sprintf("cloud: embedded AWS catalogue is invalid: %v", err))
-	}
-	return c
 }

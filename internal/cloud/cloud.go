@@ -87,15 +87,6 @@ func (c *Catalog) Names() []string {
 	return append([]string(nil), c.names...)
 }
 
-// Types returns every VM type in the catalogue, sorted by name.
-func (c *Catalog) Types() []VMType {
-	out := make([]VMType, 0, len(c.names))
-	for _, n := range c.names {
-		out = append(out, c.byName[n])
-	}
-	return out
-}
-
 // Cluster is a homogeneous set of worker VMs plus an optional number of
 // auxiliary VMs of the same type (e.g. the parameter server used by the
 // Tensorflow jobs in the paper, which deploy one extra VM besides the
@@ -125,9 +116,6 @@ func (c Cluster) Validate() error {
 	}
 	return nil
 }
-
-// TotalVMs returns the total number of VMs rented by the cluster.
-func (c Cluster) TotalVMs() int { return c.Workers + c.ExtraVMs }
 
 // TotalVCPUs returns the aggregate number of vCPUs across worker VMs.
 func (c Cluster) TotalVCPUs() int { return c.Workers * c.VM.VCPUs }

@@ -85,20 +85,6 @@ func TestAWSCatalogCoversPaperFamilies(t *testing.T) {
 			}
 		}
 	}
-	if len(c.Names()) != len(c.Types()) {
-		t.Errorf("Names/Types length mismatch: %d vs %d", len(c.Names()), len(c.Types()))
-	}
-}
-
-func TestMustAWSCatalogDoesNotPanic(t *testing.T) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("MustAWSCatalog panicked: %v", r)
-		}
-	}()
-	if c := MustAWSCatalog(); c == nil {
-		t.Fatal("MustAWSCatalog returned nil")
-	}
 }
 
 func TestClusterValidate(t *testing.T) {
@@ -120,9 +106,6 @@ func TestClusterValidate(t *testing.T) {
 
 func TestClusterAggregates(t *testing.T) {
 	c := Cluster{VM: validVM(), Workers: 8, ExtraVMs: 1}
-	if got := c.TotalVMs(); got != 9 {
-		t.Errorf("TotalVMs = %d, want 9", got)
-	}
 	if got := c.TotalVCPUs(); got != 32 {
 		t.Errorf("TotalVCPUs = %d, want 32", got)
 	}

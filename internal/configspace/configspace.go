@@ -473,15 +473,6 @@ func (s *Space) FeatureColumns() [][]float64 {
 	return cols
 }
 
-// FeatureNames returns the dimension names in feature-vector order.
-func (s *Space) FeatureNames() []string {
-	out := make([]string, len(s.dims))
-	for i, d := range s.dims {
-		out[i] = d.Name
-	}
-	return out
-}
-
 // DefaultBlockSize is the block length used by ForEachBlock when the caller
 // passes a non-positive size: large enough to amortize per-block overhead in
 // batch prediction sweeps, small enough that a block of a wide space stays in

@@ -188,10 +188,6 @@ func TestFeatureNamesAndIDs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New error: %v", err)
 	}
-	names := s.FeatureNames()
-	if len(names) != 2 || names[0] != "vm" || names[1] != "workers" {
-		t.Errorf("FeatureNames = %v", names)
-	}
 	ids := s.IDs()
 	if len(ids) != 6 {
 		t.Fatalf("IDs length = %d", len(ids))

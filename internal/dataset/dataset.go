@@ -38,9 +38,6 @@ type Measurement struct {
 	Extra map[string]float64
 }
 
-// UnitPricePerSecond returns U(x) expressed per second.
-func (m Measurement) UnitPricePerSecond() float64 { return m.UnitPricePerHour / 3600 }
-
 // Validate checks that the measurement is internally consistent.
 func (m Measurement) Validate() error {
 	if m.ConfigID < 0 {

@@ -95,13 +95,6 @@ func TestMeasurementValidate(t *testing.T) {
 	}
 }
 
-func TestUnitPricePerSecond(t *testing.T) {
-	m := Measurement{UnitPricePerHour: 7.2}
-	if got := m.UnitPricePerSecond(); math.Abs(got-0.002) > 1e-15 {
-		t.Errorf("UnitPricePerSecond = %v, want 0.002", got)
-	}
-}
-
 func TestJobAccessors(t *testing.T) {
 	job := testJob(t)
 	if job.Name() != "test-job" {

@@ -395,22 +395,6 @@ func (h *History) UntestedIDs(space *configspace.Space) []int {
 	return out
 }
 
-// Untested returns the configurations of the space that have not been
-// profiled yet, in increasing ID order. Prefer UntestedIDs where the full
-// Config structs are not needed.
-func (h *History) Untested(space *configspace.Space) []configspace.Config {
-	ids := h.UntestedIDs(space)
-	out := make([]configspace.Config, 0, len(ids))
-	for _, id := range ids {
-		cfg, err := space.Config(id)
-		if err != nil {
-			continue
-		}
-		out = append(out, cfg)
-	}
-	return out
-}
-
 // Recommend applies the paper's recommendation rule to the history: return
 // the cheapest feasible configuration profiled; when none is feasible, fall
 // back to the cheapest profiled configuration and report infeasibility.

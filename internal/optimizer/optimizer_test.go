@@ -150,8 +150,8 @@ func TestHistoryBookkeeping(t *testing.T) {
 	if got := h.Deployed(); got == nil || got.ID != 5 {
 		t.Errorf("Deployed = %+v, want config 5", got)
 	}
-	if got := len(h.Untested(env.Space())); got != env.Space().Size()-1 {
-		t.Errorf("Untested = %d, want %d", got, env.Space().Size()-1)
+	if got := len(h.UntestedIDs(env.Space())); got != env.Space().Size()-1 {
+		t.Errorf("UntestedIDs = %d, want %d", got, env.Space().Size()-1)
 	}
 	feats := h.Features()
 	costs := h.Costs()

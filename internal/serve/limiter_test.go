@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// fakeClock is a manually-advanced clock shared by the limiter and watchdog
-// tests: all refill and deadline arithmetic becomes a pure function of the
-// calls made, with zero wall-clock dependence.
+// fakeClock is a manually-advanced clock for the limiter tests: all refill
+// arithmetic becomes a pure function of the calls made, with zero wall-clock
+// dependence.
 type fakeClock struct {
 	t time.Time
 }

@@ -38,20 +38,17 @@ type Config struct {
 	// up to Burst. Rate 0 means 50/s; Rate < 0 disables limiting.
 	Rate  float64
 	Burst float64
-	// StepDeadline is the watchdog's per-step wall-clock budget (one /step
-	// request, all its steps): past it the step's context is cancelled,
+	// StepDeadline is the per-step wall-clock budget (one /step request,
+	// all its steps): the step runs under a context that expires after it,
 	// stopping the campaign between planner phases. 0 means 2 minutes;
-	// negative disables the watchdog.
+	// negative disables the deadline.
 	StepDeadline time.Duration
-	// CancelGrace is how long the executor waits after a watchdog
-	// cancellation for the step to stop cooperatively before abandoning it
-	// and quarantining the campaign as stuck. 0 means 3 seconds.
+	// CancelGrace is how long the executor waits after the deadline expires
+	// for the step to stop cooperatively before abandoning it and
+	// quarantining the campaign as stuck. 0 means 3 seconds.
 	CancelGrace time.Duration
-	// SweepInterval is the watchdog sweep period. 0 derives it from
-	// StepDeadline (deadline/4, clamped to [10ms, 1s]).
-	SweepInterval time.Duration
-	// Now is the clock of the limiter and watchdog (tests inject a fake
-	// one). nil means time.Now.
+	// Now is the clock of the limiter (tests inject a fake one). nil means
+	// time.Now.
 	Now func() time.Time
 	// EnvFactory rebuilds environments from specs. nil means BuildEnv; tests
 	// inject factories producing misbehaving environments (panics, blocking
@@ -84,15 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CancelGrace == 0 {
 		c.CancelGrace = 3 * time.Second
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = c.StepDeadline / 4
-		if c.SweepInterval < 10*time.Millisecond {
-			c.SweepInterval = 10 * time.Millisecond
-		}
-		if c.SweepInterval > time.Second {
-			c.SweepInterval = time.Second
-		}
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -216,18 +204,19 @@ type counters struct {
 	rejectedCap      atomic.Uint64
 	panics           atomic.Uint64
 	stuck            atomic.Uint64
+	watchdogCancels  atomic.Uint64
 	rollbacks        atomic.Uint64
+	armed            atomic.Int64 // steps running under a deadline
 }
 
 // Server is the multi-campaign tuning server. Create one with New, mount
 // Handler on an http.Server, and call Drain then Close on shutdown.
 type Server struct {
-	cfg      Config
-	store    *Store
-	group    *lynceus.ShareGroup
-	limiter  *Limiter
-	watchdog *Watchdog
-	mux      *http.ServeMux
+	cfg     Config
+	store   *Store
+	group   *lynceus.ShareGroup
+	limiter *Limiter
+	mux     *http.ServeMux
 
 	mu        sync.Mutex // campaigns map + ID generation
 	campaigns map[string]*campaign
@@ -240,8 +229,6 @@ type Server struct {
 	workersWG   sync.WaitGroup
 
 	draining  atomic.Bool
-	sweepStop chan struct{}
-	sweepDone chan struct{}
 	closeOnce sync.Once
 
 	stats counters
@@ -255,9 +242,10 @@ type stepJob struct {
 }
 
 type stepReply struct {
-	code   int
-	status CampaignStatus
-	errMsg string
+	code    int
+	status  CampaignStatus
+	stepped int
+	errMsg  string
 }
 
 // stepResult is what one executed step batch reports back to the executor.
@@ -270,10 +258,9 @@ type stepResult struct {
 }
 
 // New opens the state directory, resumes every persisted campaign, and
-// starts the step executors and the watchdog sweeper. Resumption is bitwise:
-// each campaign continues the exact trial sequence its last snapshot
-// recorded, on a freshly rebuilt environment whose mutable state the
-// snapshot restored.
+// starts the step executors. Resumption is bitwise: each campaign continues
+// the exact trial sequence its last snapshot recorded, on a freshly rebuilt
+// environment whose mutable state the snapshot restored.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	store, err := OpenStore(cfg.StateDir)
@@ -285,11 +272,8 @@ func New(cfg Config) (*Server, error) {
 		store:     store,
 		group:     lynceus.NewShareGroup(),
 		limiter:   NewLimiter(cfg.Rate, cfg.Burst, cfg.Now),
-		watchdog:  NewWatchdog(cfg.StepDeadline, cfg.Now),
 		campaigns: make(map[string]*campaign),
 		queue:     make(chan *stepJob, cfg.QueueDepth),
-		sweepStop: make(chan struct{}),
-		sweepDone: make(chan struct{}),
 	}
 	if err := s.rescan(); err != nil {
 		return nil, err
@@ -299,7 +283,6 @@ func New(cfg Config) (*Server, error) {
 		s.workersWG.Add(1)
 		go s.worker()
 	}
-	go s.sweepLoop()
 	return s, nil
 }
 
@@ -601,7 +584,7 @@ func (s *Server) handleStep(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, reply.code, body)
 			return
 		}
-		writeJSON(w, reply.code, stepResponse{CampaignStatus: reply.status, Stepped: reply.status.Steps - st.Steps})
+		writeJSON(w, reply.code, stepResponse{CampaignStatus: reply.status, Stepped: reply.stepped})
 	case <-r.Context().Done():
 		// Client gone; the job still runs to completion (its snapshot is
 		// durable regardless) and the reply is dropped on the buffered
@@ -722,10 +705,10 @@ func (s *Server) Stats() Stats {
 		RejectedCap:      s.stats.rejectedCap.Load(),
 		Panics:           s.stats.panics.Load(),
 		StuckCampaigns:   s.stats.stuck.Load(),
-		WatchdogCancels:  s.watchdog.Fired(),
+		WatchdogCancels:  s.stats.watchdogCancels.Load(),
 		Rollbacks:        s.stats.rollbacks.Load(),
 		LimiterClients:   s.limiter.Clients(),
-		WatchdogArmed:    s.watchdog.Armed(),
+		WatchdogArmed:    int(s.stats.armed.Load()),
 	}
 	s.mu.Lock()
 	for _, c := range s.campaigns {
@@ -747,7 +730,7 @@ func (s *Server) Stats() Stats {
 }
 
 // worker is one step executor: it drains the admission queue, running each
-// job under the watchdog with panic isolation.
+// job under its step deadline with panic isolation.
 func (s *Server) worker() {
 	defer s.workersWG.Done()
 	for job := range s.queue {
@@ -762,7 +745,7 @@ func (s *Server) worker() {
 //     rolls the campaign back to its last durable snapshot — the in-memory
 //     state after a failed Step is undefined, the snapshot is not — and the
 //     campaign stays usable.
-//  2. A watchdog cancellation that the step honors (it stops at the next
+//  2. An expired step deadline that the step honors (it stops at the next
 //     planner-phase boundary) is case 1 with a 504 reply.
 //  3. A step that ignores cancellation past the grace period is abandoned:
 //     its goroutine keeps the campaign's stepMu forever, the campaign is
@@ -784,9 +767,17 @@ func (s *Server) runJob(job *stepJob) {
 		return
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	var ctx context.Context
+	var cancel context.CancelFunc
+	var armed int64 // this step's share of the WatchdogArmed gauge
+	if s.cfg.StepDeadline > 0 {
+		ctx, cancel = context.WithTimeout(context.Background(), s.cfg.StepDeadline)
+		armed = 1
+	} else {
+		ctx, cancel = context.WithCancel(context.Background())
+	}
 	defer cancel()
-	token := s.watchdog.Arm(c.spec.ID, cancel)
+	s.stats.armed.Add(armed)
 	resCh := make(chan stepResult, 1)
 	go func() {
 		defer func() {
@@ -801,8 +792,11 @@ func (s *Server) runJob(job *stepJob) {
 	select {
 	case res = <-resCh:
 	case <-ctx.Done():
-		// Watchdog fired. Give the step CancelGrace to stop cooperatively
-		// at a planner-phase boundary; past that it is stuck for real.
+		// The deadline expired. Give the step CancelGrace to stop
+		// cooperatively at a planner-phase boundary; past that it is stuck
+		// for real.
+		s.stats.watchdogCancels.Add(1)
+		s.cfg.Logf("serve: watchdog cancelled a step of campaign %s", c.spec.ID)
 		timer := time.NewTimer(s.cfg.CancelGrace)
 		select {
 		case res = <-resCh:
@@ -811,14 +805,14 @@ func (s *Server) runJob(job *stepJob) {
 			job.abandoned.Store(true)
 			s.stats.stuck.Add(1)
 			s.quarantine(c, "stuck: step exceeded its deadline and ignored cancellation")
-			s.watchdog.Disarm(token)
+			s.stats.armed.Add(-armed)
 			// stepMu stays locked forever — see the campaign.stepMu comment.
 			job.done <- stepReply{code: http.StatusGatewayTimeout, status: c.getStatus(),
 				errMsg: "step deadline exceeded; campaign quarantined as stuck"}
 			return
 		}
 	}
-	s.watchdog.Disarm(token)
+	s.stats.armed.Add(-armed)
 
 	switch {
 	case res.panicked != "":
@@ -849,7 +843,7 @@ func (s *Server) runJob(job *stepJob) {
 		job.done <- stepReply{code: code, status: c.getStatus(), errMsg: msg}
 	default:
 		c.stepMu.Unlock()
-		job.done <- stepReply{code: http.StatusOK, status: c.getStatus()}
+		job.done <- stepReply{code: http.StatusOK, status: c.getStatus(), stepped: res.stepped}
 	}
 }
 
@@ -917,23 +911,6 @@ func firstLine(v string) string {
 	return v
 }
 
-// sweepLoop periodically fires the watchdog.
-func (s *Server) sweepLoop() {
-	defer close(s.sweepDone)
-	ticker := time.NewTicker(s.cfg.SweepInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			for _, id := range s.watchdog.Sweep() {
-				s.cfg.Logf("serve: watchdog cancelled a step of campaign %s", id)
-			}
-		case <-s.sweepStop:
-			return
-		}
-	}
-}
-
 // Drain puts the server into graceful-drain mode: new work is shed with 503
 // (readiness flips to draining), and the call blocks until every admitted
 // step finished — each one having written its snapshot durably — or the
@@ -956,9 +933,9 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Close stops the executors and the watchdog sweeper. Call Drain first for
-// a graceful shutdown; Close alone abandons queued work (their snapshots
-// from prior steps remain durable).
+// Close stops the executors. Call Drain first for a graceful shutdown;
+// Close alone abandons queued work (their snapshots from prior steps remain
+// durable).
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.draining.Store(true)
@@ -966,9 +943,7 @@ func (s *Server) Close() error {
 		s.queueClosed = true
 		close(s.queue)
 		s.queueMu.Unlock()
-		close(s.sweepStop)
 		s.workersWG.Wait()
-		<-s.sweepDone
 	})
 	return nil
 }

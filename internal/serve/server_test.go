@@ -566,7 +566,7 @@ func TestServerPanicIsolation(t *testing.T) {
 }
 
 // stuckEnv ignores everything until released — the stuck-in-foreign-code
-// injection the watchdog exists for.
+// injection the step deadline's grace period exists for.
 type stuckEnv struct {
 	inner   lynceus.Environment
 	release chan struct{}
@@ -582,7 +582,8 @@ func (s *stuckEnv) UnitPricePerHour(cfg lynceus.Config) (float64, error) {
 }
 
 // sleepEnv delays every Run but otherwise behaves — slow enough for the
-// watchdog to fire, cooperative enough to stop at the next trial boundary.
+// step deadline to expire, cooperative enough to stop at the next trial
+// boundary.
 type sleepEnv struct {
 	inner lynceus.Environment
 	delay time.Duration
@@ -606,9 +607,8 @@ func TestServerWatchdogQuarantinesStuck(t *testing.T) {
 	defer close(stuck.release) // let the zombie goroutine exit after the test
 
 	srv, client := newTestServer(t, Config{
-		StepDeadline:  30 * time.Millisecond,
-		SweepInterval: 10 * time.Millisecond,
-		CancelGrace:   time.Second,
+		StepDeadline: 30 * time.Millisecond,
+		CancelGrace:  time.Second,
 		EnvFactory: factoryFor(map[string]lynceus.Environment{
 			"tar":  stuck,
 			"slow": &sleepEnv{inner: inner, delay: 10 * time.Millisecond},
@@ -653,6 +653,109 @@ func TestServerWatchdogQuarantinesStuck(t *testing.T) {
 	}
 	if got := srv.Stats().Rollbacks; got == 0 {
 		t.Fatal("no rollback recorded for the cancelled step")
+	}
+}
+
+func TestServerStepDeadlineDisabled(t *testing.T) {
+	inner, err := BuildEnv(EnvSpec{Kind: "tensorflow", Name: "cnn", Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, client := newTestServer(t, Config{
+		StepDeadline: -1,
+		EnvFactory: factoryFor(map[string]lynceus.Environment{
+			"slow": &sleepEnv{inner: inner, delay: 10 * time.Millisecond},
+		}),
+	})
+	req := fastSpec(t, "untimed", 11)
+	req.Env.Name = "slow"
+	client.mustJSON("POST", "/campaigns", req, http.StatusCreated, nil)
+	for i := 0; i < 3; i++ {
+		var st stepResponse
+		client.mustJSON("POST", "/campaigns/untimed/step", nil, http.StatusOK, &st)
+		if st.Stepped != 1 {
+			t.Fatalf("step %d stepped %d, want 1", i, st.Stepped)
+		}
+	}
+	if st := srv.Stats(); st.WatchdogCancels != 0 || st.WatchdogArmed != 0 {
+		t.Fatalf("stats = %+v, want no deadline cancels and nothing armed", st)
+	}
+}
+
+func TestServerWatchdogArmedGauge(t *testing.T) {
+	gate := newGateEnv(t)
+	srv, client := newTestServer(t, Config{
+		EnvFactory: factoryFor(map[string]lynceus.Environment{"gate": gate}),
+	})
+	req := fastSpec(t, "g1", 15)
+	req.Env.Name = "gate"
+	client.mustJSON("POST", "/campaigns", req, http.StatusCreated, nil)
+
+	stepDone := make(chan reply2, 1)
+	go func() {
+		code, body, _ := client.do("POST", "/campaigns/g1/step", nil)
+		stepDone <- reply2{code, body}
+	}()
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("gated step never started")
+	}
+	if got := srv.Stats().WatchdogArmed; got != 1 {
+		t.Fatalf("WatchdogArmed during a step = %d, want 1", got)
+	}
+	close(gate.release)
+	if r := <-stepDone; r.code != http.StatusOK {
+		t.Fatalf("gated step = %d (body %s), want 200", r.code, r.body)
+	}
+	if got := srv.Stats().WatchdogArmed; got != 0 {
+		t.Fatalf("WatchdogArmed after the step = %d, want 0", got)
+	}
+}
+
+// TestServerSteppedCountsOwnSteps pins that a step reply counts only its own
+// request's steps, even when another request on the same campaign ran in
+// between being admitted and being executed.
+func TestServerSteppedCountsOwnSteps(t *testing.T) {
+	gate := newGateEnv(t)
+	srv, client := newTestServer(t, Config{
+		Workers:    1,
+		EnvFactory: factoryFor(map[string]lynceus.Environment{"gate": gate}),
+	})
+	req := fastSpec(t, "s1", 17)
+	req.Env.Name = "gate"
+	client.mustJSON("POST", "/campaigns", req, http.StatusCreated, nil)
+
+	replies := make(chan reply2, 2)
+	step := func() {
+		code, body, _ := client.do("POST", "/campaigns/s1/step", nil)
+		replies <- reply2{code, body}
+	}
+	go step()
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("gated step never started")
+	}
+	// The second request is admitted while the first is still stepping.
+	go step()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().StepRequests < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("second step request never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(gate.release)
+	for i := 0; i < 2; i++ {
+		r := <-replies
+		var st stepResponse
+		if err := json.Unmarshal(r.body, &st); r.code != http.StatusOK || err != nil {
+			t.Fatalf("step reply = %d (body %s), want 200", r.code, r.body)
+		}
+		if st.Stepped != 1 {
+			t.Fatalf("step reply says stepped %d (body %s), want 1", st.Stepped, r.body)
+		}
 	}
 }
 

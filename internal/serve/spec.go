@@ -2,8 +2,8 @@
 // tuning server (cmd/lynceus-serve): an HTTP/JSON API over the stepwise
 // campaign engine (StartTunerShared / ResumeTunerShared) with per-client
 // token-bucket rate limiting, a bounded admission queue that sheds load
-// instead of queueing unboundedly, per-campaign panic isolation, a watchdog
-// cancelling steps that exceed their deadline, write-ahead snapshotting
+// instead of queueing unboundedly, per-campaign panic isolation, a context
+// deadline cancelling steps that overrun it, write-ahead snapshotting
 // after every completed step, and graceful drain. The durable unit is the
 // campaign snapshot: a kill -9 at any point loses at most the in-flight
 // step, and a restarted server rescans its state directory and resumes

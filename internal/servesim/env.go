@@ -175,14 +175,6 @@ func (e *Env) nextRunSeed(configID int) int64 {
 	return mix3(e.seed, int64(configID), int64(n))
 }
 
-// ResetRuns rewinds every per-configuration run counter, making the next
-// call sequence reproduce the draws of a fresh Env.
-func (e *Env) ResetRuns() {
-	e.mu.Lock()
-	e.runs = make(map[int]int)
-	e.mu.Unlock()
-}
-
 // envState is the serialized form of the environment's mutable state: the
 // per-configuration run counters that position every noise stream.
 type envState struct {

@@ -34,7 +34,7 @@ func TestEnvSpaceShape(t *testing.T) {
 // TestEnvRunIsStochasticButReplayable pins the noise model of the wrapper:
 // repeated runs of one configuration differ (real observation noise), yet the
 // whole call sequence is a pure function of (seed, sequence) — a fresh Env
-// with the same seed, or ResetRuns, reproduces the draws bitwise.
+// with the same seed reproduces the draws bitwise.
 func TestEnvRunIsStochasticButReplayable(t *testing.T) {
 	env := testEnv(t, 42)
 	cfg, err := env.Space().Config(17)
@@ -56,7 +56,7 @@ func TestEnvRunIsStochasticButReplayable(t *testing.T) {
 		t.Errorf("price drifted across runs: %v vs %v", r1.UnitPricePerHour, r2.UnitPricePerHour)
 	}
 
-	// A fresh Env with the same seed replays the same draws...
+	// A fresh Env with the same seed replays the same draws.
 	fresh := testEnv(t, 42)
 	f1, err := fresh.Run(cfg)
 	if err != nil {
@@ -64,15 +64,6 @@ func TestEnvRunIsStochasticButReplayable(t *testing.T) {
 	}
 	if f1.RuntimeSeconds != r1.RuntimeSeconds || f1.Cost != r1.Cost {
 		t.Errorf("fresh env first run %v/%v, want %v/%v", f1.RuntimeSeconds, f1.Cost, r1.RuntimeSeconds, r1.Cost)
-	}
-	// ...and so does ResetRuns on the original.
-	env.ResetRuns()
-	b1, err := env.Run(cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if b1.RuntimeSeconds != r1.RuntimeSeconds {
-		t.Errorf("ResetRuns did not rewind draws: %v, want %v", b1.RuntimeSeconds, r1.RuntimeSeconds)
 	}
 
 	// A different seed draws different noise.

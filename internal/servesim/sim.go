@@ -45,16 +45,6 @@ func (p Policy) String() string {
 // Policies lists the scheduler policies in a stable order.
 func Policies() []Policy { return []Policy{FIFO, ShortestQueue, SLOPriority} }
 
-// PolicyByName resolves a policy from its String form.
-func PolicyByName(name string) (Policy, error) {
-	for _, p := range Policies() {
-		if p.String() == name {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("servesim: unknown scheduler policy %q", name)
-}
-
 // InstanceType describes one accelerator instance of the catalog.
 type InstanceType struct {
 	// Name identifies the type, e.g. "g4-small".

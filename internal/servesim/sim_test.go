@@ -183,14 +183,14 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestPolicyNames(t *testing.T) {
-	for _, p := range Policies() {
-		got, err := PolicyByName(p.String())
-		if err != nil || got != p {
-			t.Errorf("PolicyByName(%q) = %v, %v", p.String(), got, err)
+	want := []string{"fifo", "shortest-queue", "slo-priority"}
+	for i, p := range Policies() {
+		if got := p.String(); got != want[i] {
+			t.Errorf("Policies()[%d].String() = %q, want %q", i, got, want[i])
 		}
 	}
-	if _, err := PolicyByName("nope"); err == nil {
-		t.Error("unknown policy name accepted")
+	if got := Policy(99).String(); got != "policy(99)" {
+		t.Errorf("unknown policy String() = %q, want policy(99)", got)
 	}
 }
 

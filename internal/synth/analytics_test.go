@@ -143,22 +143,6 @@ func TestCherryPickJobs(t *testing.T) {
 			t.Errorf("job %q dimensions = %d, want 3", j.Name(), j.Space().NumDimensions())
 		}
 	}
-	if len(CherryPickJobNames()) != 5 {
-		t.Errorf("CherryPickJobNames = %d entries", len(CherryPickJobNames()))
-	}
-}
-
-func TestCherryPickJobByName(t *testing.T) {
-	job, err := CherryPickJob("tpc-h", 4)
-	if err != nil {
-		t.Fatalf("CherryPickJob error: %v", err)
-	}
-	if job.Name() != "tpc-h" {
-		t.Errorf("name = %q", job.Name())
-	}
-	if _, err := CherryPickJob("tpc-z", 4); err == nil {
-		t.Error("unknown job name should error")
-	}
 }
 
 func TestCherryPickNotAllCombinationsPresent(t *testing.T) {

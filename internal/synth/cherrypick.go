@@ -1,8 +1,6 @@
 package synth
 
 import (
-	"fmt"
-
 	"repro/internal/cloud"
 	"repro/internal/configspace"
 	"repro/internal/dataset"
@@ -61,15 +59,6 @@ var cherrypickSpecs = []cherrypickJobSpec{
 	},
 }
 
-// CherryPickJobNames returns the five CherryPick job names.
-func CherryPickJobNames() []string {
-	out := make([]string, len(cherrypickSpecs))
-	for i, s := range cherrypickSpecs {
-		out[i] = s.profile.name
-	}
-	return out
-}
-
 // cherrypickSpace builds the (possibly restricted) space of one CherryPick
 // job.
 func cherrypickSpace(spec cherrypickJobSpec) (*configspace.Space, error) {
@@ -97,16 +86,6 @@ func cherrypickSpace(spec cherrypickJobSpec) (*configspace.Space, error) {
 		return true
 	}
 	return configspace.New(dims, filter)
-}
-
-// CherryPickJob generates one CherryPick-style job by name.
-func CherryPickJob(name string, seed int64) (*dataset.Job, error) {
-	for _, spec := range cherrypickSpecs {
-		if spec.profile.name == name {
-			return cherrypickJobFromSpec(spec, seed)
-		}
-	}
-	return nil, fmt.Errorf("synth: unknown cherrypick job %q", name)
 }
 
 // CherryPickJobs generates the five CherryPick-style jobs.
