@@ -255,6 +255,17 @@ func (p *planner) eligibility(d *decision) error {
 			return err
 		}
 	}
+	if p.params.Lookahead >= 1 {
+		// The root's bound table, which the sweeps of its speculated
+		// children start from (see boundTable): every eligible candidate's
+		// bound under the root incumbent.
+		d.root.bounds = &p.rootBounds
+		d.root.bounds.inherit(nil, d.models, d.inc, len(d.root.untested))
+		extraMemos := extraMemosOf(d.models)
+		for i := range eligible {
+			d.root.bounds.bounds[eligible[i].slot] = p.eicUpperBound(d.inc, &eligible[i], costPreds[i], extraMemos)
+		}
+	}
 	return nil
 }
 

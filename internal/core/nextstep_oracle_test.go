@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -212,7 +214,7 @@ func sampleOracleStates(t *testing.T, p *planner, h *optimizer.History, remainin
 	for s := 0; s < n; s++ {
 		// Speculate one or two steps down a random path: a random candidate,
 		// a random Gauss-Hermite node of each of its predictions.
-		state := &specState{train: train, untested: untested, budget: remaining}
+		state := &specState{train: train, untested: untested, budget: remaining, bounds: &boundTable{}}
 		models := rootModels
 		depth := 1 + rng.Intn(2)
 		for step := 0; step < depth && len(state.untested) > 1; step++ {
@@ -230,6 +232,7 @@ func sampleOracleStates(t *testing.T, p *planner, h *optimizer.History, remainin
 				train:    state.train.withEntry(cand.features, specCost, specExtras, p.feasibleSpeculation(cand, specCost, specExtras)),
 				untested: appendWithout(nil, state.untested, cand.id),
 				budget:   state.budget - specCost,
+				bounds:   &boundTable{},
 			}
 			childModels := p.newModelSet(int64(s+1), len(untested))
 			if p.refitMode == SpecRefitIncremental {
@@ -315,7 +318,7 @@ func checkOracleState(t *testing.T, p *planner, state *specState, models *modelS
 	if err != nil {
 		t.Fatalf("state %d: exhaustive sweep: %v", tally.states, err)
 	}
-	got, gotOK, err := p.nextStep(state, models, inc, buf)
+	got, gotOK, err := p.nextStep(state, models, inc, nil, buf)
 	if err != nil {
 		t.Fatalf("state %d: pruned sweep: %v", tally.states, err)
 	}
@@ -374,12 +377,12 @@ func TestNextStepPrunedSurfacesNaNPredictions(t *testing.T) {
 	cands := gatherAll(t, p)
 	for _, at := range []int{0, len(cands) / 2, len(cands) - 1} {
 		ms := fitPrefilled(t, p, 3, train)
-		state := &specState{train: train, untested: cands, budget: 1e9}
+		state := &specState{train: train, untested: cands, budget: 1e9, bounds: &boundTable{}}
 		inc, err := p.incumbent(state, ms)
 		if err != nil {
 			t.Fatalf("incumbent: %v", err)
 		}
-		if _, ok, err := p.nextStep(state, ms, inc, &eligibleBuf{}); err != nil || !ok {
+		if _, ok, err := p.nextStep(state, ms, inc, nil, &eligibleBuf{}); err != nil || !ok {
 			t.Fatalf("clean state: ok=%v err=%v", ok, err)
 		}
 		slot := cands[at].slot
@@ -389,8 +392,220 @@ func TestNextStepPrunedSurfacesNaNPredictions(t *testing.T) {
 		if _, _, err := p.nextStepExhaustive(state, ms, inc); err == nil {
 			t.Fatalf("NaN at %d: the exhaustive sweep accepted it", at)
 		}
-		if _, _, err := p.nextStep(state, ms, inc, &eligibleBuf{}); err == nil {
+		if _, _, err := p.nextStep(state, ms, inc, nil, &eligibleBuf{}); err == nil {
 			t.Errorf("NaN at %d: the pruned sweep lost the error", at)
+		}
+	}
+}
+
+// reuseTally counts the sweeps of TestNextStepBoundReuseBitwise by depth, the
+// ones that started from their parent's table, and each side's fresh bounds.
+type reuseTally struct {
+	sweeps, reused        [4]int
+	freshReused, freshAll int
+}
+
+// TestNextStepBoundReuseBitwise is the differential test of the bound
+// table's reuse (boundTable): on speculated states walked down the oracle
+// campaigns the way explorePaths walks them — the decision's root table from
+// eligibility, one working copy with every speculated outcome applied and
+// undone in place, two sibling outcomes per state, every depth of LA=2 and
+// LA=3 — a sweep that starts from its parent state's table picks the
+// candidate a fresh sweep picks, with the same exact evaluations and bound
+// dismissals, and every entry either table holds for an untested slot is
+// bitwise the bound computed directly. Some children get a raised budget, so
+// candidates their parent's sweep ruled out become eligible. The servesim
+// campaign's SLO model makes the moved slots a union over two models; the
+// Scout campaign refits (Full mode), where no table is ever taken over.
+func TestNextStepBoundReuseBitwise(t *testing.T) {
+	for _, oc := range oracleCampaigns(t) {
+		for _, la := range []int{2, 3} {
+			t.Run(fmt.Sprintf("%s/la=%d", oc.name, la), func(t *testing.T) {
+				var tally reuseTally
+				sampleBoundReuse(t, oc, la, &tally)
+				t.Logf("sweeps by depth %v, started from the parent's table %v; fresh bounds %d of %d",
+					tally.sweeps[1:la+1], tally.reused[1:la+1], tally.freshReused, tally.freshAll)
+				for depth := 1; depth <= la; depth++ {
+					if tally.sweeps[depth] < 20 {
+						t.Errorf("depth %d: %d sweeps compared, want at least 20", depth, tally.sweeps[depth])
+					}
+					if oc.refit == SpecRefitIncremental && tally.reused[depth] == 0 {
+						t.Errorf("depth %d: no sweep started from its parent's table", depth)
+					}
+				}
+				if oc.refit == SpecRefitFull && tally.freshReused != tally.freshAll {
+					t.Errorf("Full mode: %d fresh bounds with the parent's table, %d without; want no reuse", tally.freshReused, tally.freshAll)
+				}
+			})
+		}
+	}
+}
+
+func sampleBoundReuse(t *testing.T, oc oracleCampaign, la int, tally *reuseTally) {
+	t.Helper()
+	params, err := Params{
+		Lookahead:        la,
+		Model:            bagging.Params{NumTrees: 10},
+		Workers:          1,
+		SpeculativeRefit: oc.refit,
+	}.withDefaults()
+	if err != nil {
+		t.Fatalf("withDefaults: %v", err)
+	}
+	p, err := newPlanner(params, oc.env, oc.opts, nil)
+	if err != nil {
+		t.Fatalf("newPlanner: %v", err)
+	}
+	budget, err := optimizer.NewBudget(oc.opts.Budget)
+	if err != nil {
+		t.Fatalf("NewBudget: %v", err)
+	}
+	h := optimizer.NewHistory()
+	rng := rand.New(rand.NewSource(oc.opts.Seed + int64(la)))
+	if err := optimizer.Bootstrap(oc.env, oc.bootstrap, rng, h, budget, oc.opts); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	w := p.sched.workers[0]
+
+	const decisions, walks = 4, 8
+	for dn := 0; dn < decisions; dn++ {
+		d, err := p.selectCandidates(context.Background(), h, budget.Remaining())
+		if err != nil || d == nil {
+			t.Fatalf("selectCandidates: %v, %v", d, err)
+		}
+		if err := p.rootModels(d); err != nil {
+			t.Fatalf("rootModels: %v", err)
+		}
+		if err := p.eligibility(d); err != nil {
+			t.Fatalf("eligibility: %v", err)
+		}
+		if len(d.eligible) == 0 {
+			break
+		}
+		work := d.models
+		if p.refitMode == SpecRefitIncremental {
+			if work, err = w.ws.working(p, w, d.models); err != nil {
+				t.Fatalf("working: %v", err)
+			}
+		}
+
+		// walk sweeps two speculated children of state, whose models are
+		// parent (the working copy itself below the root), and descends
+		// into each.
+		var walk func(state *specState, parent *modelSet, depth int)
+		walk = func(state *specState, parent *modelSet, depth int) {
+			if depth == la || len(state.untested) < 2 {
+				return
+			}
+			for sibling := 0; sibling < 2; sibling++ {
+				cand := state.untested[rng.Intn(len(state.untested))]
+				costPred, extraPreds, err := parent.predictCand(cand)
+				if err != nil {
+					t.Fatalf("predictCand: %v", err)
+				}
+				specCost := randomOutcome(t, rng, costPred, p.params.GHOrder)
+				specExtras := make([]float64, len(extraPreds))
+				for k, pred := range extraPreds {
+					specExtras[k] = randomOutcome(t, rng, pred, p.params.GHOrder)
+				}
+				child := &specState{
+					train:    state.train.withEntry(cand.features, specCost, specExtras, p.feasibleSpeculation(cand, specCost, specExtras)),
+					untested: appendWithout(nil, state.untested, cand.id),
+					budget:   state.budget - specCost,
+					bounds:   &boundTable{},
+				}
+				if rng.Intn(4) == 0 {
+					child.budget = 2*state.budget + costPred.Mean
+				}
+				models := work
+				if p.refitMode == SpecRefitIncremental {
+					if err := models.update(cand.features, specCost, specExtras); err != nil {
+						t.Fatalf("update: %v", err)
+					}
+				} else {
+					models = p.newModelSet(int64(1+depth*7+sibling), len(d.root.untested))
+					if err := p.refit(models, child.train); err != nil {
+						t.Fatalf("refit: %v", err)
+					}
+				}
+				checkBoundReuse(t, p, state.bounds, child, models, depth+1, tally)
+				walk(child, models, depth+1)
+				if p.refitMode == SpecRefitIncremental {
+					if err := models.undo(); err != nil {
+						t.Fatalf("undo: %v", err)
+					}
+				}
+			}
+		}
+		for s := 0; s < walks; s++ {
+			walk(&d.root, d.models, 0)
+		}
+
+		// Advance the real campaign by the root's best-EIc candidate: a
+		// cheap step that grows the history the next decision plans on.
+		best := 0
+		for i, score := range d.rootEIc {
+			if score > d.rootEIc[best] {
+				best = i
+			}
+		}
+		cfg, err := p.space.Config(d.eligible[best].id)
+		if err != nil {
+			t.Fatalf("Config: %v", err)
+		}
+		if _, _, err := optimizer.RunTrialWithRetry(oc.env, cfg, h, budget, optimizer.Options{}); err != nil {
+			t.Fatalf("RunTrialWithRetry: %v", err)
+		}
+		p.iteration++
+	}
+}
+
+// checkBoundReuse sweeps the child state twice — from its parent's table and
+// afresh — and compares the two sweeps and their tables.
+func checkBoundReuse(t *testing.T, p *planner, parent *boundTable, child *specState, models *modelSet, depth int, tally *reuseTally) {
+	t.Helper()
+	inc, err := p.incumbent(child, models)
+	if err != nil {
+		t.Fatalf("incumbent: %v", err)
+	}
+	fresh := *child
+	fresh.bounds = &boundTable{}
+	var reuseBuf, freshBuf eligibleBuf
+	want, wantOK, err := p.nextStep(&fresh, models, inc, nil, &freshBuf)
+	if err != nil {
+		t.Fatalf("fresh sweep: %v", err)
+	}
+	got, gotOK, err := p.nextStep(child, models, inc, parent, &reuseBuf)
+	if err != nil {
+		t.Fatalf("sweep from the parent's table: %v", err)
+	}
+	tally.sweeps[depth]++
+	if math.Float64bits(parent.inc) == math.Float64bits(inc) && models.lastMovedKnown() {
+		tally.reused[depth]++
+	}
+	tally.freshReused += reuseBuf.fresh
+	tally.freshAll += freshBuf.fresh
+	if gotOK != wantOK || got.id != want.id {
+		t.Fatalf("depth %d: from the parent's table the sweep picked (%d, %v), afresh (%d, %v)", depth, got.id, gotOK, want.id, wantOK)
+	}
+	if reuseBuf.evaluated != freshBuf.evaluated || reuseBuf.bounded != freshBuf.bounded {
+		t.Fatalf("depth %d: from the parent's table %d evaluated / %d bounded, afresh %d / %d",
+			depth, reuseBuf.evaluated, reuseBuf.bounded, freshBuf.evaluated, freshBuf.bounded)
+	}
+	costMemo := models.cost.MemoPreds()
+	extraMemos := extraMemosOf(models)
+	for i := range child.untested {
+		u := &child.untested[i]
+		direct := math.Float64bits(p.eicUpperBound(inc, u, costMemo[u.slot], extraMemos))
+		eligible := p.fitsBudget(costMemo[u.slot], child.budget)
+		for side, b := range [2]float64{child.bounds.bounds[u.slot], fresh.bounds.bounds[u.slot]} {
+			if b == boundUnknown && !eligible {
+				continue
+			}
+			if math.Float64bits(b) != direct {
+				t.Fatalf("depth %d, candidate %d (eligible %v): the table swept %s holds bound %v, computed directly %v",
+					depth, u.id, eligible, [2]string{"from the parent's table", "afresh"}[side], b, math.Float64frombits(direct))
+			}
 		}
 	}
 }

@@ -6,18 +6,22 @@ import (
 
 	"repro/internal/acquisition"
 	"repro/internal/configspace"
+	"repro/internal/model"
 	"repro/internal/numeric"
 )
 
 // pathWorkspace is the model scratch of path evaluations. In Full mode each
-// path gets one of its own, holding one model set that explorePaths refits
-// from the extended training matrix at every speculated outcome (the exact
-// historical behavior). In Incremental mode each scheduler worker holds one
-// for every path it evaluates, with one working copy of the decision's root
-// models on which every speculated outcome of every depth is applied, swept
-// and undone in place — nested depths are a stack of pending updates on the
-// one object — so no tree is retrained and none is copied per outcome.
+// path gets a scratch model set of its own, which explorePaths refits from the
+// extended training matrix at every speculated outcome (the exact historical
+// behavior), on its worker's workspace. In Incremental mode each scheduler
+// worker holds one for every path it evaluates, with one working copy of the
+// decision's root models on which every speculated outcome of every depth is
+// applied, swept and undone in place — nested depths are a stack of pending
+// updates on the one object — so no tree is retrained and none is copied per
+// outcome.
 type pathWorkspace struct {
+	// scratch is the Full-mode model set of the path being evaluated, set
+	// for the duration of one evalPath.
 	scratch *modelSet
 
 	// work is the working copy and base the token of the root models it was
@@ -30,23 +34,31 @@ type pathWorkspace struct {
 
 	// depths[d] is the combo loop's scratch at speculation depth d: the
 	// extended training set, the reduced untested slice, the speculated child
-	// state, and the Gauss-Hermite outcome/combo buffers. Depth d's recursion
-	// returns before depth d reuses its scratch for the next combo, so one
-	// set per depth serves every path.
+	// state with its EIc bound table, and the Gauss-Hermite outcome/combo
+	// buffers. Depth d's recursion returns before depth d reuses its scratch
+	// for the next combo, so one set per depth serves every path; and the
+	// bound table of depth d stays valid for every child of its state, whose
+	// sweeps at depth d+1 start from it (see boundTable). The root state's
+	// table, which depth 0's sweeps start from, is the planner's and is only
+	// ever passed down, never stored here, so a shelved workspace pins no
+	// decision's table.
 	depths []*pathDepthScratch
 
 	// owner is the worker holding the workspace (see workspacePool) and shape
 	// the pool shelf it returns to; a worker's private workspace is stamped
-	// once and has no shape, a Full-mode one carries neither.
+	// once and has no shape.
 	owner atomic.Pointer[specWorker]
 	shape string
 }
 
 // pathDepthScratch is one speculation depth's reusable combo-loop storage.
+// bounds is the bound table of state, filled by the sweep that chooses the
+// state's next step.
 type pathDepthScratch struct {
 	train     *trainSet
 	untested  []candidate
 	state     specState
+	bounds    boundTable
 	outcomes  []numeric.WeightedValue
 	combos    []numeric.WeightedVector
 	comboVals []float64
@@ -61,18 +73,66 @@ func (ws *pathWorkspace) depth(slot int) *pathDepthScratch {
 	return ws.depths[slot]
 }
 
-// eligibleBuf is the reusable scratch of nextStep's sweeps: bounds[i] is the
-// EIc upper bound of the i-th untested candidate of the swept state (−Inf
-// when the candidate is not eligible). It is only live within one nextStep
-// call, so each scheduler worker owns one (specWorker.elig) for every state it
-// sweeps. bounded and evaluated are that worker's running useful-work
-// counters — eligible candidates dismissed on their bound alone vs. scored
-// with the exact EIc — plain ints, because a shared atomic in the sweep costs
-// more than the sweep saves.
+// eligibleBuf holds one scheduler worker's useful-work counters of the
+// nextStep sweeps it runs (specWorker.elig): eligible candidates dismissed on
+// their bound alone vs. scored with the exact EIc, and the bounds computed
+// afresh rather than taken over from the parent state's table — plain ints,
+// because a shared atomic in the sweep costs more than the sweep saves.
 type eligibleBuf struct {
-	bounds    []float64
 	bounded   int
 	evaluated int
+	fresh     int
+}
+
+// boundTable is the EIc upper bounds of one state's candidates by slot,
+// computed under the incumbent inc and the state's models; an entry no sweep
+// of the state needed (a candidate the budget rules out) is boundUnknown.
+//
+// A speculated state's models are its parent's plus one update, and the
+// bound is a pure function of the incumbent, the candidate's memo entries and
+// its fixed thresholds. So when the state's incumbent is bitwise its
+// parent's, every slot the update did not move has its parent's bound bit for
+// bit: the sweep copies the parent's table and forgets only the moved slots
+// (model.Cached.LastMoved, over the cost model and every constraint model).
+// Any other state — a changed incumbent, a memo re-swept since the update, a
+// Full-mode refit, the root — starts from a table with every slot forgotten.
+type boundTable struct {
+	inc    float64
+	bounds []float64
+}
+
+// boundUnknown marks a table entry that has not been computed. Real bounds
+// are non-negative or NaN.
+var boundUnknown = math.Inf(-1)
+
+// inherit readies t as the table of a state with n candidate slots, swept
+// under incumbent inc with models ms: parent's entries minus the slots ms's
+// last update moved when parent is reusable (see boundTable), no entry
+// otherwise.
+func (t *boundTable) inherit(parent *boundTable, ms *modelSet, inc float64, n int) {
+	if cap(t.bounds) < n {
+		t.bounds = make([]float64, n)
+	}
+	t.bounds, t.inc = t.bounds[:n], inc
+	if parent == nil || len(parent.bounds) != n || math.Float64bits(parent.inc) != math.Float64bits(inc) || !ms.lastMovedKnown() {
+		for i := range t.bounds {
+			t.bounds[i] = boundUnknown
+		}
+		return
+	}
+	copy(t.bounds, parent.bounds)
+	t.forget(ms.cost)
+	for _, m := range ms.extras {
+		t.forget(m)
+	}
+}
+
+// forget drops the entries of the slots m's last update moved.
+func (t *boundTable) forget(m *model.Cached) {
+	ids, _ := m.LastMoved()
+	for _, id := range ids {
+		t.bounds[id] = boundUnknown
+	}
 }
 
 // working returns the workspace's working copy holding the state of parent,
@@ -106,8 +166,8 @@ func (ws *pathWorkspace) working(p *planner, w *specWorker, parent *modelSet) (*
 // per-candidate scratch model set with its random stream derived from
 // (decision number, candidate ID) — the derivation the golden campaign tests
 // pin; the number is one-based because the decision counter used to advance
-// before the fan-out — and deliberately never reuses it. Incremental mode
-// speculates on the worker's own workspace.
+// before the fan-out — and deliberately never reuses it. Both modes speculate
+// on the worker's own workspace, whose per-depth scratch holds no model state.
 func (p *planner) evalPath(w *specWorker, d *decision, cand candidate) (pathScore, error) {
 	// Cancellation poll: a cancelled step abandons the remaining path
 	// evaluations (the error propagates through the canonical firstError
@@ -115,16 +175,15 @@ func (p *planner) evalPath(w *specWorker, d *decision, cand candidate) (pathScor
 	if err := cancelErr(d.ctx); err != nil {
 		return pathScore{}, err
 	}
-	var ws *pathWorkspace
-	if p.refitMode == SpecRefitIncremental {
-		ws = w.ws
-		ws.assertOwner(w)
-	} else if p.params.Lookahead > 0 {
+	ws := w.ws
+	ws.assertOwner(w)
+	if p.refitMode != SpecRefitIncremental && p.params.Lookahead > 0 {
 		// A myopic path never speculates, so it gets no scratch to refit:
 		// explorePaths returns before touching the workspace.
-		ws = &pathWorkspace{scratch: p.newModelSet(int64(p.iteration+1)*4_000_000_007+int64(cand.id), len(d.root.untested))}
+		ws.scratch = p.newModelSet(int64(p.iteration+1)*4_000_000_007+int64(cand.id), len(d.root.untested))
 	}
 	reward, cost, err := p.explorePaths(&d.root, d.models, d.inc, cand, p.params.Lookahead, ws, 0, w)
+	ws.scratch = nil
 	if err != nil {
 		return pathScore{}, err
 	}
@@ -133,12 +192,15 @@ func (p *planner) evalPath(w *specWorker, d *decision, cand candidate) (pathScor
 
 // specState is the state Σ of one node of an exploration path: the
 // (speculated) training set, the untested configurations, the remaining
-// budget, and the currently deployed configuration.
+// budget, the currently deployed configuration, and the table the sweep
+// choosing the state's next step fills with its EIc bounds (the root's only
+// when it has speculated children, Lookahead ≥ 1).
 type specState struct {
 	train    *trainSet
 	untested []candidate
 	budget   float64
 	deployed *configspace.Config // nil when nothing is deployed (or no setup-cost function reads it)
+	bounds   *boundTable
 }
 
 // appendWithout appends the untested set minus the given candidate to dst
@@ -275,48 +337,54 @@ func (p *planner) fitsBudget(costPred numeric.Gaussian, budget float64) bool {
 // eligible untested configuration with the highest EIc under the speculated
 // state, ties to the lower configuration ID (Algorithm 2, NextStep). inc is
 // the state's incumbent, computed once by the caller and shared with the
-// recursive path evaluation.
+// recursive path evaluation; parent is the bound table of the state's parent
+// (nil when there is none to start from).
 //
 // Only the argmax is used, so the sweep is an exact branch and bound. One
 // fused pass applies the eligibility test and bounds every eligible
-// candidate's EIc from above without erfc or exp (eicUpperBound). The exact
-// EIc is then computed for the candidate with the largest bound and, in
-// candidate order, for every candidate whose bound is not strictly below the
-// best exact value so far; a skipped candidate's EIc lies strictly below an
-// exactly computed one, so it could neither win nor tie. Exactly evaluated
-// candidates compete under the exhaustive sweep's own rule, and the argmax
-// of (EIc, −ID) does not depend on visiting order, so the choice is the one
-// the exhaustive sweep makes, bit for bit. NaN compares false: a NaN bound is
-// never skipped and a NaN EIc never wins, as in the exhaustive sweep; and
-// since eic rejects nothing but a NaN probability, whose bound is NaN, a state
-// on which the exhaustive sweep fails fails here too.
-func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, buf *eligibleBuf) (candidate, bool, error) {
+// candidate's EIc from above without erfc or exp (eicUpperBound), writing
+// the bounds into the state's table — or reading them there, for the slots
+// the table took over from parent (see boundTable), bitwise the values it
+// would compute. The exact EIc is then computed for the candidate with the
+// largest bound and, in candidate order, for every eligible candidate whose
+// bound is not strictly below the best exact value so far; a skipped
+// candidate's EIc lies strictly below an exactly computed one, so it could
+// neither win nor tie. Exactly evaluated candidates compete under the
+// exhaustive sweep's own rule, and the argmax of (EIc, −ID) does not depend
+// on visiting order, so the choice is the one the exhaustive sweep makes, bit
+// for bit. NaN compares false: a NaN bound is never skipped and a NaN EIc
+// never wins, as in the exhaustive sweep; and since eic rejects nothing but a
+// NaN probability, whose bound is NaN, a state on which the exhaustive sweep
+// fails fails here too.
+func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, parent *boundTable, buf *eligibleBuf) (candidate, bool, error) {
 	costMemo := ms.cost.MemoPreds()
 	extraMemos := extraMemosOf(ms)
 	if costMemo == nil || extraMemos == nil {
 		return candidate{}, false, errNotPrefilled
 	}
+	state.bounds.inherit(parent, ms, inc, len(costMemo))
+	bounds := state.bounds.bounds
 	untested := state.untested
-	if cap(buf.bounds) < len(untested) {
-		buf.bounds = make([]float64, len(untested))
-	}
-	bounds := buf.bounds[:len(untested)]
-	nEligible := 0
+	nEligible, fresh := 0, 0
 	seed, seedBound := -1, math.Inf(-1)
 	for i := range untested {
 		u := &untested[i]
 		costPred := costMemo[u.slot]
 		if !p.fitsBudget(costPred, state.budget) {
-			bounds[i] = math.Inf(-1)
 			continue
 		}
 		nEligible++
-		b := p.eicUpperBound(inc, u, costPred, extraMemos)
-		bounds[i] = b
+		b := bounds[u.slot]
+		if b == boundUnknown {
+			b = p.eicUpperBound(inc, u, costPred, extraMemos)
+			bounds[u.slot] = b
+			fresh++
+		}
 		if b > seedBound {
 			seed, seedBound = i, b
 		}
 	}
+	buf.fresh += fresh
 	if nEligible == 0 {
 		return candidate{}, false, nil
 	}
@@ -347,7 +415,11 @@ func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, buf *eli
 		}
 	}
 	for i := range untested {
-		if i == seed || bounds[i] < bestEIc {
+		// The table also holds entries of candidates the budget rules out
+		// (unknown, or taken over from parent), so a bound that survives
+		// the cut is re-tested for eligibility.
+		slot := untested[i].slot
+		if i == seed || bounds[slot] < bestEIc || !p.fitsBudget(costMemo[slot], state.budget) {
 			continue
 		}
 		if err := exact(untested[i]); err != nil {
@@ -468,8 +540,9 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 			untested: childUntested,
 			budget:   state.budget - specCost - setup,
 			deployed: childDeployed,
+			bounds:   &ds.bounds,
 		}
-		subReward, subCost, ok, err := p.speculate(w, ws, slot, &ds.state, models, cand, specCost, specExtras, lookahead)
+		subReward, subCost, ok, err := p.speculate(w, ws, slot, &ds.state, state.bounds, models, cand, specCost, specExtras, lookahead)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -486,14 +559,15 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 
 // speculate evaluates the subtree below one speculated outcome of profiling
 // cand: derive the child models from the parent's, compute the child state's
-// incumbent, select the next step under it, and recurse with the remaining
-// lookahead; ok is false when the speculated budget admits no further step.
-func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *specState, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int) (reward, cost float64, ok bool, err error) {
+// incumbent, select the next step under it (starting from the parent state's
+// bound table parentBounds), and recurse with the remaining lookahead; ok is
+// false when the speculated budget admits no further step.
+func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *specState, parentBounds *boundTable, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int) (reward, cost float64, ok bool, err error) {
 	if p.refitMode != SpecRefitIncremental {
 		if err := p.refit(ws.scratch, child.train); err != nil {
 			return 0, 0, false, err
 		}
-		return p.sweepChild(w, ws, slot, child, ws.scratch, lookahead)
+		return p.sweepChild(w, ws, slot, child, parentBounds, ws.scratch, lookahead)
 	}
 	// Incremental fast path: fold the one speculated sample into the
 	// workspace's working copy, which holds the parent's models and memos;
@@ -518,7 +592,7 @@ func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *s
 	if models.pending() != slot+1 {
 		panic("core: working copy swept with a number of pending updates other than its speculation depth")
 	}
-	reward, cost, ok, err = p.sweepChild(w, ws, slot, child, models, lookahead)
+	reward, cost, ok, err = p.sweepChild(w, ws, slot, child, parentBounds, models, lookahead)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -530,12 +604,12 @@ func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *s
 
 // sweepChild scores a speculated child state under its models: incumbent,
 // next step, and the path below it.
-func (p *planner) sweepChild(w *specWorker, ws *pathWorkspace, slot int, child *specState, models *modelSet, lookahead int) (reward, cost float64, ok bool, err error) {
+func (p *planner) sweepChild(w *specWorker, ws *pathWorkspace, slot int, child *specState, parentBounds *boundTable, models *modelSet, lookahead int) (reward, cost float64, ok bool, err error) {
 	inc, err := p.incumbent(child, models)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	next, found, err := p.nextStep(child, models, inc, &w.elig)
+	next, found, err := p.nextStep(child, models, inc, parentBounds, &w.elig)
 	if err != nil || !found {
 		return 0, 0, false, err
 	}

@@ -72,6 +72,7 @@ type planner struct {
 	colsBuf    []float64            // backing store of the slot-major feature matrix
 	activeCols [][]float64          // activeCols[d][slot]: feature d of the active candidate in that slot
 	activeCfgs []configspace.Config // decoded configs of active candidates (built only when SetupCost is set)
+	rootBounds boundTable           // the root state's bound table (built only when Lookahead ≥ 1)
 }
 
 // resolveRefitMode turns SpecRefitAuto into a concrete mode from the

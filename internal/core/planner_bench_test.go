@@ -39,6 +39,20 @@ type plannerBenchFixture struct {
 
 func newPlannerBenchFixture(tb testing.TB, lookahead int, refit SpeculativeRefit, workers int, g *ShareGroup) *plannerBenchFixture {
 	tb.Helper()
+	// A third of a bootstrap's worth of remaining budget: a mid-campaign
+	// decision of a 1.5x campaign. The budget-eligibility filter keeps the
+	// candidate set large enough to be representative while holding one
+	// decision under ~1/3 s for every variant, so b.N >= 3 at the default
+	// 1 s benchtime — a single-iteration planner benchmark is too noisy for
+	// the regression gate.
+	return newShapedPlannerBenchFixture(tb, 1.35, 0, lookahead, refit, workers, g)
+}
+
+// newShapedPlannerBenchFixture is a fixture whose campaign has a budget of
+// budgetFactor bootstraps' worth of mean run costs and has run trials
+// planned trials after its bootstrap.
+func newShapedPlannerBenchFixture(tb testing.TB, budgetFactor float64, trials, lookahead int, refit SpeculativeRefit, workers int, g *ShareGroup) *plannerBenchFixture {
+	tb.Helper()
 	job, err := synth.TensorflowJob(synth.CNN, 42)
 	if err != nil {
 		tb.Fatalf("TensorflowJob: %v", err)
@@ -60,13 +74,7 @@ func newPlannerBenchFixture(tb testing.TB, lookahead int, refit SpeculativeRefit
 	if err != nil {
 		tb.Fatalf("ResolveBootstrapSize: %v", err)
 	}
-	// A third of a bootstrap's worth of remaining budget: a mid-campaign
-	// decision of a 1.5x campaign. The budget-eligibility filter keeps the
-	// candidate set large enough to be representative while holding one
-	// decision under ~1/3 s for every variant, so b.N >= 3 at the default
-	// 1 s benchtime — a single-iteration planner benchmark is too noisy for
-	// the regression gate.
-	total := float64(bootstrap) * job.MeanCost() * 1.35
+	total := float64(bootstrap) * job.MeanCost() * budgetFactor
 	budget, err := optimizer.NewBudget(total)
 	if err != nil {
 		tb.Fatalf("NewBudget: %v", err)
@@ -89,6 +97,15 @@ func newPlannerBenchFixture(tb testing.TB, lookahead int, refit SpeculativeRefit
 	if err != nil {
 		tb.Fatalf("newPlanner: %v", err)
 	}
+	for i := 0; i < trials; i++ {
+		next, ok, err := p.nextConfig(nil, history, budget.Remaining())
+		if err != nil || !ok {
+			tb.Fatalf("trial %d: nextConfig: ok=%v err=%v", i, ok, err)
+		}
+		if _, _, err := optimizer.RunTrialWithRetry(env, next, history, budget, opts); err != nil {
+			tb.Fatalf("trial %d: RunTrialWithRetry: %v", i, err)
+		}
+	}
 	return &plannerBenchFixture{planner: p, history: history, remaining: budget.Remaining()}
 }
 
@@ -106,23 +123,29 @@ func (f *plannerBenchFixture) decide(tb testing.TB) {
 }
 
 // workerCounts sums the per-worker work counters: exact EIc evaluations,
-// candidates dismissed on their bound, whole model sets copied.
-func (f *plannerBenchFixture) workerCounts() (evaluated, bounded, copies int) {
+// candidates dismissed on their bound, bounds computed afresh (not taken over
+// from a parent state's table), whole model sets copied.
+func (f *plannerBenchFixture) workerCounts() (evaluated, bounded, fresh, copies int) {
 	for _, w := range f.planner.sched.workers {
 		evaluated += w.elig.evaluated
 		bounded += w.elig.bounded
+		fresh += w.elig.fresh
 		copies += w.modelCopies
 	}
-	return evaluated, bounded, copies
+	return evaluated, bounded, fresh, copies
 }
 
 func benchmarkPlannerDecision(b *testing.B, lookahead int, refit SpeculativeRefit, workers int) {
 	b.Helper()
-	fixture := newPlannerBenchFixture(b, lookahead, refit, workers, nil)
+	benchmarkFixtureDecision(b, newPlannerBenchFixture(b, lookahead, refit, workers, nil))
+}
+
+func benchmarkFixtureDecision(b *testing.B, fixture *plannerBenchFixture) {
+	b.Helper()
 	// One decision before the timer grows the workspaces and scratch a
 	// planner keeps, so a short run's ops are not charged for them.
 	fixture.decide(b)
-	evaluated0, bounded0, copies0 := fixture.workerCounts()
+	evaluated0, bounded0, fresh0, copies0 := fixture.workerCounts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -132,10 +155,13 @@ func benchmarkPlannerDecision(b *testing.B, lookahead int, refit SpeculativeRefi
 	// Useful-work ratio of the NextStep sweeps: eligible candidates of
 	// speculated states scored with the exact EIc vs. dismissed on their
 	// upper bound alone.
-	evaluated, bounded, copies := fixture.workerCounts()
-	evaluated, bounded, copies = evaluated-evaluated0, bounded-bounded0, copies-copies0
+	evaluated, bounded, fresh, copies := fixture.workerCounts()
+	evaluated, bounded, fresh, copies = evaluated-evaluated0, bounded-bounded0, fresh-fresh0, copies-copies0
 	b.ReportMetric(float64(evaluated)/float64(b.N), "eic-evals/decision")
 	b.ReportMetric(float64(bounded)/float64(b.N), "eic-bounded/decision")
+	// Bounds the sweeps computed rather than took over from the parent
+	// state's table: at most evals + bounded.
+	b.ReportMetric(float64(fresh)/float64(b.N), "bounds-fresh/decision")
 	// Whole model sets copied into working copies: one per worker that took
 	// part (TestWorkingCopyCountPerDecision holds it there).
 	b.ReportMetric(float64(copies)/float64(b.N), "model-copies/decision")
@@ -169,4 +195,14 @@ func BenchmarkPlannerLA3Tensorflow(b *testing.B) {
 			benchmarkPlannerDecision(b, 3, SpecRefitAuto, workers)
 		})
 	}
+}
+
+// BenchmarkPlannerLA2TensorflowLate measures one LA=2 incremental decision
+// at the shape of lynbench's distinct workload: a budget of four bootstraps'
+// worth of mean run costs, twelve planned trials after the bootstrap. Unlike
+// the budget-starved decision above, nearly every candidate stays eligible in
+// the speculated states, so the NextStep sweeps weigh here as they do in whole
+// campaigns.
+func BenchmarkPlannerLA2TensorflowLate(b *testing.B) {
+	benchmarkFixtureDecision(b, newShapedPlannerBenchFixture(b, 4, 12, 2, SpecRefitIncremental, 1, nil))
 }

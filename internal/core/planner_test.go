@@ -208,12 +208,12 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 			untested = append(untested, cand)
 		}
 	}
-	state := &specState{train: train, untested: untested, budget: 1e9}
+	state := &specState{train: train, untested: untested, budget: 1e9, bounds: &boundTable{}}
 	inc, err := p.incumbent(state, ms)
 	if err != nil {
 		t.Fatalf("incumbent error: %v", err)
 	}
-	next, ok, err := p.nextStep(state, ms, inc, &eligibleBuf{})
+	next, ok, err := p.nextStep(state, ms, inc, nil, &eligibleBuf{})
 	if err != nil {
 		t.Fatalf("nextStep error: %v", err)
 	}
@@ -242,8 +242,8 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 	}
 
 	// With a zero budget there is no next step.
-	empty := &specState{train: train, untested: untested, budget: 0}
-	if _, ok, err := p.nextStep(empty, ms, inc, &eligibleBuf{}); err != nil || ok {
+	empty := &specState{train: train, untested: untested, budget: 0, bounds: &boundTable{}}
+	if _, ok, err := p.nextStep(empty, ms, inc, nil, &eligibleBuf{}); err != nil || ok {
 		t.Errorf("nextStep with zero budget = %v, %v, want not-ok", ok, err)
 	}
 }

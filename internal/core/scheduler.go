@@ -35,9 +35,9 @@ type specWorker struct {
 	// and none in between (see specScheduler.run).
 	ws *pathWorkspace
 
-	// elig is the scratch and useful-work counters of the nextStep sweeps
-	// this worker runs, and modelCopies counts the whole model sets it
-	// copied into its working copy.
+	// elig is the useful-work counters of the nextStep sweeps this worker
+	// runs, and modelCopies counts the whole model sets it copied into its
+	// working copy.
 	elig        eligibleBuf
 	modelCopies int
 }

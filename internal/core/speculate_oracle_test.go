@@ -33,8 +33,9 @@ func (p *planner) speculateCloned(w *specWorker, child *specState, parent *model
 		return 0, 0, false, err
 	}
 	models.token = &rootToken{}
-	// Slot -1: the subtree's own speculation starts at depth 0 of its workspace.
-	return p.sweepChild(w, &pathWorkspace{}, -1, child, models, lookahead)
+	// Slot -1: the subtree's own speculation starts at depth 0 of its
+	// workspace. No parent bound table: the oracle's child sweep is fresh.
+	return p.sweepChild(w, &pathWorkspace{}, -1, child, nil, models, lookahead)
 }
 
 // recordingFactory hands out the planner's default bagging ensembles and
@@ -354,6 +355,7 @@ func sampleSpeculateStates(t *testing.T, p *planner, factory *recordingFactory, 
 					train:    state.train.withEntry(cand.features, specCost, specExtras, p.feasibleSpeculation(cand, specCost, specExtras)),
 					untested: appendWithout(nil, state.untested, cand.id),
 					budget:   state.budget - specCost,
+					bounds:   &boundTable{},
 				}
 				if try == 1 {
 					child.budget = -1 // nothing affordable: the path terminates
@@ -364,7 +366,7 @@ func sampleSpeculateStates(t *testing.T, p *planner, factory *recordingFactory, 
 				var gotOK, wantOK bool
 				var gotErr, wantErr error
 				p.sched.run(1, func(w *specWorker, _ int) {
-					got[0], got[1], gotOK, gotErr = p.speculate(w, ws, level, child, inPlaceParent, cand, specCost, specExtras, lookahead)
+					got[0], got[1], gotOK, gotErr = p.speculate(w, ws, level, child, state.bounds, inPlaceParent, cand, specCost, specExtras, lookahead)
 				})
 				if copies := modelCopies(p) - copiesBefore; copies != 0 {
 					t.Fatalf("level %d: speculating on a valid working copy made %d whole-set copies", level, copies)

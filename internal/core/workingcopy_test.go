@@ -106,9 +106,10 @@ func TestWorkingCopyValidity(t *testing.T) {
 		train:    d.root.train.withEntry(cand.features, specCost, specExtras, true),
 		untested: appendWithout(nil, d.root.untested, cand.id),
 		budget:   d.root.budget - specCost,
+		bounds:   &boundTable{},
 	}
 	speculate := func(ws *pathWorkspace) (reward, cost float64, ok bool, err error) {
-		return p.speculate(w, ws, 0, child, root, cand, specCost, specExtras, 2)
+		return p.speculate(w, ws, 0, child, nil, root, cand, specCost, specExtras, 2)
 	}
 	wantReward, wantCost, wantOK, err := speculate(&pathWorkspace{})
 	if err != nil || !wantOK {
@@ -187,7 +188,7 @@ func TestWorkingCopyValidity(t *testing.T) {
 		t.Fatalf("rootModels: %v", err)
 	}
 	copies := w.modelCopies
-	if _, _, _, err := p.speculate(w, ws, 0, child, d2.models, cand, specCost, specExtras, 2); err != nil {
+	if _, _, _, err := p.speculate(w, ws, 0, child, nil, d2.models, cand, specCost, specExtras, 2); err != nil {
 		t.Fatalf("speculate under the second decision: %v", err)
 	}
 	if w.modelCopies != copies+1 || ws.base != d2.models.token {
@@ -201,7 +202,7 @@ func TestWorkingCopyValidity(t *testing.T) {
 				t.Fatalf("sweeping at the wrong depth: recovered %v, want the depth panic", r)
 			}
 		}()
-		_, _, _, _ = p.speculate(w, ws, 1, child, ws.work, cand, specCost, specExtras, 1)
+		_, _, _, _ = p.speculate(w, ws, 1, child, nil, ws.work, cand, specCost, specExtras, 1)
 	}()
 }
 

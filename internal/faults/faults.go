@@ -10,6 +10,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/configspace"
@@ -226,12 +228,15 @@ func (e *Env) RestoreEnvState(data []byte) error {
 	if s.Runs < 0 {
 		return fmt.Errorf("faults: negative run count %d in environment state", s.Runs)
 	}
-	attempts := make(map[int]int, len(s.Attempts))
-	for id, n := range s.Attempts {
-		if n < 0 {
+	// In ID order, so a corrupt state's error names the same entry every
+	// time.
+	for _, id := range slices.Sorted(maps.Keys(s.Attempts)) {
+		if n := s.Attempts[id]; n < 0 {
 			return fmt.Errorf("faults: negative attempt count %d for config %d in environment state", n, id)
 		}
-		attempts[id] = n
+	}
+	if s.Attempts == nil {
+		s.Attempts = make(map[int]int)
 	}
 	if se, ok := e.inner.(optimizer.StatefulEnvironment); ok && len(s.Inner) > 0 {
 		if err := se.RestoreEnvState(s.Inner); err != nil {
@@ -242,7 +247,7 @@ func (e *Env) RestoreEnvState(data []byte) error {
 	defer e.mu.Unlock()
 	e.runs = s.Runs
 	e.crashed = s.Crashed
-	e.attempts = attempts
+	e.attempts = s.Attempts
 	return nil
 }
 

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/configspace"
@@ -264,6 +265,22 @@ func TestEnvStateRoundTrip(t *testing.T) {
 	}
 	if err := b.RestoreEnvState([]byte(`{"runs":-1}`)); err == nil {
 		t.Error("negative run count accepted")
+	}
+}
+
+// TestRestoreEnvStateNamesLowestCorruptID restores a state with two negative
+// attempt counts many times: the error must name the lower ID every time,
+// not whichever entry map order reaches first.
+func TestRestoreEnvStateNamesLowestCorruptID(t *testing.T) {
+	env, err := New(fixtureEnv(t), Params{Seed: 1})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		err := env.RestoreEnvState([]byte(`{"runs":3,"attempts":{"40":1,"17":-2,"9":-1,"3":2}}`))
+		if err == nil || !strings.Contains(err.Error(), "config 9 ") {
+			t.Fatalf("restore %d: error %v, want one naming config 9", i, err)
+		}
 	}
 }
 

@@ -75,6 +75,18 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 	if c.MemoPreds() == nil {
 		t.Fatal("memo went off across a repairable Update")
 	}
+	// LastMoved lists every entry the Update changed, each once.
+	ids, ok := c.LastMoved()
+	if !ok {
+		t.Fatal("a repaired Update does not list the slots it moved")
+	}
+	listed := make(map[int32]bool, len(ids))
+	for _, id := range ids {
+		if listed[id] {
+			t.Fatalf("LastMoved lists slot %d twice", id)
+		}
+		listed[id] = true
+	}
 	kept, moved := 0, 0
 	for id := 0; id < size; id++ {
 		row := rowOf(id)
@@ -93,7 +105,16 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 			kept++
 		} else {
 			moved++
+			if !listed[int32(id)] {
+				t.Fatalf("entry %d moved but LastMoved does not list it", id)
+			}
 		}
+	}
+	if err := c.Undo(); err != nil {
+		t.Fatalf("Undo: %v", err)
+	}
+	if _, ok := c.LastMoved(); ok {
+		t.Error("LastMoved lists slots with no Update pending")
 	}
 	if kept == 0 || moved == 0 {
 		t.Fatalf("degenerate fixture: %d entries kept, %d moved; want both", kept, moved)
@@ -274,11 +295,17 @@ func TestCachedUpdateResweepsWhenRepairStateUnusable(t *testing.T) {
 	if err := checkMemoFresh(c, cols); err != nil {
 		t.Fatalf("after the re-sweep fallback: %v", err)
 	}
+	if _, ok := c.LastMoved(); ok {
+		t.Error("LastMoved lists slots for an Update the memo was re-swept for")
+	}
 	if err := c.Update(rowOf(17), 5); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	if err := checkMemoFresh(c, cols); err != nil {
 		t.Fatalf("after the re-armed repair: %v", err)
+	}
+	if _, ok := c.LastMoved(); !ok {
+		t.Error("LastMoved lists no slots for the re-armed repair's Update")
 	}
 }
 

@@ -352,6 +352,20 @@ func (c *Cached) Undo() error {
 // Pending returns the number of Updates Undo can still take back.
 func (c *Cached) Pending() int { return len(c.journal) }
 
+// LastMoved returns the memo slots the most recent Update not yet undone
+// repaired — every slot whose entry that Update may have changed, each once —
+// and true; or nil and false when there is no such list: no Update pending,
+// the memo off, or the memo re-swept since the Update was applied (its own
+// fallback or a later Prefill). The slice is the Cached's and is valid until
+// its next mutating call.
+func (c *Cached) LastMoved() ([]int32, bool) {
+	d := len(c.journal) - 1
+	if d < 0 || !c.valid || c.journal[d].resweep {
+		return nil, false
+	}
+	return c.undoIDs[c.journal[d].start:], true
+}
+
 // CloneFrom snapshots src — fitted model state, memo, and the feature matrix
 // reference for repair — into the receiver, reusing its storage; src's
 // pending Updates are part of the state, not of the copy, which starts with

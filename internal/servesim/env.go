@@ -3,6 +3,8 @@ package servesim
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"repro/internal/configspace"
@@ -197,15 +199,18 @@ func (e *Env) RestoreEnvState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("servesim: decoding environment state: %w", err)
 	}
-	runs := make(map[int]int, len(st.Runs))
-	for id, n := range st.Runs {
-		if n < 0 {
+	// In ID order, so a corrupt state's error names the same entry every
+	// time.
+	for _, id := range slices.Sorted(maps.Keys(st.Runs)) {
+		if n := st.Runs[id]; n < 0 {
 			return fmt.Errorf("servesim: negative run counter %d for config %d", n, id)
 		}
-		runs[id] = n
+	}
+	if st.Runs == nil {
+		st.Runs = make(map[int]int)
 	}
 	e.mu.Lock()
-	e.runs = runs
+	e.runs = st.Runs
 	e.mu.Unlock()
 	return nil
 }

@@ -2,6 +2,7 @@ package servesim
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -70,5 +71,13 @@ func TestEnvStateRejectsCorruptState(t *testing.T) {
 	}
 	if err := env.RestoreEnvState([]byte(`{"runs":{"5":-1}}`)); err == nil {
 		t.Fatal("RestoreEnvState accepted a negative run counter")
+	}
+	// Two negative counters: the error names the lower ID every time, not
+	// whichever entry map order reaches first.
+	for i := 0; i < 20; i++ {
+		err := env.RestoreEnvState([]byte(`{"runs":{"40":1,"17":-2,"9":-1,"3":2}}`))
+		if err == nil || !strings.HasSuffix(err.Error(), "config 9") {
+			t.Fatalf("restore %d: error %v, want one naming config 9", i, err)
+		}
 	}
 }
