@@ -50,7 +50,7 @@ type (
 	// trial sequence.
 	Tuner = core.Campaign
 	// ResumeFuncs re-supplies the process-local functions a snapshot cannot
-	// carry (setup-cost model, retry sleep hook) to ResumeTunerWith.
+	// carry (setup-cost model, retry sleep hook) to ResumeTunerShared.
 	ResumeFuncs = core.ResumeFuncs
 
 	// FaultParams configures deterministic fault injection
@@ -97,11 +97,4 @@ func StartTuner(cfg TunerConfig, env Environment, opts Options) (*Tuner, error) 
 // recommendation of the uninterrupted run.
 func ResumeTuner(cfg TunerConfig, env Environment, snapshot []byte) (*Tuner, error) {
 	return ResumeTunerShared(cfg, env, snapshot, ResumeFuncs{}, nil)
-}
-
-// ResumeTunerWith is ResumeTuner with re-supplied process-local functions:
-// required when the snapshotted campaign used Options.SetupCost, optional to
-// re-install a RetryPolicy.Sleep hook.
-func ResumeTunerWith(cfg TunerConfig, env Environment, snapshot []byte, fns ResumeFuncs) (*Tuner, error) {
-	return ResumeTunerShared(cfg, env, snapshot, fns, nil)
 }

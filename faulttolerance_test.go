@@ -149,7 +149,7 @@ func TestResumeValidation(t *testing.T) {
 	if _, err := ResumeTuner(cfg, env2, snap2); err == nil {
 		t.Error("setup-cost snapshot resumed without the function")
 	}
-	if _, err := ResumeTunerWith(cfg, env2, snap2, ResumeFuncs{SetupCost: setup}); err != nil {
-		t.Errorf("ResumeTunerWith with setup cost: %v", err)
+	if _, err := ResumeTunerShared(cfg, env2, snap2, ResumeFuncs{SetupCost: setup}, nil); err != nil {
+		t.Errorf("ResumeTunerShared with setup cost: %v", err)
 	}
 }

@@ -241,7 +241,7 @@ func (p *planner) rootModels(d *decision) error {
 // eligible candidate the later phases run over an empty set and choose
 // reports "no decision".
 func (p *planner) eligibility(d *decision) error {
-	eligible, costPreds, extraPreds, err := p.eligible(d.root.untested, d.models, d.root.budget)
+	eligible, costPreds, extraPreds, err := p.eligible(d.root.untested, d.models, d.root.budget, d.root.deployed)
 	if err != nil || len(eligible) == 0 {
 		return err
 	}
@@ -269,16 +269,21 @@ func (p *planner) eligibility(d *decision) error {
 	return nil
 }
 
-// eligible returns the candidates that fit the budget (see fitsBudget) with
-// their cost and per-constraint predictions, read from the memo arrays —
-// every swept set is prefilled or an eagerly repaired clone of a prefilled
-// one. The root decision uses it, where prunedScores needs every candidate's
-// exact EIc; speculated states go through nextStep's fused sweep instead.
-func (p *planner) eligible(untested []candidate, ms *modelSet, budget float64) ([]candidate, []numeric.Gaussian, [][]numeric.Gaussian, error) {
+// eligible returns the candidates that fit the budget (see fitsBudget and,
+// with setup costs, affordable: deployed is the configuration they switch
+// from) with their cost and per-constraint predictions, read from the memo
+// arrays — every swept set is prefilled or an eagerly repaired clone of a
+// prefilled one. The root decision uses it, where prunedScores needs every
+// candidate's exact EIc; speculated states go through nextStep's fused sweep
+// instead.
+func (p *planner) eligible(untested []candidate, ms *modelSet, budget float64, deployed *configspace.Config) ([]candidate, []numeric.Gaussian, [][]numeric.Gaussian, error) {
 	costMemo := ms.cost.MemoPreds()
 	extraMemos := extraMemosOf(ms)
 	if costMemo == nil || extraMemos == nil {
 		return nil, nil, nil, errNotPrefilled
+	}
+	if p.opts.SetupCost != nil {
+		untested = p.affordable(nil, untested, costMemo, deployed, budget)
 	}
 	out := make([]candidate, 0, len(untested))
 	costPreds := make([]numeric.Gaussian, 0, len(untested))

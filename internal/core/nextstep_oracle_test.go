@@ -18,7 +18,7 @@ import (
 // replaced — every eligible candidate scored with the exact EIc, one
 // comparison rule — kept as the differential oracle.
 func (p *planner) nextStepExhaustive(state *specState, ms *modelSet, inc float64) (candidate, bool, error) {
-	eligible, costPreds, extraPreds, err := p.eligible(state.untested, ms, state.budget)
+	eligible, costPreds, extraPreds, err := p.eligible(state.untested, ms, state.budget, state.deployed)
 	if err != nil {
 		return candidate{}, false, err
 	}
@@ -333,7 +333,7 @@ func checkOracleState(t *testing.T, p *planner, state *specState, models *modelS
 
 	// Every eligible candidate's bound dominates its exact EIc, and the
 	// winner's score is counted for ties.
-	eligible, costPreds, extraPreds, err := p.eligible(state.untested, models, state.budget)
+	eligible, costPreds, extraPreds, err := p.eligible(state.untested, models, state.budget, state.deployed)
 	if err != nil {
 		t.Fatalf("eligible: %v", err)
 	}

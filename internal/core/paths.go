@@ -78,10 +78,14 @@ func (ws *pathWorkspace) depth(slot int) *pathDepthScratch {
 // their bound alone vs. scored with the exact EIc, and the bounds computed
 // afresh rather than taken over from the parent state's table — plain ints,
 // because a shared atomic in the sweep costs more than the sweep saves.
+//
+// affordable is the worker's scratch for the candidates a setup-cost
+// campaign's sweep visits (see planner.affordable).
 type eligibleBuf struct {
-	bounded   int
-	evaluated int
-	fresh     int
+	bounded    int
+	evaluated  int
+	fresh      int
+	affordable []candidate
 }
 
 // boundTable is the EIc upper bounds of one state's candidates by slot,
@@ -224,6 +228,20 @@ func (p *planner) setupCost(deployed *configspace.Config, to candidate) float64 
 	return p.opts.SetupCost(deployed, p.candidateConfig(to))
 }
 
+// affordable appends to dst the candidates of untested whose predicted cost
+// fits what the budget leaves after the setup cost of switching to them from
+// deployed — the runner charges both. Only setup-cost campaigns call it, once
+// per sweep, and sweep its result instead of untested: campaigns without
+// setup costs run the sweeps unchanged.
+func (p *planner) affordable(dst, untested []candidate, costMemo []numeric.Gaussian, deployed *configspace.Config, budget float64) []candidate {
+	for _, u := range untested {
+		if p.fitsBudget(costMemo[u.slot], budget-p.setupCost(deployed, u)) {
+			dst = append(dst, u)
+		}
+	}
+	return dst
+}
+
 // feasibleSpeculation reports whether a speculated (cost, extras) outcome for
 // the candidate satisfies the runtime and extra constraints: the runtime
 // constraint is expressed on the cost via C(x) = T(x)·U(x). (The threshold is
@@ -322,7 +340,8 @@ func clampProb(p float64) float64 {
 
 // fitsBudget is the eligibility test of Algorithm 1, line 23 and Algorithm 2,
 // line 22: the predicted cost fits within the budget with the configured
-// confidence.
+// confidence. With setup costs, the sweeps first narrow the candidates to the
+// affordable ones.
 func (p *planner) fitsBudget(costPred numeric.Gaussian, budget float64) bool {
 	if !p.eligUseZ {
 		return costPred.ProbLE(budget) >= p.params.EligibilityProb
@@ -365,6 +384,10 @@ func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, parent *
 	state.bounds.inherit(parent, ms, inc, len(costMemo))
 	bounds := state.bounds.bounds
 	untested := state.untested
+	if p.opts.SetupCost != nil {
+		buf.affordable = p.affordable(buf.affordable[:0], untested, costMemo, state.deployed, state.budget)
+		untested = buf.affordable
+	}
 	nEligible, fresh := 0, 0
 	seed, seedBound := -1, math.Inf(-1)
 	for i := range untested {

@@ -167,7 +167,7 @@ func TestEligibleFiltersOnBudget(t *testing.T) {
 	}
 
 	// With an enormous budget every untested configuration is eligible.
-	all, _, _, err := p.eligible(untested, ms, 1e9)
+	all, _, _, err := p.eligible(untested, ms, 1e9, nil)
 	if err != nil {
 		t.Fatalf("eligible error: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestEligibleFiltersOnBudget(t *testing.T) {
 		t.Errorf("eligible with huge budget = %d, want %d", len(all), len(untested))
 	}
 	// With a zero budget nothing is eligible.
-	none, _, _, err := p.eligible(untested, ms, 0)
+	none, _, _, err := p.eligible(untested, ms, 0, nil)
 	if err != nil {
 		t.Fatalf("eligible error: %v", err)
 	}

@@ -306,6 +306,49 @@ func TestMultiConstraintThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// TestSetupCostStaysWithinBudget pins the eligibility test to what the runner
+// charges: a trial's predicted cost plus the setup cost of switching to it
+// must fit the remaining budget. Testing the trial cost alone let these two
+// campaigns (a 0.20 $ fee per VM family/size switch) overspend their 5.81 $
+// budget at 5.97 $ and 5.99 $.
+func TestSetupCostStaysWithinBudget(t *testing.T) {
+	job, err := SyntheticScoutJob("hibench-sort", 42)
+	if err != nil {
+		t.Fatalf("SyntheticScoutJob error: %v", err)
+	}
+	env, err := NewJobEnvironment(job)
+	if err != nil {
+		t.Fatalf("NewJobEnvironment error: %v", err)
+	}
+	tmax, err := job.RuntimeForFeasibleFraction(0.5)
+	if err != nil {
+		t.Fatalf("RuntimeForFeasibleFraction error: %v", err)
+	}
+	tuner, err := NewTuner(TunerConfig{Lookahead: 1})
+	if err != nil {
+		t.Fatalf("NewTuner error: %v", err)
+	}
+	for _, seed := range []int64{2, 3} {
+		res, err := tuner.Optimize(env, Options{
+			Budget:            9 * job.MeanCost(),
+			MaxRuntimeSeconds: tmax,
+			Seed:              seed,
+			SetupCost: func(from *Config, to Config) float64 {
+				if from != nil && from.Indices[0] == to.Indices[0] && from.Indices[1] == to.Indices[1] {
+					return 0
+				}
+				return 0.20
+			},
+		})
+		if err != nil {
+			t.Fatalf("seed %d: Optimize error: %v", seed, err)
+		}
+		if res.SpentBudget > res.InitialBudget {
+			t.Errorf("seed %d: spent %.4f$ of a %.4f$ budget", seed, res.SpentBudget, res.InitialBudget)
+		}
+	}
+}
+
 // TestEvaluateWorkerCountDeterminism verifies that parallelizing a
 // multi-seed evaluation campaign across runs does not change any per-run
 // metric: run i always uses seed BaseSeed+i and lands at index i.

@@ -127,8 +127,10 @@ func StartTunerShared(cfg TunerConfig, env Environment, opts Options, g *ShareGr
 	return l.NewCampaign(env, opts, g)
 }
 
-// ResumeTunerShared is ResumeTunerWith into a share group. A nil group is
-// plain ResumeTunerWith.
+// ResumeTunerShared is ResumeTuner with re-supplied process-local functions
+// (fns: required when the snapshotted campaign used Options.SetupCost,
+// optional to re-install a RetryPolicy.Sleep hook), into a share group. A nil
+// group resumes the campaign on its own.
 func ResumeTunerShared(cfg TunerConfig, env Environment, snapshot []byte, fns ResumeFuncs, g *ShareGroup) (*Tuner, error) {
 	l, err := newCoreTuner(cfg)
 	if err != nil {
