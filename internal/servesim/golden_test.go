@@ -67,11 +67,17 @@ func goldenCases() []struct {
 			d:    Deployment{Replicas: 1, Type: Catalog[1], MaxBatch: 8, Policy: SLOPriority},
 			seed: 23,
 		},
+		{
+			name: "shortest_queue",
+			s:    congested,
+			d:    Deployment{Replicas: 3, Type: Catalog[0], MaxBatch: 2, Policy: ShortestQueue},
+			seed: 37,
+		},
 	}
 }
 
-// TestGoldenTraces replays two small seeded scenarios and compares their full
-// event traces against pinned files. Regenerate with:
+// TestGoldenTraces replays one small seeded scenario per scheduler policy and
+// compares its full event trace against a pinned file. Regenerate with:
 //
 //	go test ./internal/servesim -run TestGoldenTraces -update-golden
 func TestGoldenTraces(t *testing.T) {
