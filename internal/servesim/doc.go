@@ -14,6 +14,14 @@
 // sequences. A pluggable scheduler policy (FIFO, shortest-queue,
 // SLO-priority) decides which queued request is admitted next.
 //
+// Simulate processes arrivals and decode-step completions in increasing
+// (time, seq). Arrival i has seq i and every step completion a later seq, in
+// scheduling order, so on a time tie an arrival comes first and tied steps
+// complete in the order they were scheduled. At most one step per instance
+// is in flight. Because (time, seq) is a strict total order, results and
+// traces are bitwise reproducible, and an untraced run makes the same number
+// of allocations whatever its request volume.
+//
 // Env wraps one simulated scenario as an optimizer.Environment whose
 // configuration space spans replica count x instance type x max-batch x
 // scheduler policy: the tuner minimizes the dollar cost of serving a fixed

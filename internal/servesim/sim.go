@@ -1,7 +1,6 @@
 package servesim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -307,44 +306,93 @@ const (
 	streamSteps    = 0x57E9
 )
 
-// event is one entry of the simulation's event queue.
-type event struct {
+// Events run in increasing (time, seq). Arrival i has seq i and each step
+// completion the next seq after every arrival's, in scheduling order, so an
+// arrival wins a time tie and tied steps complete in scheduling order.
+// Arrivals are read from the request slice through a cursor; step
+// completions wait in a stepQueue, which holds at most Replicas entries
+// because an instance has at most one step in flight.
+
+// stepEvent is one in-flight decode step: instance inst completes it at time.
+type stepEvent struct {
 	time float64
-	// seq is the global scheduling order, the deterministic tie-breaker for
-	// identical timestamps.
 	seq  int
-	kind eventKind
-	// inst is the instance of a step-completion event.
 	inst int
-	// req is the request index of an arrival event.
-	req int
 }
 
-type eventKind int
+// stepQueue is a binary min-heap of in-flight steps over (time, seq).
+type stepQueue []stepEvent
 
-const (
-	evArrival eventKind = iota
-	evStep
-)
-
-// eventQueue is a min-heap over (time, seq).
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q stepQueue) less(i, j int) bool {
 	if q[i].time != q[j].time {
 		return q[i].time < q[j].time
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+func (q *stepQueue) push(e stepEvent) {
+	h := append(*q, e)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*q = h
+}
+
+func (q *stepQueue) pop() stepEvent {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
+}
+
+// reqQueue is a FIFO of request indices that reuses its storage: a pop
+// advances head, and a push that finds the buffer full slides the live
+// entries back to the front before the buffer would grow.
+type reqQueue struct {
+	buf  []int
+	head int
+}
+
+func (q *reqQueue) len() int { return len(q.buf) - q.head }
+
+// items returns the queued entries, front first.
+func (q *reqQueue) items() []int { return q.buf[q.head:] }
+
+func (q *reqQueue) push(ri int) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	q.buf = append(q.buf, ri)
+}
+
+func (q *reqQueue) pop() {
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }
 
 // seqState is one resident sequence of an instance's running batch.
@@ -358,7 +406,7 @@ type instance struct {
 	running []seqState
 	kvUsed  int
 	// queue is the per-instance queue of the ShortestQueue policy.
-	queue []int
+	queue reqQueue
 	// stepScheduled reports whether a step-completion event is in flight.
 	stepScheduled bool
 	maxKV         int
@@ -371,14 +419,13 @@ type sim struct {
 	reqs  []Request
 	insts []instance
 	// global is the shared queue of the FIFO and SLOPriority policies.
-	global []int
+	global reqQueue
 	queued int
-	events eventQueue
+	steps  stepQueue
 	seq    int
 	noise  *rand.Rand
 	trace  *[]TraceEvent
 
-	completed   []float64 // completion time per request, -1 while in flight
 	result      Result
 	lastEventAt float64
 }
@@ -386,7 +433,9 @@ type sim struct {
 // Simulate runs one profiling run of the deployment against the scenario and
 // returns its aggregate result. The run is a pure function of (scenario,
 // deployment, seed): identical inputs produce bitwise-identical results and
-// traces. When trace is non-nil, every event is appended to it.
+// traces. When trace is non-nil, every event is appended to it. Without a
+// trace, a run makes the same number of allocations whatever its request
+// volume: every queue is sized up front and reuses its storage.
 func Simulate(s Scenario, d Deployment, seed int64, trace *[]TraceEvent) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
@@ -399,38 +448,48 @@ func Simulate(s Scenario, d Deployment, seed int64, trace *[]TraceEvent) (Result
 		d:     d,
 		reqs:  GenerateRequests(s, seed),
 		insts: make([]instance, d.Replicas),
+		steps: make(stepQueue, 0, d.Replicas),
 		noise: rand.New(rand.NewSource(numeric.Mix(seed, streamSteps))),
 		trace: trace,
 	}
-	sm.completed = make([]float64, len(sm.reqs))
-	for i := range sm.completed {
-		sm.completed[i] = -1
+	sm.seq = len(sm.reqs)
+	// Buffers get their bounds up front (one that outgrew them would only
+	// allocate): a replica runs at most MaxBatch sequences, fewer than
+	// QueuePerReplica x Replicas requests are ever queued, and shortest-queue
+	// routing joins a least-loaded replica, whose queue therefore stays
+	// within QueuePerReplica + MaxBatch. No bound exceeds the request count.
+	n := len(sm.reqs)
+	batch := min(d.MaxBatch, n)
+	running := make([]seqState, d.Replicas*batch)
+	for i := range sm.insts {
+		sm.insts[i].running = running[i*batch : i*batch : (i+1)*batch]
+	}
+	if d.Policy == ShortestQueue {
+		size := min(s.QueuePerReplica+d.MaxBatch, n)
+		queues := make([]int, d.Replicas*size)
+		for i := range sm.insts {
+			sm.insts[i].queue.buf = queues[i*size : i*size : (i+1)*size]
+		}
+	} else {
+		sm.global.buf = make([]int, 0, min(s.QueuePerReplica*d.Replicas, n))
 	}
 	sm.result.PerClass = make([]ClassMetrics, len(s.Classes))
 	for ci, c := range s.Classes {
 		sm.result.PerClass[ci].Name = c.Name
 	}
-	for i := range sm.reqs {
-		sm.push(event{time: sm.reqs[i].Arrival, kind: evArrival, req: i, inst: -1})
-	}
-	for len(sm.events) > 0 {
-		e := heap.Pop(&sm.events).(event)
-		sm.lastEventAt = e.time
-		switch e.kind {
-		case evArrival:
-			sm.arrive(e.time, e.req)
-		case evStep:
-			sm.stepComplete(e.time, e.inst)
+	for next := 0; next < n || len(sm.steps) > 0; {
+		if next < n && (len(sm.steps) == 0 || sm.reqs[next].Arrival <= sm.steps[0].time) {
+			sm.lastEventAt = sm.reqs[next].Arrival
+			sm.arrive(sm.lastEventAt, next)
+			next++
+			continue
 		}
+		e := sm.steps.pop()
+		sm.lastEventAt = e.time
+		sm.stepComplete(e.time, e.inst)
 	}
 	sm.finishResult()
 	return sm.result, nil
-}
-
-func (sm *sim) push(e event) {
-	e.seq = sm.seq
-	sm.seq++
-	heap.Push(&sm.events, e)
 }
 
 func (sm *sim) emit(ev TraceEvent) {
@@ -461,25 +520,26 @@ func (sm *sim) arrive(t float64, ri int) {
 	switch sm.d.Policy {
 	case ShortestQueue:
 		best := 0
-		bestLoad := len(sm.insts[0].queue) + len(sm.insts[0].running)
+		bestLoad := sm.insts[0].queue.len() + len(sm.insts[0].running)
 		for i := 1; i < len(sm.insts); i++ {
-			load := len(sm.insts[i].queue) + len(sm.insts[i].running)
+			load := sm.insts[i].queue.len() + len(sm.insts[i].running)
 			if load < bestLoad {
 				best, bestLoad = i, load
 			}
 		}
-		sm.insts[best].queue = append(sm.insts[best].queue, ri)
+		sm.insts[best].queue.push(ri)
 	default:
-		sm.global = append(sm.global, ri)
+		sm.global.push(ri)
 		if sm.d.Policy == SLOPriority {
 			// Keep the global queue ordered by (SLO asc, arrival asc); the
 			// new request bubbles left past looser SLOs.
-			for i := len(sm.global) - 1; i > 0; i-- {
-				a, b := sm.reqs[sm.global[i-1]], sm.reqs[sm.global[i]]
+			q := sm.global.items()
+			for i := len(q) - 1; i > 0; i-- {
+				a, b := sm.reqs[q[i-1]], sm.reqs[q[i]]
 				if sm.s.Classes[a.Class].LatencySLO <= sm.s.Classes[b.Class].LatencySLO {
 					break
 				}
-				sm.global[i-1], sm.global[i] = sm.global[i], sm.global[i-1]
+				q[i-1], q[i] = q[i], q[i-1]
 			}
 		}
 	}
@@ -494,47 +554,30 @@ func (sm *sim) arrive(t float64, ri int) {
 	}
 }
 
-// queueHead returns the next request the policy would admit on instance i,
-// or -1 when its queue view is empty.
-func (sm *sim) queueHead(i int) int {
+// queue returns the queue instance i admits from under the policy.
+func (sm *sim) queue(i int) *reqQueue {
 	if sm.d.Policy == ShortestQueue {
-		if len(sm.insts[i].queue) == 0 {
-			return -1
-		}
-		return sm.insts[i].queue[0]
+		return &sm.insts[i].queue
 	}
-	if len(sm.global) == 0 {
-		return -1
-	}
-	return sm.global[0]
-}
-
-func (sm *sim) popQueueHead(i int) {
-	if sm.d.Policy == ShortestQueue {
-		sm.insts[i].queue = sm.insts[i].queue[1:]
-	} else {
-		sm.global = sm.global[1:]
-	}
-	sm.queued--
+	return &sm.global
 }
 
 // admitAndSchedule admits queued requests onto instance i (head-of-line, no
 // overtaking: a head that does not fit blocks the instance's admissions) and
-// schedules the next decode step. It returns the prompt tokens admitted,
-// which the caller's step duration charges as prefill work.
+// schedules the next decode step, whose duration charges the prompt tokens
+// admitted here as prefill work.
 func (sm *sim) admitAndSchedule(t float64, i int) {
 	inst := &sm.insts[i]
 	admittedPrompt := 0
-	for len(inst.running) < sm.d.MaxBatch {
-		ri := sm.queueHead(i)
-		if ri < 0 {
-			break
-		}
+	q := sm.queue(i)
+	for len(inst.running) < sm.d.MaxBatch && q.len() > 0 {
+		ri := q.items()[0]
 		req := sm.reqs[ri]
 		if inst.kvUsed+req.KVNeed() > sm.d.Type.KVTokens {
 			break
 		}
-		sm.popQueueHead(i)
+		q.pop()
+		sm.queued--
 		inst.running = append(inst.running, seqState{req: ri})
 		inst.kvUsed += req.KVNeed()
 		if inst.kvUsed > inst.maxKV {
@@ -551,7 +594,8 @@ func (sm *sim) admitAndSchedule(t float64, i int) {
 		sm.s.PrefillPerToken*float64(admittedPrompt)) / sm.d.Type.Speed
 	dur *= math.Exp(sm.noise.NormFloat64() * sm.s.NoiseSpread)
 	inst.stepScheduled = true
-	sm.push(event{time: t + dur, kind: evStep, inst: i, req: -1})
+	sm.steps.push(stepEvent{time: t + dur, seq: sm.seq, inst: i})
+	sm.seq++
 }
 
 // stepComplete handles one decode-step completion on instance i: every
@@ -571,7 +615,6 @@ func (sm *sim) stepComplete(t float64, i int) {
 			continue
 		}
 		inst.kvUsed -= req.KVNeed()
-		sm.completed[seq.req] = t
 		latency := t - req.Arrival
 		cm := &sm.result.PerClass[req.Class]
 		sm.result.Completed++

@@ -207,3 +207,72 @@ func TestNoiseSpreadZeroIsStillDeterministicAcrossSeeds(t *testing.T) {
 		t.Errorf("malformed result %+v", res)
 	}
 }
+
+// TestSimulateAllocsFlat is the allocation ratchet of the event loop: an
+// untraced run allocates a fixed handful of buffers (the request stream, the
+// two RNGs, the instances, their running batches, the queues and the result
+// slices; 10 measured on go1.24) however many requests and decode steps it
+// simulates, under every policy. Ten times the request volume must not add
+// one allocation.
+func TestSimulateAllocsFlat(t *testing.T) {
+	const bound = 10
+	s, err := ProfileScenario("batch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Deployment{
+		{Replicas: 1, Type: Catalog[0], MaxBatch: 2, Policy: FIFO},
+		{Replicas: 4, Type: Catalog[1], MaxBatch: 16, Policy: ShortestQueue},
+		{Replicas: 8, Type: Catalog[3], MaxBatch: 8, Policy: SLOPriority},
+	} {
+		var allocs [2]float64
+		for i, n := range []int{96, 960} {
+			s.Requests = n
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				if _, err := Simulate(s, d, 3, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if allocs[0] != allocs[1] || allocs[1] > bound {
+			t.Errorf("%v: %v allocations at 96 requests, %v at 960; want equal and at most %d",
+				d.Policy, allocs[0], allocs[1], bound)
+		}
+	}
+}
+
+// BenchmarkSimulate runs Simulate over every 7th configuration of a
+// profile's 384-point space (55 deployments across every replica count,
+// type, max-batch and policy), one seeded run each per op.
+func BenchmarkSimulate(b *testing.B) {
+	for _, profile := range Profiles() {
+		b.Run(profile, func(b *testing.B) {
+			env, err := NewProfileEnv(profile, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := env.Scenario()
+			var deps []Deployment
+			for id := 0; id < env.Space().Size(); id += 7 {
+				cfg, err := env.Space().Config(id)
+				if err != nil {
+					b.Fatal(err)
+				}
+				d, err := env.Deployment(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				deps = append(deps, d)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, d := range deps {
+					if _, err := Simulate(s, d, int64(j), nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
