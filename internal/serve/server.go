@@ -52,7 +52,13 @@ type Config struct {
 	Now func() time.Time
 	// EnvFactory rebuilds environments from specs. nil means BuildEnv; tests
 	// inject factories producing misbehaving environments (panics, blocking
-	// runs) to exercise the isolation paths.
+	// runs) to exercise the isolation paths. It is called concurrently, so it
+	// must be safe for concurrent use: creations call it from their request
+	// goroutines, and while New's rescan calls it, the campaigns whose
+	// environments it already built resume on other goroutines. The rescan
+	// itself calls it one persisted campaign at a time, in ID order: the
+	// factory sees only the EnvSpec, which campaigns may share, so that
+	// order is how a factory can tell them apart.
 	EnvFactory func(EnvSpec) (lynceus.Environment, error)
 	// Logf receives operational log lines. nil silences them.
 	Logf func(format string, args ...any)
@@ -291,16 +297,57 @@ func New(cfg Config) (*Server, error) {
 // but never stepped). A campaign that fails to resume is registered
 // quarantined with the failure as its reason — visible and reportable, never
 // silently dropped, and never fatal to the server.
+//
+// The environments are built here, one at a time in ID order (see
+// Config.EnvFactory), while min(GOMAXPROCS, campaigns) goroutines resume
+// each campaign as soon as its environment is ready. The campaigns are then
+// registered, counted and logged in ID order, as one goroutine would have.
+// A panic while resuming one is re-raised here, on New's goroutine, after
+// the join.
 func (s *Server) rescan() error {
 	specs, err := s.store.Specs()
 	if err != nil {
 		return err
 	}
-	for _, spec := range specs {
-		c := &campaign{spec: spec}
-		c.status = CampaignStatus{ID: spec.ID, State: StateActive, RemainingBudget: spec.Options.Budget}
-		if err := s.buildTuner(c); err != nil {
-			s.cfg.Logf("serve: campaign %s failed to resume: %v", spec.ID, err)
+	built := make([]*campaign, len(specs))
+	envs := make([]lynceus.Environment, len(specs))
+	errs := make([]error, len(specs))
+	// ready is sized to the campaigns so the builder never blocks on it, not
+	// even after every resumer has panicked.
+	ready := make(chan int, len(specs))
+	panics := make([]any, min(runtime.GOMAXPROCS(0), len(specs)))
+	var wg sync.WaitGroup
+	for w := range panics {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[w] = recover() }()
+			for i := range ready {
+				errs[i] = s.resumeTuner(built[i], envs[i])
+			}
+		}()
+	}
+	func() {
+		defer close(ready)
+		for i, spec := range specs {
+			c := &campaign{spec: spec}
+			c.status = CampaignStatus{ID: spec.ID, State: StateActive, RemainingBudget: spec.Options.Budget}
+			built[i] = c
+			if envs[i], errs[i] = s.buildEnv(spec); errs[i] == nil {
+				ready <- i
+			}
+		}
+	}()
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+
+	for i, c := range built {
+		if err := errs[i]; err != nil {
+			s.cfg.Logf("serve: campaign %s failed to resume: %v", c.spec.ID, err)
 			c.setStatus(func(st *CampaignStatus) {
 				st.State = StateQuarantined
 				st.QuarantineReason = fmt.Sprintf("resume failed: %v", err)
@@ -309,8 +356,8 @@ func (s *Server) rescan() error {
 			c.refreshStatus(0)
 			s.stats.resumedOnStart.Add(1)
 		}
-		s.campaigns[spec.ID] = c
-		s.cfg.Logf("serve: campaign %s rescanned (state %s, %d trials)", spec.ID, c.getStatus().State, c.getStatus().Trials)
+		s.campaigns[c.spec.ID] = c
+		s.cfg.Logf("serve: campaign %s rescanned (state %s, %d trials)", c.spec.ID, c.getStatus().State, c.getStatus().Trials)
 	}
 	return nil
 }
@@ -319,10 +366,25 @@ func (s *Server) rescan() error {
 // and latest snapshot. Caller must hold stepMu or otherwise own the campaign
 // exclusively.
 func (s *Server) buildTuner(c *campaign) error {
-	env, err := s.cfg.EnvFactory(c.spec.Env)
+	env, err := s.buildEnv(c.spec)
 	if err != nil {
-		return fmt.Errorf("building environment: %w", err)
+		return err
 	}
+	return s.resumeTuner(c, env)
+}
+
+// buildEnv rebuilds a campaign's environment from its spec.
+func (s *Server) buildEnv(spec CampaignSpec) (lynceus.Environment, error) {
+	env, err := s.cfg.EnvFactory(spec.Env)
+	if err != nil {
+		return nil, fmt.Errorf("building environment: %w", err)
+	}
+	return env, nil
+}
+
+// resumeTuner constructs a campaign's tuner on env from its latest snapshot,
+// or afresh when it has none. Caller must own the campaign exclusively.
+func (s *Server) resumeTuner(c *campaign, env lynceus.Environment) error {
 	snap, ok, err := s.store.Snapshot(c.spec.ID)
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/numeric"
 )
@@ -268,7 +269,8 @@ type TraceEvent struct {
 // share-weighted class marks), with uniform prompt/output token lengths. The
 // stream depends only on (scenario, seed).
 func GenerateRequests(s Scenario, seed int64) []Request {
-	rng := rand.New(rand.NewSource(numeric.Mix(seed, streamArrivals)))
+	rng := seededRand(numeric.Mix(seed, streamArrivals))
+	defer rngPool.Put(rng)
 	totalShare := 0.0
 	for _, c := range s.Classes {
 		totalShare += c.Share
@@ -305,6 +307,19 @@ const (
 	streamArrivals = 0x5A11
 	streamSteps    = 0x57E9
 )
+
+// rngPool recycles the generators of GenerateRequests and Simulate, whose
+// 607-word registers would otherwise be allocated afresh for every run.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRand returns a pooled generator with the stream of
+// rand.New(rand.NewSource(seed)): (*rand.Rand).Seed refills the register
+// exactly as rand.NewSource seeds it. Return it with rngPool.Put.
+func seededRand(seed int64) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
 
 // Events run in increasing (time, seq). Arrival i has seq i and each step
 // completion the next seq after every arrival's, in scheduling order, so an
@@ -449,7 +464,7 @@ func Simulate(s Scenario, d Deployment, seed int64, trace *[]TraceEvent) (Result
 		reqs:  GenerateRequests(s, seed),
 		insts: make([]instance, d.Replicas),
 		steps: make(stepQueue, 0, d.Replicas),
-		noise: rand.New(rand.NewSource(numeric.Mix(seed, streamSteps))),
+		noise: seededRand(numeric.Mix(seed, streamSteps)),
 		trace: trace,
 	}
 	sm.seq = len(sm.reqs)
@@ -489,6 +504,7 @@ func Simulate(s Scenario, d Deployment, seed int64, trace *[]TraceEvent) (Result
 		sm.stepComplete(e.time, e.inst)
 	}
 	sm.finishResult()
+	rngPool.Put(sm.noise)
 	return sm.result, nil
 }
 

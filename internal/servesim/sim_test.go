@@ -210,12 +210,17 @@ func TestNoiseSpreadZeroIsStillDeterministicAcrossSeeds(t *testing.T) {
 
 // TestSimulateAllocsFlat is the allocation ratchet of the event loop: an
 // untraced run allocates a fixed handful of buffers (the request stream, the
-// two RNGs, the instances, their running batches, the queues and the result
-// slices; 10 measured on go1.24) however many requests and decode steps it
-// simulates, under every policy. Ten times the request volume must not add
-// one allocation.
+// instances, their running batches, the queues and the result slices; its
+// two RNGs come from a pool; 7 measured on go1.24) however many requests and
+// decode steps it simulates, under every policy. Ten times the request
+// volume must not add one allocation. Under the race detector sync.Pool
+// drops a random quarter of what it is given, so the count is not
+// deterministic there and the ratchet runs only in race-free builds.
 func TestSimulateAllocsFlat(t *testing.T) {
-	const bound = 10
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const bound = 7
 	s, err := ProfileScenario("batch")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/cloud"
 	"repro/internal/configspace"
@@ -279,14 +280,17 @@ func abs(x int) int {
 	return x
 }
 
-// TensorflowJob generates the synthetic lookup table of one Tensorflow job.
-// The seed makes the per-configuration noise reproducible; the same seed
-// always yields the same dataset.
-func TensorflowJob(kind TensorflowKind, seed int64) (*dataset.Job, error) {
-	profile, err := tfProfileFor(kind)
-	if err != nil {
-		return nil, err
-	}
+// tfTable is the seed-independent half of every Tensorflow job's lookup
+// table: the configuration space and each configuration's decoded view,
+// indexed by configuration ID. It is built once, on first use, and read-only
+// after, so every job shares one Space (and its memoized digest).
+type tfTable struct {
+	space *configspace.Space
+	views []tfConfigView
+}
+
+// tensorflowTable returns the one shared tfTable.
+var tensorflowTable = sync.OnceValues(func() (*tfTable, error) {
 	space, err := TensorflowSpace()
 	if err != nil {
 		return nil, err
@@ -295,15 +299,33 @@ func TensorflowJob(kind TensorflowKind, seed int64) (*dataset.Job, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	jobSeed := numeric.Mix(seed, int64(kind)*7919)
-	measurements := make([]dataset.Measurement, 0, space.Size())
+	views := make([]tfConfigView, space.Size())
 	for _, cfg := range space.Configs() {
-		view, err := tfDecode(cfg, catalog)
-		if err != nil {
+		if views[cfg.ID], err = tfDecode(cfg, catalog); err != nil {
 			return nil, err
 		}
-		runtime := tfRuntime(profile, view, jobSeed, cfg.ID)
+	}
+	return &tfTable{space: space, views: views}, nil
+})
+
+// TensorflowJob generates the synthetic lookup table of one Tensorflow job.
+// The seed makes the per-configuration noise reproducible; the same seed
+// always yields the same dataset. Every job shares one read-only
+// configuration space.
+func TensorflowJob(kind TensorflowKind, seed int64) (*dataset.Job, error) {
+	profile, err := tfProfileFor(kind)
+	if err != nil {
+		return nil, err
+	}
+	table, err := tensorflowTable()
+	if err != nil {
+		return nil, err
+	}
+
+	jobSeed := numeric.Mix(seed, int64(kind)*7919)
+	measurements := make([]dataset.Measurement, len(table.views))
+	for id, view := range table.views {
+		runtime := tfRuntime(profile, view, jobSeed, id)
 		runtime, timedOut := clampTimeout(runtime, TensorflowTimeoutSeconds)
 		cost, err := view.cluster.Cost(runtime)
 		if err != nil {
@@ -311,16 +333,16 @@ func TensorflowJob(kind TensorflowKind, seed int64) (*dataset.Job, error) {
 		}
 		// Synthetic energy: proportional to machine-seconds weighted by vCPUs.
 		energy := runtime * float64(view.cluster.TotalVCPUs()+2) * 0.09 / 1000
-		measurements = append(measurements, dataset.Measurement{
-			ConfigID:         cfg.ID,
+		measurements[id] = dataset.Measurement{
+			ConfigID:         id,
 			RuntimeSeconds:   runtime,
 			UnitPricePerHour: view.cluster.PricePerHour(),
 			Cost:             cost,
 			TimedOut:         timedOut,
 			Extra:            map[string]float64{EnergyMetric: energy},
-		})
+		}
 	}
-	return dataset.NewJob(kind.String(), space, measurements, TensorflowTimeoutSeconds)
+	return dataset.NewJob(kind.String(), table.space, measurements, TensorflowTimeoutSeconds)
 }
 
 // TensorflowJobs generates the three Tensorflow jobs.

@@ -1,7 +1,11 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"sync"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 func TestTensorflowSpaceMatchesPaperCardinality(t *testing.T) {
@@ -263,6 +267,58 @@ func TestTensorflowCostConsistency(t *testing.T) {
 		want := m.RuntimeSeconds / 3600 * m.UnitPricePerHour
 		if diff := m.Cost - want; diff > 1e-9 || diff < -1e-9 {
 			t.Fatalf("config %d: cost %v inconsistent with runtime×price %v", m.ConfigID, m.Cost, want)
+		}
+	}
+}
+
+// TestTensorflowJobSharesOneTable calls TensorflowJob for the three kinds
+// from eight goroutines at once, each goroutine with its own seed: every
+// table must equal the serial call's bit for bit, and every job, whatever
+// its kind or seed, must hold the one shared configuration space.
+func TestTensorflowJobSharesOneTable(t *testing.T) {
+	const goroutines = 8
+	kinds := TensorflowKinds()
+	jobs := make([][]*dataset.Job, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, kind := range kinds {
+				job, err := TensorflowJob(kind, int64(g))
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				jobs[g] = append(jobs[g], job)
+			}
+		}()
+	}
+	wg.Wait()
+
+	digest := func(job *dataset.Job) [sha256.Size]byte {
+		h := sha256.New()
+		hashJob(h, job)
+		return [sha256.Size]byte(h.Sum(nil))
+	}
+	space := jobs[0][0].Space()
+	for g := range jobs {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		for i, kind := range kinds {
+			want, err := TensorflowJob(kind, int64(g))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := jobs[g][i]
+			if digest(got) != digest(want) {
+				t.Errorf("%s seed %d: concurrent table differs from the serial one", kind, g)
+			}
+			if got.Space() != space || want.Space() != space {
+				t.Errorf("%s seed %d: job holds its own configuration space, want the shared one", kind, g)
+			}
 		}
 	}
 }

@@ -37,7 +37,11 @@
 # multi-campaign batch (8 concurrent Tensorflow campaigns through one share
 # group vs share-nothing, gated on ns/campaign), and the serving simulator's
 # event loop alone (internal/servesim, 55 simulated runs per op, recorded
-# with allocs/op but not gated). Every benchmark
+# with allocs/op but not gated), and a server restart (internal/serve:
+# New + Close on a state dir of 24 mid-flight Tensorflow LA=2 campaigns,
+# reported as ns/campaign with allocs/op; not in the committed baseline, so
+# not gated; under the default GOMAXPROCS=1 pin its rescan runs on one
+# goroutine). Every benchmark
 # runs BENCH_COUNT times (default 3) and benchjson records the per-metric
 # MEDIAN — a single planner iteration is too noisy to detect real
 # regressions, and the medians (together with allocs/op on the planner
@@ -70,7 +74,7 @@ else
 	GOMAXPROCS=1
 	export GOMAXPROCS
 fi
-PATTERN="${BENCH_PATTERN:-BenchmarkPlannerLA2Tensorflow|BenchmarkPlannerLA3Tensorflow|BenchmarkEnsembleFitPredict|BenchmarkEnsembleSpeculateOutcome|BenchmarkEnsembleRefitIncremental|BenchmarkFullSpaceSweep|BenchmarkSnapshotRestore|BenchmarkSimulate}"
+PATTERN="${BENCH_PATTERN:-BenchmarkPlannerLA2Tensorflow|BenchmarkPlannerLA3Tensorflow|BenchmarkEnsembleFitPredict|BenchmarkEnsembleSpeculateOutcome|BenchmarkEnsembleRefitIncremental|BenchmarkFullSpaceSweep|BenchmarkSnapshotRestore|BenchmarkSimulate|BenchmarkServerRescan}"
 BENCHTIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-3}"
 # One op of these is a whole campaign or a batch of eight (0.2-4 s), so a
@@ -88,7 +92,7 @@ fi
 # broken benchmark must fail this script (CI relies on that).
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
-if ! go test -run 'XXX' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/servesim > "$RAW"; then
+if ! go test -run 'XXX' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/servesim ./internal/serve > "$RAW"; then
 	cat "$RAW" >&2
 	echo "bench.sh: go test -bench failed" >&2
 	exit 1
