@@ -64,7 +64,7 @@ func Example_quickstart() {
 			ConfigID: cfg.ID, RuntimeSeconds: runtime, UnitPricePerHour: price, Cost: runtime / 3600 * price,
 		}
 	}
-	job := must(lynceus.NewJob("quickstart", space, measurements, 0))
+	job := must(lynceus.NewJob("quickstart", space, measurements, 0, nil))
 	env := must(lynceus.NewJobEnvironment(job))
 
 	res := must(lynceus.Tune(env, lynceus.Options{Budget: 5 * job.MeanCost(), MaxRuntimeSeconds: 1800, Seed: 1}))

@@ -24,6 +24,7 @@ func fixtureJob(t *testing.T) *dataset.Job {
 		t.Fatalf("configspace.New error: %v", err)
 	}
 	measurements := make([]dataset.Measurement, space.Size())
+	energy := make([]float64, space.Size())
 	for _, cfg := range space.Configs() {
 		param := cfg.Features[0]
 		cluster := cfg.Features[1]
@@ -35,10 +36,10 @@ func fixtureJob(t *testing.T) *dataset.Job {
 			RuntimeSeconds:   runtime,
 			UnitPricePerHour: price,
 			Cost:             runtime / 3600 * price,
-			Extra:            map[string]float64{"energy": runtime * cluster / 100},
 		}
+		energy[cfg.ID] = runtime * cluster / 100
 	}
-	job, err := dataset.NewJob("baseline-fixture", space, measurements, 0)
+	job, err := dataset.NewJob("baseline-fixture", space, measurements, 0, map[string][]float64{"energy": energy})
 	if err != nil {
 		t.Fatalf("NewJob error: %v", err)
 	}
@@ -298,7 +299,7 @@ func TestDisjointUpperBoundsAndCanMissOptimum(t *testing.T) {
 			Cost:             c,
 		}
 	}
-	job, err := dataset.NewJob("disjoint-fixture", space, measurements, 0)
+	job, err := dataset.NewJob("disjoint-fixture", space, measurements, 0, nil)
 	if err != nil {
 		t.Fatalf("NewJob error: %v", err)
 	}

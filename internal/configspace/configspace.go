@@ -439,6 +439,19 @@ func (s *Space) Describe(c Config) string {
 	return strings.Join(parts, " ")
 }
 
+// AppendIndices appends the per-dimension value indices of the configuration
+// with the given ID to dst and returns the extended slice, so a caller
+// decoding every configuration can reuse one buffer.
+func (s *Space) AppendIndices(dst []int, id int) ([]int, error) {
+	if err := s.checkID(id); err != nil {
+		return dst, err
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, len(s.dims))[:n+len(s.dims)]
+	s.decodeIndices(s.flatOf(id), dst[n:])
+	return dst, nil
+}
+
 // AppendFeatures appends the feature vector of the configuration with the
 // given ID to dst and returns the extended slice. It lets callers batch many
 // decoded rows into one arena without per-row allocations.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -316,7 +317,8 @@ func enumerate(dims []Dimension, filter Filter) []Config {
 
 // TestDecodeMatchesEnumeration pins on-demand decoding to a plain enumeration
 // of the (filtered) cross-product: same size, IDs, indices and features from
-// Config, AppendFeatures and FeatureColumns, and IDOfIndices inverts Config.
+// Config, AppendIndices, AppendFeatures and FeatureColumns, and IDOfIndices
+// inverts Config.
 func TestDecodeMatchesEnumeration(t *testing.T) {
 	for _, filter := range []Filter{nil, evenFilter} {
 		s, err := New(testDims(), filter)
@@ -336,6 +338,14 @@ func TestDecodeMatchesEnumeration(t *testing.T) {
 			row, err := s.AppendFeatures(nil, id)
 			if err != nil {
 				t.Fatalf("AppendFeatures(%d): %v", id, err)
+			}
+			prefix := []int{-7}
+			indices, err := s.AppendIndices(prefix, id)
+			if err != nil {
+				t.Fatalf("AppendIndices(%d): %v", id, err)
+			}
+			if !slices.Equal(indices, append([]int{-7}, w.Indices...)) {
+				t.Fatalf("AppendIndices(%d) = %v, want [-7 %v]", id, indices, w.Indices)
 			}
 			if got.ID != id {
 				t.Fatalf("Config(%d).ID = %d", id, got.ID)
@@ -501,6 +511,9 @@ func TestAppendFeaturesArena(t *testing.T) {
 	}
 	if _, err := s.AppendFeatures(nil, s.Size()); err == nil {
 		t.Fatal("AppendFeatures accepted an out-of-range ID")
+	}
+	if _, err := s.AppendIndices(nil, s.Size()); err == nil {
+		t.Fatal("AppendIndices accepted an out-of-range ID")
 	}
 }
 

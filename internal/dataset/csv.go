@@ -34,7 +34,11 @@ func WriteCSV(w io.Writer, job *Job) error {
 	}
 
 	dims := job.Space().Dimensions()
-	extraNames := collectExtraNames(job.Measurements())
+	extraNames := job.ExtraNames()
+	extraCols := make([][]float64, len(extraNames))
+	for k, name := range extraNames {
+		extraCols[k] = job.ExtraMetric(name)
+	}
 
 	cw := csv.NewWriter(w)
 	header := make([]string, 0, len(dims)+4+len(extraNames))
@@ -64,8 +68,8 @@ func WriteCSV(w io.Writer, job *Job) error {
 			strconv.FormatFloat(m.Cost, 'g', -1, 64),
 			strconv.FormatBool(m.TimedOut),
 		)
-		for _, name := range extraNames {
-			row = append(row, strconv.FormatFloat(m.Extra[name], 'g', -1, 64))
+		for _, col := range extraCols {
+			row = append(row, strconv.FormatFloat(col[m.ConfigID], 'g', -1, 64))
 		}
 		if err := cw.Write(row); err != nil {
 			return fmt.Errorf("dataset: writing CSV row for config %d: %w", m.ConfigID, err)
@@ -76,21 +80,6 @@ func WriteCSV(w io.Writer, job *Job) error {
 		return fmt.Errorf("dataset: flushing CSV: %w", err)
 	}
 	return nil
-}
-
-func collectExtraNames(measurements []Measurement) []string {
-	set := make(map[string]struct{})
-	for _, m := range measurements {
-		for name := range m.Extra {
-			set[name] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // csvRow is a parsed CSV data row prior to space construction.
@@ -149,11 +138,20 @@ func ReadCSV(r io.Reader) (*Job, error) {
 	}
 
 	rows := make([]csvRow, 0, len(records)-1)
+	// extra[name][i] is the metric of data row i, the order of measurements
+	// below.
+	var extra map[string][]float64
+	if len(extraCols) > 0 {
+		extra = make(map[string][]float64, len(extraCols))
+		for name := range extraCols {
+			extra[name] = make([]float64, len(records)-1)
+		}
+	}
 	for i, rec := range records[1:] {
 		if len(rec) != len(header) {
 			return nil, fmt.Errorf("dataset: row %d has %d cells, want %d", i+1, len(rec), len(header))
 		}
-		row, err := parseRow(rec, dimCols, fixedCols, extraCols, header)
+		row, err := parseRow(rec, dimCols, fixedCols, extraCols, i, extra)
 		if err != nil {
 			return nil, fmt.Errorf("dataset: row %d: %w", i+1, err)
 		}
@@ -175,7 +173,7 @@ func ReadCSV(r io.Reader) (*Job, error) {
 		m.ConfigID = id
 		measurements = append(measurements, m)
 	}
-	return NewJob(name, space, measurements, timeout)
+	return NewJob(name, space, measurements, timeout, extra)
 }
 
 // classifyColumns splits the header into dimension columns, fixed columns and
@@ -204,7 +202,8 @@ func classifyColumns(header []string) (dimCols []int, fixedCols map[string]int, 
 	return dimCols, fixedCols, extraCols, nil
 }
 
-func parseRow(rec []string, dimCols []int, fixedCols, extraCols map[string]int, header []string) (csvRow, error) {
+// parseRow parses data row i, writing its extra metrics into extra[name][i].
+func parseRow(rec []string, dimCols []int, fixedCols, extraCols map[string]int, i int, extra map[string][]float64) (csvRow, error) {
 	row := csvRow{dimCells: make([]string, 0, len(dimCols))}
 	for _, c := range dimCols {
 		row.dimCells = append(row.dimCells, strings.TrimSpace(rec[c]))
@@ -238,15 +237,12 @@ func parseRow(rec []string, dimCols []int, fixedCols, extraCols map[string]int, 
 		Cost:             cost,
 		TimedOut:         timedOut,
 	}
-	if len(extraCols) > 0 {
-		row.m.Extra = make(map[string]float64, len(extraCols))
-		for name, c := range extraCols {
-			v, err := strconv.ParseFloat(strings.TrimSpace(rec[c]), 64)
-			if err != nil {
-				return csvRow{}, fmt.Errorf("parsing %s%s: %w", extraPrefix, name, err)
-			}
-			row.m.Extra[name] = v
+	for name, c := range extraCols {
+		v, err := strconv.ParseFloat(strings.TrimSpace(rec[c]), 64)
+		if err != nil {
+			return csvRow{}, fmt.Errorf("parsing %s%s: %w", extraPrefix, name, err)
 		}
+		extra[name][i] = v
 	}
 	return row, nil
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"maps"
 	"math"
 	"strings"
 	"testing"
@@ -53,8 +54,10 @@ func TestCSVRoundTrip(t *testing.T) {
 		if math.Abs(m.Cost-orig.Cost) > 1e-9 {
 			t.Errorf("%q cost = %v, want %v", desc, m.Cost, orig.Cost)
 		}
-		if math.Abs(m.Extra["energy"]-orig.Extra["energy"]) > 1e-9 {
-			t.Errorf("%q energy = %v, want %v", desc, m.Extra["energy"], orig.Extra["energy"])
+		// Both extra metrics survive the round trip bit for bit.
+		got, want := parsed.Extra(m.ConfigID), job.Extra(orig.ConfigID)
+		if len(got) != 2 || !maps.Equal(got, want) {
+			t.Errorf("%q extra metrics = %v, want %v", desc, got, want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/configspace"
@@ -33,9 +34,6 @@ type Measurement struct {
 	Cost float64
 	// TimedOut reports whether the job hit the forceful-termination timeout.
 	TimedOut bool
-	// Extra holds additional constraint metrics (e.g. energy in joules) used
-	// by the multi-constraint extension.
-	Extra map[string]float64
 }
 
 // Validate checks that the measurement is internally consistent.
@@ -56,19 +54,32 @@ func (m Measurement) Validate() error {
 }
 
 // Job is a profiled job: a configuration space plus one measurement per
-// configuration.
+// configuration, and the extra constraint metrics (e.g. energy) kept
+// column-wise.
 type Job struct {
-	name           string
-	space          *configspace.Space
-	measurements   []Measurement
+	name         string
+	space        *configspace.Space
+	measurements []Measurement
+	// extraNames lists the extra metrics in sorted order; extraCols[k][id]
+	// is metric extraNames[k] of configuration id.
+	extraNames     []string
+	extraCols      [][]float64
 	timeoutSeconds float64
 }
 
 // NewJob builds a Job. measurements must contain exactly one entry per
-// configuration of the space (matched by ConfigID). timeoutSeconds is the
-// forceful-termination limit used when the data was collected; pass 0 when no
-// timeout applies.
-func NewJob(name string, space *configspace.Space, measurements []Measurement, timeoutSeconds float64) (*Job, error) {
+// configuration of the space (matched by ConfigID). extra holds the
+// additional constraint metrics of the multi-constraint extension, one column
+// per metric name: extra[name][i] is the metric of measurements[i]. Every
+// column holds a non-NaN value for every measurement, so a job records a
+// metric on every configuration or on none. Pass nil when the job has no
+// extra metrics. timeoutSeconds is the forceful-termination limit
+// used when the data was collected; pass 0 when no timeout applies.
+//
+// The Job keeps measurements and the extra columns when measurements is
+// already in configuration-ID order, and copies them into ID order
+// otherwise; callers must not modify them afterwards.
+func NewJob(name string, space *configspace.Space, measurements []Measurement, timeoutSeconds float64, extra map[string][]float64) (*Job, error) {
 	if name == "" {
 		return nil, errors.New("dataset: job requires a name")
 	}
@@ -78,32 +89,81 @@ func NewJob(name string, space *configspace.Space, measurements []Measurement, t
 	if timeoutSeconds < 0 {
 		return nil, fmt.Errorf("dataset: negative timeout %v", timeoutSeconds)
 	}
-	if len(measurements) != space.Size() {
+	n := space.Size()
+	if len(measurements) != n {
 		return nil, fmt.Errorf("dataset: %d measurements for a space of %d configurations",
-			len(measurements), space.Size())
+			len(measurements), n)
 	}
-	indexed := make([]Measurement, space.Size())
-	seen := make([]bool, space.Size())
-	for _, m := range measurements {
+	inOrder := true
+	for i := range measurements {
+		m := &measurements[i]
 		if err := m.Validate(); err != nil {
 			return nil, err
 		}
-		if m.ConfigID >= space.Size() {
+		if m.ConfigID >= n {
 			return nil, fmt.Errorf("dataset: measurement for config %d outside space of size %d",
-				m.ConfigID, space.Size())
+				m.ConfigID, n)
 		}
-		if seen[m.ConfigID] {
-			return nil, fmt.Errorf("dataset: duplicate measurement for config %d", m.ConfigID)
+		inOrder = inOrder && m.ConfigID == i
+	}
+	var names []string
+	var cols [][]float64
+	if len(extra) > 0 {
+		names = make([]string, 0, len(extra))
+		for metric := range extra {
+			names = append(names, metric)
 		}
-		seen[m.ConfigID] = true
-		indexed[m.ConfigID] = m
+		slices.Sort(names)
+		cols = make([][]float64, len(names))
+		for k, metric := range names {
+			col := extra[metric]
+			if len(col) != n {
+				return nil, fmt.Errorf("dataset: extra metric %q has %d values for %d measurements",
+					metric, len(col), n)
+			}
+			if i := slices.IndexFunc(col, math.IsNaN); i >= 0 {
+				return nil, fmt.Errorf("dataset: extra metric %q is NaN for config %d",
+					metric, measurements[i].ConfigID)
+			}
+			cols[k] = col
+		}
+	}
+	if !inOrder {
+		var err error
+		if measurements, cols, err = orderByID(measurements, cols); err != nil {
+			return nil, err
+		}
 	}
 	return &Job{
 		name:           name,
 		space:          space,
-		measurements:   indexed,
+		measurements:   measurements,
+		extraNames:     names,
+		extraCols:      cols,
 		timeoutSeconds: timeoutSeconds,
 	}, nil
+}
+
+// orderByID copies measurements and the extra columns aligned with them
+// into configuration-ID order, rejecting a configuration measured twice.
+func orderByID(measurements []Measurement, cols [][]float64) ([]Measurement, [][]float64, error) {
+	indexed := make([]Measurement, len(measurements))
+	seen := make([]bool, len(measurements))
+	for _, m := range measurements {
+		if seen[m.ConfigID] {
+			return nil, nil, fmt.Errorf("dataset: duplicate measurement for config %d", m.ConfigID)
+		}
+		seen[m.ConfigID] = true
+		indexed[m.ConfigID] = m
+	}
+	ordered := make([][]float64, len(cols))
+	for k, col := range cols {
+		ordered[k] = make([]float64, len(col))
+		for i, v := range col {
+			ordered[k][measurements[i].ConfigID] = v
+		}
+	}
+	return indexed, ordered, nil
 }
 
 // Name returns the job's name.
@@ -131,6 +191,33 @@ func (j *Job) Measurement(configID int) (Measurement, error) {
 func (j *Job) Measurements() []Measurement {
 	out := make([]Measurement, len(j.measurements))
 	copy(out, j.measurements)
+	return out
+}
+
+// ExtraNames returns the names of the job's extra metrics, sorted.
+func (j *Job) ExtraNames() []string { return slices.Clone(j.extraNames) }
+
+// ExtraMetric returns a copy of the named extra metric's column, indexed by
+// configuration ID, or nil when the job does not record that metric.
+func (j *Job) ExtraMetric(name string) []float64 {
+	k, ok := slices.BinarySearch(j.extraNames, name)
+	if !ok {
+		return nil
+	}
+	return slices.Clone(j.extraCols[k])
+}
+
+// Extra returns the extra metrics of one configuration in a fresh map owned
+// by the caller, or nil when the job records no extra metrics. configID must
+// be in range, as Measurement checks.
+func (j *Job) Extra(configID int) map[string]float64 {
+	if len(j.extraNames) == 0 {
+		return nil
+	}
+	out := make(map[string]float64, len(j.extraNames))
+	for k, name := range j.extraNames {
+		out[name] = j.extraCols[k][configID]
+	}
 	return out
 }
 

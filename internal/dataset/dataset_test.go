@@ -3,12 +3,14 @@ package dataset
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/configspace"
 )
 
-// testJob builds a small 2x3 job with hand-picked runtimes and prices.
+// testJob builds a small 2x3 job with hand-picked runtimes and prices, and
+// two extra metrics: energy and carbon.
 func testJob(t *testing.T) *Job {
 	t.Helper()
 	space, err := configspace.New([]configspace.Dimension{
@@ -23,16 +25,19 @@ func testJob(t *testing.T) *Job {
 	runtimes := []float64{1000, 600, 400, 500, 300, 200}
 	prices := []float64{0.2, 0.4, 0.8, 0.6, 1.2, 2.4}
 	measurements := make([]Measurement, space.Size())
+	energy := make([]float64, space.Size())
+	carbon := make([]float64, space.Size())
 	for id := 0; id < space.Size(); id++ {
 		measurements[id] = Measurement{
 			ConfigID:         id,
 			RuntimeSeconds:   runtimes[id],
 			UnitPricePerHour: prices[id],
 			Cost:             runtimes[id] / 3600 * prices[id],
-			Extra:            map[string]float64{"energy": float64(id) * 10},
 		}
+		energy[id] = float64(id) * 10
+		carbon[id] = 0.1 + float64(id)/3
 	}
-	job, err := NewJob("test-job", space, measurements, 1200)
+	job, err := NewJob("test-job", space, measurements, 1200, map[string][]float64{"energy": energy, "carbon": carbon})
 	if err != nil {
 		t.Fatalf("NewJob error: %v", err)
 	}
@@ -56,6 +61,7 @@ func TestNewJobValidation(t *testing.T) {
 		space        *configspace.Space
 		measurements []Measurement
 		timeout      float64
+		extra        map[string][]float64
 	}{
 		{name: "empty name", jobName: "", space: space, measurements: good},
 		{name: "nil space", jobName: "j", space: nil, measurements: good},
@@ -64,16 +70,101 @@ func TestNewJobValidation(t *testing.T) {
 		{name: "duplicate config", jobName: "j", space: space, measurements: []Measurement{good[0], good[0]}},
 		{name: "out of range config", jobName: "j", space: space, measurements: []Measurement{good[0], {ConfigID: 9, RuntimeSeconds: 1, UnitPricePerHour: 1}}},
 		{name: "invalid measurement", jobName: "j", space: space, measurements: []Measurement{good[0], {ConfigID: 1, RuntimeSeconds: -1, UnitPricePerHour: 1}}},
+		// A metric recorded on only some configurations (a ragged metric
+		// set) has no column form: a short column or a NaN cell is refused.
+		{name: "short extra column", jobName: "j", space: space, measurements: good, extra: map[string][]float64{"energy": {1}}},
+		{name: "long extra column", jobName: "j", space: space, measurements: good, extra: map[string][]float64{"energy": {1, 2, 3}}},
+		{name: "NaN extra value", jobName: "j", space: space, measurements: good, extra: map[string][]float64{"energy": {1, math.NaN()}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewJob(tt.jobName, tt.space, tt.measurements, tt.timeout); err == nil {
+			if _, err := NewJob(tt.jobName, tt.space, tt.measurements, tt.timeout, tt.extra); err == nil {
 				t.Error("expected error, got nil")
 			}
 		})
 	}
-	if _, err := NewJob("ok", space, good, 0); err != nil {
+	if _, err := NewJob("ok", space, good, 0, nil); err != nil {
 		t.Errorf("valid job rejected: %v", err)
+	}
+	if _, err := NewJob("ok", space, good, 0, map[string][]float64{"energy": {1, math.Inf(1)}}); err != nil {
+		t.Errorf("valid job with an extra metric rejected: %v", err)
+	}
+}
+
+// TestNewJobOrdersMeasurements: measurements passed out of ID order are
+// stored by ID, and each extra value follows its measurement.
+func TestNewJobOrdersMeasurements(t *testing.T) {
+	space, err := configspace.New([]configspace.Dimension{{Name: "a", Values: []float64{1, 2, 3}}}, nil)
+	if err != nil {
+		t.Fatalf("configspace.New error: %v", err)
+	}
+	measurements := []Measurement{
+		{ConfigID: 2, RuntimeSeconds: 30, UnitPricePerHour: 1, Cost: 30.0 / 3600},
+		{ConfigID: 0, RuntimeSeconds: 10, UnitPricePerHour: 1, Cost: 10.0 / 3600},
+		{ConfigID: 1, RuntimeSeconds: 20, UnitPricePerHour: 1, Cost: 20.0 / 3600},
+	}
+	job, err := NewJob("shuffled", space, measurements, 0, map[string][]float64{"energy": {300, 100, 200}})
+	if err != nil {
+		t.Fatalf("NewJob error: %v", err)
+	}
+	for id := range 3 {
+		m, err := job.Measurement(id)
+		if err != nil {
+			t.Fatalf("Measurement(%d) error: %v", id, err)
+		}
+		if m.ConfigID != id || m.RuntimeSeconds != float64(10*(id+1)) {
+			t.Errorf("Measurement(%d) = %+v", id, m)
+		}
+		if got := job.Extra(id)["energy"]; got != float64(100*(id+1)) {
+			t.Errorf("Extra(%d)[energy] = %v, want %v", id, got, 100*(id+1))
+		}
+	}
+	if got := job.ExtraMetric("energy"); !slices.Equal(got, []float64{100, 200, 300}) {
+		t.Errorf("ExtraMetric(energy) = %v, want [100 200 300]", got)
+	}
+}
+
+func TestExtraMetrics(t *testing.T) {
+	job := testJob(t)
+	if got := job.ExtraNames(); !slices.Equal(got, []string{"carbon", "energy"}) {
+		t.Errorf("ExtraNames = %v, want [carbon energy]", got)
+	}
+	if got := job.ExtraMetric("missing"); got != nil {
+		t.Errorf("ExtraMetric(missing) = %v, want nil", got)
+	}
+	extra := job.Extra(4)
+	if len(extra) != 2 || extra["energy"] != 40 || extra["carbon"] != 0.1+4.0/3 {
+		t.Errorf("Extra(4) = %v", extra)
+	}
+	// Every call hands out a fresh map and a fresh column.
+	extra["energy"] = -1
+	job.ExtraMetric("energy")[4] = -1
+	if got := job.Extra(4)["energy"]; got != 40 {
+		t.Errorf("Extra(4)[energy] after mutating a returned copy = %v, want 40", got)
+	}
+	space, err := configspace.New([]configspace.Dimension{{Name: "a", Values: []float64{1}}}, nil)
+	if err != nil {
+		t.Fatalf("configspace.New error: %v", err)
+	}
+	bare, err := NewJob("bare", space, []Measurement{{ConfigID: 0, RuntimeSeconds: 1, UnitPricePerHour: 1}}, 0, nil)
+	if err != nil {
+		t.Fatalf("NewJob error: %v", err)
+	}
+	if bare.Extra(0) != nil || bare.ExtraNames() != nil {
+		t.Errorf("job without extra metrics: Extra(0) = %v, ExtraNames = %v, want nil", bare.Extra(0), bare.ExtraNames())
+	}
+}
+
+// TestMeasurementDoesNotAllocate: replaying a stored measurement is free.
+func TestMeasurementDoesNotAllocate(t *testing.T) {
+	job := testJob(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := job.Measurement(3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Measurement allocates %v times, want 0", allocs)
 	}
 }
 
@@ -172,7 +263,7 @@ func TestTimedOutConfigsAreInfeasible(t *testing.T) {
 		{ConfigID: 0, RuntimeSeconds: 600, UnitPricePerHour: 1, Cost: 600.0 / 3600, TimedOut: true},
 		{ConfigID: 1, RuntimeSeconds: 300, UnitPricePerHour: 1, Cost: 300.0 / 3600},
 	}
-	job, err := NewJob("timeouts", space, measurements, 600)
+	job, err := NewJob("timeouts", space, measurements, 600, nil)
 	if err != nil {
 		t.Fatalf("NewJob error: %v", err)
 	}

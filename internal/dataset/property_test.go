@@ -27,6 +27,7 @@ func randomJob(rng *rand.Rand) (*Job, error) {
 		return nil, err
 	}
 	measurements := make([]Measurement, space.Size())
+	energy := make([]float64, space.Size())
 	for id := 0; id < space.Size(); id++ {
 		runtime := rng.Float64()*3000 + 1
 		price := rng.Float64()*2 + 0.01
@@ -36,10 +37,10 @@ func randomJob(rng *rand.Rand) (*Job, error) {
 			UnitPricePerHour: price,
 			Cost:             runtime / 3600 * price,
 			TimedOut:         rng.Float64() < 0.1,
-			Extra:            map[string]float64{"energy": rng.Float64() * 100},
 		}
+		energy[id] = rng.Float64() * 100
 	}
-	return NewJob("property-job", space, measurements, 3600)
+	return NewJob("property-job", space, measurements, 3600, map[string][]float64{"energy": energy})
 }
 
 // TestQuickCSVRoundTripPreservesMeasurements: writing a job to CSV and
@@ -85,7 +86,7 @@ func TestQuickCSVRoundTripPreservesMeasurements(t *testing.T) {
 			if math.Abs(m.RuntimeSeconds-orig.RuntimeSeconds) > 1e-6 ||
 				math.Abs(m.Cost-orig.Cost) > 1e-6 ||
 				m.TimedOut != orig.TimedOut ||
-				math.Abs(m.Extra["energy"]-orig.Extra["energy"]) > 1e-6 {
+				math.Abs(parsed.Extra(m.ConfigID)["energy"]-job.Extra(orig.ConfigID)["energy"]) > 1e-6 {
 				return false
 			}
 		}

@@ -31,7 +31,7 @@ func fixtureEnv(t *testing.T) *optimizer.JobEnvironment {
 			Cost:             runtime / 3600 * price,
 		}
 	}
-	job, err := dataset.NewJob("fixture", space, measurements, 0)
+	job, err := dataset.NewJob("fixture", space, measurements, 0, nil)
 	if err != nil {
 		t.Fatalf("NewJob: %v", err)
 	}

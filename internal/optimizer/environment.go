@@ -33,18 +33,12 @@ func (e *JobEnvironment) Job() *dataset.Job { return e.job }
 // Space implements Environment.
 func (e *JobEnvironment) Space() *configspace.Space { return e.job.Space() }
 
-// Run implements Environment by replaying the stored measurement.
+// Run implements Environment by replaying the stored measurement. Every
+// trial gets its own Extra map.
 func (e *JobEnvironment) Run(cfg configspace.Config) (TrialResult, error) {
 	m, err := e.job.Measurement(cfg.ID)
 	if err != nil {
 		return TrialResult{}, fmt.Errorf("optimizer: replaying config %d: %w", cfg.ID, err)
-	}
-	extra := map[string]float64(nil)
-	if len(m.Extra) > 0 {
-		extra = make(map[string]float64, len(m.Extra))
-		for k, v := range m.Extra {
-			extra[k] = v
-		}
 	}
 	return TrialResult{
 		Config:           cfg.Clone(),
@@ -52,7 +46,7 @@ func (e *JobEnvironment) Run(cfg configspace.Config) (TrialResult, error) {
 		UnitPricePerHour: m.UnitPricePerHour,
 		Cost:             m.Cost,
 		TimedOut:         m.TimedOut,
-		Extra:            extra,
+		Extra:            e.job.Extra(cfg.ID),
 	}, nil
 }
 

@@ -21,6 +21,7 @@ func fixtureJob(t *testing.T) *dataset.Job {
 		t.Fatalf("configspace.New error: %v", err)
 	}
 	measurements := make([]dataset.Measurement, space.Size())
+	energy := make([]float64, space.Size())
 	for id := 0; id < space.Size(); id++ {
 		runtime := float64(1200 - 90*id)
 		price := 0.5 + 0.1*float64(id)
@@ -29,10 +30,10 @@ func fixtureJob(t *testing.T) *dataset.Job {
 			RuntimeSeconds:   runtime,
 			UnitPricePerHour: price,
 			Cost:             runtime / 3600 * price,
-			Extra:            map[string]float64{"energy": float64(100 - id)},
 		}
+		energy[id] = float64(100 - id)
 	}
-	job, err := dataset.NewJob("fixture", space, measurements, 0)
+	job, err := dataset.NewJob("fixture", space, measurements, 0, map[string][]float64{"energy": energy})
 	if err != nil {
 		t.Fatalf("NewJob error: %v", err)
 	}
@@ -253,12 +254,51 @@ func TestJobEnvironment(t *testing.T) {
 	if math.Abs(price-(0.5+0.1*7)) > 1e-12 {
 		t.Errorf("price = %v", price)
 	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = env.UnitPricePerHour(cfg) }); allocs != 0 {
+		t.Errorf("UnitPricePerHour allocates %v times, want 0", allocs)
+	}
+	// Each trial owns its Extra map: mutating one leaves the next untouched.
+	trial.Extra["energy"] = -1
+	trial.Extra["stray"] = 1
+	again, err := env.Run(cfg)
+	if err != nil {
+		t.Fatalf("Run error: %v", err)
+	}
+	if len(again.Extra) != 1 || again.Extra["energy"] != 93 {
+		t.Errorf("second Run Extra = %v, want map[energy:93]", again.Extra)
+	}
 	bad := configspace.Config{ID: 999}
 	if _, err := env.Run(bad); err == nil {
 		t.Error("running an out-of-space config should error")
 	}
 	if _, err := env.UnitPricePerHour(bad); err == nil {
 		t.Error("pricing an out-of-space config should error")
+	}
+}
+
+// TestJobEnvironmentMissingMetricIsInfeasible: a table that does not record
+// a constrained metric replays trials without it, and every such trial reads
+// as infeasible under the constraint.
+func TestJobEnvironmentMissingMetricIsInfeasible(t *testing.T) {
+	env := fixtureEnv(t)
+	for id := range env.Space().Size() {
+		cfg, err := env.Space().Config(id)
+		if err != nil {
+			t.Fatalf("Config error: %v", err)
+		}
+		trial, err := env.Run(cfg)
+		if err != nil {
+			t.Fatalf("Run error: %v", err)
+		}
+		if _, ok := trial.Extra["carbon"]; ok {
+			t.Fatalf("config %d: trial carries a metric the table lacks: %v", id, trial.Extra)
+		}
+		if trial.Feasible(1e9, []Constraint{{Metric: "carbon", Max: math.Inf(1)}}) {
+			t.Errorf("config %d: trial without the constrained metric reads as feasible", id)
+		}
+		if !trial.Feasible(1e9, []Constraint{{Metric: "energy", Max: 100}}) {
+			t.Errorf("config %d: trial within the recorded metric's bound reads as infeasible", id)
+		}
 	}
 }
 

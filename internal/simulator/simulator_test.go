@@ -34,7 +34,7 @@ func fixtureJob(t *testing.T) *dataset.Job {
 			Cost:             runtime / 3600 * price,
 		}
 	}
-	job, err := dataset.NewJob("sim-fixture", space, measurements, 0)
+	job, err := dataset.NewJob("sim-fixture", space, measurements, 0, nil)
 	if err != nil {
 		t.Fatalf("NewJob error: %v", err)
 	}

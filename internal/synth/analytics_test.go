@@ -1,7 +1,11 @@
 package synth
 
 import (
+	"math"
+	"math/rand"
 	"testing"
+
+	"repro/internal/numeric"
 )
 
 func TestScoutSpaceCardinality(t *testing.T) {
@@ -145,6 +149,31 @@ func TestCherryPickJobs(t *testing.T) {
 	}
 }
 
+// TestCherryPickTableAllocsFlat: filling a CherryPick job's table allocates
+// a constant number of times whatever the job's size (51 to 72
+// configurations): the catalog, one lookup per VM type, the noise stream,
+// the measurements and the Job. The space alone is measured apart and
+// subtracted, since its list of filtered IDs grows by append.
+func TestCherryPickTableAllocsFlat(t *testing.T) {
+	const bound = 30
+	for _, spec := range cherrypickSpecs {
+		space := testing.AllocsPerRun(10, func() {
+			if _, err := cherrypickSpace(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		job := testing.AllocsPerRun(10, func() {
+			if _, err := cherrypickJobFromSpec(spec, 42); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if table := job - space; table > bound {
+			t.Errorf("%s: %v allocations besides the space's %v, want at most %d",
+				spec.profile.name, table, space, bound)
+		}
+	}
+}
+
 func TestCherryPickNotAllCombinationsPresent(t *testing.T) {
 	// At least one job must have a restricted space (fewer than the full 72
 	// combinations), mirroring the varying cardinality of the original data.
@@ -200,21 +229,44 @@ func TestAnalyticsJobsCostReasonable(t *testing.T) {
 }
 
 func TestNoiseIsDeterministicAndCentered(t *testing.T) {
-	if noise(1, 5, 0.1) != noise(1, 5, 0.1) {
+	noise := newNoiseStream(1)
+	if noise.factor(5, 0.1) != newNoiseStream(1).factor(5, 0.1) {
 		t.Error("noise not deterministic")
 	}
-	if noise(1, 5, 0.1) == noise(1, 6, 0.1) {
+	if noise.factor(5, 0.1) == noise.factor(6, 0.1) {
 		t.Error("noise identical for different configs")
 	}
 	// Average over many configs should be close to 1.
+	noise = newNoiseStream(7)
 	sum := 0.0
 	n := 2000
 	for i := 0; i < n; i++ {
-		sum += noise(7, i, 0.05)
+		sum += noise.factor(i, 0.05)
 	}
 	mean := sum / float64(n)
 	if mean < 0.97 || mean > 1.03 {
 		t.Errorf("noise mean = %v, want ~1", mean)
+	}
+}
+
+// TestNoiseStreamIsPerConfiguration: one re-seeded stream gives every
+// configuration the factor of a fresh math/rand generator seeded with
+// numeric.Mix(seed, id), whatever order the configurations are drawn in.
+func TestNoiseStreamIsPerConfiguration(t *testing.T) {
+	const seed, spread, n = 42, 0.06, 500
+	want := make([]float64, n)
+	for id := range want {
+		rng := rand.New(rand.NewSource(numeric.Mix(seed, int64(id))))
+		want[id] = math.Exp(rng.NormFloat64() * spread)
+	}
+	noise := newNoiseStream(seed)
+	for id := n - 1; id >= 0; id-- {
+		if got := noise.factor(id, spread); math.Float64bits(got) != math.Float64bits(want[id]) {
+			t.Fatalf("config %d: stream factor %v, fresh generator %v", id, got, want[id])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { noise.factor(3, spread) }); allocs != 0 {
+		t.Errorf("factor allocates %v times, want 0", allocs)
 	}
 }
 

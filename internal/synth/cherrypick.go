@@ -1,7 +1,6 @@
 package synth
 
 import (
-	"repro/internal/cloud"
 	"repro/internal/configspace"
 	"repro/internal/dataset"
 	"repro/internal/numeric"
@@ -106,32 +105,9 @@ func cherrypickJobFromSpec(spec cherrypickJobSpec, seed int64) (*dataset.Job, er
 	if err != nil {
 		return nil, err
 	}
-	catalog, err := cloud.AWSCatalog()
-	if err != nil {
-		return nil, err
-	}
 	jobSeed := numeric.Mix(seed, int64(len(spec.profile.name))*977)
 	for _, c := range spec.profile.name {
 		jobSeed = numeric.Mix(jobSeed, int64(c))
 	}
-
-	measurements := make([]dataset.Measurement, 0, space.Size())
-	for _, cfg := range space.Configs() {
-		cluster, err := analyticsCluster(cfg, cherrypickFamilies, cherrypickSizes, cherrypickMachineCounts, catalog)
-		if err != nil {
-			return nil, err
-		}
-		runtime := analyticsRuntime(spec.profile, cluster, jobSeed, cfg.ID)
-		cost, err := cluster.Cost(runtime)
-		if err != nil {
-			return nil, err
-		}
-		measurements = append(measurements, dataset.Measurement{
-			ConfigID:         cfg.ID,
-			RuntimeSeconds:   runtime,
-			UnitPricePerHour: cluster.PricePerHour(),
-			Cost:             cost,
-		})
-	}
-	return dataset.NewJob(spec.profile.name, space, measurements, 0)
+	return analyticsTable(spec.profile, space, cherrypickFamilies, cherrypickSizes, cherrypickMachineCounts, jobSeed)
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -59,22 +58,24 @@ func TestGeneratedTablesFrozen(t *testing.T) {
 	}
 }
 
+// hashJob hashes every measurement in ID order, each followed by its extra
+// metrics in name order.
 func hashJob(h hash.Hash, job *dataset.Job) {
 	h.Write([]byte(job.Name()))
+	names := job.ExtraNames()
+	cols := make([][]float64, len(names))
+	for k, name := range names {
+		cols[k] = job.ExtraMetric(name)
+	}
 	for _, m := range job.Measurements() {
 		timedOut := 0.0
 		if m.TimedOut {
 			timedOut = 1
 		}
 		hashFloats(h, float64(m.ConfigID), m.RuntimeSeconds, m.UnitPricePerHour, m.Cost, timedOut)
-		keys := make([]string, 0, len(m.Extra))
-		for k := range m.Extra {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			h.Write([]byte(k))
-			hashFloats(h, m.Extra[k])
+		for k, name := range names {
+			h.Write([]byte(name))
+			hashFloats(h, cols[k][m.ConfigID])
 		}
 	}
 }

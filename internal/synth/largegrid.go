@@ -251,7 +251,7 @@ func (e *LargeGridEnv) runtime(v lgView, configID int) float64 {
 
 	// Fixed startup: provisioning and scheduling.
 	runtime += 20 + 0.2*v.nodes
-	return runtime * noise(e.seed, configID, p.noiseSpread)
+	return runtime * newNoiseStream(e.seed).factor(configID, p.noiseSpread)
 }
 
 // price returns the cluster rental price in USD per hour.

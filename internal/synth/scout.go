@@ -123,27 +123,43 @@ func clusterSpace(families, sizes []string, counts []float64, caps map[string]fl
 	return configspace.New(dims, filter)
 }
 
-// analyticsCluster decodes a configuration of a cluster-only space into a
-// cloud.Cluster.
-func analyticsCluster(cfg configspace.Config, families, sizes []string, counts []float64, catalog *cloud.Catalog) (cloud.Cluster, error) {
-	if len(cfg.Indices) != 3 {
-		return cloud.Cluster{}, fmt.Errorf("synth: cluster config has %d dimensions, want 3", len(cfg.Indices))
+// analyticsCluster decodes the value indices of a configuration of a
+// cluster-only space into a cloud.Cluster. vms[f][s] is the VM type of
+// family f and size s.
+func analyticsCluster(indices []int, vms [][]cloud.VMType, counts []float64) (cloud.Cluster, error) {
+	if len(indices) != 3 {
+		return cloud.Cluster{}, fmt.Errorf("synth: cluster config has %d dimensions, want 3", len(indices))
 	}
-	if err := validateIndex(cfg.Indices[0], len(families), "vm family"); err != nil {
+	if err := validateIndex(indices[0], len(vms), "vm family"); err != nil {
 		return cloud.Cluster{}, err
 	}
-	if err := validateIndex(cfg.Indices[1], len(sizes), "vm size"); err != nil {
+	if err := validateIndex(indices[1], len(vms[indices[0]]), "vm size"); err != nil {
 		return cloud.Cluster{}, err
 	}
-	if err := validateIndex(cfg.Indices[2], len(counts), "machine count"); err != nil {
+	if err := validateIndex(indices[2], len(counts), "machine count"); err != nil {
 		return cloud.Cluster{}, err
 	}
-	name := families[cfg.Indices[0]] + "." + sizes[cfg.Indices[1]]
-	vm, err := catalog.Lookup(name)
+	return cloud.Cluster{VM: vms[indices[0]][indices[1]], Workers: int(counts[indices[2]])}, nil
+}
+
+// vmGrid looks up the VM type of every family and size pair: vmGrid(...)[f][s]
+// is family f in size s.
+func vmGrid(families, sizes []string) ([][]cloud.VMType, error) {
+	catalog, err := cloud.AWSCatalog()
 	if err != nil {
-		return cloud.Cluster{}, err
+		return nil, err
 	}
-	return cloud.Cluster{VM: vm, Workers: int(counts[cfg.Indices[2]])}, nil
+	vms := make([][]cloud.VMType, len(families))
+	flat := make([]cloud.VMType, len(families)*len(sizes))
+	for f, family := range families {
+		vms[f] = flat[f*len(sizes) : (f+1)*len(sizes)]
+		for s, size := range sizes {
+			if vms[f][s], err = catalog.Lookup(family + "." + size); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return vms, nil
 }
 
 // analyticsRuntime computes the synthetic runtime of a Hadoop/Spark-style job
@@ -151,7 +167,7 @@ func analyticsCluster(cfg configspace.Config, families, sizes []string, counts [
 // memory-pressure penalty when the aggregate RAM cannot hold the working set,
 // a shuffle phase whose cost grows with the number of machines, and per-task
 // scheduling overhead.
-func analyticsRuntime(p analyticsProfile, cluster cloud.Cluster, seed int64, configID int) float64 {
+func analyticsRuntime(p analyticsProfile, cluster cloud.Cluster, noise *noiseStream, configID int) float64 {
 	cores := float64(cluster.TotalVCPUs())
 	memGB := cluster.TotalMemoryGB()
 	machines := float64(cluster.Workers)
@@ -202,7 +218,7 @@ func analyticsRuntime(p analyticsProfile, cluster cloud.Cluster, seed int64, con
 	overhead := 25 + 1.1*machines
 
 	runtime := compute + shuffle + overhead
-	return runtime * noise(seed, configID, p.noiseSpread)
+	return runtime * noise.factor(configID, p.noiseSpread)
 }
 
 // ScoutJob generates one Scout-style job by name.
@@ -234,32 +250,42 @@ func analyticsJob(p analyticsProfile, families, sizes []string, counts []float64
 	if err != nil {
 		return nil, err
 	}
-	catalog, err := cloud.AWSCatalog()
-	if err != nil {
-		return nil, err
-	}
 	jobSeed := numeric.Mix(seed, int64(len(p.name))*131+int64(p.kind))
 	for _, c := range p.name {
 		jobSeed = numeric.Mix(jobSeed, int64(c))
 	}
+	return analyticsTable(p, space, families, sizes, counts, jobSeed)
+}
 
-	measurements := make([]dataset.Measurement, 0, space.Size())
-	for _, cfg := range space.Configs() {
-		cluster, err := analyticsCluster(cfg, families, sizes, counts, catalog)
+// analyticsTable fills the lookup table of one cluster-only job over space,
+// whose three dimensions index families, sizes and counts.
+func analyticsTable(p analyticsProfile, space *configspace.Space, families, sizes []string, counts []float64, jobSeed int64) (*dataset.Job, error) {
+	vms, err := vmGrid(families, sizes)
+	if err != nil {
+		return nil, err
+	}
+	noise := newNoiseStream(jobSeed)
+	measurements := make([]dataset.Measurement, space.Size())
+	indices := make([]int, 0, space.NumDimensions())
+	for id := range measurements {
+		if indices, err = space.AppendIndices(indices[:0], id); err != nil {
+			return nil, err
+		}
+		cluster, err := analyticsCluster(indices, vms, counts)
 		if err != nil {
 			return nil, err
 		}
-		runtime := analyticsRuntime(p, cluster, jobSeed, cfg.ID)
+		runtime := analyticsRuntime(p, cluster, noise, id)
 		cost, err := cluster.Cost(runtime)
 		if err != nil {
 			return nil, err
 		}
-		measurements = append(measurements, dataset.Measurement{
-			ConfigID:         cfg.ID,
+		measurements[id] = dataset.Measurement{
+			ConfigID:         id,
 			RuntimeSeconds:   runtime,
 			UnitPricePerHour: cluster.PricePerHour(),
 			Cost:             cost,
-		})
+		}
 	}
-	return dataset.NewJob(p.name, space, measurements, 0)
+	return dataset.NewJob(p.name, space, measurements, 0, nil)
 }

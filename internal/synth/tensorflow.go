@@ -208,7 +208,7 @@ func tfDecode(cfg configspace.Config, catalog *cloud.Catalog) (tfConfigView, err
 //   - throughput scales sub-linearly with workers and is eventually capped
 //     by the parameter server's network bandwidth, so very large clusters
 //     waste money — which is exactly why joint optimization matters.
-func tfRuntime(p tfProfile, v tfConfigView, seed int64, configID int) float64 {
+func tfRuntime(p tfProfile, v tfConfigView, noise *noiseStream, configID int) float64 {
 	workers := float64(v.workers)
 
 	// Steps needed -------------------------------------------------------
@@ -270,7 +270,7 @@ func tfRuntime(p tfProfile, v tfConfigView, seed int64, configID int) float64 {
 
 	// Fixed startup: cluster bring-up, graph construction, data sharding.
 	runtime += 15 + 0.35*workers
-	return runtime * noise(seed, configID, p.noiseSpread)
+	return runtime * noise.factor(configID, p.noiseSpread)
 }
 
 func abs(x int) int {
@@ -322,27 +322,28 @@ func TensorflowJob(kind TensorflowKind, seed int64) (*dataset.Job, error) {
 		return nil, err
 	}
 
-	jobSeed := numeric.Mix(seed, int64(kind)*7919)
+	noise := newNoiseStream(numeric.Mix(seed, int64(kind)*7919))
 	measurements := make([]dataset.Measurement, len(table.views))
+	energy := make([]float64, len(table.views))
 	for id, view := range table.views {
-		runtime := tfRuntime(profile, view, jobSeed, id)
+		runtime := tfRuntime(profile, view, noise, id)
 		runtime, timedOut := clampTimeout(runtime, TensorflowTimeoutSeconds)
 		cost, err := view.cluster.Cost(runtime)
 		if err != nil {
 			return nil, err
 		}
 		// Synthetic energy: proportional to machine-seconds weighted by vCPUs.
-		energy := runtime * float64(view.cluster.TotalVCPUs()+2) * 0.09 / 1000
+		energy[id] = runtime * float64(view.cluster.TotalVCPUs()+2) * 0.09 / 1000
 		measurements[id] = dataset.Measurement{
 			ConfigID:         id,
 			RuntimeSeconds:   runtime,
 			UnitPricePerHour: view.cluster.PricePerHour(),
 			Cost:             cost,
 			TimedOut:         timedOut,
-			Extra:            map[string]float64{EnergyMetric: energy},
 		}
 	}
-	return dataset.NewJob(kind.String(), table.space, measurements, TensorflowTimeoutSeconds)
+	return dataset.NewJob(kind.String(), table.space, measurements, TensorflowTimeoutSeconds,
+		map[string][]float64{EnergyMetric: energy})
 }
 
 // TensorflowJobs generates the three Tensorflow jobs.

@@ -183,10 +183,14 @@ func TestTensorflowJobStructuralProperties(t *testing.T) {
 				t.Error("no configuration hit the timeout; the generator lost the hard-timeout property")
 			}
 
-			// Every measurement carries the synthetic energy metric.
-			for _, m := range job.Measurements() {
-				if m.Extra[EnergyMetric] <= 0 {
-					t.Fatalf("config %d missing energy metric", m.ConfigID)
+			// Every configuration carries the synthetic energy metric.
+			energy := job.ExtraMetric(EnergyMetric)
+			if len(energy) != job.Size() {
+				t.Fatalf("energy metric has %d values for %d configurations", len(energy), job.Size())
+			}
+			for id, e := range energy {
+				if e <= 0 {
+					t.Fatalf("config %d has energy %v", id, e)
 				}
 			}
 		})

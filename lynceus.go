@@ -86,9 +86,13 @@ func NewSpace(dims []Dimension, filter func(indices []int) bool) (*Space, error)
 
 // NewJob builds a profiled job from a space and one measurement per
 // configuration. timeoutSeconds is the forceful-termination limit used during
-// profiling (0 when none).
-func NewJob(name string, space *Space, measurements []Measurement, timeoutSeconds float64) (*Job, error) {
-	return dataset.NewJob(name, space, measurements, timeoutSeconds)
+// profiling (0 when none). extra carries the metrics of extra constraints
+// (Options.ExtraConstraints), one column per metric name with
+// extra[name][i] the value measured with measurements[i]; pass nil when there
+// are none. Replayed trials report them in Trial.Extra. The job keeps
+// the slices it is given.
+func NewJob(name string, space *Space, measurements []Measurement, timeoutSeconds float64, extra map[string][]float64) (*Job, error) {
+	return dataset.NewJob(name, space, measurements, timeoutSeconds, extra)
 }
 
 // ReadJobCSV parses a profiled job from CSV (see WriteJobCSV for the format).

@@ -19,6 +19,7 @@ func smallJob(t *testing.T) *Job {
 		t.Fatalf("NewSpace error: %v", err)
 	}
 	measurements := make([]Measurement, space.Size())
+	energy := make([]float64, space.Size())
 	for _, cfg := range space.Configs() {
 		param := cfg.Features[0]
 		cluster := cfg.Features[1]
@@ -29,10 +30,10 @@ func smallJob(t *testing.T) *Job {
 			RuntimeSeconds:   runtime,
 			UnitPricePerHour: price,
 			Cost:             runtime / 3600 * price,
-			Extra:            map[string]float64{"energy": runtime * cluster / 100},
 		}
+		energy[cfg.ID] = runtime * cluster / 100
 	}
-	job, err := NewJob("public-api-fixture", space, measurements, 0)
+	job, err := NewJob("public-api-fixture", space, measurements, 0, map[string][]float64{"energy": energy})
 	if err != nil {
 		t.Fatalf("NewJob error: %v", err)
 	}

@@ -41,7 +41,10 @@
 # New + Close on a state dir of 24 mid-flight Tensorflow LA=2 campaigns,
 # reported as ns/campaign with allocs/op; not in the committed baseline, so
 # not gated; under the default GOMAXPROCS=1 pin its rescan runs on one
-# goroutine). Every benchmark
+# goroutine), and one environment build from its spec (internal/serve:
+# a Tensorflow and a Scout lookup table and a servesim simulator, the
+# per-campaign cost of PutSpec and of the rescan, recorded with allocs/op;
+# not in the committed baseline either, so not gated). Every benchmark
 # runs BENCH_COUNT times (default 3) and benchjson records the per-metric
 # MEDIAN — a single planner iteration is too noisy to detect real
 # regressions, and the medians (together with allocs/op on the planner
@@ -74,7 +77,7 @@ else
 	GOMAXPROCS=1
 	export GOMAXPROCS
 fi
-PATTERN="${BENCH_PATTERN:-BenchmarkPlannerLA2Tensorflow|BenchmarkPlannerLA3Tensorflow|BenchmarkEnsembleFitPredict|BenchmarkEnsembleSpeculateOutcome|BenchmarkEnsembleRefitIncremental|BenchmarkFullSpaceSweep|BenchmarkSnapshotRestore|BenchmarkSimulate|BenchmarkServerRescan}"
+PATTERN="${BENCH_PATTERN:-BenchmarkPlannerLA2Tensorflow|BenchmarkPlannerLA3Tensorflow|BenchmarkEnsembleFitPredict|BenchmarkEnsembleSpeculateOutcome|BenchmarkEnsembleRefitIncremental|BenchmarkFullSpaceSweep|BenchmarkSnapshotRestore|BenchmarkSimulate|BenchmarkServerRescan|BenchmarkBuildEnv}"
 BENCHTIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-3}"
 # One op of these is a whole campaign or a batch of eight (0.2-4 s), so a
