@@ -25,10 +25,10 @@ var (
 	// resumed from its last snapshot.
 	ErrEnvironmentFatal = optimizer.ErrEnvironmentFatal
 	// ErrCampaignCancelled marks campaign steps stopped by their context
-	// (Tuner.StepContext / MultiRunner.RunContext): the error also wraps the
-	// context's own cause, so errors.Is matches context.Canceled and
-	// context.DeadlineExceeded too. Cancellation records no partial trial;
-	// resume the campaign from its last snapshot.
+	// (Tuner.StepContext): the error also wraps the context's own cause, so
+	// errors.Is matches context.Canceled and context.DeadlineExceeded too.
+	// Cancellation records no partial trial; resume the campaign from its
+	// last snapshot.
 	ErrCampaignCancelled = optimizer.ErrCampaignCancelled
 )
 
@@ -49,8 +49,8 @@ type (
 	// continues one from a snapshot with the bitwise-identical remaining
 	// trial sequence.
 	Tuner = core.Campaign
-	// ResumeFuncs re-supplies the process-local functions a snapshot cannot
-	// carry (setup-cost model, retry sleep hook) to ResumeTunerShared.
+	// ResumeFuncs re-supplies the process-local function a snapshot cannot
+	// carry (the setup-cost model) to ResumeTunerShared.
 	ResumeFuncs = core.ResumeFuncs
 
 	// FaultParams configures deterministic fault injection

@@ -179,13 +179,11 @@ func (c *Campaign) Snapshot() ([]byte, error) {
 	return json.MarshalIndent(snap, "", " ")
 }
 
-// ResumeFuncs re-supplies the process-local functions a snapshot cannot
-// carry.
+// ResumeFuncs re-supplies the process-local function a snapshot cannot
+// carry: the setup-cost model.
 type ResumeFuncs struct {
 	// SetupCost must be provided when the snapshotted campaign used one.
 	SetupCost optimizer.SetupCostFunc
-	// Sleep, when non-nil, replaces time.Sleep between retry attempts.
-	Sleep func(time.Duration)
 }
 
 // ResumeCampaign reconstructs a campaign from a snapshot and continues it
@@ -194,8 +192,8 @@ type ResumeFuncs struct {
 // original uninterrupted run (given the same deterministic environment — for
 // stateful environments the embedded state is restored, and the environment
 // must implement optimizer.StatefulEnvironment). fns re-supplies the
-// process-local functions (setup-cost model, retry sleep hook); g is the share
-// group the resumed campaign joins, nil for an isolated one (see NewCampaign).
+// setup-cost model; g is the share group the resumed campaign joins, nil for
+// an isolated one (see NewCampaign).
 //
 // The campaign is assembled by NewCampaign from the snapshot's options — the
 // same path a fresh start takes — and the snapshot's progress is then
@@ -249,7 +247,6 @@ func (l *Lynceus) ResumeCampaign(env optimizer.Environment, data []byte, fns Res
 			BackoffBase: time.Duration(snap.Options.Retry.BackoffBaseNS),
 			BackoffMax:  time.Duration(snap.Options.Retry.BackoffMaxNS),
 			Quarantine:  snap.Options.Retry.Quarantine,
-			Sleep:       fns.Sleep,
 		},
 	}, g)
 	if err != nil {

@@ -4,9 +4,8 @@ import "sync"
 
 // ParallelFor runs fn(0..n-1) on a bounded pool of workers and returns the
 // lowest-indexed error (running serially when workers <= 1). fn must only
-// write to index-private state. Both the planner's path fan-out and the
-// simulator's multi-seed campaigns use it, collecting results by index so
-// outcomes never depend on scheduling.
+// write to index-private state. The simulator's multi-seed campaigns use it,
+// collecting results by index so outcomes never depend on scheduling.
 func ParallelFor(workers, n int, fn func(i int) error) error {
 	if workers <= 1 {
 		for i := 0; i < n; i++ {

@@ -49,8 +49,9 @@ func (e *RunError) Unwrap() error { return e.Err }
 //
 // All retry decisions are deterministic: the backoff jitter is a pure
 // function of (seed, configID, attempt), so a replayed campaign waits the
-// exact same durations — and a test that stubs Sleep observes the exact same
-// schedule — regardless of wall-clock or worker count.
+// exact same durations regardless of wall-clock or worker count. The waits
+// are plain time.Sleep calls; the virtual-time tests check the schedule to
+// the nanosecond on a fake clock.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts per configuration
 	// (first try included); values below 1 mean 1.
@@ -72,10 +73,6 @@ type RetryPolicy struct {
 	// and the campaign continues. When false, exhausting the attempts aborts
 	// the campaign with an error wrapping ErrRunFailed.
 	Quarantine bool
-	// Sleep replaces time.Sleep between attempts (tests inject a recorder);
-	// nil means time.Sleep. Never serialized: resumed campaigns fall back to
-	// time.Sleep unless the caller re-supplies it.
-	Sleep func(time.Duration)
 }
 
 // Validate checks the policy.
@@ -117,17 +114,6 @@ func (p RetryPolicy) Backoff(seed int64, configID, attempt int) time.Duration {
 	}
 	jitter := 0.5 + 0.5*unitDraw(uint64(seed), uint64(configID), uint64(attempt))
 	return time.Duration(jitter * float64(d))
-}
-
-func (p RetryPolicy) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
 }
 
 // unitDraw hashes three stream coordinates into a uniform float64 in [0,1).
@@ -183,7 +169,7 @@ func RunTrialWithRetry(env Environment, cfg configspace.Config, h *History, budg
 	made := 0
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			policy.sleep(policy.Backoff(opts.Seed, cfg.ID, attempt))
+			time.Sleep(policy.Backoff(opts.Seed, cfg.ID, attempt))
 		}
 		trial, err := runOnce(env, cfg, policy.Timeout)
 		made = attempt + 1

@@ -103,14 +103,11 @@ func TestRunTrialWithRetryRecoversFromTransientFailures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewBudget: %v", err)
 	}
-	var slept []time.Duration
-	opts := Options{Seed: 7, Retry: RetryPolicy{
-		MaxAttempts: 3,
-		BackoffBase: 100 * time.Millisecond,
-		Sleep:       func(d time.Duration) { slept = append(slept, d) },
-	}}
+	opts := Options{Seed: 7, Retry: RetryPolicy{MaxAttempts: 3, BackoffBase: 100 * time.Millisecond}}
 	cfg := mustConfig(t, env.Space(), 3)
+	start := time.Now()
 	trial, profiled, err := RunTrialWithRetry(env, cfg, h, budget, opts)
+	elapsed := time.Since(start)
 	if err != nil || !profiled {
 		t.Fatalf("RunTrialWithRetry = profiled %v, err %v", profiled, err)
 	}
@@ -124,14 +121,10 @@ func TestRunTrialWithRetryRecoversFromTransientFailures(t *testing.T) {
 	if diff := budget.Spent() - wantSpent; diff > 1e-12 || diff < -1e-12 {
 		t.Errorf("budget spent %v, want %v (failed attempts must be charged)", budget.Spent(), wantSpent)
 	}
-	if len(slept) != 2 {
-		t.Fatalf("slept %d times, want 2", len(slept))
-	}
-	want := []time.Duration{opts.Retry.Backoff(7, 3, 1), opts.Retry.Backoff(7, 3, 2)}
-	for i := range slept {
-		if slept[i] != want[i] {
-			t.Errorf("sleep %d = %v, want deterministic %v", i, slept[i], want[i])
-		}
+	// A sleep never returns early, so the two backoffs bound the run from
+	// below; TestVirtualRetryBackoff pins the schedule exactly.
+	if schedule := opts.Retry.Backoff(7, 3, 1) + opts.Retry.Backoff(7, 3, 2); elapsed < schedule {
+		t.Errorf("recovery took %v, want at least the backoff schedule %v", elapsed, schedule)
 	}
 }
 

@@ -43,13 +43,6 @@ type Config struct {
 	// stopping the campaign between planner phases. 0 means 2 minutes;
 	// negative disables the deadline.
 	StepDeadline time.Duration
-	// CancelGrace is how long the executor waits after the deadline expires
-	// for the step to stop cooperatively before abandoning it and
-	// quarantining the campaign as stuck. 0 means 3 seconds.
-	CancelGrace time.Duration
-	// Now is the clock of the limiter (tests inject a fake one). nil means
-	// time.Now.
-	Now func() time.Time
 	// EnvFactory rebuilds environments from specs. nil means BuildEnv; tests
 	// inject factories producing misbehaving environments (panics, blocking
 	// runs) to exercise the isolation paths. It is called concurrently, so it
@@ -63,6 +56,11 @@ type Config struct {
 	// Logf receives operational log lines. nil silences them.
 	Logf func(format string, args ...any)
 }
+
+// cancelGrace is how long the executor waits after a step's deadline expires
+// for the step to stop cooperatively before abandoning it and quarantining
+// the campaign as stuck.
+const cancelGrace = 3 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.MaxCampaigns == 0 {
@@ -84,12 +82,6 @@ func (c Config) withDefaults() Config {
 		c.StepDeadline = 2 * time.Minute
 	} else if c.StepDeadline < 0 {
 		c.StepDeadline = 0
-	}
-	if c.CancelGrace == 0 {
-		c.CancelGrace = 3 * time.Second
-	}
-	if c.Now == nil {
-		c.Now = time.Now
 	}
 	if c.EnvFactory == nil {
 		c.EnvFactory = BuildEnv
@@ -277,7 +269,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		store:     store,
 		group:     lynceus.NewShareGroup(),
-		limiter:   NewLimiter(cfg.Rate, cfg.Burst, cfg.Now),
+		limiter:   NewLimiter(cfg.Rate, cfg.Burst, nil),
 		campaigns: make(map[string]*campaign),
 		queue:     make(chan *stepJob, cfg.QueueDepth),
 	}
@@ -854,12 +846,12 @@ func (s *Server) runJob(job *stepJob) {
 	select {
 	case res = <-resCh:
 	case <-ctx.Done():
-		// The deadline expired. Give the step CancelGrace to stop
+		// The deadline expired. Give the step cancelGrace to stop
 		// cooperatively at a planner-phase boundary; past that it is stuck
 		// for real.
 		s.stats.watchdogCancels.Add(1)
 		s.cfg.Logf("serve: watchdog cancelled a step of campaign %s", c.spec.ID)
-		timer := time.NewTimer(s.cfg.CancelGrace)
+		timer := time.NewTimer(cancelGrace)
 		select {
 		case res = <-resCh:
 			timer.Stop()

@@ -51,9 +51,6 @@ func OpenStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the state directory path.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) campaignDir(id string) string { return filepath.Join(s.dir, id) }
 
 // PutSpec persists a campaign's definition (idempotent; called once at

@@ -309,14 +309,6 @@ func SyntheticCherryPickJobs(seed int64) ([]*Job, error) { return synth.CherryPi
 // without sweeping the space.
 type LargeGridJob = synth.LargeGridEnv
 
-// SyntheticLargeGridJobs returns the three production-scale large-grid
-// workloads ("large-etl", "large-training", "large-analytics") over
-// 61,440-configuration spaces. Use them to exercise the "sampled"
-// search strategy and the block-wise sweeps at 10^4-10^5+ points.
-func SyntheticLargeGridJobs(seed int64) ([]*LargeGridJob, error) {
-	return synth.LargeGridJobs(seed)
-}
-
 // SyntheticLargeGridJob returns one large-grid workload by name with
 // clusterSizes node-count values (<= 0 selects the default 128, i.e. a
 // 61,440-configuration space; 512 yields ~246k, 1024 ~492k). The space size
@@ -349,11 +341,6 @@ const EnergyMetric = synth.EnergyMetric
 // and ApproxStats estimates a makespan quantile and mean run cost for picking
 // the constraint and budget.
 type ServingEnvironment = servesim.Env
-
-// ServingProfiles lists the built-in serving scenarios: "chat"
-// (latency-dominated interactive mix), "code" (long prompts, KV-pressure
-// dominated) and "batch" (throughput-dominated, loose SLOs).
-func ServingProfiles() []string { return servesim.Profiles() }
 
 // NewServingEnvironment creates the simulated serving environment of a named
 // profile over its default 384-point configuration space. The seed drives the

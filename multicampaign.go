@@ -1,7 +1,6 @@
 package lynceus
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -107,15 +106,6 @@ func (r *MultiRunner) Run() (MultiSummary, error) {
 	return r.inner.Run()
 }
 
-// RunContext is Run under a context: cancelling it stops every campaign at
-// its next step (between trials or between planner phases) and records the
-// cancellation as a transient CampaignFailure per unfinished campaign; the
-// partial summary is still returned. Resuming the campaigns' snapshots
-// continues them.
-func (r *MultiRunner) RunContext(ctx context.Context) (MultiSummary, error) {
-	return r.inner.RunContext(ctx)
-}
-
 // StartTunerShared is StartTuner into a share group: use it to wire shared
 // campaigns to a custom driver instead of a MultiRunner. A nil group is
 // plain StartTuner.
@@ -128,9 +118,8 @@ func StartTunerShared(cfg TunerConfig, env Environment, opts Options, g *ShareGr
 }
 
 // ResumeTunerShared is ResumeTuner with re-supplied process-local functions
-// (fns: required when the snapshotted campaign used Options.SetupCost,
-// optional to re-install a RetryPolicy.Sleep hook), into a share group. A nil
-// group resumes the campaign on its own.
+// (fns: required when the snapshotted campaign used Options.SetupCost), into
+// a share group. A nil group resumes the campaign on its own.
 func ResumeTunerShared(cfg TunerConfig, env Environment, snapshot []byte, fns ResumeFuncs, g *ShareGroup) (*Tuner, error) {
 	l, err := newCoreTuner(cfg)
 	if err != nil {
