@@ -14,7 +14,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the pre-refactor g
 // sequence of profiled configuration IDs, the recommendation, and the spent
 // budget. The committed files under testdata/ were generated from the
 // pre-candidate-provider-refactor planner, so these tests prove that the
-// Exhaustive search strategy reproduces the historical behavior bit for bit.
+// exhaustive search reproduces the historical behavior bit for bit.
 type goldenCampaign struct {
 	Trials      []int   `json:"trials"`
 	Recommended int     `json:"recommended"`
@@ -22,7 +22,7 @@ type goldenCampaign struct {
 	SpentBudget float64 `json:"spent_budget"`
 }
 
-// TestExhaustiveMatchesPreRefactorGolden runs the default (Exhaustive) tuner
+// TestExhaustiveMatchesPreRefactorGolden runs the default (exhaustive) tuner
 // on the golden campaigns and requires bitwise-identical trial sequences,
 // recommendations and spent budgets to the files recorded before the
 // candidate-provider refactor.

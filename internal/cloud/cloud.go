@@ -7,7 +7,6 @@ package cloud
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // ErrUnknownVMType is returned when a VM type name is not in the catalogue.
@@ -49,7 +48,6 @@ func (v VMType) Validate() error {
 // Catalog is an immutable collection of VM types indexed by name.
 type Catalog struct {
 	byName map[string]VMType
-	names  []string
 }
 
 // NewCatalog builds a catalogue from the given VM types, rejecting duplicates
@@ -67,9 +65,7 @@ func NewCatalog(types []VMType) (*Catalog, error) {
 			return nil, fmt.Errorf("cloud: duplicate VM type %q", v.Name)
 		}
 		c.byName[v.Name] = v
-		c.names = append(c.names, v.Name)
 	}
-	sort.Strings(c.names)
 	return c, nil
 }
 
@@ -80,11 +76,6 @@ func (c *Catalog) Lookup(name string) (VMType, error) {
 		return VMType{}, fmt.Errorf("%w: %q", ErrUnknownVMType, name)
 	}
 	return v, nil
-}
-
-// Names returns the VM type names in the catalogue, sorted alphabetically.
-func (c *Catalog) Names() []string {
-	return append([]string(nil), c.names...)
 }
 
 // Cluster is a homogeneous set of worker VMs plus an optional number of

@@ -40,8 +40,8 @@ type decision struct {
 	out sharedDecision
 }
 
-// nextConfig implements Algorithm 1's NextConfig: it asks the search strategy
-// for the candidate IDs considered at this decision, scores the exploration
+// nextConfig implements Algorithm 1's NextConfig: it asks Params.Search for
+// the candidate IDs considered at this decision, scores the exploration
 // paths rooted at every eligible candidate, and returns the configuration
 // starting the path with the best reward-to-cost ratio.
 //
@@ -126,7 +126,7 @@ func (p *planner) plan(d *decision) (sharedDecision, error) {
 	return d.out, nil
 }
 
-// selectCandidates opens a decision: it asks the search strategy for the
+// selectCandidates opens a decision: it asks Params.Search for the
 // candidate IDs to consider and gathers them into the active candidate set.
 // A nil decision means there is nothing left to select from.
 func (p *planner) selectCandidates(ctx context.Context, h *optimizer.History, remainingBudget float64) (*decision, error) {
@@ -142,10 +142,7 @@ func (p *planner) selectCandidates(ctx context.Context, h *optimizer.History, re
 	if untestedCount <= 0 {
 		return nil, nil
 	}
-	ids, err := p.strategy.Select(p.space, h.Excluded, untestedCount, p.iteration, p.opts.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("core: search strategy %q: %w", p.strategy.Name(), err)
-	}
+	ids := p.params.Search.candidates(p.space, h.Excluded, untestedCount, p.iteration, p.opts.Seed)
 	if len(ids) == 0 {
 		return nil, nil
 	}

@@ -19,8 +19,8 @@ var resultInvisibleParams = map[string]bool{"Workers": true}
 // paramsSamples supplies a non-default value for the fields a perturbation
 // by kind cannot reach.
 var paramsSamples = map[string]any{
-	"ModelFactory": model.NewGPFactory(),
-	"Search":       Sampled{Size: 3},
+	"ModelFactory":    model.NewGPFactory(),
+	"Search.Strategy": "exhaustive",
 }
 
 // TestParamsDigestCoversEveryField is the fingerprint guard: every leaf field

@@ -78,13 +78,11 @@ type Params struct {
 	// factory can be supplied to reproduce the footnote-1 variant.
 	ModelFactory model.Factory
 	// Search selects which untested configurations the planner considers at
-	// each decision. nil resolves per space: Exhaustive (the paper's
-	// behavior, bitwise-identical recommendations to the pre-strategy
-	// planner) for spaces up to DefaultAutoSampleThreshold configurations,
-	// Sampled (deterministic seeded subsampling, bounded per-decision cost)
-	// above it. Strategies must be deterministic and worker-count
-	// independent; see SearchStrategy.
-	Search SearchStrategy
+	// each decision. The zero value resolves per space: exhaustive search
+	// (the paper's behavior) for spaces up to DefaultAutoSampleThreshold
+	// configurations, sampled search (deterministic seeded subsampling,
+	// bounded per-decision cost) above it.
+	Search Search
 	// Workers sizes the planner's speculation scheduler: the number of
 	// worker goroutines that concurrently evaluate the exploration paths of
 	// a decision's root candidates (everything below a root candidate runs
@@ -138,6 +136,11 @@ func (p Params) withDefaults() (Params, error) {
 	case SpecRefitAuto, SpecRefitFull, SpecRefitIncremental:
 	default:
 		return Params{}, fmt.Errorf("core: unknown speculative-refit mode %d", p.SpeculativeRefit)
+	}
+	switch p.Search.Strategy {
+	case "", "exhaustive", "sampled":
+	default:
+		return Params{}, fmt.Errorf("core: unknown search strategy %q (want \"\", %q or %q)", p.Search.Strategy, "exhaustive", "sampled")
 	}
 	return p, nil
 }

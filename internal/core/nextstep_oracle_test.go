@@ -195,10 +195,7 @@ func sampleOracleCampaign(t *testing.T, oc oracleCampaign, tally *oracleTally) {
 // the way nextConfig does and checks n speculated states below it.
 func sampleOracleStates(t *testing.T, p *planner, h *optimizer.History, remaining float64, rng *rand.Rand, n int, tally *oracleTally) {
 	t.Helper()
-	ids, err := p.strategy.Select(p.space, h.Excluded, p.space.Size()-h.ExcludedCount(), p.iteration, p.opts.Seed)
-	if err != nil {
-		t.Fatalf("Select: %v", err)
-	}
+	ids := p.params.Search.candidates(p.space, h.Excluded, p.space.Size()-h.ExcludedCount(), p.iteration, p.opts.Seed)
 	untested, err := p.gather(ids)
 	if err != nil {
 		t.Fatalf("gather: %v", err)

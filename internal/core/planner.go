@@ -15,7 +15,7 @@ import (
 // exploration paths to score every eligible candidate.
 //
 // The planner never materializes the configuration space. Each decision asks
-// the SearchStrategy for the candidate IDs to consider, gathers them into an
+// Params.Search for the candidate IDs to consider, gathers them into an
 // active candidate set (features decoded into a reusable arena), and keys
 // every model memo by the candidate's dense slot within that set — so memory
 // and sweep cost scale with the candidate set, not the space.
@@ -23,7 +23,6 @@ type planner struct {
 	params    Params
 	opts      optimizer.Options
 	space     *configspace.Space
-	strategy  SearchStrategy
 	factory   model.Factory
 	refitMode SpeculativeRefit
 	iteration int
@@ -76,7 +75,7 @@ type planner struct {
 }
 
 // resolveRefitMode turns SpecRefitAuto into a concrete mode from the
-// lookahead window and the per-decision candidate bound of the strategy.
+// lookahead window and the per-decision candidate bound of the search.
 func resolveRefitMode(mode SpeculativeRefit, lookahead, candidateBound int) SpeculativeRefit {
 	if mode != SpecRefitAuto {
 		return mode
@@ -93,8 +92,7 @@ func resolveRefitMode(mode SpeculativeRefit, lookahead, candidateBound int) Spec
 // holding private ones.
 func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options, g *ShareGroup) (*planner, error) {
 	space := env.Space()
-	strategy := resolveStrategy(params.Search, space.Size())
-	mode := resolveRefitMode(params.SpeculativeRefit, params.Lookahead, strategyCandidateBound(strategy, space.Size()))
+	mode := resolveRefitMode(params.SpeculativeRefit, params.Lookahead, params.Search.candidateBound(space.Size()))
 	factory := params.ModelFactory
 	if factory == nil {
 		// The default bagging factory retains incremental state only when the
@@ -115,7 +113,6 @@ func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options
 		params:    params,
 		opts:      opts,
 		space:     space,
-		strategy:  strategy,
 		factory:   factory,
 		refitMode: mode,
 		prices:    optimizer.NewPriceCache(env),

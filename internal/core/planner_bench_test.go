@@ -18,8 +18,8 @@ import (
 // one benchmark op is exactly one planning decision (one nextConfig call)
 // from a fixed bootstrap history, which yields b.N >= 3 at the default 1s
 // benchtime for every variant and keeps per-op work constant: the history
-// never grows, only the planner's iteration counter advances (as it would
-// across decisions of a real campaign).
+// never grows and the planner's decision index is reset before every op, so
+// each op replays the same decision.
 //
 // ns/decision therefore equals ns/op; it is still reported explicitly
 // because the benchjson regression gate tracks that metric name across every
@@ -142,6 +142,10 @@ func benchmarkPlannerDecision(b *testing.B, lookahead int, refit SpeculativeRefi
 
 func benchmarkFixtureDecision(b *testing.B, fixture *plannerBenchFixture) {
 	b.Helper()
+	// The decision index seeds the decision's models, so letting it advance
+	// would time a b.N-long sequence of different decisions and make the
+	// per-decision counters depend on -benchtime.
+	iteration := fixture.planner.iteration
 	// One decision before the timer grows the workspaces and scratch a
 	// planner keeps, so a short run's ops are not charged for them.
 	fixture.decide(b)
@@ -149,6 +153,7 @@ func benchmarkFixtureDecision(b *testing.B, fixture *plannerBenchFixture) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		fixture.planner.iteration = iteration
 		fixture.decide(b)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/decision")

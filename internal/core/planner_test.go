@@ -29,14 +29,11 @@ func testPlanner(t *testing.T, extra []optimizer.Constraint) (*planner, *optimiz
 }
 
 // gatherAll returns the planner's active candidate set over every
-// configuration of the space (the Exhaustive selection under an empty
+// configuration of the space (the exhaustive selection under an empty
 // history), with slots 0..Size-1.
 func gatherAll(t *testing.T, p *planner) []candidate {
 	t.Helper()
-	ids, err := Exhaustive{}.Select(p.space, func(int) bool { return false }, p.space.Size(), 0, 0)
-	if err != nil {
-		t.Fatalf("Select error: %v", err)
-	}
+	ids := Search{Strategy: "exhaustive"}.candidates(p.space, func(int) bool { return false }, p.space.Size(), 0, 0)
 	cands, err := p.gather(ids)
 	if err != nil {
 		t.Fatalf("gather error: %v", err)

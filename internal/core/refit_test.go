@@ -36,17 +36,20 @@ func TestResolveRefitMode(t *testing.T) {
 }
 
 func TestStrategyCandidateBound(t *testing.T) {
-	if got := strategyCandidateBound(Exhaustive{}, 384); got != 384 {
-		t.Errorf("Exhaustive bound = %d, want 384", got)
+	if got := (Search{Strategy: "exhaustive"}).candidateBound(384); got != 384 {
+		t.Errorf("exhaustive bound = %d, want 384", got)
 	}
-	if got := strategyCandidateBound(Sampled{Size: 256}, 100000); got != 256 {
-		t.Errorf("Sampled bound = %d, want 256", got)
+	if got := (Search{}).candidateBound(384); got != 384 {
+		t.Errorf("auto bound on a small space = %d, want 384", got)
 	}
-	if got := strategyCandidateBound(Sampled{}, 100000); got != DefaultSampleSize {
-		t.Errorf("Sampled default bound = %d, want %d", got, DefaultSampleSize)
+	if got := (Search{Strategy: "sampled", SampleSize: 256}).candidateBound(100000); got != 256 {
+		t.Errorf("sampled bound = %d, want 256", got)
 	}
-	if got := strategyCandidateBound(Sampled{Size: 512}, 100); got != 100 {
-		t.Errorf("Sampled bound capped by space = %d, want 100", got)
+	if got := (Search{Strategy: "sampled"}).candidateBound(100000); got != DefaultSampleSize {
+		t.Errorf("sampled default bound = %d, want %d", got, DefaultSampleSize)
+	}
+	if got := (Search{Strategy: "sampled", SampleSize: 512}).candidateBound(100); got != 100 {
+		t.Errorf("sampled bound capped by space = %d, want 100", got)
 	}
 }
 

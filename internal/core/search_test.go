@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/configspace"
@@ -22,10 +23,7 @@ func searchSpace(t *testing.T, n int) *configspace.Space {
 func TestExhaustiveSelectsAllUntested(t *testing.T) {
 	space := searchSpace(t, 10)
 	tested := map[int]bool{2: true, 7: true}
-	ids, err := Exhaustive{}.Select(space, func(id int) bool { return tested[id] }, 8, 0, 1)
-	if err != nil {
-		t.Fatalf("Select error: %v", err)
-	}
+	ids := Search{Strategy: "exhaustive"}.candidates(space, func(id int) bool { return tested[id] }, 8, 0, 1)
 	want := []int{0, 1, 3, 4, 5, 6, 8, 9}
 	if len(ids) != len(want) {
 		t.Fatalf("ids = %v, want %v", ids, want)
@@ -40,16 +38,10 @@ func TestExhaustiveSelectsAllUntested(t *testing.T) {
 func TestSampledIsDeterministicAndBounded(t *testing.T) {
 	space := searchSpace(t, 10_000)
 	none := func(int) bool { return false }
-	s := Sampled{Size: 64}
+	s := Search{Strategy: "sampled", SampleSize: 64}
 
-	a, err := s.Select(space, none, space.Size(), 3, 42)
-	if err != nil {
-		t.Fatalf("Select error: %v", err)
-	}
-	b, err := s.Select(space, none, space.Size(), 3, 42)
-	if err != nil {
-		t.Fatalf("Select error: %v", err)
-	}
+	a := s.candidates(space, none, space.Size(), 3, 42)
+	b := s.candidates(space, none, space.Size(), 3, 42)
 	if len(a) != 64 {
 		t.Fatalf("sample size = %d, want 64", len(a))
 	}
@@ -67,10 +59,7 @@ func TestSampledIsDeterministicAndBounded(t *testing.T) {
 
 	// A different iteration draws a different subsample (covering the space
 	// over the campaign).
-	c, err := s.Select(space, none, space.Size(), 4, 42)
-	if err != nil {
-		t.Fatalf("Select error: %v", err)
-	}
+	c := s.candidates(space, none, space.Size(), 4, 42)
 	same := 0
 	for i := range c {
 		if c[i] == a[i] {
@@ -85,10 +74,7 @@ func TestSampledIsDeterministicAndBounded(t *testing.T) {
 func TestSampledSkipsTestedIDs(t *testing.T) {
 	space := searchSpace(t, 5_000)
 	tested := func(id int) bool { return id%2 == 0 }
-	ids, err := Sampled{Size: 128}.Select(space, tested, space.Size()/2, 1, 9)
-	if err != nil {
-		t.Fatalf("Select error: %v", err)
-	}
+	ids := Search{Strategy: "sampled", SampleSize: 128}.candidates(space, tested, space.Size()/2, 1, 9)
 	if len(ids) != 128 {
 		t.Fatalf("sample size = %d, want 128", len(ids))
 	}
@@ -102,10 +88,7 @@ func TestSampledSkipsTestedIDs(t *testing.T) {
 func TestSampledDegeneratesToExhaustive(t *testing.T) {
 	space := searchSpace(t, 100)
 	tested := func(id int) bool { return id >= 30 }
-	ids, err := Sampled{Size: 64}.Select(space, tested, 30, 2, 5)
-	if err != nil {
-		t.Fatalf("Select error: %v", err)
-	}
+	ids := Search{Strategy: "sampled", SampleSize: 64}.candidates(space, tested, 30, 2, 5)
 	if len(ids) != 30 {
 		t.Fatalf("sample = %d ids, want all 30 untested", len(ids))
 	}
@@ -120,7 +103,7 @@ func TestSampledSizeAtLeastSpaceIsExhaustiveAndDeterministic(t *testing.T) {
 	space := searchSpace(t, 50)
 	none := func(int) bool { return false }
 	for _, size := range []int{50, 51, 1024} {
-		s := Sampled{Size: size}
+		s := Search{Strategy: "sampled", SampleSize: size}
 		var first []int
 		// The selection must be the full untested set in increasing ID order,
 		// identical across iterations and seeds (nothing left to sample).
@@ -128,10 +111,7 @@ func TestSampledSizeAtLeastSpaceIsExhaustiveAndDeterministic(t *testing.T) {
 			iter int
 			seed int64
 		}{{0, 1}, {7, 1}, {0, 99}} {
-			ids, err := s.Select(space, none, space.Size(), key.iter, key.seed)
-			if err != nil {
-				t.Fatalf("Select(size=%d, iter=%d, seed=%d): %v", size, key.iter, key.seed, err)
-			}
+			ids := s.candidates(space, none, space.Size(), key.iter, key.seed)
 			if len(ids) != space.Size() {
 				t.Fatalf("size=%d returned %d ids, want the whole space (%d)", size, len(ids), space.Size())
 			}
@@ -156,7 +136,7 @@ func TestSampledSizeAtLeastSpaceIsExhaustiveAndDeterministic(t *testing.T) {
 func TestSampledRankedFallback(t *testing.T) {
 	space := searchSpace(t, 1_000)
 	tested := func(id int) bool { return id%3 != 0 }
-	got := Sampled{}.rankedSample(space, tested, 16, 11, 4)
+	got := rankedSample(space, tested, 16, 11, 4)
 	if len(got) != 16 {
 		t.Fatalf("ranked sample = %d ids, want 16", len(got))
 	}
@@ -170,7 +150,7 @@ func TestSampledRankedFallback(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	again := Sampled{}.rankedSample(space, tested, 16, 11, 4)
+	again := rankedSample(space, tested, 16, 11, 4)
 	for i := range got {
 		if got[i] != again[i] {
 			t.Fatal("ranked fallback is not deterministic")
@@ -178,14 +158,52 @@ func TestSampledRankedFallback(t *testing.T) {
 	}
 }
 
+// TestResolveStrategyAuto pins what each Search value resolves to: the zero
+// value is exhaustive up to DefaultAutoSampleThreshold configurations and
+// samples DefaultSampleSize above it; a set SampleSize samples at that size
+// (a non-positive one at the default); "exhaustive" never samples.
 func TestResolveStrategyAuto(t *testing.T) {
-	if _, ok := resolveStrategy(nil, DefaultAutoSampleThreshold).(Exhaustive); !ok {
-		t.Error("small space should resolve to Exhaustive")
+	tests := []struct {
+		search    Search
+		spaceSize int
+		want      int
+	}{
+		{Search{}, DefaultAutoSampleThreshold, 0},
+		{Search{}, DefaultAutoSampleThreshold + 1, DefaultSampleSize},
+		{Search{SampleSize: 7}, 100, 7},
+		{Search{SampleSize: -3}, 100, DefaultSampleSize},
+		{Search{Strategy: "exhaustive"}, 1_000_000, 0},
+		{Search{Strategy: "exhaustive", SampleSize: 5}, 1_000_000, 0},
+		{Search{Strategy: "sampled"}, 100, DefaultSampleSize},
+		{Search{Strategy: "sampled", SampleSize: 256}, 100, 256},
 	}
-	if _, ok := resolveStrategy(nil, DefaultAutoSampleThreshold+1).(Sampled); !ok {
-		t.Error("large space should resolve to Sampled")
+	for _, tt := range tests {
+		if got := tt.search.sampleSize(tt.spaceSize); got != tt.want {
+			t.Errorf("%+v.sampleSize(%d) = %d, want %d", tt.search, tt.spaceSize, got, tt.want)
+		}
 	}
-	if _, ok := resolveStrategy(Exhaustive{}, 1_000_000).(Exhaustive); !ok {
-		t.Error("explicit strategy must win over auto")
+}
+
+// TestSearchDigest pins the search= fragment of paramsDigest to the rendering
+// snapshots on disk carry: auto for the zero value, the bare name for
+// exhaustive search, and sampled/<SampleSize as given> otherwise.
+func TestSearchDigest(t *testing.T) {
+	tests := []struct {
+		search Search
+		want   string
+	}{
+		{Search{}, "auto"},
+		{Search{SampleSize: 7}, "sampled/7"},
+		{Search{SampleSize: -3}, "sampled/-3"},
+		{Search{Strategy: "exhaustive"}, "exhaustive"},
+		{Search{Strategy: "exhaustive", SampleSize: 5}, "exhaustive"},
+		{Search{Strategy: "sampled"}, "sampled/0"},
+		{Search{Strategy: "sampled", SampleSize: 256}, "sampled/256"},
+	}
+	for _, tt := range tests {
+		digest := paramsDigest(Params{Search: tt.search})
+		if !strings.Contains(digest, " search="+tt.want+" ") {
+			t.Errorf("paramsDigest(Search: %+v) = %q, want fragment search=%s", tt.search, digest, tt.want)
+		}
 	}
 }

@@ -29,10 +29,9 @@ import (
 // contract.
 //
 // Decision sharing is disabled per planner whenever an input cannot be
-// captured in the key: a SetupCost function (process-local closure), a custom
-// ModelFactory, or a custom SearchStrategy (both identified only by name,
-// which two distinct implementations could share). Such campaigns still use
-// the workspace pool.
+// captured in the key: a SetupCost function (process-local closure) or a
+// custom ModelFactory (identified only by name, which two distinct
+// implementations could share). Such campaigns still use the workspace pool.
 
 // sharedDecisionCacheEntries bounds the decision cache. Decisions are two
 // ints, so the bound exists to cap key retention, not value memory.
@@ -68,18 +67,11 @@ type sharedDecision struct {
 
 // sharable reports whether this planner's decisions may be published to and
 // adopted from the group caches: every planning input must be capturable in
-// the cache key. Process-local functions (SetupCost), custom model
-// factories and custom search strategies are identified only by name, which
-// the key cannot trust, so they opt the planner out of decision sharing.
+// the cache key. A process-local function (SetupCost) or a custom model
+// factory, identified only by name, is an input the key cannot trust, so
+// either opts the planner out of decision sharing.
 func (p *planner) sharable() bool {
-	if p.shared == nil || p.opts.SetupCost != nil || p.params.ModelFactory != nil {
-		return false
-	}
-	switch p.strategy.(type) {
-	case Exhaustive, Sampled:
-		return true
-	}
-	return false
+	return p.shared != nil && p.opts.SetupCost == nil && p.params.ModelFactory == nil
 }
 
 // decisionKey computes the decision-cache key of an opened decision: a SHA-256

@@ -95,13 +95,6 @@ func paramsDigest(p Params) string {
 	if p.ModelFactory != nil {
 		factory = p.ModelFactory.Name()
 	}
-	search := "auto"
-	if p.Search != nil {
-		search = p.Search.Name()
-		if s, ok := p.Search.(Sampled); ok {
-			search = fmt.Sprintf("sampled/%d", s.Size)
-		}
-	}
 	// "prune=true batch=true" and the zeros inside model={...} are the frozen
 	// rendering of removed knobs (two planner switches; the bootstrap, tree
 	// and σ-floor settings of the cost model): dropping them would orphan
@@ -110,7 +103,7 @@ func paramsDigest(p Params) string {
 		"model={NumTrees:%d SampleFraction:0 Tree:{MaxDepth:0 MinLeafSize:0 MinSamplesSplit:0 FeatureFraction:0} MinStdDevFraction:0 Incremental:%v} "+
 		"factory=%s search=%s prune=true batch=true refit=%d",
 		p.Lookahead, p.Discount, p.NoDiscount, p.GHOrder, p.EligibilityProb,
-		p.Model.NumTrees, p.Model.Incremental, factory, search, p.SpeculativeRefit)
+		p.Model.NumTrees, p.Model.Incremental, factory, p.Search.digest(), p.SpeculativeRefit)
 }
 
 // Snapshot serializes the campaign's durable state. Call it between Steps —

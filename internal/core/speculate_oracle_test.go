@@ -211,7 +211,7 @@ func TestSpeculateInPlaceMatchesCloneUpdate(t *testing.T) {
 
 type speculateOracleCampaign struct {
 	oracleCampaign
-	search SearchStrategy
+	search Search
 }
 
 func speculateOracleCampaigns(t *testing.T) []speculateOracleCampaign {
@@ -236,7 +236,7 @@ func speculateOracleCampaigns(t *testing.T) []speculateOracleCampaign {
 			name: "largegrid-sampled", env: large, bootstrap: 24, refit: SpecRefitIncremental,
 			opts: optimizer.Options{Budget: 60 * meanCost, MaxRuntimeSeconds: tmax, BootstrapSize: 24, Seed: 7},
 		},
-		search: Sampled{Size: 256},
+		search: Search{Strategy: "sampled", SampleSize: 256},
 	})
 	return out
 }

@@ -350,6 +350,45 @@ func TestServerRestartResumesBitwise(t *testing.T) {
 	}
 }
 
+// TestServerGeneratedIDs checks the IDs the server assigns to campaigns
+// created without one: sequential, skipping an ID a client already took, and
+// never colliding with a campaign persisted before a restart.
+func TestServerGeneratedIDs(t *testing.T) {
+	dir := t.TempDir()
+	create := func(client *testClient, id string) string {
+		t.Helper()
+		var st CampaignStatus
+		client.mustJSON("POST", "/campaigns", fastSpec(t, id, 1), http.StatusCreated, &st)
+		return st.ID
+	}
+
+	srvA, clientA := newTestServer(t, Config{StateDir: dir})
+	for _, want := range []string{"c-000001", "c-000002"} {
+		if got := create(clientA, ""); got != want {
+			t.Fatalf("generated ID = %q, want %q", got, want)
+		}
+	}
+	create(clientA, "c-000003")
+	if got := create(clientA, ""); got != "c-000004" {
+		t.Fatalf("generated ID after a client took c-000003 = %q, want c-000004", got)
+	}
+	srvA.Close()
+
+	// A restarted server counts from scratch; the persisted campaigns it
+	// rescanned must still be skipped.
+	_, clientB := newTestServer(t, Config{StateDir: dir})
+	persisted := map[string]bool{"c-000001": true, "c-000002": true, "c-000003": true, "c-000004": true}
+	var list []CampaignStatus
+	clientB.mustJSON("GET", "/campaigns", nil, http.StatusOK, &list)
+	if len(list) != len(persisted) {
+		t.Fatalf("restarted server lists %d campaigns, want %d", len(list), len(persisted))
+	}
+	got := create(clientB, "")
+	if persisted[got] || got != "c-000005" {
+		t.Fatalf("generated ID after restart = %q, want c-000005 (persisted: c-000001..c-000004)", got)
+	}
+}
+
 // gateEnv blocks every Run until released, signalling entry — the tests'
 // handle on "a step is executing right now".
 type gateEnv struct {

@@ -130,9 +130,6 @@ func (s Scenario) hash() int64 {
 	return h
 }
 
-// Name returns the scenario name.
-func (e *Env) Name() string { return e.scenario.Name }
-
 // Scenario returns the wrapped scenario.
 func (e *Env) Scenario() Scenario { return e.scenario }
 

@@ -151,43 +151,13 @@ type TunerConfig struct {
 }
 
 // SearchConfig selects which untested configurations the planner considers at
-// each decision (TunerConfig.Search).
-type SearchConfig struct {
-	// Strategy names the strategy:
-	//
-	//   - "" (auto): "exhaustive" for spaces up to 4096 configurations,
-	//     "sampled" above — small spaces keep the paper's behavior, large
-	//     ones stay tractable without further configuration;
-	//   - "exhaustive": every untested configuration is scored at every
-	//     decision (the paper's behavior; recommendations are
-	//     bitwise-identical to pre-strategy versions of this library);
-	//   - "sampled": a deterministic, seeded subsample of at most SampleSize
-	//     untested configurations per decision, keeping per-decision planning
-	//     cost roughly constant as the space grows; the subsample depends
-	//     only on (seed, decision index), never on worker count.
-	Strategy string
-	// SampleSize bounds the per-decision candidate set of the "sampled"
-	// strategy (0 = default 1024). Ignored by the other strategies.
-	SampleSize int
-}
-
-// searchStrategy maps the public config to a core strategy (nil = auto).
-func (c SearchConfig) searchStrategy() (core.SearchStrategy, error) {
-	switch c.Strategy {
-	case "":
-		if c.SampleSize != 0 {
-			return core.Sampled{Size: c.SampleSize}, nil
-		}
-		return nil, nil
-	case "exhaustive":
-		return core.Exhaustive{}, nil
-	case "sampled":
-		return core.Sampled{Size: c.SampleSize}, nil
-	default:
-		return nil, fmt.Errorf("lynceus: unknown search strategy %q (want \"\", %q or %q)",
-			c.Strategy, "exhaustive", "sampled")
-	}
-}
+// each decision (TunerConfig.Search): Strategy "" (auto: exhaustive up to
+// 4096 configurations, sampled above, sampled whenever SampleSize is set),
+// "exhaustive" (the paper's behavior) or "sampled" (a deterministic, seeded
+// subsample of at most SampleSize untested configurations per decision,
+// 0 = 1024, independent of the worker count). Any other strategy name is
+// rejected.
+type SearchConfig = core.Search
 
 // NewTuner creates a Lynceus tuner.
 func NewTuner(cfg TunerConfig) (Optimizer, error) {
@@ -207,10 +177,6 @@ func newCoreTuner(cfg TunerConfig) (*core.Lynceus, error) {
 	if cfg.Lookahead < 0 {
 		return nil, fmt.Errorf("lynceus: negative lookahead %d", cfg.Lookahead)
 	}
-	search, err := cfg.Search.searchStrategy()
-	if err != nil {
-		return nil, err
-	}
 	var refit core.SpeculativeRefit
 	switch cfg.SpeculativeRefit {
 	case "", "auto":
@@ -229,7 +195,7 @@ func newCoreTuner(cfg TunerConfig) (*core.Lynceus, error) {
 		GHOrder:          cfg.GHOrder,
 		Model:            bagging.Params{NumTrees: cfg.EnsembleTrees},
 		Workers:          cfg.Workers,
-		Search:           search,
+		Search:           cfg.Search,
 		SpeculativeRefit: refit,
 	}
 	switch cfg.CostModel {
