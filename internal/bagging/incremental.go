@@ -165,23 +165,28 @@ func (e *Ensemble) Update(x []float64, y float64) error {
 }
 
 // RepairLastUpdate refreshes, in place, the predictive Gaussians of every
-// point the last Update may have moved; it appends those point indices to ids
-// and the Gaussians they held to old (index-aligned, in no particular order —
-// what Undo's caller needs to restore the array), and reports whether the
-// repair state was usable — false (with nil error) means the caller must fall
-// back to re-predicting every point.
+// point the last Update moved; it appends those point indices to ids and the
+// Gaussians they held to old (index-aligned, in no particular order — what
+// Undo's caller needs to restore the array), and reports whether the repair
+// state was usable — false (with nil error) means the caller must fall back
+// to re-predicting every point.
 //
 // It requires a PredictBatchRepair sweep of the same len(preds) points
 // followed by exactly one Update. The key structural fact: an Insert only
 // ever modifies the subtree at the covering leaf — so in each updated tree,
-// the moved points are exactly the affected leaf's segment of the leaf →
+// the points that can move are the affected leaf's segment of the leaf →
 // points index (no scan), and their new prediction is the updated leaf's
 // value (one constant), or, when the leaf re-split, the value of the regrown
 // leaf the point falls to: the segment is partitioned down the regrown
-// subtree in place, straight off the column-major matrix. Unchanged trees are
-// never touched, and each repaired point's Gaussian is recomputed from the
-// per-tree matrix in tree order — the same accumulation order as accumRow —
-// so the repaired memo stays bitwise identical to a fresh prediction sweep.
+// subtree in place, straight off the column-major matrix. A point is listed
+// only if its value changed bitwise in at least one tree: trees grow until
+// their leaves are pure, so a re-split usually leaves the old samples' side
+// on the old value, and a mean update can round to the old value too.
+// Unchanged trees are never touched, and each listed point's Gaussian is
+// recomputed from the per-tree matrix in tree order — the same accumulation
+// order as accumRow — so the repaired memo stays bitwise identical to a fresh
+// prediction sweep, for the unlisted points because every tree's value under
+// them is bitwise the old one.
 //
 // RepairLastUpdate mutates the repair state and scratch, so calls on one
 // ensemble must not run concurrently with anything else on it.
@@ -226,31 +231,43 @@ func (e *Ensemble) RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, 
 		seg := segs[a]
 		row := mat[ti*n : (ti+1)*n : (ti+1)*n]
 		pts := e.repairPerm[ti*n+int(seg.start):][:seg.n:seg.n]
+		var was float64
 		if len(pts) > 0 {
-			fr.oldVals[ti] = row[pts[0]]
-		}
-		for _, p := range pts {
-			if !mark[p] {
-				mark[p] = true
-				ids = append(ids, p)
-			}
+			was = row[pts[0]]
+			fr.oldVals[ti] = was
 		}
 		if _, v, left, _ := tree.Split(a); left < 0 {
 			// Leaf mean update: one constant covers the segment, and the
-			// leaf assignment is unchanged.
+			// leaf assignment is unchanged. A mean that came out bit for bit
+			// the same moved nothing.
+			if math.Float64bits(v) == math.Float64bits(was) {
+				continue
+			}
 			for _, p := range pts {
 				row[p] = v
+				if !mark[p] {
+					mark[p] = true
+					ids = append(ids, p)
+				}
 			}
 			continue
 		}
 		// The leaf re-split: the segment's points diverge through the regrown
 		// subtree, whose leaves are all freshly appended nodes (an empty
-		// segment still gives each of them its empty entry).
+		// segment still gives each of them its empty entry). A point whose
+		// new leaf holds the old value bit for bit — typically every point on
+		// the old samples' side of a pure leaf's split — did not move.
 		for len(segs) < tree.Nodes() {
 			segs = append(segs, segment{})
 		}
 		e.repairSegs[ti] = segs
 		repartition(tree, a, cols, row, pts, seg.start, segs)
+		for _, p := range pts {
+			if !mark[p] && math.Float64bits(row[p]) != math.Float64bits(was) {
+				mark[p] = true
+				ids = append(ids, p)
+			}
+		}
 	}
 	for _, id := range ids[first:] {
 		mark[id] = false

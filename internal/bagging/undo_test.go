@@ -3,6 +3,7 @@ package bagging
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -70,6 +71,7 @@ type undoHarness struct {
 
 	samples []undoSample
 	frames  []undoFrame
+	kept    int // see checkListed
 }
 
 type undoSample struct {
@@ -98,6 +100,7 @@ func (h *undoHarness) sweep() {
 
 func (h *undoHarness) apply(s undoSample, repair bool) {
 	fr := undoFrame{state: stateBytes(h.t, h.work), sweep: freshSweep(h.t, h.work, h.cols, len(h.probes))}
+	rowsBefore, leafBefore := h.work.RepairState()
 	if err := h.work.Update(s.x, s.y); err != nil {
 		h.t.Fatalf("Update: %v", err)
 	}
@@ -116,9 +119,42 @@ func (h *undoHarness) apply(s undoSample, repair bool) {
 		}
 		if top.repaired = usable; !usable {
 			h.sweep()
+		} else {
+			h.checkListed(rowsBefore, leafBefore, top.ids)
 		}
 	}
 	h.check("after apply")
+}
+
+// checkListed holds a repair's list to the points that moved: a listed point
+// has a different value in at least one tree's row of the repair matrix, an
+// unlisted one the same value bit for bit in every row (check then compares
+// the whole memo against a fresh sweep). It counts in h.kept the unlisted
+// points that sat on an updated tree's affected leaf.
+func (h *undoHarness) checkListed(before []float64, leafBefore []int32, ids []int32) {
+	after, _ := h.work.RepairState()
+	if before == nil || after == nil {
+		h.t.Fatalf("a usable repair had no consistent repair state around it")
+	}
+	affected := h.work.journal[len(h.work.journal)-1].affected
+	n := len(h.probes)
+	listed := make([]bool, n)
+	for _, id := range ids {
+		listed[id] = true
+	}
+	for i := 0; i < n; i++ {
+		changed, touched := false, false
+		for t, a := range affected {
+			changed = changed || math.Float64bits(before[t*n+i]) != math.Float64bits(after[t*n+i])
+			touched = touched || (a >= 0 && leafBefore[t*n+i] == a)
+		}
+		if changed != listed[i] {
+			h.t.Fatalf("point %d: listed %v, its tree values changed %v", i, listed[i], changed)
+		}
+		if touched && !listed[i] {
+			h.kept++
+		}
+	}
 }
 
 func (h *undoHarness) undo() {
@@ -292,6 +328,30 @@ func FuzzEnsembleUpdateUndo(f *testing.F) {
 		// keeps its entries.
 		newUndoHarness(t, seed, Params{NumTrees: 2 + int(shape%4)*2}).run(ops)
 	})
+}
+
+// TestRepairListsOnlyMovedPoints: over random fits and random nested
+// Update / repair / Undo scripts, every repair lists exactly the points
+// whose value changed in at least one tree, the memo stays a fresh sweep
+// bit for bit, and Undo restores it (the harness's checks). Trees grow
+// until their leaves are pure, so most updates re-split a leaf and leave
+// some of its points on the old value: the run must see such points.
+func TestRepairListsOnlyMovedPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	kept := 0
+	for seed := int64(1); seed <= 60; seed++ {
+		ops := make([]byte, 24)
+		for i := range ops {
+			// Mostly apply-and-repair (op&3 == 0) and undo (1).
+			ops[i] = byte(rng.Intn(64))<<2 | byte(rng.Intn(2))
+		}
+		h := newUndoHarness(t, seed, Params{NumTrees: 2 + int(seed%4)*2})
+		h.run(ops)
+		kept += h.kept
+	}
+	if kept == 0 {
+		t.Fatal("no repair left a point of an affected leaf unlisted; the property was not exercised")
+	}
 }
 
 // TestSpeculatedOutcomeZeroAllocs is the allocation ratchet of the planner's

@@ -135,6 +135,36 @@ func (f *plannerBenchFixture) workerCounts() (evaluated, bounded, fresh, copies 
 	return evaluated, bounded, fresh, copies
 }
 
+// maxWarmupDecisions bounds the decisions warmUp runs.
+const maxWarmupDecisions = 16
+
+// warmUp replays the decision at iteration until every worker's workspace
+// has served one (see warm), at most maxWarmupDecisions times. Which workers
+// take part in a decision is scheduling, but the calling goroutine runs the
+// scheduler's first worker and claims a root before it waits, so each
+// worker in turn is put first for one decision.
+func (f *plannerBenchFixture) warmUp(tb testing.TB, iteration int) {
+	workers := f.planner.sched.workers
+	for k := 0; k < maxWarmupDecisions && !f.warm(); k++ {
+		i := k % len(workers)
+		workers[0], workers[i] = workers[i], workers[0]
+		f.planner.iteration = iteration
+		f.decide(tb)
+		workers[0], workers[i] = workers[i], workers[0]
+	}
+}
+
+// warm reports whether every worker's workspace has served a decision: it
+// holds per-depth scratch and, in incremental mode, a working copy.
+func (f *plannerBenchFixture) warm() bool {
+	for _, w := range f.planner.sched.workers {
+		if len(w.ws.depths) == 0 || (f.planner.refitMode == SpecRefitIncremental && w.ws.work == nil) {
+			return false
+		}
+	}
+	return true
+}
+
 func benchmarkPlannerDecision(b *testing.B, lookahead int, refit SpeculativeRefit, workers int) {
 	b.Helper()
 	benchmarkFixtureDecision(b, newPlannerBenchFixture(b, lookahead, refit, workers, nil))
@@ -146,9 +176,9 @@ func benchmarkFixtureDecision(b *testing.B, fixture *plannerBenchFixture) {
 	// would time a b.N-long sequence of different decisions and make the
 	// per-decision counters depend on -benchtime.
 	iteration := fixture.planner.iteration
-	// One decision before the timer grows the workspaces and scratch a
-	// planner keeps, so a short run's ops are not charged for them.
-	fixture.decide(b)
+	// Decisions before the timer grow the workspaces and scratch a planner
+	// keeps, so a short run's ops are not charged for them.
+	fixture.warmUp(b, iteration)
 	evaluated0, bounded0, fresh0, copies0 := fixture.workerCounts()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -79,7 +79,8 @@ type IncrementalRegressor interface {
 	// the swept points.
 	PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) error
 	// RepairLastUpdate refreshes preds[i] in place for every point the last
-	// Update may have moved, appends those indices to ids and the Gaussians
+	// Update moved (listing an unmoved point too is allowed, leaving a moved
+	// one out is not), appends those indices to ids and the Gaussians
 	// they held to old, and reports whether the repair state was usable —
 	// false (with nil error) means the caller must fall back to
 	// re-predicting.
@@ -353,8 +354,8 @@ func (c *Cached) Undo() error {
 func (c *Cached) Pending() int { return len(c.journal) }
 
 // LastMoved returns the memo slots the most recent Update not yet undone
-// repaired — every slot whose entry that Update may have changed, each once —
-// and true; or nil and false when there is no such list: no Update pending,
+// repaired — every slot whose entry that Update changed, each once, and
+// for the bagging ensemble no other — and true; or nil and false when there is no such list: no Update pending,
 // the memo off, or the memo re-swept since the Update was applied (its own
 // fallback or a later Prefill). The slice is the Cached's and is valid until
 // its next mutating call.

@@ -1,11 +1,15 @@
 package serve
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
-// BenchmarkBuildEnv measures rebuilding one environment from its spec, the
-// per-campaign cost of PutSpec and of a restart's rescan. The lookup-table
-// kinds generate one noise draw per configuration; servesim builds a
-// simulator without a table.
+// BenchmarkBuildEnv measures rebuilding one environment from its spec while
+// another campaign holds an environment of the same spec, the per-campaign
+// cost of PutSpec and of a restart's rescan for campaigns that share a
+// spec. The lookup-table kinds look their table up (BenchmarkTableBuild in
+// internal/synth times building one); servesim builds a simulator.
 func BenchmarkBuildEnv(b *testing.B) {
 	for _, spec := range []EnvSpec{
 		{Kind: "tensorflow", Name: "cnn", Seed: 42},
@@ -13,12 +17,17 @@ func BenchmarkBuildEnv(b *testing.B) {
 		{Kind: "servesim", Name: "batch", Seed: 42},
 	} {
 		b.Run(spec.Kind, func(b *testing.B) {
+			held, err := BuildEnv(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			for b.Loop() {
 				if _, err := BuildEnv(spec); err != nil {
 					b.Fatal(err)
 				}
 			}
+			runtime.KeepAlive(held)
 		})
 	}
 }

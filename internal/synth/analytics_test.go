@@ -163,7 +163,7 @@ func TestCherryPickTableAllocsFlat(t *testing.T) {
 			}
 		})
 		job := testing.AllocsPerRun(10, func() {
-			if _, err := cherrypickJobFromSpec(spec, 42); err != nil {
+			if _, err := buildCherryPickJob(spec, 42); err != nil {
 				t.Fatal(err)
 			}
 		})

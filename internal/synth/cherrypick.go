@@ -87,11 +87,14 @@ func cherrypickSpace(spec cherrypickJobSpec) (*configspace.Space, error) {
 	return configspace.New(dims, filter)
 }
 
-// CherryPickJobs generates the five CherryPick-style jobs.
+// CherryPickJobs returns the five CherryPick-style jobs, each shared with
+// every caller still holding the same (job, seed) table (see sharedJob).
 func CherryPickJobs(seed int64) ([]*dataset.Job, error) {
 	out := make([]*dataset.Job, 0, len(cherrypickSpecs))
 	for _, spec := range cherrypickSpecs {
-		job, err := cherrypickJobFromSpec(spec, seed)
+		job, err := sharedJob(tableKey{"cherrypick", spec.profile.name, seed}, func() (*dataset.Job, error) {
+			return buildCherryPickJob(spec, seed)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -100,7 +103,8 @@ func CherryPickJobs(seed int64) ([]*dataset.Job, error) {
 	return out, nil
 }
 
-func cherrypickJobFromSpec(spec cherrypickJobSpec, seed int64) (*dataset.Job, error) {
+// buildCherryPickJob builds the lookup table of one CherryPick job.
+func buildCherryPickJob(spec cherrypickJobSpec, seed int64) (*dataset.Job, error) {
 	space, err := cherrypickSpace(spec)
 	if err != nil {
 		return nil, err

@@ -11,4 +11,8 @@
 // hardware, and a tunable fraction of configurations violating the runtime
 // constraint — so the experiment pipeline reproduces the shape of the
 // paper's figures without the original measurements.
+//
+// A generated table is a pure function of its generator, job name and seed,
+// and a dataset.Job is immutable, so equal requests share one Job while any
+// caller still holds it; only a table nobody holds is generated again.
 package synth

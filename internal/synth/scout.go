@@ -221,21 +221,22 @@ func analyticsRuntime(p analyticsProfile, cluster cloud.Cluster, noise *noiseStr
 	return runtime * noise.factor(configID, p.noiseSpread)
 }
 
-// ScoutJob generates one Scout-style job by name.
+// ScoutJob returns one Scout-style job by name, shared with every caller
+// still holding the same (name, seed) job (see sharedJob).
 func ScoutJob(name string, seed int64) (*dataset.Job, error) {
 	for _, p := range scoutProfiles {
 		if p.name == name {
-			return analyticsJob(p, scoutFamilies, scoutSizes, scoutMachineCounts, scoutSizeCaps, seed)
+			return scoutJob(p, seed)
 		}
 	}
 	return nil, fmt.Errorf("synth: unknown scout job %q", name)
 }
 
-// ScoutJobs generates all 18 Scout-style jobs.
+// ScoutJobs returns all 18 Scout-style jobs, each shared like ScoutJob's.
 func ScoutJobs(seed int64) ([]*dataset.Job, error) {
 	out := make([]*dataset.Job, 0, len(scoutProfiles))
 	for _, p := range scoutProfiles {
-		job, err := analyticsJob(p, scoutFamilies, scoutSizes, scoutMachineCounts, scoutSizeCaps, seed)
+		job, err := scoutJob(p, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -244,9 +245,16 @@ func ScoutJobs(seed int64) ([]*dataset.Job, error) {
 	return out, nil
 }
 
-// analyticsJob builds the lookup table of one cluster-only job.
-func analyticsJob(p analyticsProfile, families, sizes []string, counts []float64, caps map[string]float64, seed int64) (*dataset.Job, error) {
-	space, err := clusterSpace(families, sizes, counts, caps)
+// scoutJob returns the shared lookup table of one Scout job.
+func scoutJob(p analyticsProfile, seed int64) (*dataset.Job, error) {
+	return sharedJob(tableKey{"scout", p.name, seed}, func() (*dataset.Job, error) {
+		return buildScoutJob(p, seed)
+	})
+}
+
+// buildScoutJob builds the lookup table of one Scout job.
+func buildScoutJob(p analyticsProfile, seed int64) (*dataset.Job, error) {
+	space, err := ScoutSpace()
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +262,7 @@ func analyticsJob(p analyticsProfile, families, sizes []string, counts []float64
 	for _, c := range p.name {
 		jobSeed = numeric.Mix(jobSeed, int64(c))
 	}
-	return analyticsTable(p, space, families, sizes, counts, jobSeed)
+	return analyticsTable(p, space, scoutFamilies, scoutSizes, scoutMachineCounts, jobSeed)
 }
 
 // analyticsTable fills the lookup table of one cluster-only job over space,

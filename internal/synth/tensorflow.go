@@ -308,15 +308,24 @@ var tensorflowTable = sync.OnceValues(func() (*tfTable, error) {
 	return &tfTable{space: space, views: views}, nil
 })
 
-// TensorflowJob generates the synthetic lookup table of one Tensorflow job.
+// TensorflowJob returns the synthetic lookup table of one Tensorflow job.
 // The seed makes the per-configuration noise reproducible; the same seed
 // always yields the same dataset. Every job shares one read-only
-// configuration space.
+// configuration space, and equal (kind, seed) pairs share one job while any
+// caller still holds it (see sharedJob).
 func TensorflowJob(kind TensorflowKind, seed int64) (*dataset.Job, error) {
 	profile, err := tfProfileFor(kind)
 	if err != nil {
 		return nil, err
 	}
+	return sharedJob(tableKey{"tensorflow", kind.String(), seed}, func() (*dataset.Job, error) {
+		return buildTensorflowJob(profile, seed)
+	})
+}
+
+// buildTensorflowJob builds the lookup table of one Tensorflow job.
+func buildTensorflowJob(profile tfProfile, seed int64) (*dataset.Job, error) {
+	kind := profile.kind
 	table, err := tensorflowTable()
 	if err != nil {
 		return nil, err

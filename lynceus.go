@@ -243,10 +243,15 @@ func Evaluate(opt Optimizer, cfg EvaluationConfig) (Evaluation, error) {
 // SyntheticTensorflowJobs generates the three Tensorflow-style jobs (cnn,
 // rnn, multilayer) with the 384-point, 5-dimensional configuration space of
 // the paper's §5.1.1.
+//
+// The synthetic jobs are immutable and a pure function of their name and
+// seed, so a job some caller still holds is returned again instead of being
+// regenerated: equal (name, seed) pairs share one *Job while it is in use.
+// This applies to every Synthetic*Job(s) function over lookup tables.
 func SyntheticTensorflowJobs(seed int64) ([]*Job, error) { return synth.TensorflowJobs(seed) }
 
 // SyntheticTensorflowJob generates one Tensorflow-style job by name ("cnn",
-// "rnn" or "multilayer").
+// "rnn" or "multilayer"), shared while in use like SyntheticTensorflowJobs'.
 func SyntheticTensorflowJob(name string, seed int64) (*Job, error) {
 	for _, kind := range synth.TensorflowKinds() {
 		if kind.String() == name {
@@ -256,14 +261,17 @@ func SyntheticTensorflowJob(name string, seed int64) (*Job, error) {
 	return nil, fmt.Errorf("lynceus: unknown tensorflow job %q (want cnn, rnn or multilayer)", name)
 }
 
-// SyntheticScoutJobs generates the 18 Scout-style Hadoop/Spark jobs of §5.1.2.
+// SyntheticScoutJobs generates the 18 Scout-style Hadoop/Spark jobs of
+// §5.1.2, each shared while in use like SyntheticTensorflowJobs'.
 func SyntheticScoutJobs(seed int64) ([]*Job, error) { return synth.ScoutJobs(seed) }
 
 // SyntheticScoutJob generates one Scout-style job by name ("hibench-sort",
-// for one), identical to its entry in SyntheticScoutJobs.
+// for one), identical to its entry in SyntheticScoutJobs, and the same *Job
+// while a caller still holds it.
 func SyntheticScoutJob(name string, seed int64) (*Job, error) { return synth.ScoutJob(name, seed) }
 
-// SyntheticCherryPickJobs generates the 5 CherryPick-style jobs of §5.1.2.
+// SyntheticCherryPickJobs generates the 5 CherryPick-style jobs of §5.1.2,
+// each shared while in use like SyntheticTensorflowJobs'.
 func SyntheticCherryPickJobs(seed int64) ([]*Job, error) { return synth.CherryPickJobs(seed) }
 
 // LargeGridJob is a production-scale analytic workload: an Environment whose

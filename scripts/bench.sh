@@ -42,9 +42,11 @@
 # reported as ns/campaign with allocs/op; not in the committed baseline, so
 # not gated; under the default GOMAXPROCS=1 pin its rescan runs on one
 # goroutine), and one environment build from its spec (internal/serve:
-# a Tensorflow and a Scout lookup table and a servesim simulator, the
-# per-campaign cost of PutSpec and of the rescan, recorded with allocs/op;
-# not in the committed baseline either, so not gated). Every benchmark
+# a Tensorflow and a Scout lookup table while another campaign holds it,
+# so a lookup, and a servesim simulator, the per-campaign cost of PutSpec
+# and of the rescan, recorded with allocs/op; not gated), and one lookup
+# table built from scratch (internal/synth: a Tensorflow, a Scout and a
+# CherryPick table, recorded with allocs/op; not gated). Every benchmark
 # runs BENCH_COUNT times (default 3) and benchjson records the per-metric
 # MEDIAN — a single planner iteration is too noisy to detect real
 # regressions, and the medians (together with allocs/op on the planner
@@ -77,7 +79,7 @@ else
 	GOMAXPROCS=1
 	export GOMAXPROCS
 fi
-PATTERN="${BENCH_PATTERN:-BenchmarkPlannerLA2Tensorflow|BenchmarkPlannerLA3Tensorflow|BenchmarkEnsembleFitPredict|BenchmarkEnsembleSpeculateOutcome|BenchmarkEnsembleRefitIncremental|BenchmarkFullSpaceSweep|BenchmarkSnapshotRestore|BenchmarkSimulate|BenchmarkServerRescan|BenchmarkBuildEnv}"
+PATTERN="${BENCH_PATTERN:-BenchmarkPlannerLA2Tensorflow|BenchmarkPlannerLA3Tensorflow|BenchmarkEnsembleFitPredict|BenchmarkEnsembleSpeculateOutcome|BenchmarkEnsembleRefitIncremental|BenchmarkFullSpaceSweep|BenchmarkSnapshotRestore|BenchmarkSimulate|BenchmarkServerRescan|BenchmarkBuildEnv|BenchmarkTableBuild}"
 BENCHTIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-3}"
 # One op of these is a whole campaign or a batch of eight (0.2-4 s), so a
@@ -95,7 +97,7 @@ fi
 # broken benchmark must fail this script (CI relies on that).
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
-if ! go test -run 'XXX' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/servesim ./internal/serve > "$RAW"; then
+if ! go test -run 'XXX' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/servesim ./internal/serve ./internal/synth > "$RAW"; then
 	cat "$RAW" >&2
 	echo "bench.sh: go test -bench failed" >&2
 	exit 1
