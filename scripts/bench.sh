@@ -42,11 +42,13 @@
 # reported as ns/campaign with allocs/op; not in the committed baseline, so
 # not gated; under the default GOMAXPROCS=1 pin its rescan runs on one
 # goroutine), and one environment build from its spec (internal/serve:
-# a Tensorflow and a Scout lookup table while another campaign holds it,
-# so a lookup, and a servesim simulator, the per-campaign cost of PutSpec
-# and of the rescan, recorded with allocs/op; not gated), and one lookup
-# table built from scratch (internal/synth: a Tensorflow, a Scout and a
-# CherryPick table, recorded with allocs/op; not gated). Every benchmark
+# BenchmarkBuildEnv generates a Tensorflow and a Scout lookup table nobody
+# holds, as BENCH.json's rows do, and builds a servesim simulator;
+# BenchmarkBuildEnvShared looks up a table another campaign holds; the
+# per-campaign cost of PutSpec and of the rescan, recorded with allocs/op;
+# not gated), and one lookup table generated alone (internal/synth: a
+# Tensorflow, a Scout and a CherryPick table, recorded with allocs/op; not
+# gated). Every benchmark
 # runs BENCH_COUNT times (default 3) and benchjson records the per-metric
 # MEDIAN — a single planner iteration is too noisy to detect real
 # regressions, and the medians (together with allocs/op on the planner
