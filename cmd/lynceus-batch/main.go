@@ -1,8 +1,10 @@
 // Command lynceus-batch runs N tuning campaigns concurrently over one share
-// group and reports batch throughput (campaigns/sec). Each
-// campaign's trial sequence and recommendation are bitwise identical to the
-// same campaign run alone through lynceus-tune; sharing changes throughput,
-// never results.
+// group through lynceus.MultiRunner and reports batch throughput
+// (campaigns/sec). Each campaign's trial sequence and recommendation are
+// bitwise identical to the same campaign run alone through lynceus-tune;
+// sharing changes throughput, never results. A campaign that fails is
+// printed as FAILED with its error while the others run on, and the command
+// exits non-zero once the batch is done.
 //
 // Campaigns either replicate one seed (-campaigns N -seed S, a multi-tenant
 // replica batch where nearly all planning work is shared) or sweep seeds

@@ -69,84 +69,170 @@ func run() error {
 		retryAttempts: *retryAttempts,
 	}
 
-	if *servesimProfile != "" {
-		if *datasetPath != "" {
-			return fmt.Errorf("-dataset and -servesim are mutually exclusive")
-		}
-		return runServesim(*servesimProfile, *budget, *budgetMultiplier, *tmax,
-			*feasibleFraction, *optimizerName, *lookahead, *seed, *verbose, cf)
-	}
-	if *datasetPath == "" {
+	var t target
+	switch {
+	case *servesimProfile != "" && *datasetPath != "":
+		return fmt.Errorf("-dataset and -servesim are mutually exclusive")
+	case *servesimProfile != "":
+		t, err = servesimTarget(*servesimProfile, *tmax, *feasibleFraction, *seed)
+	case *datasetPath == "":
 		return fmt.Errorf("missing required -dataset flag (or -servesim)")
+	default:
+		t, err = datasetTarget(*datasetPath, *tmax, *feasibleFraction)
 	}
-	f, err := os.Open(*datasetPath)
 	if err != nil {
-		return fmt.Errorf("opening dataset: %w", err)
+		return err
+	}
+	return tune(t, *budget, *budgetMultiplier, *optimizerName, *lookahead, *seed, *verbose, cf)
+}
+
+// target is what differs between tuning a CSV lookup table and a simulated
+// serving cluster: the environment, its runtime constraint, the mean run cost
+// the default budget scales, and the mode's own output lines.
+type target struct {
+	env         lynceus.Environment
+	maxRuntime  float64
+	meanCost    float64
+	constraints []lynceus.Constraint
+	// header prints the first line of the output.
+	header func(budget float64, optimizer string)
+	// trial formats one exploration's measurements for the -v log.
+	trial func(tr lynceus.Trial) string
+	// report prints the recommendation's measurements and its CNO.
+	report func(res lynceus.Result)
+}
+
+// datasetTarget reads a job's CSV lookup table. The runtime constraint
+// defaults to the one admitting the feasible fraction of its configurations.
+func datasetTarget(path string, tmax, feasibleFraction float64) (target, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return target{}, fmt.Errorf("opening dataset: %w", err)
 	}
 	defer f.Close()
 	job, err := lynceus.ReadJobCSV(f)
 	if err != nil {
-		return fmt.Errorf("parsing dataset: %w", err)
+		return target{}, fmt.Errorf("parsing dataset: %w", err)
 	}
-
-	maxRuntime := *tmax
+	maxRuntime := tmax
 	if maxRuntime <= 0 {
-		maxRuntime, err = job.RuntimeForFeasibleFraction(*feasibleFraction)
+		maxRuntime, err = job.RuntimeForFeasibleFraction(feasibleFraction)
 		if err != nil {
-			return fmt.Errorf("deriving runtime constraint: %w", err)
+			return target{}, fmt.Errorf("deriving runtime constraint: %w", err)
 		}
 	}
+	env, err := lynceus.NewJobEnvironment(job)
+	if err != nil {
+		return target{}, err
+	}
+	return target{
+		env:        env,
+		maxRuntime: maxRuntime,
+		meanCost:   job.MeanCost(),
+		header: func(budget float64, optimizer string) {
+			fmt.Printf("job=%s configs=%d budget=%.4f$ tmax=%.1fs optimizer=%s\n",
+				job.Name(), job.Size(), budget, maxRuntime, optimizer)
+		},
+		trial: func(tr lynceus.Trial) string {
+			return fmt.Sprintf("runtime=%7.1fs cost=%.4f$", tr.RuntimeSeconds, tr.Cost)
+		},
+		report: func(res lynceus.Result) {
+			fmt.Printf("  runtime %.1fs, cost %.4f$ per execution (feasible: %v)\n",
+				res.Recommended.RuntimeSeconds, res.Recommended.Cost, res.RecommendedFeasible)
+			if opt, err := job.Optimum(maxRuntime); err == nil {
+				fmt.Printf("  cost normalized to the true optimum (CNO): %.3f\n", res.Recommended.Cost/opt.Cost)
+			}
+		},
+	}, nil
+}
 
-	totalBudget := *budget
-	if totalBudget <= 0 {
-		bootstrap, err := lhs.DefaultBootstrapSize(job.Space())
+// servesimTarget builds a simulated LLM serving cluster. The runtime
+// constraint defaults to the feasible-fraction quantile of an analytic
+// makespan subsample, and the mean cost comes from the same subsample: both
+// are computed from the simulator's seed-independent ground-truth streams.
+func servesimTarget(profile string, tmax, feasibleFraction float64, seed int64) (target, error) {
+	env, err := lynceus.NewServingEnvironment(profile, seed)
+	if err != nil {
+		return target{}, err
+	}
+	quantile, meanCost, err := env.ApproxStats(feasibleFraction, 96)
+	if err != nil {
+		return target{}, fmt.Errorf("estimating makespan stats: %w", err)
+	}
+	maxRuntime := tmax
+	if maxRuntime <= 0 {
+		maxRuntime = quantile
+	}
+	return target{
+		env:         env,
+		maxRuntime:  maxRuntime,
+		meanCost:    meanCost,
+		constraints: []lynceus.Constraint{env.Constraint()},
+		header: func(budget float64, optimizer string) {
+			fmt.Printf("profile=%s configs=%d budget=%.4f$ tmax=%.1fs max-slo-violation=%.2f optimizer=%s\n",
+				profile, env.Space().Size(), budget, maxRuntime, env.Scenario().MaxSLOViolation, optimizer)
+		},
+		trial: func(tr lynceus.Trial) string {
+			return fmt.Sprintf("makespan=%6.1fs slo-violation=%.3f cost=%.4f$",
+				tr.RuntimeSeconds, tr.Extra[lynceus.SLOViolationMetric], tr.Cost)
+		},
+		report: func(res lynceus.Result) {
+			fmt.Printf("  makespan %.1fs, slo-violation %.3f, cost %.4f$ per run (feasible: %v)\n",
+				res.Recommended.RuntimeSeconds, res.Recommended.Extra[lynceus.SLOViolationMetric],
+				res.Recommended.Cost, res.RecommendedFeasible)
+			if best, err := env.Optimum(maxRuntime, 3); err == nil {
+				got, err := env.True(res.Recommended.Config.ID, 3)
+				if err == nil {
+					fmt.Printf("  true cost normalized to the analytic optimum (CNO): %.3f\n", got.MeanCost/best.MeanCost)
+				}
+			}
+		},
+	}, nil
+}
+
+// tune runs one tuning campaign on t and prints its outcome. A budget of 0
+// defaults to the expected bootstrap cost scaled by budgetMultiplier (the
+// paper's b parameter).
+func tune(t target, budget, budgetMultiplier float64, optimizerName string, lookahead int, seed int64, verbose bool, cf campaignFlags) error {
+	space := t.env.Space()
+	if budget <= 0 {
+		bootstrap, err := lhs.DefaultBootstrapSize(space)
 		if err != nil {
 			return err
 		}
-		totalBudget = float64(bootstrap) * job.MeanCost() * *budgetMultiplier
+		budget = float64(bootstrap) * t.meanCost * budgetMultiplier
 	}
-
-	r, err := newRunner(*optimizerName, *lookahead, cf)
+	r, err := newRunner(optimizerName, lookahead, cf)
 	if err != nil {
 		return err
 	}
-
-	env, err := lynceus.NewJobEnvironment(job)
+	env, err := cf.wrapEnv(t.env, seed)
 	if err != nil {
 		return err
 	}
-	env, err = cf.wrapEnv(env, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("job=%s configs=%d budget=%.4f$ tmax=%.1fs optimizer=%s\n",
-		job.Name(), job.Size(), totalBudget, maxRuntime, r.Name())
+	t.header(budget, r.Name())
 
 	res, err := r.Optimize(env, lynceus.Options{
-		Budget:            totalBudget,
-		MaxRuntimeSeconds: maxRuntime,
-		Seed:              *seed,
+		Budget:            budget,
+		MaxRuntimeSeconds: t.maxRuntime,
+		Seed:              seed,
+		ExtraConstraints:  t.constraints,
 		Retry:             cf.retry(),
 	})
 	if err != nil {
 		return fmt.Errorf("optimizing: %w", err)
 	}
 
-	if *verbose {
+	if verbose {
 		fmt.Println("\nexploration log:")
 		for i, tr := range res.Trials {
-			fmt.Printf("  %3d  %-60s runtime=%7.1fs cost=%.4f$\n",
-				i+1, job.Space().Describe(tr.Config), tr.RuntimeSeconds, tr.Cost)
+			fmt.Printf("  %3d  %-60s %s\n", i+1, space.Describe(tr.Config), t.trial(tr))
 		}
 	}
 
 	fmt.Printf("\nexplorations: %d\nbudget spent: %.4f$ of %.4f$\n", res.Explorations, res.SpentBudget, res.InitialBudget)
-	fmt.Printf("recommended:  %s\n", job.Space().Describe(res.Recommended.Config))
-	fmt.Printf("  runtime %.1fs, cost %.4f$ per execution (feasible: %v)\n",
-		res.Recommended.RuntimeSeconds, res.Recommended.Cost, res.RecommendedFeasible)
-	if opt, err := job.Optimum(maxRuntime); err == nil {
-		fmt.Printf("  cost normalized to the true optimum (CNO): %.3f\n", res.Recommended.Cost/opt.Cost)
-	}
+	fmt.Printf("recommended:  %s\n", space.Describe(res.Recommended.Config))
+	t.report(res)
 	return nil
 }
 
@@ -269,77 +355,4 @@ func (r *campaignRunner) Optimize(env lynceus.Environment, opts lynceus.Options)
 			return t.Result()
 		}
 	}
-}
-
-// runServesim tunes a simulated LLM serving cluster instead of a CSV lookup
-// table. The runtime constraint defaults to the feasible-fraction quantile of
-// an analytic makespan subsample, and the budget to the bootstrap cost scaled
-// by -budget-multiplier — mirroring the dataset path, but computed from the
-// simulator's seed-independent ground-truth streams.
-func runServesim(profile string, budget, budgetMultiplier, tmax, feasibleFraction float64,
-	optimizerName string, lookahead int, seed int64, verbose bool, cf campaignFlags) error {
-	env, err := lynceus.NewServingEnvironment(profile, seed)
-	if err != nil {
-		return err
-	}
-	quantile, meanCost, err := env.ApproxStats(feasibleFraction, 96)
-	if err != nil {
-		return fmt.Errorf("estimating makespan stats: %w", err)
-	}
-	maxRuntime := tmax
-	if maxRuntime <= 0 {
-		maxRuntime = quantile
-	}
-	totalBudget := budget
-	if totalBudget <= 0 {
-		bootstrap, err := lhs.DefaultBootstrapSize(env.Space())
-		if err != nil {
-			return err
-		}
-		totalBudget = float64(bootstrap) * meanCost * budgetMultiplier
-	}
-	r, err := newRunner(optimizerName, lookahead, cf)
-	if err != nil {
-		return err
-	}
-	tuneEnv, err := cf.wrapEnv(env, seed)
-	if err != nil {
-		return err
-	}
-
-	fmt.Printf("profile=%s configs=%d budget=%.4f$ tmax=%.1fs max-slo-violation=%.2f optimizer=%s\n",
-		profile, env.Space().Size(), totalBudget, maxRuntime, env.Scenario().MaxSLOViolation, r.Name())
-
-	res, err := r.Optimize(tuneEnv, lynceus.Options{
-		Budget:            totalBudget,
-		MaxRuntimeSeconds: maxRuntime,
-		Seed:              seed,
-		ExtraConstraints:  []lynceus.Constraint{env.Constraint()},
-		Retry:             cf.retry(),
-	})
-	if err != nil {
-		return fmt.Errorf("optimizing: %w", err)
-	}
-
-	if verbose {
-		fmt.Println("\nexploration log:")
-		for i, tr := range res.Trials {
-			fmt.Printf("  %3d  %-60s makespan=%6.1fs slo-violation=%.3f cost=%.4f$\n",
-				i+1, env.Space().Describe(tr.Config), tr.RuntimeSeconds,
-				tr.Extra[lynceus.SLOViolationMetric], tr.Cost)
-		}
-	}
-
-	fmt.Printf("\nexplorations: %d\nbudget spent: %.4f$ of %.4f$\n", res.Explorations, res.SpentBudget, res.InitialBudget)
-	fmt.Printf("recommended:  %s\n", env.Space().Describe(res.Recommended.Config))
-	fmt.Printf("  makespan %.1fs, slo-violation %.3f, cost %.4f$ per run (feasible: %v)\n",
-		res.Recommended.RuntimeSeconds, res.Recommended.Extra[lynceus.SLOViolationMetric],
-		res.Recommended.Cost, res.RecommendedFeasible)
-	if best, err := env.Optimum(maxRuntime, 3); err == nil {
-		got, err := env.True(res.Recommended.Config.ID, 3)
-		if err == nil {
-			fmt.Printf("  true cost normalized to the analytic optimum (CNO): %.3f\n", got.MeanCost/best.MeanCost)
-		}
-	}
-	return nil
 }

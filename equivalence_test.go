@@ -481,9 +481,6 @@ var relations = []relation{
 			if r.Name != members[i].name || r.Err != nil {
 				t.Fatalf("result %d is %q (err %v), want %q in Add order", i, r.Name, r.Err, members[i].name)
 			}
-			if r.Steps < len(r.Result.Trials) {
-				t.Fatalf("%s: %d steps for %d trials", r.Name, r.Steps, len(r.Result.Trials))
-			}
 			sameTrace(t, r.Name, traceOfResult(r.Result), c.isolated(t, members[i].variant))
 		}
 		if summary.CampaignsPerSec <= 0 {

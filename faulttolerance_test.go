@@ -121,6 +121,64 @@ func TestCampaignAbortsWithoutQuarantine(t *testing.T) {
 	}
 }
 
+// failAfter lets the first n runs through, then fails every run for good.
+type failAfter struct {
+	Environment
+	n int
+}
+
+func (f *failAfter) Run(cfg Config) (Trial, error) {
+	if f.n == 0 {
+		return Trial{}, &RunError{Err: errors.New("injected permanent failure")}
+	}
+	f.n--
+	return f.Environment.Run(cfg)
+}
+
+// TestMultiRunnerIsolatesFailedCampaign pins a batch's failure isolation: a
+// campaign whose environment fails for good after its bootstrap ends with
+// its own typed error, while its twin in the same share group runs to the
+// recommendation it reaches alone, and Run itself does not fail.
+func TestMultiRunnerIsolatesFailedCampaign(t *testing.T) {
+	f := fixtureNamed(t, "scout72-la1")
+	env, opts := f.inputs(t, f.seed)
+	opts.Retry = RetryPolicy{MaxAttempts: 1}
+	isolated := runTuner(t, startTuner(t, f.cfg, env, opts, nil))
+	bootstrap, err := optimizer.ResolveBootstrapSize(env.Space(), opts)
+	if err != nil {
+		t.Fatalf("ResolveBootstrapSize: %v", err)
+	}
+
+	runner := NewMultiRunner(MultiRunnerConfig{Concurrency: 2})
+	env, _ = f.inputs(t, f.seed)
+	if err := runner.Add("healthy", f.cfg, env, opts); err != nil {
+		t.Fatalf("Add(healthy): %v", err)
+	}
+	env, _ = f.inputs(t, f.seed)
+	if err := runner.Add("doomed", f.cfg, &failAfter{Environment: env, n: bootstrap}, opts); err != nil {
+		t.Fatalf("Add(doomed): %v", err)
+	}
+	summary, err := runner.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(summary.Results) != 2 || summary.Results[0].Name != "healthy" || summary.Results[1].Name != "doomed" {
+		t.Fatalf("results %+v, want healthy then doomed in Add order", summary.Results)
+	}
+	healthy, doomed := summary.Results[0], summary.Results[1]
+	if healthy.Err != nil {
+		t.Fatalf("healthy campaign failed: %v", healthy.Err)
+	}
+	sameTrace(t, "healthy", traceOfResult(healthy.Result), isolated)
+	if !errors.Is(doomed.Err, ErrRunFailed) {
+		t.Fatalf("doomed campaign's error = %v, want ErrRunFailed in the chain", doomed.Err)
+	}
+	var runErr *RunError
+	if !errors.As(doomed.Err, &runErr) {
+		t.Fatalf("doomed campaign's error = %v, want an extractable *RunError", doomed.Err)
+	}
+}
+
 // TestResumeValidation exercises the snapshot compatibility checks.
 func TestResumeValidation(t *testing.T) {
 	f := fixtureNamed(t, "scout72-la1")

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/configspace"
 	"repro/internal/optimizer"
 )
 
@@ -242,105 +241,6 @@ func testCancelledAtEveryBoundary(t *testing.T, params Params) {
 		// again, it adopts the decision the replica planned.
 		if id, err := decide(leader, nil); err != nil || id != wantID {
 			t.Fatalf("cancelAt=%d: leader's second attempt: decision %d, %v; want %d", k, id, err, wantID)
-		}
-	}
-}
-
-// failingEnv lets the first `successes` runs through, then fails permanently —
-// a campaign that bootstraps fine and dies at its first planned trial.
-type failingEnv struct {
-	*optimizer.JobEnvironment
-	successes int
-	runs      int
-}
-
-func (f *failingEnv) Run(cfg configspace.Config) (optimizer.TrialResult, error) {
-	f.runs++
-	if f.runs <= f.successes {
-		return f.JobEnvironment.Run(cfg)
-	}
-	return optimizer.TrialResult{}, &optimizer.RunError{
-		Err:       fmt.Errorf("injected permanent failure"),
-		Transient: false,
-	}
-}
-
-// TestMultiRunnerFailureRecords pins the structured per-campaign failure
-// reporting: a failing campaign in a batch yields a CampaignFailure with the
-// right name, index, errors.Is-matchable cause and transient flag, and the
-// healthy campaigns are unaffected.
-func TestMultiRunnerFailureRecords(t *testing.T) {
-	l, err := New(fastParams(1))
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-	opts := fixtureOptions(t, 5)
-	opts.BootstrapSize = 4
-	opts.Retry = optimizer.RetryPolicy{MaxAttempts: 1} // abort on first failure
-
-	runner := NewMultiRunner(2, NewShareGroup())
-	if err := runner.Add("healthy", l, fixtureEnv(t), opts); err != nil {
-		t.Fatalf("Add(healthy): %v", err)
-	}
-	if err := runner.Add("doomed", l, &failingEnv{JobEnvironment: fixtureEnv(t), successes: 4}, opts); err != nil {
-		t.Fatalf("Add(doomed): %v", err)
-	}
-	summary, err := runner.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if summary.Results[0].Err != nil {
-		t.Fatalf("healthy campaign failed: %v", summary.Results[0].Err)
-	}
-	if len(summary.Failures) != 1 {
-		t.Fatalf("%d failure records, want 1: %+v", len(summary.Failures), summary.Failures)
-	}
-	f := summary.Failures[0]
-	if f.Name != "doomed" || f.Index != 1 {
-		t.Fatalf("failure record = %+v, want name doomed index 1", f)
-	}
-	if !errors.Is(f.Err, optimizer.ErrRunFailed) {
-		t.Fatalf("failure cause = %v, want ErrRunFailed in the chain", f.Err)
-	}
-	var runErr *optimizer.RunError
-	if !errors.As(f.Err, &runErr) {
-		t.Fatalf("failure cause = %v, want an extractable *RunError", f.Err)
-	}
-	if f.Transient {
-		t.Fatal("permanent run failure classified transient")
-	}
-}
-
-// TestMultiRunnerRunContextCancelled pins batch cancellation: a cancelled
-// context stops every campaign with a transient, ErrCampaignCancelled-matching
-// failure record, and the partial summary still comes back.
-func TestMultiRunnerRunContextCancelled(t *testing.T) {
-	l, err := New(fastParams(1))
-	if err != nil {
-		t.Fatalf("New error: %v", err)
-	}
-	opts := fixtureOptions(t, 5)
-	runner := NewMultiRunner(2, NewShareGroup())
-	for i := 0; i < 3; i++ {
-		if err := runner.Add(fmt.Sprintf("c%d", i), l, fixtureEnv(t), opts); err != nil {
-			t.Fatalf("Add: %v", err)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	summary, err := runner.RunContext(ctx)
-	if err != nil {
-		t.Fatalf("RunContext: %v", err)
-	}
-	if len(summary.Failures) != 3 {
-		t.Fatalf("%d failure records, want 3 (all cancelled): %+v", len(summary.Failures), summary.Failures)
-	}
-	for i, f := range summary.Failures {
-		if !errors.Is(f.Err, optimizer.ErrCampaignCancelled) {
-			t.Fatalf("failure %d cause = %v, want ErrCampaignCancelled", i, f.Err)
-		}
-		if !f.Transient {
-			t.Fatalf("cancellation of %q classified non-transient", f.Name)
 		}
 	}
 }

@@ -14,8 +14,8 @@ import (
 // resuming a campaign from misinterpreted state.
 const SnapshotVersion = 1
 
-// snapshotRetry is the serializable subset of optimizer.RetryPolicy
-// (durations as nanoseconds; the Sleep hook is process-local and dropped).
+// snapshotRetry is optimizer.RetryPolicy in serializable form (durations
+// as nanoseconds).
 type snapshotRetry struct {
 	MaxAttempts   int   `json:"max_attempts,omitempty"`
 	TimeoutNS     int64 `json:"timeout_ns,omitempty"`
