@@ -224,6 +224,7 @@ func BenchmarkServesimDecision(b *testing.B) {
 	if err != nil {
 		b.Fatalf("NewTuner: %v", err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	decisions := 0
 	for i := 0; i < b.N; i++ {

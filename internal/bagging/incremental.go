@@ -46,13 +46,6 @@ func (e *Ensemble) Incremental() bool {
 	return e.params.Incremental && len(e.trees) > 0 && e.trees[0].Incremental()
 }
 
-// IncrementalCapable reports whether fits of this ensemble will support
-// Update and CloneInto, i.e. whether Params.Incremental is set. Unlike
-// Incremental it does not require a completed fit, which is what lets the
-// planner probe a factory's products before planning starts instead of
-// failing mid-run (see model.SupportsIncremental).
-func (e *Ensemble) IncrementalCapable() bool { return e.params.Incremental }
-
 // Updates returns the number of samples folded in by Update since the last
 // Fit.
 func (e *Ensemble) Updates() int { return e.updates }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/acquisition"
 	"repro/internal/bagging"
@@ -58,19 +57,7 @@ type boModels struct {
 }
 
 func newBOModels(params bagging.Params, opts optimizer.Options) *boModels {
-	names := make([]string, 0, len(opts.ExtraConstraints))
-	for _, c := range opts.ExtraConstraints {
-		names = append(names, c.Metric)
-	}
-	sort.Strings(names)
-	maxima := make([]float64, len(names))
-	for i, name := range names {
-		for _, c := range opts.ExtraConstraints {
-			if c.Metric == name {
-				maxima[i] = c.Max
-			}
-		}
-	}
+	names, maxima := optimizer.SortedConstraints(opts.ExtraConstraints)
 	m := &boModels{
 		cost:       bagging.New(params, opts.Seed),
 		extraNames: names,

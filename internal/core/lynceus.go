@@ -100,7 +100,8 @@ type Params struct {
 	// count — paper-scale searches keep Full, deep or wide searches switch
 	// to Incremental. Explicitly requesting Incremental with a ModelFactory
 	// whose regressors are not model.IncrementalRegressor (e.g. "gp") is an
-	// error; under Auto such factories silently keep Full.
+	// error; under Auto such factories silently keep Full. A custom bagging
+	// factory must set bagging.Params.Incremental to speculate incrementally.
 	SpeculativeRefit SpeculativeRefit
 }
 

@@ -60,21 +60,23 @@ func (ms *modelSet) fit(ts *trainSet) error {
 	return nil
 }
 
-// predictCand returns the memoized predictive distributions of a candidate,
-// keyed by its slot in the decision's active set.
-func (ms *modelSet) predictCand(c candidate) (numeric.Gaussian, []numeric.Gaussian, error) {
-	costPred, err := ms.cost.PredictID(c.slot, c.features)
-	if err != nil {
-		return numeric.Gaussian{}, nil, err
+// predictCand appends a candidate's memoized predictive distributions to
+// dst — the cost model's, then each constraint model's — keyed by its slot in
+// the decision's active set. Every set the planner scores candidates on is
+// prefilled, so a memo that is off is errNotPrefilled.
+func (ms *modelSet) predictCand(dst []numeric.Gaussian, c candidate) ([]numeric.Gaussian, error) {
+	memo := ms.cost.MemoPreds()
+	if memo == nil {
+		return dst, errNotPrefilled
 	}
-	extraPreds := make([]numeric.Gaussian, len(ms.extras))
-	for k, m := range ms.extras {
-		extraPreds[k], err = m.PredictID(c.slot, c.features)
-		if err != nil {
-			return numeric.Gaussian{}, nil, err
+	dst = append(dst, memo[c.slot])
+	for _, m := range ms.extras {
+		if memo = m.MemoPreds(); memo == nil {
+			return dst, errNotPrefilled
 		}
+		dst = append(dst, memo[c.slot])
 	}
-	return costPred, extraPreds, nil
+	return dst, nil
 }
 
 // prefill computes the memoized predictions of every active candidate in one

@@ -216,10 +216,7 @@ func sampleOracleStates(t *testing.T, p *planner, h *optimizer.History, remainin
 		depth := 1 + rng.Intn(2)
 		for step := 0; step < depth && len(state.untested) > 1; step++ {
 			cand := state.untested[rng.Intn(len(state.untested))]
-			costPred, extraPreds, err := models.predictCand(cand)
-			if err != nil {
-				t.Fatalf("predictCand: %v", err)
-			}
+			costPred, extraPreds := candPreds(t, models, cand)
 			specCost := randomOutcome(t, rng, costPred, p.params.GHOrder)
 			specExtras := make([]float64, len(extraPreds))
 			for k, pred := range extraPreds {
@@ -297,13 +294,23 @@ func sampleOracleStates(t *testing.T, p *planner, h *optimizer.History, remainin
 	tally.bounded += buf.bounded
 }
 
+// candPreds returns predictCand's cost and constraint predictions of cand.
+func candPreds(t *testing.T, ms *modelSet, cand candidate) (numeric.Gaussian, []numeric.Gaussian) {
+	t.Helper()
+	preds, err := ms.predictCand(nil, cand)
+	if err != nil {
+		t.Fatalf("predictCand: %v", err)
+	}
+	return preds[0], preds[1:]
+}
+
 // randomOutcome returns a random Gauss-Hermite node of the prediction — one
 // of the outcomes explorePaths would speculate on.
 func randomOutcome(t *testing.T, rng *rand.Rand, pred numeric.Gaussian, order int) float64 {
 	t.Helper()
-	outcomes, err := numeric.DiscretizeGaussian(pred, order)
+	outcomes, err := numeric.AppendDiscretizedGaussian(nil, pred, order)
 	if err != nil {
-		t.Fatalf("DiscretizeGaussian: %v", err)
+		t.Fatalf("AppendDiscretizedGaussian: %v", err)
 	}
 	return outcomes[rng.Intn(len(outcomes))].Value
 }
@@ -496,10 +503,7 @@ func sampleBoundReuse(t *testing.T, oc oracleCampaign, la int, tally *reuseTally
 			}
 			for sibling := 0; sibling < 2; sibling++ {
 				cand := state.untested[rng.Intn(len(state.untested))]
-				costPred, extraPreds, err := parent.predictCand(cand)
-				if err != nil {
-					t.Fatalf("predictCand: %v", err)
-				}
+				costPred, extraPreds := candPreds(t, parent, cand)
 				specCost := randomOutcome(t, rng, costPred, p.params.GHOrder)
 				specExtras := make([]float64, len(extraPreds))
 				for k, pred := range extraPreds {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/acquisition"
@@ -59,7 +60,9 @@ type pathDepthScratch struct {
 	untested  []candidate
 	state     specState
 	bounds    boundTable
+	preds     []numeric.Gaussian
 	outcomes  []numeric.WeightedValue
+	marginals [][]numeric.WeightedValue
 	combos    []numeric.WeightedVector
 	comboVals []float64
 }
@@ -469,10 +472,12 @@ func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, parent *
 // 1 on is models itself. w is the scheduler worker executing this
 // evaluation, whose sweep scratch and counters the path uses.
 func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, cand candidate, lookahead int, ws *pathWorkspace, slot int, w *specWorker) (reward, cost float64, err error) {
-	costPred, extraPreds, err := models.predictCand(cand)
+	ds := ws.depth(slot)
+	ds.preds, err = models.predictCand(ds.preds[:0], cand)
 	if err != nil {
 		return 0, 0, err
 	}
+	costPred, extraPreds := ds.preds[0], ds.preds[1:]
 	reward, err = p.eic(inc, cand, costPred, extraPreds)
 	if err != nil {
 		return 0, 0, err
@@ -486,48 +491,22 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 
 	// Discretize the speculated outcomes: the cost and every constraint
 	// metric each contribute a Gauss-Hermite marginal; the joint outcomes are
-	// their Cartesian product (paper §4.4 for the multi-constraint case). In
-	// the common single-constraint case (no extras) the cost marginal is the
-	// joint distribution, so the product machinery is skipped and both the
-	// outcomes and the combo headers live in this depth's recycled scratch —
-	// one Gauss-Hermite batch of speculated outcomes per step, allocated
-	// never.
-	ds := ws.depth(slot)
-	var combos []numeric.WeightedVector
-	if len(extraPreds) == 0 {
-		ds.outcomes, err = numeric.AppendDiscretizedGaussian(ds.outcomes[:0], costPred, p.params.GHOrder)
-		if err != nil {
+	// their Cartesian product (paper §4.4 for the multi-constraint case; with
+	// no extra constraint, the cost marginal itself). Marginals and combos
+	// live in this depth's recycled scratch — one Gauss-Hermite batch of
+	// speculated outcomes per step, allocated never.
+	ds.outcomes = slices.Grow(ds.outcomes[:0], len(ds.preds)*p.params.GHOrder)
+	ds.marginals = ds.marginals[:0]
+	for _, pred := range ds.preds {
+		start := len(ds.outcomes)
+		if ds.outcomes, err = numeric.AppendDiscretizedGaussian(ds.outcomes, pred, p.params.GHOrder); err != nil {
 			return 0, 0, err
 		}
-		nOut := len(ds.outcomes)
-		if cap(ds.combos) < nOut {
-			ds.combos = make([]numeric.WeightedVector, nOut)
-			ds.comboVals = make([]float64, nOut)
-		}
-		combos = ds.combos[:nOut]
-		values := ds.comboVals[:nOut]
-		for i, o := range ds.outcomes {
-			values[i] = o.Value
-			combos[i] = numeric.WeightedVector{Values: values[i : i+1 : i+1], Weight: o.Weight}
-		}
-	} else {
-		costOutcomes, err := numeric.DiscretizeGaussian(costPred, p.params.GHOrder)
-		if err != nil {
-			return 0, 0, err
-		}
-		dims := make([][]numeric.WeightedValue, 0, 1+len(extraPreds))
-		dims = append(dims, costOutcomes)
-		for _, pred := range extraPreds {
-			outcomes, err := numeric.DiscretizeGaussian(pred, p.params.GHOrder)
-			if err != nil {
-				return 0, 0, err
-			}
-			dims = append(dims, outcomes)
-		}
-		combos, err = numeric.CartesianWeighted(dims)
-		if err != nil {
-			return 0, 0, err
-		}
+		ds.marginals = append(ds.marginals, ds.outcomes[start:])
+	}
+	ds.combos, ds.comboVals, err = numeric.AppendCartesianWeighted(ds.combos[:0], ds.comboVals[:0], ds.marginals)
+	if err != nil {
+		return 0, 0, err
 	}
 
 	childUntested := appendWithout(ds.untested[:0], state.untested, cand.id)
@@ -548,7 +527,7 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 	// extending it, so the mutation never escapes this loop.
 	childTrain := state.train.withEntryInto(ds.train, cand.features, 0, nil, false)
 	last := len(childTrain.costs) - 1
-	for _, combo := range combos {
+	for _, combo := range ds.combos {
 		specCost := combo.Values[0]
 		specExtras := combo.Values[1:]
 		feasible := p.feasibleSpeculation(cand, specCost, specExtras)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/configspace"
 	"repro/internal/model"
@@ -102,9 +101,9 @@ func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options
 		m.Incremental = mode == SpecRefitIncremental
 		factory = model.NewBaggingFactory(m, opts.Seed)
 	} else if mode == SpecRefitIncremental {
-		if !model.SupportsIncremental(factory.New(-1)) {
+		if _, ok := factory.New(-1).(model.IncrementalRegressor); !ok {
 			if params.SpeculativeRefit == SpecRefitIncremental {
-				return nil, fmt.Errorf("core: SpeculativeRefit Incremental requires incremental-update support (model.IncrementalRegressor, with retention enabled — e.g. bagging.Params.Incremental), which the %q factory's models lack", factory.Name())
+				return nil, fmt.Errorf("core: SpeculativeRefit Incremental requires incremental-update support (model.IncrementalRegressor), which the %q factory's models lack", factory.Name())
 			}
 			mode = SpecRefitFull
 		}
@@ -118,7 +117,7 @@ func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options
 		prices:    optimizer.NewPriceCache(env),
 		shared:    g,
 	}
-	p.extraNames, p.extraMax = resolveExtraConstraints(opts.ExtraConstraints)
+	p.extraNames, p.extraMax = optimizer.SortedConstraints(opts.ExtraConstraints)
 	var pool *workspacePool
 	var shape string
 	if g != nil && mode == SpecRefitIncremental {
@@ -144,25 +143,4 @@ func (p *planner) candidateConfig(c candidate) configspace.Config {
 		return configspace.Config{ID: c.id, Features: append([]float64(nil), c.features...)}
 	}
 	return cfg
-}
-
-// resolveExtraConstraints returns the extra-constraint metric names in sorted
-// order with the threshold of each (of a name's first entry, should the
-// options repeat one).
-func resolveExtraConstraints(constraints []optimizer.Constraint) (names []string, maxima []float64) {
-	names = make([]string, 0, len(constraints))
-	for _, c := range constraints {
-		names = append(names, c.Metric)
-	}
-	sort.Strings(names)
-	maxima = make([]float64, len(names))
-	for k, name := range names {
-		for _, c := range constraints {
-			if c.Metric == name {
-				maxima[k] = c.Max
-				break
-			}
-		}
-	}
-	return names, maxima
 }

@@ -94,41 +94,26 @@ func TestAutoWithNonIncrementalFactoryFallsBackToFull(t *testing.T) {
 	}
 }
 
-// TestNonRetainingBaggingFactoryResolvesLikeGP pins the capability probe for
-// custom bagging factories built without bagging.Params.Incremental: their
-// ensembles type-assert as IncrementalRegressor but cannot actually Update,
-// so Auto must fall back to Full up front and explicit Incremental must fail
-// at construction — never mid-run at the first speculative clone.
-func TestNonRetainingBaggingFactoryResolvesLikeGP(t *testing.T) {
+// TestRetainingBaggingFactoryResolvesToIncremental pins that a custom
+// factory whose models are model.IncrementalRegressor — a bagging factory
+// built with bagging.Params.Incremental — keeps the incremental mode that
+// the lookahead selects.
+func TestRetainingBaggingFactoryResolvesToIncremental(t *testing.T) {
 	env := fixtureEnv(t)
 	opts := fixtureOptions(t, 3)
-	plain := model.NewBaggingFactory(bagging.Params{NumTrees: 4}, 1)
-
-	params, err := Params{Lookahead: 3, ModelFactory: plain, Workers: 1}.withDefaults()
-	if err != nil {
-		t.Fatalf("withDefaults: %v", err)
-	}
-	p, err := newPlanner(params, env, opts, nil)
-	if err != nil {
-		t.Fatalf("newPlanner: %v", err)
-	}
-	if p.refitMode != SpecRefitFull {
-		t.Fatalf("refit mode = %v, want fallback to SpecRefitFull", p.refitMode)
-	}
-
-	params.SpeculativeRefit = SpecRefitIncremental
-	if _, err := newPlanner(params, env, opts, nil); err == nil {
-		t.Fatal("newPlanner accepted explicit Incremental with a non-retaining bagging factory")
-	}
-
 	retaining := model.NewBaggingFactory(bagging.Params{NumTrees: 4, Incremental: true}, 1)
-	params.ModelFactory = retaining
-	p, err = newPlanner(params, env, opts, nil)
-	if err != nil {
-		t.Fatalf("newPlanner with retaining factory: %v", err)
-	}
-	if p.refitMode != SpecRefitIncremental {
-		t.Fatalf("refit mode = %v, want SpecRefitIncremental", p.refitMode)
+	for _, mode := range []SpeculativeRefit{SpecRefitAuto, SpecRefitIncremental} {
+		params, err := Params{Lookahead: 3, ModelFactory: retaining, Workers: 1, SpeculativeRefit: mode}.withDefaults()
+		if err != nil {
+			t.Fatalf("withDefaults: %v", err)
+		}
+		p, err := newPlanner(params, env, opts, nil)
+		if err != nil {
+			t.Fatalf("newPlanner with retaining factory: %v", err)
+		}
+		if p.refitMode != SpecRefitIncremental {
+			t.Fatalf("requested %v: refit mode = %v, want SpecRefitIncremental", mode, p.refitMode)
+		}
 	}
 }
 

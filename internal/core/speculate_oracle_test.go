@@ -336,10 +336,7 @@ func sampleSpeculateStates(t *testing.T, p *planner, factory *recordingFactory, 
 			var specExtras []float64
 			for try := 0; try < 3; try++ {
 				cand = state.untested[rng.Intn(len(state.untested))]
-				costPred, extraPreds, err := parent.ms.predictCand(cand)
-				if err != nil {
-					t.Fatalf("predictCand: %v", err)
-				}
+				costPred, extraPreds := candPreds(t, parent.ms, cand)
 				specCost = randomOutcome(t, rng, costPred, p.params.GHOrder)
 				if rng.Intn(4) == 0 {
 					// An existing sample's cost: where the candidate shares

@@ -97,10 +97,7 @@ func TestWorkingCopyValidity(t *testing.T) {
 	rootMemos := memosOf(t, root)
 	w := p.sched.workers[0]
 	cand := d.root.untested[3]
-	costPred, extraPreds, err := root.predictCand(cand)
-	if err != nil {
-		t.Fatalf("predictCand: %v", err)
-	}
+	costPred, extraPreds := candPreds(t, root, cand)
 	specCost, specExtras := costPred.Mean, []float64{extraPreds[0].Mean}
 	child := &specState{
 		train:    d.root.train.withEntry(cand.features, specCost, specExtras, true),

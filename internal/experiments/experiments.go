@@ -85,11 +85,8 @@ type Experiment struct {
 type Suite struct {
 	opts Options
 
-	mu      sync.Mutex
-	cache   map[string]simulator.JobResult
-	tfJobs  []*dataset.Job
-	tfError error
-	tfOnce  sync.Once
+	mu    sync.Mutex
+	cache map[string]simulator.JobResult
 }
 
 // NewSuite creates a Suite with the given options.
@@ -139,15 +136,12 @@ func (s *Suite) Run(id string) ([]report.Table, error) {
 	return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, IDs())
 }
 
-// tensorflowJobs lazily generates (and caches) the three Tensorflow jobs.
+// tensorflowJobs returns the (possibly limited) Tensorflow jobs.
 func (s *Suite) tensorflowJobs() ([]*dataset.Job, error) {
-	s.tfOnce.Do(func() {
-		s.tfJobs, s.tfError = synth.TensorflowJobs(s.opts.DatasetSeed)
-	})
-	if s.tfError != nil {
-		return nil, s.tfError
+	jobs, err := synth.TensorflowJobs(s.opts.DatasetSeed)
+	if err != nil {
+		return nil, err
 	}
-	jobs := s.tfJobs
 	if s.opts.TensorflowJobLimit > 0 && s.opts.TensorflowJobLimit < len(jobs) {
 		jobs = jobs[:s.opts.TensorflowJobLimit]
 	}

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -38,14 +39,8 @@ func fittedIncCached(t *testing.T, size int) (*Cached, [][]float64, func(int) []
 }
 
 func TestCachedSupportsIncremental(t *testing.T) {
-	if !SupportsIncremental(bagging.New(bagging.Params{Incremental: true}, 1)) {
-		t.Error("retaining bagging ensemble does not report incremental support")
-	}
-	if SupportsIncremental(bagging.New(bagging.Params{}, 1)) {
-		t.Error("non-retaining bagging ensemble claims incremental support")
-	}
-	inner := gp.New()
-	if SupportsIncremental(inner) {
+	var inner Regressor = gp.New()
+	if _, ok := inner.(IncrementalRegressor); ok {
 		t.Error("gp claims incremental support")
 	}
 	g := NewCached(inner, 4)
@@ -61,14 +56,7 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 	const size = 24
 	c, _, rowOf := fittedIncCached(t, size)
 
-	before := make([]numeric.Gaussian, size)
-	for id := 0; id < size; id++ {
-		p, err := c.PredictID(id, rowOf(id))
-		if err != nil {
-			t.Fatalf("PredictID: %v", err)
-		}
-		before[id] = p
-	}
+	before := slices.Clone(c.MemoPreds())
 	if err := c.Update(rowOf(7), 42); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
@@ -94,14 +82,10 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("inner Predict: %v", err)
 		}
-		got, err := c.PredictID(id, row)
-		if err != nil {
-			t.Fatalf("PredictID after Update: %v", err)
-		}
-		if got != want {
+		if got := c.MemoPreds()[id]; got != want {
 			t.Fatalf("memoized prediction %d = %+v, want inner %+v", id, got, want)
 		}
-		if got == before[id] {
+		if want == before[id] {
 			kept++
 		} else {
 			moved++
@@ -128,20 +112,9 @@ func TestCachedCloneFromIsIndependent(t *testing.T) {
 	if err := dst.CloneFrom(src); err != nil {
 		t.Fatalf("CloneFrom: %v", err)
 	}
-	srcBefore := make([]numeric.Gaussian, size)
-	for id := 0; id < size; id++ {
-		p, err := src.PredictID(id, rowOf(id))
-		if err != nil {
-			t.Fatalf("PredictID: %v", err)
-		}
-		srcBefore[id] = p
-		q, err := dst.PredictID(id, rowOf(id))
-		if err != nil {
-			t.Fatalf("clone PredictID: %v", err)
-		}
-		if q != p {
-			t.Fatalf("clone prediction %d = %+v, want %+v", id, q, p)
-		}
+	srcBefore := slices.Clone(src.MemoPreds())
+	if !slices.Equal(dst.MemoPreds(), srcBefore) {
+		t.Fatalf("clone memo = %+v, want the source's %+v", dst.MemoPreds(), srcBefore)
 	}
 	// Updating the clone must leave the source untouched and repair the
 	// clone's memo using the shared feature matrix.
@@ -150,21 +123,13 @@ func TestCachedCloneFromIsIndependent(t *testing.T) {
 			t.Fatalf("clone Update: %v", err)
 		}
 	}
-	for id := 0; id < size; id++ {
-		p, err := src.PredictID(id, rowOf(id))
-		if err != nil {
-			t.Fatalf("PredictID: %v", err)
-		}
+	for id, p := range src.MemoPreds() {
 		if p != srcBefore[id] {
 			t.Fatalf("source moved after clone update at %d: %+v -> %+v", id, srcBefore[id], p)
 		}
 	}
 	moved := false
-	for id := 0; id < size; id++ {
-		q, err := dst.PredictID(id, rowOf(id))
-		if err != nil {
-			t.Fatalf("clone PredictID: %v", err)
-		}
+	for id, q := range dst.MemoPreds() {
 		want, err := dst.inner.Predict(rowOf(id))
 		if err != nil {
 			t.Fatalf("clone inner Predict: %v", err)
@@ -208,7 +173,7 @@ func checkMemoFresh(c *Cached, cols [][]float64) error {
 
 // TestCachedSharedSourceConcurrentReadersAndCloners pins the concurrency
 // contract of a valid memo (run under -race): reads never write, so one
-// prefilled Cached serves PredictID/MemoPreds readers while other goroutines
+// prefilled Cached serves MemoPreds readers while other goroutines
 // CloneFrom it and Update their private clones, and every clone's memo stays
 // valid and bitwise equal to a fresh sweep of its own model.
 func TestCachedSharedSourceConcurrentReadersAndCloners(t *testing.T) {
@@ -228,13 +193,8 @@ func TestCachedSharedSourceConcurrentReadersAndCloners(t *testing.T) {
 				memo := src.MemoPreds()
 				for k := 0; k < size; k++ {
 					id := (k*(g+1) + rep) % size
-					got, err := src.PredictID(id, rowOf(id))
-					if err != nil {
-						errs[g] = err
-						return
-					}
-					if got != want[id] || memo[id] != want[id] {
-						errs[g] = fmt.Errorf("reader %d: slot %d = %+v / %+v, want %+v", g, id, got, memo[id], want[id])
+					if memo[id] != want[id] {
+						errs[g] = fmt.Errorf("reader %d: slot %d = %+v, want %+v", g, id, memo[id], want[id])
 						return
 					}
 				}

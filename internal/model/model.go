@@ -87,24 +87,6 @@ type IncrementalRegressor interface {
 	RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, ids []int32, old []numeric.Gaussian) ([]int32, []numeric.Gaussian, bool, error)
 }
 
-// SupportsIncremental reports whether a regressor can serve the incremental
-// speculative-refit path: it must implement IncrementalRegressor, and — when
-// it additionally exposes an IncrementalCapable() configuration probe, as
-// the bagging ensemble does — be configured to retain incremental state on
-// Fit. The planner probes a factory product with this before resolving to
-// the incremental mode, so a bagging factory built without
-// bagging.Params.Incremental falls back to full refits up front instead of
-// failing at the first speculative clone.
-func SupportsIncremental(r Regressor) bool {
-	if _, ok := r.(IncrementalRegressor); !ok {
-		return false
-	}
-	if c, ok := r.(interface{ IncrementalCapable() bool }); ok {
-		return c.IncrementalCapable()
-	}
-	return true
-}
-
 // Statically assert that the concrete learners satisfy Regressor and its
 // optional extension.
 var (
@@ -160,11 +142,11 @@ const (
 // The memo has exactly two states. It is valid when every slot holds the
 // current model's prediction: Prefill sets it, Update and Undo keep it
 // (rewriting the moved entries in place), CloneFrom copies it. Otherwise it
-// is off and reads go to the wrapped regressor: that is the state of a fresh
-// Cached, after any Fit, and after a Prefill, CloneFrom, memo repair or Undo
-// that failed. There is no partially filled state, so reads never write: any
-// number of goroutines may call PredictID, MemoPreds and CloneFrom(src) on
-// one quiescent Cached with no synchronization, which is what lets the
+// is off and MemoPreds returns nil: that is the state of a fresh Cached,
+// after any Fit, and after a Prefill, CloneFrom, memo repair or Undo that
+// failed. There is no partially filled state, so reads never write: any
+// number of goroutines may call MemoPreds and CloneFrom(src) on one
+// quiescent Cached with no synchronization, which is what lets the
 // planner's speculation scheduler share one prefilled root model set across
 // every concurrently scored subtree. Fit, Update, Undo, Prefill and CloneFrom
 // mutate the receiver and must not run concurrently with anything else on it.
@@ -219,20 +201,8 @@ func (c *Cached) Predict(x []float64) (numeric.Gaussian, error) {
 	return c.inner.Predict(x)
 }
 
-// PredictID returns the predictive distribution of the configuration with the
-// given ID and feature vector: the memoized one while the memo is valid, a
-// fresh prediction of x otherwise. It never writes, so it is safe for
-// concurrent callers.
-func (c *Cached) PredictID(id int, x []float64) (numeric.Gaussian, error) {
-	if c.valid && id >= 0 && id < len(c.preds) {
-		return c.preds[id], nil
-	}
-	return c.inner.Predict(x)
-}
-
 // MemoPreds exposes the memoized prediction array while the memo is valid,
-// and nil otherwise. The planner's candidate sweeps read it directly — one
-// bounds check per candidate instead of a PredictID call. The returned slice
+// and nil otherwise; it is the memo's only read. The returned slice
 // is indexed by configuration ID, is owned by the Cached, and is invalidated
 // by any mutating call; callers must not retain it across Fit, Update, Undo,
 // Prefill or CloneFrom.

@@ -84,7 +84,7 @@ func spaceColumns(n int) ([][]float64, [][]float64) {
 	return cols, rows
 }
 
-func TestCachedPrefillMatchesPredictID(t *testing.T) {
+func TestCachedPrefillMatchesPredict(t *testing.T) {
 	features, targets := trainingData()
 	const n = 24
 	cols, rows := spaceColumns(n)
@@ -96,8 +96,7 @@ func TestCachedPrefillMatchesPredictID(t *testing.T) {
 		{name: "batch-gp", inner: gp.New()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// Reference: an identical model whose memo stays off, so every
-			// PredictID is a scalar Predict of the wrapped regressor.
+			// Reference: scalar Predicts of an identical model.
 			var ref Regressor = bagging.New(bagging.Params{NumTrees: 6}, 5)
 			if tc.name == "batch-gp" {
 				ref = gp.New()
@@ -113,14 +112,14 @@ func TestCachedPrefillMatchesPredictID(t *testing.T) {
 			if err := cached.Prefill(cols); err != nil {
 				t.Fatalf("Prefill error: %v", err)
 			}
-			for id := 0; id < n; id++ {
-				got, err := cached.PredictID(id, rows[id])
+			memo := cached.MemoPreds()
+			if len(memo) != n {
+				t.Fatalf("prefilled memo has %d slots, want %d", len(memo), n)
+			}
+			for id, got := range memo {
+				want, err := refCached.Predict(rows[id])
 				if err != nil {
-					t.Fatalf("PredictID error: %v", err)
-				}
-				want, err := refCached.PredictID(id, rows[id])
-				if err != nil {
-					t.Fatalf("reference PredictID error: %v", err)
+					t.Fatalf("reference Predict error: %v", err)
 				}
 				if got != want {
 					t.Fatalf("config %d: prefetched %+v != scalar %+v", id, got, want)
@@ -141,10 +140,7 @@ func TestCachedPrefillInvalidatedByFit(t *testing.T) {
 	if err := cached.Prefill(cols); err != nil {
 		t.Fatalf("Prefill error: %v", err)
 	}
-	before, err := cached.PredictID(3, rows[3])
-	if err != nil {
-		t.Fatalf("PredictID error: %v", err)
-	}
+	before := cached.MemoPreds()[3]
 	// Refit on shifted targets: the memo must switch off so the old prefilled
 	// prediction is not served.
 	shifted := make([]float64, len(targets))
@@ -154,9 +150,12 @@ func TestCachedPrefillInvalidatedByFit(t *testing.T) {
 	if err := cached.Fit(features, shifted); err != nil {
 		t.Fatalf("Fit error: %v", err)
 	}
-	after, err := cached.PredictID(3, rows[3])
+	if cached.MemoPreds() != nil {
+		t.Fatal("the memo stayed on across a refit")
+	}
+	after, err := cached.Predict(rows[3])
 	if err != nil {
-		t.Fatalf("PredictID error: %v", err)
+		t.Fatalf("Predict error: %v", err)
 	}
 	if before == after {
 		t.Error("prefilled prediction survived a refit")

@@ -3,6 +3,7 @@ package numeric
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -27,7 +28,7 @@ type WeightedValue struct {
 }
 
 // ghCache memoizes node computations per order; quadrature nodes are
-// requested once per optimizer step, always with the same small orders.
+// requested once per speculated step, always with the same small orders.
 var ghCache sync.Map // map[int][]GHNode
 
 // GaussHermite returns the n nodes and weights of the Gauss-Hermite
@@ -38,6 +39,8 @@ var ghCache sync.Map // map[int][]GHNode
 // Nodes are returned in increasing abscissa order. The computation uses the
 // standard Newton iteration on the physicists' Hermite polynomials
 // (Numerical Recipes' gauher) and is exact for polynomials up to degree 2n-1.
+// The returned slice is the cache's own, shared by every caller of order n:
+// callers must not modify it.
 func GaussHermite(n int) ([]GHNode, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("numeric: gauss-hermite order must be positive, got %d", n)
@@ -47,21 +50,16 @@ func GaussHermite(n int) ([]GHNode, error) {
 	}
 	if cached, ok := ghCache.Load(n); ok {
 		nodes, _ := cached.([]GHNode)
-		return cloneNodes(nodes), nil
+		return nodes, nil
 	}
 
 	nodes, err := computeGaussHermite(n)
 	if err != nil {
 		return nil, err
 	}
-	ghCache.Store(n, nodes)
-	return cloneNodes(nodes), nil
-}
-
-func cloneNodes(nodes []GHNode) []GHNode {
-	out := make([]GHNode, len(nodes))
-	copy(out, nodes)
-	return out
+	cached, _ := ghCache.LoadOrStore(n, nodes)
+	nodes, _ = cached.([]GHNode)
+	return nodes, nil
 }
 
 // computeGaussHermite performs the actual node/weight computation.
@@ -130,8 +128,8 @@ func computeGaussHermite(n int) ([]GHNode, error) {
 	return nodes, nil
 }
 
-// DiscretizeGaussian approximates the Gaussian distribution g by n weighted
-// values using Gauss-Hermite quadrature:
+// AppendDiscretizedGaussian approximates the Gaussian distribution g by n
+// weighted values using Gauss-Hermite quadrature and appends them to dst:
 //
 //	value_i  = mean + sqrt(2)·std·x_i
 //	weight_i = w_i / sqrt(pi)
@@ -140,34 +138,9 @@ func computeGaussHermite(n int) ([]GHNode, error) {
 // discretization Lynceus applies to the cost distribution predicted by its
 // black-box model when it speculates about exploration-path outcomes
 // (paper §4.2, approximation 3). A degenerate Gaussian (StdDev == 0) yields a
-// single value with weight 1.
-func DiscretizeGaussian(g Gaussian, n int) ([]WeightedValue, error) {
-	if g.StdDev < 0 {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidStdDev, g.StdDev)
-	}
-	if g.StdDev == 0 {
-		return []WeightedValue{{Value: g.Mean, Weight: 1}}, nil
-	}
-	nodes, err := GaussHermite(n)
-	if err != nil {
-		return nil, err
-	}
-	invSqrtPi := 1 / math.Sqrt(math.Pi)
-	out := make([]WeightedValue, len(nodes))
-	for i, node := range nodes {
-		out[i] = WeightedValue{
-			Value:  g.Mean + math.Sqrt2*g.StdDev*node.X,
-			Weight: node.W * invSqrtPi,
-		}
-	}
-	return out, nil
-}
-
-// AppendDiscretizedGaussian appends the DiscretizeGaussian outcomes of g to
-// dst and returns the extended slice, computing identical values through the
-// same cached quadrature nodes without allocating per call. The planner's
-// speculation loop discretizes one predicted Gaussian per speculated step, so
-// the allocation-free form sits directly on its hot path.
+// single value with weight 1. The planner discretizes every predicted
+// Gaussian of every speculated step into recycled scratch, so a dst with
+// spare capacity is filled without allocating.
 func AppendDiscretizedGaussian(dst []WeightedValue, g Gaussian, n int) ([]WeightedValue, error) {
 	if g.StdDev < 0 {
 		return dst, fmt.Errorf("%w: %v", ErrInvalidStdDev, g.StdDev)
@@ -175,7 +148,7 @@ func AppendDiscretizedGaussian(dst []WeightedValue, g Gaussian, n int) ([]Weight
 	if g.StdDev == 0 {
 		return append(dst, WeightedValue{Value: g.Mean, Weight: 1}), nil
 	}
-	nodes, err := gaussHermiteCached(n)
+	nodes, err := GaussHermite(n)
 	if err != nil {
 		return dst, err
 	}
@@ -189,64 +162,44 @@ func AppendDiscretizedGaussian(dst []WeightedValue, g Gaussian, n int) ([]Weight
 	return dst, nil
 }
 
-// gaussHermiteCached returns the cached node slice for order n without
-// cloning. Callers must treat the result as read-only.
-func gaussHermiteCached(n int) ([]GHNode, error) {
-	if cached, ok := ghCache.Load(n); ok {
-		nodes, _ := cached.([]GHNode)
-		return nodes, nil
-	}
-	if _, err := GaussHermite(n); err != nil {
-		return nil, err
-	}
-	cached, _ := ghCache.Load(n)
-	nodes, _ := cached.([]GHNode)
-	return nodes, nil
-}
-
-// CartesianWeighted combines independent per-dimension discretizations into
-// their Cartesian product: each combination carries one value per dimension
-// and a weight equal to the product of the component weights. It supports the
-// multi-constraint extension of Lynceus (paper §4.4), where the speculation
-// branches on the joint outcome of the cost and of every constraint metric.
-func CartesianWeighted(dims [][]WeightedValue) ([]WeightedVector, error) {
+// AppendCartesianWeighted appends to dst the Cartesian product of independent
+// per-metric discretizations: one combination per choice of a value from
+// every dimension, the last dimension varying fastest, each carrying one
+// value per dimension and the weight 1·w₀·w₁·… multiplied in dimension order.
+// It is the joint speculated outcome of the multi-constraint extension of
+// Lynceus (paper §4.4) — over the cost alone, the cost marginal itself. The
+// combinations' Values are consecutive windows of vals, which is extended
+// and returned for reuse, so with spare capacity in dst and vals the product
+// allocates nothing.
+func AppendCartesianWeighted(dst []WeightedVector, vals []float64, dims [][]WeightedValue) ([]WeightedVector, []float64, error) {
 	if len(dims) == 0 {
-		return nil, fmt.Errorf("numeric: cartesian product requires at least one dimension")
+		return dst, vals, fmt.Errorf("numeric: cartesian product requires at least one dimension")
 	}
 	total := 1
 	for i, d := range dims {
 		if len(d) == 0 {
-			return nil, fmt.Errorf("numeric: cartesian dimension %d is empty", i)
+			return dst, vals, fmt.Errorf("numeric: cartesian dimension %d is empty", i)
 		}
 		total *= len(d)
 	}
-
-	out := make([]WeightedVector, 0, total)
-	indices := make([]int, len(dims))
-	for {
-		values := make([]float64, len(dims))
+	n := len(dims)
+	dst = slices.Grow(dst, total)
+	vals = slices.Grow(vals, total*n)
+	for c := 0; c < total; c++ {
+		start := len(vals)
+		vals = vals[:start+n]
+		row := vals[start : start+n : start+n]
 		weight := 1.0
-		for d, idx := range indices {
-			values[d] = dims[d][idx].Value
-			weight *= dims[d][idx].Weight
+		stride := total
+		for d, dim := range dims {
+			stride /= len(dim)
+			o := dim[c/stride%len(dim)]
+			row[d] = o.Value
+			weight *= o.Weight
 		}
-		out = append(out, WeightedVector{Values: values, Weight: weight})
-
-		// Advance the mixed-radix counter.
-		d := len(dims) - 1
-		for d >= 0 {
-			indices[d]++
-			if indices[d] < len(dims[d]) {
-				break
-			}
-			indices[d] = 0
-			d--
-		}
-		if d < 0 {
-			break
-		}
+		dst = append(dst, WeightedVector{Values: row, Weight: weight})
 	}
-	return out, nil
+	return dst, vals, nil
 }
 
 // WeightedVector is a joint speculated outcome over several metrics, used by

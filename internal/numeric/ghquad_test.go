@@ -2,6 +2,7 @@ package numeric
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -140,30 +141,35 @@ func TestGaussHermitePolynomialExactness(t *testing.T) {
 	}
 }
 
-func TestGaussHermiteCacheReturnsIndependentSlices(t *testing.T) {
+// TestGaussHermiteCacheSharesNodes pins that every caller of one order reads
+// the cache's own node slice: the planner discretizes a Gaussian per
+// speculated step, and a copy per call would allocate on that path.
+func TestGaussHermiteCacheSharesNodes(t *testing.T) {
 	first, err := GaussHermite(5)
 	if err != nil {
 		t.Fatalf("GaussHermite(5) error: %v", err)
 	}
-	first[0].X = 12345
 	second, err := GaussHermite(5)
 	if err != nil {
 		t.Fatalf("GaussHermite(5) error: %v", err)
 	}
-	if second[0].X == 12345 {
-		t.Error("mutating a returned slice leaked into the cache")
+	if &first[0] != &second[0] {
+		t.Error("two calls of one order returned different node slices")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = GaussHermite(5) }); allocs != 0 {
+		t.Errorf("a cached GaussHermite call allocates %v times, want 0", allocs)
 	}
 }
 
 func TestDiscretizeGaussianWeightsAndMean(t *testing.T) {
 	g := Gaussian{Mean: 40, StdDev: 12}
 	for _, n := range []int{1, 3, 5, 9} {
-		vals, err := DiscretizeGaussian(g, n)
+		vals, err := AppendDiscretizedGaussian(nil, g, n)
 		if err != nil {
-			t.Fatalf("DiscretizeGaussian order %d error: %v", n, err)
+			t.Fatalf("AppendDiscretizedGaussian order %d error: %v", n, err)
 		}
 		if len(vals) != n {
-			t.Fatalf("DiscretizeGaussian order %d returned %d values", n, len(vals))
+			t.Fatalf("AppendDiscretizedGaussian order %d returned %d values", n, len(vals))
 		}
 		sumW, mean, second := 0.0, 0.0, 0.0
 		for _, wv := range vals {
@@ -186,10 +192,36 @@ func TestDiscretizeGaussianWeightsAndMean(t *testing.T) {
 	}
 }
 
-func TestDiscretizeGaussianDegenerate(t *testing.T) {
-	vals, err := DiscretizeGaussian(Gaussian{Mean: 7, StdDev: 0}, 5)
+// TestDiscretizeGaussianAppends pins the append contract: the outcomes land
+// after dst's elements, which stay untouched, and a dst with room for them
+// is filled without allocating.
+func TestDiscretizeGaussianAppends(t *testing.T) {
+	prefix := WeightedValue{Value: -1, Weight: -1}
+	dst := make([]WeightedValue, 1, 8)
+	dst[0] = prefix
+	g := Gaussian{Mean: 3, StdDev: 2}
+	got, err := AppendDiscretizedGaussian(dst, g, 5)
 	if err != nil {
-		t.Fatalf("DiscretizeGaussian error: %v", err)
+		t.Fatalf("AppendDiscretizedGaussian error: %v", err)
+	}
+	want, _ := AppendDiscretizedGaussian(nil, g, 5)
+	if len(got) != 6 || got[0] != prefix || &got[0] != &dst[0] {
+		t.Fatalf("appended %d outcomes after %+v in place = %v; want 5 after the untouched prefix", len(got)-1, prefix, got)
+	}
+	for i, o := range want {
+		if got[1+i] != o {
+			t.Errorf("outcome %d = %+v, want %+v", i, got[1+i], o)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = AppendDiscretizedGaussian(dst[:1], g, 5) }); allocs != 0 {
+		t.Errorf("appending into spare capacity allocates %v times, want 0", allocs)
+	}
+}
+
+func TestDiscretizeGaussianDegenerate(t *testing.T) {
+	vals, err := AppendDiscretizedGaussian(nil, Gaussian{Mean: 7, StdDev: 0}, 5)
+	if err != nil {
+		t.Fatalf("AppendDiscretizedGaussian error: %v", err)
 	}
 	if len(vals) != 1 || vals[0].Value != 7 || vals[0].Weight != 1 {
 		t.Errorf("degenerate discretization = %+v, want single (7,1)", vals)
@@ -197,8 +229,11 @@ func TestDiscretizeGaussianDegenerate(t *testing.T) {
 }
 
 func TestDiscretizeGaussianRejectsNegativeStd(t *testing.T) {
-	if _, err := DiscretizeGaussian(Gaussian{Mean: 1, StdDev: -1}, 3); err == nil {
+	if _, err := AppendDiscretizedGaussian(nil, Gaussian{Mean: 1, StdDev: -1}, 3); err == nil {
 		t.Error("expected error for negative std, got nil")
+	}
+	if _, err := AppendDiscretizedGaussian(nil, Gaussian{Mean: 1, StdDev: 1}, 0); err == nil {
+		t.Error("expected error for order 0, got nil")
 	}
 }
 
@@ -207,7 +242,7 @@ func TestQuickDiscretizeGaussianPreservesMass(t *testing.T) {
 		mean = math.Mod(mean, 1e5)
 		std := math.Abs(math.Mod(spread, 1e4))
 		order := int(orderSeed%10) + 1
-		vals, err := DiscretizeGaussian(Gaussian{Mean: mean, StdDev: std}, order)
+		vals, err := AppendDiscretizedGaussian(nil, Gaussian{Mean: mean, StdDev: std}, order)
 		if err != nil {
 			return false
 		}
@@ -230,12 +265,12 @@ func TestCartesianWeighted(t *testing.T) {
 		{{Value: 1, Weight: 0.25}, {Value: 2, Weight: 0.75}},
 		{{Value: 10, Weight: 0.5}, {Value: 20, Weight: 0.3}, {Value: 30, Weight: 0.2}},
 	}
-	combos, err := CartesianWeighted(dims)
+	combos, _, err := AppendCartesianWeighted(nil, nil, dims)
 	if err != nil {
-		t.Fatalf("CartesianWeighted error: %v", err)
+		t.Fatalf("AppendCartesianWeighted error: %v", err)
 	}
 	if len(combos) != 6 {
-		t.Fatalf("CartesianWeighted returned %d combos, want 6", len(combos))
+		t.Fatalf("AppendCartesianWeighted returned %d combos, want 6", len(combos))
 	}
 	sum := 0.0
 	for _, c := range combos {
@@ -247,26 +282,98 @@ func TestCartesianWeighted(t *testing.T) {
 	if !closeTo(sum, 1, 1e-12) {
 		t.Errorf("combined weights sum to %v, want 1", sum)
 	}
-	// Spot check a specific combination.
-	found := false
-	for _, c := range combos {
-		if c.Values[0] == 2 && c.Values[1] == 30 {
-			found = true
-			if !closeTo(c.Weight, 0.75*0.2, 1e-12) {
-				t.Errorf("combo (2,30) weight = %v, want %v", c.Weight, 0.75*0.2)
-			}
-		}
-	}
-	if !found {
-		t.Error("combination (2,30) missing from cartesian product")
+	// The last dimension varies fastest: (2,30) is the last combination.
+	if last := combos[5]; last.Values[0] != 2 || last.Values[1] != 30 || !closeTo(last.Weight, 0.75*0.2, 1e-12) {
+		t.Errorf("last combo = %+v, want (2,30) weighted %v", last, 0.75*0.2)
 	}
 }
 
 func TestCartesianWeightedErrors(t *testing.T) {
-	if _, err := CartesianWeighted(nil); err == nil {
+	if _, _, err := AppendCartesianWeighted(nil, nil, nil); err == nil {
 		t.Error("expected error for empty dimension list")
 	}
-	if _, err := CartesianWeighted([][]WeightedValue{{}}); err == nil {
+	if _, _, err := AppendCartesianWeighted(nil, nil, [][]WeightedValue{{}}); err == nil {
 		t.Error("expected error for empty dimension")
+	}
+}
+
+// referenceCartesianWeighted is the allocating product the planner's
+// multi-constraint speculation used before AppendCartesianWeighted, kept
+// verbatim as the bitwise reference: a mixed-radix counter with the last
+// dimension fastest, weights multiplied from 1.0 in dimension order.
+func referenceCartesianWeighted(dims [][]WeightedValue) []WeightedVector {
+	var out []WeightedVector
+	indices := make([]int, len(dims))
+	for {
+		values := make([]float64, len(dims))
+		weight := 1.0
+		for d, idx := range indices {
+			values[d] = dims[d][idx].Value
+			weight *= dims[d][idx].Weight
+		}
+		out = append(out, WeightedVector{Values: values, Weight: weight})
+
+		d := len(dims) - 1
+		for d >= 0 {
+			indices[d]++
+			if indices[d] < len(dims[d]) {
+				break
+			}
+			indices[d] = 0
+			d--
+		}
+		if d < 0 {
+			return out
+		}
+	}
+}
+
+// TestCartesianWeightedMatchesReferenceBitwise pins the joint speculated
+// outcomes bit for bit against the reference product over discretized
+// Gaussians — 1 to 4 metrics, several orders, degenerate (σ = 0) marginals
+// among them — appended after leftovers of an earlier product, as the
+// planner's depth scratch is reused. Campaign decisions do not pin these
+// bits: a relative error of 1e-6 in the constraint weights leaves every
+// pinned trial sequence unchanged.
+func TestCartesianWeightedMatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var combos []WeightedVector
+	var vals []float64
+	for trial := 0; trial < 2000; trial++ {
+		order := 1 + rng.Intn(7)
+		dims := make([][]WeightedValue, 1+rng.Intn(4))
+		for d := range dims {
+			g := Gaussian{Mean: rng.NormFloat64() * 100, StdDev: rng.ExpFloat64() * 10}
+			if rng.Intn(4) == 0 {
+				g.StdDev = 0
+			}
+			var err error
+			if dims[d], err = AppendDiscretizedGaussian(nil, g, order); err != nil {
+				t.Fatalf("AppendDiscretizedGaussian: %v", err)
+			}
+		}
+		want := referenceCartesianWeighted(dims)
+		var err error
+		combos, vals, err = AppendCartesianWeighted(combos[:0], vals[:0], dims)
+		if err != nil {
+			t.Fatalf("trial %d: AppendCartesianWeighted: %v", trial, err)
+		}
+		if len(combos) != len(want) {
+			t.Fatalf("trial %d: %d combos, want %d", trial, len(combos), len(want))
+		}
+		for i, w := range want {
+			got := combos[i]
+			same := math.Float64bits(got.Weight) == math.Float64bits(w.Weight) && len(got.Values) == len(w.Values)
+			for d := 0; same && d < len(w.Values); d++ {
+				same = math.Float64bits(got.Values[d]) == math.Float64bits(w.Values[d])
+			}
+			if !same {
+				t.Fatalf("trial %d (%d metrics, order %d): combo %d = %+v, want %+v bitwise", trial, len(dims), order, i, got, w)
+			}
+		}
+	}
+	unit := [][]WeightedValue{{{Value: 1, Weight: 1}}}
+	if allocs := testing.AllocsPerRun(100, func() { combos, vals, _ = AppendCartesianWeighted(combos[:0], vals[:0], unit) }); allocs != 0 {
+		t.Errorf("a product into spare capacity allocates %v times, want 0", allocs)
 	}
 }

@@ -10,7 +10,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/configspace"
 )
@@ -116,6 +118,21 @@ type Constraint struct {
 	Max float64
 }
 
+// SortedConstraints returns the constrained metric names in sorted order and
+// the threshold of each: the order in which optimizers index their
+// per-constraint models. Options.Validate rejects a metric named twice, so
+// every name pairs with one threshold.
+func SortedConstraints(constraints []Constraint) (names []string, maxima []float64) {
+	sorted := slices.Clone(constraints)
+	slices.SortStableFunc(sorted, func(a, b Constraint) int { return strings.Compare(a.Metric, b.Metric) })
+	names = make([]string, len(sorted))
+	maxima = make([]float64, len(sorted))
+	for k, c := range sorted {
+		names[k], maxima[k] = c.Metric, c.Max
+	}
+	return names, maxima
+}
+
 // SetupCostFunc estimates the extra monetary cost of switching the deployment
 // from configuration `from` to configuration `to` (paper §4.4, setup costs).
 // `from` is nil for the first deployment. Lynceus charges speculated setup
@@ -159,9 +176,12 @@ func (o Options) Validate() error {
 	if o.BootstrapSize < 0 {
 		return fmt.Errorf("optimizer: negative bootstrap size %d", o.BootstrapSize)
 	}
-	for _, c := range o.ExtraConstraints {
+	for k, c := range o.ExtraConstraints {
 		if c.Metric == "" {
 			return errors.New("optimizer: extra constraint with empty metric name")
+		}
+		if slices.ContainsFunc(o.ExtraConstraints[:k], func(prev Constraint) bool { return prev.Metric == c.Metric }) {
+			return fmt.Errorf("optimizer: metric %q is constrained twice", c.Metric)
 		}
 	}
 	return o.Retry.Validate()

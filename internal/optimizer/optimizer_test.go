@@ -3,6 +3,7 @@ package optimizer
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/configspace"
@@ -50,7 +51,7 @@ func fixtureEnv(t *testing.T) *JobEnvironment {
 }
 
 func TestOptionsValidate(t *testing.T) {
-	valid := Options{Budget: 10, MaxRuntimeSeconds: 600}
+	valid := Options{Budget: 10, MaxRuntimeSeconds: 600, ExtraConstraints: []Constraint{{Metric: "energy", Max: 10}, {Metric: "latency", Max: 3}}}
 	if err := valid.Validate(); err != nil {
 		t.Errorf("valid options rejected: %v", err)
 	}
@@ -61,11 +62,25 @@ func TestOptionsValidate(t *testing.T) {
 		{Budget: 10, MaxRuntimeSeconds: 0},
 		{Budget: 10, MaxRuntimeSeconds: 600, BootstrapSize: -1},
 		{Budget: 10, MaxRuntimeSeconds: 600, ExtraConstraints: []Constraint{{Metric: ""}}},
+		// One metric under two bounds: the optimizers would model it under
+		// one while TrialResult.Feasible enforces both.
+		{Budget: 10, MaxRuntimeSeconds: 600, ExtraConstraints: []Constraint{{Metric: "energy", Max: 10}, {Metric: "latency", Max: 3}, {Metric: "energy", Max: 5}}},
 	}
 	for i, o := range invalid {
 		if err := o.Validate(); err == nil {
 			t.Errorf("invalid options %d accepted: %+v", i, o)
 		}
+	}
+}
+
+func TestSortedConstraints(t *testing.T) {
+	constraints := []Constraint{{Metric: "zeta", Max: 5}, {Metric: "alpha", Max: 2}, {Metric: "mu", Max: 7}}
+	names, maxima := SortedConstraints(constraints)
+	if !slices.Equal(names, []string{"alpha", "mu", "zeta"}) || !slices.Equal(maxima, []float64{2, 7, 5}) {
+		t.Errorf("SortedConstraints = %v, %v; want [alpha mu zeta], [2 7 5]", names, maxima)
+	}
+	if constraints[0].Metric != "zeta" {
+		t.Error("SortedConstraints reordered its argument")
 	}
 }
 
