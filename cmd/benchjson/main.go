@@ -22,7 +22,8 @@
 // throughput benchmark (any benchmark reporting ns/campaign), and "ns/op",
 // "allocs/op" and "B/op" on the BenchmarkEnsembleFitPredict /
 // BenchmarkEnsembleRefitIncremental / BenchmarkEnsembleSpeculateOutcome
-// cost-model microbenchmarks. A zero baseline for the allocation metrics acts as a
+// cost-model microbenchmarks, and "allocs/op" and "B/op" (not ns/op) on the
+// BenchmarkSnapshotRestore rows. A zero baseline for the allocation metrics acts as a
 // ratchet: any fresh allocation on a path the baseline records as
 // allocation-free is a regression regardless of the percent threshold. Each
 // comparison line records the iteration counts (b.N) the two sides were
@@ -212,9 +213,10 @@ func median(values []float64) float64 {
 // path is where allocation creep turns into GC pauses mid-decision; gating
 // B/op alongside allocs/op catches a path that allocates the same number of
 // ever-fatter buffers), per-campaign wall time plus the allocation metrics on
-// the batch throughput benchmark (identified by reporting ns/campaign), and
-// raw ns/op plus the same allocation metrics for the cost-model
-// fit/sweep/refit/speculate microbenchmarks.
+// the batch throughput benchmark (identified by reporting ns/campaign), raw
+// ns/op plus the same allocation metrics for the cost-model
+// fit/sweep/refit/speculate microbenchmarks, and the allocation metrics
+// alone for snapshot encoding and restore.
 func trackedMetrics(b Benchmark) []string {
 	units := make([]string, 0, 4)
 	tracked := false
@@ -232,6 +234,11 @@ func trackedMetrics(b Benchmark) []string {
 		if _, ok := b.Metrics["ns/op"]; ok {
 			units = append(units, "ns/op")
 		}
+		tracked = true
+	}
+	// Snapshot encoding and restore: only the deterministic allocation
+	// metrics; their timing is left to paired runs.
+	if strings.HasPrefix(b.Name, "BenchmarkSnapshotRestore") {
 		tracked = true
 	}
 	if tracked {

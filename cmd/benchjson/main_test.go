@@ -164,6 +164,37 @@ func TestCompareReportsGatesPlannerAllocations(t *testing.T) {
 	}
 }
 
+// TestCompareReportsGatesSnapshotAllocations: the snapshot/restore rows are
+// gated on allocs/op and B/op only. A +25 % allocs/op on op=restore fails the
+// gate; a doubled ns/op alone does not.
+func TestCompareReportsGatesSnapshotAllocations(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		path := dir + "/" + name
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatalf("writing %s: %v", name, err)
+		}
+		return path
+	}
+	base := write("base.json", `{"benchmarks": [
+		{"name": "BenchmarkSnapshotRestore/op=snapshot", "pkg": "repro/internal/core", "iterations": 3, "metrics": {"ns/op": 79430, "allocs/op": 65, "B/op": 14866}},
+		{"name": "BenchmarkSnapshotRestore/op=restore", "pkg": "repro/internal/core", "iterations": 3, "metrics": {"ns/op": 153494, "allocs/op": 284, "B/op": 31161}}
+	]}`)
+	slow := write("slow.json", `{"benchmarks": [
+		{"name": "BenchmarkSnapshotRestore/op=snapshot", "pkg": "repro/internal/core", "iterations": 3, "metrics": {"ns/op": 158860, "allocs/op": 67, "B/op": 15010}},
+		{"name": "BenchmarkSnapshotRestore/op=restore", "pkg": "repro/internal/core", "iterations": 3, "metrics": {"ns/op": 306988, "allocs/op": 284, "B/op": 31208}}
+	]}`)
+	if err := compareReports(base, slow, 20); err != nil {
+		t.Fatalf("compareReports gated a snapshot row on ns/op: %v", err)
+	}
+	leaky := write("leaky.json", `{"benchmarks": [
+		{"name": "BenchmarkSnapshotRestore/op=restore", "pkg": "repro/internal/core", "iterations": 3, "metrics": {"ns/op": 153494, "allocs/op": 355, "B/op": 31161}}
+	]}`)
+	if err := compareReports(base, leaky, 20); err == nil {
+		t.Fatal("compareReports passed a +25%% allocs/op regression on op=restore")
+	}
+}
+
 // TestCompareReportsRatchetsZeroAllocationBaselines pins the ratchet: once
 // the baseline records a tracked benchmark as allocation-free, any fresh
 // allocation fails the gate regardless of the percent threshold (a percent

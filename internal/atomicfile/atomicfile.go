@@ -44,11 +44,17 @@ func Write(path string, data []byte) error {
 		os.Remove(tmp.Name())
 		return err
 	}
-	// Persist the rename itself (the directory entry); ignore filesystems
-	// that refuse to sync directories.
+	SyncDir(dir)
+	return nil
+}
+
+// SyncDir persists the entries of directory dir — a file renamed into it, a
+// subdirectory created or removed in it — which fsync(2) leaves to a sync of
+// the directory itself. Filesystems that refuse to sync directories are
+// ignored.
+func SyncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
-	return nil
 }

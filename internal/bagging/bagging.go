@@ -281,15 +281,17 @@ const (
 // or scanning for the points. The emitted Gaussians are bitwise identical to
 // PredictBatch (same traversals, same accumulation order) — and an ensemble
 // not fitted with Params.Incremental, which can never Update, does just that
-// and keeps no repair state. The sweep rebuilds
-// the repair state for the trees as they are now, so Update frames still open
-// lose their claim on it: undoing one leaves the state invalid (see Undo).
+// and keeps no repair state. The sweep is refused while Updates are pending:
+// it would rebuild the state for trees Undo is yet to roll back.
 // Predict/PredictBatch stay concurrency-safe afterwards, but
 // PredictBatchRepair itself mutates ensemble state and must not run
 // concurrently with anything on the same ensemble.
 func (e *Ensemble) PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) error {
 	if !e.Trained() {
 		return ErrNotTrained
+	}
+	if len(e.journal) > 0 {
+		return fmt.Errorf("bagging: repair sweep with %d updates pending", len(e.journal))
 	}
 	if !e.params.Incremental {
 		// No Update can follow a fit that retained nothing, so there is
@@ -335,9 +337,6 @@ func (e *Ensemble) PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) 
 	e.indexLeaves(n)
 	e.repairN = n
 	e.repairDirty = false
-	for k := range e.journal {
-		e.journal[k].repaired = false
-	}
 	return nil
 }
 
@@ -421,27 +420,4 @@ func (e *Ensemble) gaussianFromSums(sum, sumSq float64) numeric.Gaussian {
 		variance = 0
 	}
 	return numeric.Gaussian{Mean: mean, StdDev: math.Sqrt(variance)}
-}
-
-// Factory creates independent ensembles that share the same parameters but
-// use distinct deterministic random streams. Lynceus' path simulation
-// retrains a fresh model at every speculated step, potentially from several
-// goroutines at once; a Factory hands each of them its own Ensemble.
-type Factory struct {
-	params Params
-	seed   int64
-}
-
-// NewFactory creates a Factory with the given parameters and base seed.
-func NewFactory(params Params, seed int64) *Factory {
-	return &Factory{params: params.withDefaults(), seed: seed}
-}
-
-// New creates a fresh untrained ensemble whose random stream is derived from
-// the factory seed and the given stream identifier. Calls with distinct
-// stream identifiers are safe from concurrent goroutines.
-func (f *Factory) New(stream int64) *Ensemble {
-	// SplitMix64-style mixing to decorrelate nearby stream ids.
-	z := numeric.SplitMix64(uint64(f.seed) + uint64(stream)*0x9E3779B97F4A7C15)
-	return New(f.params, int64(z))
 }

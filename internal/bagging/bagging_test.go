@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -146,60 +145,6 @@ func TestSingleSampleFit(t *testing.T) {
 	}
 	if pred.Mean != 13 || pred.StdDev != 0 {
 		t.Errorf("single-sample prediction = %+v, want mean 13, std 0", pred)
-	}
-}
-
-func TestFactoryStreamsAreIndependentAndDeterministic(t *testing.T) {
-	features, targets := linearDataset(60, 2.0, 17)
-	f := NewFactory(Params{NumTrees: 6}, 1234)
-	if got := f.New(0).NumTrees(); got != 6 {
-		t.Errorf("factory ensembles have %d trees, want 6", got)
-	}
-
-	a1 := f.New(7)
-	a2 := f.New(7)
-	b := f.New(8)
-	for _, e := range []*Ensemble{a1, a2, b} {
-		if err := e.Fit(features, targets); err != nil {
-			t.Fatalf("Fit error: %v", err)
-		}
-	}
-	x := []float64{4, 2}
-	pa1, _ := a1.Predict(x)
-	pa2, _ := a2.Predict(x)
-	pb, _ := b.Predict(x)
-	if pa1 != pa2 {
-		t.Errorf("same stream should yield identical models: %+v vs %+v", pa1, pa2)
-	}
-	if pa1 == pb {
-		t.Logf("different streams produced identical predictions (possible but unlikely): %+v", pa1)
-	}
-}
-
-func TestFactoryConcurrentUse(t *testing.T) {
-	features, targets := linearDataset(50, 1.0, 23)
-	f := NewFactory(Params{NumTrees: 5}, 99)
-	var wg sync.WaitGroup
-	errs := make([]error, 16)
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(stream int) {
-			defer wg.Done()
-			e := f.New(int64(stream))
-			if err := e.Fit(features, targets); err != nil {
-				errs[stream] = err
-				return
-			}
-			if _, err := e.Predict([]float64{1, 1}); err != nil {
-				errs[stream] = err
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("stream %d: %v", i, err)
-		}
 	}
 }
 

@@ -10,10 +10,10 @@
 // Lynceus' path simulation refits an ensemble once per speculated outcome,
 // which makes Fit the planner's single hottest operation; the ensemble
 // therefore reuses its resample buffers across fits, and the regression trees
-// beneath it (internal/regtree) avoid per-node allocations. A Factory hands
-// independent ensembles on deterministic random streams to concurrent path
-// evaluations, so the planner's parallel fan-out never shares mutable model
-// state between goroutines.
+// beneath it (internal/regtree) avoid per-node allocations. Each ensemble
+// draws from its own seed (model.BaggingFactory derives one per stream), so
+// the planner's parallel fan-out never shares mutable model state between
+// goroutines.
 //
 // Ensembles fitted with Params.Incremental additionally support the
 // planner's incremental speculative-refit mode: CloneInto snapshots a fitted

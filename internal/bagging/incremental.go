@@ -25,6 +25,11 @@ var ErrNotIncremental = errors.New("bagging: ensemble was not fitted with Params
 // applied since the last Fit or CloneInto, or all were undone.
 var ErrNothingToUndo = errors.New("bagging: no update to undo")
 
+// ErrRepairStateUnusable is returned by RepairLastUpdate when the repair
+// state does not describe the ensemble one Update ago: no PredictBatchRepair
+// sweep of as many points, or a second Update since the state was current.
+var ErrRepairStateUnusable = errors.New("bagging: repair state unusable")
+
 // updateFrame is the undo record of one Update. The trees journal their own
 // inserts (regtree.Mark); the frame adds what the ensemble layered on top.
 type updateFrame struct {
@@ -160,9 +165,8 @@ func (e *Ensemble) Update(x []float64, y float64) error {
 // RepairLastUpdate refreshes, in place, the predictive Gaussians of every
 // point the last Update moved; it appends those point indices to ids and the
 // Gaussians they held to old (index-aligned, in no particular order — what
-// Undo's caller needs to restore the array), and reports whether the repair
-// state was usable — false (with nil error) means the caller must fall back
-// to re-predicting every point.
+// Undo's caller needs to restore the array). An unusable repair state is
+// ErrRepairStateUnusable; no error touches preds or the repair state.
 //
 // It requires a PredictBatchRepair sweep of the same len(preds) points
 // followed by exactly one Update. The key structural fact: an Insert only
@@ -183,20 +187,20 @@ func (e *Ensemble) Update(x []float64, y float64) error {
 //
 // RepairLastUpdate mutates the repair state and scratch, so calls on one
 // ensemble must not run concurrently with anything else on it.
-func (e *Ensemble) RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, ids []int32, old []numeric.Gaussian) ([]int32, []numeric.Gaussian, bool, error) {
+func (e *Ensemble) RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, ids []int32, old []numeric.Gaussian) ([]int32, []numeric.Gaussian, error) {
 	if !e.Trained() {
-		return ids, old, false, ErrNotTrained
+		return ids, old, ErrNotTrained
 	}
 	n := len(preds)
 	if e.repairN != n || !e.repairDirty {
-		return ids, old, false, nil
+		return ids, old, ErrRepairStateUnusable
 	}
 	if len(cols) != e.numFeatures {
-		return ids, old, false, fmt.Errorf("bagging: feature matrix has %d columns, want %d", len(cols), e.numFeatures)
+		return ids, old, fmt.Errorf("bagging: feature matrix has %d columns, want %d", len(cols), e.numFeatures)
 	}
 	for f, col := range cols {
 		if len(col) != n {
-			return ids, old, false, fmt.Errorf("bagging: feature column %d has %d points, want %d", f, len(col), n)
+			return ids, old, fmt.Errorf("bagging: feature column %d has %d points, want %d", f, len(col), n)
 		}
 	}
 	// Dirty means the top frame's update is the one pending.
@@ -273,7 +277,7 @@ func (e *Ensemble) RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, 
 		old = append(old, preds[id])
 		preds[id] = e.gaussianFromSums(sum, sumSq)
 	}
-	return ids, old, true, nil
+	return ids, old, nil
 }
 
 // repartition distributes pts — the points covered by the given node, stored
@@ -341,8 +345,8 @@ func (e *Ensemble) RepairState() (preds []float64, leafOf []int32) {
 // and the segments of regrown leaves are dropped (the affected node's own
 // entry still spans them) — so the caller only has to restore the Gaussians
 // the repair handed back. Otherwise the repair state is left invalid, unless
-// nothing has looked at it since the Update, and the next repair reports
-// unusable.
+// nothing has looked at it since the Update, and the next repair fails with
+// ErrRepairStateUnusable.
 func (e *Ensemble) Undo() error {
 	d := len(e.journal) - 1
 	if d < 0 {
@@ -350,8 +354,8 @@ func (e *Ensemble) Undo() error {
 	}
 	fr := &e.journal[d]
 	// A repair state invalidated since (by a second unrepaired Update, or the
-	// Undo of one) has nothing left to take back; a sweep that re-armed it
-	// cleared the frame's claim itself.
+	// Undo of one) has nothing left to take back. No sweep re-arms it while
+	// the frame is open: PredictBatchRepair refuses.
 	n := e.repairN
 	repaired := fr.repaired && n > 0
 	for ti, a := range fr.affected {
@@ -428,7 +432,8 @@ func (e *Ensemble) CloneInto(dst any) error {
 		tree.CloneInto(d.trees[i])
 	}
 	// A repair state with an update pending belongs to the source's journal;
-	// the copy starts without one and re-sweeps on its first repair.
+	// the copy starts without one, and its repairs fail with
+	// ErrRepairStateUnusable until a PredictBatchRepair sweep re-arms it.
 	d.repairN, d.repairDirty = 0, false
 	if e.repairN > 0 && !e.repairDirty {
 		T, n := len(e.trees), e.repairN

@@ -1,8 +1,10 @@
 package bagging
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/numeric"
@@ -144,8 +146,8 @@ func TestEnsemblePredictionsMatchPointerTreesThroughUpdates(t *testing.T) {
 // including tight clusters that force leaves to re-split — and checks after
 // every update that the repaired memo is bitwise identical to a fresh
 // PredictBatch sweep. Also exercises the clone path (repair state must
-// travel with CloneInto) and the unusable-state fallback after a second
-// un-repaired Update.
+// travel with CloneInto) and the unusable state after a second un-repaired
+// Update.
 func TestMemoRepairMatchesFreshPredictions(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	const m = 3
@@ -190,12 +192,9 @@ func TestMemoRepairMatchesFreshPredictions(t *testing.T) {
 	before := make([]numeric.Gaussian, n)
 	verify := func(e *Ensemble, label string, round int) {
 		copy(before, preds)
-		ids, old, usable, err := e.RepairLastUpdate(cols, preds, nil, nil)
+		ids, old, err := e.RepairLastUpdate(cols, preds, nil, nil)
 		if err != nil {
 			t.Fatalf("%s round %d: RepairLastUpdate: %v", label, round, err)
-		}
-		if !usable {
-			t.Fatalf("%s round %d: repair state unexpectedly unusable", label, round)
 		}
 		seen := make(map[int32]bool, len(ids))
 		for k, id := range ids {
@@ -252,17 +251,30 @@ func TestMemoRepairMatchesFreshPredictions(t *testing.T) {
 		verify(clone, "clone", round)
 	}
 
-	// Two updates without an interleaved repair invalidate the memo: the
-	// second Update must flip the state to unusable, and a fresh
-	// PredictBatchRepair sweep must re-arm it.
+	// Two updates without an interleaved repair invalidate the state: the
+	// repair after the second fails with ErrRepairStateUnusable and leaves
+	// the memo alone, and no sweep re-arms the state while updates are
+	// pending. Once all are undone, a PredictBatchRepair sweep does.
 	for k := 0; k < 2; k++ {
 		x := []float64{float64(rng.Intn(4)), rng.Float64() * 8, float64(rng.Intn(3))}
 		if err := clone.Update(x, 2*x[0]+x[1]+rng.NormFloat64()); err != nil {
 			t.Fatalf("double-update %d: Update: %v", k, err)
 		}
 	}
-	if _, _, usable, err := clone.RepairLastUpdate(cols, preds, nil, nil); err != nil || usable {
-		t.Fatalf("after double update: usable=%v err=%v, want unusable with nil error", usable, err)
+	copy(before, preds)
+	if _, _, err := clone.RepairLastUpdate(cols, preds, nil, nil); !errors.Is(err, ErrRepairStateUnusable) {
+		t.Fatalf("after double update: %v, want ErrRepairStateUnusable", err)
+	}
+	if !slices.Equal(preds, before) {
+		t.Fatal("the unusable repair moved the memo")
+	}
+	if err := clone.PredictBatchRepair(cols, preds); err == nil {
+		t.Fatal("PredictBatchRepair with updates pending succeeded")
+	}
+	for len(clone.journal) > 0 {
+		if err := clone.Undo(); err != nil {
+			t.Fatalf("Undo: %v", err)
+		}
 	}
 	if err := clone.PredictBatchRepair(cols, preds); err != nil {
 		t.Fatalf("re-arm PredictBatchRepair: %v", err)

@@ -3,8 +3,10 @@ package bagging
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/numeric"
@@ -85,17 +87,22 @@ type undoFrame struct {
 	ids      []int32
 	old      []numeric.Gaussian
 	repaired bool // ids/old are what this frame's repair overwrote
-	resweep  bool // a sweep has rewritten the memo since
 }
 
+// sweep re-arms the repair state and turns the memo on. Under open frames
+// the ensemble must refuse it; check then shows the refusal moved nothing.
 func (h *undoHarness) sweep() {
-	if err := h.work.PredictBatchRepair(h.cols, h.preds); err != nil {
+	err := h.work.PredictBatchRepair(h.cols, h.preds)
+	if len(h.frames) > 0 {
+		if err == nil {
+			h.t.Fatalf("PredictBatchRepair under %d open frames succeeded", len(h.frames))
+		}
+		return
+	}
+	if err != nil {
 		h.t.Fatalf("PredictBatchRepair: %v", err)
 	}
 	h.valid = true
-	for k := range h.frames {
-		h.frames[k].resweep = true
-	}
 }
 
 func (h *undoHarness) apply(s undoSample, repair bool) {
@@ -111,16 +118,23 @@ func (h *undoHarness) apply(s undoSample, repair bool) {
 	case !repair:
 		h.valid = false // an update behind the memo's back
 	case h.valid:
-		var usable bool
+		// Every frame open under a valid memo was repaired, so the state
+		// is one Update behind.
 		var err error
-		top.ids, top.old, usable, err = h.work.RepairLastUpdate(h.cols, h.preds, nil, nil)
-		if err != nil {
+		if top.ids, top.old, err = h.work.RepairLastUpdate(h.cols, h.preds, nil, nil); err != nil {
 			h.t.Fatalf("RepairLastUpdate: %v", err)
 		}
-		if top.repaired = usable; !usable {
-			h.sweep()
-		} else {
-			h.checkListed(rowsBefore, leafBefore, top.ids)
+		top.repaired = true
+		h.checkListed(rowsBefore, leafBefore, top.ids)
+	case len(h.frames) > 1 && !h.frames[len(h.frames)-2].repaired:
+		// Two Updates since the state was last brought up to date: the
+		// repair is refused and leaves the memo alone.
+		memo := slices.Clone(h.preds)
+		if _, _, err := h.work.RepairLastUpdate(h.cols, h.preds, nil, nil); !errors.Is(err, ErrRepairStateUnusable) {
+			h.t.Fatalf("RepairLastUpdate two Updates after the last repair: %v, want ErrRepairStateUnusable", err)
+		}
+		if !slices.Equal(memo, h.preds) {
+			h.t.Fatal("the refused repair moved the memo")
 		}
 	}
 	h.check("after apply")
@@ -165,16 +179,14 @@ func (h *undoHarness) undo() {
 		h.t.Fatalf("Undo: %v", err)
 	}
 	if h.valid {
-		if fr.resweep || !fr.repaired {
-			h.sweep()
-		} else {
-			for k, id := range fr.ids {
-				h.preds[id] = fr.old[k]
-			}
-			if p, _ := h.work.RepairState(); p == nil {
-				h.t.Fatalf("undoing a repaired update left the repair state unusable")
-			}
+		for k, id := range fr.ids {
+			h.preds[id] = fr.old[k]
 		}
+		if p, _ := h.work.RepairState(); p == nil {
+			h.t.Fatalf("undoing a repaired update left the repair state unusable")
+		}
+	} else if len(h.frames) == 0 {
+		h.sweep()
 	}
 	if got := stateBytes(h.t, h.work); !bytes.Equal(got, fr.state) {
 		h.t.Fatalf("Undo left state\n%s\nwant the state before the update\n%s", got, fr.state)
@@ -269,7 +281,8 @@ func newUndoHarness(t testing.TB, seed int64, params Params) *undoHarness {
 
 // run interprets ops as a nested apply/undo script, at most three deep. The
 // two low bits of a byte pick the operation — apply and repair, undo, apply
-// behind the memo's back, re-sweep under open frames — and the rest the
+// behind the memo's back, re-sweep (refused under open frames; an undo that
+// closes the last frame behind an off memo re-sweeps too) — and the rest the
 // sample: a training-like grid point, a probe again (a duplicate once it has
 // been applied), or a point of a tight cluster, with a target that repeats
 // often enough to build constant leaves.
@@ -299,7 +312,7 @@ func (h *undoHarness) run(ops []byte) {
 			}
 		default:
 			h.sweep()
-			h.check("after a sweep under open frames")
+			h.check("after a sweep")
 		}
 	}
 	for len(h.frames) > 0 {
@@ -310,13 +323,15 @@ func (h *undoHarness) run(ops []byte) {
 // FuzzEnsembleUpdateUndo: for a random fit and a random nested apply/undo
 // script, Undo restores State() and every prediction bitwise, the ensemble
 // always equals CloneInto + Update of the samples still applied, and memo and
-// repair state stay exact through repairs, fallback sweeps and their undos.
+// repair state stay exact through repairs and their undos, through repairs
+// refused as unusable after an update behind the memo's back, and through
+// sweeps refused under open frames.
 func FuzzEnsembleUpdateUndo(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0, 4, 8, 1, 1, 1})
 	f.Add(int64(2), uint8(1), []byte{0, 0, 0, 1, 0, 1, 1, 1})                   // three deep, twice
 	f.Add(int64(3), uint8(0), []byte{8, 8, 8, 9, 8, 9, 8, 1, 1})                // one cluster: duplicates and re-splits
-	f.Add(int64(4), uint8(2), []byte{2, 0, 1, 1, 3, 0, 1})                      // behind the memo's back, then the fallback
-	f.Add(int64(5), uint8(0), []byte{0, 3, 4, 1, 1, 4, 4, 3, 1, 1})             // sweeps under open frames
+	f.Add(int64(4), uint8(2), []byte{2, 0, 1, 1, 3, 0, 1})                      // behind the memo's back, then a refused repair
+	f.Add(int64(5), uint8(0), []byte{0, 3, 4, 1, 1, 4, 4, 3, 1, 1})             // sweeps refused under open frames
 	f.Add(int64(6), uint8(3), []byte{20, 20, 20, 1, 1, 1, 20, 40, 1, 60, 1, 1}) // the same sample at every depth
 	f.Add(int64(-86), uint8(0), []byte("\x0020000"))                            // a repaired frame under two unrepaired ones (found by fuzzing)
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8, ops []byte) {
@@ -369,11 +384,9 @@ func TestSpeculatedOutcomeZeroAllocs(t *testing.T) {
 			t.Fatalf("Update: %v", err)
 		}
 		p := &pairs[depth]
-		var usable bool
 		var err error
-		p.ids, p.old, usable, err = h.work.RepairLastUpdate(h.cols, h.preds, p.ids[:0], p.old[:0])
-		if err != nil || !usable {
-			t.Fatalf("RepairLastUpdate: usable=%v err=%v", usable, err)
+		if p.ids, p.old, err = h.work.RepairLastUpdate(h.cols, h.preds, p.ids[:0], p.old[:0]); err != nil {
+			t.Fatalf("RepairLastUpdate: %v", err)
 		}
 	}
 	undo := func(depth int) {

@@ -154,20 +154,6 @@ func (ms *modelSet) pending() int {
 	return n
 }
 
-// lastMovedKnown reports whether every model of the set can list the memo
-// slots its last update moved (model.Cached.LastMoved).
-func (ms *modelSet) lastMovedKnown() bool {
-	if _, ok := ms.cost.LastMoved(); !ok {
-		return false
-	}
-	for _, m := range ms.extras {
-		if _, ok := m.LastMoved(); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // cloneFrom snapshots src's fitted models and prediction memos into the set,
 // reusing its storage. cloneFrom only reads src, so concurrent clones from
 // one parent set (the shared root models) are safe.

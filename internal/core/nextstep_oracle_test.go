@@ -581,7 +581,7 @@ func checkBoundReuse(t *testing.T, p *planner, parent *boundTable, child *specSt
 		t.Fatalf("sweep from the parent's table: %v", err)
 	}
 	tally.sweeps[depth]++
-	if math.Float64bits(parent.inc) == math.Float64bits(inc) && models.lastMovedKnown() {
+	if math.Float64bits(parent.inc) == math.Float64bits(inc) && models.pending() > 0 {
 		tally.reused[depth]++
 	}
 	tally.freshReused += reuseBuf.fresh

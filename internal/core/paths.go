@@ -100,9 +100,10 @@ type eligibleBuf struct {
 // its fixed thresholds. So when the state's incumbent is bitwise its
 // parent's, every slot the update did not move has its parent's bound bit for
 // bit: the sweep copies the parent's table and forgets only the moved slots
-// (model.Cached.LastMoved, over the cost model and every constraint model).
-// Any other state — a changed incumbent, a memo re-swept since the update, a
-// Full-mode refit, the root — starts from a table with every slot forgotten.
+// (model.Cached.LastMoved, over the cost model and every constraint model;
+// every update is repaired, so a set with an update pending knows them). Any
+// other state — a changed incumbent, a Full-mode refit, the root — starts
+// from a table with every slot forgotten.
 type boundTable struct {
 	inc    float64
 	bounds []float64
@@ -121,7 +122,7 @@ func (t *boundTable) inherit(parent *boundTable, ms *modelSet, inc float64, n in
 		t.bounds = make([]float64, n)
 	}
 	t.bounds, t.inc = t.bounds[:n], inc
-	if parent == nil || len(parent.bounds) != n || math.Float64bits(parent.inc) != math.Float64bits(inc) || !ms.lastMovedKnown() {
+	if parent == nil || len(parent.bounds) != n || math.Float64bits(parent.inc) != math.Float64bits(inc) || ms.pending() == 0 {
 		for i := range t.bounds {
 			t.bounds[i] = boundUnknown
 		}
@@ -136,8 +137,7 @@ func (t *boundTable) inherit(parent *boundTable, ms *modelSet, inc float64, n in
 
 // forget drops the entries of the slots m's last update moved.
 func (t *boundTable) forget(m *model.Cached) {
-	ids, _ := m.LastMoved()
-	for _, id := range ids {
+	for _, id := range m.LastMoved() {
 		t.bounds[id] = boundUnknown
 	}
 }

@@ -132,15 +132,9 @@ func newPlanner(params Params, env optimizer.Environment, opts optimizer.Options
 	return p, nil
 }
 
-// candidateConfig returns the full configuration of an active candidate,
-// preferring the per-decision decoded set over a fresh space lookup.
+// candidateConfig returns the full configuration of an active candidate.
+// Only setup-cost campaigns call it, and selectCandidates decodes all their
+// candidates into activeCfgs, slot by slot.
 func (p *planner) candidateConfig(c candidate) configspace.Config {
-	if c.slot >= 0 && c.slot < len(p.activeCfgs) && p.activeCfgs[c.slot].ID == c.id {
-		return p.activeCfgs[c.slot]
-	}
-	cfg, err := p.space.Config(c.id)
-	if err != nil {
-		return configspace.Config{ID: c.id, Features: append([]float64(nil), c.features...)}
-	}
-	return cfg
+	return p.activeCfgs[c.slot]
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bagging"
@@ -281,12 +283,22 @@ func TestEICUsesFallbackIncumbentWhenNothingFeasible(t *testing.T) {
 	}
 }
 
+// TestSetupCostHelper opens a decision the way the planner does and charges
+// the setup cost of switching to one of its candidates: the extension sees
+// the candidate's full configuration, indices included.
 func TestSetupCostHelper(t *testing.T) {
 	env := fixtureEnv(t)
 	opts := fixtureOptions(t, 3)
 	charged := 0
 	opts.SetupCost = func(from *configspace.Config, to configspace.Config) float64 {
 		charged++
+		want, err := env.Space().Config(to.ID)
+		if err != nil {
+			t.Fatalf("Config error: %v", err)
+		}
+		if !slices.Equal(to.Indices, want.Indices) || !slices.Equal(to.Features, want.Features) {
+			t.Errorf("setup cost charged for %+v, want the candidate's configuration %+v", to, want)
+		}
 		if from == nil {
 			return 1.5
 		}
@@ -296,11 +308,30 @@ func TestSetupCostHelper(t *testing.T) {
 	if err != nil {
 		t.Fatalf("withDefaults error: %v", err)
 	}
-	p, err := newPlanner(params, env, opts, nil)
-	if err != nil {
-		t.Fatalf("newPlanner error: %v", err)
+	open := func(opts optimizer.Options) (*planner, []candidate) {
+		p, err := newPlanner(params, env, opts, nil)
+		if err != nil {
+			t.Fatalf("newPlanner error: %v", err)
+		}
+		h := optimizer.NewHistory()
+		budget, err := optimizer.NewBudget(opts.Budget)
+		if err != nil {
+			t.Fatalf("NewBudget error: %v", err)
+		}
+		cfg, err := env.Space().Config(0)
+		if err != nil {
+			t.Fatalf("Config error: %v", err)
+		}
+		if _, _, err := optimizer.RunTrialWithRetry(env, cfg, h, budget, optimizer.Options{}); err != nil {
+			t.Fatalf("RunTrialWithRetry error: %v", err)
+		}
+		d, err := p.selectCandidates(context.Background(), h, budget.Remaining())
+		if err != nil || d == nil {
+			t.Fatalf("selectCandidates: %v, %v", d, err)
+		}
+		return p, d.root.untested
 	}
-	cands := gatherAll(t, p)
+	p, cands := open(opts)
 	if got := p.setupCost(nil, cands[3]); got != 1.5 {
 		t.Errorf("setup cost from scratch = %v, want 1.5", got)
 	}
@@ -317,11 +348,8 @@ func TestSetupCostHelper(t *testing.T) {
 
 	// Without the extension the helper charges nothing.
 	opts.SetupCost = nil
-	p2, err := newPlanner(params, env, opts, nil)
-	if err != nil {
-		t.Fatalf("newPlanner error: %v", err)
-	}
-	if got := p2.setupCost(&from, gatherAll(t, p2)[1]); got != 0 {
+	p2, cands2 := open(opts)
+	if got := p2.setupCost(&from, cands2[1]); got != 0 {
 		t.Errorf("setup cost without extension = %v, want 0", got)
 	}
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -64,10 +65,7 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 		t.Fatal("memo went off across a repairable Update")
 	}
 	// LastMoved lists every entry the Update changed, each once.
-	ids, ok := c.LastMoved()
-	if !ok {
-		t.Fatal("a repaired Update does not list the slots it moved")
-	}
+	ids := c.LastMoved()
 	listed := make(map[int32]bool, len(ids))
 	for _, id := range ids {
 		if listed[id] {
@@ -97,8 +95,8 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 	if err := c.Undo(); err != nil {
 		t.Fatalf("Undo: %v", err)
 	}
-	if _, ok := c.LastMoved(); ok {
-		t.Error("LastMoved lists slots with no Update pending")
+	if ids := c.LastMoved(); ids != nil {
+		t.Errorf("LastMoved lists slots %v with no Update pending", ids)
 	}
 	if kept == 0 || moved == 0 {
 		t.Fatalf("degenerate fixture: %d entries kept, %d moved; want both", kept, moved)
@@ -238,34 +236,43 @@ func TestCachedSharedSourceConcurrentReadersAndCloners(t *testing.T) {
 	}
 }
 
-// TestCachedUpdateResweepsWhenRepairStateUnusable drives the one fallback:
-// a second Update with no repair in between leaves the ensemble's repair
-// bookkeeping unusable, so Cached.Update must re-sweep the whole memo — and
-// that sweep re-arms the repair for the Update after it.
-func TestCachedUpdateResweepsWhenRepairStateUnusable(t *testing.T) {
+// TestCachedUpdateFailsWhenRepairStateUnusable: an Update whose repair the
+// model cannot do — here a second Update since the last repair, the first
+// made behind the memo's back — fails all or nothing: the model is rolled
+// back to where it was, nothing stays pending and the memo is off. An Update
+// on the off memo is refused before it reaches the model, and a Prefill
+// turns the memo back on and re-arms the repair.
+func TestCachedUpdateFailsWhenRepairStateUnusable(t *testing.T) {
 	const size = 24
 	c, cols, rowOf := fittedIncCached(t, size)
-	// One update behind the memo's back, then one through it.
-	if err := c.inner.(IncrementalRegressor).Update(rowOf(3), 55); err != nil {
+	inner := c.inner.(*bagging.Ensemble)
+	if err := inner.Update(rowOf(3), 55); err != nil {
 		t.Fatalf("inner Update: %v", err)
 	}
-	if err := c.Update(rowOf(11), 70); err != nil {
-		t.Fatalf("Update: %v", err)
+	if err := c.Update(rowOf(11), 70); !errors.Is(err, bagging.ErrRepairStateUnusable) {
+		t.Fatalf("Update over an unusable repair state: %v, want ErrRepairStateUnusable", err)
 	}
-	if err := checkMemoFresh(c, cols); err != nil {
-		t.Fatalf("after the re-sweep fallback: %v", err)
+	if c.Pending() != 0 || inner.Updates() != 1 || c.MemoPreds() != nil {
+		t.Fatalf("after the failed Update: %d pending, %d folded in, memo on %v; want 0, 1, false",
+			c.Pending(), inner.Updates(), c.MemoPreds() != nil)
 	}
-	if _, ok := c.LastMoved(); ok {
-		t.Error("LastMoved lists slots for an Update the memo was re-swept for")
+	if err := c.Update(rowOf(17), 5); err == nil {
+		t.Fatal("Update on a memo that is off succeeded")
+	}
+	if inner.Updates() != 1 {
+		t.Fatalf("the refused Update reached the model: %d folded in, want 1", inner.Updates())
+	}
+	if err := inner.Undo(); err != nil {
+		t.Fatalf("inner Undo: %v", err)
+	}
+	if err := c.Prefill(cols); err != nil {
+		t.Fatalf("Prefill: %v", err)
 	}
 	if err := c.Update(rowOf(17), 5); err != nil {
-		t.Fatalf("Update: %v", err)
+		t.Fatalf("Update after the re-arming Prefill: %v", err)
 	}
 	if err := checkMemoFresh(c, cols); err != nil {
 		t.Fatalf("after the re-armed repair: %v", err)
-	}
-	if _, ok := c.LastMoved(); !ok {
-		t.Error("LastMoved lists no slots for the re-armed repair's Update")
 	}
 }
 
@@ -327,52 +334,35 @@ func TestCachedUndoRestoresMemoBitwise(t *testing.T) {
 	}
 }
 
-// TestCachedUndoOfResweptUpdateResweeps drives the fallback's undo: an Update
-// whose repair state was unusable re-swept the memo, so taking it back is
-// rollback + re-sweep, and the same holds for an Update a later Prefill
-// overtook. Either way the memo ends valid and fresh, and the repair is
-// re-armed for the Update after.
-func TestCachedUndoOfResweptUpdateResweeps(t *testing.T) {
+// TestCachedPrefillRefusedWhileUpdatesPending: no sweep runs under a
+// pending Update. The refused Prefill leaves the memo valid and bitwise as
+// the Update left it, the Update stays pending, and Undo still restores the
+// memo from before it; once nothing is pending, Prefill runs again.
+func TestCachedPrefillRefusedWhileUpdatesPending(t *testing.T) {
 	const size = 24
 	c, cols, rowOf := fittedIncCached(t, size)
-	before := append([]numeric.Gaussian(nil), c.MemoPreds()...)
-	if err := c.Update(rowOf(3), 55); err != nil { // repaired
+	before := slices.Clone(c.MemoPreds())
+	if err := c.Update(rowOf(3), 55); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	// One update behind the memo's back makes the next repair unusable.
-	inner := c.inner.(IncrementalRegressor)
-	if err := inner.Update(rowOf(5), 9); err != nil {
-		t.Fatalf("inner Update: %v", err)
+	updated := slices.Clone(c.MemoPreds())
+	if err := c.Prefill(cols); err == nil {
+		t.Fatal("Prefill with an Update pending succeeded")
 	}
-	if err := c.Update(rowOf(11), 70); err != nil { // re-swept
-		t.Fatalf("Update: %v", err)
+	if c.Pending() != 1 || !slices.Equal(c.MemoPreds(), updated) {
+		t.Fatalf("the refused Prefill moved the memo or the journal: %d pending", c.Pending())
 	}
 	if err := c.Undo(); err != nil {
-		t.Fatalf("Undo of the re-swept Update: %v", err)
+		t.Fatalf("Undo: %v", err)
+	}
+	if !slices.Equal(c.MemoPreds(), before) {
+		t.Fatal("Undo after a refused Prefill did not restore the memo from before the Update")
+	}
+	if err := c.Prefill(cols); err != nil {
+		t.Fatalf("Prefill with nothing pending: %v", err)
 	}
 	if err := checkMemoFresh(c, cols); err != nil {
-		t.Fatalf("after undoing the re-swept Update: %v", err)
-	}
-	if err := inner.Undo(); err != nil {
-		t.Fatalf("inner Undo: %v", err)
-	}
-	// The sweeps overtook the first Update's saved entries too.
-	if err := c.Undo(); err != nil {
-		t.Fatalf("Undo of the overtaken Update: %v", err)
-	}
-	if err := checkMemoFresh(c, cols); err != nil {
-		t.Fatalf("after undoing the overtaken Update: %v", err)
-	}
-	for id, want := range before {
-		if got := c.MemoPreds()[id]; got != want {
-			t.Fatalf("memo[%d] = %+v after all Undos, started at %+v", id, got, want)
-		}
-	}
-	if err := c.Update(rowOf(17), 5); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	if err := checkMemoFresh(c, cols); err != nil {
-		t.Fatalf("after the re-armed repair: %v", err)
+		t.Fatalf("after the Prefill: %v", err)
 	}
 }
 
@@ -392,8 +382,8 @@ func (b *brokenRepairer) Undo() error {
 	return b.Ensemble.Undo()
 }
 
-func (b *brokenRepairer) RepairLastUpdate([][]float64, []numeric.Gaussian, []int32, []numeric.Gaussian) ([]int32, []numeric.Gaussian, bool, error) {
-	return nil, nil, false, fmt.Errorf("injected repair failure")
+func (b *brokenRepairer) RepairLastUpdate([][]float64, []numeric.Gaussian, []int32, []numeric.Gaussian) ([]int32, []numeric.Gaussian, error) {
+	return nil, nil, fmt.Errorf("injected repair failure")
 }
 
 // TestCachedUpdateIsAllOrNothing: when the memo cannot follow an Update, the

@@ -48,13 +48,10 @@ type Factory interface {
 // into a one-sample update applied to, and then undone on, one working copy
 // (core.Params.SpeculativeRefit).
 //
-// It also carries the memo repair: the regressor keeps enough per-point
-// bookkeeping from a PredictBatchRepair sweep to refresh the points a
-// one-sample Update moved without re-predicting them from scratch (for the
-// bagging ensemble, per-tree stores over the affected leaf's points instead
-// of whole-ensemble re-walks), and takes that bookkeeping back with the
-// update on Undo. Repaired Gaussians must stay bitwise identical to a fresh
-// prediction.
+// It also carries the memo repair: bookkeeping kept by a PredictBatchRepair
+// sweep refreshes the points an Update moved without re-predicting them, and
+// Undo takes it back with the update. Repaired Gaussians must stay bitwise
+// identical to a fresh prediction.
 //
 // Implementations must be deterministic: the model that results from cloning
 // a fitted source and applying a fixed sample sequence may depend only on the
@@ -76,15 +73,15 @@ type IncrementalRegressor interface {
 	// so concurrent clones from one source are safe.
 	CloneInto(dst any) error
 	// PredictBatchRepair is PredictBatch plus the repair bookkeeping for
-	// the swept points.
+	// the swept points. It fails while Updates are pending.
 	PredictBatchRepair(cols [][]float64, out []numeric.Gaussian) error
 	// RepairLastUpdate refreshes preds[i] in place for every point the last
 	// Update moved (listing an unmoved point too is allowed, leaving a moved
-	// one out is not), appends those indices to ids and the Gaussians
-	// they held to old, and reports whether the repair state was usable —
-	// false (with nil error) means the caller must fall back to
-	// re-predicting.
-	RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, ids []int32, old []numeric.Gaussian) ([]int32, []numeric.Gaussian, bool, error)
+	// one out is not) and appends those indices to ids and the Gaussians
+	// they held to old. It fails when the bookkeeping does not describe the
+	// model one Update ago (bagging.ErrRepairStateUnusable for the
+	// ensemble).
+	RepairLastUpdate(cols [][]float64, preds []numeric.Gaussian, ids []int32, old []numeric.Gaussian) ([]int32, []numeric.Gaussian, error)
 }
 
 // Statically assert that the concrete learners satisfy Regressor and its
@@ -97,17 +94,24 @@ var (
 // BaggingFactory builds bagging ensembles of regression trees (the paper's
 // default model).
 type BaggingFactory struct {
-	factory *bagging.Factory
+	params bagging.Params
+	seed   int64
 }
 
 // NewBaggingFactory creates a factory for bagging ensembles with the given
 // parameters and base seed.
 func NewBaggingFactory(params bagging.Params, seed int64) *BaggingFactory {
-	return &BaggingFactory{factory: bagging.NewFactory(params, seed)}
+	return &BaggingFactory{params: params, seed: seed}
 }
 
-// New implements Factory.
-func (f *BaggingFactory) New(stream int64) Regressor { return f.factory.New(stream) }
+// New implements Factory: the ensemble's random stream is the base seed and
+// the stream identifier mixed SplitMix64-style, which decorrelates nearby
+// identifiers. Calls with distinct stream identifiers are safe from
+// concurrent goroutines.
+func (f *BaggingFactory) New(stream int64) Regressor {
+	z := numeric.SplitMix64(uint64(f.seed) + uint64(stream)*0x9E3779B97F4A7C15)
+	return bagging.New(f.params, int64(z))
+}
 
 // Name implements Factory.
 func (f *BaggingFactory) Name() string { return "bagging" }
@@ -143,13 +147,14 @@ const (
 // current model's prediction: Prefill sets it, Update and Undo keep it
 // (rewriting the moved entries in place), CloneFrom copies it. Otherwise it
 // is off and MemoPreds returns nil: that is the state of a fresh Cached,
-// after any Fit, and after a Prefill, CloneFrom, memo repair or Undo that
+// after any Fit, and after a Prefill, CloneFrom, Update or Undo that
 // failed. There is no partially filled state, so reads never write: any
 // number of goroutines may call MemoPreds and CloneFrom(src) on one
 // quiescent Cached with no synchronization, which is what lets the
 // planner's speculation scheduler share one prefilled root model set across
 // every concurrently scored subtree. Fit, Update, Undo, Prefill and CloneFrom
 // mutate the receiver and must not run concurrently with anything else on it.
+// Every pending Update was repaired, and no sweep runs under one.
 type Cached struct {
 	inner Regressor
 	preds []numeric.Gaussian
@@ -160,21 +165,12 @@ type Cached struct {
 	// feature source of Update's repair. Read-only; shared by clones.
 	lastCols [][]float64
 
-	// journal holds one frame per Update not yet undone, oldest first;
-	// undoIDs/undoOld stack the (slot, previous Gaussian) pairs their repairs
-	// overwrote, each frame owning the pairs from its start on.
-	journal []memoFrame
+	// journal holds, per Update not yet undone (oldest first), where the
+	// (slot, previous Gaussian) pairs its repair overwrote start in the
+	// undoIDs/undoOld stacks.
+	journal []int
 	undoIDs []int32
 	undoOld []numeric.Gaussian
-}
-
-// memoFrame is the memo's undo record of one Update: where its overwritten
-// pairs start, or that a whole sweep has rewritten the memo since (the
-// update's own fallback, or a later Prefill), so that undoing it means
-// re-sweeping too.
-type memoFrame struct {
-	start   int
-	resweep bool
 }
 
 // NewCached wraps inner with a memo for configuration IDs in [0, size).
@@ -216,9 +212,14 @@ func (c *Cached) MemoPreds() []numeric.Gaussian {
 // Prefill computes the memoized prediction of every configuration ID in
 // [0, len(memo)) from the candidate set's column-major feature matrix
 // (cols[d][id] is feature d of the configuration with that ID, every column
-// exactly len(memo) long) in one batch sweep, and leaves the memo valid. On
-// error the memo is off.
+// exactly len(memo) long) in one batch sweep — PredictBatchRepair for an
+// incremental regressor, arming the repair of the Updates that follow — and
+// leaves the memo valid. It is refused while Updates are pending, leaving
+// the memo as it was; on any other error the memo is off.
 func (c *Cached) Prefill(cols [][]float64) error {
+	if len(c.journal) > 0 {
+		return fmt.Errorf("model: Prefill with %d updates pending", len(c.journal))
+	}
 	c.valid = false
 	for d, col := range cols {
 		if len(col) != len(c.preds) {
@@ -226,61 +227,39 @@ func (c *Cached) Prefill(cols [][]float64) error {
 		}
 	}
 	c.lastCols = cols
-	return c.sweep()
-}
-
-// sweep re-predicts the whole memo over lastCols, straight into the
-// prediction array, and leaves the memo valid — or, on error, with the array
-// partially overwritten, off. Incremental regressors sweep through
-// PredictBatchRepair instead (bitwise-identical output), arming the
-// O(changed-trees) repair for the Updates that follow. The pairs pending
-// frames saved describe a memo this sweep has replaced wholesale, so undoing
-// any of them re-sweeps as well.
-func (c *Cached) sweep() error {
 	var err error
 	if inc, ok := c.inner.(IncrementalRegressor); ok {
-		err = inc.PredictBatchRepair(c.lastCols, c.preds)
+		err = inc.PredictBatchRepair(cols, c.preds)
 	} else {
-		err = c.inner.PredictBatch(c.lastCols, c.preds)
+		err = c.inner.PredictBatch(cols, c.preds)
 	}
 	c.valid = err == nil
-	for k := range c.journal {
-		c.journal[k].resweep = true
-	}
 	return err
 }
 
-// Update folds one sample into the wrapped incremental model and keeps a
-// valid memo valid: the model refreshes exactly the entries the sample moved
-// — typically a handful — from its own repair bookkeeping, so the speculation
+// Update folds one sample into the wrapped incremental model and keeps the
+// memo valid: the model refreshes exactly the entries the sample moved —
+// typically a handful — from its own repair bookkeeping, so the speculation
 // sweep that follows costs O(changed) instead of O(candidates) model
-// evaluations, and the entries' previous values are kept for Undo. When the
-// model reports its repair state unusable (e.g. two Updates since its last
-// repair sweep), the whole memo is re-swept, which is always correct. A memo that is off stays off. An Update that fails
-// leaves the model as it was, with the memo off if the failure was the
-// repair's.
+// evaluations, and the entries' previous values are kept for Undo. It is
+// refused on a memo that is off, and all or nothing: a failed Update leaves
+// the model as it was, with the memo off if the repair failed.
 func (c *Cached) Update(x []float64, y float64) error {
 	inc, ok := c.inner.(IncrementalRegressor)
 	if !ok {
 		return fmt.Errorf("model: regressor %T does not support incremental updates", c.inner)
 	}
+	if !c.valid {
+		return errors.New("model: Update on a memo that is off")
+	}
 	if err := inc.Update(x, y); err != nil {
 		return err
 	}
-	c.journal = append(c.journal, memoFrame{start: len(c.undoIDs)})
-	if !c.valid {
-		return nil
-	}
-	var usable bool
-	var err error
-	c.undoIDs, c.undoOld, usable, err = inc.RepairLastUpdate(c.lastCols, c.preds, c.undoIDs, c.undoOld)
-	if usable && err == nil {
-		return nil
-	}
+	c.journal = append(c.journal, len(c.undoIDs))
+	ids, old, err := inc.RepairLastUpdate(c.lastCols, c.preds, c.undoIDs, c.undoOld)
 	if err == nil {
-		if err = c.sweep(); err == nil {
-			return nil
-		}
+		c.undoIDs, c.undoOld = ids, old
+		return nil
 	}
 	// The memo is lost; the model need not be. A failing Undo would add
 	// nothing the caller can act on beyond err itself.
@@ -291,31 +270,25 @@ func (c *Cached) Update(x []float64, y float64) error {
 
 // Undo takes back the most recent Update not yet undone — the wrapped model's
 // state and, entry by entry, what its repair overwrote in a valid memo, which
-// is then bitwise the memo from before the Update. An Update that was not
-// repaired but re-swept (or that a Prefill has overtaken) is undone the same
-// way it was applied: model first, then a sweep. On error the memo is off.
+// is then bitwise the memo from before the Update. On error the memo is off.
 func (c *Cached) Undo() error {
 	d := len(c.journal) - 1
 	if d < 0 {
 		return errors.New("model: no update to undo")
 	}
-	fr := c.journal[d]
+	start := c.journal[d]
 	c.journal = c.journal[:d]
-	ids, old := c.undoIDs[fr.start:], c.undoOld[fr.start:]
-	c.undoIDs, c.undoOld = c.undoIDs[:fr.start], c.undoOld[:fr.start]
+	ids, old := c.undoIDs[start:], c.undoOld[start:]
+	c.undoIDs, c.undoOld = c.undoIDs[:start], c.undoOld[:start]
 	// A non-empty journal means Update found the inner model incremental.
 	if err := c.inner.(IncrementalRegressor).Undo(); err != nil {
 		c.valid = false
 		return err
 	}
-	if !c.valid {
-		return nil
-	}
-	if fr.resweep {
-		return c.sweep()
-	}
-	for k, id := range ids {
-		c.preds[id] = old[k]
+	if c.valid {
+		for k, id := range ids {
+			c.preds[id] = old[k]
+		}
 	}
 	return nil
 }
@@ -324,17 +297,15 @@ func (c *Cached) Undo() error {
 func (c *Cached) Pending() int { return len(c.journal) }
 
 // LastMoved returns the memo slots the most recent Update not yet undone
-// repaired — every slot whose entry that Update changed, each once, and
-// for the bagging ensemble no other — and true; or nil and false when there is no such list: no Update pending,
-// the memo off, or the memo re-swept since the Update was applied (its own
-// fallback or a later Prefill). The slice is the Cached's and is valid until
-// its next mutating call.
-func (c *Cached) LastMoved() ([]int32, bool) {
+// repaired — every slot whose entry that Update changed, each once, and for
+// the bagging ensemble no other — or nil when no Update is pending. The
+// slice is the Cached's and is valid until its next mutating call.
+func (c *Cached) LastMoved() []int32 {
 	d := len(c.journal) - 1
-	if d < 0 || !c.valid || c.journal[d].resweep {
-		return nil, false
+	if d < 0 {
+		return nil
 	}
-	return c.undoIDs[c.journal[d].start:], true
+	return c.undoIDs[c.journal[d]:]
 }
 
 // CloneFrom snapshots src — fitted model state, memo, and the feature matrix

@@ -163,7 +163,13 @@ func BuildEnv(spec EnvSpec) (lynceus.Environment, error) {
 		return nil, err
 	}
 	if spec.Faults != nil {
-		return lynceus.NewFaultyEnvironment(inner, *spec.Faults)
+		// Not returned directly: a failed wrap's nil *FaultyEnvironment
+		// would come back as a non-nil Environment beside the error.
+		faulty, err := lynceus.NewFaultyEnvironment(inner, *spec.Faults)
+		if err != nil {
+			return nil, err
+		}
+		return faulty, nil
 	}
 	return inner, nil
 }

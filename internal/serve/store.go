@@ -54,7 +54,9 @@ func OpenStore(dir string) (*Store, error) {
 func (s *Store) campaignDir(id string) string { return filepath.Join(s.dir, id) }
 
 // PutSpec persists a campaign's definition (idempotent; called once at
-// admission, before the campaign is acknowledged to the client).
+// admission, before the campaign is acknowledged to the client). The state
+// directory is synced after the campaign directory is created, so a power
+// cut after the acknowledgement cannot drop the campaign's entry.
 func (s *Store) PutSpec(spec CampaignSpec) error {
 	if err := spec.Validate(); err != nil {
 		return err
@@ -67,6 +69,7 @@ func (s *Store) PutSpec(spec CampaignSpec) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("serve: creating campaign directory %q: %w", spec.ID, err)
 	}
+	atomicfile.SyncDir(s.dir)
 	return atomicfile.Write(filepath.Join(dir, specFile), data)
 }
 
@@ -127,10 +130,15 @@ func (s *Store) Specs() ([]CampaignSpec, error) {
 	return specs, nil
 }
 
-// Remove deletes a campaign's state.
+// Remove deletes a campaign's state, syncing the state directory so that a
+// power cut cannot bring the campaign back.
 func (s *Store) Remove(id string) error {
 	if !ValidID(id) {
 		return fmt.Errorf("serve: invalid campaign ID %q", id)
 	}
-	return os.RemoveAll(s.campaignDir(id))
+	if err := os.RemoveAll(s.campaignDir(id)); err != nil {
+		return err
+	}
+	atomicfile.SyncDir(s.dir)
+	return nil
 }
