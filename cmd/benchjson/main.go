@@ -28,8 +28,14 @@
 // allocation-free is a regression regardless of the percent threshold. Each
 // comparison line records the iteration counts (b.N) the two sides were
 // averaged over, so a gate verdict based on too few iterations is visible at
-// a glance. Benchmarks present in only one report are skipped, so adding or
-// retiring benchmarks never trips the gate.
+// a glance. When the two sides' counts differ by more than
+// maxIterationsRatio, the row's time metrics are printed as "incomparable"
+// and not judged — one side's per-op time then amortizes one-time costs the
+// other's does not — while allocs/op and B/op, the ratchet included, are
+// judged as always: a benchmark that warms its scratch before the timer
+// reports them independently of b.N. Benchmarks
+// present in only one report are skipped, so adding or retiring benchmarks
+// never trips the gate.
 //
 // Reports are tagged with the GOMAXPROCS the benchmarks ran under (parsed
 // from the "-N" name suffix go test appends when GOMAXPROCS > 1) and the
@@ -251,8 +257,19 @@ func trackedMetrics(b Benchmark) []string {
 	return units
 }
 
+// maxIterationsRatio is the largest factor between the two sides' iteration
+// counts at which compareReports still judges a row's time metrics.
+const maxIterationsRatio = 10
+
+// comparableIterations reports whether per-op times averaged over a and b
+// iterations may be compared.
+func comparableIterations(a, b int64) bool {
+	return a <= maxIterationsRatio*b && b <= maxIterationsRatio*a
+}
+
 // compareReports fails (non-nil error) when a tracked metric of the fresh
-// report is more than threshold percent slower than the baseline.
+// report is more than threshold percent slower than the baseline. Time
+// metrics are judged only on rows whose iteration counts are comparable.
 func compareReports(basePath, freshPath string, threshold float64) error {
 	var base, fresh Report
 	for _, load := range []struct {
@@ -308,16 +325,23 @@ func compareReports(basePath, freshPath string, threshold float64) error {
 		if !ok {
 			continue
 		}
+		comparable := comparableIterations(ref.Iterations, b.Iterations)
 		for _, unit := range trackedMetrics(b) {
 			refValue, ok := ref.Metrics[unit]
 			if !ok {
+				continue
+			}
+			allocation := unit == "allocs/op" || unit == "B/op"
+			if !comparable && !allocation {
+				fmt.Printf("%-60s %-12s %14.0f -> %14.0f  incomparable  (iters %d -> %d)\n",
+					b.Name, unit, refValue, b.Metrics[unit], ref.Iterations, b.Iterations)
 				continue
 			}
 			if refValue <= 0 {
 				// Time metrics with a zero baseline carry no signal, but a
 				// zero allocation baseline is a ratchet: the path is recorded
 				// as allocation-free, and any fresh allocation regresses it.
-				if unit != "allocs/op" && unit != "B/op" {
+				if !allocation {
 					continue
 				}
 				status := "ok"

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -263,4 +264,95 @@ BenchmarkOdd	3	12
 	if len(report.Benchmarks) != 0 {
 		t.Errorf("parsed %d benchmarks from malformed input, want 0", len(report.Benchmarks))
 	}
+}
+
+// TestCompareReportsMarksIncomparableIterations pins the iteration-count
+// check with the shapes CI compares: a baseline recorded at the default
+// benchtime against a 3x smoke run. A row whose two sides were averaged over
+// iteration counts more than ten times apart has its time metrics printed as
+// incomparable and never judged — a blown-up time does not fail the gate,
+// and a flat one does not pass as "ok" — while its allocs/op and B/op are
+// judged as always, the zero-baseline ratchet included. Rows within the
+// factor are judged in full.
+func TestCompareReportsMarksIncomparableIterations(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, content string) string {
+		path := dir + "/" + name
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatalf("writing %s: %v", name, err)
+		}
+		return path
+	}
+	base := write("base.json", `{"benchmarks": [
+		{"name": "BenchmarkEnsembleRefitIncremental", "iterations": 237639, "metrics": {"ns/op": 100, "allocs/op": 0, "B/op": 0}},
+		{"name": "BenchmarkPlannerLA2Tensorflow/refit=incremental/workers=1", "iterations": 171, "metrics": {"ns/decision": 100, "allocs/op": 10, "B/op": 1000}},
+		{"name": "BenchmarkPlannerLA2Tensorflow/refit=full/workers=1", "iterations": 3, "metrics": {"ns/decision": 100, "allocs/op": 10}}
+	]}`)
+	fresh := write("fresh.json", `{"benchmarks": [
+		{"name": "BenchmarkEnsembleRefitIncremental", "iterations": 3, "metrics": {"ns/op": 500, "allocs/op": 0, "B/op": 0}},
+		{"name": "BenchmarkPlannerLA2Tensorflow/refit=incremental/workers=1", "iterations": 3, "metrics": {"ns/decision": 500, "allocs/op": 10, "B/op": 1000}},
+		{"name": "BenchmarkPlannerLA2Tensorflow/refit=full/workers=1", "iterations": 30, "metrics": {"ns/decision": 105, "allocs/op": 10}}
+	]}`)
+
+	out, err := captureStdout(t, func() error { return compareReports(base, fresh, 20) })
+	if err != nil {
+		t.Fatalf("compareReports judged an incomparable time metric: %v\n%s", err, out)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		far := !strings.HasPrefix(line, "BenchmarkPlannerLA2Tensorflow/refit=full")
+		timeMetric := strings.Contains(line, "ns/op") || strings.Contains(line, "ns/decision")
+		incomparable := strings.Contains(line, "incomparable")
+		if incomparable != (far && timeMetric) {
+			t.Errorf("line %q: incomparable = %v", line, incomparable)
+		}
+		if incomparable && (strings.Contains(line, " ok") || strings.Contains(line, "REGRESSION")) {
+			t.Errorf("line %q carries a verdict", line)
+		}
+		if !incomparable && !strings.Contains(line, " ok") {
+			t.Errorf("line %q carries no ok verdict", line)
+		}
+	}
+	if n := strings.Count(out, "incomparable"); n != 2 {
+		t.Errorf("%d incomparable lines, want one per far row's time metric (2):\n%s", n, out)
+	}
+
+	// Allocation metrics stay gated however far apart the counts are.
+	for _, tc := range []struct{ name, row string }{
+		{"ratchet", `{"name": "BenchmarkEnsembleRefitIncremental", "iterations": 3, "metrics": {"ns/op": 100, "allocs/op": 4, "B/op": 0}}`},
+		{"percent", `{"name": "BenchmarkPlannerLA2Tensorflow/refit=incremental/workers=1", "iterations": 3, "metrics": {"ns/decision": 100, "allocs/op": 13, "B/op": 1000}}`},
+	} {
+		regressed := write(tc.name+".json", `{"benchmarks": [`+tc.row+`]}`)
+		out, err := captureStdout(t, func() error { return compareReports(base, regressed, 20) })
+		if err == nil || !strings.Contains(out, "REGRESSION") {
+			t.Errorf("%s: compareReports passed an allocation regression across iteration counts far apart:\n%s", tc.name, out)
+		}
+	}
+
+	// Ten times apart is still comparable: the time regression fails the gate.
+	tenfold := write("tenfold.json", `{"benchmarks": [
+		{"name": "BenchmarkEnsembleRefitIncremental", "iterations": 23764, "metrics": {"ns/op": 500, "allocs/op": 0, "B/op": 0}}
+	]}`)
+	if _, err := captureStdout(t, func() error { return compareReports(base, tenfold, 20) }); err == nil {
+		t.Error("compareReports passed a regression on iteration counts ten times apart")
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected and returns what it printed.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatalf("Pipe: %v", err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	ferr := f()
+	os.Stdout = saved
+	w.Close()
+	return <-done, ferr
 }

@@ -8,18 +8,23 @@ import (
 )
 
 // checkEIcBound is the property the planner's bound-pruned NextStep sweep
-// rests on, for one candidate: cost prediction N(mean, std²) scored against
-// incumbent best with runtime-constraint threshold thr and one extra
-// constraint N(xMean, xStd²) ≤ xMax. It composes the factor bounds exactly as
-// the planner does (same multiplication order as Constrained, early exit on a
-// zero EI bound) and returns a description of the violation, or "".
+// rests on, for one candidate: cost prediction N(mean, std²) bounded against
+// incumbent best and scored exactly against incumbent lower ≤ best, with
+// runtime-constraint threshold thr and one extra constraint N(xMean, xStd²) ≤
+// xMax. The sweep reads bounds computed under the decision's root incumbent
+// in speculated states whose incumbent is at most the root's (EI only grows
+// with the incumbent, the constraint factors do not depend on it), so the
+// bound under best must also dominate the EIc under every lower incumbent.
+// It composes the factor bounds exactly as the planner does (same
+// multiplication order as Constrained, early exit on a zero EI bound) and
+// returns a description of the violation, or "".
 //
 //   - exact EIc is a number  ⇒ bound ≥ exact, or bound is NaN;
 //   - exact EIc is NaN, or Constrained rejects a NaN probability ⇒ either the
 //     bound is NaN (never pruned) or the exact EI was computed as NaN, which
 //     the argmax can never select whether it is pruned or not — but then no
 //     error may be lost: a case where Constrained errors must have a NaN bound.
-func checkEIcBound(mean, std, best, thr, xMean, xStd, xMax float64) string {
+func checkEIcBound(mean, std, best, lower, thr, xMean, xStd, xMax float64) string {
 	cost := numeric.Gaussian{Mean: mean, StdDev: std}
 	extra := numeric.Gaussian{Mean: xMean, StdDev: xStd}
 
@@ -29,7 +34,7 @@ func checkEIcBound(mean, std, best, thr, xMean, xStd, xMax float64) string {
 		bound *= ProbLEUpperBound(extra, xMax)
 	}
 
-	ei := ExpectedImprovement(cost, best)
+	ei := ExpectedImprovement(cost, lower)
 	if eiBound := ExpectedImprovementUpperBound(cost, best); eiBound < ei {
 		return "EI bound below exact EI"
 	}
@@ -93,7 +98,7 @@ func TestEIcUpperBoundDominatesExact(t *testing.T) {
 					mean := best - z*scale
 					thr := mean + w*scale
 					// The extra constraint reuses the grid at unit scale.
-					if msg := checkEIcBound(mean, sigma, best, thr, 0, 1, w); msg != "" {
+					if msg := checkEIcBound(mean, sigma, best, best, thr, 0, 1, w); msg != "" {
 						t.Fatalf("σ=%v best=%v z=%v w=%v: %s", sigma, best, z, w, msg)
 					}
 					checked++
@@ -132,7 +137,7 @@ func TestEIcUpperBoundNonFiniteInputsNeverPrune(t *testing.T) {
 		for _, std := range special {
 			for _, best := range special {
 				for _, thr := range special {
-					if msg := checkEIcBound(mean, std, best, thr, mean, std, thr); msg != "" {
+					if msg := checkEIcBound(mean, std, best, best, thr, mean, std, thr); msg != "" {
 						t.Fatalf("mean=%v std=%v best=%v thr=%v: %s", mean, std, best, thr, msg)
 					}
 					// A NaN input must surface as a NaN bound, not as a small
@@ -156,33 +161,48 @@ func TestEIcUpperBoundNonFiniteInputsNeverPrune(t *testing.T) {
 	}
 }
 
-// FuzzEIcUpperBound searches for a candidate whose bound falls below its
-// exact EIc (see checkEIcBound), seeded from the property tests' grid
-// corners: the tight points z, w = 0, the underflow edge, degenerate and
-// extreme σ, and non-finite inputs.
+// FuzzEIcUpperBound searches for a candidate whose bound under an incumbent
+// falls below its exact EIc under that incumbent or a lower one (see
+// checkEIcBound), seeded from the property tests' grid corners: the tight
+// points z, w = 0, the underflow edge, degenerate and extreme σ, non-finite
+// inputs, and lower incumbents one ulp below, at the σ = 0 step and far
+// below. A lower incumbent above best (or NaN) is checked as best itself.
 func FuzzEIcUpperBound(f *testing.F) {
 	nan, inf := math.NaN(), math.Inf(1)
-	seeds := [][7]float64{
-		{0, 1, 0, 0, 0, 1, 0},
-		{1, 1, 0, 1, 0, 1, -1e-12},
-		{-1, 1, 0, -1, 2, 1e-9, 2},
-		{38.5, 1, 0, 0, 38.5, 1, 0},
-		{-38.5, 1, 0, 30, -38.5, 1, 0},
-		{5, 0, 8, 5, 5, 0, 5},
-		{5, 1e-300, 5, 5, 5, 1e-300, 5},
-		{1e9, 1e9, 0, 1e9, 0, 1e9, 1},
-		{0.4, 0.13, 0.37, 0.52, 0.9, 0.05, 0.95},
-		{nan, 1, 0, 0, 0, 1, 0},
-		{0, 1, 0, 0, nan, 1, 0},
-		{inf, 1, 0, 0, 0, inf, 0},
-		{0, -1, 1, 0, 0, -1, 0},
+	seeds := [][8]float64{
+		{0, 1, 0, 0, 0, 0, 1, 0},
+		{1, 1, 0, 0, 1, 0, 1, -1e-12},
+		{-1, 1, 0, 0, -1, 2, 1e-9, 2},
+		{38.5, 1, 0, 0, 0, 38.5, 1, 0},
+		{-38.5, 1, 0, 0, 30, -38.5, 1, 0},
+		{5, 0, 8, 8, 5, 5, 0, 5},
+		{5, 1e-300, 5, 5, 5, 5, 1e-300, 5},
+		{1e9, 1e9, 0, 0, 1e9, 0, 1e9, 1},
+		{0.4, 0.13, 0.37, 0.37, 0.52, 0.9, 0.05, 0.95},
+		{nan, 1, 0, 0, 0, 0, 1, 0},
+		{0, 1, 0, 0, 0, nan, 1, 0},
+		{inf, 1, 0, 0, 0, 0, inf, 0},
+		{0, -1, 1, 1, 0, 0, -1, 0},
+		// A lower incumbent: one ulp below at z = 0 and w = 0, one ulp
+		// below at σ = 0 (with the step at the incumbent and just under
+		// it), far below, and at the bottom of the underflow range.
+		{0, 1, 0, math.Nextafter(0, -1), 0, 0, 1, 0},
+		{0.37, 1e-3, 0.37, math.Nextafter(0.37, 0), 0.37, 0, 1, 0},
+		{0.37, 0, 0.37, math.Nextafter(0.37, 0), 0.37, 0, 1, 0},
+		{0.37, 0, math.Nextafter(0.37, 1), 0.37, 0.37, 0, 0, 0},
+		{0.4, 0.13, 0.52, 0.37, 0.4, 0.9, 0.05, 0.95},
+		{1, 1, 1, -37, 1, 0, 1, 0},
+		{-1e6, 0, 1, math.Nextafter(1, 0), 0, 0, 0, 0},
 	}
 	for _, s := range seeds {
-		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6])
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
 	}
-	f.Fuzz(func(t *testing.T, mean, std, best, thr, xMean, xStd, xMax float64) {
-		if msg := checkEIcBound(mean, std, best, thr, xMean, xStd, xMax); msg != "" {
-			t.Fatalf("mean=%v std=%v best=%v thr=%v xMean=%v xStd=%v xMax=%v: %s", mean, std, best, thr, xMean, xStd, xMax, msg)
+	f.Fuzz(func(t *testing.T, mean, std, best, lower, thr, xMean, xStd, xMax float64) {
+		if !(lower <= best) {
+			lower = best
+		}
+		if msg := checkEIcBound(mean, std, best, lower, thr, xMean, xStd, xMax); msg != "" {
+			t.Fatalf("mean=%v std=%v best=%v lower=%v thr=%v xMean=%v xStd=%v xMax=%v: %s", mean, std, best, lower, thr, xMean, xStd, xMax, msg)
 		}
 	})
 }

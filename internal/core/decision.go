@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/acquisition"
 	"repro/internal/configspace"
@@ -27,11 +30,13 @@ type decision struct {
 	models *modelSet
 
 	// eligibility: the candidates that fit the budget, index-aligned with
-	// their root cost predictions and root EIc, and the root incumbent.
+	// their root cost predictions and root EIc, the root incumbent, and the
+	// root ranking the speculated states' sweeps walk (see rank).
 	eligible  []candidate
 	costPreds []numeric.Gaussian
 	rootEIc   []float64
 	inc       float64
+	ranking   []rankEntry
 
 	// scorePaths: one score per exactly evaluated eligible candidate.
 	scores []pathScore
@@ -234,8 +239,9 @@ func (p *planner) rootModels(d *decision) error {
 }
 
 // eligibility keeps the candidates whose predicted cost fits the remaining
-// budget and scores each one's root EIc under the root incumbent. With no
-// eligible candidate the later phases run over an empty set and choose
+// budget, scores each one's root EIc under the root incumbent and, for
+// incremental-mode lookahead, ranks every active candidate (see rank). With
+// no eligible candidate the later phases run over an empty set and choose
 // reports "no decision".
 func (p *planner) eligibility(d *decision) error {
 	eligible, costPreds, extraPreds, err := p.eligible(d.root.untested, d.models, d.root.budget, d.root.deployed)
@@ -252,42 +258,78 @@ func (p *planner) eligibility(d *decision) error {
 			return err
 		}
 	}
-	if p.params.Lookahead >= 1 {
-		// The root's bound table, which the sweeps of its speculated
-		// children start from (see boundTable): every eligible candidate's
-		// bound under the root incumbent.
-		d.root.bounds = &p.rootBounds
-		d.root.bounds.inherit(nil, d.models, d.inc, len(d.root.untested))
-		extraMemos := extraMemosOf(d.models)
-		for i := range eligible {
-			d.root.bounds.bounds[eligible[i].slot] = p.eicUpperBound(d.inc, &eligible[i], costPreds[i], extraMemos)
-		}
+	if p.params.Lookahead >= 1 && p.refitMode == SpecRefitIncremental && p.eligUseZ {
+		p.rank(d)
 	}
 	return nil
 }
 
-// eligible returns the candidates that fit the budget (see fitsBudget and,
-// with setup costs, affordable: deployed is the configuration they switch
-// from) with their cost and per-constraint predictions, read from the memo
-// arrays — every swept set is prefilled or an eagerly repaired clone of a
-// prefilled one. The root decision uses it, where prunedScores needs every
-// candidate's exact EIc; speculated states go through nextStep's fused sweep
-// instead.
+// rankEntry is one active candidate of a decision's root ranking: its slot,
+// its EIc bound under the root incumbent and the root models, and the budget
+// its root cost prediction needs to be eligible (eligThreshold).
+type rankEntry struct {
+	slot      int
+	bound     float64
+	threshold float64
+}
+
+// rank builds the decision's root ranking: every active candidate, eligible
+// at the root or not (a speculated budget can exceed the root's), by
+// descending bound, NaN bounds first and ties by slot. The speculated states'
+// sweeps walk it (see nextStep), which is sound only while their models are
+// the root models plus journaled updates: incremental mode, whose eligibility
+// test is the threshold test. The entries live in the planner's buffer and
+// are read-only during the fan-out.
+func (p *planner) rank(d *decision) {
+	costMemo := d.models.cost.MemoPreds()
+	extraMemos := extraMemosOf(d.models)
+	if cap(p.ranking) < len(d.root.untested) {
+		p.ranking = make([]rankEntry, 0, len(d.root.untested))
+	}
+	r := p.ranking[:0]
+	for i := range d.root.untested {
+		u := &d.root.untested[i]
+		costPred := costMemo[u.slot]
+		r = append(r, rankEntry{slot: u.slot, bound: p.eicUpperBound(d.inc, u, costPred, extraMemos), threshold: p.eligThreshold(costPred)})
+	}
+	slices.SortFunc(r, compareRank)
+	p.ranking, d.ranking = r, r
+}
+
+// compareRank orders root ranking entries: NaN bounds first, then by
+// descending bound, ties by slot.
+func compareRank(a, b rankEntry) int {
+	if an, bn := math.IsNaN(a.bound), math.IsNaN(b.bound); an != bn {
+		if an {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(b.bound, a.bound); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.slot, b.slot)
+}
+
+// eligible returns the candidates that fit the budget (see affords:
+// deployed is the configuration they switch from) with their cost and
+// per-constraint predictions, read from the memo arrays — every swept set is
+// prefilled or an eagerly repaired clone of a prefilled one. The root
+// decision uses it, where prunedScores needs every candidate's exact EIc;
+// speculated states go through nextStep's sweep instead.
 func (p *planner) eligible(untested []candidate, ms *modelSet, budget float64, deployed *configspace.Config) ([]candidate, []numeric.Gaussian, [][]numeric.Gaussian, error) {
 	costMemo := ms.cost.MemoPreds()
 	extraMemos := extraMemosOf(ms)
 	if costMemo == nil || extraMemos == nil {
 		return nil, nil, nil, errNotPrefilled
 	}
-	if p.opts.SetupCost != nil {
-		untested = p.affordable(nil, untested, costMemo, deployed, budget)
-	}
+	state := specState{budget: budget, deployed: deployed}
 	out := make([]candidate, 0, len(untested))
 	costPreds := make([]numeric.Gaussian, 0, len(untested))
 	extraPreds := make([][]numeric.Gaussian, 0, len(untested))
 	for _, u := range untested {
 		costPred := costMemo[u.slot]
-		if !p.fitsBudget(costPred, budget) {
+		if !p.affords(&state, &u, costPred) {
 			continue
 		}
 		out = append(out, u)

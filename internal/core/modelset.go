@@ -32,8 +32,10 @@ type modelSet struct {
 // rootToken is the identity of one decision's root models. It is a pointer
 // to a non-empty struct so that no two live tokens compare equal, and it
 // holds nothing: a pooled workspace that still remembers a token pins these
-// few bytes, never another campaign's models.
-type rootToken struct{ _ byte }
+// few bytes, never another campaign's models. At 16 bytes it is not packed
+// with other small objects by the runtime's tiny allocator, so the bytes a
+// decision allocates do not depend on the decisions before it.
+type rootToken struct{ _ [16]byte }
 
 // newModelSet creates untrained models on a deterministic random stream, with
 // prediction memos covering size candidate slots.

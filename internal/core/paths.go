@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/acquisition"
 	"repro/internal/configspace"
-	"repro/internal/model"
 	"repro/internal/numeric"
 )
 
@@ -34,16 +33,15 @@ type pathWorkspace struct {
 	base *rootToken
 
 	// depths[d] is the combo loop's scratch at speculation depth d: the
-	// extended training set, the reduced untested slice, the speculated child
-	// state with its EIc bound table, and the Gauss-Hermite outcome/combo
-	// buffers. Depth d's recursion returns before depth d reuses its scratch
-	// for the next combo, so one set per depth serves every path; and the
-	// bound table of depth d stays valid for every child of its state, whose
-	// sweeps at depth d+1 start from it (see boundTable). The root state's
-	// table, which depth 0's sweeps start from, is the planner's and is only
-	// ever passed down, never stored here, so a shelved workspace pins no
-	// decision's table.
+	// extended training set, the speculated child state, and the
+	// Gauss-Hermite outcome/combo buffers. Depth d's recursion returns before
+	// depth d reuses its scratch for the next combo, so one set per depth
+	// serves every path.
 	depths []*pathDepthScratch
+
+	// sweep is the path marks and nextStep scratch of the paths evaluated
+	// on the workspace.
+	sweep sweepScratch
 
 	// owner is the worker holding the workspace (see workspacePool) and shape
 	// the pool shelf it returns to; a worker's private workspace is stamped
@@ -53,13 +51,9 @@ type pathWorkspace struct {
 }
 
 // pathDepthScratch is one speculation depth's reusable combo-loop storage.
-// bounds is the bound table of state, filled by the sweep that chooses the
-// state's next step.
 type pathDepthScratch struct {
 	train     *trainSet
-	untested  []candidate
 	state     specState
-	bounds    boundTable
 	preds     []numeric.Gaussian
 	outcomes  []numeric.WeightedValue
 	marginals [][]numeric.WeightedValue
@@ -76,69 +70,64 @@ func (ws *pathWorkspace) depth(slot int) *pathDepthScratch {
 	return ws.depths[slot]
 }
 
-// eligibleBuf holds one scheduler worker's useful-work counters of the
-// nextStep sweeps it runs (specWorker.elig): eligible candidates dismissed on
-// their bound alone vs. scored with the exact EIc, and the bounds computed
-// afresh rather than taken over from the parent state's table — plain ints,
-// because a shared atomic in the sweep costs more than the sweep saves.
-//
-// affordable is the worker's scratch for the candidates a setup-cost
-// campaign's sweep visits (see planner.affordable).
-type eligibleBuf struct {
-	bounded    int
-	evaluated  int
-	fresh      int
-	affordable []candidate
+// sweepScratch is a workspace's scratch for the paths explored on it and
+// the nextStep sweeps they run, indexed by candidate slot. Between paths it
+// holds no mark, and a stamp never carries a later sweep's epoch, so a
+// workspace moves between planners (see workspacePool) with it.
+type sweepScratch struct {
+	// onPath marks the candidates of the path being explored, which
+	// explorePaths sets and clears stack-wise; members counts them.
+	onPath  []bool
+	members int
+
+	// stamp[slot] == epoch marks a slot the current sweep found moved, and
+	// moved holds those of them that are eligible, with their fresh bounds.
+	stamp []uint32
+	epoch uint32
+	moved []slotBound
 }
 
-// boundTable is the EIc upper bounds of one state's candidates by slot,
-// computed under the incumbent inc and the state's models; an entry no sweep
-// of the state needed (a candidate the budget rules out) is boundUnknown.
-//
-// A speculated state's models are its parent's plus one update, and the
-// bound is a pure function of the incumbent, the candidate's memo entries and
-// its fixed thresholds. So when the state's incumbent is bitwise its
-// parent's, every slot the update did not move has its parent's bound bit for
-// bit: the sweep copies the parent's table and forgets only the moved slots
-// (model.Cached.LastMoved, over the cost model and every constraint model;
-// every update is repaired, so a set with an update pending knows them). Any
-// other state — a changed incumbent, a Full-mode refit, the root — starts
-// from a table with every slot forgotten.
-type boundTable struct {
-	inc    float64
-	bounds []float64
+// sweepCounts is one scheduler worker's useful-work counters of the nextStep
+// sweeps it runs: exact EIc evaluations, and bounds computed afresh rather
+// than read from the root ranking — plain ints, because a shared atomic in
+// the sweep costs more than the sweep saves.
+type sweepCounts struct {
+	evaluated int
+	fresh     int
 }
 
-// boundUnknown marks a table entry that has not been computed. Real bounds
-// are non-negative or NaN.
-var boundUnknown = math.Inf(-1)
+// slotBound is a candidate slot with its EIc bound.
+type slotBound struct {
+	slot  int
+	bound float64
+}
 
-// inherit readies t as the table of a state with n candidate slots, swept
-// under incumbent inc with models ms: parent's entries minus the slots ms's
-// last update moved when parent is reusable (see boundTable), no entry
-// otherwise.
-func (t *boundTable) inherit(parent *boundTable, ms *modelSet, inc float64, n int) {
-	if cap(t.bounds) < n {
-		t.bounds = make([]float64, n)
-	}
-	t.bounds, t.inc = t.bounds[:n], inc
-	if parent == nil || len(parent.bounds) != n || math.Float64bits(parent.inc) != math.Float64bits(inc) || ms.pending() == 0 {
-		for i := range t.bounds {
-			t.bounds[i] = boundUnknown
-		}
-		return
-	}
-	copy(t.bounds, parent.bounds)
-	t.forget(ms.cost)
-	for _, m := range ms.extras {
-		t.forget(m)
+// reserve sizes the slot-indexed scratch for n candidate slots, keeping the
+// marks already set.
+func (sw *sweepScratch) reserve(n int) {
+	if len(sw.onPath) < n {
+		sw.onPath = append(sw.onPath, make([]bool, n-len(sw.onPath))...)
+		sw.stamp = append(sw.stamp, make([]uint32, n-len(sw.stamp))...)
+		sw.moved = make([]slotBound, 0, n)
 	}
 }
 
-// forget drops the entries of the slots m's last update moved.
-func (t *boundTable) forget(m *model.Cached) {
-	for _, id := range m.LastMoved() {
-		t.bounds[id] = boundUnknown
+// mark adds the candidate in slot to the path; unmark takes it back out.
+func (sw *sweepScratch) mark(slot int) {
+	sw.onPath[slot] = true
+	sw.members++
+}
+
+func (sw *sweepScratch) unmark(slot int) {
+	sw.onPath[slot] = false
+	sw.members--
+}
+
+// nextEpoch starts a sweep's moved-slot stamps: no slot carries the new epoch.
+func (sw *sweepScratch) nextEpoch() {
+	if sw.epoch++; sw.epoch == 0 {
+		clear(sw.stamp)
+		sw.epoch = 1
 	}
 }
 
@@ -189,7 +178,7 @@ func (p *planner) evalPath(w *specWorker, d *decision, cand candidate) (pathScor
 		// explorePaths returns before touching the workspace.
 		ws.scratch = p.newModelSet(int64(p.iteration+1)*4_000_000_007+int64(cand.id), len(d.root.untested))
 	}
-	reward, cost, err := p.explorePaths(&d.root, d.models, d.inc, cand, p.params.Lookahead, ws, 0, w)
+	reward, cost, err := p.explorePaths(d, &d.root, d.models, d.inc, cand, p.params.Lookahead, ws, 0, w)
 	ws.scratch = nil
 	if err != nil {
 		return pathScore{}, err
@@ -199,27 +188,21 @@ func (p *planner) evalPath(w *specWorker, d *decision, cand candidate) (pathScor
 
 // specState is the state Σ of one node of an exploration path: the
 // (speculated) training set, the untested configurations, the remaining
-// budget, the currently deployed configuration, and the table the sweep
-// choosing the state's next step fills with its EIc bounds (the root's only
-// when it has speculated children, Lookahead ≥ 1).
+// budget and the currently deployed configuration. untested is the decision's
+// active candidate set, indexed by slot, in every state of the decision; a
+// speculated state's untested configurations are those of them not on the
+// path that reached it, which onPath marks (nil at the root).
 type specState struct {
 	train    *trainSet
 	untested []candidate
+	onPath   []bool
 	budget   float64
 	deployed *configspace.Config // nil when nothing is deployed (or no setup-cost function reads it)
-	bounds   *boundTable
 }
 
-// appendWithout appends the untested set minus the given candidate to dst
-// and returns the extended slice; the speculation loop passes its per-depth
-// scratch as dst.
-func appendWithout(dst []candidate, untested []candidate, id int) []candidate {
-	for _, c := range untested {
-		if c.id != id {
-			dst = append(dst, c)
-		}
-	}
-	return dst
+// onPathAt reports whether the candidate in slot is on the state's path.
+func (s *specState) onPathAt(slot int) bool {
+	return slot < len(s.onPath) && s.onPath[slot]
 }
 
 // setupCost returns the setup cost of switching from the state's deployed
@@ -231,18 +214,15 @@ func (p *planner) setupCost(deployed *configspace.Config, to candidate) float64 
 	return p.opts.SetupCost(deployed, p.candidateConfig(to))
 }
 
-// affordable appends to dst the candidates of untested whose predicted cost
-// fits what the budget leaves after the setup cost of switching to them from
-// deployed — the runner charges both. Only setup-cost campaigns call it, once
-// per sweep, and sweep its result instead of untested: campaigns without
-// setup costs run the sweeps unchanged.
-func (p *planner) affordable(dst, untested []candidate, costMemo []numeric.Gaussian, deployed *configspace.Config, budget float64) []candidate {
-	for _, u := range untested {
-		if p.fitsBudget(costMemo[u.slot], budget-p.setupCost(deployed, u)) {
-			dst = append(dst, u)
-		}
+// affords is the eligibility test of a speculated state's candidate with
+// cost prediction costPred (see fitsBudget): with setup costs, the predicted
+// cost must also fit what the budget leaves after switching to the candidate
+// from the deployed configuration — the runner charges both.
+func (p *planner) affords(state *specState, cand *candidate, costPred numeric.Gaussian) bool {
+	if !p.fitsBudget(costPred, state.budget) {
+		return false
 	}
-	return dst
+	return p.opts.SetupCost == nil || p.fitsBudget(costPred, state.budget-p.setupCost(state.deployed, *cand))
 }
 
 // feasibleSpeculation reports whether a speculated (cost, extras) outcome for
@@ -266,7 +246,8 @@ func (p *planner) feasibleSpeculation(cand candidate, cost float64, extras []flo
 // incumbent returns the EIc incumbent of a state: the cheapest feasible entry
 // of the (speculated) training set, or, when no entry is feasible, the
 // fallback "most expensive profiled cost plus three times the largest
-// predictive standard deviation over untested configurations". It depends
+// predictive standard deviation over untested configurations" (path members
+// excluded). It depends
 // only on (state, fitted models), so callers compute it once per state and
 // share it across every candidate scored under that state.
 func (p *planner) incumbent(state *specState, ms *modelSet) (float64, error) {
@@ -279,6 +260,9 @@ func (p *planner) incumbent(state *specState, ms *modelSet) (float64, error) {
 	}
 	maxStd := 0.0
 	for _, u := range state.untested {
+		if state.onPathAt(u.slot) {
+			continue
+		}
 		if s := memo[u.slot].StdDev; s > maxStd {
 			maxStd = s
 		}
@@ -343,118 +327,165 @@ func clampProb(p float64) float64 {
 
 // fitsBudget is the eligibility test of Algorithm 1, line 23 and Algorithm 2,
 // line 22: the predicted cost fits within the budget with the configured
-// confidence. With setup costs, the sweeps first narrow the candidates to the
-// affordable ones.
+// confidence. With setup costs, the sweeps also test affordability (see
+// affords).
 func (p *planner) fitsBudget(costPred numeric.Gaussian, budget float64) bool {
 	if !p.eligUseZ {
 		return costPred.ProbLE(budget) >= p.params.EligibilityProb
 	}
+	return budget >= p.eligThreshold(costPred)
+}
+
+// eligThreshold is the budget fitsBudget's incremental-mode test requires of
+// a cost prediction: mean + z·σ, or the mean at σ = 0.
+func (p *planner) eligThreshold(costPred numeric.Gaussian) float64 {
 	if costPred.StdDev == 0 {
-		return budget >= costPred.Mean
+		return costPred.Mean
 	}
-	return budget >= costPred.Mean+p.eligZ*costPred.StdDev
+	return costPred.Mean + p.eligZ*costPred.StdDev
 }
 
 // nextStep selects the configuration explored at depth ≥ 2 of a path: the
 // eligible untested configuration with the highest EIc under the speculated
 // state, ties to the lower configuration ID (Algorithm 2, NextStep). inc is
 // the state's incumbent, computed once by the caller and shared with the
-// recursive path evaluation; parent is the bound table of the state's parent
-// (nil when there is none to start from).
+// recursive path evaluation; d is the state's decision, whose root ranking
+// (see rank) the sweep walks.
 //
-// Only the argmax is used, so the sweep is an exact branch and bound. One
-// fused pass applies the eligibility test and bounds every eligible
-// candidate's EIc from above without erfc or exp (eicUpperBound), writing
-// the bounds into the state's table — or reading them there, for the slots
-// the table took over from parent (see boundTable), bitwise the values it
-// would compute. The exact EIc is then computed for the candidate with the
-// largest bound and, in candidate order, for every eligible candidate whose
-// bound is not strictly below the best exact value so far; a skipped
-// candidate's EIc lies strictly below an exactly computed one, so it could
-// neither win nor tie. Exactly evaluated candidates compete under the
-// exhaustive sweep's own rule, and the argmax of (EIc, −ID) does not depend
-// on visiting order, so the choice is the one the exhaustive sweep makes, bit
-// for bit. NaN compares false: a NaN bound is never skipped and a NaN EIc
-// never wins, as in the exhaustive sweep; and since eic rejects nothing but a
-// NaN probability, whose bound is NaN, a state on which the exhaustive sweep
-// fails fails here too.
-func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, parent *boundTable, buf *eligibleBuf) (candidate, bool, error) {
+// Only the argmax is used, so the sweep is an exact branch and bound: the
+// exact EIc is computed only for candidates whose EIc upper bound
+// (eicUpperBound, no erfc or exp) is not strictly below the best exact value
+// so far. A skipped candidate could neither win nor tie, and the argmax of
+// (EIc, −ID) does not depend on visiting order, so the choice is the
+// exhaustive sweep's, bit for bit. NaN compares false: a NaN bound is never
+// skipped and a NaN EIc never wins, and since eic rejects nothing but a NaN
+// probability, whose bound is NaN, a state the exhaustive sweep fails on
+// fails here too.
+//
+// The slots some pending update of ms moved (model.Cached.Moved, over every
+// model) are bounded afresh and the best of them evaluated. Every other slot
+// holds the root models' predictions, so its ranking entry bounds its EIc
+// here while inc is at most the root incumbent — EI only grows with the
+// incumbent, and the bound's margin covers the rounding (FuzzEIcUpperBound)
+// — and is the fresh bound bit for bit when the incumbents are equal. The
+// sweep walks the ranking from the top, skipping moved slots, path members
+// and ineligible entries, until a root bound falls below the best exact EIc,
+// where no later entry (NaN bounds lead) can reach it; then it evaluates the
+// moved slots whose bounds reach the best. A state without a ranking
+// (Full-mode refits move every slot) or with an incumbent above the root's
+// takes the same path with every slot moved.
+func (p *planner) nextStep(d *decision, state *specState, ms *modelSet, inc float64, sw *sweepScratch, counts *sweepCounts) (candidate, bool, error) {
 	costMemo := ms.cost.MemoPreds()
 	extraMemos := extraMemosOf(ms)
 	if costMemo == nil || extraMemos == nil {
 		return candidate{}, false, errNotPrefilled
 	}
-	state.bounds.inherit(parent, ms, inc, len(costMemo))
-	bounds := state.bounds.bounds
-	untested := state.untested
-	if p.opts.SetupCost != nil {
-		buf.affordable = p.affordable(buf.affordable[:0], untested, costMemo, state.deployed, state.budget)
-		untested = buf.affordable
-	}
-	nEligible, fresh := 0, 0
-	seed, seedBound := -1, math.Inf(-1)
-	for i := range untested {
-		u := &untested[i]
-		costPred := costMemo[u.slot]
-		if !p.fitsBudget(costPred, state.budget) {
-			continue
+	sw.reserve(len(costMemo))
+	walk := d.ranking != nil && inc <= d.inc
+
+	// Bound the moved slots, or every slot when the ranking does not apply.
+	sw.moved = sw.moved[:0]
+	bound := func(slot int) {
+		if state.onPathAt(slot) {
+			return
 		}
-		nEligible++
-		b := bounds[u.slot]
-		if b == boundUnknown {
-			b = p.eicUpperBound(inc, u, costPred, extraMemos)
-			bounds[u.slot] = b
-			fresh++
-		}
-		if b > seedBound {
-			seed, seedBound = i, b
+		cand := &state.untested[slot]
+		if costPred := costMemo[slot]; p.affords(state, cand, costPred) {
+			sw.moved = append(sw.moved, slotBound{slot, p.eicUpperBound(inc, cand, costPred, extraMemos)})
 		}
 	}
-	buf.fresh += fresh
-	if nEligible == 0 {
-		return candidate{}, false, nil
+	if walk {
+		sw.nextEpoch()
+		boundMoved := func(ids []int32) {
+			for _, id := range ids {
+				if sw.stamp[id] != sw.epoch {
+					sw.stamp[id] = sw.epoch
+					bound(int(id))
+				}
+			}
+		}
+		boundMoved(ms.cost.Moved())
+		for _, m := range ms.extras {
+			boundMoved(m.Moved())
+		}
+	} else {
+		for slot := range state.untested {
+			bound(slot)
+		}
 	}
+	counts.fresh += len(sw.moved)
 
 	best := candidate{}
 	bestEIc := -1.0
 	evaluated := 0
-	exact := func(cand candidate) error {
+	exact := func(cand *candidate) error {
 		var rowArr [3]numeric.Gaussian
 		row := rowArr[:0]
 		for _, em := range extraMemos {
 			row = append(row, em[cand.slot])
 		}
-		score, err := p.eic(inc, cand, costMemo[cand.slot], row)
+		score, err := p.eic(inc, *cand, costMemo[cand.slot], row)
 		if err != nil {
 			return err
 		}
 		evaluated++
 		if score > bestEIc || (score == bestEIc && cand.id < best.id) {
-			best = cand
+			best = *cand
 			bestEIc = score
 		}
 		return nil
 	}
+	// The moved list's order is the repair's, which depends on the working
+	// copy's history; ties to the lower slot and the fixed cut of the last
+	// pass keep the evaluations (and counters) independent of it.
+	seed, seedBound := -1, math.Inf(-1)
+	for i, m := range sw.moved {
+		if m.bound > seedBound || (seed >= 0 && m.bound == seedBound && m.slot < sw.moved[seed].slot) {
+			seed, seedBound = i, m.bound
+		}
+	}
 	if seed >= 0 {
-		if err := exact(untested[seed]); err != nil {
+		if err := exact(&state.untested[sw.moved[seed].slot]); err != nil {
 			return candidate{}, false, err
 		}
 	}
-	for i := range untested {
-		// The table also holds entries of candidates the budget rules out
-		// (unknown, or taken over from parent), so a bound that survives
-		// the cut is re-tested for eligibility.
-		slot := untested[i].slot
-		if i == seed || bounds[slot] < bestEIc || !p.fitsBudget(costMemo[slot], state.budget) {
+	if walk {
+		same := math.Float64bits(inc) == math.Float64bits(d.inc)
+		for i := range d.ranking {
+			e := &d.ranking[i]
+			if e.bound < bestEIc {
+				break
+			}
+			slot := e.slot
+			if sw.stamp[slot] == sw.epoch || state.onPathAt(slot) || !(state.budget >= e.threshold) {
+				continue
+			}
+			cand := &state.untested[slot]
+			if p.opts.SetupCost != nil && !(state.budget-p.setupCost(state.deployed, *cand) >= e.threshold) {
+				continue
+			}
+			if !same {
+				counts.fresh++
+				if p.eicUpperBound(inc, cand, costMemo[slot], extraMemos) < bestEIc {
+					continue
+				}
+			}
+			if err := exact(cand); err != nil {
+				return candidate{}, false, err
+			}
+		}
+	}
+	cut := bestEIc
+	for i, m := range sw.moved {
+		if i == seed || m.bound < cut {
 			continue
 		}
-		if err := exact(untested[i]); err != nil {
+		if err := exact(&state.untested[m.slot]); err != nil {
 			return candidate{}, false, err
 		}
 	}
-	buf.evaluated += evaluated
-	buf.bounded += nEligible - evaluated
-	return best, true, nil
+	counts.evaluated += evaluated
+	return best, evaluated > 0, nil
 }
 
 // explorePaths implements Algorithm 2: it returns the expected reward and
@@ -469,9 +500,10 @@ func (p *planner) nextStep(state *specState, ms *modelSet, inc float64, parent *
 // outcome below is applied to and undone on. slot is the speculation depth
 // within the path (0 at its root call): it indexes the per-depth scratch and
 // equals the number of updates pending on the working copy, which from depth
-// 1 on is models itself. w is the scheduler worker executing this
-// evaluation, whose sweep scratch and counters the path uses.
-func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, cand candidate, lookahead int, ws *pathWorkspace, slot int, w *specWorker) (reward, cost float64, err error) {
+// 1 on is models itself; cand is on ws's path marks while the states below
+// it are explored. w is the scheduler worker executing this evaluation,
+// whose counters the path's sweeps update. d is the decision.
+func (p *planner) explorePaths(d *decision, state *specState, models *modelSet, inc float64, cand candidate, lookahead int, ws *pathWorkspace, slot int, w *specWorker) (reward, cost float64, err error) {
 	ds := ws.depth(slot)
 	ds.preds, err = models.predictCand(ds.preds[:0], cand)
 	if err != nil {
@@ -509,11 +541,14 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 		return 0, 0, err
 	}
 
-	childUntested := appendWithout(ds.untested[:0], state.untested, cand.id)
-	ds.untested = childUntested[:0]
-	if len(childUntested) == 0 {
+	sw := &ws.sweep
+	sw.reserve(len(state.untested))
+	if sw.members+1 >= len(state.untested) {
+		// The path holds every candidate: nothing is left to explore.
 		return reward, cost, nil
 	}
+	sw.mark(cand.slot)
+	defer sw.unmark(cand.slot)
 	var childDeployed *configspace.Config
 	if p.opts.SetupCost != nil {
 		cfg := p.candidateConfig(cand)
@@ -521,10 +556,10 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 	}
 
 	// The speculated child states differ only in the outcome of the last
-	// (speculated) training entry, so one extended training set and one
-	// reduced untested slice are built per candidate and the entry is
-	// rewritten per combo. Deeper recursion copies the training set before
-	// extending it, so the mutation never escapes this loop.
+	// (speculated) training entry, so one extended training set is built
+	// per candidate and the entry is rewritten per combo. Deeper recursion
+	// copies the training set before extending it, so the mutation never
+	// escapes this loop.
 	childTrain := state.train.withEntryInto(ds.train, cand.features, 0, nil, false)
 	last := len(childTrain.costs) - 1
 	for _, combo := range ds.combos {
@@ -539,12 +574,12 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 		}
 		ds.state = specState{
 			train:    childTrain,
-			untested: childUntested,
+			untested: state.untested,
+			onPath:   sw.onPath,
 			budget:   state.budget - specCost - setup,
 			deployed: childDeployed,
-			bounds:   &ds.bounds,
 		}
-		subReward, subCost, ok, err := p.speculate(w, ws, slot, &ds.state, state.bounds, models, cand, specCost, specExtras, lookahead)
+		subReward, subCost, ok, err := p.speculate(d, w, ws, slot, &ds.state, models, cand, specCost, specExtras, lookahead)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -561,15 +596,14 @@ func (p *planner) explorePaths(state *specState, models *modelSet, inc float64, 
 
 // speculate evaluates the subtree below one speculated outcome of profiling
 // cand: derive the child models from the parent's, compute the child state's
-// incumbent, select the next step under it (starting from the parent state's
-// bound table parentBounds), and recurse with the remaining lookahead; ok is
-// false when the speculated budget admits no further step.
-func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *specState, parentBounds *boundTable, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int) (reward, cost float64, ok bool, err error) {
+// incumbent, select the next step under it, and recurse with the remaining
+// lookahead; ok is false when the speculated budget admits no further step.
+func (p *planner) speculate(d *decision, w *specWorker, ws *pathWorkspace, slot int, child *specState, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int) (reward, cost float64, ok bool, err error) {
 	if p.refitMode != SpecRefitIncremental {
 		if err := p.refit(ws.scratch, child.train); err != nil {
 			return 0, 0, false, err
 		}
-		return p.sweepChild(w, ws, slot, child, parentBounds, ws.scratch, lookahead)
+		return p.sweepChild(d, w, ws, slot, child, ws.scratch, lookahead)
 	}
 	// Incremental fast path: fold the one speculated sample into the
 	// workspace's working copy, which holds the parent's models and memos;
@@ -594,7 +628,7 @@ func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *s
 	if models.pending() != slot+1 {
 		panic("core: working copy swept with a number of pending updates other than its speculation depth")
 	}
-	reward, cost, ok, err = p.sweepChild(w, ws, slot, child, parentBounds, models, lookahead)
+	reward, cost, ok, err = p.sweepChild(d, w, ws, slot, child, models, lookahead)
 	if err != nil {
 		return 0, 0, false, err
 	}
@@ -606,15 +640,15 @@ func (p *planner) speculate(w *specWorker, ws *pathWorkspace, slot int, child *s
 
 // sweepChild scores a speculated child state under its models: incumbent,
 // next step, and the path below it.
-func (p *planner) sweepChild(w *specWorker, ws *pathWorkspace, slot int, child *specState, parentBounds *boundTable, models *modelSet, lookahead int) (reward, cost float64, ok bool, err error) {
+func (p *planner) sweepChild(d *decision, w *specWorker, ws *pathWorkspace, slot int, child *specState, models *modelSet, lookahead int) (reward, cost float64, ok bool, err error) {
 	inc, err := p.incumbent(child, models)
 	if err != nil {
 		return 0, 0, false, err
 	}
-	next, found, err := p.nextStep(child, models, inc, parentBounds, &w.elig)
+	next, found, err := p.nextStep(d, child, models, inc, &ws.sweep, &w.counts)
 	if err != nil || !found {
 		return 0, 0, false, err
 	}
-	reward, cost, err = p.explorePaths(child, models, inc, next, lookahead-1, ws, slot+1, w)
+	reward, cost, err = p.explorePaths(d, child, models, inc, next, lookahead-1, ws, slot+1, w)
 	return reward, cost, err == nil, err
 }

@@ -62,7 +62,7 @@ func TestExplorePathsConstrainedOutcomes(t *testing.T) {
 	}
 	w := p.sched.workers[0]
 	explore := func() {
-		if _, _, err := p.explorePaths(&d.root, d.models, d.inc, cand, 1, w.ws, 0, w); err != nil {
+		if _, _, err := p.explorePaths(d, &d.root, d.models, d.inc, cand, 1, w.ws, 0, w); err != nil {
 			t.Fatalf("explorePaths: %v", err)
 		}
 	}

@@ -70,7 +70,7 @@ type planner struct {
 	colsBuf    []float64            // backing store of the slot-major feature matrix
 	activeCols [][]float64          // activeCols[d][slot]: feature d of the active candidate in that slot
 	activeCfgs []configspace.Config // decoded configs of active candidates (built only when SetupCost is set)
-	rootBounds boundTable           // the root state's bound table (built only when Lookahead ≥ 1)
+	ranking    []rankEntry          // backing store of the decision's root ranking (see rank)
 }
 
 // resolveRefitMode turns SpecRefitAuto into a concrete mode from the

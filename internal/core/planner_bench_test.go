@@ -123,29 +123,30 @@ func (f *plannerBenchFixture) decide(tb testing.TB) {
 }
 
 // workerCounts sums the per-worker work counters: exact EIc evaluations,
-// candidates dismissed on their bound, bounds computed afresh (not taken over
-// from a parent state's table), whole model sets copied.
-func (f *plannerBenchFixture) workerCounts() (evaluated, bounded, fresh, copies int) {
+// bounds computed afresh (not read from the root ranking), whole model sets
+// copied.
+func (f *plannerBenchFixture) workerCounts() (evaluated, fresh, copies int) {
 	for _, w := range f.planner.sched.workers {
-		evaluated += w.elig.evaluated
-		bounded += w.elig.bounded
-		fresh += w.elig.fresh
+		evaluated += w.counts.evaluated
+		fresh += w.counts.fresh
 		copies += w.modelCopies
 	}
-	return evaluated, bounded, fresh, copies
+	return evaluated, fresh, copies
 }
 
 // maxWarmupDecisions bounds the decisions warmUp runs.
 const maxWarmupDecisions = 16
 
-// warmUp replays the decision at iteration until every worker's workspace
-// has served one (see warm), at most maxWarmupDecisions times. Which workers
-// take part in a decision is scheduling, but the calling goroutine runs the
-// scheduler's first worker and claims a root before it waits, so each
-// worker in turn is put first for one decision.
+// warmUp replays the decision at iteration once per worker, and on until
+// every worker's scratch has served it (see warm), at most
+// maxWarmupDecisions times: a fixture whose planner already decided before
+// grew its scratch on other decisions, and the first replay of this one may
+// still grow it. Which workers take part in a decision is scheduling, but the
+// calling goroutine runs the scheduler's first worker and claims a root
+// before it waits, so each worker in turn is put first for one decision.
 func (f *plannerBenchFixture) warmUp(tb testing.TB, iteration int) {
 	workers := f.planner.sched.workers
-	for k := 0; k < maxWarmupDecisions && !f.warm(); k++ {
+	for k := 0; k < maxWarmupDecisions && (k < len(workers) || !f.warm()); k++ {
 		i := k % len(workers)
 		workers[0], workers[i] = workers[i], workers[0]
 		f.planner.iteration = iteration
@@ -154,11 +155,15 @@ func (f *plannerBenchFixture) warmUp(tb testing.TB, iteration int) {
 	}
 }
 
-// warm reports whether every worker's workspace has served a decision: it
-// holds per-depth scratch and, in incremental mode, a working copy.
+// warm reports whether every worker has served a decision: its workspace
+// holds per-depth scratch, sweep scratch (path marks, moved-slot stamps, a
+// moved list) and, in incremental mode, a working copy.
 func (f *plannerBenchFixture) warm() bool {
 	for _, w := range f.planner.sched.workers {
 		if len(w.ws.depths) == 0 || (f.planner.refitMode == SpecRefitIncremental && w.ws.work == nil) {
+			return false
+		}
+		if sw := &w.ws.sweep; len(sw.onPath) == 0 || len(sw.stamp) == 0 || cap(sw.moved) == 0 {
 			return false
 		}
 	}
@@ -179,7 +184,7 @@ func benchmarkFixtureDecision(b *testing.B, fixture *plannerBenchFixture) {
 	// Decisions before the timer grow the workspaces and scratch a planner
 	// keeps, so a short run's ops are not charged for them.
 	fixture.warmUp(b, iteration)
-	evaluated0, bounded0, fresh0, copies0 := fixture.workerCounts()
+	evaluated0, fresh0, copies0 := fixture.workerCounts()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -187,15 +192,12 @@ func benchmarkFixtureDecision(b *testing.B, fixture *plannerBenchFixture) {
 		fixture.decide(b)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/decision")
-	// Useful-work ratio of the NextStep sweeps: eligible candidates of
-	// speculated states scored with the exact EIc vs. dismissed on their
-	// upper bound alone.
-	evaluated, bounded, fresh, copies := fixture.workerCounts()
-	evaluated, bounded, fresh, copies = evaluated-evaluated0, bounded-bounded0, fresh-fresh0, copies-copies0
+	// Useful work of the NextStep sweeps: speculated states' candidates
+	// scored with the exact EIc, and bounds computed afresh rather than read
+	// from the root ranking.
+	evaluated, fresh, copies := fixture.workerCounts()
+	evaluated, fresh, copies = evaluated-evaluated0, fresh-fresh0, copies-copies0
 	b.ReportMetric(float64(evaluated)/float64(b.N), "eic-evals/decision")
-	b.ReportMetric(float64(bounded)/float64(b.N), "eic-bounded/decision")
-	// Bounds the sweeps computed rather than took over from the parent
-	// state's table: at most evals + bounded.
 	b.ReportMetric(float64(fresh)/float64(b.N), "bounds-fresh/decision")
 	// Whole model sets copied into working copies: one per worker that took
 	// part (TestWorkingCopyCountPerDecision holds it there).

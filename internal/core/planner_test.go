@@ -201,18 +201,22 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 	}
 	train := newTrainSetFromHistory(h, opts, p.extraNames)
 	ms := fitPrefilled(t, p, 2, train)
+	// The tested configurations are in the training set, as a path's
+	// members are: the sweep skips them by their marks.
+	all := gatherAll(t, p)
+	tested := make([]bool, len(all))
 	untested := make([]candidate, 0)
-	for _, cand := range gatherAll(t, p) {
-		if !h.Tested(cand.id) {
+	for _, cand := range all {
+		if tested[cand.slot] = h.Tested(cand.id); !tested[cand.slot] {
 			untested = append(untested, cand)
 		}
 	}
-	state := &specState{train: train, untested: untested, budget: 1e9, bounds: &boundTable{}}
+	state := &specState{train: train, untested: all, onPath: tested, budget: 1e9}
 	inc, err := p.incumbent(state, ms)
 	if err != nil {
 		t.Fatalf("incumbent error: %v", err)
 	}
-	next, ok, err := p.nextStep(state, ms, inc, nil, &eligibleBuf{})
+	next, ok, err := p.nextStep(&decision{}, state, ms, inc, &sweepScratch{}, &sweepCounts{})
 	if err != nil {
 		t.Fatalf("nextStep error: %v", err)
 	}
@@ -241,8 +245,8 @@ func TestNextStepPrefersHighEIc(t *testing.T) {
 	}
 
 	// With a zero budget there is no next step.
-	empty := &specState{train: train, untested: untested, budget: 0, bounds: &boundTable{}}
-	if _, ok, err := p.nextStep(empty, ms, inc, nil, &eligibleBuf{}); err != nil || ok {
+	empty := &specState{train: train, untested: all, onPath: tested, budget: 0}
+	if _, ok, err := p.nextStep(&decision{}, empty, ms, inc, &sweepScratch{}, &sweepCounts{}); err != nil || ok {
 		t.Errorf("nextStep with zero budget = %v, %v, want not-ok", ok, err)
 	}
 }
@@ -351,20 +355,6 @@ func TestSetupCostHelper(t *testing.T) {
 	p2, cands2 := open(opts)
 	if got := p2.setupCost(&from, cands2[1]); got != 0 {
 		t.Errorf("setup cost without extension = %v, want 0", got)
-	}
-}
-
-func TestWithoutRemovesCandidate(t *testing.T) {
-	p, _, _ := testPlanner(t, nil)
-	subset := gatherAll(t, p)[:5]
-	out := appendWithout(nil, subset, subset[2].id)
-	if len(out) != 4 {
-		t.Fatalf("appendWithout returned %d candidates, want 4", len(out))
-	}
-	for _, c := range out {
-		if c.id == subset[2].id {
-			t.Error("removed candidate still present")
-		}
 	}
 }
 

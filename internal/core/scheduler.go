@@ -35,10 +35,10 @@ type specWorker struct {
 	// and none in between (see specScheduler.run).
 	ws *pathWorkspace
 
-	// elig is the useful-work counters of the nextStep sweeps this worker
+	// counts is the useful-work counters of the nextStep sweeps this worker
 	// runs, and modelCopies counts the whole model sets it copied into its
 	// working copy.
-	elig        eligibleBuf
+	counts      sweepCounts
 	modelCopies int
 }
 

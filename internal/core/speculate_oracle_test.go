@@ -22,8 +22,10 @@ import (
 // sample in, sweep — kept as the differential oracle. The subtree below runs
 // on a workspace of its own from depth 0, with the child models stamped as
 // its root, so the only thing the oracle and the planner's speculate do
-// differently is how this one outcome's child models come to be; sampling
-// states at every depth covers every level.
+// differently is how this one outcome's child models come to be — and how
+// their sweeps bound: the clone's journal starts at the parent, not at the
+// decision's root models, so its sweeps take no root ranking and bound every
+// slot afresh. Sampling states at every depth covers every level.
 func (p *planner) speculateCloned(w *specWorker, child *specState, parent *modelSet, cand candidate, specCost float64, specExtras []float64, lookahead int) (reward, cost float64, ok bool, err error) {
 	models := p.newModelSet(1, 0)
 	if err := models.cloneFrom(parent); err != nil {
@@ -34,8 +36,15 @@ func (p *planner) speculateCloned(w *specWorker, child *specState, parent *model
 	}
 	models.token = &rootToken{}
 	// Slot -1: the subtree's own speculation starts at depth 0 of its
-	// workspace. No parent bound table: the oracle's child sweep is fresh.
-	return p.sweepChild(w, &pathWorkspace{}, -1, child, nil, models, lookahead)
+	// workspace, which marks the path that reached child.
+	ws := &pathWorkspace{}
+	ws.sweep.reserve(len(child.untested))
+	for slot, on := range child.onPath {
+		if on {
+			ws.sweep.mark(slot)
+		}
+	}
+	return p.sweepChild(&decision{}, w, ws, -1, child, models, lookahead)
 }
 
 // recordingFactory hands out the planner's default bagging ensembles and
@@ -305,6 +314,9 @@ func sampleSpeculateStates(t *testing.T, p *planner, factory *recordingFactory, 
 		}
 		return d.models
 	})
+	if err := p.eligibility(d); err != nil {
+		t.Fatalf("eligibility: %v", err)
+	}
 	rootImage := imageOfSet(t, root)
 	w := p.sched.workers[0]
 	ws := &pathWorkspace{}
@@ -317,12 +329,15 @@ func sampleSpeculateStates(t *testing.T, p *planner, factory *recordingFactory, 
 	})
 	requireSameImage(t, "fresh working copy", imageOfSet(t, work), rootImage)
 
+	sw := &ws.sweep
+	sw.reserve(len(d.root.untested))
 	for s := 0; s < n; s++ {
 		state := &d.root
 		parent := root // the oracle's models of the current level
 		parentImage := rootImage
 		var images []setImage
-		for level := 0; level < p.params.Lookahead && len(state.untested) > 1; level++ {
+		var path []int // the slots the walk marked on the worker's path
+		for level := 0; level < p.params.Lookahead && len(state.untested)-sw.members > 1; level++ {
 			lookahead := p.params.Lookahead - level
 			// The in-place side's parent is the root set at level 0 and the
 			// working copy itself below.
@@ -335,7 +350,11 @@ func sampleSpeculateStates(t *testing.T, p *planner, factory *recordingFactory, 
 			var specCost float64
 			var specExtras []float64
 			for try := 0; try < 3; try++ {
-				cand = state.untested[rng.Intn(len(state.untested))]
+				if try > 0 {
+					sw.unmark(path[len(path)-1])
+					path = path[:len(path)-1]
+				}
+				cand = randomUntested(rng, state)
 				costPred, extraPreds := candPreds(t, parent.ms, cand)
 				specCost = randomOutcome(t, rng, costPred, p.params.GHOrder)
 				if rng.Intn(4) == 0 {
@@ -348,11 +367,13 @@ func sampleSpeculateStates(t *testing.T, p *planner, factory *recordingFactory, 
 				for k, pred := range extraPreds {
 					specExtras[k] = randomOutcome(t, rng, pred, p.params.GHOrder)
 				}
+				sw.mark(cand.slot)
+				path = append(path, cand.slot)
 				child = &specState{
 					train:    state.train.withEntry(cand.features, specCost, specExtras, p.feasibleSpeculation(cand, specCost, specExtras)),
-					untested: appendWithout(nil, state.untested, cand.id),
+					untested: d.root.untested,
+					onPath:   sw.onPath,
 					budget:   state.budget - specCost,
-					bounds:   &boundTable{},
 				}
 				if try == 1 {
 					child.budget = -1 // nothing affordable: the path terminates
@@ -363,7 +384,7 @@ func sampleSpeculateStates(t *testing.T, p *planner, factory *recordingFactory, 
 				var gotOK, wantOK bool
 				var gotErr, wantErr error
 				p.sched.run(1, func(w *specWorker, _ int) {
-					got[0], got[1], gotOK, gotErr = p.speculate(w, ws, level, child, state.bounds, inPlaceParent, cand, specCost, specExtras, lookahead)
+					got[0], got[1], gotOK, gotErr = p.speculate(d, w, ws, level, child, inPlaceParent, cand, specCost, specExtras, lookahead)
 				})
 				if copies := modelCopies(p) - copiesBefore; copies != 0 {
 					t.Fatalf("level %d: speculating on a valid working copy made %d whole-set copies", level, copies)
@@ -414,6 +435,9 @@ func sampleSpeculateStates(t *testing.T, p *planner, factory *recordingFactory, 
 				t.Fatalf("undo: %v", err)
 			}
 			requireSameImage(t, fmt.Sprintf("unwinding to level %d", level), imageOfSet(t, work), images[level])
+		}
+		for _, slot := range path {
+			sw.unmark(slot)
 		}
 	}
 }

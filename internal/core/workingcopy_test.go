@@ -93,6 +93,9 @@ func TestWorkingCopyValidity(t *testing.T) {
 	if err := p.rootModels(d); err != nil {
 		t.Fatalf("rootModels: %v", err)
 	}
+	if err := p.eligibility(d); err != nil {
+		t.Fatalf("eligibility: %v", err)
+	}
 	root := d.models
 	rootMemos := memosOf(t, root)
 	w := p.sched.workers[0]
@@ -101,12 +104,20 @@ func TestWorkingCopyValidity(t *testing.T) {
 	specCost, specExtras := costPred.Mean, []float64{extraPreds[0].Mean}
 	child := &specState{
 		train:    d.root.train.withEntry(cand.features, specCost, specExtras, true),
-		untested: appendWithout(nil, d.root.untested, cand.id),
+		untested: d.root.untested,
 		budget:   d.root.budget - specCost,
-		bounds:   &boundTable{},
+	}
+	// onPath puts cand on the workspace's path, as explorePaths does before
+	// it speculates on cand's outcomes.
+	onPath := func(ws *pathWorkspace) func() {
+		ws.sweep.reserve(len(d.root.untested))
+		ws.sweep.mark(cand.slot)
+		child.onPath = ws.sweep.onPath
+		return func() { ws.sweep.unmark(cand.slot) }
 	}
 	speculate := func(ws *pathWorkspace) (reward, cost float64, ok bool, err error) {
-		return p.speculate(w, ws, 0, child, nil, root, cand, specCost, specExtras, 2)
+		defer onPath(ws)()
+		return p.speculate(d, w, ws, 0, child, root, cand, specCost, specExtras, 2)
 	}
 	wantReward, wantCost, wantOK, err := speculate(&pathWorkspace{})
 	if err != nil || !wantOK {
@@ -184,8 +195,14 @@ func TestWorkingCopyValidity(t *testing.T) {
 	if err := p.rootModels(d2); err != nil {
 		t.Fatalf("rootModels: %v", err)
 	}
+	if err := p.eligibility(d2); err != nil {
+		t.Fatalf("eligibility: %v", err)
+	}
 	copies := w.modelCopies
-	if _, _, _, err := p.speculate(w, ws, 0, child, nil, d2.models, cand, specCost, specExtras, 2); err != nil {
+	unmark := onPath(ws)
+	_, _, _, err = p.speculate(d2, w, ws, 0, child, d2.models, cand, specCost, specExtras, 2)
+	unmark()
+	if err != nil {
 		t.Fatalf("speculate under the second decision: %v", err)
 	}
 	if w.modelCopies != copies+1 || ws.base != d2.models.token {
@@ -199,7 +216,8 @@ func TestWorkingCopyValidity(t *testing.T) {
 				t.Fatalf("sweeping at the wrong depth: recovered %v, want the depth panic", r)
 			}
 		}()
-		_, _, _, _ = p.speculate(w, ws, 1, child, nil, ws.work, cand, specCost, specExtras, 1)
+		defer onPath(ws)()
+		_, _, _, _ = p.speculate(d2, w, ws, 1, child, ws.work, cand, specCost, specExtras, 1)
 	}()
 }
 

@@ -88,9 +88,13 @@ type csvRow struct {
 	m        Measurement
 }
 
-// ReadCSV parses a job from the CSV format produced by WriteCSV. Dimension
-// columns may contain either numbers or arbitrary labels; label columns are
-// mapped to ordinal numeric values in sorted label order.
+// ReadCSV parses a job from the CSV format produced by WriteCSV: leading
+// comment lines (the job name and timeout among them), then the CSV table.
+// After the header only empty lines are skipped: a '#' line or a
+// whitespace-only line there is a malformed record and fails the file, since
+// an unquoted label cell may itself start with '#'. Dimension columns may
+// contain either numbers or arbitrary labels; label columns are mapped to
+// ordinal numeric values in sorted label order.
 func ReadCSV(r io.Reader) (*Job, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
@@ -99,37 +103,35 @@ func ReadCSV(r io.Reader) (*Job, error) {
 	name := "job"
 	timeout := 0.0
 
-	lines := strings.Split(string(raw), "\n")
-	dataLines := make([]string, 0, len(lines))
-	for _, line := range lines {
+	// Comment lines lead the file: from the first other non-blank line on,
+	// the text is CSV, where a line may start with '#' inside a cell.
+	rest := string(raw)
+	for rest != "" {
+		line, after, _ := strings.Cut(rest, "\n")
 		trimmed := strings.TrimSpace(line)
-		if trimmed == "" {
-			continue
+		if trimmed != "" && !strings.HasPrefix(trimmed, "#") {
+			break
 		}
-		if strings.HasPrefix(trimmed, "#") {
-			meta := strings.TrimSpace(strings.TrimPrefix(trimmed, "#"))
-			if v, ok := strings.CutPrefix(meta, "job="); ok {
-				name = strings.TrimSpace(v)
-			}
-			if v, ok := strings.CutPrefix(meta, "timeout_seconds="); ok {
-				parsed, perr := strconv.ParseFloat(strings.TrimSpace(v), 64)
-				if perr != nil {
-					return nil, fmt.Errorf("dataset: parsing timeout comment %q: %w", trimmed, perr)
-				}
-				timeout = parsed
-			}
-			continue
+		meta := strings.TrimSpace(strings.TrimPrefix(trimmed, "#"))
+		if v, ok := strings.CutPrefix(meta, "job="); ok {
+			name = strings.TrimSpace(v)
 		}
-		dataLines = append(dataLines, line)
-	}
-	if len(dataLines) < 2 {
-		return nil, errors.New("dataset: CSV requires a header and at least one data row")
+		if v, ok := strings.CutPrefix(meta, "timeout_seconds="); ok {
+			parsed, perr := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			if perr != nil {
+				return nil, fmt.Errorf("dataset: parsing timeout comment %q: %w", trimmed, perr)
+			}
+			timeout = parsed
+		}
+		rest = after
 	}
 
-	cr := csv.NewReader(strings.NewReader(strings.Join(dataLines, "\n")))
-	records, err := cr.ReadAll()
+	records, err := csv.NewReader(strings.NewReader(rest)).ReadAll()
 	if err != nil {
 		return nil, fmt.Errorf("dataset: parsing CSV: %w", err)
+	}
+	if len(records) < 2 {
+		return nil, errors.New("dataset: CSV requires a header and at least one data row")
 	}
 	header := records[0]
 	dimCols, fixedCols, extraCols, err := classifyColumns(header)

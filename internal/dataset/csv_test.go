@@ -148,6 +148,8 @@ func TestReadCSVErrors(t *testing.T) {
 		{name: "duplicate row", text: "a,runtime_seconds,unit_price_per_hour\n1,10,1\n1,20,1\n"},
 		{name: "bad timed_out", text: "a,runtime_seconds,unit_price_per_hour,timed_out\n1,10,1,maybe\n"},
 		{name: "bad extra", text: "a,runtime_seconds,unit_price_per_hour,extra_energy\n1,10,1,zzz\n"},
+		{name: "comment after header", text: "a,runtime_seconds,unit_price_per_hour\n# note\n1,10,1\n"},
+		{name: "blank line after header", text: "a,runtime_seconds,unit_price_per_hour\n  \n1,10,1\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -64,12 +64,12 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 	if c.MemoPreds() == nil {
 		t.Fatal("memo went off across a repairable Update")
 	}
-	// LastMoved lists every entry the Update changed, each once.
-	ids := c.LastMoved()
+	// Moved lists every entry the Update changed, each once.
+	ids := c.Moved()
 	listed := make(map[int32]bool, len(ids))
 	for _, id := range ids {
 		if listed[id] {
-			t.Fatalf("LastMoved lists slot %d twice", id)
+			t.Fatalf("Moved lists slot %d twice", id)
 		}
 		listed[id] = true
 	}
@@ -88,15 +88,35 @@ func TestCachedUpdateKeepsUnchangedEntriesAndRefreshesChanged(t *testing.T) {
 		} else {
 			moved++
 			if !listed[int32(id)] {
-				t.Fatalf("entry %d moved but LastMoved does not list it", id)
+				t.Fatalf("entry %d moved but Moved does not list it", id)
 			}
+		}
+	}
+	// With a second Update pending, Moved lists every entry that differs
+	// from the memo before the first, and one Undo takes the second's back.
+	if err := c.Update(rowOf(15), 7); err != nil {
+		t.Fatalf("second Update: %v", err)
+	}
+	union := make(map[int32]bool)
+	for _, id := range c.Moved() {
+		union[id] = true
+	}
+	for id := 0; id < size; id++ {
+		if c.MemoPreds()[id] != before[id] && !union[int32(id)] {
+			t.Fatalf("entry %d differs after two Updates but Moved does not list it", id)
 		}
 	}
 	if err := c.Undo(); err != nil {
 		t.Fatalf("Undo: %v", err)
 	}
-	if ids := c.LastMoved(); ids != nil {
-		t.Errorf("LastMoved lists slots %v with no Update pending", ids)
+	if !slices.Equal(c.Moved(), ids) {
+		t.Fatalf("after undoing the second Update Moved lists %v, want the first's %v", c.Moved(), ids)
+	}
+	if err := c.Undo(); err != nil {
+		t.Fatalf("Undo: %v", err)
+	}
+	if ids := c.Moved(); ids != nil {
+		t.Errorf("Moved lists slots %v with no Update pending", ids)
 	}
 	if kept == 0 || moved == 0 {
 		t.Fatalf("degenerate fixture: %d entries kept, %d moved; want both", kept, moved)

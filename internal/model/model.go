@@ -296,16 +296,17 @@ func (c *Cached) Undo() error {
 // Pending returns the number of Updates Undo can still take back.
 func (c *Cached) Pending() int { return len(c.journal) }
 
-// LastMoved returns the memo slots the most recent Update not yet undone
-// repaired — every slot whose entry that Update changed, each once, and for
-// the bagging ensemble no other — or nil when no Update is pending. The
-// slice is the Cached's and is valid until its next mutating call.
-func (c *Cached) LastMoved() []int32 {
-	d := len(c.journal) - 1
-	if d < 0 {
+// Moved returns the memo slots the pending Updates repaired, oldest Update
+// first: every slot whose entry differs from the memo before the first of
+// them is listed, each once per Update (the bagging ensemble lists no other),
+// so a slot two Updates moved appears twice. It is nil when no Update is
+// pending. The slice is the Cached's and is valid until its next mutating
+// call.
+func (c *Cached) Moved() []int32 {
+	if len(c.journal) == 0 {
 		return nil
 	}
-	return c.undoIDs[c.journal[d]:]
+	return c.undoIDs[c.journal[0]:]
 }
 
 // CloneFrom snapshots src — fitted model state, memo, and the feature matrix
